@@ -237,7 +237,11 @@ pub(crate) const MAX_DEPTH: usize = 32;
 /// ```
 #[derive(Debug, Default)]
 pub struct Database {
-    pub(crate) tables: BTreeMap<String, Table>,
+    /// Base tables by key. Private so every change goes through the
+    /// helpers that feed the transaction undo log (`table_mut`,
+    /// `create_table`, `drop_table`, `attach_heap`); other modules read
+    /// it through [`Database::tables`].
+    tables: BTreeMap<String, Table>,
     pub(crate) views: BTreeMap<String, Arc<ViewDef>>,
     pub(crate) triggers: BTreeMap<String, Arc<TriggerDef>>,
     /// Planner policy for UNION ALL view flattening.
@@ -252,8 +256,9 @@ pub struct Database {
     /// Flatten-rewrite and access-plan cache, invalidated by the catalog
     /// generation counter (bumped on any DDL and on rollback).
     pub(crate) plan_cache: PlanCache,
-    /// Snapshot taken at BEGIN, restored on ROLLBACK. `None` = autocommit.
-    tx_snapshot: Option<TxSnapshot>,
+    /// Undo log of the open transaction, replayed on ROLLBACK. `None` =
+    /// autocommit.
+    tx_undo: Option<TxUndo>,
     /// Optional journal sink; when attached, successful mutations are
     /// logged logically (statement text + parameters) under
     /// `journal_name`.
@@ -261,7 +266,7 @@ pub struct Database {
     /// Component name used in emitted `Sql` records (e.g.
     /// `db.user_dictionary`).
     journal_name: String,
-    /// Open journal transaction id mirroring `tx_snapshot`.
+    /// Open journal transaction id mirroring `tx_undo`.
     journal_txn: Option<u64>,
     /// Heap tier applied to every table (existing and future) so large
     /// row payloads page to a block device instead of staying resident.
@@ -320,12 +325,25 @@ const _: fn() = || {
     assert_send::<Database>();
 };
 
-/// Schema + data snapshot for transaction rollback.
+/// Rollback state of the open transaction. Tables are logged lazily, on
+/// the transaction's first change to each, so BEGIN copies no table and
+/// a transaction pays only for what it touches.
 #[derive(Debug)]
-pub(crate) struct TxSnapshot {
-    tables: BTreeMap<String, Table>,
+struct TxUndo {
+    /// Every table the transaction has changed, mapped to its state at
+    /// BEGIN: the pre-image, or `None` when the table did not exist then.
+    tables: BTreeMap<String, Option<Table>>,
+    /// The view and trigger catalogs at BEGIN (`Arc`'d definitions, so
+    /// the copy is refcount bumps).
     views: BTreeMap<String, Arc<ViewDef>>,
     triggers: BTreeMap<String, Arc<TriggerDef>>,
+    /// The last table version tag minted before BEGIN: a table with a
+    /// later tag changed inside the transaction and must have an entry.
+    #[cfg(debug_assertions)]
+    begin_ver: u64,
+    /// Number of tables at BEGIN, so a drop that skipped the log shows.
+    #[cfg(debug_assertions)]
+    begin_tables: usize,
 }
 
 /// Point-in-time copy of the [`Stats`] counters, taken before a statement
@@ -668,7 +686,7 @@ impl Database {
     /// concurrently.
     pub fn begin_read(&self) -> Option<ReadSnapshot> {
         let _sp = maxoid_obs::span("sqldb.begin_read");
-        if self.tx_snapshot.is_some() {
+        if self.tx_undo.is_some() {
             return None;
         }
         let stamp = self.mvcc.stamp();
@@ -806,20 +824,25 @@ impl Database {
         crate::exec::exec_select(self, stmt, params, trigger, cache, depth)
     }
 
-    /// Starts a transaction. The rollback snapshot shares row storage
-    /// with the live tables (`Arc`-structural, privatized copy-on-write
-    /// at the next mutation), so BEGIN is O(#tables) for resident data;
-    /// only paged tables still materialize a private copy.
+    /// Starts a transaction. No table is copied here: each table's
+    /// pre-image enters the undo log on the transaction's first change to
+    /// it, so BEGIN costs the same for resident and paged tables, and a
+    /// DDL-only transaction never reads a paged table's rows. Only the
+    /// view and trigger catalogs are copied, as `Arc`'d definitions.
     pub fn begin(&mut self) -> SqlResult<()> {
-        if self.tx_snapshot.is_some() {
+        if self.tx_undo.is_some() {
             return Err(SqlError::Unsupported(
                 "cannot start a transaction within a transaction".into(),
             ));
         }
-        self.tx_snapshot = Some(TxSnapshot {
-            tables: self.tables.clone(),
+        self.tx_undo = Some(TxUndo {
+            tables: BTreeMap::new(),
             views: self.views.clone(),
             triggers: self.triggers.clone(),
+            #[cfg(debug_assertions)]
+            begin_ver: self.mvcc.last_table_ver(),
+            #[cfg(debug_assertions)]
+            begin_tables: self.tables.len(),
         });
         if let Some(j) = &self.journal {
             self.journal_txn = Some(j.begin_txn());
@@ -827,41 +850,72 @@ impl Database {
         Ok(())
     }
 
-    /// Commits the open transaction.
+    /// Commits the open transaction, discarding its undo log.
     pub fn commit(&mut self) -> SqlResult<()> {
-        self.tx_snapshot.take().map(|_| ()).ok_or_else(|| {
+        let undo = self.tx_undo.take().ok_or_else(|| {
             SqlError::Unsupported("cannot commit - no transaction is active".into())
         })?;
+        #[cfg(debug_assertions)]
+        self.check_undo_log(&undo);
+        // Frees the pre-images, and the heap pages of tables dropped
+        // inside the transaction.
+        drop(undo);
         if let (Some(j), Some(txn)) = (&self.journal, self.journal_txn.take()) {
             j.emit(maxoid_journal::Record::TxnCommit { txn });
         }
         Ok(())
     }
 
-    /// Rolls back the open transaction, restoring the BEGIN snapshot.
+    /// Rolls back the open transaction: every table in the undo log gets
+    /// its BEGIN state back (tables created inside the transaction are
+    /// removed), and the view and trigger catalogs are restored.
     pub fn rollback(&mut self) -> SqlResult<()> {
-        match self.tx_snapshot.take() {
-            Some(snap) => {
-                self.tables = snap.tables;
-                self.views = snap.views;
-                self.triggers = snap.triggers;
-                // Restored tables may carry tags the cache also holds
-                // for different (post-BEGIN) content only in the absence
-                // of mutation; drop everything rather than reason about
-                // it — rollback is rare and a full re-freeze is cheap.
-                *self.frozen_cache.borrow_mut() = Arc::new(BTreeMap::new());
-                *self.frozen_dirty.borrow_mut() = None;
-                // The restored catalog may differ from the one cached
-                // plans were computed against.
-                self.bump_catalog_generation();
-                self.note_mutation();
-                if let (Some(j), Some(txn)) = (&self.journal, self.journal_txn.take()) {
-                    j.emit(maxoid_journal::Record::TxnRollback { txn });
-                }
-                Ok(())
-            }
-            None => Err(SqlError::Unsupported("cannot rollback - no transaction is active".into())),
+        let undo = self.tx_undo.take().ok_or_else(|| {
+            SqlError::Unsupported("cannot rollback - no transaction is active".into())
+        })?;
+        #[cfg(debug_assertions)]
+        self.check_undo_log(&undo);
+        for (name, pre) in undo.tables {
+            // Restored tables carry their BEGIN tags; re-freeze them at
+            // the next publication like any other changed table.
+            self.uncache_frozen(&name);
+            match pre {
+                Some(table) => self.tables.insert(name, table),
+                None => self.tables.remove(&name),
+            };
         }
+        self.views = undo.views;
+        self.triggers = undo.triggers;
+        // The restored catalog may differ from the one cached plans were
+        // computed against.
+        self.bump_catalog_generation();
+        self.note_mutation();
+        if let (Some(j), Some(txn)) = (&self.journal, self.journal_txn.take()) {
+            j.emit(maxoid_journal::Record::TxnRollback { txn });
+        }
+        Ok(())
+    }
+
+    /// Debug-build audit of the undo log against the table version tags:
+    /// every table whose tag was minted after BEGIN, and every table
+    /// dropped since, must have an entry. A mutation path that bypasses
+    /// the logging helpers fails here instead of surviving a ROLLBACK.
+    #[cfg(debug_assertions)]
+    fn check_undo_log(&self, undo: &TxUndo) {
+        for (name, t) in &self.tables {
+            assert!(
+                t.version_tag() <= undo.begin_ver || undo.tables.contains_key(name),
+                "table {name} changed inside a transaction without an undo entry: \
+                 a mutation path bypassed the undo log"
+            );
+        }
+        let untouched = self.tables.keys().filter(|n| !undo.tables.contains_key(*n)).count();
+        let logged = undo.tables.values().filter(|pre| pre.is_some()).count();
+        assert_eq!(
+            untouched + logged,
+            undo.begin_tables,
+            "a table was dropped inside a transaction without an undo entry"
+        );
     }
 
     /// Applies a recovered `Sql` journal record. Batch records (no
@@ -883,7 +937,7 @@ impl Database {
 
     /// Returns true while a transaction is open.
     pub fn in_transaction(&self) -> bool {
-        self.tx_snapshot.is_some()
+        self.tx_undo.is_some()
     }
 
     /// Returns true if a base table with this name exists.
@@ -913,15 +967,57 @@ impl Database {
     /// chains, and the refcount-driven trim (see `trim_chain`) must not
     /// see stale versions pinned by a mere cache. Unchanged tables keep
     /// their cache entry, whose pins are exactly the live head versions.
+    /// Inside a transaction, the first call for a table records its
+    /// pre-image in the undo log (a paged table's rows are copied into
+    /// memory then).
     pub fn table_mut(&mut self, name: &str) -> SqlResult<&mut Table> {
         self.note_mutation();
         self.uncache_frozen(name);
-        self.tables.get_mut(&key(name)).ok_or_else(|| SqlError::NoSuchTable(name.to_string()))
+        let k = key(name);
+        let table =
+            self.tables.get_mut(&k).ok_or_else(|| SqlError::NoSuchTable(name.to_string()))?;
+        if let Some(undo) = &mut self.tx_undo {
+            undo.tables.entry(k).or_insert_with(|| Some(table.clone()));
+        }
+        Ok(table)
+    }
+
+    /// Read access to the base tables; changes go through the logging
+    /// helpers.
+    pub(crate) fn tables(&self) -> &BTreeMap<String, Table> {
+        &self.tables
+    }
+
+    /// Registers a new table, which must not exist yet. Inside a
+    /// transaction its BEGIN state is recorded as absent.
+    pub(crate) fn create_table(&mut self, name: &str, table: Table) {
+        self.uncache_frozen(name);
+        let k = key(name);
+        if let Some(undo) = &mut self.tx_undo {
+            undo.tables.entry(k.clone()).or_insert(None);
+        }
+        let prev = self.tables.insert(k, table);
+        debug_assert!(prev.is_none(), "create_table over an existing table {name}");
+    }
+
+    /// Removes a table; returns false when it did not exist. Inside a
+    /// transaction the dropped table itself becomes its undo entry, so
+    /// nothing is copied.
+    pub(crate) fn drop_table(&mut self, name: &str) -> bool {
+        let k = key(name);
+        let Some(table) = self.tables.remove(&k) else {
+            return false;
+        };
+        self.uncache_frozen(name);
+        if let Some(undo) = &mut self.tx_undo {
+            undo.tables.entry(k).or_insert(Some(table));
+        }
+        true
     }
 
     /// Drops `name`'s frozen-cache entry (same rationale as
-    /// [`Database::table_mut`]); for DDL paths that bypass `table_mut`.
-    pub(crate) fn uncache_frozen(&self, name: &str) {
+    /// [`Database::table_mut`]); for table creation, drop and rollback.
+    fn uncache_frozen(&self, name: &str) {
         let k = key(name);
         let mut cache = self.frozen_cache.borrow_mut();
         if cache.contains_key(&k) {
@@ -936,13 +1032,18 @@ impl Database {
     /// created later) spills its row payloads to `tier` once it outgrows
     /// `threshold` encoded bytes. Already-oversized tables migrate
     /// immediately — this is how a cold boot re-adopts a dataset that was
-    /// paged in the previous run.
+    /// paged in the previous run. Inside a transaction every table's
+    /// pre-image is logged, so a ROLLBACK restores the tables as they
+    /// were at BEGIN.
     pub fn attach_heap(&mut self, tier: crate::heap::HeapTier, threshold: usize) {
         self.note_mutation();
         *self.frozen_cache.borrow_mut() = Arc::new(BTreeMap::new());
         *self.frozen_dirty.borrow_mut() = None;
         let cfg = crate::heap::HeapCfg { tier, threshold };
-        for t in self.tables.values_mut() {
+        for (name, t) in self.tables.iter_mut() {
+            if let Some(undo) = &mut self.tx_undo {
+                undo.tables.entry(name.clone()).or_insert_with(|| Some(t.clone()));
+            }
             t.attach_heap(cfg.clone());
         }
         self.heap = Some(cfg);
@@ -1165,6 +1266,31 @@ mod tests {
         db.stats.reset();
         assert_eq!(db.stats.access_paths_dropped.get(), 0);
         assert_eq!(db.stats.access_path_cap.get(), 3);
+    }
+
+    /// A change that skips the undo log still moves the table's version
+    /// tag, which the debug-build audit at COMMIT/ROLLBACK checks against
+    /// the log.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "changed inside a transaction without an undo entry")]
+    fn undo_log_audit_catches_a_change_that_skips_the_log() {
+        let mut db = Database::new();
+        db.execute_batch("CREATE TABLE t (_id INTEGER PRIMARY KEY, v TEXT);").unwrap();
+        db.begin().unwrap();
+        db.tables.get_mut("t").unwrap().insert(vec![Value::Null, "x".into()], false).unwrap();
+        db.commit().unwrap();
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "dropped inside a transaction without an undo entry")]
+    fn undo_log_audit_catches_a_drop_that_skips_the_log() {
+        let mut db = Database::new();
+        db.execute_batch("CREATE TABLE t (_id INTEGER PRIMARY KEY, v TEXT);").unwrap();
+        db.begin().unwrap();
+        db.tables.remove("t");
+        db.rollback().unwrap();
     }
 
     #[test]

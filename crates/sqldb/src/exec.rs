@@ -24,7 +24,7 @@ pub fn exec_stmt(
 ) -> SqlResult<ExecOutcome> {
     match stmt {
         Stmt::CreateTable { name, if_not_exists, columns } => {
-            if db.tables.contains_key(&key(name)) || db.views.contains_key(&key(name)) {
+            if db.tables().contains_key(&key(name)) || db.views.contains_key(&key(name)) {
                 if *if_not_exists {
                     return Ok(ExecOutcome::ddl());
                 }
@@ -36,13 +36,12 @@ pub fn exec_stmt(
             if let Some(cfg) = &db.heap {
                 table.attach_heap(cfg.clone());
             }
-            db.uncache_frozen(name);
-            db.tables.insert(key(name), table);
+            db.create_table(name, table);
             db.bump_catalog_generation();
             Ok(ExecOutcome::ddl())
         }
         Stmt::CreateView { name, if_not_exists, select } => {
-            if db.tables.contains_key(&key(name)) || db.views.contains_key(&key(name)) {
+            if db.tables().contains_key(&key(name)) || db.views.contains_key(&key(name)) {
                 if *if_not_exists {
                     return Ok(ExecOutcome::ddl());
                 }
@@ -82,13 +81,13 @@ pub fn exec_stmt(
         }
         Stmt::CreateIndex { name, if_not_exists, unique, table, column } => {
             // Index names share one namespace across all tables, like SQLite.
-            if db.tables.values().any(|t| t.has_index(name)) {
+            if db.tables().values().any(|t| t.has_index(name)) {
                 if *if_not_exists {
                     return Ok(ExecOutcome::ddl());
                 }
                 return Err(SqlError::AlreadyExists(format!("index {name}")));
             }
-            if !db.tables.contains_key(&key(table)) {
+            if !db.tables().contains_key(&key(table)) {
                 return Err(SqlError::NoSuchTable(table.clone()));
             }
             db.table_mut(table)?.create_index(name, column, *unique)?;
@@ -97,9 +96,9 @@ pub fn exec_stmt(
         }
         Stmt::DropIndex { name, if_exists } => {
             // Resolve the owning table first so the drop goes through
-            // `table_mut` (snapshot retraction + frozen-cache eviction).
-            let owner =
-                db.tables.iter().find(|(_, t)| t.has_index(name)).map(|(n, _)| n.clone());
+            // `table_mut` (snapshot retraction, frozen-cache eviction and
+            // the transaction undo log).
+            let owner = db.tables().iter().find(|(_, t)| t.has_index(name)).map(|(n, _)| n.clone());
             if let Some(owner) = owner {
                 db.table_mut(&owner)?.drop_index(name);
                 db.bump_catalog_generation();
@@ -111,12 +110,11 @@ pub fn exec_stmt(
             Err(SqlError::NoSuchIndex(name.clone()))
         }
         Stmt::DropTable { name, if_exists } => {
-            if db.tables.remove(&key(name)).is_none() {
+            if !db.drop_table(name) {
                 if !*if_exists {
                     return Err(SqlError::NoSuchTable(name.clone()));
                 }
             } else {
-                db.uncache_frozen(name);
                 db.bump_catalog_generation();
             }
             Ok(ExecOutcome::ddl())
@@ -966,7 +964,7 @@ fn exec_insert(
     };
 
     let tkey = key(table);
-    if db.tables.contains_key(&tkey) {
+    if db.tables().contains_key(&tkey) {
         // Map provided columns to schema positions.
         let (schema_len, col_map): (usize, Vec<usize>) = {
             let t = db.table(table)?;
@@ -1102,7 +1100,7 @@ fn exec_update(
     trigger: Option<&TriggerCtx>,
 ) -> SqlResult<ExecOutcome> {
     let tkey = key(table);
-    if db.tables.contains_key(&tkey) {
+    if db.tables().contains_key(&tkey) {
         // Phase 1 (immutable): find matching rows and compute new values.
         let updates: Vec<(i64, Vec<Value>)> = {
             let cache = SubqueryCache::default();
@@ -1191,7 +1189,7 @@ fn exec_delete(
     trigger: Option<&TriggerCtx>,
 ) -> SqlResult<ExecOutcome> {
     let tkey = key(table);
-    if db.tables.contains_key(&tkey) {
+    if db.tables().contains_key(&tkey) {
         let doomed: Vec<i64> = {
             let cache = SubqueryCache::default();
             let env = EvalEnv { db, params, trigger, cache: &cache, depth: 0 };

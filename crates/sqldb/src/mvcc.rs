@@ -99,6 +99,12 @@ impl MvccShared {
         self.table_ver.fetch_add(1, Ordering::AcqRel) + 1
     }
 
+    /// The last table version tag minted; every later tag is greater.
+    #[cfg(debug_assertions)]
+    pub(crate) fn last_table_ver(&self) -> u64 {
+        self.table_ver.load(Ordering::Acquire)
+    }
+
     /// Stamp of the oldest live snapshot, if any.
     pub(crate) fn oldest_live(&self) -> Option<u64> {
         match self.oldest.load(Ordering::Acquire) {

@@ -32,10 +32,13 @@
 //! refcount-driven chain trim ([`trim_chain`]) — in the common
 //! no-snapshot case the chain collapses back to length one immediately.
 //!
-//! Cloning a table — transaction snapshots, COW delta setup — shares
-//! resident rows structurally the same way (copy-on-write at the next
-//! mutation); paged rows are always materialized because snapshots must
-//! not alias heap pages the live table keeps mutating.
+//! A transaction's undo log clones a table on the transaction's first
+//! change to it (see `Database::begin`). The clone shares resident rows
+//! structurally the same way (copy-on-write at the next mutation); paged
+//! rows are materialized, because a pre-image must not alias heap pages
+//! the live table keeps mutating. Creating or dropping a table clones
+//! nothing: BEGIN copies no table, and a dropped table moves into the
+//! undo log whole, so a DDL-only transaction never reads a paged row.
 
 use crate::ast::ColumnDef;
 use crate::error::{SqlError, SqlResult};
@@ -279,8 +282,8 @@ impl Rows {
 
     /// A logically private copy. Resident rows share the version-chain
     /// map structurally (`Arc`) and privatize copy-on-write at the next
-    /// mutation; paged rows are materialized, never aliased (snapshots
-    /// must not share heap pages with the live table).
+    /// mutation; paged rows are materialized, never aliased (a copy must
+    /// not share heap pages with the live table).
     fn clone_resident(&self) -> Rows {
         match self {
             Rows::Resident { map, bytes } => Rows::Resident { map: map.clone(), bytes: *bytes },
@@ -307,8 +310,9 @@ pub struct Table {
     /// Minimum rowid for auto-assigned keys (the COW proxy's offset `N`).
     pk_start: i64,
     /// Secondary indexes, maintained incrementally by every row mutation.
-    /// Living inside the table means transaction snapshots (which clone
-    /// tables) and `DROP TABLE` handle indexes with no extra bookkeeping.
+    /// Living inside the table means transaction undo entries (which
+    /// hold whole tables) and `DROP TABLE` handle indexes with no extra
+    /// bookkeeping.
     /// `Arc`-shared so snapshot freezes are shallow; privatized
     /// copy-on-write at the next index mutation.
     indexes: Arc<Vec<SecondaryIndex>>,

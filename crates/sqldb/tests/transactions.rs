@@ -1,6 +1,7 @@
 //! Transaction tests: BEGIN/COMMIT/ROLLBACK through SQL and the API.
 
-use maxoid_sqldb::{Database, SqlError, Value};
+use maxoid_block::MemDevice;
+use maxoid_sqldb::{Database, HeapTier, SqlError, Value};
 
 fn seeded() -> Database {
     let mut db = Database::new();
@@ -16,6 +17,17 @@ fn count(db: &Database) -> i64 {
     db.query("SELECT count(*) FROM t", &[]).unwrap().scalar().unwrap().as_integer().unwrap()
 }
 
+/// Each table's secondary index names, by table.
+fn index_names(db: &Database) -> Vec<(String, Vec<String>)> {
+    db.table_names()
+        .into_iter()
+        .map(|name| {
+            let ix = db.table(&name).unwrap().indexes().iter().map(|i| i.name().to_string());
+            (name, ix.collect())
+        })
+        .collect()
+}
+
 #[test]
 fn commit_keeps_changes() {
     let mut db = seeded();
@@ -24,24 +36,62 @@ fn commit_keeps_changes() {
     assert!(!db.in_transaction());
 }
 
+/// One ROLLBACK undoes every kind of table-level change at once, on a
+/// resident database and on one whose tables all page to the heap.
 #[test]
 fn rollback_restores_data_and_schema() {
-    let mut db = seeded();
-    db.execute_batch(
-        "BEGIN TRANSACTION;
-         INSERT INTO t (v) VALUES ('c');
-         UPDATE t SET v = 'zzz' WHERE _id = 1;
-         DELETE FROM t WHERE _id = 2;
-         CREATE TABLE extra (_id INTEGER PRIMARY KEY);
-         CREATE VIEW tv AS SELECT v FROM t;
-         ROLLBACK;",
-    )
-    .unwrap();
-    assert_eq!(count(&db), 2);
-    let rs = db.query("SELECT v FROM t WHERE _id = 1", &[]).unwrap();
-    assert_eq!(rs.rows, vec![vec![Value::Text("a".into())]]);
-    assert!(!db.has_table("extra"));
-    assert!(!db.has_view("tv"));
+    for paged in [false, true] {
+        let mut db = Database::new();
+        if paged {
+            db.attach_heap(HeapTier::new(Box::new(MemDevice::new()), 2), 0);
+        }
+        db.execute_batch(
+            "CREATE TABLE t (_id INTEGER PRIMARY KEY, v TEXT, n INTEGER);
+             INSERT INTO t (v, n) VALUES ('a', 1), ('b', 2);
+             CREATE INDEX ix_t_n ON t (n);
+             CREATE TABLE gone (_id INTEGER PRIMARY KEY, w TEXT);
+             INSERT INTO gone (w) VALUES ('x'), ('y');
+             CREATE INDEX ix_gone_w ON gone (w);
+             CREATE TABLE other (_id INTEGER PRIMARY KEY, w TEXT);
+             INSERT INTO other (w) VALUES ('kept');",
+        )
+        .unwrap();
+        assert_eq!(db.table("t").unwrap().is_paged(), paged);
+        let dump = db.dump_sql();
+        let indexes = index_names(&db);
+
+        db.execute_batch(
+            "BEGIN TRANSACTION;
+             INSERT INTO t (v, n) VALUES ('c', 3);
+             UPDATE t SET v = 'zzz' WHERE _id = 1;
+             DELETE FROM t WHERE _id = 2;
+             CREATE INDEX ix_t_v ON t (v);
+             DROP INDEX ix_t_n;
+             ALTER TABLE t ROWID START 500;
+             DROP TABLE gone;
+             CREATE TABLE extra (_id INTEGER PRIMARY KEY);
+             CREATE TABLE brief (_id INTEGER PRIMARY KEY, w TEXT);
+             INSERT INTO brief (w) VALUES ('tmp');
+             DROP TABLE brief;
+             CREATE VIEW tv AS SELECT v FROM t;
+             ROLLBACK;",
+        )
+        .unwrap();
+
+        assert_eq!(db.dump_sql(), dump, "paged={paged}");
+        assert_eq!(index_names(&db), indexes, "paged={paged}");
+        assert_eq!(db.table_names(), ["gone", "other", "t"]);
+        assert!(!db.has_view("tv"));
+        let rs = db.query("SELECT v FROM t WHERE _id = 1", &[]).unwrap();
+        assert_eq!(rs.rows, vec![vec![Value::Text("a".into())]]);
+        // The restored tables keep working, their indexes included.
+        let id = db.execute("INSERT INTO t (v, n) VALUES ('d', 4)", &[]).unwrap().last_insert_id;
+        assert_eq!(id, Some(3), "the rowid floor is back to its BEGIN value");
+        db.stats.reset();
+        let rs = db.query("SELECT w FROM gone WHERE w = 'y'", &[]).unwrap();
+        assert_eq!(rs.rows, vec![vec![Value::Text("y".into())]]);
+        assert_eq!(db.stats.index_probes.get(), 1, "the dropped table's index is back");
+    }
 }
 
 #[test]

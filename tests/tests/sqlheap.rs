@@ -7,16 +7,17 @@
 //! contract at the layers above the heap:
 //!
 //! - **Backend equivalence** (proptest): the same randomized SQL workload
-//!   — inserts, updates, deletes, point probes, scans, index DDL and
-//!   BEGIN/ROLLBACK/COMMIT — applied to a resident database and a paged
-//!   one (threshold 0, two-frame cache: maximal eviction pressure)
-//!   produces identical results, errors, `dump_sql()` images and planner
-//!   counters. A replay leg re-executes the paged database's journal
-//!   image into a fresh resident database and must converge to the same
-//!   rows.
+//!   — inserts, updates, deletes, point probes, scans, index DDL,
+//!   BEGIN/ROLLBACK/COMMIT and DDL inside transactions — applied to a
+//!   resident database and a paged one (threshold 0, two-frame cache:
+//!   maximal eviction pressure) produces identical results, errors,
+//!   `dump_sql()` images and planner counters. A replay leg re-executes
+//!   the paged database's journal image into a fresh resident database
+//!   and must converge to the same rows.
 //! - **COW transparency**: a `CowProxy` adopted over a paged database
 //!   forks delta tables that inherit the heap tier, and delegates see
-//!   exactly what they would see over a resident base.
+//!   exactly what they would see over a resident base. The fork itself
+//!   is DDL only and does no heap I/O, however large the base table.
 //! - **Single-device cold boot**: `MaxoidSystem::boot_from_device`
 //!   partitions one block image for WAL + VFS spill + row heap; a system
 //!   is seeded, dropped, and rebooted from the device alone, with
@@ -62,6 +63,7 @@ enum Op {
     Index,
     TxnRollback(u8, u16),
     TxnCommit(u8, u16),
+    TxnDdl(u8, bool),
 }
 
 fn op() -> impl Strategy<Value = Op> {
@@ -75,6 +77,7 @@ fn op() -> impl Strategy<Value = Op> {
         Just(Op::Index),
         (any::<u8>(), 0..1500u16).prop_map(|(k, n)| Op::TxnRollback(k, n)),
         (any::<u8>(), 0..1500u16).prop_map(|(k, n)| Op::TxnCommit(k, n)),
+        (any::<u8>(), any::<bool>()).prop_map(|(k, commit)| Op::TxnDdl(k, commit)),
     ]
 }
 
@@ -111,8 +114,9 @@ fn apply(db: &mut Database, op: &Op) -> String {
         // Duplicate CREATE INDEX must error the same way on both sides.
         Op::Index => format!("{:?}", db.execute("CREATE INDEX ix_k ON t (k)", &[])),
         Op::TxnRollback(k, n) => {
-            // Snapshot, mutate a paged table (clone materializes), roll
-            // back, and make sure the restored table still answers.
+            // Mutate a paged table inside a transaction (the first
+            // change copies its pre-image into memory), roll back, and
+            // make sure the restored table still answers.
             let a = format!("{:?}", db.begin());
             let b = apply(db, &Op::Insert(*k, *n));
             let c = format!("{:?}", db.rollback());
@@ -125,8 +129,34 @@ fn apply(db: &mut Database, op: &Op) -> String {
             let c = format!("{:?}", db.commit());
             format!("{a}/{b}/{c}")
         }
+        Op::TxnDdl(k, commit) => {
+            // Table and index DDL inside a transaction: a DROP TABLE
+            // moves the table into the undo log, and ROLLBACK restores
+            // schema, rows and the rowid floor alike.
+            let a = format!("{:?}", db.begin());
+            let b = format!(
+                "{:?}",
+                db.execute_batch(&format!(
+                    "DROP TABLE IF EXISTS side;
+                     {SIDE_SCHEMA}
+                     INSERT INTO side (body) SELECT body FROM t WHERE k = {};
+                     CREATE INDEX ix_side ON side (body);
+                     DROP INDEX IF EXISTS ix_k;
+                     ALTER TABLE t ROWID START {};",
+                    *k as i64 % 16,
+                    1000 + *k as i64,
+                ))
+            );
+            let c = format!("{:?}", if *commit { db.commit() } else { db.rollback() });
+            let d = apply(db, &Op::Probe(*k));
+            let e = apply(db, &Op::Insert(*k, 40));
+            format!("{a}/{b}/{c}/{d}/{e}")
+        }
     }
 }
+
+/// Schema of the table `Op::TxnDdl` recreates inside its transaction.
+const SIDE_SCHEMA: &str = "CREATE TABLE side (_id INTEGER PRIMARY KEY, body TEXT);";
 
 /// Full observable image of a database: every row in order.
 fn image(db: &Database) -> String {
@@ -172,6 +202,9 @@ proptest! {
         // recovery never depends on residency at dump time. (Dumps carry
         // data only; schema recovery is out-of-band, as in `durability`.)
         let mut replayed = fresh_db(false);
+        if paged.has_table("side") {
+            replayed.execute_batch(SIDE_SCHEMA).unwrap();
+        }
         for (sql, params) in paged.dump_sql() {
             replayed.apply_journal_sql(&sql, &params).unwrap();
         }
@@ -273,6 +306,54 @@ fn cow_fork_over_a_paged_base_matches_resident() {
     assert!(paged.db().table(&delta).unwrap().is_paged(), "delta table must inherit the heap");
     assert!(paged.db().table("words").unwrap().is_paged(), "base table must be paged");
     assert!(!resident.db().table(&delta).unwrap().is_paged());
+}
+
+/// A COW fork creates a delta table, a view and three triggers inside one
+/// transaction, so its cost must not depend on the base table's size: over
+/// a paged base many times the frame budget, neither the fork nor any other
+/// DDL-only transaction may read a single heap page.
+#[test]
+fn cow_fork_over_a_paged_base_does_no_heap_io() {
+    let tier = tiny_tier(4);
+    let mut db = Database::new();
+    db.attach_heap(tier.clone(), 0);
+    db.execute_batch(
+        "CREATE TABLE words (_id INTEGER PRIMARY KEY, word TEXT, frequency INTEGER);
+         CREATE INDEX idx_words_frequency ON words (frequency);",
+    )
+    .unwrap();
+    for i in 0..200i64 {
+        db.execute(
+            "INSERT INTO words (word, frequency) VALUES (?, ?)",
+            &[Value::Text(body(i as u8, 300)), Value::Integer(i)],
+        )
+        .unwrap();
+    }
+    assert!(db.table("words").unwrap().is_paged());
+    assert!(tier.stats().evictions > 0, "200 x 300B words must overflow 4 frames");
+    let page_reads = |t: &HeapTier| {
+        let st = t.stats();
+        st.hits + st.misses
+    };
+
+    let mut proxy = CowProxy::adopt(db);
+    let before = page_reads(&tier);
+    proxy.ensure_cow("words", "editor").unwrap();
+    assert!(proxy.has_delta("words", "editor"));
+    assert_eq!(page_reads(&tier), before, "the COW fork read the paged base table");
+
+    let db = proxy.db_mut();
+    let before = page_reads(&tier);
+    db.begin().unwrap();
+    db.execute_batch(
+        "CREATE TABLE notes (_id INTEGER PRIMARY KEY, note TEXT);
+         CREATE VIEW frequent AS SELECT word FROM words WHERE frequency > 100;
+         DROP TABLE notes;",
+    )
+    .unwrap();
+    db.commit().unwrap();
+    assert!(db.has_view("frequent"));
+    assert_eq!(page_reads(&tier), before, "a DDL-only transaction read the paged base table");
 }
 
 const INITIATOR: &str = "initiator";
