@@ -143,7 +143,7 @@ fn main() {
         let full = build_churn_log(n);
         let (records, upto) = compact_log(&full).expect("compact");
         let j = JournalHandle::with_batch(64);
-        j.replace_with(&records, upto).expect("replace");
+        j.replace_with(records, upto).expect("replace");
         let log = j.bytes();
         let m = measure(
             30,

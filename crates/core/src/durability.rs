@@ -16,8 +16,12 @@
 //! enclosing transaction committed before the crash, so a volatile-state
 //! commit interrupted at any record boundary lands all-committed or
 //! all-volatile — never between (the S2 invariant exercised by the crash
-//! fault-injection tests). Snapshot records written by checkpointing
-//! reset their component wholesale before later records re-apply.
+//! fault-injection tests). A `Snapshot` record (written by compaction)
+//! resets its component wholesale, and a `SnapshotDelta` (written by an
+//! incremental checkpoint) merges over it, before later records re-apply.
+//! Both arrive through one journal rewrite that replaces the log
+//! atomically, so a crash mid-checkpoint or mid-compaction recovers the
+//! log from before it or the one after it.
 
 use maxoid_journal::{committed_records, read_records, Record, TailState};
 use maxoid_sqldb::{Database, FlattenPolicy};
@@ -299,7 +303,7 @@ mod tests {
 
         let (records, upto) = compact_log(&full).unwrap();
         let j2 = JournalHandle::with_batch(1);
-        j2.replace_with(&records, upto).unwrap();
+        j2.replace_with(records, upto).unwrap();
         let compacted = j2.bytes();
         assert!(compacted.len() < full.len(), "compaction should shrink a churned log");
 

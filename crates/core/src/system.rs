@@ -496,25 +496,12 @@ impl MaxoidSystem {
         self.kernel.vfs().store_stats()
     }
 
-    /// Checkpoints the journal: the current file store is written as a
-    /// snapshot record and already-applied physical records are pruned,
-    /// bounding recovery time. Provider SQL history stays logical.
-    pub fn checkpoint(&self) -> SystemResult<()> {
-        if let Some(j) = &self.journal {
-            let _sp = maxoid_obs::span("system.checkpoint");
-            let image = self.kernel.vfs().with_store(|s| s.snapshot_image());
-            j.checkpoint(&[(crate::durability::VFS_COMPONENT.to_string(), image)])?;
-            maxoid_obs::counter_add("system.checkpoints", 1);
-        }
-        Ok(())
-    }
-
     /// Incremental checkpoint: serializes only the store state dirtied
-    /// since the last checkpoint (full or incremental) as a
-    /// `SnapshotDelta` record, pruning the physical VFS records it
-    /// subsumes. Cost scales with the working set, not the store — the
-    /// difference between checkpointing being a periodic maintenance tick
-    /// and a stop-the-world rewrite.
+    /// since the last checkpoint as a `SnapshotDelta` record and prunes
+    /// the physical VFS records it subsumes. The delta scales with the
+    /// working set, but the journal still reads, parses and rewrites the
+    /// whole log (the committed SQL history included) under its lock, so
+    /// the call costs O(log), and all of it lands in one storage write.
     pub fn checkpoint_incremental(&self) -> SystemResult<()> {
         if let Some(j) = &self.journal {
             let _sp = maxoid_obs::span("system.checkpoint_incremental");
@@ -528,17 +515,17 @@ impl MaxoidSystem {
     /// Compacts the journal: recovery-replays the current log in memory,
     /// then rewrites it as a snapshot + catalog DDL + row dumps, so a
     /// subsequent recovery replays *live state* instead of uptime
-    /// history. Like [`MaxoidSystem::checkpoint`], concurrent traffic
-    /// between the internal flush and the rewrite rides the journal's own
-    /// locking (state → storage order); records enqueued during the
-    /// rewrite land after it, exactly as with a full checkpoint.
+    /// history. The rewrite rides the journal's own locking (state →
+    /// storage order), and records enqueued after it land after it; but
+    /// records made durable between the log read and the rewrite are not
+    /// in the compacted log.
     pub fn compact(&self) -> SystemResult<()> {
         if let Some(j) = &self.journal {
             let _sp = maxoid_obs::span("system.compact");
             j.flush()?;
             let (records, upto) = crate::durability::compact_log(&j.bytes())
                 .map_err(|e| SystemError::Recovery(e.to_string()))?;
-            j.replace_with(&records, upto)?;
+            j.replace_with(records, upto)?;
             maxoid_obs::counter_add("system.compactions", 1);
         }
         Ok(())

@@ -6,21 +6,35 @@
 //!
 //! ```text
 //! sector 0          sector 1          sector 2 ...
-//! +-----------------+-----------------+---------------------------+
-//! | superblock A    | superblock B    | log bytes, densely packed |
-//! | magic  (8 B)    | magic  (8 B)    | (frame stream, exactly as |
-//! | gen    u64      | gen    u64      |  MemStorage would hold    |
-//! | len    u64      | len    u64      |  it)                      |
-//! | crc    u32      | crc    u32      |                           |
-//! +-----------------+-----------------+---------------------------+
+//! +-----------------+-----------------+-----------------------------------+
+//! | superblock A    | superblock B    | data area                         |
+//! | magic  (8 B)    | magic  (8 B)    |   ... | live log | ...            |
+//! | gen    u64      | gen    u64      |         ^ byte `start` of the     |
+//! | start  u64      | start  u64      |           area, `len` bytes long  |
+//! | len    u64      | len    u64      | (frame stream, exactly as         |
+//! | crc    u32      | crc    u32      |  MemStorage would hold it)        |
+//! +-----------------+-----------------+-----------------------------------+
 //! ```
 //!
-//! The superblock's `len` is the number of durable log bytes. `append`
-//! writes the new bytes through the cache, issues the flush barrier, then
-//! commits the superblock and issues a second barrier — so `len` never
-//! points past data that reached the device. A crash between the two
-//! barriers leaves the old `len`: the new bytes exist on the device but
-//! were never acknowledged, exactly the "lost tail" a torn append models.
+//! The superblock names where the durable log lives: `start` (a byte
+//! offset into the data area, sector-aligned) and `len`. `append` writes
+//! the new bytes at `start + len` through the cache, issues the flush
+//! barrier, then commits the superblock and issues a second barrier — so
+//! `len` never points past data that reached the device. A crash between
+//! the two barriers leaves the old `len`: the new bytes exist on the
+//! device but were never acknowledged, exactly the "lost tail" a torn
+//! append models.
+//!
+//! `replace` (every log rewrite) writes the new log *beside* the live
+//! one: at the front of the data area if it ends before the live log's
+//! first sector, otherwise from the first sector past the live log's end.
+//! After a flush barrier, one superblock commit names the new `start` and
+//! `len`. No sector of the live log is written before that commit, so a
+//! crash leaves the old log (the commit never landed) or the new one,
+//! never a mix. The new log only goes past the live one when it is longer
+//! than the gap in front of it, so a log never starts more than about
+//! twice the largest log into the data area, and the area stays under
+//! about three times the largest log.
 //!
 //! Superblock commits alternate between **two slots** (generation `g`
 //! lands in sector `g % 2`), so the commit never overwrites the slot it
@@ -31,9 +45,9 @@
 //! make every commit a bet that sector writes are atomic.
 //!
 //! Open takes the valid slot with the highest generation. A non-empty
-//! device where *no* slot validates (bad magic, CRC failure, impossible
-//! length) is reported loudly rather than treated as an empty log —
-//! shortened history must never be silent.
+//! device where *no* slot validates (bad magic, CRC failure, a log past
+//! the device end) is reported loudly rather than treated as an empty
+//! log — shortened history must never be silent.
 
 use crate::wal::Storage;
 use crate::{JournalError, JournalResult};
@@ -42,22 +56,29 @@ use maxoid_block::{BlockDevice, BlockError, PageCache};
 /// Magic opening the superblock sector.
 pub const SUPERBLOCK_MAGIC: [u8; 8] = *b"MXBLKSB\0";
 
-/// Size of the meaningful superblock prefix: magic + gen + len + crc.
-const SUPERBLOCK_LEN: usize = 8 + 8 + 8 + 4;
+/// Size of the meaningful superblock prefix: magic + gen + start + len +
+/// crc.
+const SUPERBLOCK_LEN: usize = 8 + 8 + 8 + 8 + 4;
 
-fn superblock_crc(gen: u64, len: u64) -> u32 {
-    crate::codec::crc32_parts(&[&SUPERBLOCK_MAGIC, &gen.to_le_bytes(), &len.to_le_bytes()])
+fn superblock_crc(gen: u64, start: u64, len: u64) -> u32 {
+    crate::codec::crc32_parts(&[
+        &SUPERBLOCK_MAGIC,
+        &gen.to_le_bytes(),
+        &start.to_le_bytes(),
+        &len.to_le_bytes(),
+    ])
 }
 
-/// Parses one superblock slot; `None` if the slot doesn't validate.
-fn parse_slot(sb: &[u8]) -> Option<(u64, u64)> {
+/// Parses one superblock slot into `(gen, start, len)`; `None` if the
+/// slot doesn't validate.
+fn parse_slot(sb: &[u8]) -> Option<(u64, u64, u64)> {
     if sb[..8] != SUPERBLOCK_MAGIC {
         return None;
     }
-    let gen = u64::from_le_bytes(sb[8..16].try_into().unwrap());
-    let len = u64::from_le_bytes(sb[16..24].try_into().unwrap());
-    let crc = u32::from_le_bytes(sb[24..28].try_into().unwrap());
-    (crc == superblock_crc(gen, len)).then_some((gen, len))
+    let field = |at: usize| u64::from_le_bytes(sb[at..at + 8].try_into().unwrap());
+    let (gen, start, len) = (field(8), field(16), field(24));
+    let crc = u32::from_le_bytes(sb[32..36].try_into().unwrap());
+    (crc == superblock_crc(gen, start, len)).then_some((gen, start, len))
 }
 
 fn block_err(e: BlockError) -> JournalError {
@@ -71,6 +92,9 @@ fn block_err(e: BlockError) -> JournalError {
 /// protocol described in the module docs.
 pub struct BlockStorage {
     cache: PageCache,
+    /// Where the durable log starts, as a byte offset into the data area
+    /// (mirrors the newest superblock).
+    start: u64,
     /// Durable log length in bytes (mirrors the newest superblock).
     len: u64,
     /// Generation of the newest committed superblock (0 = never written).
@@ -80,6 +104,7 @@ pub struct BlockStorage {
 impl std::fmt::Debug for BlockStorage {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BlockStorage")
+            .field("start", &self.start)
             .field("len", &self.len)
             .field("gen", &self.gen)
             .field("cache", &self.cache)
@@ -97,28 +122,29 @@ impl BlockStorage {
     pub fn open(dev: Box<dyn BlockDevice>, pages: usize) -> JournalResult<Self> {
         let mut cache = PageCache::new(dev, pages.max(2));
         if cache.device().len_sectors() == 0 {
-            return Ok(BlockStorage { cache, len: 0, gen: 0 });
+            return Ok(BlockStorage { cache, start: 0, len: 0, gen: 0 });
         }
         let capacity = (cache.device().len_sectors() * cache.page_size() as u64)
             .saturating_sub(self::data_origin(&cache));
-        let mut best: Option<(u64, u64)> = None;
+        let mut best: Option<(u64, u64, u64)> = None;
         for slot in 0..2u64 {
             let mut sb = vec![0u8; SUPERBLOCK_LEN];
             cache.read_bytes(slot * cache.page_size() as u64, &mut sb).map_err(block_err)?;
-            if let Some((gen, len)) = parse_slot(&sb) {
-                // A length past the device end is damage even if the CRC
+            if let Some((gen, start, len)) = parse_slot(&sb) {
+                // A log past the device end is damage even if the CRC
                 // happened to survive.
-                if len <= capacity && best.map_or(true, |(g, _)| gen > g) {
-                    best = Some((gen, len));
+                let fits = start.checked_add(len).is_some_and(|end| end <= capacity);
+                if fits && best.is_none_or(|(g, ..)| gen > g) {
+                    best = Some((gen, start, len));
                 }
             }
         }
-        let Some((gen, len)) = best else {
+        let Some((gen, start, len)) = best else {
             return Err(JournalError::Io(
                 "no valid block log superblock: not a journal device, or both slots damaged".into(),
             ));
         };
-        Ok(BlockStorage { cache, len, gen })
+        Ok(BlockStorage { cache, start, len, gen })
     }
 
     /// Opens a log on an in-memory device (tests).
@@ -150,21 +176,22 @@ impl BlockStorage {
         self.cache.drop_clean()
     }
 
-    /// Byte offset where log data starts (after both superblock slots).
-    fn origin(&self) -> u64 {
-        data_origin(&self.cache)
+    /// Device byte offset where the live log starts.
+    fn log_offset(&self) -> u64 {
+        data_origin(&self.cache) + self.start
     }
 
-    /// Commits the current `len` to the next superblock slot and advances
-    /// the generation — only after the flush barrier succeeds, so a
-    /// failed commit leaves the previous slot as the durable truth.
+    /// Commits the current `start`/`len` to the next superblock slot and
+    /// advances the generation — only after the flush barrier succeeds,
+    /// so a failed commit leaves the previous slot as the durable truth.
     fn commit_superblock(&mut self) -> JournalResult<()> {
         let gen = self.gen + 1;
         let mut sb = Vec::with_capacity(SUPERBLOCK_LEN);
         sb.extend_from_slice(&SUPERBLOCK_MAGIC);
         sb.extend_from_slice(&gen.to_le_bytes());
+        sb.extend_from_slice(&self.start.to_le_bytes());
         sb.extend_from_slice(&self.len.to_le_bytes());
-        sb.extend_from_slice(&superblock_crc(gen, self.len).to_le_bytes());
+        sb.extend_from_slice(&superblock_crc(gen, self.start, self.len).to_le_bytes());
         let slot = (gen % 2) * self.cache.page_size() as u64;
         self.cache.write_bytes(slot, &sb).map_err(block_err)?;
         self.cache.flush().map_err(block_err)?;
@@ -173,6 +200,7 @@ impl BlockStorage {
     }
 }
 
+/// Byte offset of the data area (after both superblock slots).
 fn data_origin(cache: &PageCache) -> u64 {
     2 * cache.page_size() as u64
 }
@@ -184,8 +212,8 @@ impl Storage for BlockStorage {
         }
         // Data first, barrier, then the length that makes it reachable,
         // barrier again: `len` can never run ahead of flushed data.
-        let origin = self.origin();
-        self.cache.write_bytes(origin + self.len, bytes).map_err(block_err)?;
+        let end = self.log_offset() + self.len;
+        self.cache.write_bytes(end, bytes).map_err(block_err)?;
         self.cache.flush().map_err(block_err)?;
         self.len += bytes.len() as u64;
         if let Err(e) = self.commit_superblock() {
@@ -199,8 +227,7 @@ impl Storage for BlockStorage {
 
     fn bytes(&mut self) -> Vec<u8> {
         let mut out = vec![0u8; self.len as usize];
-        let origin = self.origin();
-        if self.cache.read_bytes(origin, &mut out).is_err() {
+        if self.cache.read_bytes(self.log_offset(), &mut out).is_err() {
             // A read failure below the WAL is indistinguishable from a
             // missing tail; surface it as the shortest safe log.
             return Vec::new();
@@ -212,9 +239,26 @@ impl Storage for BlockStorage {
         self.len as usize
     }
 
-    fn reset(&mut self) -> JournalResult<()> {
-        self.len = 0;
-        self.commit_superblock()
+    fn replace(&mut self, bytes: Vec<u8>) -> JournalResult<()> {
+        // Beside the live log, never over it (module docs): the front of
+        // the data area if the new log ends before the live log's first
+        // sector (`start` is sector-aligned), else the first sector past
+        // the live log's end.
+        let ss = self.cache.page_size() as u64;
+        let n = bytes.len() as u64;
+        let start = if n <= self.start { 0 } else { (self.start + self.len).div_ceil(ss) * ss };
+        let at = data_origin(&self.cache) + start;
+        self.cache.write_bytes(at, &bytes).map_err(block_err)?;
+        drop(bytes);
+        self.cache.flush().map_err(block_err)?;
+        let old = (self.start, self.len);
+        (self.start, self.len) = (start, n);
+        if let Err(e) = self.commit_superblock() {
+            // Not committed: the live log is still the old one.
+            (self.start, self.len) = old;
+            return Err(e);
+        }
+        Ok(())
     }
 }
 
@@ -278,14 +322,67 @@ mod tests {
     }
 
     #[test]
-    fn reset_then_append_reuses_the_device() {
+    fn replace_then_append_reuses_the_device() {
         let mut s = BlockStorage::in_memory(4);
-        s.append(b"old history").unwrap();
-        s.reset().unwrap();
-        assert_eq!(s.len(), 0);
-        assert!(s.bytes().is_empty());
-        s.append(b"new").unwrap();
-        assert_eq!(s.bytes(), b"new");
+        s.append(&[7u8; 5000]).unwrap();
+        // Longer than the (empty) gap in front of the live log: the new
+        // log goes past its end, at the next sector.
+        s.replace(vec![1u8; 6000]).unwrap();
+        assert_eq!(s.start, 8192);
+        assert_eq!(s.bytes(), vec![1u8; 6000]);
+        // Short enough for the front: back to the start of the area.
+        s.replace(b"new".to_vec()).unwrap();
+        assert_eq!(s.start, 0);
+        s.append(b" tail").unwrap();
+        assert_eq!(s.bytes(), b"new tail");
+        let mut reopened = BlockStorage::open(Box::new(image_of(&mut s)), 4).unwrap();
+        assert_eq!(reopened.bytes(), b"new tail");
+    }
+
+    #[test]
+    fn power_loss_in_either_placement_keeps_the_old_log_or_the_new_one() {
+        // The first replace goes past the live log, the second (shorter
+        // than the gap that leaves at the front) to the front.
+        let logs = [vec![3u8; 9000], vec![4u8; 10_000], vec![5u8; 3000]];
+        let run = |writes: u64, torn: usize| {
+            let dev = FaultDevice::with_write_budget(Box::new(MemDevice::new()), writes, torn);
+            let mut s = BlockStorage::open(Box::new(dev), 2).unwrap();
+            let mut done = 0;
+            if s.append(&logs[0]).is_ok() {
+                done = 1;
+                for log in &logs[1..] {
+                    if s.replace(log.clone()).is_err() {
+                        break;
+                    }
+                    done += 1;
+                }
+            }
+            (done, image_of(&mut s))
+        };
+        // Raise the budget until both replaces complete. A cut inside
+        // replace `k` reopens as log `k - 1` or log `k`.
+        let mut cuts = 0;
+        for writes in 0.. {
+            let mut finished = false;
+            for torn in [0, 20, 4000] {
+                let (done, img) = run(writes, torn);
+                finished |= done == logs.len();
+                if (1..logs.len()).contains(&done) {
+                    cuts += 1;
+                    let got = BlockStorage::open(Box::new(img), 2).unwrap().bytes();
+                    assert!(
+                        got == logs[done - 1] || got == logs[done],
+                        "budget {writes}/{torn}: a mix of logs"
+                    );
+                }
+            }
+            if finished {
+                break;
+            }
+        }
+        // Three data sectors plus the superblock for the first replace,
+        // one plus the superblock for the second; three tears each.
+        assert_eq!(cuts, (4 + 2) * 3);
     }
 
     /// Clones the raw device image into a fresh `MemDevice`, exactly as a

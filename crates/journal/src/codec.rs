@@ -13,7 +13,7 @@ pub enum CodecError {
     BadTag(u8),
     /// A length-prefixed string was not valid UTF-8.
     BadUtf8,
-    /// A v2 path field referenced a dictionary id with no `PathDef`.
+    /// A path field referenced a dictionary id with no `PathDef`.
     UnknownPathId(u32),
 }
 

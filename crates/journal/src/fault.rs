@@ -9,23 +9,23 @@
 //!   then feed to recovery;
 //! * [`FaultStorage`], a [`Storage`] with a byte budget that cuts a live
 //!   journal's writes short, modelling power loss during a group-commit
-//!   flush itself.
+//!   flush or a log rewrite itself.
 
 use crate::wal::{Storage, FRAME_HEADER, FRAME_MAGIC, LOG_PREAMBLE};
 use crate::{JournalError, JournalResult};
 
 /// Returns every crash point of a log: byte offsets at record boundaries,
 /// starting with 0 (crash before anything durable) and ending at
-/// `bytes.len()` (no loss). A v2 log's preamble end is itself a boundary
+/// `bytes.len()` (no loss). The preamble's end is itself a boundary
 /// (crash after the preamble, before any frame). Stops at the first
-/// invalid frame.
+/// invalid frame, or at 0 for a log without the preamble.
 pub fn record_boundaries(bytes: &[u8]) -> Vec<usize> {
     let mut out = vec![0];
-    let mut pos = 0usize;
-    if bytes.len() >= LOG_PREAMBLE.len() && bytes[..LOG_PREAMBLE.len()] == LOG_PREAMBLE {
-        pos = LOG_PREAMBLE.len();
-        out.push(pos);
+    if !bytes.starts_with(&LOG_PREAMBLE) {
+        return out;
     }
+    let mut pos = LOG_PREAMBLE.len();
+    out.push(pos);
     while pos < bytes.len() {
         if bytes.len() - pos < FRAME_HEADER || bytes[pos] != FRAME_MAGIC {
             break;
@@ -66,18 +66,22 @@ pub fn flip_byte(bytes: &[u8], offset: usize, mask: u8) -> Vec<u8> {
 }
 
 /// Storage that stops persisting after a byte budget is exhausted,
-/// simulating a crash during a flush. The first write that would exceed
-/// the budget is truncated at the budget (a torn write) and the storage
-/// reports [`JournalError::Crashed`] for it and everything after.
+/// simulating a crash during a flush or a rewrite. An append that would
+/// exceed the budget lands only up to it (a torn write). A replace that
+/// would exceed it lands nothing the log can see: the new log is written
+/// beside the old one, which stays the log. Either way the storage
+/// reports [`JournalError::Crashed`] for that write and everything after.
 #[derive(Debug)]
 pub struct FaultStorage {
     buf: Vec<u8>,
+    /// Bytes still writable before the power goes.
     budget: usize,
     crashed: bool,
 }
 
 impl FaultStorage {
-    /// Storage that accepts exactly `budget` bytes before "losing power".
+    /// Storage that accepts exactly `budget` written bytes, appends and
+    /// replaces together, before "losing power".
     pub fn with_budget(budget: usize) -> Self {
         FaultStorage { buf: Vec::new(), budget, crashed: false }
     }
@@ -93,15 +97,14 @@ impl Storage for FaultStorage {
         if self.crashed {
             return Err(JournalError::Crashed);
         }
-        let room = self.budget - self.buf.len();
-        if bytes.len() <= room {
-            self.buf.extend_from_slice(bytes);
-            Ok(())
-        } else {
-            self.buf.extend_from_slice(&bytes[..room]);
+        let n = bytes.len().min(self.budget);
+        self.buf.extend_from_slice(&bytes[..n]);
+        self.budget -= n;
+        if n < bytes.len() {
             self.crashed = true;
-            Err(JournalError::Crashed)
+            return Err(JournalError::Crashed);
         }
+        Ok(())
     }
 
     fn bytes(&mut self) -> Vec<u8> {
@@ -112,11 +115,13 @@ impl Storage for FaultStorage {
         self.buf.len()
     }
 
-    fn reset(&mut self) -> JournalResult<()> {
-        if self.crashed {
+    fn replace(&mut self, bytes: Vec<u8>) -> JournalResult<()> {
+        if self.crashed || bytes.len() > self.budget {
+            self.crashed = true;
             return Err(JournalError::Crashed);
         }
-        self.buf.clear();
+        self.budget -= bytes.len();
+        self.buf = bytes;
         Ok(())
     }
 }
@@ -186,6 +191,20 @@ mod tests {
         // The surviving prefix still replays.
         let recs = committed_records(&log);
         assert_eq!(recs.len(), log.records.len());
+    }
+
+    #[test]
+    fn fault_storage_replace_keeps_the_old_log() {
+        let old = sample_log(10);
+        // Enough budget for the appends, not for the rewrite after them.
+        let mut j = Journal::new(Box::new(FaultStorage::with_budget(old.len() + 20)), 1);
+        for i in 0..10 {
+            j.append(&rec(&format!("/f{i}"))).unwrap();
+        }
+        let upto = read_records(&j.bytes()).last_lsn();
+        let replacement = vec![Record::Snapshot { component: "c".into(), payload: vec![7; 64] }];
+        assert_eq!(j.replace_with(replacement, upto), Err(JournalError::Crashed));
+        assert_eq!(j.bytes(), old, "a failed rewrite leaves the old log whole");
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!
 //! * [`codec`] — little-endian byte writer/reader + CRC-32;
 //! * [`record`] — typed records and their binary encoding;
-//! * [`wal`] — frames, group commit, transactions, [`JournalSink`];
+//! * [`wal`] — frames, group commit, transactions, log rewrites,
+//!   [`JournalSink`];
 //! * [`replay`] — torn-tail-tolerant parsing + the redo filter;
 //! * [`fault`] — crash-point surgery and a byte-budget fault storage;
 //! * [`blockstore`] — the log on a `maxoid-block` device behind a page

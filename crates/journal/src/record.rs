@@ -12,10 +12,10 @@
 use crate::codec::{ByteReader, ByteWriter, CodecError};
 use std::collections::HashMap;
 
-/// Sentinel meaning "encode this path literally" in a v2 path slot.
+/// Sentinel meaning "encode this path literally" in a path slot.
 pub(crate) const LITERAL_PATH: u32 = u32::MAX;
 
-// v2 path-field tags: a path slot is either the string itself or a
+// Path-field tags: a path slot is either the string itself or a
 // dictionary id defined by an earlier `PathDef` record.
 const PATH_LITERAL: u8 = 0;
 const PATH_ID: u8 = 1;
@@ -191,69 +191,8 @@ impl ParamValue {
 }
 
 impl VfsRecord {
-    fn encode(&self, w: &mut ByteWriter) {
-        match self {
-            VfsRecord::Mkdir { path, owner, mode } => {
-                w.put_u8(V_MKDIR);
-                w.put_str(path);
-                w.put_u32(*owner);
-                w.put_u8(*mode);
-            }
-            VfsRecord::Write { path, data, owner, mode } => {
-                w.put_u8(V_WRITE);
-                w.put_str(path);
-                w.put_bytes(data);
-                w.put_u32(*owner);
-                w.put_u8(*mode);
-            }
-            VfsRecord::Append { path, data } => {
-                w.put_u8(V_APPEND);
-                w.put_str(path);
-                w.put_bytes(data);
-            }
-            VfsRecord::WriteInode { inode, data } => {
-                w.put_u8(V_WRITE_INODE);
-                w.put_u64(*inode);
-                w.put_bytes(data);
-            }
-            VfsRecord::Unlink { path } => {
-                w.put_u8(V_UNLINK);
-                w.put_str(path);
-            }
-            VfsRecord::Rmdir { path } => {
-                w.put_u8(V_RMDIR);
-                w.put_str(path);
-            }
-            VfsRecord::Rename { from, to } => {
-                w.put_u8(V_RENAME);
-                w.put_str(from);
-                w.put_str(to);
-            }
-            VfsRecord::ChownChmod { path, owner, mode } => {
-                w.put_u8(V_CHOWN_CHMOD);
-                w.put_str(path);
-                w.put_u32(*owner);
-                w.put_u8(*mode);
-            }
-            VfsRecord::WriteDelta { path, prefix, suffix, data } => {
-                w.put_u8(V_WRITE_DELTA);
-                w.put_str(path);
-                w.put_u32(*prefix);
-                w.put_u32(*suffix);
-                w.put_bytes(data);
-            }
-            VfsRecord::WriteInodeDelta { inode, prefix, suffix, data } => {
-                w.put_u8(V_WRITE_INODE_DELTA);
-                w.put_u64(*inode);
-                w.put_u32(*prefix);
-                w.put_u32(*suffix);
-                w.put_bytes(data);
-            }
-        }
-    }
-
     /// The record's path fields (rename is the only two-path record), in
-    /// a fixed slot order matching the id array of the v2 encoder.
+    /// a fixed slot order matching the id array of the encoder.
     pub(crate) fn paths(&self) -> [Option<&str>; 2] {
         match self {
             VfsRecord::Mkdir { path, .. }
@@ -268,10 +207,10 @@ impl VfsRecord {
         }
     }
 
-    /// v2 encoding: identical to v1 except every path field becomes a
-    /// tagged slot — the literal string, or a u32 dictionary id assigned
-    /// by an earlier `PathDef` (4 bytes however long the path is).
-    fn encode_v2(&self, w: &mut ByteWriter, ids: [u32; 2]) {
+    /// Every path field is a tagged slot: the literal string, or a u32
+    /// dictionary id assigned by an earlier `PathDef` (4 bytes however
+    /// long the path is).
+    fn encode(&self, w: &mut ByteWriter, ids: [u32; 2]) {
         match self {
             VfsRecord::Mkdir { path, owner, mode } => {
                 w.put_u8(V_MKDIR);
@@ -332,7 +271,7 @@ impl VfsRecord {
         }
     }
 
-    fn decode_v2(
+    fn decode(
         r: &mut ByteReader<'_>,
         dict: Option<&HashMap<u32, String>>,
     ) -> Result<Self, CodecError> {
@@ -373,44 +312,9 @@ impl VfsRecord {
             t => return Err(CodecError::BadTag(t)),
         })
     }
-
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Ok(match r.get_u8()? {
-            V_MKDIR => {
-                VfsRecord::Mkdir { path: r.get_str()?, owner: r.get_u32()?, mode: r.get_u8()? }
-            }
-            V_WRITE => VfsRecord::Write {
-                path: r.get_str()?,
-                data: r.get_bytes()?,
-                owner: r.get_u32()?,
-                mode: r.get_u8()?,
-            },
-            V_APPEND => VfsRecord::Append { path: r.get_str()?, data: r.get_bytes()? },
-            V_WRITE_INODE => VfsRecord::WriteInode { inode: r.get_u64()?, data: r.get_bytes()? },
-            V_UNLINK => VfsRecord::Unlink { path: r.get_str()? },
-            V_RMDIR => VfsRecord::Rmdir { path: r.get_str()? },
-            V_RENAME => VfsRecord::Rename { from: r.get_str()?, to: r.get_str()? },
-            V_CHOWN_CHMOD => {
-                VfsRecord::ChownChmod { path: r.get_str()?, owner: r.get_u32()?, mode: r.get_u8()? }
-            }
-            V_WRITE_DELTA => VfsRecord::WriteDelta {
-                path: r.get_str()?,
-                prefix: r.get_u32()?,
-                suffix: r.get_u32()?,
-                data: r.get_bytes()?,
-            },
-            V_WRITE_INODE_DELTA => VfsRecord::WriteInodeDelta {
-                inode: r.get_u64()?,
-                prefix: r.get_u32()?,
-                suffix: r.get_u32()?,
-                data: r.get_bytes()?,
-            },
-            t => return Err(CodecError::BadTag(t)),
-        })
-    }
 }
 
-/// Encodes one v2 path slot: the literal string, or a dictionary id.
+/// Encodes one path slot: the literal string, or a dictionary id.
 fn put_path(w: &mut ByteWriter, path: &str, id: u32) {
     if id == LITERAL_PATH {
         w.put_u8(PATH_LITERAL);
@@ -421,7 +325,7 @@ fn put_path(w: &mut ByteWriter, path: &str, id: u32) {
     }
 }
 
-/// Decodes one v2 path slot. With `dict` the id must resolve; without it
+/// Decodes one path slot. With `dict` the id must resolve; without it
 /// (the torn/corrupt resync scan, which has no reliable dictionary) an id
 /// slot resolves to a placeholder so structural validity can still be
 /// judged.
@@ -443,29 +347,12 @@ fn get_path(
 }
 
 impl Record {
-    /// Encodes the record into a standalone v1 payload (no frame header).
-    /// Only VFS records differ between v1 and v2 (path fields are bare
-    /// strings here, tagged literal/id slots there); everything else
-    /// shares the v2 encoder.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        match self {
-            Record::Vfs(v) => {
-                w.put_u8(T_VFS);
-                v.encode(&mut w);
-            }
-            other => other.encode_v2_into(&mut w, [LITERAL_PATH; 2]),
-        }
-        w.into_bytes()
-    }
-
-    /// Encodes the record in format v2 into an existing buffer. Identical
-    /// to v1 except VFS path fields become tagged literal/id slots
-    /// (`ids[k]` is the dictionary id of path slot `k`, or
-    /// `LITERAL_PATH`). Writing into a caller-supplied writer lets the
-    /// pipelined flush frame a whole batch into one reusable scratch
-    /// allocation instead of a `Vec` per record.
-    pub(crate) fn encode_v2_into(&self, w: &mut ByteWriter, ids: [u32; 2]) {
+    /// Encodes the record's payload (no frame header) into `w`. `ids[k]`
+    /// is the dictionary id of VFS path slot `k`, or `LITERAL_PATH`.
+    /// Writing into a caller-supplied writer lets the WAL frame a whole
+    /// batch, or a whole rewritten log, into one buffer instead of a `Vec`
+    /// per record.
+    pub(crate) fn encode_into(&self, w: &mut ByteWriter, ids: [u32; 2]) {
         match self {
             Record::TxnBegin { txn } => {
                 w.put_u8(T_TXN_BEGIN);
@@ -495,7 +382,7 @@ impl Record {
             }
             Record::Vfs(v) => {
                 w.put_u8(T_VFS);
-                v.encode_v2(w, ids);
+                v.encode(w, ids);
             }
             Record::PathDef { id, path } => {
                 w.put_u8(T_PATH_DEF);
@@ -514,30 +401,14 @@ impl Record {
         }
     }
 
-    /// Decodes a v2 payload. `dict` maps path-dictionary ids to paths;
-    /// pass `None` only for structural validation (resync scans), where
-    /// unknown ids resolve to placeholders instead of failing.
-    pub(crate) fn decode_v2(
+    /// Decodes a payload produced by [`Record::encode_into`]. `dict` maps
+    /// path-dictionary ids to paths; pass `None` only for structural
+    /// validation (resync scans), where unknown ids resolve to
+    /// placeholders instead of failing.
+    pub(crate) fn decode(
         payload: &[u8],
         dict: Option<&HashMap<u32, String>>,
     ) -> Result<Self, CodecError> {
-        let mut r = ByteReader::new(payload);
-        match r.get_u8()? {
-            T_VFS => Ok(Record::Vfs(VfsRecord::decode_v2(&mut r, dict)?)),
-            _ => Record::decode(payload),
-        }
-    }
-
-    /// The record's VFS path fields (empty for non-VFS records).
-    pub(crate) fn vfs_paths(&self) -> [Option<&str>; 2] {
-        match self {
-            Record::Vfs(v) => v.paths(),
-            _ => [None, None],
-        }
-    }
-
-    /// Decodes a record from a payload produced by [`Record::encode`].
-    pub fn decode(payload: &[u8]) -> Result<Self, CodecError> {
         let mut r = ByteReader::new(payload);
         let rec = match r.get_u8()? {
             T_TXN_BEGIN => Record::TxnBegin { txn: r.get_u64()? },
@@ -554,7 +425,7 @@ impl Record {
                 Record::Sql { db, sql, params }
             }
             T_SNAPSHOT => Record::Snapshot { component: r.get_str()?, payload: r.get_bytes()? },
-            T_VFS => Record::Vfs(VfsRecord::decode(&mut r)?),
+            T_VFS => Record::Vfs(VfsRecord::decode(&mut r, dict)?),
             T_PATH_DEF => Record::PathDef { id: r.get_u32()?, path: r.get_str()? },
             T_SNAPSHOT_DELTA => {
                 Record::SnapshotDelta { component: r.get_str()?, payload: r.get_bytes()? }
@@ -563,6 +434,14 @@ impl Record {
             t => return Err(CodecError::BadTag(t)),
         };
         Ok(rec)
+    }
+
+    /// The record's VFS path fields (empty for non-VFS records).
+    pub(crate) fn vfs_paths(&self) -> [Option<&str>; 2] {
+        match self {
+            Record::Vfs(v) => v.paths(),
+            _ => [None, None],
+        }
     }
 
     /// True for records that must force a group-commit flush: transaction
@@ -583,8 +462,9 @@ mod tests {
     use super::*;
 
     fn roundtrip(rec: Record) {
-        let bytes = rec.encode();
-        assert_eq!(Record::decode(&bytes).unwrap(), rec);
+        let mut w = ByteWriter::new();
+        rec.encode_into(&mut w, [LITERAL_PATH; 2]);
+        assert_eq!(Record::decode(w.as_slice(), Some(&HashMap::new())).unwrap(), rec);
     }
 
     #[test]
@@ -646,32 +526,23 @@ mod tests {
     fn v2_interned_paths_roundtrip() {
         let rec = Record::Vfs(VfsRecord::Rename { from: "/a".into(), to: "/b".into() });
         let mut w = ByteWriter::new();
-        rec.encode_v2_into(&mut w, [4, LITERAL_PATH]);
+        rec.encode_into(&mut w, [4, LITERAL_PATH]);
         let bytes = w.into_bytes();
         let mut dict = HashMap::new();
         dict.insert(4u32, "/a".to_string());
-        assert_eq!(Record::decode_v2(&bytes, Some(&dict)).unwrap(), rec);
+        assert_eq!(Record::decode(&bytes, Some(&dict)).unwrap(), rec);
         // An unresolvable id fails strict decode but passes the permissive
         // structural check the resync scan uses.
         assert!(matches!(
-            Record::decode_v2(&bytes, Some(&HashMap::new())),
+            Record::decode(&bytes, Some(&HashMap::new())),
             Err(CodecError::UnknownPathId(4))
         ));
-        assert!(Record::decode_v2(&bytes, None).is_ok());
-    }
-
-    #[test]
-    fn v2_literal_paths_match_v1_for_non_vfs() {
-        // Non-VFS records share one encoding across versions.
-        let rec = Record::Sql { db: "d".into(), sql: "CREATE TABLE t (x)".into(), params: vec![] };
-        let mut w = ByteWriter::new();
-        rec.encode_v2_into(&mut w, [LITERAL_PATH; 2]);
-        assert_eq!(w.as_slice(), rec.encode().as_slice());
+        assert!(Record::decode(&bytes, None).is_ok());
     }
 
     #[test]
     fn decode_rejects_unknown_tag() {
-        assert!(matches!(Record::decode(&[200]), Err(CodecError::BadTag(200))));
+        assert!(matches!(Record::decode(&[200], None), Err(CodecError::BadTag(200))));
     }
 
     #[test]

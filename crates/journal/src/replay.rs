@@ -67,12 +67,12 @@ impl ReadLog {
 ///   truncation artifact.
 pub fn read_records(bytes: &[u8]) -> ReadLog {
     let mut records = Vec::new();
-    let (mut pos, v2) = match detect_version(bytes) {
-        Ok(x) => x,
+    let mut pos = match frames_start(bytes) {
+        Ok(pos) => pos,
         Err(tail) => return ReadLog { records, tail },
     };
-    // v2 path dictionary, built as `PathDef` records stream past. Records
-    // are returned with literal paths either way — interning is a wire
+    // The path dictionary, built as `PathDef` records stream past.
+    // Records are returned with literal paths — interning is a wire
     // format concern, invisible above this function.
     let mut dict: HashMap<u32, String> = HashMap::new();
     let mut last_lsn = 0u64;
@@ -91,7 +91,7 @@ pub fn read_records(bytes: &[u8]) -> ReadLog {
         let avail = bytes.len() - start;
         if avail < len {
             let frame_was_complete = frame_crc(lsn, avail as u32, &bytes[start..]) == crc;
-            let tail = if frame_was_complete || any_valid_frame_after(bytes, pos + 1, v2) {
+            let tail = if frame_was_complete || any_valid_frame_after(bytes, pos + 1) {
                 TailState::Corrupted { offset: pos }
             } else {
                 TailState::Torn { offset: pos }
@@ -102,9 +102,7 @@ pub fn read_records(bytes: &[u8]) -> ReadLog {
         if frame_crc(lsn, len as u32, payload) != crc || lsn <= last_lsn {
             return ReadLog { records, tail: TailState::Corrupted { offset: pos } };
         }
-        let decoded =
-            if v2 { Record::decode_v2(payload, Some(&dict)) } else { Record::decode(payload) };
-        match decoded {
+        match Record::decode(payload, Some(&dict)) {
             Ok(rec) => {
                 if let Record::PathDef { id, path } = &rec {
                     dict.insert(*id, path.clone());
@@ -119,21 +117,18 @@ pub fn read_records(bytes: &[u8]) -> ReadLog {
     ReadLog { records, tail: TailState::Clean }
 }
 
-/// Sniffs the log format. An empty log is trivially clean; a full v2
-/// preamble starts frame parsing after it; a leading [`FRAME_MAGIC`] is a
-/// v1 log. A short log that is a proper prefix of the preamble is a torn
-/// first write; anything else never came from this journal.
-fn detect_version(bytes: &[u8]) -> Result<(usize, bool), TailState> {
+/// Where frame parsing starts: just past the preamble (an empty log is
+/// trivially clean). A short log that is a proper prefix of the preamble
+/// is a torn first write; anything else — frames with no preamble in
+/// front of them included — never came from this journal.
+fn frames_start(bytes: &[u8]) -> Result<usize, TailState> {
     if bytes.is_empty() {
-        return Ok((0, false));
+        return Ok(0);
     }
-    if bytes.len() >= LOG_PREAMBLE.len() && bytes[..LOG_PREAMBLE.len()] == LOG_PREAMBLE {
-        return Ok((LOG_PREAMBLE.len(), true));
+    if bytes.starts_with(&LOG_PREAMBLE) {
+        return Ok(LOG_PREAMBLE.len());
     }
-    if bytes[0] == FRAME_MAGIC {
-        return Ok((0, false));
-    }
-    if bytes.len() < LOG_PREAMBLE.len() && LOG_PREAMBLE.starts_with(bytes) {
+    if LOG_PREAMBLE.starts_with(bytes) {
         return Err(TailState::Torn { offset: 0 });
     }
     Err(TailState::Corrupted { offset: 0 })
@@ -143,7 +138,7 @@ fn detect_version(bytes: &[u8]) -> Result<(usize, bool), TailState> {
 /// valid frame (magic, complete header, in-bounds payload, matching CRC,
 /// decodable record)? Used to tell a corrupted length field mid-log apart
 /// from a genuinely torn final frame.
-fn any_valid_frame_after(bytes: &[u8], from: usize, v2: bool) -> bool {
+fn any_valid_frame_after(bytes: &[u8], from: usize) -> bool {
     let mut q = from;
     while q + FRAME_HEADER <= bytes.len() {
         if bytes[q] == FRAME_MAGIC {
@@ -153,16 +148,13 @@ fn any_valid_frame_after(bytes: &[u8], from: usize, v2: bool) -> bool {
             let start = q + FRAME_HEADER;
             if bytes.len() - start >= len {
                 let payload = &bytes[start..start + len];
-                // Structural validity only: a v2 decode runs without a
-                // path dictionary (unknown ids resolve to a placeholder),
-                // since the question is whether a whole frame exists here,
-                // not whether its paths resolve.
-                let decodes = if v2 {
-                    Record::decode_v2(payload, None).is_ok()
-                } else {
-                    Record::decode(payload).is_ok()
-                };
-                if frame_crc(lsn, len as u32, payload) == crc && decodes {
+                // Structural validity only: decode without a path
+                // dictionary (unknown ids resolve to a placeholder), since
+                // the question is whether a whole frame exists here, not
+                // whether its paths resolve.
+                if frame_crc(lsn, len as u32, payload) == crc
+                    && Record::decode(payload, None).is_ok()
+                {
                     return true;
                 }
             }
@@ -329,7 +321,6 @@ mod tests {
 
     #[test]
     fn non_monotonic_lsn_is_corrupted() {
-        use crate::wal::LOG_PREAMBLE;
         let mut a = Journal::in_memory(1);
         a.append(&rec("/a")).unwrap();
         a.append(&rec("/b")).unwrap();
@@ -378,6 +369,21 @@ mod tests {
             assert!(log.records.is_empty());
             assert_eq!(log.tail, TailState::Torn { offset: 0 }, "cut at {cut}");
         }
+    }
+
+    #[test]
+    fn frames_without_the_preamble_are_corrupted() {
+        // No format but the preamble-led one is read: a log that opens
+        // straight on a valid frame never came from this journal.
+        let mut j = Journal::in_memory(1);
+        j.append(&Record::Sql { db: "d".into(), sql: "CREATE TABLE t (x)".into(), params: vec![] })
+            .unwrap();
+        let bytes = j.bytes();
+        let bare = &bytes[LOG_PREAMBLE.len()..];
+        assert_eq!(bare[0], FRAME_MAGIC);
+        let log = read_records(bare);
+        assert!(log.records.is_empty());
+        assert_eq!(log.tail, TailState::Corrupted { offset: 0 });
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! The write-ahead log: frame format, group commit, transactions, and the
-//! `JournalSink` trait the rest of the stack emits through.
+//! The write-ahead log: frame format, group commit, transactions, log
+//! rewrites, and the `JournalSink` trait the rest of the stack emits
+//! through.
 //!
-//! A v2 log opens with an 8-byte preamble (`MXWAL2\0\0`) followed by
-//! frames (little-endian):
+//! A log opens with an 8-byte preamble (`MXWAL2\0\0`) followed by frames
+//! (little-endian):
 //!
 //! ```text
 //! +------+---------+---------+---------+------------------+
@@ -13,8 +14,7 @@
 //! `crc` is the IEEE CRC-32 of `lsn || len || payload` (header fields in
 //! their little-endian encoding), so a flipped bit anywhere in the frame —
 //! including the LSN or length — fails verification instead of being
-//! replayed with a wrong header. v1 logs (no preamble, frames from byte 0,
-//! bare string paths) are still replayable; only v2 is ever written.
+//! replayed with a wrong header.
 //!
 //! The write path is pipelined: `append` interns paths and pushes the
 //! *record* onto a pending queue under the journal-state lock — encoding
@@ -25,6 +25,13 @@
 //! durable prefix, not the pending queue, which is what makes the
 //! group-commit batch size a real durability/throughput trade-off in the
 //! `journal_overhead` ablation.
+//!
+//! Incremental checkpoints ([`Journal::checkpoint_delta`]) and compaction
+//! ([`Journal::replace_with`]) are the only operations that shrink a log.
+//! Both pick the records to keep and hand them to one private
+//! `Journal::rewrite`, which frames the whole new log into one buffer and
+//! installs it with a single [`Storage::replace`]: one storage call per
+//! rewrite, and a crash leaves the old log or the new one.
 
 use crate::codec::ByteWriter;
 use crate::record::{Record, LITERAL_PATH};
@@ -39,8 +46,9 @@ pub const FRAME_MAGIC: u8 = 0xA7;
 /// Fixed frame header size: magic + lsn + len + crc.
 pub const FRAME_HEADER: usize = 1 + 8 + 4 + 4;
 
-/// The 8-byte preamble opening every format-v2 log. The first byte is
-/// deliberately not [`FRAME_MAGIC`], so version detection is unambiguous.
+/// The 8-byte preamble opening every non-empty log. Its first byte is
+/// deliberately not [`FRAME_MAGIC`], so a log that opens on a bare frame
+/// is told apart from one this journal wrote.
 pub const LOG_PREAMBLE: [u8; 8] = *b"MXWAL2\x00\x00";
 
 /// Default group-commit batch size (records per flush).
@@ -63,6 +71,8 @@ pub fn frame_crc(lsn: u64, len: u32, payload: &[u8]) -> u32 {
 /// bytes are as durable as the backend makes them — block storage issues
 /// its write-back + device flush barrier inside `append`, so the WAL's
 /// group-commit acknowledgement means the same thing on every backend.
+/// `replace` is atomic on every backend: after a crash, a reopen sees the
+/// old log or the new one, never a mix.
 pub trait Storage: Send {
     /// Appends bytes to the durable log.
     fn append(&mut self, bytes: &[u8]) -> JournalResult<()>;
@@ -75,8 +85,9 @@ pub trait Storage: Send {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-    /// Truncates the log (used by checkpointing).
-    fn reset(&mut self) -> JournalResult<()>;
+    /// Replaces the whole log with `bytes`, atomically (see above). On
+    /// `Err` the old log is still the log.
+    fn replace(&mut self, bytes: Vec<u8>) -> JournalResult<()>;
 }
 
 /// Plain in-memory storage.
@@ -105,8 +116,8 @@ impl Storage for MemStorage {
         self.buf.len()
     }
 
-    fn reset(&mut self) -> JournalResult<()> {
-        self.buf.clear();
+    fn replace(&mut self, bytes: Vec<u8>) -> JournalResult<()> {
+        self.buf = bytes;
         Ok(())
     }
 }
@@ -181,7 +192,7 @@ fn encode_frame(w: &mut ByteWriter, q: &Queued) {
     w.put_u64(q.lsn);
     w.put_u32(0); // len, backpatched below
     w.put_u32(0); // crc, backpatched below
-    q.rec.encode_v2_into(w, q.ids);
+    q.rec.encode_into(w, q.ids);
     let len = (w.len() - start - FRAME_HEADER) as u32;
     w.patch(start + 9, &len.to_le_bytes());
     let crc = frame_crc(q.lsn, len, &w.as_slice()[start + FRAME_HEADER..]);
@@ -216,13 +227,6 @@ impl PathInterner {
             }
             Some(Some(id)) => (None, *id),
         }
-    }
-
-    /// Forgets every assignment — called whenever the log is rewritten
-    /// from scratch, since ids only mean anything within one log.
-    fn reset(&mut self) {
-        self.map.clear();
-        self.next_id = 0;
     }
 }
 
@@ -427,91 +431,82 @@ impl Journal {
         self.len() == 0
     }
 
-    /// Truncates storage and resets the path dictionary (ids only mean
-    /// anything within one log). LSNs and txn ids keep rising.
-    fn reset_log(&mut self) -> JournalResult<()> {
-        self.storage.lock().storage.reset()?;
-        self.interner.reset();
-        Ok(())
-    }
-
-    /// Rewrites the log as the given component snapshots plus the
-    /// already-durable committed `Sql` records (logical SQL history is
-    /// retained so databases replay from scratch; physical VFS records are
-    /// subsumed by the store snapshot). Prior snapshots and snapshot
-    /// deltas for components *not* being replaced are kept.
-    pub fn checkpoint(&mut self, snapshots: &[(String, Vec<u8>)]) -> JournalResult<()> {
-        self.flush()?;
-        let log = crate::replay::read_records(&self.bytes());
-        let committed = crate::replay::committed_records(&log);
-        let mut retained: Vec<Record> = Vec::new();
-        for rec in committed {
-            match rec {
-                Record::Snapshot { ref component, .. }
-                | Record::SnapshotDelta { ref component, .. } => {
-                    if !snapshots.iter().any(|(c, _)| c == component) {
-                        retained.push(rec);
-                    }
-                }
-                Record::Sql { .. } => retained.push(rec),
-                _ => {}
-            }
-        }
-        self.reset_log()?;
-        for (component, payload) in snapshots {
-            self.append_owned(Record::Snapshot {
-                component: component.clone(),
-                payload: payload.clone(),
-            })?;
-        }
-        for rec in retained {
-            self.append_owned(rec)?;
-        }
-        self.flush()
-    }
-
-    /// Incremental checkpoint: rewrites the log as the *retained* prior
-    /// snapshot chain (full snapshots and earlier deltas, every
-    /// component), the committed SQL history, and a new `SnapshotDelta`
-    /// carrying only the state dirtied since the last checkpoint. Replay
-    /// rebuilds the chain in order; VFS physical records are dropped
-    /// because the delta subsumes them.
+    /// Incremental checkpoint: rewrites the log as the committed snapshot
+    /// chain (full snapshots and earlier deltas, every component), the
+    /// committed SQL history, and a new `SnapshotDelta` carrying only the
+    /// state dirtied since the last checkpoint. Replay rebuilds the chain
+    /// in order; VFS physical records are dropped because the delta
+    /// subsumes them, and records of rolled-back or still-open
+    /// transactions are dropped with their markers.
     pub fn checkpoint_delta(&mut self, component: &str, delta: Vec<u8>) -> JournalResult<()> {
         self.flush()?;
-        let log = crate::replay::read_records(&self.bytes());
-        let committed = crate::replay::committed_records(&log);
-        let mut retained: Vec<Record> = Vec::new();
-        for rec in committed {
-            match rec {
-                Record::Snapshot { .. } | Record::SnapshotDelta { .. } | Record::Sql { .. } => {
-                    retained.push(rec)
-                }
-                _ => {}
-            }
-        }
-        self.reset_log()?;
-        for rec in retained {
-            self.append_owned(rec)?;
-        }
-        self.append_owned(Record::SnapshotDelta {
-            component: component.to_string(),
-            payload: delta,
-        })?;
-        self.flush()
+        let old = self.bytes();
+        // The kept records are framed exactly as in the old log (they
+        // carry no paths), so the old log plus the delta's frame (header,
+        // tag, two length-prefixed fields) bounds the rewrite.
+        let delta_frame = FRAME_HEADER + 1 + 4 + component.len() + 4 + delta.len();
+        let capacity = old.len().max(LOG_PREAMBLE.len()) + delta_frame;
+        let log = crate::replay::read_records(&old);
+        drop(old);
+        let mut kept = crate::replay::committed_records(&log);
+        drop(log);
+        kept.retain(|rec| {
+            matches!(
+                rec,
+                Record::Snapshot { .. } | Record::SnapshotDelta { .. } | Record::Sql { .. }
+            )
+        });
+        let delta = Record::SnapshotDelta { component: component.to_string(), payload: delta };
+        self.rewrite(kept.into_iter().chain([delta]), capacity)
     }
 
     /// Replaces the whole log with `records` — a compacted reconstruction
     /// of live state — preceded by a `Compaction` marker recording the LSN
     /// horizon the rewrite subsumes. Recovery over the new log replays
     /// live state, not uptime history.
-    pub fn replace_with(&mut self, records: &[Record], upto_lsn: u64) -> JournalResult<()> {
+    pub fn replace_with(&mut self, records: Vec<Record>, upto_lsn: u64) -> JournalResult<()> {
+        // Compaction exists to shrink the log, so the old log's length is
+        // the buffer's reservation; a larger compacted log grows it.
+        let capacity = self.len().max(LOG_PREAMBLE.len());
+        self.rewrite(std::iter::once(Record::Compaction { upto_lsn }).chain(records), capacity)
+    }
+
+    /// The one path that truncates or rewrites the log. Flushes the queue,
+    /// then gives `records` fresh LSNs and a fresh path dictionary exactly
+    /// as `enqueue` would after an empty log, frames the preamble and
+    /// every record into one buffer of `capacity` bytes (each record is
+    /// dropped once encoded), and installs it with a single
+    /// [`Storage::replace`], booked as one flush. LSNs and txn ids keep
+    /// rising. If the replace fails, the old log and its dictionary stay.
+    fn rewrite(
+        &mut self,
+        records: impl IntoIterator<Item = Record>,
+        capacity: usize,
+    ) -> JournalResult<()> {
         self.flush()?;
-        self.reset_log()?;
-        self.append_owned(Record::Compaction { upto_lsn })?;
+        let _sp = maxoid_obs::span("journal.rewrite");
+        let old_interner = std::mem::take(&mut self.interner);
         for rec in records {
-            self.append(rec)?;
+            self.enqueue(rec);
         }
-        self.flush()
+        let batch = std::mem::take(&mut self.queue);
+        let (count, high) = (batch.len(), batch.last().map_or(self.acked_lsn, |q| q.lsn));
+        let mut buf = Vec::with_capacity(capacity);
+        if count > 0 {
+            buf.extend_from_slice(&LOG_PREAMBLE);
+        }
+        let mut w = ByteWriter::from_vec(buf);
+        for q in batch {
+            encode_frame(&mut w, &q);
+        }
+        let buf = w.into_bytes();
+        let bytes = buf.len();
+        let result = self.storage.lock().storage.replace(buf);
+        if result.is_err() {
+            self.interner = old_interner;
+        }
+        self.finish_group_flush(Some((bytes, count)), &result, high);
+        result
     }
 
     // -----------------------------------------------------------------
@@ -777,17 +772,13 @@ impl JournalHandle {
         self.with(|j| j.stats())
     }
 
-    pub fn checkpoint(&self, snapshots: &[(String, Vec<u8>)]) -> JournalResult<()> {
-        self.with(|j| j.checkpoint(snapshots))
-    }
-
     /// Incremental checkpoint: see [`Journal::checkpoint_delta`].
     pub fn checkpoint_delta(&self, component: &str, delta: Vec<u8>) -> JournalResult<()> {
         self.with(|j| j.checkpoint_delta(component, delta))
     }
 
     /// Log compaction: see [`Journal::replace_with`].
-    pub fn replace_with(&self, records: &[Record], upto_lsn: u64) -> JournalResult<()> {
+    pub fn replace_with(&self, records: Vec<Record>, upto_lsn: u64) -> JournalResult<()> {
         self.with(|j| j.replace_with(records, upto_lsn))
     }
 
@@ -947,30 +938,62 @@ mod tests {
         assert_eq!(log.tail, TailState::Clean);
     }
 
+    fn sql(text: &str) -> Record {
+        Record::Sql { db: "d".into(), sql: text.into(), params: vec![] }
+    }
+
     #[test]
     fn checkpoint_keeps_sql_and_replaces_vfs() {
         let mut j = Journal::in_memory(1);
         j.append(&rec("/a")).unwrap();
-        j.append(&Record::Sql { db: "d".into(), sql: "CREATE TABLE t (x)".into(), params: vec![] })
-            .unwrap();
-        j.checkpoint(&[("vfs.store".to_string(), vec![1, 2, 3])]).unwrap();
+        j.append(&sql("CREATE TABLE t (x)")).unwrap();
+        j.append(&rec("/a")).unwrap();
+        j.checkpoint_delta("vfs.store", vec![1, 2, 3]).unwrap();
         let log = read_records(&j.bytes());
         let recs: Vec<&Record> = log.records.iter().map(|(_, r)| r).collect();
+        // The VFS records (and the PathDef their repeated path earned)
+        // are subsumed by the delta; the SQL stays, ahead of it.
         assert_eq!(recs.len(), 2);
-        assert!(matches!(recs[0], Record::Snapshot { component, payload }
+        assert_eq!(recs[0], &sql("CREATE TABLE t (x)"));
+        assert!(matches!(recs[1], Record::SnapshotDelta { component, payload }
             if component == "vfs.store" && payload == &vec![1, 2, 3]));
-        assert!(matches!(recs[1], Record::Sql { .. }));
     }
 
     #[test]
     fn checkpoint_drops_uncommitted_sql() {
         let mut j = Journal::in_memory(1);
         let txn = j.begin_txn().unwrap();
-        j.append(&Record::Sql { db: "d".into(), sql: "INSERT ...".into(), params: vec![] })
-            .unwrap();
+        j.append(&sql("INSERT ...")).unwrap();
         j.rollback_txn(txn).unwrap();
-        j.checkpoint(&[]).unwrap();
-        assert_eq!(read_records(&j.bytes()).records.len(), 0);
+        j.checkpoint_delta("vfs.store", vec![]).unwrap();
+        let log = read_records(&j.bytes());
+        assert_eq!(log.records.len(), 1);
+        assert!(matches!(log.records[0].1, Record::SnapshotDelta { .. }));
+    }
+
+    #[test]
+    fn checkpoint_delta_is_one_flush() {
+        let mut j = Journal::in_memory(8);
+        for i in 0..200 {
+            j.append(&sql(&format!("INSERT INTO t VALUES ({i})"))).unwrap();
+        }
+        let before = read_records(&j.bytes());
+        assert_eq!(before.records.len(), 200, "200 records at batch 8 are all flushed");
+        let flushes = j.stats().flushes;
+        j.checkpoint_delta("vfs.store", vec![9]).unwrap();
+        assert_eq!(j.stats().flushes, flushes + 1, "the whole rewrite is one storage call");
+        let after = read_records(&j.bytes());
+        assert_eq!(after.tail, TailState::Clean);
+        let (kept, delta) = after.records.split_at(200);
+        let old: Vec<&Record> = before.records.iter().map(|(_, r)| r).collect();
+        assert_eq!(kept.iter().map(|(_, r)| r).collect::<Vec<_>>(), old);
+        assert!(
+            matches!(&delta[0].1, Record::SnapshotDelta { payload, .. } if payload == &vec![9])
+        );
+        // Fresh LSNs, consecutive past the old log's last.
+        let lsns: Vec<u64> = after.records.iter().map(|(l, _)| *l).collect();
+        let first = before.last_lsn() + 1;
+        assert_eq!(lsns, (first..first + 201).collect::<Vec<_>>());
     }
 
     #[test]
@@ -999,7 +1022,7 @@ mod tests {
         }
         let last = read_records(&j.bytes()).last_lsn();
         j.replace_with(
-            &[Record::Snapshot { component: "vfs.store".into(), payload: vec![7] }],
+            vec![Record::Snapshot { component: "vfs.store".into(), payload: vec![7] }],
             last,
         )
         .unwrap();

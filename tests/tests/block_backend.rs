@@ -21,16 +21,24 @@
 //!   byte is `Corrupted`, never a silently shortened history — and a
 //!   power-lossy device (torn sector, dead writes) never acknowledges a
 //!   record the surviving image can't replay.
+//! - **Rewrites are atomic**: a power cut at any device write of a
+//!   checkpoint or a compaction reopens as the acknowledged log or as the
+//!   whole rewrite, never a mix.
 
 use maxoid::durability::{recover, RecoveryError};
 use maxoid::manifest::MaxoidManifest;
 use maxoid::{Caller, ContentValues, MaxoidSystem, QueryArgs, Uri};
 use maxoid_block::{FaultDevice, FileDevice, MemDevice};
-use maxoid_journal::{flip_byte, read_records, BlockStorage, JournalHandle, TailState};
+use maxoid_journal::{
+    committed_records, flip_byte, read_records, BlockStorage, Journal, JournalHandle, Record,
+    Storage, TailState,
+};
 use maxoid_sqldb::Value;
 use maxoid_vfs::{vpath, Mode, Store, Uid, VPath, Vfs};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 const PAGES: usize = 4;
 const THRESHOLD: usize = 64;
@@ -273,9 +281,16 @@ fn byte_flip_sweep_survives_the_block_device() {
 
 /// A mem device whose platter is shared out-of-band, so a test can crash
 /// the journal stack and then inspect what "the disk" actually holds —
-/// the same split a real power cut makes between RAM and media.
-#[derive(Clone)]
-struct SharedDev(std::sync::Arc<std::sync::Mutex<MemDevice>>);
+/// the same split a real power cut makes between RAM and media. It also
+/// counts the sector writes that reached the platter.
+#[derive(Clone, Default)]
+struct SharedDev(Arc<Mutex<MemDevice>>, Arc<AtomicU64>);
+
+impl SharedDev {
+    fn writes(&self) -> u64 {
+        self.1.load(Ordering::Relaxed)
+    }
+}
 
 impl maxoid_block::BlockDevice for SharedDev {
     fn sector_size(&self) -> usize {
@@ -288,6 +303,7 @@ impl maxoid_block::BlockDevice for SharedDev {
         self.0.lock().unwrap().read_sector(sector, buf)
     }
     fn write_sector(&mut self, sector: u64, buf: &[u8]) -> maxoid_block::BlockResult<()> {
+        self.1.fetch_add(1, Ordering::Relaxed);
         self.0.lock().unwrap().write_sector(sector, buf)
     }
     fn flush(&mut self) -> maxoid_block::BlockResult<()> {
@@ -306,12 +322,8 @@ proptest! {
     /// when the tear hits a superblock slot.
     #[test]
     fn prop_power_loss_never_loses_acked_records(budget in 1u64..40, torn in 0usize..4096) {
-        let platter = std::sync::Arc::new(std::sync::Mutex::new(MemDevice::new()));
-        let dev = FaultDevice::with_write_budget(
-            Box::new(SharedDev(platter.clone())),
-            budget,
-            torn,
-        );
+        let platter = SharedDev::default();
+        let dev = FaultDevice::with_write_budget(Box::new(platter.clone()), budget, torn);
         let mut j = maxoid_journal::Journal::new(
             Box::new(BlockStorage::open(Box::new(dev), 4).unwrap()),
             1,
@@ -328,10 +340,8 @@ proptest! {
         }
         drop(j); // RAM is gone; only the platter survives.
 
-        let survivor = SharedDev(platter);
-        match BlockStorage::open(Box::new(survivor), 4) {
+        match BlockStorage::open(Box::new(platter), 4) {
             Ok(mut s) => {
-                use maxoid_journal::wal::Storage;
                 let parsed = read_records(&s.bytes());
                 prop_assert!(parsed.records.len() >= acked,
                     "{} acked but only {} replayable", acked, parsed.records.len());
@@ -342,5 +352,85 @@ proptest! {
                 prop_assert_eq!(acked, 0, "acked records but reopen failed: {}", e);
             }
         }
+    }
+}
+
+/// The log rewrites of a checkpoint and a compaction.
+#[derive(Clone, Copy, Debug)]
+enum Rewrite {
+    CheckpointDelta,
+    ReplaceWith,
+}
+
+fn acked_sql(i: usize) -> Record {
+    Record::Sql { db: "db.t".into(), sql: format!("INSERT {i}"), params: vec![] }
+}
+
+/// Acknowledges 200 `Sql` records at batch 8 on `dev`.
+fn ack_200(dev: Box<dyn maxoid_block::BlockDevice>) -> Journal {
+    let mut j = Journal::new(Box::new(BlockStorage::open(dev, 4).unwrap()), 8);
+    for i in 0..200 {
+        j.append(&acked_sql(i)).unwrap();
+    }
+    assert_eq!((j.stats().flushes, j.stats().io_errors), (25, 0), "all 200 acknowledged");
+    j
+}
+
+fn run(j: &mut Journal, rewrite: Rewrite) -> maxoid_journal::JournalResult<()> {
+    match rewrite {
+        Rewrite::CheckpointDelta => j.checkpoint_delta("vfs.store", vec![5; 3000]),
+        Rewrite::ReplaceWith => {
+            let live = vec![
+                Record::Snapshot { component: "vfs.store".into(), payload: vec![6; 6000] },
+                Record::Sql { db: "db.t".into(), sql: "CREATE TABLE t (x)".into(), params: vec![] },
+            ];
+            j.replace_with(live, 200)
+        }
+    }
+}
+
+/// The committed records of the log on `platter`, after a reboot.
+fn committed_on(platter: SharedDev) -> Vec<Record> {
+    let mut storage = BlockStorage::open(Box::new(platter), 4).expect("acked log must reopen");
+    let log = read_records(&storage.bytes());
+    assert!(!matches!(log.tail, TailState::Corrupted { .. }), "rewrite left {:?}", log.tail);
+    committed_records(&log)
+}
+
+/// A power cut anywhere inside a log rewrite — checkpoint or compaction,
+/// torn sector or not — reopens as the acknowledged log or as the whole
+/// rewrite, never as a mix: a rewrite writes its log beside the live one
+/// and commits it with one superblock.
+#[test]
+fn rewrite_power_loss_keeps_the_old_log_or_the_new_one() {
+    let old: Vec<Record> = (0..200).map(acked_sql).collect();
+    for rewrite in [Rewrite::CheckpointDelta, Rewrite::ReplaceWith] {
+        // A fault-free run counts the writes the acks take and the ones
+        // the rewrite takes, and records the rewritten log.
+        let platter = SharedDev::default();
+        let mut j = ack_200(Box::new(platter.clone()));
+        let acked = platter.writes();
+        run(&mut j, rewrite).unwrap();
+        drop(j);
+        let total = platter.writes();
+        let new = committed_on(platter);
+        assert_ne!(new, old);
+
+        for writes in acked..total {
+            for torn in [0, 100, 4000] {
+                let probe = SharedDev::default();
+                let dev = FaultDevice::with_write_budget(Box::new(probe.clone()), writes, torn);
+                let mut j = ack_200(Box::new(dev));
+                assert!(run(&mut j, rewrite).is_err(), "the budget ends inside the rewrite");
+                drop(j); // RAM is gone; only the platter survives.
+                let got = committed_on(probe);
+                assert!(
+                    got == old || got == new,
+                    "{rewrite:?} cut at write {writes} (torn {torn}): {} records, neither log",
+                    got.len()
+                );
+            }
+        }
+        assert!(total - acked >= 3, "{rewrite:?} took only {} writes", total - acked);
     }
 }

@@ -5,6 +5,7 @@
 use crossbeam::thread;
 use maxoid::manifest::MaxoidManifest;
 use maxoid::{ContentValues, MaxoidSystem, QueryArgs, Uri, VolCommitPlan};
+use maxoid_journal::{JournalHandle, Record};
 use maxoid_vfs::{vpath, Cred, Mode, Mount, MountNamespace, Uid, Vfs};
 use std::time::Duration;
 
@@ -347,12 +348,15 @@ fn intra_authority_reader_storm_matches_serialized_oracle() {
 /// documented order (system.rs "Threading model") every path acquires
 /// nested locks in one global direction, so this must terminate; an
 /// inversion deadlocks and the watchdog flags it instead of hanging CI.
+/// The system is journaled, so thread 1's checkpoints really rewrite the
+/// log (journal-state, storage and store-shard locks) under thread 2's
+/// writes.
 #[test]
 fn lock_order_smoke() {
     const ITERS: usize = 150;
     let (tx, rx) = std::sync::mpsc::channel();
     let driver = std::thread::spawn(move || {
-        let sys = MaxoidSystem::boot().unwrap();
+        let sys = MaxoidSystem::boot_journaled(JournalHandle::in_memory()).unwrap();
         let words = Uri::parse("content://user_dictionary/words").unwrap();
         for pkg in ["alpha", "beta", "gamma"] {
             sys.install(pkg, vec![], MaxoidManifest::new()).unwrap();
@@ -366,7 +370,8 @@ fn lock_order_smoke() {
         thread::scope(|scope| {
             // Thread 1: gesture-heavy — gesture lock -> priv_mgr ->
             // kernel table -> store -> provider mutex -> journal, plus
-            // ams writes (install) and reads (manifest_of).
+            // ams writes (install), reads (manifest_of) and checkpoints
+            // (store, then journal state -> storage).
             scope.spawn(|_| {
                 for i in 0..ITERS {
                     sys.commit_vol("alpha", &VolCommitPlan::default()).unwrap();
@@ -375,7 +380,7 @@ fn lock_order_smoke() {
                         sys.install(&format!("extra{i}"), vec![], MaxoidManifest::new()).unwrap();
                     }
                     let _ = sys.manifest_of(&maxoid::AppId::new("alpha"));
-                    sys.checkpoint().unwrap();
+                    sys.checkpoint_incremental().unwrap();
                 }
             });
             // Thread 2: leaf-first — provider and store paths entered
@@ -401,6 +406,9 @@ fn lock_order_smoke() {
             });
         })
         .expect("threads join");
+        // The checkpoints were real rewrites, not no-ops.
+        let log = maxoid_journal::read_records(&sys.journal().unwrap().bytes());
+        assert!(log.records.iter().any(|(_, r)| matches!(r, Record::SnapshotDelta { .. })));
         tx.send(()).ok();
     });
     // Watchdog: a lock-order inversion shows up as a hang, not a panic.
