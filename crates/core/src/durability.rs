@@ -342,14 +342,14 @@ mod tests {
             s.write(&vpath("/data/a"), b"aaa", Uid(10_001), Mode::PRIVATE).unwrap();
         });
         // First delta covers everything dirty since boot.
-        let d1 = vfs.with_store_mut(|s| s.take_dirty_image());
+        let (d1, _) = vfs.with_store_mut(|s| s.take_dirty_image());
         j.checkpoint_delta(VFS_COMPONENT, d1).unwrap();
         vfs.with_store_mut(|s| {
             s.write(&vpath("/data/b"), b"bbb", Uid(10_001), Mode::PRIVATE).unwrap();
             s.write(&vpath("/data/a"), b"aaa2", Uid(10_001), Mode::PRIVATE).unwrap();
         });
         // Second delta covers only /data/b, /data/a and their parent.
-        let d2 = vfs.with_store_mut(|s| s.take_dirty_image());
+        let (d2, _) = vfs.with_store_mut(|s| s.take_dirty_image());
         j.checkpoint_delta(VFS_COMPONENT, d2).unwrap();
         // Tail records after the last checkpoint replay on top.
         vfs.with_store_mut(|s| {

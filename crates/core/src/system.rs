@@ -499,14 +499,21 @@ impl MaxoidSystem {
     /// Incremental checkpoint: serializes only the store state dirtied
     /// since the last checkpoint as a `SnapshotDelta` record and prunes
     /// the physical VFS records it subsumes. The delta scales with the
-    /// working set, but the journal still reads, parses and rewrites the
-    /// whole log (the committed SQL history included) under its lock, so
-    /// the call costs O(log), and all of it lands in one storage write.
+    /// working set, and the journal reads, filters and replaces only what
+    /// was logged since its last rewrite (the retained prefix — earlier
+    /// snapshots and the committed SQL history — stays in place), in one
+    /// storage write. So the call costs O(bytes logged since the last
+    /// checkpoint), except the first one after a boot, which rewrites the
+    /// whole log. If the journal call fails, the drained inodes are marked
+    /// dirty again so the next checkpoint's delta still covers them.
     pub fn checkpoint_incremental(&self) -> SystemResult<()> {
         if let Some(j) = &self.journal {
             let _sp = maxoid_obs::span("system.checkpoint_incremental");
-            let delta = self.kernel.vfs().with_store_mut(|s| s.take_dirty_image());
-            j.checkpoint_delta(crate::durability::VFS_COMPONENT, delta)?;
+            let (delta, taken) = self.kernel.vfs().with_store(|s| s.take_dirty_image());
+            if let Err(e) = j.checkpoint_delta(crate::durability::VFS_COMPONENT, delta) {
+                self.kernel.vfs().with_store(|s| s.mark_dirty(&taken));
+                return Err(e.into());
+            }
             maxoid_obs::counter_add("system.checkpoints_incremental", 1);
         }
         Ok(())

@@ -8,11 +8,13 @@
 //! sector 0          sector 1          sector 2 ...
 //! +-----------------+-----------------+-----------------------------------+
 //! | superblock A    | superblock B    | data area                         |
-//! | magic  (8 B)    | magic  (8 B)    |   ... | live log | ...            |
-//! | gen    u64      | gen    u64      |         ^ byte `start` of the     |
-//! | start  u64      | start  u64      |           area, `len` bytes long  |
-//! | len    u64      | len    u64      | (frame stream, exactly as         |
-//! | crc    u32      | crc    u32      |  MemStorage would hold it)        |
+//! | magic    (8 B)  | magic    (8 B)  |   ... | live log | ...            |
+//! | gen      u64    | gen      u64    |         ^ byte `start` of the     |
+//! | start    u64    | start    u64    |           area, `len` bytes long  |
+//! | len      u64    | len      u64    | (frame stream, exactly as         |
+//! | move_src u64    | move_src u64    |  MemStorage would hold it)        |
+//! | move_at  u64    | move_at  u64    |                                   |
+//! | crc      u32    | crc      u32    |                                   |
 //! +-----------------+-----------------+-----------------------------------+
 //! ```
 //!
@@ -25,16 +27,31 @@
 //! device but were never acknowledged, exactly the "lost tail" a torn
 //! append models.
 //!
-//! `replace` (every log rewrite) writes the new log *beside* the live
-//! one: at the front of the data area if it ends before the live log's
-//! first sector, otherwise from the first sector past the live log's end.
-//! After a flush barrier, one superblock commit names the new `start` and
-//! `len`. No sector of the live log is written before that commit, so a
-//! crash leaves the old log (the commit never landed) or the new one,
-//! never a mix. The new log only goes past the live one when it is longer
-//! than the gap in front of it, so a log never starts more than about
-//! twice the largest log into the data area, and the area stays under
-//! about three times the largest log.
+//! `replace_from(0, log)` (a whole rewrite) writes the new log *beside*
+//! the live one: at the front of the data area if it ends before the live
+//! log's first sector, otherwise from the first sector past the live
+//! log's end. After a flush barrier, one superblock commit names the new
+//! `start` and `len`. No sector of the live log is written before that
+//! commit, so a crash leaves the old log (the commit never landed) or the
+//! new one, never a mix. The new log only goes past the live one when it
+//! is longer than the gap in front of it, so a log never starts more than
+//! about twice the largest log into the data area, and the area stays
+//! under about three times the largest log.
+//!
+//! `replace_from(keep, tail)` with `keep > 0` (a checkpoint keeping its
+//! retained prefix) *splices*: it writes `tail` beside the log, from the
+//! first sector past both the live log's end and `start + keep +
+//! tail.len()` — so it overlaps neither the live log nor its own in-place
+//! target — then, after a flush barrier, commits a superblock naming the
+//! new `len` and a **move** (`move_src` = where the tail was written,
+//! `move_at` = `keep`): "the log's bytes from `move_at` on are at
+//! `move_src`". That commit makes the new log durable. Only then is the
+//! tail copied in place at `start + keep`, flushed, and a superblock
+//! without the move committed (`move_src` = `u64::MAX`). Reads serve the
+//! tail from `move_src` until the move is done, and `append`,
+//! `replace_from` and `open` finish a pending move first; the copy is
+//! idempotent, so a cut anywhere reopens as the old log or the whole new
+//! one. A checkpoint thus writes about twice its tail, never the prefix.
 //!
 //! Superblock commits alternate between **two slots** (generation `g`
 //! lands in sector `g % 2`), so the commit never overwrites the slot it
@@ -57,28 +74,45 @@ use maxoid_block::{BlockDevice, BlockError, PageCache};
 pub const SUPERBLOCK_MAGIC: [u8; 8] = *b"MXBLKSB\0";
 
 /// Size of the meaningful superblock prefix: magic + gen + start + len +
-/// crc.
-const SUPERBLOCK_LEN: usize = 8 + 8 + 8 + 8 + 4;
+/// move_src + move_at + crc.
+const SUPERBLOCK_LEN: usize = 8 + 8 + 8 + 8 + 8 + 8 + 4;
 
-fn superblock_crc(gen: u64, start: u64, len: u64) -> u32 {
-    crate::codec::crc32_parts(&[
-        &SUPERBLOCK_MAGIC,
-        &gen.to_le_bytes(),
-        &start.to_le_bytes(),
-        &len.to_le_bytes(),
-    ])
+/// `move_src` of a superblock with no pending move.
+const NO_MOVE: u64 = u64::MAX;
+
+/// A splice's pending move: the log's bytes from `at` on are still at
+/// data-area offset `src`, not in place at `start + at`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Move {
+    src: u64,
+    at: u64,
 }
 
-/// Parses one superblock slot into `(gen, start, len)`; `None` if the
-/// slot doesn't validate.
-fn parse_slot(sb: &[u8]) -> Option<(u64, u64, u64)> {
-    if sb[..8] != SUPERBLOCK_MAGIC {
+/// Encodes a superblock: the magic, `gen`, `start`, `len`, the move's
+/// `src` and `at` (`NO_MOVE`, 0 without one), and the CRC of all of it.
+fn encode_superblock(gen: u64, start: u64, len: u64, moving: Option<Move>) -> Vec<u8> {
+    let (src, at) = moving.map_or((NO_MOVE, 0), |m| (m.src, m.at));
+    let mut sb = Vec::with_capacity(SUPERBLOCK_LEN);
+    sb.extend_from_slice(&SUPERBLOCK_MAGIC);
+    for field in [gen, start, len, src, at] {
+        sb.extend_from_slice(&field.to_le_bytes());
+    }
+    let crc = crate::codec::crc32(&sb);
+    sb.extend_from_slice(&crc.to_le_bytes());
+    sb
+}
+
+/// Parses one superblock slot into `(gen, start, len, move)`; `None` if
+/// the slot doesn't validate.
+fn parse_slot(sb: &[u8]) -> Option<(u64, u64, u64, Option<Move>)> {
+    let body = SUPERBLOCK_LEN - 4;
+    let crc = u32::from_le_bytes(sb[body..SUPERBLOCK_LEN].try_into().unwrap());
+    if sb[..8] != SUPERBLOCK_MAGIC || crc != crate::codec::crc32(&sb[..body]) {
         return None;
     }
-    let field = |at: usize| u64::from_le_bytes(sb[at..at + 8].try_into().unwrap());
-    let (gen, start, len) = (field(8), field(16), field(24));
-    let crc = u32::from_le_bytes(sb[32..36].try_into().unwrap());
-    (crc == superblock_crc(gen, start, len)).then_some((gen, start, len))
+    let field = |k: usize| u64::from_le_bytes(sb[8 + 8 * k..16 + 8 * k].try_into().unwrap());
+    let moving = (field(3) != NO_MOVE).then(|| Move { src: field(3), at: field(4) });
+    Some((field(0), field(1), field(2), moving))
 }
 
 fn block_err(e: BlockError) -> JournalError {
@@ -97,6 +131,8 @@ pub struct BlockStorage {
     start: u64,
     /// Durable log length in bytes (mirrors the newest superblock).
     len: u64,
+    /// A splice's unfinished move (mirrors the newest superblock).
+    moving: Option<Move>,
     /// Generation of the newest committed superblock (0 = never written).
     gen: u64,
 }
@@ -106,6 +142,7 @@ impl std::fmt::Debug for BlockStorage {
         f.debug_struct("BlockStorage")
             .field("start", &self.start)
             .field("len", &self.len)
+            .field("moving", &self.moving)
             .field("gen", &self.gen)
             .field("cache", &self.cache)
             .finish()
@@ -117,34 +154,41 @@ impl BlockStorage {
     ///
     /// * empty device → a fresh log (superblock written on first append);
     /// * valid superblock → the existing log, ready for cold-boot replay
-    ///   and further appends;
+    ///   and further appends (a pending move is finished first);
     /// * anything else → [`JournalError::Io`], loudly.
     pub fn open(dev: Box<dyn BlockDevice>, pages: usize) -> JournalResult<Self> {
         let mut cache = PageCache::new(dev, pages.max(2));
         if cache.device().len_sectors() == 0 {
-            return Ok(BlockStorage { cache, start: 0, len: 0, gen: 0 });
+            return Ok(BlockStorage { cache, start: 0, len: 0, moving: None, gen: 0 });
         }
         let capacity = (cache.device().len_sectors() * cache.page_size() as u64)
             .saturating_sub(self::data_origin(&cache));
-        let mut best: Option<(u64, u64, u64)> = None;
+        let within = |from: u64, n: u64| from.checked_add(n).is_some_and(|end| end <= capacity);
+        let mut best: Option<(u64, u64, u64, Option<Move>)> = None;
         for slot in 0..2u64 {
             let mut sb = vec![0u8; SUPERBLOCK_LEN];
             cache.read_bytes(slot * cache.page_size() as u64, &mut sb).map_err(block_err)?;
-            if let Some((gen, start, len)) = parse_slot(&sb) {
-                // A log past the device end is damage even if the CRC
-                // happened to survive.
-                let fits = start.checked_add(len).is_some_and(|end| end <= capacity);
+            if let Some((gen, start, len, moving)) = parse_slot(&sb) {
+                // A log, or a move source, past the device end is damage
+                // even if the CRC happened to survive; so is a move whose
+                // source overlaps its target.
+                let fits = within(start, len)
+                    && moving.is_none_or(|m| {
+                        m.at <= len && m.src >= start + len && within(m.src, len - m.at)
+                    });
                 if fits && best.is_none_or(|(g, ..)| gen > g) {
-                    best = Some((gen, start, len));
+                    best = Some((gen, start, len, moving));
                 }
             }
         }
-        let Some((gen, start, len)) = best else {
+        let Some((gen, start, len, moving)) = best else {
             return Err(JournalError::Io(
                 "no valid block log superblock: not a journal device, or both slots damaged".into(),
             ));
         };
-        Ok(BlockStorage { cache, start, len, gen })
+        let mut s = BlockStorage { cache, start, len, moving, gen };
+        s.finish_move()?;
+        Ok(s)
     }
 
     /// Opens a log on an in-memory device (tests).
@@ -181,21 +225,42 @@ impl BlockStorage {
         data_origin(&self.cache) + self.start
     }
 
-    /// Commits the current `start`/`len` to the next superblock slot and
-    /// advances the generation — only after the flush barrier succeeds,
-    /// so a failed commit leaves the previous slot as the durable truth.
+    /// Commits the current `start`/`len`/move to the next superblock slot
+    /// and advances the generation — only after the flush barrier
+    /// succeeds, so a failed commit leaves the previous slot as the
+    /// durable truth.
     fn commit_superblock(&mut self) -> JournalResult<()> {
         let gen = self.gen + 1;
-        let mut sb = Vec::with_capacity(SUPERBLOCK_LEN);
-        sb.extend_from_slice(&SUPERBLOCK_MAGIC);
-        sb.extend_from_slice(&gen.to_le_bytes());
-        sb.extend_from_slice(&self.start.to_le_bytes());
-        sb.extend_from_slice(&self.len.to_le_bytes());
-        sb.extend_from_slice(&superblock_crc(gen, self.start, self.len).to_le_bytes());
+        let sb = encode_superblock(gen, self.start, self.len, self.moving);
         let slot = (gen % 2) * self.cache.page_size() as u64;
         self.cache.write_bytes(slot, &sb).map_err(block_err)?;
         self.cache.flush().map_err(block_err)?;
         self.gen = gen;
+        Ok(())
+    }
+
+    /// Finishes a pending move, if any: reads its tail from beside the
+    /// log and moves it in place.
+    fn finish_move(&mut self) -> JournalResult<()> {
+        let Some(m) = self.moving else { return Ok(()) };
+        let mut tail = vec![0u8; (self.len - m.at) as usize];
+        let src = data_origin(&self.cache) + m.src;
+        self.cache.read_bytes(src, &mut tail).map_err(block_err)?;
+        self.move_in_place(&tail)
+    }
+
+    /// Writes the pending move's `tail` at `start + at`, flushes, and
+    /// commits a superblock without the move. On `Err` the move stays
+    /// pending — the log is still whole, read from beside.
+    fn move_in_place(&mut self, tail: &[u8]) -> JournalResult<()> {
+        let Some(m) = self.moving else { return Ok(()) };
+        self.cache.write_bytes(self.log_offset() + m.at, tail).map_err(block_err)?;
+        self.cache.flush().map_err(block_err)?;
+        self.moving = None;
+        if let Err(e) = self.commit_superblock() {
+            self.moving = Some(m);
+            return Err(e);
+        }
         Ok(())
     }
 }
@@ -210,6 +275,7 @@ impl Storage for BlockStorage {
         if bytes.is_empty() {
             return Ok(());
         }
+        self.finish_move()?;
         // Data first, barrier, then the length that makes it reachable,
         // barrier again: `len` can never run ahead of flushed data.
         let end = self.log_offset() + self.len;
@@ -225,39 +291,54 @@ impl Storage for BlockStorage {
         Ok(())
     }
 
-    fn bytes(&mut self) -> Vec<u8> {
-        let mut out = vec![0u8; self.len as usize];
-        if self.cache.read_bytes(self.log_offset(), &mut out).is_err() {
-            // A read failure below the WAL is indistinguishable from a
-            // missing tail; surface it as the shortest safe log.
-            return Vec::new();
+    fn read_from(&mut self, offset: usize) -> JournalResult<Vec<u8>> {
+        let offset = (offset as u64).min(self.len);
+        let mut out = vec![0u8; (self.len - offset) as usize];
+        // Bytes a pending move covers are read from its source.
+        let split = self.moving.map_or(self.len, |m| m.at.max(offset));
+        let (here, moved) = out.split_at_mut((split - offset) as usize);
+        self.cache.read_bytes(self.log_offset() + offset, here).map_err(block_err)?;
+        if let Some(m) = self.moving {
+            let src = data_origin(&self.cache) + m.src + (split - m.at);
+            self.cache.read_bytes(src, moved).map_err(block_err)?;
         }
-        out
+        Ok(out)
     }
 
     fn len(&self) -> usize {
         self.len as usize
     }
 
-    fn replace(&mut self, bytes: Vec<u8>) -> JournalResult<()> {
-        // Beside the live log, never over it (module docs): the front of
-        // the data area if the new log ends before the live log's first
-        // sector (`start` is sector-aligned), else the first sector past
-        // the live log's end.
+    fn replace_from(&mut self, keep: usize, tail: Vec<u8>) -> JournalResult<()> {
+        self.finish_move()?;
+        // Beside the live log, never over it (module docs): a whole
+        // rewrite goes to the front of the data area if it ends before the
+        // live log's first sector (`start` is sector-aligned), else to the
+        // first sector past the live log's end; a splice's tail goes past
+        // its in-place target too.
         let ss = self.cache.page_size() as u64;
-        let n = bytes.len() as u64;
-        let start = if n <= self.start { 0 } else { (self.start + self.len).div_ceil(ss) * ss };
-        let at = data_origin(&self.cache) + start;
-        self.cache.write_bytes(at, &bytes).map_err(block_err)?;
-        drop(bytes);
+        let (keep, n) = (keep as u64, tail.len() as u64);
+        let end = self.start + self.len;
+        let past = if keep == 0 { end } else { end.max(self.start + keep + n) };
+        let at = if keep == 0 && n <= self.start { 0 } else { past.div_ceil(ss) * ss };
+        self.cache.write_bytes(data_origin(&self.cache) + at, &tail).map_err(block_err)?;
         self.cache.flush().map_err(block_err)?;
         let old = (self.start, self.len);
-        (self.start, self.len) = (start, n);
+        if keep == 0 {
+            (self.start, self.len) = (at, n);
+        } else {
+            self.len = keep + n;
+            self.moving = Some(Move { src: at, at: keep });
+        }
         if let Err(e) = self.commit_superblock() {
             // Not committed: the live log is still the old one.
             (self.start, self.len) = old;
+            self.moving = None;
             return Err(e);
         }
+        // The new log is durable. A failed in-place copy leaves the move
+        // pending, for the next append, rewrite or open to finish.
+        let _ = self.move_in_place(&tail);
         Ok(())
     }
 }
@@ -300,7 +381,7 @@ mod tests {
         let mut reopened = FileDevice::open(&path).unwrap();
         reopened.set_delete_on_drop(true);
         let mut storage = BlockStorage::open(Box::new(reopened), 8).unwrap();
-        assert_eq!(storage.bytes(), want, "cold reopen must see the identical log");
+        assert_eq!(storage.read_from(0).unwrap(), want, "cold reopen must see the identical log");
         // And the reopened storage keeps appending.
         let mut j2 = Journal::new(Box::new(storage), 1);
         j2.append(&rec("/post-reboot")).unwrap();
@@ -327,62 +408,112 @@ mod tests {
         s.append(&[7u8; 5000]).unwrap();
         // Longer than the (empty) gap in front of the live log: the new
         // log goes past its end, at the next sector.
-        s.replace(vec![1u8; 6000]).unwrap();
+        s.replace_from(0, vec![1u8; 6000]).unwrap();
         assert_eq!(s.start, 8192);
-        assert_eq!(s.bytes(), vec![1u8; 6000]);
+        assert_eq!(s.read_from(0).unwrap(), vec![1u8; 6000]);
         // Short enough for the front: back to the start of the area.
-        s.replace(b"new".to_vec()).unwrap();
+        s.replace_from(0, b"new".to_vec()).unwrap();
         assert_eq!(s.start, 0);
         s.append(b" tail").unwrap();
-        assert_eq!(s.bytes(), b"new tail");
+        assert_eq!(s.read_from(0).unwrap(), b"new tail");
         let mut reopened = BlockStorage::open(Box::new(image_of(&mut s)), 4).unwrap();
-        assert_eq!(reopened.bytes(), b"new tail");
+        assert_eq!(reopened.read_from(0).unwrap(), b"new tail");
+    }
+
+    #[test]
+    fn splice_keeps_the_prefix_in_place() {
+        let mut s = BlockStorage::in_memory(4);
+        s.append(&[7u8; 5000]).unwrap();
+        s.replace_from(3000, vec![8u8; 6000]).unwrap();
+        let want = [vec![7u8; 3000], vec![8u8; 6000]].concat();
+        assert_eq!((s.start, s.moving), (0, None), "the tail was moved in place");
+        assert_eq!(s.read_from(0).unwrap(), want);
+        assert_eq!(s.read_from(4000).unwrap(), want[4000..]);
+        s.append(b"!").unwrap();
+        let mut reopened = BlockStorage::open(Box::new(image_of(&mut s)), 4).unwrap();
+        assert_eq!(reopened.read_from(0).unwrap(), [&want[..], b"!"].concat());
+    }
+
+    #[test]
+    fn a_failed_copy_in_place_reads_from_beside_until_finished() {
+        let dev = FaultDevice::new(Box::new(MemDevice::new()));
+        let faults = dev.read_faults();
+        let mut s = BlockStorage::open(Box::new(dev), 4).unwrap();
+        s.append(&[7u8; 5000]).unwrap();
+        // The copy in place starts by reading the sector it shares with
+        // the prefix (the data area's first, device sector 2): fail that
+        // read, after the commit that made the splice durable.
+        s.drop_clean_pages();
+        faults.fail(2);
+        s.replace_from(3000, vec![8u8; 6000]).expect("the splice is durable");
+        faults.clear(2);
+        assert!(s.moving.is_some(), "the copy in place failed");
+        let want = [vec![7u8; 3000], vec![8u8; 6000]].concat();
+        assert_eq!(s.read_from(0).unwrap(), want, "the tail is read from beside the log");
+        assert_eq!(s.read_from(4000).unwrap(), want[4000..]);
+        // A reopen finishes the move, and so does the next append.
+        let mut reopened = BlockStorage::open(Box::new(image_of(&mut s)), 4).unwrap();
+        assert_eq!(reopened.moving, None);
+        assert_eq!(reopened.read_from(0).unwrap(), want);
+        s.append(b"!").unwrap();
+        assert_eq!(s.moving, None);
+        assert_eq!(s.read_from(0).unwrap(), [&want[..], b"!"].concat());
     }
 
     #[test]
     fn power_loss_in_either_placement_keeps_the_old_log_or_the_new_one() {
-        // The first replace goes past the live log, the second (shorter
-        // than the gap that leaves at the front) to the front.
-        let logs = [vec![3u8; 9000], vec![4u8; 10_000], vec![5u8; 3000]];
+        // The first rewrite goes past the live log, the second (shorter
+        // than the gap that leaves at the front) to the front; then a
+        // splice keeps the first 1000 bytes.
+        let first = vec![3u8; 9000];
+        let steps = [(0, vec![4u8; 10_000]), (0, vec![5u8; 3000]), (1000, vec![6u8; 9000])];
+        let mut logs = vec![first.clone()];
+        for (keep, tail) in &steps {
+            logs.push([&logs[logs.len() - 1][..*keep], &tail[..]].concat());
+        }
         let run = |writes: u64, torn: usize| {
             let dev = FaultDevice::with_write_budget(Box::new(MemDevice::new()), writes, torn);
             let mut s = BlockStorage::open(Box::new(dev), 2).unwrap();
             let mut done = 0;
-            if s.append(&logs[0]).is_ok() {
+            if s.append(&first).is_ok() {
                 done = 1;
-                for log in &logs[1..] {
-                    if s.replace(log.clone()).is_err() {
+                for (keep, tail) in &steps {
+                    if s.replace_from(*keep, tail.clone()).is_err() {
                         break;
                     }
                     done += 1;
                 }
             }
-            (done, image_of(&mut s))
+            let cut = s.device_mut().as_fault_device().is_some_and(|d| d.crashed());
+            (done, cut, image_of(&mut s))
         };
-        // Raise the budget until both replaces complete. A cut inside
-        // replace `k` reopens as log `k - 1` or log `k`.
+        // Raise the budget until no write is cut. A cut inside rewrite
+        // `k` reopens as log `k - 1` or log `k`; one inside a splice's
+        // copy in place, after its commit, reopens as the new log.
         let mut cuts = 0;
         for writes in 0.. {
-            let mut finished = false;
+            let mut any_cut = false;
             for torn in [0, 20, 4000] {
-                let (done, img) = run(writes, torn);
-                finished |= done == logs.len();
-                if (1..logs.len()).contains(&done) {
+                let (done, cut, img) = run(writes, torn);
+                any_cut |= cut;
+                if cut && done > 0 {
                     cuts += 1;
-                    let got = BlockStorage::open(Box::new(img), 2).unwrap().bytes();
+                    let got = BlockStorage::open(Box::new(img), 2).unwrap().read_from(0).unwrap();
                     assert!(
-                        got == logs[done - 1] || got == logs[done],
+                        got == logs[done - 1] || logs.get(done) == Some(&got),
                         "budget {writes}/{torn}: a mix of logs"
                     );
                 }
             }
-            if finished {
+            if !any_cut {
                 break;
             }
         }
-        // Three data sectors plus the superblock for the first replace,
-        // one plus the superblock for the second; three tears each.
-        assert_eq!(cuts, (4 + 2) * 3);
+        // Three data sectors plus the superblock for the first rewrite,
+        // one plus the superblock for the second; the splice's three
+        // sectors beside, its superblock, three in place and the last
+        // superblock. Three tears each.
+        assert_eq!(cuts, (4 + 2 + 8) * 3);
     }
 
     /// Clones the raw device image into a fresh `MemDevice`, exactly as a
@@ -424,7 +555,23 @@ mod tests {
             img.corrupt(off as u64, 0xA5);
         }
         let mut reopened = BlockStorage::open(Box::new(img), 4).expect("fallback slot must open");
-        assert_eq!(reopened.bytes(), b"firstsecond");
+        assert_eq!(reopened.read_from(0).unwrap(), b"firstsecond");
+    }
+
+    #[test]
+    fn a_move_past_the_device_end_is_damage() {
+        let mut s = BlockStorage::in_memory(4);
+        s.append(b"payload").unwrap(); // gen 1 → slot 1
+        let mut img = image_of(&mut s);
+        // A CRC-valid gen 2 in slot 0 whose move source lies past the
+        // device end: open must not trust it, and falls back to gen 1.
+        let mut sector = vec![0u8; 4096];
+        let sb = encode_superblock(2, 0, 7, Some(Move { src: 1 << 40, at: 0 }));
+        sector[..sb.len()].copy_from_slice(&sb);
+        img.write_sector(0, &sector).unwrap();
+        let mut reopened = BlockStorage::open(Box::new(img), 4).unwrap();
+        assert_eq!((reopened.gen, reopened.moving), (1, None));
+        assert_eq!(reopened.read_from(0).unwrap(), b"payload");
     }
 
     #[test]

@@ -67,10 +67,11 @@ pub fn flip_byte(bytes: &[u8], offset: usize, mask: u8) -> Vec<u8> {
 
 /// Storage that stops persisting after a byte budget is exhausted,
 /// simulating a crash during a flush or a rewrite. An append that would
-/// exceed the budget lands only up to it (a torn write). A replace that
-/// would exceed it lands nothing the log can see: the new log is written
-/// beside the old one, which stays the log. Either way the storage
-/// reports [`JournalError::Crashed`] for that write and everything after.
+/// exceed the budget lands only up to it (a torn write). A rewrite is
+/// charged its new tail, and one that would exceed the budget lands
+/// nothing the log can see: the old log stays the log. Either way the
+/// storage reports [`JournalError::Crashed`] for that write and
+/// everything after.
 #[derive(Debug)]
 pub struct FaultStorage {
     buf: Vec<u8>,
@@ -81,7 +82,7 @@ pub struct FaultStorage {
 
 impl FaultStorage {
     /// Storage that accepts exactly `budget` written bytes, appends and
-    /// replaces together, before "losing power".
+    /// rewrites together, before "losing power".
     pub fn with_budget(budget: usize) -> Self {
         FaultStorage { buf: Vec::new(), budget, crashed: false }
     }
@@ -107,21 +108,22 @@ impl Storage for FaultStorage {
         Ok(())
     }
 
-    fn bytes(&mut self) -> Vec<u8> {
-        self.buf.clone()
+    fn read_from(&mut self, offset: usize) -> JournalResult<Vec<u8>> {
+        Ok(self.buf[offset.min(self.buf.len())..].to_vec())
     }
 
     fn len(&self) -> usize {
         self.buf.len()
     }
 
-    fn replace(&mut self, bytes: Vec<u8>) -> JournalResult<()> {
-        if self.crashed || bytes.len() > self.budget {
+    fn replace_from(&mut self, keep: usize, tail: Vec<u8>) -> JournalResult<()> {
+        if self.crashed || tail.len() > self.budget {
             self.crashed = true;
             return Err(JournalError::Crashed);
         }
-        self.budget -= bytes.len();
-        self.buf = bytes;
+        self.budget -= tail.len();
+        self.buf.truncate(keep);
+        self.buf.extend_from_slice(&tail);
         Ok(())
     }
 }

@@ -46,6 +46,9 @@ pub enum JournalError {
     Io(String),
     /// The log could not be decoded.
     Codec(CodecError),
+    /// The durable log is damaged at byte `offset` (a
+    /// [`TailState::Corrupted`] read), so the operation left it as it was.
+    Corrupted { offset: usize },
 }
 
 impl std::fmt::Display for JournalError {
@@ -54,6 +57,9 @@ impl std::fmt::Display for JournalError {
             JournalError::Crashed => write!(f, "journal storage crashed (fault injection)"),
             JournalError::Io(m) => write!(f, "journal io error: {m}"),
             JournalError::Codec(e) => write!(f, "journal codec error: {e}"),
+            JournalError::Corrupted { offset } => {
+                write!(f, "journal log corrupted at byte {offset}")
+            }
         }
     }
 }

@@ -66,11 +66,19 @@ impl ReadLog {
 ///   non-monotonic LSN — `Corrupted`. A fully-present frame cannot be a
 ///   truncation artifact.
 pub fn read_records(bytes: &[u8]) -> ReadLog {
+    match frames_start(bytes) {
+        Ok(pos) => read_frames(bytes, pos),
+        Err(tail) => ReadLog { records: Vec::new(), tail },
+    }
+}
+
+/// Parses the frames of `bytes` from byte `pos` on, as [`read_records`]
+/// does past the preamble: with a path dictionary of its own and LSNs
+/// checked only against each other, so `pos` must be a frame boundary
+/// after which every dictionary id used is also defined. Offsets in the
+/// returned tail state count from the start of `bytes`.
+pub(crate) fn read_frames(bytes: &[u8], mut pos: usize) -> ReadLog {
     let mut records = Vec::new();
-    let mut pos = match frames_start(bytes) {
-        Ok(pos) => pos,
-        Err(tail) => return ReadLog { records, tail },
-    };
     // The path dictionary, built as `PathDef` records stream past.
     // Records are returned with literal paths — interning is a wire
     // format concern, invisible above this function.

@@ -29,13 +29,25 @@
 //! Incremental checkpoints ([`Journal::checkpoint_delta`]) and compaction
 //! ([`Journal::replace_with`]) are the only operations that shrink a log.
 //! Both pick the records to keep and hand them to one private
-//! `Journal::rewrite`, which frames the whole new log into one buffer and
-//! installs it with a single [`Storage::replace`]: one storage call per
-//! rewrite, and a crash leaves the old log or the new one.
+//! `Journal::rewrite`, which frames them into one buffer and installs it
+//! with a single [`Storage::replace_from`]: one storage call per rewrite,
+//! and a crash leaves the old log or the new one.
+//!
+//! A rewrite's output is a *retained prefix*: committed `Snapshot`,
+//! `SnapshotDelta`, `Sql` and `Compaction` frames only — no transaction
+//! markers, no `PathDef`s (the path dictionary restarts at every rewrite)
+//! and no VFS records. The redo filter passes such a prefix through
+//! unchanged, and no dictionary id after it is defined inside it, so a
+//! checkpoint reads, parses and filters only the bytes logged since the
+//! last rewrite and replaces just those, keeping the prefix's bytes and
+//! LSNs: its cost is O(bytes logged since the last rewrite), not O(log).
+//! A journal has no retained prefix until it first rewrites its log, so
+//! its first checkpoint after opening rewrites the whole log.
 
 use crate::codec::ByteWriter;
 use crate::record::{Record, LITERAL_PATH};
-use crate::JournalResult;
+use crate::replay::{committed_records, read_frames, read_records, TailState};
+use crate::{JournalError, JournalResult};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -71,23 +83,25 @@ pub fn frame_crc(lsn: u64, len: u32, payload: &[u8]) -> u32 {
 /// bytes are as durable as the backend makes them — block storage issues
 /// its write-back + device flush barrier inside `append`, so the WAL's
 /// group-commit acknowledgement means the same thing on every backend.
-/// `replace` is atomic on every backend: after a crash, a reopen sees the
-/// old log or the new one, never a mix.
+/// `replace_from` is atomic on every backend: after a crash, a reopen sees
+/// the old log or the new one, never a mix.
 pub trait Storage: Send {
     /// Appends bytes to the durable log.
     fn append(&mut self, bytes: &[u8]) -> JournalResult<()>;
-    /// Returns the durable log contents. Takes `&mut self` because
-    /// device-backed implementations read through their page cache.
-    fn bytes(&mut self) -> Vec<u8>;
+    /// Returns the durable log from byte `offset` (at most `len()`) to its
+    /// end. Takes `&mut self` because device-backed implementations read
+    /// through their page cache.
+    fn read_from(&mut self, offset: usize) -> JournalResult<Vec<u8>>;
     /// Durable log length in bytes.
     fn len(&self) -> usize;
     /// True when nothing has been made durable yet.
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-    /// Replaces the whole log with `bytes`, atomically (see above). On
-    /// `Err` the old log is still the log.
-    fn replace(&mut self, bytes: Vec<u8>) -> JournalResult<()>;
+    /// Makes the log its first `keep` bytes (at most `len()`) followed by
+    /// `tail`, atomically (see above). On `Err` the old log is still the
+    /// log.
+    fn replace_from(&mut self, keep: usize, tail: Vec<u8>) -> JournalResult<()>;
 }
 
 /// Plain in-memory storage.
@@ -108,16 +122,17 @@ impl Storage for MemStorage {
         Ok(())
     }
 
-    fn bytes(&mut self) -> Vec<u8> {
-        self.buf.clone()
+    fn read_from(&mut self, offset: usize) -> JournalResult<Vec<u8>> {
+        Ok(self.buf[offset.min(self.buf.len())..].to_vec())
     }
 
     fn len(&self) -> usize {
         self.buf.len()
     }
 
-    fn replace(&mut self, bytes: Vec<u8>) -> JournalResult<()> {
-        self.buf = bytes;
+    fn replace_from(&mut self, keep: usize, tail: Vec<u8>) -> JournalResult<()> {
+        self.buf.truncate(keep);
+        self.buf.extend_from_slice(&tail);
         Ok(())
     }
 }
@@ -244,6 +259,9 @@ pub struct Journal {
     batch: usize,
     queue: Vec<Queued>,
     interner: PathInterner,
+    /// Length of the retained prefix (module docs): the log as the last
+    /// rewrite left it. 0 until this journal rewrites its log.
+    retained: usize,
     /// Highest LSN whose flush attempt has completed (successfully, or
     /// with a counted `io_errors` — matching emit's "durability loss is
     /// counted, not unwound" philosophy). Group-commit followers wait for
@@ -261,6 +279,7 @@ impl std::fmt::Debug for Journal {
             .field("next_txn", &self.next_txn)
             .field("batch", &self.batch)
             .field("queued_records", &self.queue.len())
+            .field("retained", &self.retained)
             .field("stats", &self.stats)
             .finish()
     }
@@ -279,7 +298,7 @@ impl Journal {
         let last_lsn = if dev.storage.is_empty() {
             0
         } else {
-            crate::replay::read_records(&dev.storage.bytes()).last_lsn()
+            read_records(&dev.storage.read_from(0).unwrap_or_default()).last_lsn()
         };
         Journal {
             storage: Arc::new(Mutex::new(dev)),
@@ -288,6 +307,7 @@ impl Journal {
             batch: batch.max(1),
             queue: Vec::new(),
             interner: PathInterner::default(),
+            retained: 0,
             acked_lsn: last_lsn,
             group_leader: false,
             stats: JournalStats::default(),
@@ -416,9 +436,11 @@ impl Journal {
     }
 
     /// Returns the durable log bytes (NOT including the pending queue —
-    /// what a crash right now would leave behind).
+    /// what a crash right now would leave behind). A read failure below
+    /// the WAL is indistinguishable from a missing tail, so it surfaces as
+    /// the shortest safe log: an empty one.
     pub fn bytes(&self) -> Vec<u8> {
-        self.storage.lock().storage.bytes()
+        self.storage.lock().storage.read_from(0).unwrap_or_default()
     }
 
     /// Durable log size in bytes.
@@ -438,17 +460,28 @@ impl Journal {
     /// in order; VFS physical records are dropped because the delta
     /// subsumes them, and records of rolled-back or still-open
     /// transactions are dropped with their markers.
+    ///
+    /// Only the bytes past the retained prefix are read, filtered and
+    /// replaced (module docs); the prefix — the last rewrite's output,
+    /// already in that shape — stays as it is. If those bytes parse as
+    /// [`TailState::Corrupted`], the log is left untouched and the call
+    /// fails with [`JournalError::Corrupted`]: a rewrite must not turn
+    /// damaged history into a clean, shorter log.
     pub fn checkpoint_delta(&mut self, component: &str, delta: Vec<u8>) -> JournalResult<()> {
         self.flush()?;
-        let old = self.bytes();
+        let keep = self.retained;
+        let tail = self.storage.lock().storage.read_from(keep)?;
         // The kept records are framed exactly as in the old log (they
-        // carry no paths), so the old log plus the delta's frame (header,
-        // tag, two length-prefixed fields) bounds the rewrite.
+        // carry no paths), so the bytes read plus the delta's frame
+        // (header, tag, two length-prefixed fields) bound the rewrite.
         let delta_frame = FRAME_HEADER + 1 + 4 + component.len() + 4 + delta.len();
-        let capacity = old.len().max(LOG_PREAMBLE.len()) + delta_frame;
-        let log = crate::replay::read_records(&old);
-        drop(old);
-        let mut kept = crate::replay::committed_records(&log);
+        let capacity = tail.len().max(LOG_PREAMBLE.len()) + delta_frame;
+        let log = if keep == 0 { read_records(&tail) } else { read_frames(&tail, 0) };
+        drop(tail);
+        if let TailState::Corrupted { offset } = log.tail {
+            return Err(JournalError::Corrupted { offset: keep + offset });
+        }
+        let mut kept = committed_records(&log);
         drop(log);
         kept.retain(|rec| {
             matches!(
@@ -457,7 +490,7 @@ impl Journal {
             )
         });
         let delta = Record::SnapshotDelta { component: component.to_string(), payload: delta };
-        self.rewrite(kept.into_iter().chain([delta]), capacity)
+        self.rewrite(keep, kept.into_iter().chain([delta]), capacity)
     }
 
     /// Replaces the whole log with `records` — a compacted reconstruction
@@ -468,18 +501,23 @@ impl Journal {
         // Compaction exists to shrink the log, so the old log's length is
         // the buffer's reservation; a larger compacted log grows it.
         let capacity = self.len().max(LOG_PREAMBLE.len());
-        self.rewrite(std::iter::once(Record::Compaction { upto_lsn }).chain(records), capacity)
+        self.rewrite(0, std::iter::once(Record::Compaction { upto_lsn }).chain(records), capacity)
     }
 
-    /// The one path that truncates or rewrites the log. Flushes the queue,
-    /// then gives `records` fresh LSNs and a fresh path dictionary exactly
-    /// as `enqueue` would after an empty log, frames the preamble and
-    /// every record into one buffer of `capacity` bytes (each record is
-    /// dropped once encoded), and installs it with a single
-    /// [`Storage::replace`], booked as one flush. LSNs and txn ids keep
-    /// rising. If the replace fails, the old log and its dictionary stay.
+    /// The one path that truncates or rewrites the log: keeps its first
+    /// `keep` bytes (0, or the retained prefix) and replaces the rest with
+    /// `records`. Flushes the queue, then gives `records` fresh LSNs and a
+    /// fresh path dictionary exactly as `enqueue` would after an empty
+    /// log, frames them — behind the preamble when `keep == 0` — into one
+    /// buffer of `capacity` bytes (each record is dropped once encoded),
+    /// and installs it with a single [`Storage::replace_from`], booked as
+    /// one flush. LSNs and txn ids keep rising. The new log is the next
+    /// retained prefix, unless `records` held a kind a prefix may not
+    /// (then the next checkpoint reads it all). If the replace fails, the
+    /// old log, its dictionary and its prefix stay.
     fn rewrite(
         &mut self,
+        keep: usize,
         records: impl IntoIterator<Item = Record>,
         capacity: usize,
     ) -> JournalResult<()> {
@@ -491,8 +529,17 @@ impl Journal {
         }
         let batch = std::mem::take(&mut self.queue);
         let (count, high) = (batch.len(), batch.last().map_or(self.acked_lsn, |q| q.lsn));
+        let retainable = batch.iter().all(|q| {
+            matches!(
+                q.rec,
+                Record::Snapshot { .. }
+                    | Record::SnapshotDelta { .. }
+                    | Record::Sql { .. }
+                    | Record::Compaction { .. }
+            )
+        });
         let mut buf = Vec::with_capacity(capacity);
-        if count > 0 {
+        if keep == 0 && count > 0 {
             buf.extend_from_slice(&LOG_PREAMBLE);
         }
         let mut w = ByteWriter::from_vec(buf);
@@ -501,9 +548,10 @@ impl Journal {
         }
         let buf = w.into_bytes();
         let bytes = buf.len();
-        let result = self.storage.lock().storage.replace(buf);
-        if result.is_err() {
-            self.interner = old_interner;
+        let result = self.storage.lock().storage.replace_from(keep, buf);
+        match result {
+            Ok(()) => self.retained = if retainable { keep + bytes } else { 0 },
+            Err(_) => self.interner = old_interner,
         }
         self.finish_group_flush(Some((bytes, count)), &result, high);
         result
@@ -994,6 +1042,128 @@ mod tests {
         let lsns: Vec<u64> = after.records.iter().map(|(l, _)| *l).collect();
         let first = before.last_lsn() + 1;
         assert_eq!(lsns, (first..first + 201).collect::<Vec<_>>());
+    }
+
+    /// Storage whose log, and the reads made of it, stay visible to the
+    /// test after the journal takes it.
+    #[derive(Clone, Default)]
+    struct Shared {
+        log: Arc<Mutex<Vec<u8>>>,
+        /// `(offset, bytes returned)` of every `read_from`.
+        reads: Arc<Mutex<Vec<(usize, usize)>>>,
+    }
+
+    impl Storage for Shared {
+        fn append(&mut self, bytes: &[u8]) -> JournalResult<()> {
+            self.log.lock().extend_from_slice(bytes);
+            Ok(())
+        }
+
+        fn read_from(&mut self, offset: usize) -> JournalResult<Vec<u8>> {
+            let out = self.log.lock()[offset..].to_vec();
+            self.reads.lock().push((offset, out.len()));
+            Ok(out)
+        }
+
+        fn len(&self) -> usize {
+            self.log.lock().len()
+        }
+
+        fn replace_from(&mut self, keep: usize, tail: Vec<u8>) -> JournalResult<()> {
+            let mut log = self.log.lock();
+            log.truncate(keep);
+            log.extend_from_slice(&tail);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_second_checkpoint_reads_and_replaces_only_the_tail() {
+        let shared = Shared::default();
+        let mut j = Journal::new(Box::new(shared.clone()), 8);
+        for i in 0..100 {
+            j.append(&sql(&format!("INSERT INTO t VALUES ({i})"))).unwrap();
+        }
+        j.checkpoint_delta("vfs.store", vec![1]).unwrap();
+        let prefix = j.bytes();
+        let txn = j.begin_txn().unwrap();
+        for i in 100..150 {
+            j.append(&sql(&format!("INSERT INTO t VALUES ({i})"))).unwrap();
+            j.append(&rec("/hot")).unwrap();
+        }
+        j.commit_txn(txn).unwrap();
+        let before = j.bytes();
+        shared.reads.lock().clear();
+        let flushes = j.stats().flushes;
+        j.checkpoint_delta("vfs.store", vec![2]).unwrap();
+        assert_eq!(
+            *shared.reads.lock(),
+            vec![(prefix.len(), before.len() - prefix.len())],
+            "one read, of exactly the bytes logged since the first checkpoint"
+        );
+        assert_eq!(j.stats().flushes, flushes + 1, "still one storage call");
+        let after = j.bytes();
+        assert_eq!(after[..prefix.len()], prefix[..], "the prefix's bytes are untouched");
+        let log = read_records(&after);
+        assert_eq!(log.tail, TailState::Clean);
+        let recs: Vec<&Record> = log.records.iter().map(|(_, r)| r).collect();
+        assert_eq!(recs.len(), 100 + 1 + 50 + 1);
+        assert!(matches!(recs[100], Record::SnapshotDelta { payload, .. } if payload == &vec![1]));
+        assert_eq!(recs[101], &sql("INSERT INTO t VALUES (100)"));
+        assert!(matches!(recs[151], Record::SnapshotDelta { payload, .. } if payload == &vec![2]));
+        assert!(log.records.windows(2).all(|w| w[0].0 < w[1].0), "LSNs strictly rise");
+    }
+
+    #[test]
+    fn checkpoint_refuses_a_corrupted_log_and_drops_a_torn_tail() {
+        let shared = Shared::default();
+        let mut j = Journal::new(Box::new(shared.clone()), 1);
+        for i in 0..3 {
+            j.append(&sql(&format!("INSERT INTO t VALUES ({i})"))).unwrap();
+        }
+        // Damage under acknowledged history: the first checkpoint (which
+        // reads the whole log) refuses it and leaves the log as it was.
+        let clean = j.bytes();
+        let second = crate::fault::record_boundaries(&clean)[2];
+        shared.log.lock()[second + FRAME_HEADER] ^= 0x01;
+        let damaged = j.bytes();
+        let err = j.checkpoint_delta("vfs.store", vec![1]);
+        assert_eq!(err, Err(JournalError::Corrupted { offset: second }));
+        assert_eq!(j.bytes(), damaged);
+        // Repaired, it checkpoints; damage past the retained prefix is
+        // refused the same way, at its offset in the whole log.
+        *shared.log.lock() = clean;
+        j.checkpoint_delta("vfs.store", vec![1]).unwrap();
+        let prefix = j.len();
+        j.append(&sql("INSERT INTO t VALUES (3)")).unwrap();
+        j.append(&sql("INSERT INTO t VALUES (4)")).unwrap();
+        shared.log.lock()[prefix + FRAME_HEADER] ^= 0x01;
+        let damaged = j.bytes();
+        let err = j.checkpoint_delta("vfs.store", vec![2]);
+        assert_eq!(err, Err(JournalError::Corrupted { offset: prefix }));
+        assert_eq!(j.bytes(), damaged);
+        // A torn tail is legal (its bytes were never acknowledged), and
+        // the rewrite drops it.
+        shared.log.lock()[prefix + FRAME_HEADER] ^= 0x01;
+        shared.log.lock().extend_from_slice(&[FRAME_MAGIC, 9, 9]);
+        j.checkpoint_delta("vfs.store", vec![2]).unwrap();
+        let log = read_records(&j.bytes());
+        assert_eq!(log.tail, TailState::Clean);
+        assert_eq!(log.records.len(), 3 + 1 + 2 + 1);
+    }
+
+    #[test]
+    fn a_rewrite_with_transaction_markers_is_no_retained_prefix() {
+        // A compaction handed a record a retained prefix may not hold: the
+        // next checkpoint must read it all and, as a whole-log rewrite
+        // would, drop the never-committed transaction with what it holds.
+        // Kept as a prefix, that transaction would swallow the new delta.
+        let mut j = Journal::in_memory(1);
+        j.replace_with(vec![Record::TxnBegin { txn: 99 }, sql("A")], 0).unwrap();
+        j.append(&sql("B")).unwrap();
+        j.checkpoint_delta("vfs.store", vec![1]).unwrap();
+        let recs = committed_records(&read_records(&j.bytes()));
+        assert!(matches!(&recs[..], [Record::SnapshotDelta { payload, .. }] if payload == &[1]));
     }
 
     #[test]

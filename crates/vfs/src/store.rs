@@ -1378,12 +1378,15 @@ impl Store {
     /// Serializes an *incremental* image — root, clock, and for each shard
     /// with a non-empty dirty set: its slot count, the dirtied slots
     /// (id-tagged, tombstones included) and its full free list — then
-    /// clears every dirty set. Shards without dirty slots are omitted
-    /// entirely; that is sound because alloc and dealloc always dirty the
-    /// slot they touch, so a free list can never change without its shard
-    /// appearing in the delta. Applying the resulting deltas in take order
-    /// on top of the base snapshot reproduces the exact store.
-    pub fn take_dirty_image(&self) -> Vec<u8> {
+    /// clears every dirty set, returning the image and the ids it drained.
+    /// Shards without dirty slots are omitted entirely; that is sound
+    /// because alloc and dealloc always dirty the slot they touch, so a
+    /// free list can never change without its shard appearing in the
+    /// delta. Applying the resulting deltas in take order on top of the
+    /// base snapshot reproduces the exact store. An image that never
+    /// became durable must hand its ids back through
+    /// [`Store::mark_dirty`], or the next delta would miss them.
+    pub fn take_dirty_image(&self) -> (Vec<u8>, Vec<InodeId>) {
         let mut guards: Vec<_> = self.shards.iter().map(|s| s.write()).collect();
         let mut w = ByteWriter::new();
         w.put_u64(self.root.load(Ordering::Relaxed));
@@ -1408,10 +1411,19 @@ impl Store {
                 w.put_u64(id.0);
             }
         }
+        let mut taken = Vec::new();
         for sh in &mut guards {
-            sh.dirty.clear();
+            taken.extend(std::mem::take(&mut sh.dirty).into_iter().map(InodeId));
         }
-        w.into_bytes()
+        (w.into_bytes(), taken)
+    }
+
+    /// Marks `ids` dirty again, so the next [`Store::take_dirty_image`]
+    /// records their current slots.
+    pub fn mark_dirty(&self, ids: &[InodeId]) {
+        for id in ids {
+            self.shards[shard_of(*id)].write().dirty.insert(id.0);
+        }
     }
 
     /// Applies a [`Store::take_dirty_image`] payload on top of the current
@@ -1835,14 +1847,14 @@ mod tests {
     fn dirty_image_chain_matches_full_snapshot() {
         let s = store_with(&[("/a/f", "1"), ("/b/g", "2")]);
         let shadow = Store::new();
-        shadow.apply_dirty_image(&s.take_dirty_image()).unwrap();
+        shadow.apply_dirty_image(&s.take_dirty_image().0).unwrap();
         assert_eq!(shadow.dump_tree(), s.dump_tree());
         // Mutations between takes produce a small delta that catches the
         // shadow up — including tombstones for freed slots.
         s.write(&vpath("/a/f"), b"updated", Uid::ROOT, Mode::PUBLIC).unwrap();
         s.unlink(&vpath("/b/g")).unwrap();
         s.rename(&vpath("/a/f"), &vpath("/b/h")).unwrap();
-        let delta = s.take_dirty_image();
+        let (delta, _) = s.take_dirty_image();
         assert!(delta.len() < s.snapshot_image().len());
         shadow.apply_dirty_image(&delta).unwrap();
         assert_eq!(shadow.dump_tree(), s.dump_tree());

@@ -23,15 +23,22 @@
 //!   record the surviving image can't replay.
 //! - **Rewrites are atomic**: a power cut at any device write of a
 //!   checkpoint or a compaction reopens as the acknowledged log or as the
-//!   whole rewrite, never a mix.
+//!   whole rewrite, never a mix — including a checkpoint that splices its
+//!   new tail behind the retained prefix, and a cut of the reopen's own
+//!   redo of that splice.
+//! - **Spliced ≡ rewritten** (proptest): a checkpoint that reads and
+//!   replaces only what was logged since the last rewrite keeps exactly
+//!   the committed records a whole-log rewrite would keep.
+//! - **No laundering**: a checkpoint over a damaged log fails and leaves
+//!   it as it was, instead of rewriting it as a clean, shorter history.
 
 use maxoid::durability::{recover, RecoveryError};
 use maxoid::manifest::MaxoidManifest;
 use maxoid::{Caller, ContentValues, MaxoidSystem, QueryArgs, Uri};
-use maxoid_block::{FaultDevice, FileDevice, MemDevice};
+use maxoid_block::{BlockDevice, FaultDevice, FileDevice, MemDevice};
 use maxoid_journal::{
-    committed_records, flip_byte, read_records, BlockStorage, Journal, JournalHandle, Record,
-    Storage, TailState,
+    committed_records, flip_byte, read_records, record_boundaries, BlockStorage, Journal,
+    JournalError, JournalHandle, Record, Storage, TailState, VfsRecord,
 };
 use maxoid_sqldb::Value;
 use maxoid_vfs::{vpath, Mode, Store, Uid, VPath, Vfs};
@@ -290,6 +297,16 @@ impl SharedDev {
     fn writes(&self) -> u64 {
         self.1.load(Ordering::Relaxed)
     }
+
+    /// A fresh platter holding a copy of this one's bytes.
+    fn copy(&self) -> SharedDev {
+        let copy = SharedDev::default();
+        let src = self.0.lock().unwrap();
+        for (sec, chunk) in src.raw().chunks(src.sector_size()).enumerate() {
+            copy.0.lock().unwrap().write_sector(sec as u64, chunk).unwrap();
+        }
+        copy
+    }
 }
 
 impl maxoid_block::BlockDevice for SharedDev {
@@ -342,7 +359,7 @@ proptest! {
 
         match BlockStorage::open(Box::new(platter), 4) {
             Ok(mut s) => {
-                let parsed = read_records(&s.bytes());
+                let parsed = read_records(&s.read_from(0).unwrap());
                 prop_assert!(parsed.records.len() >= acked,
                     "{} acked but only {} replayable", acked, parsed.records.len());
             }
@@ -366,14 +383,18 @@ fn acked_sql(i: usize) -> Record {
     Record::Sql { db: "db.t".into(), sql: format!("INSERT {i}"), params: vec![] }
 }
 
-/// Acknowledges 200 `Sql` records at batch 8 on `dev`.
-fn ack_200(dev: Box<dyn maxoid_block::BlockDevice>) -> Journal {
+/// Acknowledges `n` `Sql` records at batch 8 on `dev`.
+fn ack_n(dev: Box<dyn maxoid_block::BlockDevice>, n: usize) -> Journal {
     let mut j = Journal::new(Box::new(BlockStorage::open(dev, 4).unwrap()), 8);
-    for i in 0..200 {
+    for i in 0..n {
         j.append(&acked_sql(i)).unwrap();
     }
-    assert_eq!((j.stats().flushes, j.stats().io_errors), (25, 0), "all 200 acknowledged");
+    assert_eq!((j.stats().flushes, j.stats().io_errors), (n as u64 / 8, 0), "all acknowledged");
     j
+}
+
+fn ack_200(dev: Box<dyn maxoid_block::BlockDevice>) -> Journal {
+    ack_n(dev, 200)
 }
 
 fn run(j: &mut Journal, rewrite: Rewrite) -> maxoid_journal::JournalResult<()> {
@@ -391,8 +412,7 @@ fn run(j: &mut Journal, rewrite: Rewrite) -> maxoid_journal::JournalResult<()> {
 
 /// The committed records of the log on `platter`, after a reboot.
 fn committed_on(platter: SharedDev) -> Vec<Record> {
-    let mut storage = BlockStorage::open(Box::new(platter), 4).expect("acked log must reopen");
-    let log = read_records(&storage.bytes());
+    let log = read_records(&log_on(&platter));
     assert!(!matches!(log.tail, TailState::Corrupted { .. }), "rewrite left {:?}", log.tail);
     committed_records(&log)
 }
@@ -432,5 +452,238 @@ fn rewrite_power_loss_keeps_the_old_log_or_the_new_one() {
             }
         }
         assert!(total - acked >= 3, "{rewrite:?} took only {} writes", total - acked);
+    }
+}
+
+/// The raw log on `platter`, after a reboot.
+fn log_on(platter: &SharedDev) -> Vec<u8> {
+    let mut storage =
+        BlockStorage::open(Box::new(platter.clone()), 4).expect("acked log must reopen");
+    storage.read_from(0).unwrap()
+}
+
+/// 200 acknowledged `Sql` records, a first checkpoint, then 100 more
+/// `Sql` records and 100 VFS records, all acknowledged: the second
+/// checkpoint on this journal keeps the first one's output (whose length
+/// is returned) and splices.
+fn ack_and_checkpoint(dev: Box<dyn maxoid_block::BlockDevice>) -> (Journal, usize) {
+    let mut j = ack_200(dev);
+    j.checkpoint_delta("vfs.store", vec![4; 2000]).unwrap();
+    let prefix = j.len();
+    for i in 200..300 {
+        j.append(&acked_sql(i)).unwrap();
+        j.append(&Record::Vfs(VfsRecord::Unlink { path: format!("/d/f{}", i % 10) })).unwrap();
+    }
+    j.flush().unwrap();
+    assert_eq!(j.stats().io_errors, 0, "all acknowledged");
+    (j, prefix)
+}
+
+/// A power cut anywhere inside a checkpoint that keeps its retained prefix
+/// — while the new tail is written beside the log, at the superblock
+/// that commits it, or while it is copied in place — reopens as the
+/// acknowledged log or as the whole new one, and a second reopen sees
+/// the same log. A reopen that finds the copy in place unfinished redoes
+/// it; cutting that redo at each of its writes still reopens as the new
+/// log.
+#[test]
+fn splice_power_loss_keeps_the_old_log_or_the_new_one() {
+    let checkpoint = |j: &mut Journal| j.checkpoint_delta("vfs.store", vec![5; 3000]);
+    let platter = SharedDev::default();
+    let (mut j, prefix) = ack_and_checkpoint(Box::new(platter.clone()));
+    let (acked, old) = (platter.writes(), j.bytes());
+    checkpoint(&mut j).unwrap();
+    let new = j.bytes();
+    drop(j);
+    let total = platter.writes();
+    assert_eq!(log_on(&platter), new);
+    assert_eq!(new[..prefix], old[..prefix], "the checkpoint kept the prefix");
+
+    let (mut cuts, mut redo_cuts) = (0, 0);
+    for writes in acked..total {
+        for torn in [0, 100, 4000] {
+            let probe = SharedDev::default();
+            let dev = FaultDevice::with_write_budget(Box::new(probe.clone()), writes, torn);
+            let (mut j, _) = ack_and_checkpoint(Box::new(dev));
+            // A cut of the copy in place comes after the commit, so the
+            // checkpoint may still return `Ok`.
+            let _ = checkpoint(&mut j);
+            drop(j); // RAM is gone; only the platter survives.
+            cuts += 1;
+            redo_cuts += cut_every_redo_write(&probe, &new);
+            let got = log_on(&probe);
+            assert!(got == old || got == new, "cut at write {writes} (torn {torn}): a mixed log");
+            assert_eq!(log_on(&probe), got, "a second reopen sees the same log");
+        }
+    }
+    // The tail's two sectors beside the log, the superblock naming the
+    // move, the tail's three sectors in place, the superblock without the
+    // move; three tears each.
+    assert_eq!(total - acked, 7);
+    assert_eq!(cuts, 7 * 3);
+    // Twelve cuts leave the move for the reopen to finish: a tear of 100
+    // or 4000 B at the move's superblock (the whole superblock lands),
+    // every cut in place, and an untorn cut at the last superblock. Each
+    // redo is four writes (three sectors, a superblock), three tears each.
+    assert_eq!(redo_cuts, 12 * 4 * 3);
+}
+
+/// If reopening `platter` has to finish a pending move, cuts a reopen of
+/// a copy of it at each of the redo's writes (tears 0/100/4000 B) and
+/// checks that the next reopen sees `new`. Returns the cuts made.
+fn cut_every_redo_write(platter: &SharedDev, new: &[u8]) -> usize {
+    let counter = platter.copy();
+    BlockStorage::open(Box::new(counter.clone()), 4).expect("the platter reopens");
+    let mut cuts = 0;
+    for writes in 0..counter.writes() {
+        for torn in [0, 100, 4000] {
+            let copy = platter.copy();
+            let dev = FaultDevice::with_write_budget(Box::new(copy.clone()), writes, torn);
+            assert!(BlockStorage::open(Box::new(dev), 4).is_err(), "the budget ends in the redo");
+            assert_eq!(log_on(&copy), new, "redo cut at write {writes} (torn {torn})");
+            cuts += 1;
+        }
+    }
+    cuts
+}
+
+/// A checkpoint never turns a damaged log into a clean, shorter one: with
+/// one flipped byte under 2,000 acknowledged records it fails with the
+/// damaged frame's offset and leaves every byte of the log as it was.
+#[test]
+fn checkpoint_never_launders_a_damaged_log() {
+    let platter = SharedDev::default();
+    let j = ack_n(Box::new(platter.clone()), 2000);
+    let clean = j.bytes();
+    drop(j);
+    let at = 20_559;
+    let frame = *record_boundaries(&clean).iter().rfind(|&&b| b <= at).unwrap();
+    // The log starts at the data area, past both superblock slots.
+    platter.0.lock().unwrap().corrupt(2 * 4096 + at as u64, 0x10);
+    let damaged = log_on(&platter);
+    assert_eq!(damaged, flip_byte(&clean, at, 0x10));
+
+    let storage = BlockStorage::open(Box::new(platter.clone()), 4).unwrap();
+    let mut j = Journal::new(Box::new(storage), 8);
+    let writes = platter.writes();
+    let got = j.checkpoint_delta("vfs.store", vec![9; 100]);
+    assert_eq!(got, Err(JournalError::Corrupted { offset: frame }));
+    assert_eq!(platter.writes(), writes, "nothing was written");
+    drop(j);
+    assert_eq!(log_on(&platter), damaged, "the damaged log is still the log");
+    assert!(matches!(recover(&damaged), Err(RecoveryError::Corrupted { .. })));
+}
+
+/// A step of the `spliced ≡ rewritten` workload.
+#[derive(Debug, Clone)]
+enum LogOp {
+    Sql(u16),
+    Vfs(u8),
+    Begin,
+    Commit,
+    Rollback,
+    Checkpoint(u16),
+    Compact,
+    Reopen,
+}
+
+fn log_op() -> impl Strategy<Value = LogOp> {
+    prop_oneof![
+        any::<u16>().prop_map(LogOp::Sql),
+        any::<u16>().prop_map(LogOp::Sql),
+        any::<u8>().prop_map(LogOp::Vfs),
+        any::<u8>().prop_map(LogOp::Vfs),
+        Just(LogOp::Begin),
+        Just(LogOp::Commit),
+        Just(LogOp::Rollback),
+        (0..5000u16).prop_map(LogOp::Checkpoint),
+        Just(LogOp::Compact),
+        Just(LogOp::Reopen),
+    ]
+}
+
+/// The records a checkpoint keeps from the committed ones.
+fn chain_and_sql(recs: Vec<Record>) -> Vec<Record> {
+    recs.into_iter()
+        .filter(|r| {
+            matches!(r, Record::Snapshot { .. } | Record::SnapshotDelta { .. } | Record::Sql { .. })
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A checkpoint that keeps its retained prefix and splices only what
+    /// was logged since the last rewrite leaves exactly the committed
+    /// records a whole-log rewrite would: the committed snapshot chain and
+    /// SQL of the whole log before it, then the new delta (compaction
+    /// markers aside, which recovery ignores). LSNs strictly rise across
+    /// the spliced log, past everything the log held before.
+    #[test]
+    fn prop_spliced_checkpoints_equal_whole_log_rewrites(
+        ops in proptest::collection::vec(log_op(), 1..80),
+    ) {
+        let platter = SharedDev::default();
+        let open = || Journal::new(
+            Box::new(BlockStorage::open(Box::new(platter.clone()), 2).unwrap()),
+            4,
+        );
+        let mut j = open();
+        let mut open_txns = Vec::new();
+        for op in &ops {
+            match *op {
+                LogOp::Sql(i) => {
+                    j.append(&acked_sql(i as usize)).unwrap();
+                }
+                LogOp::Vfs(i) => {
+                    let path = format!("/d/f{}", i % 6);
+                    j.append(&Record::Vfs(VfsRecord::Unlink { path })).unwrap();
+                }
+                LogOp::Begin => open_txns.push(j.begin_txn().unwrap()),
+                LogOp::Commit => {
+                    if let Some(t) = open_txns.pop() {
+                        j.commit_txn(t).unwrap();
+                    }
+                }
+                LogOp::Rollback => {
+                    if let Some(t) = open_txns.pop() {
+                        j.rollback_txn(t).unwrap();
+                    }
+                }
+                LogOp::Checkpoint(n) => {
+                    j.flush().unwrap();
+                    let before = read_records(&j.bytes());
+                    prop_assert_eq!(before.tail, TailState::Clean);
+                    let delta = vec![n as u8; n as usize];
+                    let mut want = chain_and_sql(committed_records(&before));
+                    want.push(Record::SnapshotDelta {
+                        component: "vfs.store".into(),
+                        payload: delta.clone(),
+                    });
+                    j.checkpoint_delta("vfs.store", delta).unwrap();
+                    let after = read_records(&j.bytes());
+                    prop_assert_eq!(after.tail, TailState::Clean);
+                    let mut got = committed_records(&after);
+                    got.retain(|r| !matches!(r, Record::Compaction { .. }));
+                    prop_assert_eq!(got, want);
+                    prop_assert!(after.records.windows(2).all(|w| w[0].0 < w[1].0));
+                    prop_assert!(after.last_lsn() > before.last_lsn());
+                }
+                LogOp::Compact => {
+                    j.flush().unwrap();
+                    let log = read_records(&j.bytes());
+                    let live = chain_and_sql(committed_records(&log));
+                    j.replace_with(live, log.last_lsn()).unwrap();
+                }
+                LogOp::Reopen => {
+                    // Queued records die with the process, open
+                    // transactions with them.
+                    drop(j);
+                    j = open();
+                    open_txns.clear();
+                }
+            }
+        }
     }
 }

@@ -20,15 +20,17 @@ use maxoid::durability::{recover, RecoveryError};
 use maxoid::manifest::MaxoidManifest;
 use maxoid::{Caller, ContentValues, MaxoidSystem, QueryArgs, Uri, VolCommitPlan};
 use maxoid_journal::{
-    crash_prefix, flip_byte, read_records, record_boundaries, torn_log, JournalHandle, Record,
-    TailState, VfsRecord,
+    crash_prefix, flip_byte, read_records, record_boundaries, torn_log, JournalError,
+    JournalHandle, JournalResult, MemStorage, Record, Storage, TailState, VfsRecord,
 };
 use maxoid_providers::provider::ContentProvider;
 use maxoid_providers::UserDictionaryProvider;
 use maxoid_sqldb::Value;
-use maxoid_vfs::{vpath, Mode};
+use maxoid_vfs::{vpath, Mode, Uid};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 const INITIATOR: &str = "initiator";
 const DELEGATE: &str = "viewer";
@@ -526,6 +528,60 @@ fn incremental_checkpoints_recover_and_reject_flips() {
             "flip at {offset} not detected"
         );
     }
+}
+
+/// In-memory log storage whose next rewrite fails once armed.
+struct FailingRewrite {
+    log: MemStorage,
+    fail_next: Arc<AtomicBool>,
+}
+
+impl Storage for FailingRewrite {
+    fn append(&mut self, bytes: &[u8]) -> JournalResult<()> {
+        self.log.append(bytes)
+    }
+
+    fn read_from(&mut self, offset: usize) -> JournalResult<Vec<u8>> {
+        self.log.read_from(offset)
+    }
+
+    fn len(&self) -> usize {
+        self.log.len()
+    }
+
+    fn replace_from(&mut self, keep: usize, tail: Vec<u8>) -> JournalResult<()> {
+        if self.fail_next.swap(false, Ordering::SeqCst) {
+            return Err(JournalError::Io("injected rewrite failure".into()));
+        }
+        self.log.replace_from(keep, tail)
+    }
+}
+
+/// A checkpoint whose rewrite fails must not forget what it drained from
+/// the store's dirty sets: the acknowledged write it would have covered
+/// is still only in the log's VFS records, which the next checkpoint
+/// drops, so that checkpoint's delta has to carry it.
+#[test]
+fn a_failed_checkpoint_keeps_its_dirty_set() {
+    let fail_next = Arc::new(AtomicBool::new(false));
+    let storage = FailingRewrite { log: MemStorage::new(), fail_next: fail_next.clone() };
+    let sys = MaxoidSystem::boot_journaled(JournalHandle::with_storage(Box::new(storage), 1))
+        .expect("boot");
+    let file = vpath("/p1/a");
+    let write = |data: &[u8]| {
+        sys.kernel.vfs().with_store(|s| s.write(&file, data, Uid::ROOT, Mode::PUBLIC)).unwrap();
+    };
+    sys.kernel.vfs().with_store(|s| s.mkdir_all(&vpath("/p1"), Uid::ROOT, Mode::PUBLIC)).unwrap();
+    write(b"old");
+    sys.checkpoint_incremental().expect("first checkpoint");
+    write(b"NEW CONTENT");
+    let journal = sys.journal().expect("journaled").clone();
+    journal.flush().expect("the new content is acknowledged");
+    fail_next.store(true, Ordering::SeqCst);
+    assert!(sys.checkpoint_incremental().is_err(), "the armed rewrite fails");
+    sys.checkpoint_incremental().expect("a later checkpoint");
+    let rec = recover(&journal.bytes()).expect("recover");
+    assert_eq!(rec.vfs.with_store(|s| s.read(&file)).unwrap(), b"NEW CONTENT");
 }
 
 /// A random workload step driven through the resolver / kernel.
