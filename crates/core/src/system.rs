@@ -341,7 +341,7 @@ impl MaxoidSystem {
             Box::new(table.handle(maxoid_block::PART_WAL)),
             cfg.wal_pages,
         )?;
-        let journal = JournalHandle::with_storage(Box::new(wal), cfg.wal_batch);
+        let journal = JournalHandle::with_storage(Box::new(wal), cfg.wal_batch)?;
         let vfs = Vfs::with_block_device(
             Box::new(table.handle(maxoid_block::PART_VFS)),
             cfg.vfs_pages,
@@ -377,11 +377,12 @@ impl MaxoidSystem {
         // Cold boot: the handle was opened over existing storage. Replay
         // the committed log into the bare VFS *before* any journal sink is
         // attached (replay must not re-log itself), and keep the recovered
-        // provider databases for adoption below.
+        // provider databases for adoption below. A log that cannot be read
+        // fails the boot rather than booting an empty device.
         let mut recovered = None;
         if let Some(j) = &journal {
             if !j.is_empty() {
-                let sub = crate::durability::recover_into(&j.bytes(), vfs.clone())
+                let sub = crate::durability::recover_into(&j.try_bytes()?, vfs.clone())
                     .map_err(|e| SystemError::Recovery(e.to_string()))?;
                 recovered = Some(sub);
             }
@@ -525,12 +526,13 @@ impl MaxoidSystem {
     /// history. The rewrite rides the journal's own locking (state →
     /// storage order), and records enqueued after it land after it; but
     /// records made durable between the log read and the rewrite are not
-    /// in the compacted log.
+    /// in the compacted log. A log that cannot be read is an error, and
+    /// the log stays as it was.
     pub fn compact(&self) -> SystemResult<()> {
         if let Some(j) = &self.journal {
             let _sp = maxoid_obs::span("system.compact");
             j.flush()?;
-            let (records, upto) = crate::durability::compact_log(&j.bytes())
+            let (records, upto) = crate::durability::compact_log(&j.try_bytes()?)
                 .map_err(|e| SystemError::Recovery(e.to_string()))?;
             j.replace_with(records, upto)?;
             maxoid_obs::counter_add("system.compactions", 1);

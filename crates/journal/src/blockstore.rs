@@ -357,7 +357,7 @@ mod tests {
 
     #[test]
     fn wal_over_blocks_roundtrips() {
-        let mut j = Journal::new(Box::new(BlockStorage::in_memory(8)), 1);
+        let mut j = Journal::new(Box::new(BlockStorage::in_memory(8)), 1).unwrap();
         for i in 0..20 {
             j.append(&rec(&format!("/f{i}"))).unwrap();
         }
@@ -371,7 +371,8 @@ mod tests {
         let mut dev = FileDevice::temp("wal-reopen").unwrap();
         dev.set_delete_on_drop(false);
         let path = dev.path().to_path_buf();
-        let mut j = Journal::new(Box::new(BlockStorage::open(Box::new(dev), 8).unwrap()), 1);
+        let mut j =
+            Journal::new(Box::new(BlockStorage::open(Box::new(dev), 8).unwrap()), 1).unwrap();
         for i in 0..5 {
             j.append(&rec(&format!("/f{i}"))).unwrap();
         }
@@ -383,7 +384,7 @@ mod tests {
         let mut storage = BlockStorage::open(Box::new(reopened), 8).unwrap();
         assert_eq!(storage.read_from(0).unwrap(), want, "cold reopen must see the identical log");
         // And the reopened storage keeps appending.
-        let mut j2 = Journal::new(Box::new(storage), 1);
+        let mut j2 = Journal::new(Box::new(storage), 1).unwrap();
         j2.append(&rec("/post-reboot")).unwrap();
         assert_eq!(read_records(&j2.bytes()).records.len(), 6);
     }
@@ -392,7 +393,7 @@ mod tests {
     fn tiny_cache_still_serves_the_whole_log() {
         // 2 pages of 4096B cache a multi-sector log: every read_bytes
         // walk faults pages in and out, and the log is still exact.
-        let mut j = Journal::new(Box::new(BlockStorage::in_memory(2)), 4);
+        let mut j = Journal::new(Box::new(BlockStorage::in_memory(2)), 4).unwrap();
         for i in 0..200 {
             j.append(&rec(&format!("/some/deeply/nested/path/file-{i}"))).unwrap();
         }
@@ -587,7 +588,7 @@ mod tests {
         let inner = MemDevice::new();
         let fault = FaultDevice::with_write_budget(Box::new(inner), 3, 17);
         let storage = BlockStorage::open(Box::new(fault), 4).unwrap();
-        let mut j = Journal::new(Box::new(storage), 1);
+        let mut j = Journal::new(Box::new(storage), 1).unwrap();
         let mut last_ok = 0;
         for i in 0..50 {
             if j.append(&rec(&format!("/f{i}"))).is_ok() && j.stats().io_errors == 0 {

@@ -181,7 +181,7 @@ mod tests {
         let full = sample_log(10);
         // Allow roughly half the log through.
         let budget = full.len() / 2;
-        let mut j = Journal::new(Box::new(FaultStorage::with_budget(budget)), 1);
+        let mut j = Journal::new(Box::new(FaultStorage::with_budget(budget)), 1).unwrap();
         for i in 0..10 {
             let _ = j.append(&rec(&format!("/f{i}")));
         }
@@ -199,7 +199,7 @@ mod tests {
     fn fault_storage_replace_keeps_the_old_log() {
         let old = sample_log(10);
         // Enough budget for the appends, not for the rewrite after them.
-        let mut j = Journal::new(Box::new(FaultStorage::with_budget(old.len() + 20)), 1);
+        let mut j = Journal::new(Box::new(FaultStorage::with_budget(old.len() + 20)), 1).unwrap();
         for i in 0..10 {
             j.append(&rec(&format!("/f{i}"))).unwrap();
         }
@@ -238,7 +238,7 @@ mod tests {
         let before_commit = probe.bytes().len();
         probe.commit_txn(t).unwrap();
 
-        let mut j = Journal::new(Box::new(FaultStorage::with_budget(before_commit)), 1);
+        let mut j = Journal::new(Box::new(FaultStorage::with_budget(before_commit)), 1).unwrap();
         let t = j.begin_txn().unwrap();
         j.append(&rec("/x")).unwrap();
         assert!(j.commit_txn(t).is_err());

@@ -1,6 +1,11 @@
 //! Reading a log back: frame parsing with torn-tail tolerance, and the
 //! redo filter that decides which records take effect.
 //!
+//! The parser records the byte range of every frame it accepts, and the
+//! redo filter answers with indices into the parsed records, so a
+//! checkpoint can copy the frames it keeps verbatim from the bytes it has
+//! just verified instead of cloning and re-encoding their records.
+//!
 //! Recovery is redo-only: a record inside a journal transaction applies iff
 //! *every* enclosing transaction has a durable `TxnCommit`. Transactions
 //! left open at end-of-log (the crash window of a two-phase `Vol(A)`
@@ -11,6 +16,7 @@
 use crate::record::Record;
 use crate::wal::{frame_crc, FRAME_HEADER, FRAME_MAGIC, LOG_PREAMBLE};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// How the log ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,6 +41,9 @@ pub enum TailState {
 #[derive(Debug, Clone)]
 pub struct ReadLog {
     pub records: Vec<(u64, Record)>,
+    /// Where each record's whole frame (header included) lies in the bytes
+    /// parsed, in the same order as `records`.
+    pub(crate) frames: Vec<Range<usize>>,
     pub tail: TailState,
 }
 
@@ -68,7 +77,7 @@ impl ReadLog {
 pub fn read_records(bytes: &[u8]) -> ReadLog {
     match frames_start(bytes) {
         Ok(pos) => read_frames(bytes, pos),
-        Err(tail) => ReadLog { records: Vec::new(), tail },
+        Err(tail) => ReadLog { records: Vec::new(), frames: Vec::new(), tail },
     }
 }
 
@@ -76,9 +85,10 @@ pub fn read_records(bytes: &[u8]) -> ReadLog {
 /// does past the preamble: with a path dictionary of its own and LSNs
 /// checked only against each other, so `pos` must be a frame boundary
 /// after which every dictionary id used is also defined. Offsets in the
-/// returned tail state count from the start of `bytes`.
+/// returned tail state and frame ranges count from the start of `bytes`.
 pub(crate) fn read_frames(bytes: &[u8], mut pos: usize) -> ReadLog {
     let mut records = Vec::new();
+    let mut frames = Vec::new();
     // The path dictionary, built as `PathDef` records stream past.
     // Records are returned with literal paths — interning is a wire
     // format concern, invisible above this function.
@@ -87,10 +97,10 @@ pub(crate) fn read_frames(bytes: &[u8], mut pos: usize) -> ReadLog {
     while pos < bytes.len() {
         let rem = bytes.len() - pos;
         if bytes[pos] != FRAME_MAGIC {
-            return ReadLog { records, tail: TailState::Corrupted { offset: pos } };
+            return ReadLog { records, frames, tail: TailState::Corrupted { offset: pos } };
         }
         if rem < FRAME_HEADER {
-            return ReadLog { records, tail: TailState::Torn { offset: pos } };
+            return ReadLog { records, frames, tail: TailState::Torn { offset: pos } };
         }
         let lsn = u64::from_le_bytes(bytes[pos + 1..pos + 9].try_into().unwrap());
         let len = u32::from_le_bytes(bytes[pos + 9..pos + 13].try_into().unwrap()) as usize;
@@ -104,11 +114,11 @@ pub(crate) fn read_frames(bytes: &[u8], mut pos: usize) -> ReadLog {
             } else {
                 TailState::Torn { offset: pos }
             };
-            return ReadLog { records, tail };
+            return ReadLog { records, frames, tail };
         }
         let payload = &bytes[start..start + len];
         if frame_crc(lsn, len as u32, payload) != crc || lsn <= last_lsn {
-            return ReadLog { records, tail: TailState::Corrupted { offset: pos } };
+            return ReadLog { records, frames, tail: TailState::Corrupted { offset: pos } };
         }
         match Record::decode(payload, Some(&dict)) {
             Ok(rec) => {
@@ -116,13 +126,16 @@ pub(crate) fn read_frames(bytes: &[u8], mut pos: usize) -> ReadLog {
                     dict.insert(*id, path.clone());
                 }
                 records.push((lsn, rec));
+                frames.push(pos..start + len);
             }
-            Err(_) => return ReadLog { records, tail: TailState::Corrupted { offset: pos } },
+            Err(_) => {
+                return ReadLog { records, frames, tail: TailState::Corrupted { offset: pos } }
+            }
         }
         last_lsn = lsn;
         pos = start + len;
     }
-    ReadLog { records, tail: TailState::Clean }
+    ReadLog { records, frames, tail: TailState::Clean }
 }
 
 /// Where frame parsing starts: just past the preamble (an empty log is
@@ -174,17 +187,24 @@ fn any_valid_frame_after(bytes: &[u8], from: usize) -> bool {
 
 /// Applies the redo filter: returns the records that take effect, in log
 /// order, with transaction markers stripped.
+pub fn committed_records(log: &ReadLog) -> Vec<Record> {
+    committed_indices(log).into_iter().map(|i| log.records[i].1.clone()).collect()
+}
+
+/// The redo filter: the indices into `log.records` of the records that
+/// take effect, in log order. Transaction markers and `PathDef`s are never
+/// among them.
 ///
 /// Nested transactions are handled with a frame stack — a record applies
 /// only if all enclosing transactions committed. A rollback or an open
 /// transaction at end-of-log discards its records (and any committed inner
 /// transactions, which is the correct nesting semantics: an inner commit
 /// is provisional until the outermost transaction commits).
-pub fn committed_records(log: &ReadLog) -> Vec<Record> {
-    let mut out: Vec<Record> = Vec::new();
-    // Stack of (txn id, buffered records) for open transactions.
-    let mut open: Vec<(u64, Vec<Record>)> = Vec::new();
-    for (_, rec) in &log.records {
+pub(crate) fn committed_indices(log: &ReadLog) -> Vec<usize> {
+    let mut out: Vec<usize> = Vec::new();
+    // Stack of (txn id, buffered record indices) for open transactions.
+    let mut open: Vec<(u64, Vec<usize>)> = Vec::new();
+    for (i, (_, rec)) in log.records.iter().enumerate() {
         match rec {
             Record::TxnBegin { txn } => open.push((*txn, Vec::new())),
             Record::TxnCommit { txn } => {
@@ -206,9 +226,9 @@ pub fn committed_records(log: &ReadLog) -> Vec<Record> {
             // Path-dictionary definitions are wire-format metadata, already
             // consumed by `read_records` (which returns literal paths).
             Record::PathDef { .. } => {}
-            other => match open.last_mut() {
-                Some((_, buf)) => buf.push(other.clone()),
-                None => out.push(other.clone()),
+            _ => match open.last_mut() {
+                Some((_, buf)) => buf.push(i),
+                None => out.push(i),
             },
         }
     }
@@ -426,5 +446,201 @@ mod tests {
         j.commit_txn(outer).unwrap();
         let recs = committed_records(&read_records(&j.bytes()));
         assert_eq!(paths(&recs), vec!["/inner", "/outer"]);
+    }
+
+    /// Parser fuzzing: bytes a delegate can influence (its files, its SQL)
+    /// end up in frames, so no byte pattern may panic the reader, and no
+    /// damage to acknowledged frames may read as a clean or torn log.
+    mod fuzz {
+        use super::*;
+        use crate::record::ParamValue;
+        use crate::wal::{MemStorage, Storage};
+        use crate::JournalError;
+        use proptest::prelude::*;
+
+        /// One step of a mixed log: SQL, VFS writes with payloads up to
+        /// the step's bound (so frames take both checksum kernels), a few
+        /// repeated paths (so `PathDef`s and interned slots appear),
+        /// snapshots, and nested transactions.
+        #[derive(Debug, Clone)]
+        enum Step {
+            Sql(u16),
+            Write(u8, u16),
+            Unlink(u8),
+            Snapshot(u16),
+            Begin,
+            Commit,
+            Rollback,
+        }
+
+        fn step(max_payload: u16) -> impl Strategy<Value = Step> {
+            prop_oneof![
+                any::<u16>().prop_map(Step::Sql),
+                (any::<u8>(), 0..max_payload).prop_map(|(p, n)| Step::Write(p, n)),
+                any::<u8>().prop_map(Step::Unlink),
+                (0..max_payload).prop_map(Step::Snapshot),
+                Just(Step::Begin),
+                Just(Step::Commit),
+                Just(Step::Rollback),
+            ]
+        }
+
+        /// The durable log of `steps`, flushed, at group-commit `batch`.
+        fn mixed_log(steps: &[Step], batch: usize) -> Vec<u8> {
+            let mut j = Journal::in_memory(batch);
+            let mut open = Vec::new();
+            for s in steps {
+                match *s {
+                    Step::Sql(i) => {
+                        let params = vec![
+                            ParamValue::Int(i as i64),
+                            ParamValue::Blob(vec![7; i as usize % 40]),
+                        ];
+                        j.append(&Record::Sql {
+                            db: "d".into(),
+                            sql: format!("INSERT {i}"),
+                            params,
+                        })
+                    }
+                    Step::Write(p, n) => {
+                        let data = (0..n).map(|k| (k as u8).wrapping_mul(p | 1)).collect();
+                        let path = format!("/d/f{}", p % 4);
+                        j.append(&Record::Vfs(VfsRecord::Write { path, data, owner: 1, mode: 3 }))
+                    }
+                    Step::Unlink(p) => j.append(&rec(&format!("/d/f{}", p % 4))),
+                    Step::Snapshot(n) => j.append(&Record::Snapshot {
+                        component: "vfs.store".into(),
+                        payload: vec![n as u8; n as usize],
+                    }),
+                    Step::Begin => j.begin_txn().map(|t| open.push(t)).map(|()| 0),
+                    Step::Commit => open.pop().map_or(Ok(0), |t| j.commit_txn(t).map(|()| 0)),
+                    Step::Rollback => open.pop().map_or(Ok(0), |t| j.rollback_txn(t).map(|()| 0)),
+                }
+                .unwrap();
+            }
+            j.flush().unwrap();
+            j.bytes()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn fuzz_arbitrary_bytes_never_panic_the_reader(
+                bytes in proptest::collection::vec(any::<u8>(), 0..600),
+                preamble in any::<bool>(),
+                tag in 1u8..12,
+            ) {
+                let mut log = if preamble { LOG_PREAMBLE.to_vec() } else { Vec::new() };
+                log.extend_from_slice(&bytes);
+                let read = read_records(&log);
+                prop_assert_eq!(read.frames.len(), read.records.len());
+                prop_assert!(read.frames.iter().all(|f| f.end <= log.len()));
+                let _ = committed_records(&read);
+                let _ = Record::decode(&bytes, None);
+                let _ = Record::decode(&bytes, Some(&HashMap::new()));
+                // The same bytes as the payload of a frame with a valid
+                // header and CRC, led by a known or unknown tag: the
+                // decoder, not the checksum, must reject what it can't
+                // read.
+                let mut payload = vec![tag];
+                payload.extend_from_slice(&bytes);
+                let mut framed = LOG_PREAMBLE.to_vec();
+                framed.push(FRAME_MAGIC);
+                framed.extend_from_slice(&1u64.to_le_bytes());
+                let len = payload.len() as u32;
+                framed.extend_from_slice(&len.to_le_bytes());
+                framed.extend_from_slice(&frame_crc(1, len, &payload).to_le_bytes());
+                framed.extend_from_slice(&payload);
+                let read = read_records(&framed);
+                match read.tail {
+                    TailState::Clean => prop_assert_eq!(read.records.len(), 1),
+                    TailState::Corrupted { offset } => {
+                        prop_assert_eq!(offset, LOG_PREAMBLE.len());
+                        prop_assert!(read.records.is_empty());
+                    }
+                    TailState::Torn { .. } => prop_assert!(false, "a whole frame is never torn"),
+                }
+            }
+        }
+
+        /// `log` with one byte of one of its `frames`, both picked by `at`,
+        /// XORed by `mask`; and that frame's range.
+        fn flip_in_a_frame(
+            log: &[u8],
+            frames: &[Range<usize>],
+            at: usize,
+            mask: u8,
+        ) -> (Range<usize>, Vec<u8>) {
+            let frame = frames[at % frames.len()].clone();
+            let offset = frame.start + at / frames.len() % frame.len();
+            (frame, crate::fault::flip_byte(log, offset, mask))
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn fuzz_a_flipped_byte_in_an_acked_frame_reads_as_corrupted(
+                steps in proptest::collection::vec(step(20 * 1024), 1..12),
+                batch in 1usize..5,
+                at in any::<usize>(),
+                mask in 1u8..=255,
+            ) {
+                let log = mixed_log(&steps, batch);
+                let clean = read_records(&log);
+                prop_assert_eq!(clean.tail, TailState::Clean);
+                prop_assume!(!clean.frames.is_empty());
+                let (frame, damaged) = flip_in_a_frame(&log, &clean.frames, at, mask);
+                let read = read_records(&damaged);
+                prop_assert!(
+                    matches!(read.tail, TailState::Corrupted { offset } if offset <= frame.start),
+                    "flip in the frame at {}: {:?}", frame.start, read.tail
+                );
+                prop_assert_eq!(&read.records[..], &clean.records[..read.records.len()]);
+            }
+
+            #[test]
+            fn fuzz_checkpoint_over_a_flipped_log_writes_nothing(
+                steps in proptest::collection::vec(step(20 * 1024), 1..12),
+                at in any::<usize>(),
+                mask in 1u8..=255,
+            ) {
+                let log = mixed_log(&steps, 1);
+                let clean = read_records(&log);
+                prop_assume!(!clean.frames.is_empty());
+                let (_, damaged) = flip_in_a_frame(&log, &clean.frames, at, mask);
+                let mut storage = MemStorage::new();
+                storage.append(&damaged).unwrap();
+                let mut j = Journal::new(Box::new(storage), 1).unwrap();
+                let flushes = j.stats().flushes;
+                let got = j.checkpoint_delta("vfs.store", vec![1; 100]);
+                prop_assert!(matches!(got, Err(JournalError::Corrupted { .. })), "{:?}", got);
+                prop_assert_eq!(j.bytes(), damaged);
+                prop_assert_eq!(j.stats().flushes, flushes);
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            #[test]
+            fn fuzz_every_truncation_is_torn_or_clean_and_a_prefix(
+                steps in proptest::collection::vec(step(300), 1..16),
+                batch in 1usize..5,
+            ) {
+                let log = mixed_log(&steps, batch);
+                let whole = read_records(&log);
+                prop_assert_eq!(whole.tail, TailState::Clean);
+                for cut in 0..=log.len() {
+                    let read = read_records(&log[..cut]);
+                    prop_assert!(
+                        matches!(read.tail, TailState::Clean | TailState::Torn { .. }),
+                        "cut at {}: {:?}", cut, read.tail
+                    );
+                    prop_assert_eq!(&read.records[..], &whole.records[..read.records.len()]);
+                }
+            }
+        }
     }
 }

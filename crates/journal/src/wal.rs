@@ -28,10 +28,10 @@
 //!
 //! Incremental checkpoints ([`Journal::checkpoint_delta`]) and compaction
 //! ([`Journal::replace_with`]) are the only operations that shrink a log.
-//! Both pick the records to keep and hand them to one private
-//! `Journal::rewrite`, which frames them into one buffer and installs it
-//! with a single [`Storage::replace_from`]: one storage call per rewrite,
-//! and a crash leaves the old log or the new one.
+//! Both pick what to keep and hand it to one private `Journal::rewrite`,
+//! which builds the new log in one buffer and installs it with a single
+//! [`Storage::replace_from`]: one storage call per rewrite, and a crash
+//! leaves the old log or the new one.
 //!
 //! A rewrite's output is a *retained prefix*: committed `Snapshot`,
 //! `SnapshotDelta`, `Sql` and `Compaction` frames only — no transaction
@@ -43,10 +43,17 @@
 //! LSNs: its cost is O(bytes logged since the last rewrite), not O(log).
 //! A journal has no retained prefix until it first rewrites its log, so
 //! its first checkpoint after opening rewrites the whole log.
+//!
+//! The frames a checkpoint keeps are copied verbatim — header, LSN and
+//! CRC included — from the bytes it has just read and verified; only the
+//! new `SnapshotDelta` is encoded. Kept frames thus keep their LSNs, as
+//! the retained prefix does, and the delta's fresh LSN is above all of
+//! them. Frames of these kinds carry no path slots, so the path
+//! dictionary restarting at the rewrite does not touch them.
 
 use crate::codec::ByteWriter;
 use crate::record::{Record, LITERAL_PATH};
-use crate::replay::{committed_records, read_frames, read_records, TailState};
+use crate::replay::{committed_indices, read_frames, read_records, TailState};
 use crate::{JournalError, JournalResult};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::HashMap;
@@ -292,16 +299,23 @@ impl Journal {
     /// Non-empty storage (a reopened device-backed log) is scanned once so
     /// LSNs continue past the existing history — replay rejects
     /// non-monotonic LSNs as corruption, so a reopened journal must never
-    /// restart numbering at 1.
-    pub fn new(storage: Box<dyn Storage>, batch: usize) -> Self {
-        let mut dev = LogDevice { storage, scratch: Vec::new() };
-        let last_lsn = if dev.storage.is_empty() {
-            0
-        } else {
-            read_records(&dev.storage.read_from(0).unwrap_or_default()).last_lsn()
-        };
+    /// restart numbering at 1. A log that cannot be read is an error, not
+    /// an empty history.
+    pub fn new(mut storage: Box<dyn Storage>, batch: usize) -> JournalResult<Self> {
+        let last_lsn =
+            if storage.is_empty() { 0 } else { read_records(&storage.read_from(0)?).last_lsn() };
+        Ok(Journal::resume(storage, batch, last_lsn))
+    }
+
+    /// Creates an in-memory journal.
+    pub fn in_memory(batch: usize) -> Self {
+        Journal::resume(Box::new(MemStorage::new()), batch, 0)
+    }
+
+    /// A journal over `storage` whose durable log ends at `last_lsn`.
+    fn resume(storage: Box<dyn Storage>, batch: usize, last_lsn: u64) -> Self {
         Journal {
-            storage: Arc::new(Mutex::new(dev)),
+            storage: Arc::new(Mutex::new(LogDevice { storage, scratch: Vec::new() })),
             next_lsn: last_lsn + 1,
             next_txn: 1,
             batch: batch.max(1),
@@ -312,11 +326,6 @@ impl Journal {
             group_leader: false,
             stats: JournalStats::default(),
         }
-    }
-
-    /// Creates an in-memory journal.
-    pub fn in_memory(batch: usize) -> Self {
-        Journal::new(Box::new(MemStorage::new()), batch)
     }
 
     /// Returns the configured group-commit batch size.
@@ -436,11 +445,17 @@ impl Journal {
     }
 
     /// Returns the durable log bytes (NOT including the pending queue —
-    /// what a crash right now would leave behind). A read failure below
-    /// the WAL is indistinguishable from a missing tail, so it surfaces as
-    /// the shortest safe log: an empty one.
+    /// what a crash right now would leave behind), or the storage's read
+    /// error.
+    pub fn try_bytes(&self) -> JournalResult<Vec<u8>> {
+        self.storage.lock().storage.read_from(0)
+    }
+
+    /// [`Journal::try_bytes`] with a read error returned as an empty log.
+    /// That is not the log: code that acts on the log — rewriting it,
+    /// booting from it — must read it with `try_bytes`.
     pub fn bytes(&self) -> Vec<u8> {
-        self.storage.lock().storage.read_from(0).unwrap_or_default()
+        self.try_bytes().unwrap_or_default()
     }
 
     /// Durable log size in bytes.
@@ -463,34 +478,35 @@ impl Journal {
     ///
     /// Only the bytes past the retained prefix are read, filtered and
     /// replaced (module docs); the prefix — the last rewrite's output,
-    /// already in that shape — stays as it is. If those bytes parse as
+    /// already in that shape — stays as it is. The kept frames are copied
+    /// verbatim from the bytes read. If those bytes parse as
     /// [`TailState::Corrupted`], the log is left untouched and the call
     /// fails with [`JournalError::Corrupted`]: a rewrite must not turn
-    /// damaged history into a clean, shorter log.
+    /// damaged history into a clean, shorter log, nor carry a damaged
+    /// frame forward.
     pub fn checkpoint_delta(&mut self, component: &str, delta: Vec<u8>) -> JournalResult<()> {
         self.flush()?;
         let keep = self.retained;
         let tail = self.storage.lock().storage.read_from(keep)?;
-        // The kept records are framed exactly as in the old log (they
-        // carry no paths), so the bytes read plus the delta's frame
-        // (header, tag, two length-prefixed fields) bound the rewrite.
-        let delta_frame = FRAME_HEADER + 1 + 4 + component.len() + 4 + delta.len();
-        let capacity = tail.len().max(LOG_PREAMBLE.len()) + delta_frame;
         let log = if keep == 0 { read_records(&tail) } else { read_frames(&tail, 0) };
-        drop(tail);
         if let TailState::Corrupted { offset } = log.tail {
             return Err(JournalError::Corrupted { offset: keep + offset });
         }
-        let mut kept = committed_records(&log);
+        let kept: Vec<&[u8]> = committed_indices(&log)
+            .into_iter()
+            .filter(|&i| {
+                matches!(
+                    log.records[i].1,
+                    Record::Snapshot { .. } | Record::SnapshotDelta { .. } | Record::Sql { .. }
+                )
+            })
+            .map(|i| &tail[log.frames[i].clone()])
+            .collect();
         drop(log);
-        kept.retain(|rec| {
-            matches!(
-                rec,
-                Record::Snapshot { .. } | Record::SnapshotDelta { .. } | Record::Sql { .. }
-            )
-        });
+        // The delta's frame: header, tag, two length-prefixed fields.
+        let delta_frame = FRAME_HEADER + 1 + 4 + component.len() + 4 + delta.len();
         let delta = Record::SnapshotDelta { component: component.to_string(), payload: delta };
-        self.rewrite(keep, kept.into_iter().chain([delta]), capacity)
+        self.rewrite(keep, &kept, [delta], delta_frame)
     }
 
     /// Replaces the whole log with `records` — a compacted reconstruction
@@ -499,25 +515,37 @@ impl Journal {
     /// live state, not uptime history.
     pub fn replace_with(&mut self, records: Vec<Record>, upto_lsn: u64) -> JournalResult<()> {
         // Compaction exists to shrink the log, so the old log's length is
-        // the buffer's reservation; a larger compacted log grows it.
-        let capacity = self.len().max(LOG_PREAMBLE.len());
-        self.rewrite(0, std::iter::once(Record::Compaction { upto_lsn }).chain(records), capacity)
+        // the records' reservation; a larger compacted log grows it.
+        let capacity = self.len();
+        self.rewrite(
+            0,
+            &[],
+            std::iter::once(Record::Compaction { upto_lsn }).chain(records),
+            capacity,
+        )
     }
 
     /// The one path that truncates or rewrites the log: keeps its first
     /// `keep` bytes (0, or the retained prefix) and replaces the rest with
-    /// `records`. Flushes the queue, then gives `records` fresh LSNs and a
-    /// fresh path dictionary exactly as `enqueue` would after an empty
-    /// log, frames them — behind the preamble when `keep == 0` — into one
-    /// buffer of `capacity` bytes (each record is dropped once encoded),
-    /// and installs it with a single [`Storage::replace_from`], booked as
-    /// one flush. LSNs and txn ids keep rising. The new log is the next
-    /// retained prefix, unless `records` held a kind a prefix may not
-    /// (then the next checkpoint reads it all). If the replace fails, the
-    /// old log, its dictionary and its prefix stay.
+    /// the `framed` frames, then `records`. Flushes the queue, then gives
+    /// `records` fresh LSNs and a fresh path dictionary exactly as
+    /// `enqueue` would after an empty log. One buffer, reserved once with
+    /// `capacity` bytes for the records' frames, gets the preamble when
+    /// `keep == 0`, a verbatim copy of each `framed` frame, and the
+    /// records framed in turn (each dropped once encoded); a single
+    /// [`Storage::replace_from`] installs it, booked as one flush.
+    ///
+    /// `framed` must hold whole, verified frames of the kinds a retained
+    /// prefix may hold, in rising LSN order, each LSN above the kept
+    /// prefix's and below `next_lsn`, so LSNs keep rising (and txn ids do
+    /// too). The new log is the next retained
+    /// prefix, unless `records` held a kind a prefix may not (then the
+    /// next checkpoint reads it all). If the replace fails, the old log,
+    /// its dictionary and its prefix stay.
     fn rewrite(
         &mut self,
         keep: usize,
+        framed: &[&[u8]],
         records: impl IntoIterator<Item = Record>,
         capacity: usize,
     ) -> JournalResult<()> {
@@ -528,7 +556,8 @@ impl Journal {
             self.enqueue(rec);
         }
         let batch = std::mem::take(&mut self.queue);
-        let (count, high) = (batch.len(), batch.last().map_or(self.acked_lsn, |q| q.lsn));
+        let count = framed.len() + batch.len();
+        let high = batch.last().map_or(self.acked_lsn, |q| q.lsn);
         let retainable = batch.iter().all(|q| {
             matches!(
                 q.rec,
@@ -538,9 +567,13 @@ impl Journal {
                     | Record::Compaction { .. }
             )
         });
-        let mut buf = Vec::with_capacity(capacity);
+        let framed_len: usize = framed.iter().map(|f| f.len()).sum();
+        let mut buf = Vec::with_capacity(LOG_PREAMBLE.len() + framed_len + capacity);
         if keep == 0 && count > 0 {
             buf.extend_from_slice(&LOG_PREAMBLE);
+        }
+        for frame in framed {
+            buf.extend_from_slice(frame);
         }
         let mut w = ByteWriter::from_vec(buf);
         for q in batch {
@@ -694,9 +727,10 @@ impl JournalHandle {
     /// Journal over a caller-provided storage backend (e.g. a
     /// [`crate::BlockStorage`] over a file-backed device). If the storage
     /// already holds records, LSN numbering continues from the reopened
-    /// log's tail.
-    pub fn with_storage(storage: Box<dyn Storage>, batch: usize) -> Self {
-        JournalHandle::new(Journal::new(storage, batch))
+    /// log's tail; if that log cannot be read, this fails (see
+    /// [`Journal::new`]).
+    pub fn with_storage(storage: Box<dyn Storage>, batch: usize) -> JournalResult<Self> {
+        Journal::new(storage, batch).map(JournalHandle::new)
     }
 
     /// Runs `f` with the journal locked.
@@ -800,7 +834,14 @@ impl JournalHandle {
         j.flush()
     }
 
-    /// Durable log bytes (a crash right now loses only the pending queue).
+    /// Durable log bytes (a crash right now loses only the pending
+    /// queue), or the storage's read error: see [`Journal::try_bytes`].
+    pub fn try_bytes(&self) -> JournalResult<Vec<u8>> {
+        self.with(|j| j.try_bytes())
+    }
+
+    /// Durable log bytes, with a read error returned as an empty log: see
+    /// [`Journal::bytes`].
     pub fn bytes(&self) -> Vec<u8> {
         self.with(|j| j.bytes())
     }
@@ -902,7 +943,7 @@ impl JournalSink for NullSink {
 mod tests {
     use super::*;
     use crate::record::VfsRecord;
-    use crate::replay::{read_records, TailState};
+    use crate::replay::{committed_records, read_records, TailState};
 
     fn rec(path: &str) -> Record {
         Record::Vfs(VfsRecord::Unlink { path: path.into() })
@@ -1025,12 +1066,14 @@ mod tests {
         for i in 0..200 {
             j.append(&sql(&format!("INSERT INTO t VALUES ({i})"))).unwrap();
         }
-        let before = read_records(&j.bytes());
+        let before_bytes = j.bytes();
+        let before = read_records(&before_bytes);
         assert_eq!(before.records.len(), 200, "200 records at batch 8 are all flushed");
         let flushes = j.stats().flushes;
         j.checkpoint_delta("vfs.store", vec![9]).unwrap();
         assert_eq!(j.stats().flushes, flushes + 1, "the whole rewrite is one storage call");
-        let after = read_records(&j.bytes());
+        let after_bytes = j.bytes();
+        let after = read_records(&after_bytes);
         assert_eq!(after.tail, TailState::Clean);
         let (kept, delta) = after.records.split_at(200);
         let old: Vec<&Record> = before.records.iter().map(|(_, r)| r).collect();
@@ -1038,10 +1081,11 @@ mod tests {
         assert!(
             matches!(&delta[0].1, Record::SnapshotDelta { payload, .. } if payload == &vec![9])
         );
-        // Fresh LSNs, consecutive past the old log's last.
-        let lsns: Vec<u64> = after.records.iter().map(|(l, _)| *l).collect();
-        let first = before.last_lsn() + 1;
-        assert_eq!(lsns, (first..first + 201).collect::<Vec<_>>());
+        // The 200 kept frames are the old log's, byte for byte (LSNs and
+        // CRCs included); the delta's LSN is above every one of them.
+        let delta_at = crate::fault::record_boundaries(&after_bytes)[201];
+        assert_eq!(after_bytes[..delta_at], before_bytes[..]);
+        assert!(delta[0].0 > before.last_lsn());
     }
 
     /// Storage whose log, and the reads made of it, stay visible to the
@@ -1080,7 +1124,7 @@ mod tests {
     #[test]
     fn a_second_checkpoint_reads_and_replaces_only_the_tail() {
         let shared = Shared::default();
-        let mut j = Journal::new(Box::new(shared.clone()), 8);
+        let mut j = Journal::new(Box::new(shared.clone()), 8).unwrap();
         for i in 0..100 {
             j.append(&sql(&format!("INSERT INTO t VALUES ({i})"))).unwrap();
         }
@@ -1117,7 +1161,7 @@ mod tests {
     #[test]
     fn checkpoint_refuses_a_corrupted_log_and_drops_a_torn_tail() {
         let shared = Shared::default();
-        let mut j = Journal::new(Box::new(shared.clone()), 1);
+        let mut j = Journal::new(Box::new(shared.clone()), 1).unwrap();
         for i in 0..3 {
             j.append(&sql(&format!("INSERT INTO t VALUES ({i})"))).unwrap();
         }

@@ -126,7 +126,8 @@ fn cold_start_from_file() {
     let journal = JournalHandle::with_storage(
         Box::new(BlockStorage::open(Box::new(dev), 16).expect("open")),
         1,
-    );
+    )
+    .expect("open journal");
     let sys = MaxoidSystem::boot_journaled(journal.clone()).expect("boot");
     sys.install("editor", vec![], MaxoidManifest::new()).expect("install");
     let words = Uri::parse("content://user_dictionary/words").unwrap();
@@ -151,7 +152,8 @@ fn cold_start_from_file() {
     let journal = JournalHandle::with_storage(
         Box::new(BlockStorage::open(Box::new(dev), 16).expect("open")),
         1,
-    );
+    )
+    .expect("open journal");
     let t0 = std::time::Instant::now();
     let sys = MaxoidSystem::boot_journaled(journal).expect("cold boot");
     let boot = t0.elapsed();

@@ -31,19 +31,22 @@
 //!   the committed records a whole-log rewrite would keep.
 //! - **No laundering**: a checkpoint over a damaged log fails and leaves
 //!   it as it was, instead of rewriting it as a clean, shorter history.
+//! - **No acting on an unread log**: compaction, a cold boot and opening a
+//!   journal over a log whose sectors fail to read return the error,
+//!   instead of taking the log for an empty one.
 
 use maxoid::durability::{recover, RecoveryError};
 use maxoid::manifest::MaxoidManifest;
 use maxoid::{Caller, ContentValues, MaxoidSystem, QueryArgs, Uri};
-use maxoid_block::{BlockDevice, FaultDevice, FileDevice, MemDevice};
+use maxoid_block::{BlockDevice, FaultDevice, FileDevice, MemDevice, ReadFaults};
 use maxoid_journal::{
     committed_records, flip_byte, read_records, record_boundaries, BlockStorage, Journal,
-    JournalError, JournalHandle, Record, Storage, TailState, VfsRecord,
+    JournalError, JournalHandle, JournalSink, Record, Storage, TailState, VfsRecord,
 };
 use maxoid_sqldb::Value;
 use maxoid_vfs::{vpath, Mode, Store, Uid, VPath, Vfs};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -191,7 +194,7 @@ fn file_journal(path: &std::path::Path, fresh: bool) -> JournalHandle {
     let mut dev =
         if fresh { FileDevice::create(path).unwrap() } else { FileDevice::open(path).unwrap() };
     dev.set_delete_on_drop(false);
-    JournalHandle::with_storage(Box::new(BlockStorage::open(Box::new(dev), 8).unwrap()), 1)
+    JournalHandle::with_storage(Box::new(BlockStorage::open(Box::new(dev), 8).unwrap()), 1).unwrap()
 }
 
 #[test]
@@ -244,7 +247,7 @@ fn cold_boot_from_file_backed_journal_restores_state() {
 /// Builds a journaled system over an in-memory `BlockStorage`, runs the
 /// seed workload and returns the flushed log bytes.
 fn block_backed_log() -> Vec<u8> {
-    let j = JournalHandle::with_storage(Box::new(BlockStorage::in_memory(8)), 1);
+    let j = JournalHandle::with_storage(Box::new(BlockStorage::in_memory(8)), 1).unwrap();
     let sys = MaxoidSystem::boot_journaled(j).expect("boot");
     seed_system(&sys);
     let j = sys.journal().unwrap().clone();
@@ -344,7 +347,8 @@ proptest! {
         let mut j = maxoid_journal::Journal::new(
             Box::new(BlockStorage::open(Box::new(dev), 4).unwrap()),
             1,
-        );
+        )
+        .unwrap();
         let mut acked = 0usize;
         for i in 0..64 {
             let rec = maxoid_journal::Record::Vfs(maxoid_journal::VfsRecord::Unlink {
@@ -385,7 +389,7 @@ fn acked_sql(i: usize) -> Record {
 
 /// Acknowledges `n` `Sql` records at batch 8 on `dev`.
 fn ack_n(dev: Box<dyn maxoid_block::BlockDevice>, n: usize) -> Journal {
-    let mut j = Journal::new(Box::new(BlockStorage::open(dev, 4).unwrap()), 8);
+    let mut j = Journal::new(Box::new(BlockStorage::open(dev, 4).unwrap()), 8).unwrap();
     for i in 0..n {
         j.append(&acked_sql(i)).unwrap();
     }
@@ -564,7 +568,7 @@ fn checkpoint_never_launders_a_damaged_log() {
     assert_eq!(damaged, flip_byte(&clean, at, 0x10));
 
     let storage = BlockStorage::open(Box::new(platter.clone()), 4).unwrap();
-    let mut j = Journal::new(Box::new(storage), 8);
+    let mut j = Journal::new(Box::new(storage), 8).unwrap();
     let writes = platter.writes();
     let got = j.checkpoint_delta("vfs.store", vec![9; 100]);
     assert_eq!(got, Err(JournalError::Corrupted { offset: frame }));
@@ -602,6 +606,11 @@ fn log_op() -> impl Strategy<Value = LogOp> {
     ]
 }
 
+/// The frames of a log, each a slice of it from magic byte to payload end.
+fn frames_of(log: &[u8]) -> Vec<&[u8]> {
+    record_boundaries(log).windows(2).skip(1).map(|w| &log[w[0]..w[1]]).collect()
+}
+
 /// The records a checkpoint keeps from the committed ones.
 fn chain_and_sql(recs: Vec<Record>) -> Vec<Record> {
     recs.into_iter()
@@ -628,7 +637,7 @@ proptest! {
         let open = || Journal::new(
             Box::new(BlockStorage::open(Box::new(platter.clone()), 2).unwrap()),
             4,
-        );
+        ).unwrap();
         let mut j = open();
         let mut open_txns = Vec::new();
         for op in &ops {
@@ -653,7 +662,8 @@ proptest! {
                 }
                 LogOp::Checkpoint(n) => {
                     j.flush().unwrap();
-                    let before = read_records(&j.bytes());
+                    let before_bytes = j.bytes();
+                    let before = read_records(&before_bytes);
                     prop_assert_eq!(before.tail, TailState::Clean);
                     let delta = vec![n as u8; n as usize];
                     let mut want = chain_and_sql(committed_records(&before));
@@ -662,8 +672,17 @@ proptest! {
                         payload: delta.clone(),
                     });
                     j.checkpoint_delta("vfs.store", delta).unwrap();
-                    let after = read_records(&j.bytes());
+                    let after_bytes = j.bytes();
+                    let after = read_records(&after_bytes);
                     prop_assert_eq!(after.tail, TailState::Clean);
+                    // Every frame but the new delta's is a frame of the
+                    // old log, byte for byte: kept frames are copied with
+                    // their LSNs and CRCs, never re-encoded.
+                    let old_frames: HashSet<&[u8]> = frames_of(&before_bytes).into_iter().collect();
+                    let new_frames = frames_of(&after_bytes);
+                    let (delta_frame, kept) = new_frames.split_last().unwrap();
+                    prop_assert!(kept.iter().all(|f| old_frames.contains(f)));
+                    prop_assert!(!old_frames.contains(delta_frame));
                     let mut got = committed_records(&after);
                     got.retain(|r| !matches!(r, Record::Compaction { .. }));
                     prop_assert_eq!(got, want);
@@ -686,4 +705,93 @@ proptest! {
             }
         }
     }
+}
+
+/// Opens a journal (2-page cache, so reads reach the device) over
+/// `platter` behind a [`FaultDevice`], returning the handle that arms its
+/// read faults.
+fn faulty_journal(platter: &SharedDev) -> (JournalHandle, ReadFaults) {
+    let dev = FaultDevice::new(Box::new(platter.clone()));
+    let faults = dev.read_faults();
+    let storage = BlockStorage::open(Box::new(dev), 2).unwrap();
+    (JournalHandle::with_storage(Box::new(storage), 1).unwrap(), faults)
+}
+
+/// Fails (or, with `on == false`, heals) reads of every data sector
+/// `platter` holds — every written sector past the two superblock slots.
+fn data_read_faults(faults: &ReadFaults, platter: &SharedDev, on: bool) {
+    for sector in 2..platter.len_sectors() {
+        if on {
+            faults.fail(sector)
+        } else {
+            faults.clear(sector)
+        }
+    }
+}
+
+/// Boots a journaled system on `platter` and journals 50 files of 3,000
+/// bytes; returns it with its read-fault handle and the file tree the log
+/// recovers.
+fn fifty_files(platter: &SharedDev) -> (MaxoidSystem, ReadFaults, usize) {
+    let (j, faults) = faulty_journal(platter);
+    let sys = MaxoidSystem::boot_journaled(j.clone()).expect("boot");
+    sys.kernel
+        .vfs()
+        .with_store_mut(|s| -> Result<(), maxoid_vfs::VfsError> {
+            s.mkdir_all(&vpath("/storage/sdcard/probe"), Uid::ROOT, Mode::PUBLIC)?;
+            for i in 0..50u8 {
+                let path = vpath("/storage/sdcard/probe").join(&format!("f{i}")).unwrap();
+                s.write(&path, &pattern(i, 3000), Uid::ROOT, Mode::PUBLIC)?;
+            }
+            Ok(())
+        })
+        .expect("write files");
+    j.flush().unwrap();
+    let entries = recover(&j.bytes()).expect("recover").vfs.with_store(|s| s.dump_tree()).len();
+    assert!(entries > 50, "the log must hold the 50 files: {entries} entries");
+    (sys, faults, entries)
+}
+
+#[test]
+fn compaction_under_read_faults_fails_and_keeps_the_log() {
+    let platter = SharedDev::default();
+    let (sys, faults, entries) = fifty_files(&platter);
+    let j = sys.journal().unwrap().clone();
+    let log = j.bytes();
+    data_read_faults(&faults, &platter, true);
+    assert!(sys.compact().is_err(), "compaction must not rewrite a log it could not read");
+    data_read_faults(&faults, &platter, false);
+    assert_eq!(j.bytes(), log, "the log is as it was");
+    let rec = recover(&j.bytes()).expect("recover");
+    assert_eq!(rec.vfs.with_store(|s| s.dump_tree()).len(), entries);
+}
+
+#[test]
+fn cold_boot_under_read_faults_fails() {
+    let platter = SharedDev::default();
+    let (sys, _, _) = fifty_files(&platter);
+    drop(sys);
+    let (j, faults) = faulty_journal(&platter);
+    data_read_faults(&faults, &platter, true);
+    assert!(
+        MaxoidSystem::boot_journaled(j).is_err(),
+        "a cold boot must not come up empty over a log it could not read"
+    );
+}
+
+#[test]
+fn opening_a_journal_over_an_unreadable_log_fails() {
+    let platter = SharedDev::default();
+    let (sys, _, _) = fifty_files(&platter);
+    drop(sys);
+    let dev = FaultDevice::new(Box::new(platter.clone()));
+    let faults = dev.read_faults();
+    let storage = BlockStorage::open(Box::new(dev), 2).unwrap();
+    data_read_faults(&faults, &platter, true);
+    // Numbering from 1 over this log would make the next append corrupt it.
+    assert!(JournalHandle::with_storage(Box::new(storage), 1).is_err());
+    data_read_faults(&faults, &platter, false);
+    let (j, _) = faulty_journal(&platter);
+    j.emit(Record::Sql { db: "d".into(), sql: "SELECT 1".into(), params: vec![] });
+    assert_eq!(read_records(&j.bytes()).tail, TailState::Clean, "LSNs continue past the log");
 }

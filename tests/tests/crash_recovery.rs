@@ -565,8 +565,9 @@ impl Storage for FailingRewrite {
 fn a_failed_checkpoint_keeps_its_dirty_set() {
     let fail_next = Arc::new(AtomicBool::new(false));
     let storage = FailingRewrite { log: MemStorage::new(), fail_next: fail_next.clone() };
-    let sys = MaxoidSystem::boot_journaled(JournalHandle::with_storage(Box::new(storage), 1))
-        .expect("boot");
+    let sys =
+        MaxoidSystem::boot_journaled(JournalHandle::with_storage(Box::new(storage), 1).unwrap())
+            .expect("boot");
     let file = vpath("/p1/a");
     let write = |data: &[u8]| {
         sys.kernel.vfs().with_store(|s| s.write(&file, data, Uid::ROOT, Mode::PUBLIC)).unwrap();
