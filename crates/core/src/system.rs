@@ -62,11 +62,10 @@ use crate::services::{BluetoothService, ClipboardService, SmsService};
 use crate::volatile::{VolatileEntry, VolatileState};
 use maxoid_journal::JournalHandle;
 use maxoid_kernel::{AppId, ExecContext, Kernel, KernelError, Pid};
-use maxoid_providers::provider::ContentProvider;
 use maxoid_providers::{
-    Caller, ContentResolver, ContentValues, DownloadRequest, DownloadsProvider, MediaKind,
-    MediaProvider, ProviderError, ProviderResult, ProviderScope, QueryArgs, SystemFiles, Uri,
-    UserDictionaryProvider,
+    downloads, media, userdict, Caller, ContentResolver, ContentValues, DownloadRequest,
+    DownloadsProvider, MediaKind, MediaProvider, ProviderError, ProviderScope, QueryArgs,
+    SystemFiles, Uri, UserDictionaryProvider,
 };
 use maxoid_sqldb::ResultSet;
 use maxoid_vfs::{Vfs, VfsResult};
@@ -147,71 +146,6 @@ impl From<maxoid_block::BlockError> for SystemError {
 
 /// Result alias for system operations.
 pub type SystemResult<T> = Result<T, SystemError>;
-
-/// Adapter registering a shared provider instance in the resolver while
-/// the system keeps a handle for direct service APIs (download pump,
-/// media scans). The authority is cached because a `&str` cannot be
-/// returned through the lock guard.
-struct SharedProvider<P> {
-    authority: &'static str,
-    inner: Arc<Mutex<P>>,
-}
-
-impl<P: ContentProvider + Send> SharedProvider<P> {
-    fn new(authority: &'static str, inner: Arc<Mutex<P>>) -> Self {
-        SharedProvider { authority, inner }
-    }
-}
-
-impl<P: ContentProvider + Send> ContentProvider for SharedProvider<P> {
-    fn authority(&self) -> &str {
-        self.authority
-    }
-
-    fn insert(
-        &mut self,
-        caller: &Caller,
-        uri: &Uri,
-        values: &ContentValues,
-    ) -> ProviderResult<Uri> {
-        self.inner.lock().insert(caller, uri, values)
-    }
-
-    fn update(
-        &mut self,
-        caller: &Caller,
-        uri: &Uri,
-        values: &ContentValues,
-        args: &QueryArgs,
-    ) -> ProviderResult<usize> {
-        self.inner.lock().update(caller, uri, values, args)
-    }
-
-    fn query(&mut self, caller: &Caller, uri: &Uri, args: &QueryArgs) -> ProviderResult<ResultSet> {
-        self.inner.lock().query(caller, uri, args)
-    }
-
-    fn delete(&mut self, caller: &Caller, uri: &Uri, args: &QueryArgs) -> ProviderResult<usize> {
-        self.inner.lock().delete(caller, uri, args)
-    }
-
-    fn clear_volatile(&mut self, initiator: &str) -> ProviderResult<()> {
-        self.inner.lock().clear_volatile(initiator)
-    }
-
-    fn commit_volatile_row(
-        &mut self,
-        initiator: &str,
-        table: &str,
-        id: i64,
-    ) -> ProviderResult<bool> {
-        self.inner.lock().commit_volatile_row(initiator, table, id)
-    }
-
-    fn publish_read(&mut self) {
-        self.inner.lock().publish_read()
-    }
-}
 
 /// A booted Maxoid device: kernel + system services + providers.
 ///
@@ -404,60 +338,20 @@ impl MaxoidSystem {
         let downloads_pid =
             kernel.spawn(&dl_app, ExecContext::Normal, maxoid_vfs::MountNamespace::new())?;
 
-        let downloads = Arc::new(Mutex::new(match (&journal, &mut recovered) {
-            (Some(j), Some(sub)) => DownloadsProvider::from_recovered_journaled(
-                sub.take_db(maxoid_providers::downloads::AUTHORITY),
-                files.clone(),
-                j.sink(),
-            ),
-            (Some(j), None) => DownloadsProvider::with_journal(files.clone(), j.sink()),
-            _ => DownloadsProvider::new(files.clone()),
-        }));
-        let media = Arc::new(Mutex::new(match (&journal, &mut recovered) {
-            (Some(j), Some(sub)) => MediaProvider::from_recovered_journaled(
-                sub.take_db(maxoid_providers::media::AUTHORITY),
-                files,
-                j.sink(),
-            ),
-            (Some(j), None) => MediaProvider::with_journal(files, j.sink()),
-            _ => MediaProvider::new(files),
-        }));
-        let userdict = match (&journal, &mut recovered) {
-            (Some(j), Some(sub)) => UserDictionaryProvider::from_recovered_journaled(
-                sub.take_db(maxoid_providers::userdict::AUTHORITY),
-                j.sink(),
-            ),
-            (Some(j), None) => UserDictionaryProvider::with_journal(j.sink()),
-            _ => UserDictionaryProvider::new(),
-        };
-
-        let userdict = Arc::new(Mutex::new(userdict));
+        // Each system provider is built by its one constructor (journaled
+        // when booted with a journal, adopting its recovered database on a
+        // cold boot) and registered with its lock-free read handle: the
+        // resolver keeps the provider's mutex, and so does the system, for
+        // the service APIs (download pump, media scans).
+        let sink = || journal.as_ref().map(JournalHandle::sink);
+        let mut db = |authority| recovered.as_mut().map(|sub| sub.take_db(authority));
         let resolver = ContentResolver::new();
-        // Each system provider registers alongside its lock-free read
-        // handle: resolver queries are served from the provider's
-        // published MVCC snapshot whenever one is available, and only
-        // fall back to the per-authority write lock otherwise.
-        let dict_read = userdict.lock().read_handle();
-        resolver.register_with_read(
-            ProviderScope::System,
-            Box::new(SharedProvider::new(maxoid_providers::userdict::AUTHORITY, userdict.clone())),
-            dict_read,
-        );
-        let downloads_read = downloads.lock().read_handle();
-        resolver.register_with_read(
-            ProviderScope::System,
-            Box::new(SharedProvider::new(
-                maxoid_providers::downloads::AUTHORITY,
-                downloads.clone(),
-            )),
-            downloads_read,
-        );
-        let media_read = media.lock().read_handle();
-        resolver.register_with_read(
-            ProviderScope::System,
-            Box::new(SharedProvider::new(maxoid_providers::media::AUTHORITY, media.clone())),
-            media_read,
-        );
+        let downloads = DownloadsProvider::open(files.clone(), sink(), db(downloads::AUTHORITY));
+        let downloads = resolver.register(ProviderScope::System, downloads);
+        let media = MediaProvider::open(files, sink(), db(media::AUTHORITY));
+        let media = resolver.register(ProviderScope::System, media);
+        let userdict = UserDictionaryProvider::open(sink(), db(userdict::AUTHORITY));
+        let userdict = resolver.register(ProviderScope::System, userdict);
 
         // Make the boot-time records (layout mkdirs, schema DDL) durable:
         // a crash immediately after boot must still recover the catalogs.

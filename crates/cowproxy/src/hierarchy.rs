@@ -57,38 +57,36 @@ impl ViewHierarchy {
         Ok(())
     }
 
-    /// Returns true if `name` is a registered user-defined view.
-    pub fn is_user_view(&self, name: &str) -> bool {
-        self.views.contains_key(&name.to_ascii_lowercase())
+    /// Whether some registered user view selects from `table` directly.
+    pub fn has_base(&self, table: &str) -> bool {
+        self.views.values().any(|v| v.bases.iter().any(|b| b.eq_ignore_ascii_case(table)))
     }
 
-    /// Returns the registered view names.
-    pub fn view_names(&self) -> Vec<String> {
-        self.views.values().map(|v| v.name.clone()).collect()
+    /// (Re)builds every per-initiator COW instance of the registered
+    /// user views for `initiator`, over whichever base COW views exist
+    /// now. The proxy calls this when one of the initiator's base tables
+    /// forks (an instance built earlier would read the plain base) and
+    /// after recovery (instances are derived state and never journaled).
+    pub fn build_cow_views(&self, db: &mut Database, initiator: &str) -> SqlResult<()> {
+        self.drop_initiator(db, initiator)?;
+        for name in self.views.keys() {
+            self.build_view(db, name, initiator)?;
+        }
+        Ok(())
     }
 
-    /// Ensures the per-initiator COW view for user view `name` exists,
-    /// creating COW views for base user views first. Base *tables* must
-    /// already have their delta/COW structures (the caller's
-    /// `ensure_cow`).
-    pub fn ensure_cow_views(
-        &self,
-        db: &mut Database,
-        name: &str,
-        initiator: &str,
-    ) -> SqlResult<()> {
-        let uv = self
-            .views
-            .get(&name.to_ascii_lowercase())
-            .ok_or_else(|| SqlError::NoSuchTable(name.to_string()))?;
+    /// Builds the COW instance of user view `name`, base user views first
+    /// (hierarchy order); instances that exist are kept.
+    fn build_view(&self, db: &mut Database, name: &str, initiator: &str) -> SqlResult<()> {
+        let uv = &self.views[name];
         let target = cow_view(&uv.name, initiator);
         if db.has_view(&target) {
             return Ok(());
         }
-        // Recurse into user-view bases first (hierarchy order).
         for base in &uv.bases {
-            if self.is_user_view(base) {
-                self.ensure_cow_views(db, base, initiator)?;
+            let base = base.to_ascii_lowercase();
+            if self.views.contains_key(&base) {
+                self.build_view(db, &base, initiator)?;
             }
         }
         // Rewrite the definition: every base that has a COW instance is
@@ -104,9 +102,7 @@ impl ViewHierarchy {
             }
         });
         // Executed as an AST (no SQL text), so this CREATE VIEW never
-        // reaches the journal. That is deliberate: COW view instances are
-        // derived state, and recovery rebuilds them from the registered
-        // user views (`CowProxy::rebuild_cow_views`).
+        // reaches the journal: COW view instances are derived state.
         let create = Stmt::CreateView { name: target, if_not_exists: false, select };
         db.exec_stmt(&create, &[], None)?;
         Ok(())
@@ -115,8 +111,8 @@ impl ViewHierarchy {
     /// Drops all per-initiator COW views built from user-defined views.
     pub fn drop_initiator(&self, db: &mut Database, initiator: &str) -> SqlResult<()> {
         for uv in self.views.values() {
-            let target = cow_view(&uv.name, initiator);
-            db.execute_batch(&format!("DROP VIEW IF EXISTS {target};"))?;
+            let drop = Stmt::DropView { name: cow_view(&uv.name, initiator), if_exists: true };
+            db.exec_stmt(&drop, &[], None)?;
         }
         Ok(())
     }
@@ -209,8 +205,7 @@ mod tests {
             ],
         )
         .unwrap();
-        // Build the user-view COW instance on demand.
-        p.ensure_cow("images", "cam").unwrap();
+        // The fork of `files` built the user-view COW instance.
         let rs = p.query(&del, "images", &QueryOpts::default(), &[]).unwrap();
         assert_eq!(rs.rows.len(), 3);
         // Public images view unchanged.
@@ -228,8 +223,8 @@ mod tests {
             &[("path", "/sdcard/s.mp3".into()), ("media_type", 2.into()), ("title", "song".into())],
         )
         .unwrap();
-        // `audio` depends on `audio_meta`, which depends on `files`.
-        p.ensure_cow("audio", "player").unwrap();
+        // `audio` depends on `audio_meta`, which depends on `files`; the
+        // fork of `files` built both instances.
         let rs = p.query(&del, "audio", &QueryOpts::default(), &[]).unwrap();
         assert_eq!(rs.rows.len(), 2);
         // The intermediate COW view exists too.
@@ -246,11 +241,33 @@ mod tests {
             &[("path", "/x.jpg".into()), ("media_type", 1.into()), ("title", "x".into())],
         )
         .unwrap();
-        p.ensure_cow("images", "cam").unwrap();
         assert!(p.db().has_view("images_view_cam"));
         p.clear_volatile("cam").unwrap();
         assert!(!p.db().has_view("images_view_cam"));
         assert!(!p.has_delta("files", "cam"));
+    }
+
+    #[test]
+    fn base_fork_rebuilds_an_instance_built_before_it() {
+        let mut p = media_proxy();
+        p.execute_batch("CREATE TABLE thumbs (_id INTEGER PRIMARY KEY, file_id INTEGER);").unwrap();
+        let del = DbView::Delegate { initiator: "cam".into() };
+        // An unrelated fork builds no instance; recovery builds them all,
+        // over whatever base COW views exist then.
+        p.insert(&del, "thumbs", &[("file_id", 1.into())]).unwrap();
+        assert!(!p.db().has_view("images_view_cam"));
+        p.rebuild_cow_views().unwrap();
+        assert!(p.db().has_view("images_view_cam"));
+        // Forking `files` later must rebuild that instance over the
+        // `files` COW view, or the delegate's image would stay hidden.
+        p.insert(
+            &del,
+            "files",
+            &[("path", "/n.jpg".into()), ("media_type", 1.into()), ("title", "n".into())],
+        )
+        .unwrap();
+        let rs = p.query(&del, "images", &QueryOpts::default(), &[]).unwrap();
+        assert_eq!(rs.rows.len(), 3);
     }
 
     #[test]
@@ -277,7 +294,6 @@ mod tests {
         p.insert(&DbView::Primary, "base", &[("v", "x".into())]).unwrap();
         let del = DbView::Delegate { initiator: "D".into() };
         p.insert(&del, "base", &[("v", "y".into())]).unwrap();
-        p.ensure_cow("qual", "D").unwrap();
         let rs = p.query(&del, "qual", &QueryOpts::default(), &[]).unwrap();
         assert_eq!(rs.rows.len(), 2);
         assert!(rs.rows.iter().any(|r| r[1] == Value::Text("y".into())));

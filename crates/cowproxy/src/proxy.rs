@@ -251,24 +251,17 @@ impl CowProxy {
         }
     }
 
-    /// Rebuilds the per-initiator COW instances of registered user views.
-    ///
-    /// Those views are created from rewritten ASTs and deliberately never
-    /// journaled (they are derived state); after recovery they are missing
-    /// and `read_relation` would silently fall back to the plain user
-    /// view, hiding an initiator's delta rows. This rebuilds them eagerly
-    /// for every initiator with volatile state — a superset of the
-    /// on-demand set that existed before the crash, which is harmless: a
-    /// COW view whose bases carry no deltas reads identically to the
-    /// plain view, and `clear_volatile` drops them all the same way.
+    /// Rebuilds the per-initiator COW instances of registered user views
+    /// for every initiator with volatile state: the same build a base
+    /// table's fork runs (see [`CowProxy::ensure_cow`]). Those instances
+    /// are derived state and never journaled, so after recovery they are
+    /// missing and `read_relation` would fall back to the plain user
+    /// view, hiding an initiator's delta rows.
     pub fn rebuild_cow_views(&mut self) -> SqlResult<()> {
         self.retract_read();
         self.rewrite.bump_epoch();
-        let initiators = self.initiators.clone();
-        for initiator in &initiators {
-            for view in self.hierarchy.view_names() {
-                self.hierarchy.ensure_cow_views(&mut self.db, &view, initiator)?;
-            }
+        for initiator in &self.initiators {
+            self.hierarchy.build_cow_views(&mut self.db, initiator)?;
         }
         Ok(())
     }
@@ -295,26 +288,17 @@ impl CowProxy {
             .sum()
     }
 
-    /// Ensures delta table, COW view and triggers exist for
+    /// Ensures delta table, COW view and triggers exist for base table
     /// `(table, initiator)`; created on demand at the first volatile write
-    /// (paper: "Delta tables and COW views are created on demand").
+    /// (paper: "Delta tables and COW views are created on demand"). When
+    /// a registered user view selects from `table`, the fork also
+    /// (re)builds the initiator's user-view COW instances, so they read
+    /// through the new COW view.
     pub fn ensure_cow(&mut self, table: &str, initiator: &str) -> SqlResult<()> {
         if self.has_delta(table, initiator) {
             return Ok(());
         }
         self.retract_read();
-        if !self.db.has_table(table) {
-            // User-defined view: ensure COW views exist for its bases.
-            if self.db.has_view(table) {
-                let creates = !self.db.has_view(&self.names.cow_view(table, initiator));
-                let out = self.hierarchy.ensure_cow_views(&mut self.db, table, initiator);
-                if creates && out.is_ok() {
-                    self.rewrite.bump_epoch();
-                }
-                return out;
-            }
-            return Err(SqlError::NoSuchTable(table.to_string()));
-        }
         let mut sp = maxoid_obs::span("cowproxy.cow_fork");
         sp.field_with("table", || table.to_string());
         sp.field_with("initiator", || initiator.to_string());
@@ -393,7 +377,10 @@ impl CowProxy {
         if !self.initiators.iter().any(|i| i == initiator) {
             self.initiators.push(initiator.to_string());
         }
-        Ok(())
+        if !self.hierarchy.has_base(table) {
+            return Ok(());
+        }
+        self.hierarchy.build_cow_views(&mut self.db, initiator)
     }
 
     /// Resolves the relation name an operation should target for a read.

@@ -32,17 +32,20 @@
 //! statements, a [`NameInterner`], a rewrite cache) lives in a
 //! `thread_local!` registry keyed by slot id, so repeated reads on one
 //! thread reuse plans across snapshot retargets and share nothing across
-//! threads.
+//! threads. An entry holds its slot weakly, and entries whose slot is gone
+//! (the proxy and every handle dropped) are pruned whenever the thread
+//! first reads another slot, so the registry stays bounded by the live
+//! slots the thread reads plus one.
 
 use crate::names::NameInterner;
 use crate::proxy::{cached_query, DbView, QueryOpts};
 use crate::rewrite::RewriteCache;
-use maxoid_sqldb::{Database, ReadSnapshot, ResultSet, SnapshotReader, SqlResult, Value};
+use maxoid_sqldb::{ReadSnapshot, ResultSet, SnapshotReader, SqlResult, Value};
 use parking_lot::RwLock;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Slot ids are process-unique so thread-local readers never mix
 /// snapshots of different logical databases.
@@ -67,7 +70,7 @@ pub(crate) struct CowPublished {
 #[derive(Debug, Clone)]
 pub struct ReadSlot {
     id: u64,
-    slot: Arc<RwLock<Option<CowPublished>>>,
+    slot: Arc<Slot>,
 }
 
 // The slot handle crosses threads by design.
@@ -76,8 +79,13 @@ const _: fn() = || {
     assert_send_sync::<ReadSlot>();
 };
 
+/// What the write side publishes into, and readers clone out of.
+type Slot = RwLock<Option<CowPublished>>;
+
 /// One thread's cached machinery for reading a particular slot.
 struct CowReader {
+    /// The slot this reader serves; dead once its proxy is dropped.
+    slot: Weak<Slot>,
     reader: SnapshotReader,
     names: NameInterner,
     rewrite: RewriteCache,
@@ -141,31 +149,14 @@ impl ReadSlot {
         opts: &QueryOpts,
         params: &[Value],
     ) -> Option<SqlResult<ResultSet>> {
-        self.try_query_gated(|_| true, view, table, opts, params)
-    }
-
-    /// [`ReadSlot::try_query`] with a routing gate evaluated against the
-    /// *same* snapshot the query would use.
-    ///
-    /// `gate` receives the snapshot-bound database; returning `false`
-    /// declines the snapshot path (yielding `None`) without racing a
-    /// republish in between. Providers use this for reads that may need a
-    /// write-side fixup first — e.g. Media falls back to the locked path
-    /// when a delta exists for a user view's base but the per-initiator
-    /// COW view has not been built yet, so the locked `ensure_cow` can
-    /// run.
-    pub fn try_query_gated(
-        &self,
-        gate: impl FnOnce(&Database) -> bool,
-        view: &DbView,
-        table: &str,
-        opts: &QueryOpts,
-        params: &[Value],
-    ) -> Option<SqlResult<ResultSet>> {
         let published = self.slot.read().clone()?;
         READERS.with(|cell| {
             let mut map = cell.borrow_mut();
+            if !map.contains_key(&self.id) {
+                map.retain(|_, r| r.slot.strong_count() > 0);
+            }
             let r = map.entry(self.id).or_insert_with(|| CowReader {
+                slot: Arc::downgrade(&self.slot),
                 reader: SnapshotReader::new(),
                 names: NameInterner::default(),
                 rewrite: RewriteCache::default(),
@@ -178,9 +169,6 @@ impl ReadSlot {
                 r.fork_epoch = published.fork_epoch;
             }
             let db = r.reader.bind(&published.snap);
-            if !gate(db) {
-                return None;
-            }
             maxoid_obs::counter_add("cowproxy.snapshot_queries", 1);
             Some(cached_query(&r.rewrite, &r.names, db, view, table, opts, params))
         })
@@ -297,18 +285,24 @@ mod tests {
     }
 
     #[test]
-    fn gate_declines_against_the_same_snapshot() {
-        let mut p = seeded();
-        p.publish_read();
-        let slot = p.read_slot();
-        let out = slot.try_query_gated(
-            |db| !db.has_table("words"),
-            &DbView::Primary,
-            "words",
-            &QueryOpts::default(),
-            &[],
-        );
-        assert!(out.is_none(), "gate returning false must fall back");
+    fn thread_readers_are_bounded_by_live_slots() {
+        let mut live = seeded();
+        live.publish_read();
+        let slot = live.read_slot();
+        slot.try_query(&DbView::Primary, "words", &QueryOpts::default(), &[]).unwrap().unwrap();
+        for _ in 0..1000 {
+            let mut p = seeded();
+            p.publish_read();
+            let rs = p.read_slot().try_query(&DbView::Primary, "words", &QueryOpts::default(), &[]);
+            assert_eq!(rs.unwrap().unwrap().rows.len(), 3);
+            drop(p);
+            let readers = READERS.with(|cell| cell.borrow().len());
+            // The live slot, plus the one just dropped: its entry goes
+            // when this thread first reads the next slot.
+            assert!(readers <= 2, "{readers} thread-local readers for 1 live slot");
+        }
+        let rs = slot.try_query(&DbView::Primary, "words", &QueryOpts::default(), &[]);
+        assert_eq!(rs.unwrap().unwrap().rows.len(), 3, "the live slot's reader survives pruning");
     }
 
     #[test]

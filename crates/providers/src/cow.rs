@@ -1,0 +1,281 @@
+//! The proxy-backed core the three system providers share.
+//!
+//! "Porting is trivial" (§5.3): what User Dictionary, Downloads and Media
+//! add on top of the COW proxy is a schema, a table of URI routes and,
+//! for the latter two, their own services. Everything else — routing a
+//! URI to its relation, mapping the caller to its [`DbView`], assembling
+//! the WHERE clause from the URI's item id and the caller's selection,
+//! refusing writes through user views, the routed data calls and the
+//! snapshot read handle — lives here, once, in [`CowProvider`].
+//!
+//! A provider runs the caller's fragments with its own authority over
+//! every tenant's state, so this is also where they are checked (the
+//! confused deputy of the transitivity-of-trust problem): a selection
+//! must parse on its own as one expression over the row, with no
+//! sub-select, and projection items and sort terms must be column names.
+//! Anything else is [`ProviderError::Denied`] before any SQL runs.
+
+use crate::provider::{
+    Caller, ContentProvider, ContentValues, ProviderError, ProviderResult, QueryArgs, ReadHandle,
+};
+use crate::uri::Uri;
+use maxoid_cowproxy::{CowProxy, DbView, QueryOpts, ReadSlot};
+use maxoid_sqldb::{Database, ResultSet, Value};
+use std::sync::Arc;
+
+/// What one proxy-backed provider declares: its authority, its schema
+/// and the URI collections it serves.
+#[derive(Debug)]
+pub(crate) struct Schema {
+    pub authority: &'static str,
+    /// Table and index DDL, run on a database that has no tables yet.
+    pub ddl: &'static str,
+    /// User-defined views as `(name, SELECT ...)`, registered in order.
+    pub views: &'static [(&'static str, &'static str)],
+    /// URI collection → the table or view that serves it.
+    pub routes: &'static [(&'static str, &'static str)],
+}
+
+impl Schema {
+    fn route(&self, uri: &Uri) -> ProviderResult<&'static str> {
+        let collection = uri.collection();
+        self.routes
+            .iter()
+            .find(|(c, _)| uri.authority == self.authority && Some(*c) == collection)
+            .map(|(_, relation)| *relation)
+            .ok_or_else(|| ProviderError::UnknownUri(uri.to_string()))
+    }
+
+    /// Routes a write. User views are refused: their rows live in the
+    /// base tables, which is where writes go.
+    fn route_write(&self, uri: &Uri) -> ProviderResult<&'static str> {
+        let relation = self.route(uri)?;
+        if self.views.iter().any(|(view, _)| *view == relation) {
+            return Err(ProviderError::Denied(format!(
+                "{relation} is a view; write to its base table"
+            )));
+        }
+        Ok(relation)
+    }
+
+    /// Routes a query: its relation, the caller's view and the proxy
+    /// arguments, with the caller's fragments checked.
+    fn route_query(
+        &self,
+        caller: &Caller,
+        uri: &Uri,
+        args: &QueryArgs,
+    ) -> ProviderResult<(&'static str, DbView, QueryOpts, Vec<Value>)> {
+        let relation = self.route(uri)?;
+        let view = caller.db_view(uri)?;
+        let sort_ok = args.sort_order.as_deref().map_or(true, |o| o.split(',').all(is_sort_term));
+        if !sort_ok || !args.projection.iter().all(|c| is_column(c)) {
+            return Err(ProviderError::Denied(
+                "projection items and sort terms must be column names".into(),
+            ));
+        }
+        let (where_clause, params) = where_clause(uri, args)?;
+        let opts = QueryOpts {
+            columns: args.projection.clone(),
+            where_clause,
+            order_by: args.sort_order.clone(),
+            limit: None,
+        };
+        Ok((relation, view, opts, params))
+    }
+}
+
+fn is_column(name: &str) -> bool {
+    let mut chars = name.chars();
+    chars.next().is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
+        && chars.all(|c| c.is_ascii_alphanumeric() || c == '_')
+}
+
+/// `column [ASC|DESC]`.
+fn is_sort_term(term: &str) -> bool {
+    let mut words = term.split_whitespace();
+    words.next().is_some_and(is_column)
+        && words
+            .next()
+            .map_or(true, |d| d.eq_ignore_ascii_case("asc") || d.eq_ignore_ascii_case("desc"))
+        && words.next().is_none()
+}
+
+/// The WHERE clause of a routed call: the URI's item id, AND the caller's
+/// selection in parentheses. On its own, the selection must parse as
+/// exactly one expression with no sub-select, so it can neither close the
+/// parenthesis it is put in nor name another relation; in that
+/// parenthesis it must parse too, so a trailing line comment cannot
+/// swallow it.
+fn where_clause(uri: &Uri, args: &QueryArgs) -> ProviderResult<(Option<String>, Vec<Value>)> {
+    let mut clauses = Vec::new();
+    let mut params = Vec::new();
+    if let Some(id) = uri.id() {
+        clauses.push("_id = ?".to_string());
+        params.push(Value::Integer(id));
+    }
+    if let Some(sel) = &args.selection {
+        let wrapped = format!("({sel})");
+        for text in [sel, &wrapped] {
+            maxoid_sqldb::parser::parse_row_expr(text)
+                .map_err(|e| ProviderError::Denied(format!("selection refused: {e}")))?;
+        }
+        clauses.push(wrapped);
+        params.extend(args.selection_args.iter().cloned());
+    }
+    Ok(((!clauses.is_empty()).then(|| clauses.join(" AND ")), params))
+}
+
+/// A system content provider on the COW proxy: the shared data path plus
+/// the provider's own services `S` (`()` for User Dictionary).
+#[derive(Debug)]
+pub struct CowProvider<S> {
+    schema: &'static Schema,
+    pub(crate) proxy: CowProxy,
+    pub(crate) services: S,
+}
+
+impl<S> CowProvider<S> {
+    /// The one constructor, behind every provider's `open`. With a journal
+    /// sink, the sink is attached before anything runs, so replaying the
+    /// log rebuilds the catalog (tables, indexes, user views) as well as
+    /// the rows. With a database recovered from a journal, the provider
+    /// adopts it: the schema is installed only if replay left no tables
+    /// (a crash before the schema reached the log), replayed view
+    /// definitions are adopted, and the per-initiator COW instances of
+    /// user views, which are never journaled, are rebuilt.
+    pub(crate) fn with_schema(
+        schema: &'static Schema,
+        services: S,
+        journal: Option<maxoid_journal::SinkRef>,
+        recovered: Option<Database>,
+    ) -> Self {
+        let mut proxy = recovered.map_or_else(CowProxy::new, CowProxy::adopt);
+        if let Some(sink) = journal {
+            proxy.attach_journal(sink, &format!("db.{}", schema.authority));
+        }
+        if proxy.db().table_names().is_empty() {
+            proxy.execute_batch(schema.ddl).expect("static schema is valid");
+        }
+        for (name, select) in schema.views {
+            proxy
+                .register_user_view(&format!("CREATE VIEW {name} AS {select}"))
+                .expect("static view is valid");
+        }
+        proxy.rebuild_cow_views().expect("registered views rebuild cleanly");
+        CowProvider { schema, proxy, services }
+    }
+
+    /// Access to the underlying proxy (tests, benches).
+    pub fn proxy(&self) -> &CowProxy {
+        &self.proxy
+    }
+
+    /// Mutable access to the underlying proxy (attaching storage tiers).
+    pub fn proxy_mut(&mut self) -> &mut CowProxy {
+        &mut self.proxy
+    }
+
+    /// Rows held in `initiator`'s delta tables (per-tenant accounting).
+    pub fn delta_row_count(&self, initiator: &str) -> usize {
+        self.proxy.delta_row_count(initiator)
+    }
+}
+
+impl<S: Send> ContentProvider for CowProvider<S> {
+    fn authority(&self) -> &str {
+        self.schema.authority
+    }
+
+    fn insert(
+        &mut self,
+        caller: &Caller,
+        uri: &Uri,
+        values: &ContentValues,
+    ) -> ProviderResult<Uri> {
+        let relation = self.schema.route_write(uri)?;
+        let mut view = caller.db_view(uri)?;
+        // The initiator isVolatile API (§6.1 item 4).
+        if values.is_volatile && view == DbView::Primary {
+            view = DbView::Volatile { initiator: caller.app.pkg().to_string() };
+        }
+        let id = self.proxy.insert(&view, relation, &values.as_proxy_values())?;
+        let base = match view {
+            DbView::Volatile { .. } => uri.without_tmp().as_volatile(),
+            _ => uri.without_tmp(),
+        };
+        Ok(base.with_id(id))
+    }
+
+    fn update(
+        &mut self,
+        caller: &Caller,
+        uri: &Uri,
+        values: &ContentValues,
+        args: &QueryArgs,
+    ) -> ProviderResult<usize> {
+        let relation = self.schema.route_write(uri)?;
+        let view = caller.db_view(uri)?;
+        let (where_clause, params) = where_clause(uri, args)?;
+        let sets = values.as_proxy_values();
+        Ok(self.proxy.update(&view, relation, &sets, where_clause.as_deref(), &params)?)
+    }
+
+    fn query(&mut self, caller: &Caller, uri: &Uri, args: &QueryArgs) -> ProviderResult<ResultSet> {
+        let (relation, view, opts, params) = self.schema.route_query(caller, uri, args)?;
+        Ok(self.proxy.query(&view, relation, &opts, &params)?)
+    }
+
+    fn delete(&mut self, caller: &Caller, uri: &Uri, args: &QueryArgs) -> ProviderResult<usize> {
+        let relation = self.schema.route_write(uri)?;
+        let view = caller.db_view(uri)?;
+        let (where_clause, params) = where_clause(uri, args)?;
+        Ok(self.proxy.delete(&view, relation, where_clause.as_deref(), &params)?)
+    }
+
+    fn clear_volatile(&mut self, initiator: &str) -> ProviderResult<()> {
+        self.proxy.clear_volatile(initiator)?;
+        Ok(())
+    }
+
+    fn commit_volatile_row(
+        &mut self,
+        initiator: &str,
+        table: &str,
+        id: i64,
+    ) -> ProviderResult<bool> {
+        Ok(self.proxy.commit_volatile_row(initiator, table, id)?)
+    }
+
+    fn publish_read(&mut self) {
+        self.proxy.publish_read();
+    }
+
+    fn read_handle(&self) -> Option<Arc<dyn ReadHandle>> {
+        Some(Arc::new(CowReadHandle { schema: self.schema, slot: self.proxy.read_slot() }))
+    }
+}
+
+/// The snapshot read path: the locked path's routing and checks, run
+/// against the proxy's published snapshot.
+#[derive(Debug)]
+struct CowReadHandle {
+    schema: &'static Schema,
+    slot: ReadSlot,
+}
+
+impl ReadHandle for CowReadHandle {
+    fn try_query(
+        &self,
+        caller: &Caller,
+        uri: &Uri,
+        args: &QueryArgs,
+    ) -> Option<ProviderResult<ResultSet>> {
+        let (relation, view, opts, params) = match self.schema.route_query(caller, uri, args) {
+            Ok(routed) => routed,
+            Err(e) => return Some(Err(e)),
+        };
+        let rs = self.slot.try_query(&view, relation, &opts, &params)?;
+        Some(rs.map_err(ProviderError::from))
+    }
+}

@@ -13,27 +13,35 @@
 //! - still allows delegates to add or update database entries for existing
 //!   files, because that does not touch the network.
 
+use crate::cow::{CowProvider, Schema};
 use crate::locator::{FileLocator, SystemFiles};
-use crate::provider::{
-    Caller, ContentProvider, ContentValues, ProviderError, ProviderResult, QueryArgs, ReadHandle,
-};
-use crate::uri::Uri;
-use maxoid_cowproxy::{CowProxy, DbView, QueryOpts, ReadSlot, ADMIN_INITIATOR_COL, ADMIN_STATE_COL};
+use crate::provider::{Caller, ProviderError, ProviderResult};
+use maxoid_cowproxy::{DbView, ADMIN_INITIATOR_COL, ADMIN_STATE_COL};
 use maxoid_kernel::{Kernel, Pid};
-use maxoid_sqldb::{ResultSet, Value};
+use maxoid_sqldb::{Database, Value};
 use maxoid_vfs::VPath;
-use std::sync::Arc;
 
 /// Authority of the Downloads provider.
 pub const AUTHORITY: &str = "downloads";
 
-/// The provider's schema DDL.
-const SCHEMA: &str = "CREATE TABLE downloads (_id INTEGER PRIMARY KEY, uri TEXT, \
-     dest TEXT, title TEXT, status INTEGER, total_bytes INTEGER);
-     CREATE INDEX idx_downloads_status ON downloads (status);
-     CREATE INDEX idx_downloads_uri ON downloads (uri);
-     CREATE TABLE request_headers (_id INTEGER PRIMARY KEY, \
-     download_id INTEGER, header TEXT, value TEXT);";
+/// The downloads and request_headers tables, as in Android.
+static SCHEMA: Schema = Schema {
+    authority: AUTHORITY,
+    ddl: "CREATE TABLE downloads (_id INTEGER PRIMARY KEY, uri TEXT, \
+          dest TEXT, title TEXT, status INTEGER, total_bytes INTEGER);
+          CREATE INDEX idx_downloads_status ON downloads (status);
+          CREATE INDEX idx_downloads_uri ON downloads (uri);
+          CREATE TABLE request_headers (_id INTEGER PRIMARY KEY, \
+          download_id INTEGER, header TEXT, value TEXT);",
+    views: &[],
+    routes: &[
+        ("my_downloads", "downloads"),
+        ("all_downloads", "downloads"),
+        ("downloads", "downloads"),
+        ("headers", "request_headers"),
+        ("request_headers", "request_headers"),
+    ],
+};
 
 /// Download status values (Android's `DownloadManager` constants).
 pub mod status {
@@ -76,84 +84,33 @@ pub struct DownloadRequest {
     pub volatile: bool,
 }
 
-/// The Downloads system content provider plus its manager service.
-pub struct DownloadsProvider<L: FileLocator> {
-    proxy: CowProxy,
+/// The download manager service's state: file access for fetched
+/// payloads and the notifications it has posted.
+#[derive(Debug)]
+pub struct DownloadService<L: FileLocator> {
     files: SystemFiles<L>,
     notifications: Vec<DownloadNotification>,
 }
 
-impl<L: FileLocator> std::fmt::Debug for DownloadsProvider<L> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DownloadsProvider")
-            .field("notifications", &self.notifications.len())
-            .finish()
-    }
-}
+/// The Downloads system content provider plus its manager service.
+pub type DownloadsProvider<L> = CowProvider<DownloadService<L>>;
 
-impl<L: FileLocator> DownloadsProvider<L> {
-    /// Creates the provider with its two tables (downloads and
-    /// request_headers, as in Android).
-    pub fn new(files: SystemFiles<L>) -> Self {
-        let mut proxy = CowProxy::new();
-        proxy.execute_batch(SCHEMA).expect("static schema is valid");
-        DownloadsProvider { proxy, files, notifications: Vec::new() }
-    }
-
-    /// Creates the provider with a journal sink attached *before* the
-    /// schema DDL runs, so replaying the log rebuilds the catalog
-    /// (tables and indexes) as well as the rows.
-    pub fn with_journal(files: SystemFiles<L>, sink: maxoid_journal::SinkRef) -> Self {
-        let mut proxy = CowProxy::new();
-        proxy.attach_journal(sink, &format!("db.{AUTHORITY}"));
-        proxy.execute_batch(SCHEMA).expect("static schema is valid");
-        DownloadsProvider { proxy, files, notifications: Vec::new() }
-    }
-
-    /// Rebuilds the provider around a database recovered from a journal.
+impl<L: FileLocator> CowProvider<DownloadService<L>> {
+    /// Creates the provider, journaled when given a sink and around a
+    /// journal-recovered database when given one (see [`CowProvider`]).
     /// In-flight notifications are not durable state and start empty.
-    pub fn from_recovered(db: maxoid_sqldb::Database, files: SystemFiles<L>) -> Self {
-        let mut proxy = CowProxy::adopt(db);
-        if !proxy.db().has_table("downloads") {
-            proxy.execute_batch(SCHEMA).expect("static schema is valid");
-        }
-        DownloadsProvider { proxy, files, notifications: Vec::new() }
-    }
-
-    /// Rebuilds the provider from a recovered database *and* reattaches
-    /// the journal (cold boot). The sink is attached before any missing
-    /// schema is installed so a pre-DDL crash re-logs the catalog.
-    pub fn from_recovered_journaled(
-        db: maxoid_sqldb::Database,
+    pub fn open(
         files: SystemFiles<L>,
-        sink: maxoid_journal::SinkRef,
+        journal: Option<maxoid_journal::SinkRef>,
+        recovered: Option<Database>,
     ) -> Self {
-        let mut proxy = CowProxy::adopt(db);
-        proxy.attach_journal(sink, &format!("db.{AUTHORITY}"));
-        if !proxy.db().has_table("downloads") {
-            proxy.execute_batch(SCHEMA).expect("static schema is valid");
-        }
-        DownloadsProvider { proxy, files, notifications: Vec::new() }
-    }
-
-    /// Access to the proxy (tests, benches).
-    pub fn proxy(&self) -> &CowProxy {
-        &self.proxy
-    }
-
-    /// Mutable access to the proxy (attaching storage tiers).
-    pub fn proxy_mut(&mut self) -> &mut CowProxy {
-        &mut self.proxy
-    }
-
-    /// Rows held in `initiator`'s delta tables (per-tenant accounting).
-    pub fn delta_row_count(&self, initiator: &str) -> usize {
-        self.proxy.delta_row_count(initiator)
+        let services = DownloadService { files, notifications: Vec::new() };
+        CowProvider::with_schema(&SCHEMA, services, journal, recovered)
     }
 
     /// Drains posted notifications.
     pub fn take_notifications(&mut self) -> Vec<DownloadNotification> {
-        std::mem::take(&mut self.notifications)
+        std::mem::take(&mut self.services.notifications)
     }
 
     /// Enqueues a download (the `DownloadManager.enqueue` analogue).
@@ -249,7 +206,8 @@ impl<L: FileLocator> DownloadsProvider<L> {
             match result {
                 Ok(data) => {
                     let dest_path = VPath::new(&dest).map_err(maxoid_kernel::KernelError::Fs)?;
-                    self.files
+                    self.services
+                        .files
                         .write(initiator.as_deref(), &dest_path, &data)
                         .map_err(maxoid_kernel::KernelError::Fs)?;
                     self.proxy.update(
@@ -262,7 +220,7 @@ impl<L: FileLocator> DownloadsProvider<L> {
                         Some("_id = ?"),
                         &[Value::Integer(id)],
                     )?;
-                    self.notifications.push(DownloadNotification {
+                    self.services.notifications.push(DownloadNotification {
                         id,
                         initiator,
                         title,
@@ -277,7 +235,7 @@ impl<L: FileLocator> DownloadsProvider<L> {
                         Some("_id = ?"),
                         &[Value::Integer(id)],
                     )?;
-                    self.notifications.push(DownloadNotification {
+                    self.services.notifications.push(DownloadNotification {
                         id,
                         initiator,
                         title,
@@ -293,165 +251,10 @@ impl<L: FileLocator> DownloadsProvider<L> {
     /// Reads a completed download's bytes, resolving volatile files to the
     /// requesting initiator's tmp storage (the `File`-wrapper behaviour).
     pub fn open_download(&self, initiator: Option<&str>, dest: &VPath) -> ProviderResult<Vec<u8>> {
-        self.files
+        self.services
+            .files
             .read(initiator, dest)
             .map_err(|e| ProviderError::Kernel(maxoid_kernel::KernelError::Fs(e)))
-    }
-
-    fn table_for(&self, uri: &Uri) -> ProviderResult<&'static str> {
-        table_for(uri)
-    }
-
-    fn build_where(uri: &Uri, args: &QueryArgs) -> (Option<String>, Vec<Value>) {
-        build_where(uri, args)
-    }
-
-    /// The lock-free read handle for this provider (see
-    /// [`crate::ContentResolver::register_with_read`]). Routed queries
-    /// are pure plans — the background download pump mutates through the
-    /// provider lock and retracts the snapshot — so reads can run from
-    /// the published snapshot without that lock.
-    pub fn read_handle(&self) -> Arc<dyn ReadHandle> {
-        Arc::new(DownloadsReadHandle { slot: self.proxy.read_slot() })
-    }
-}
-
-fn table_for(uri: &Uri) -> ProviderResult<&'static str> {
-    match uri.collection() {
-        Some("my_downloads") | Some("all_downloads") | Some("downloads") => Ok("downloads"),
-        Some("headers") | Some("request_headers") => Ok("request_headers"),
-        _ => Err(ProviderError::UnknownUri(uri.to_string())),
-    }
-}
-
-fn build_where(uri: &Uri, args: &QueryArgs) -> (Option<String>, Vec<Value>) {
-    let mut clauses = Vec::new();
-    let mut params = Vec::new();
-    if let Some(id) = uri.id() {
-        clauses.push("_id = ?".to_string());
-        params.push(Value::Integer(id));
-    }
-    if let Some(sel) = &args.selection {
-        clauses.push(format!("({sel})"));
-        params.extend(args.selection_args.iter().cloned());
-    }
-    if clauses.is_empty() {
-        (None, params)
-    } else {
-        (Some(clauses.join(" AND ")), params)
-    }
-}
-
-/// Snapshot read path mirroring [`DownloadsProvider::query`]'s routing.
-#[derive(Debug)]
-struct DownloadsReadHandle {
-    slot: ReadSlot,
-}
-
-impl ReadHandle for DownloadsReadHandle {
-    fn try_query(
-        &self,
-        caller: &Caller,
-        uri: &Uri,
-        args: &QueryArgs,
-    ) -> Option<ProviderResult<ResultSet>> {
-        let table = match table_for(uri) {
-            Ok(t) => t,
-            Err(e) => return Some(Err(e)),
-        };
-        let view = match caller.db_view(uri) {
-            Ok(v) => v,
-            Err(e) => return Some(Err(e)),
-        };
-        let (where_clause, params) = build_where(uri, args);
-        let opts = QueryOpts {
-            columns: args.projection.clone(),
-            where_clause,
-            order_by: args.sort_order.clone(),
-            limit: None,
-        };
-        let rs = self.slot.try_query(&view, table, &opts, &params)?;
-        Some(rs.map_err(ProviderError::from))
-    }
-}
-
-impl<L: FileLocator> ContentProvider for DownloadsProvider<L> {
-    fn authority(&self) -> &str {
-        AUTHORITY
-    }
-
-    fn insert(
-        &mut self,
-        caller: &Caller,
-        uri: &Uri,
-        values: &ContentValues,
-    ) -> ProviderResult<Uri> {
-        let table = self.table_for(uri)?;
-        let mut view = caller.db_view(uri)?;
-        if values.is_volatile && view == DbView::Primary {
-            view = DbView::Volatile { initiator: caller.app.pkg().to_string() };
-        }
-        // Delegates may create records for existing files — no network is
-        // involved — but any URL they set will never be fetched for them.
-        let vals = values.as_proxy_values();
-        let id = self.proxy.insert(&view, table, &vals)?;
-        let base = match &view {
-            DbView::Volatile { .. } => uri.without_tmp().as_volatile(),
-            _ => uri.without_tmp(),
-        };
-        Ok(base.with_id(id))
-    }
-
-    fn update(
-        &mut self,
-        caller: &Caller,
-        uri: &Uri,
-        values: &ContentValues,
-        args: &QueryArgs,
-    ) -> ProviderResult<usize> {
-        let table = self.table_for(uri)?;
-        let view = caller.db_view(uri)?;
-        let (where_clause, params) = Self::build_where(uri, args);
-        let sets = values.as_proxy_values();
-        Ok(self.proxy.update(&view, table, &sets, where_clause.as_deref(), &params)?)
-    }
-
-    fn query(&mut self, caller: &Caller, uri: &Uri, args: &QueryArgs) -> ProviderResult<ResultSet> {
-        let table = self.table_for(uri)?;
-        let view = caller.db_view(uri)?;
-        let (where_clause, params) = Self::build_where(uri, args);
-        let opts = QueryOpts {
-            columns: args.projection.clone(),
-            where_clause,
-            order_by: args.sort_order.clone(),
-            limit: None,
-        };
-        Ok(self.proxy.query(&view, table, &opts, &params)?)
-    }
-
-    fn delete(&mut self, caller: &Caller, uri: &Uri, args: &QueryArgs) -> ProviderResult<usize> {
-        let table = self.table_for(uri)?;
-        let view = caller.db_view(uri)?;
-        let (where_clause, params) = Self::build_where(uri, args);
-        Ok(self.proxy.delete(&view, table, where_clause.as_deref(), &params)?)
-    }
-
-    fn clear_volatile(&mut self, initiator: &str) -> ProviderResult<()> {
-        self.proxy.clear_volatile(initiator)?;
-        Ok(())
-    }
-
-    fn commit_volatile_row(
-        &mut self,
-        initiator: &str,
-        table: &str,
-        id: i64,
-    ) -> ProviderResult<bool> {
-        Ok(self.proxy.commit_volatile_row(initiator, table, id)?)
-    }
-
-    fn publish_read(&mut self) {
-        self.proxy.publish_read();
     }
 }
 
@@ -459,6 +262,8 @@ impl<L: FileLocator> ContentProvider for DownloadsProvider<L> {
 mod tests {
     use super::*;
     use crate::locator::SimpleLocator;
+    use crate::provider::{ContentProvider, ContentValues, QueryArgs};
+    use crate::uri::Uri;
     use maxoid_kernel::{AppId, ExecContext};
     use maxoid_vfs::{vpath, MountNamespace};
 
@@ -469,7 +274,7 @@ mod tests {
         kernel.install_app(&svc);
         let pid = kernel.spawn(&svc, ExecContext::Normal, MountNamespace::new()).unwrap();
         let files = SystemFiles::new(kernel.vfs().clone(), SimpleLocator);
-        let provider = DownloadsProvider::new(files);
+        let provider = DownloadsProvider::open(files, None, None);
         (kernel, pid, provider)
     }
 

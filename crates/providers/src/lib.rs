@@ -12,6 +12,10 @@
 //!   (`images`/`audio_meta`/`video`/`audio` over `files`) plus thumbnail
 //!   generation that tracks record provenance.
 //!
+//! All three are one proxy-backed core, [`CowProvider`], each with its own
+//! schema, URI routes and services; the core also checks the SQL
+//! fragments callers pass before any of them reaches SQL.
+//!
 //! # Examples
 //!
 //! ```
@@ -32,6 +36,7 @@
 
 #![warn(missing_docs)]
 
+pub mod cow;
 pub mod downloads;
 pub mod locator;
 pub mod media;
@@ -40,7 +45,8 @@ pub mod resolver;
 pub mod uri;
 pub mod userdict;
 
-pub use downloads::{DownloadNotification, DownloadRequest, DownloadsProvider};
+pub use cow::CowProvider;
+pub use downloads::{DownloadNotification, DownloadRequest, DownloadService, DownloadsProvider};
 pub use locator::{FileLocator, SimpleLocator, SystemFiles};
 pub use media::{MediaKind, MediaProvider};
 pub use provider::{Caller, ContentValues, ProviderError, ProviderResult, QueryArgs, ReadHandle};

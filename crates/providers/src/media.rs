@@ -9,19 +9,46 @@
 //! which state a record/request belongs to so a delegate's thumbnails land
 //! in the initiator's volatile storage.
 
+use crate::cow::{CowProvider, Schema};
 use crate::locator::{FileLocator, SystemFiles};
-use crate::provider::{
-    Caller, ContentProvider, ContentValues, ProviderError, ProviderResult, QueryArgs, ReadHandle,
-};
-use crate::uri::Uri;
-use maxoid_cowproxy::{cow_view, delta_table, CowProxy, DbView, QueryOpts, ReadSlot};
+use crate::provider::{Caller, ProviderError, ProviderResult};
+use maxoid_cowproxy::DbView;
 use maxoid_kernel::ExecContext;
-use maxoid_sqldb::{ResultSet, Value};
+use maxoid_sqldb::Database;
 use maxoid_vfs::VPath;
-use std::sync::Arc;
 
 /// Authority of the Media provider.
 pub const AUTHORITY: &str = "media";
+
+/// The `files` base table, the thumbnails table, and the user-defined
+/// view hierarchy: `images`, `audio_meta` and `video` over `files`, and
+/// `audio` over `audio_meta` (a second hierarchy level).
+static SCHEMA: Schema = Schema {
+    authority: AUTHORITY,
+    ddl: "CREATE TABLE files (_id INTEGER PRIMARY KEY, _data TEXT, \
+          media_type INTEGER, title TEXT, _size INTEGER, date_added INTEGER, \
+          bucket_id INTEGER);
+          CREATE INDEX idx_files_bucket_id ON files (bucket_id);
+          CREATE TABLE thumbnails (_id INTEGER PRIMARY KEY, file_id INTEGER, \
+          _data TEXT);",
+    views: &[
+        ("images", "SELECT _id, _data, title, _size, date_added FROM files WHERE media_type = 1"),
+        (
+            "audio_meta",
+            "SELECT _id, _data, title, _size, date_added FROM files WHERE media_type = 2",
+        ),
+        ("video", "SELECT _id, _data, title, _size, date_added FROM files WHERE media_type = 3"),
+        ("audio", "SELECT _id, _data, title FROM audio_meta"),
+    ],
+    routes: &[
+        ("files", "files"),
+        ("images", "images"),
+        ("audio", "audio"),
+        ("audio_meta", "audio_meta"),
+        ("video", "video"),
+        ("thumbnails", "thumbnails"),
+    ],
+};
 
 /// Media types stored in the `files` table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,123 +73,18 @@ impl MediaKind {
 }
 
 /// The Media system content provider with its view hierarchy and thumbnail
-/// service.
-pub struct MediaProvider<L: FileLocator> {
-    proxy: CowProxy,
-    files: SystemFiles<L>,
-}
+/// service, whose only state is the system file access thumbnails need.
+pub type MediaProvider<L> = CowProvider<SystemFiles<L>>;
 
-impl<L: FileLocator> std::fmt::Debug for MediaProvider<L> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MediaProvider").finish()
-    }
-}
-
-/// The provider's schema DDL.
-const SCHEMA: &str = "CREATE TABLE files (_id INTEGER PRIMARY KEY, _data TEXT, \
-     media_type INTEGER, title TEXT, _size INTEGER, date_added INTEGER, \
-     bucket_id INTEGER);
-     CREATE INDEX idx_files_bucket_id ON files (bucket_id);
-     CREATE TABLE thumbnails (_id INTEGER PRIMARY KEY, file_id INTEGER, \
-     _data TEXT);";
-
-/// Registers Media's user-defined view hierarchy with the proxy. On an
-/// adopted (journal-recovered) database the replayed view definitions are
-/// adopted rather than recreated.
-fn register_views(proxy: &mut CowProxy) {
-    proxy
-        .register_user_view(
-            "CREATE VIEW images AS SELECT _id, _data, title, _size, date_added \
-             FROM files WHERE media_type = 1",
-        )
-        .expect("static view is valid");
-    proxy
-        .register_user_view(
-            "CREATE VIEW audio_meta AS SELECT _id, _data, title, _size, date_added \
-             FROM files WHERE media_type = 2",
-        )
-        .expect("static view is valid");
-    proxy
-        .register_user_view(
-            "CREATE VIEW video AS SELECT _id, _data, title, _size, date_added \
-             FROM files WHERE media_type = 3",
-        )
-        .expect("static view is valid");
-    // `audio` is defined over `audio_meta` — a second hierarchy level.
-    proxy
-        .register_user_view("CREATE VIEW audio AS SELECT _id, _data, title FROM audio_meta")
-        .expect("static view is valid");
-}
-
-impl<L: FileLocator> MediaProvider<L> {
-    /// Creates the provider: the `files` base table, the thumbnails table,
-    /// and the user-defined view hierarchy registered with the proxy.
-    pub fn new(files: SystemFiles<L>) -> Self {
-        let mut proxy = CowProxy::new();
-        proxy.execute_batch(SCHEMA).expect("static schema is valid");
-        register_views(&mut proxy);
-        MediaProvider { proxy, files }
-    }
-
-    /// Creates the provider with a journal sink attached *before* the
-    /// schema DDL and view registration run, so replaying the log
-    /// rebuilds the catalog (tables, indexes, user views) as well as the
-    /// rows.
-    pub fn with_journal(files: SystemFiles<L>, sink: maxoid_journal::SinkRef) -> Self {
-        let mut proxy = CowProxy::new();
-        proxy.attach_journal(sink, &format!("db.{AUTHORITY}"));
-        proxy.execute_batch(SCHEMA).expect("static schema is valid");
-        register_views(&mut proxy);
-        MediaProvider { proxy, files }
-    }
-
-    /// Rebuilds the provider around a database recovered from a journal.
-    /// Replayed user-view definitions are adopted, and the per-initiator
-    /// COW instances of those views (derived state that is never
-    /// journaled) are rebuilt eagerly so delegate reads do not fall back
-    /// to the plain views.
-    pub fn from_recovered(db: maxoid_sqldb::Database, files: SystemFiles<L>) -> Self {
-        let mut proxy = CowProxy::adopt(db);
-        if !proxy.db().has_table("files") {
-            proxy.execute_batch(SCHEMA).expect("static schema is valid");
-        }
-        register_views(&mut proxy);
-        proxy.rebuild_cow_views().expect("registered views rebuild cleanly");
-        MediaProvider { proxy, files }
-    }
-
-    /// Rebuilds the provider from a recovered database *and* reattaches
-    /// the journal (cold boot). The sink is attached before any missing
-    /// schema is installed so a pre-DDL crash re-logs the catalog; view
-    /// registration and COW-view rebuilds are derived state and follow.
-    pub fn from_recovered_journaled(
-        db: maxoid_sqldb::Database,
+impl<L: FileLocator> CowProvider<SystemFiles<L>> {
+    /// Creates the provider, journaled when given a sink and around a
+    /// journal-recovered database when given one (see [`CowProvider`]).
+    pub fn open(
         files: SystemFiles<L>,
-        sink: maxoid_journal::SinkRef,
+        journal: Option<maxoid_journal::SinkRef>,
+        recovered: Option<Database>,
     ) -> Self {
-        let mut proxy = CowProxy::adopt(db);
-        proxy.attach_journal(sink, &format!("db.{AUTHORITY}"));
-        if !proxy.db().has_table("files") {
-            proxy.execute_batch(SCHEMA).expect("static schema is valid");
-        }
-        register_views(&mut proxy);
-        proxy.rebuild_cow_views().expect("registered views rebuild cleanly");
-        MediaProvider { proxy, files }
-    }
-
-    /// Access to the proxy (tests, benches).
-    pub fn proxy(&self) -> &CowProxy {
-        &self.proxy
-    }
-
-    /// Mutable access to the proxy (attaching storage tiers).
-    pub fn proxy_mut(&mut self) -> &mut CowProxy {
-        &mut self.proxy
-    }
-
-    /// Rows held in `initiator`'s delta tables (per-tenant accounting).
-    pub fn delta_row_count(&self, initiator: &str) -> usize {
-        self.proxy.delta_row_count(initiator)
+        CowProvider::with_schema(&SCHEMA, files, journal, recovered)
     }
 
     /// Scans a media file: inserts its metadata and generates a thumbnail
@@ -198,7 +120,7 @@ impl<L: FileLocator> MediaProvider<L> {
         let thumb_path = thumbnail_path(path)?;
         let thumb_bytes = synth_thumbnail(path, data_len);
         let initiator = caller.ctx.initiator().map(|a| a.pkg().to_string());
-        self.files
+        self.services
             .write(initiator.as_deref(), &thumb_path, &thumb_bytes)
             .map_err(maxoid_kernel::KernelError::Fs)?;
         self.proxy.insert(
@@ -217,117 +139,9 @@ impl<L: FileLocator> MediaProvider<L> {
         media_path: &VPath,
     ) -> ProviderResult<Vec<u8>> {
         let thumb = thumbnail_path(media_path).map_err(ProviderError::Kernel)?;
-        self.files
+        self.services
             .read(initiator, &thumb)
             .map_err(|e| ProviderError::Kernel(maxoid_kernel::KernelError::Fs(e)))
-    }
-
-    fn relation_for(&self, uri: &Uri) -> ProviderResult<&'static str> {
-        relation_for(uri)
-    }
-
-    fn is_user_view(rel: &str) -> bool {
-        is_user_view(rel)
-    }
-
-    fn build_where(uri: &Uri, args: &QueryArgs) -> (Option<String>, Vec<Value>) {
-        build_where(uri, args)
-    }
-
-    /// The lock-free read handle for this provider (see
-    /// [`crate::ContentResolver::register_with_read`]). Most reads run
-    /// from the published snapshot; the one write-side read — a delegate
-    /// with a `files` delta querying a user view whose per-initiator COW
-    /// instance has not been built yet — is detected against the same
-    /// snapshot and declined so the locked path can run `ensure_cow`.
-    pub fn read_handle(&self) -> Arc<dyn ReadHandle> {
-        Arc::new(MediaReadHandle { slot: self.proxy.read_slot() })
-    }
-}
-
-fn relation_for(uri: &Uri) -> ProviderResult<&'static str> {
-    match uri.collection() {
-        Some("files") => Ok("files"),
-        Some("images") => Ok("images"),
-        Some("audio") => Ok("audio"),
-        Some("audio_meta") => Ok("audio_meta"),
-        Some("video") => Ok("video"),
-        Some("thumbnails") => Ok("thumbnails"),
-        _ => Err(ProviderError::UnknownUri(uri.to_string())),
-    }
-}
-
-fn is_user_view(rel: &str) -> bool {
-    matches!(rel, "images" | "audio" | "audio_meta" | "video")
-}
-
-fn build_where(uri: &Uri, args: &QueryArgs) -> (Option<String>, Vec<Value>) {
-    let mut clauses = Vec::new();
-    let mut params = Vec::new();
-    if let Some(id) = uri.id() {
-        clauses.push("_id = ?".to_string());
-        params.push(Value::Integer(id));
-    }
-    if let Some(sel) = &args.selection {
-        clauses.push(format!("({sel})"));
-        params.extend(args.selection_args.iter().cloned());
-    }
-    if clauses.is_empty() {
-        (None, params)
-    } else {
-        (Some(clauses.join(" AND ")), params)
-    }
-}
-
-/// Snapshot read path mirroring [`MediaProvider::query`]'s routing,
-/// including the on-demand COW-view wrinkle (declined via the gate).
-#[derive(Debug)]
-struct MediaReadHandle {
-    slot: ReadSlot,
-}
-
-impl ReadHandle for MediaReadHandle {
-    fn try_query(
-        &self,
-        caller: &Caller,
-        uri: &Uri,
-        args: &QueryArgs,
-    ) -> Option<ProviderResult<ResultSet>> {
-        let rel = match relation_for(uri) {
-            Ok(r) => r,
-            Err(e) => return Some(Err(e)),
-        };
-        let view = match caller.db_view(uri) {
-            Ok(v) => v,
-            Err(e) => return Some(Err(e)),
-        };
-        let (where_clause, params) = build_where(uri, args);
-        let opts = QueryOpts {
-            columns: args.projection.clone(),
-            where_clause,
-            order_by: args.sort_order.clone(),
-            limit: None,
-        };
-        let gate = |db: &maxoid_sqldb::Database| {
-            // The locked path builds a user view's per-initiator COW
-            // instance on demand when the initiator holds a `files`
-            // delta. If this snapshot has the delta but not the COW
-            // view, a snapshot read of the plain view would hide the
-            // delta rows — fall back so `ensure_cow` can run. The check
-            // and the query use the same snapshot, so the decision
-            // cannot race a republish.
-            if let DbView::Delegate { initiator } = &view {
-                if is_user_view(rel)
-                    && db.has_table(&delta_table("files", initiator))
-                    && !db.has_view(&cow_view(rel, initiator))
-                {
-                    return false;
-                }
-            }
-            true
-        };
-        let rs = self.slot.try_query_gated(gate, &view, rel, &opts, &params)?;
-        Some(rs.map_err(ProviderError::from))
     }
 }
 
@@ -366,115 +180,17 @@ fn synth_thumbnail(path: &VPath, data_len: usize) -> Vec<u8> {
     bytes
 }
 
-impl<L: FileLocator> ContentProvider for MediaProvider<L> {
-    fn authority(&self) -> &str {
-        AUTHORITY
-    }
-
-    fn insert(
-        &mut self,
-        caller: &Caller,
-        uri: &Uri,
-        values: &ContentValues,
-    ) -> ProviderResult<Uri> {
-        let rel = self.relation_for(uri)?;
-        if Self::is_user_view(rel) {
-            return Err(ProviderError::Denied(format!(
-                "insert through view {rel} not supported; insert into files"
-            )));
-        }
-        let mut view = caller.db_view(uri)?;
-        if values.is_volatile && view == DbView::Primary {
-            view = DbView::Volatile { initiator: caller.app.pkg().to_string() };
-        }
-        let vals = values.as_proxy_values();
-        let id = self.proxy.insert(&view, rel, &vals)?;
-        let base = match &view {
-            DbView::Volatile { .. } => uri.without_tmp().as_volatile(),
-            _ => uri.without_tmp(),
-        };
-        Ok(base.with_id(id))
-    }
-
-    fn update(
-        &mut self,
-        caller: &Caller,
-        uri: &Uri,
-        values: &ContentValues,
-        args: &QueryArgs,
-    ) -> ProviderResult<usize> {
-        let rel = self.relation_for(uri)?;
-        if Self::is_user_view(rel) {
-            return Err(ProviderError::Denied(format!(
-                "update through view {rel} not supported; update files"
-            )));
-        }
-        let view = caller.db_view(uri)?;
-        let (where_clause, params) = Self::build_where(uri, args);
-        let sets = values.as_proxy_values();
-        Ok(self.proxy.update(&view, rel, &sets, where_clause.as_deref(), &params)?)
-    }
-
-    fn query(&mut self, caller: &Caller, uri: &Uri, args: &QueryArgs) -> ProviderResult<ResultSet> {
-        let rel = self.relation_for(uri)?;
-        let view = caller.db_view(uri)?;
-        // User-view COW instances are built on demand when a delegate with
-        // volatile state queries through the hierarchy.
-        if let DbView::Delegate { initiator } = &view {
-            if Self::is_user_view(rel) && self.proxy.has_delta("files", initiator) {
-                let initiator = initiator.clone();
-                self.proxy.ensure_cow(rel, &initiator)?;
-            }
-        }
-        let (where_clause, params) = Self::build_where(uri, args);
-        let opts = QueryOpts {
-            columns: args.projection.clone(),
-            where_clause,
-            order_by: args.sort_order.clone(),
-            limit: None,
-        };
-        Ok(self.proxy.query(&view, rel, &opts, &params)?)
-    }
-
-    fn delete(&mut self, caller: &Caller, uri: &Uri, args: &QueryArgs) -> ProviderResult<usize> {
-        let rel = self.relation_for(uri)?;
-        if Self::is_user_view(rel) {
-            return Err(ProviderError::Denied(format!(
-                "delete through view {rel} not supported; delete from files"
-            )));
-        }
-        let view = caller.db_view(uri)?;
-        let (where_clause, params) = Self::build_where(uri, args);
-        Ok(self.proxy.delete(&view, rel, where_clause.as_deref(), &params)?)
-    }
-
-    fn clear_volatile(&mut self, initiator: &str) -> ProviderResult<()> {
-        self.proxy.clear_volatile(initiator)?;
-        Ok(())
-    }
-
-    fn commit_volatile_row(
-        &mut self,
-        initiator: &str,
-        table: &str,
-        id: i64,
-    ) -> ProviderResult<bool> {
-        Ok(self.proxy.commit_volatile_row(initiator, table, id)?)
-    }
-
-    fn publish_read(&mut self) {
-        self.proxy.publish_read();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::locator::SimpleLocator;
+    use crate::provider::{ContentProvider, ContentValues, QueryArgs};
+    use crate::uri::Uri;
+    use maxoid_sqldb::Value;
     use maxoid_vfs::{vpath, Vfs};
 
     fn provider() -> MediaProvider<SimpleLocator> {
-        MediaProvider::new(SystemFiles::new(Vfs::new(), SimpleLocator))
+        MediaProvider::open(SystemFiles::new(Vfs::new(), SimpleLocator), None, None)
     }
 
     fn images_uri() -> Uri {

@@ -5,6 +5,7 @@ use maxoid_cowproxy::DbView;
 use maxoid_kernel::{AppId, ExecContext};
 use maxoid_sqldb::{ResultSet, Value};
 use std::fmt;
+use std::sync::Arc;
 
 /// Identity of the process calling into a provider.
 ///
@@ -205,20 +206,23 @@ pub trait ContentProvider {
     /// holds the authority lock. Providers without a snapshot read path
     /// ignore it.
     fn publish_read(&mut self) {}
+
+    /// The provider's lock-free read path, which the resolver takes at
+    /// registration. Providers without one return `None`.
+    fn read_handle(&self) -> Option<Arc<dyn ReadHandle>> {
+        None
+    }
 }
 
 /// The lock-free read path of a provider (MVCC snapshot reads).
 ///
-/// A read handle is registered alongside its provider
-/// ([`crate::ContentResolver::register_with_read`]) and holds a
-/// [`maxoid_cowproxy::ReadSlot`] — never the provider itself — so
-/// [`ReadHandle::try_query`] runs without the per-authority write lock.
-/// Returning `None` sends the resolver down the locked path: either no
-/// snapshot is published (a mutation just retracted it, a transaction is
-/// open, tables are paged to the block tier) or this particular read
-/// needs write-side work first (e.g. Media building a COW view on
-/// demand). Access control stays in the resolver; handles only plan and
-/// execute the query.
+/// A read handle holds a [`maxoid_cowproxy::ReadSlot`] — never the
+/// provider itself — so [`ReadHandle::try_query`] runs without the
+/// per-authority write lock. Returning `None` sends the resolver down the
+/// locked path: no snapshot is published (a mutation just retracted it,
+/// a transaction is open, tables are paged to the block tier). Access
+/// control stays in the resolver; handles only plan and execute the
+/// query.
 pub trait ReadHandle: Send + Sync {
     /// Attempts to serve a routed query from the published snapshot.
     fn try_query(

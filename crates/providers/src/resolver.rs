@@ -49,7 +49,7 @@ struct UriGrant {
 #[derive(Clone)]
 struct ProviderEntry {
     scope: ProviderScope,
-    provider: Arc<Mutex<Box<dyn ContentProvider + Send>>>,
+    provider: Arc<Mutex<dyn ContentProvider + Send>>,
     read: Option<Arc<dyn ReadHandle>>,
 }
 
@@ -65,10 +65,10 @@ struct ProviderEntry {
 /// ([`ContentProvider::publish_read`]). Queries first try the
 /// provider's registered [`ReadHandle`], which serves them from the
 /// published snapshot without the write lock; only when no snapshot is
-/// available (or the read needs write-side work) do they fall back to
-/// the locked path. When a caller must lock several providers (the
-/// Clear-Vol sweep), it does so one at a time in ascending authority
-/// order — the documented provider-lock order (DESIGN.md §4.10).
+/// available do they fall back to the locked path. When a caller must
+/// lock several providers (the Clear-Vol sweep), it does so one at a time
+/// in ascending authority order — the documented provider-lock order
+/// (DESIGN.md §4.10).
 #[derive(Default)]
 pub struct ContentResolver {
     providers: RwLock<BTreeMap<String, ProviderEntry>>,
@@ -94,30 +94,22 @@ impl ContentResolver {
         ContentResolver::default()
     }
 
-    /// Registers a provider under its authority.
-    pub fn register(&self, scope: ProviderScope, provider: Box<dyn ContentProvider + Send>) {
-        let authority = provider.authority().to_string();
-        self.providers.write().insert(
-            authority,
-            ProviderEntry { scope, provider: Arc::new(Mutex::new(provider)), read: None },
-        );
-    }
-
-    /// Registers a provider together with its lock-free read handle.
-    /// Queries will be served from the provider's published snapshot
-    /// whenever one is available, without taking the authority's write
-    /// lock.
-    pub fn register_with_read(
+    /// Registers a provider under its authority, together with its
+    /// lock-free read handle if it has one, and returns the provider's
+    /// mutex: the authority's one lock, which service APIs outside the
+    /// resolver (the download pump, media scans) take too.
+    pub fn register<P: ContentProvider + Send + 'static>(
         &self,
         scope: ProviderScope,
-        provider: Box<dyn ContentProvider + Send>,
-        read: Arc<dyn ReadHandle>,
-    ) {
+        provider: P,
+    ) -> Arc<Mutex<P>> {
         let authority = provider.authority().to_string();
-        self.providers.write().insert(
-            authority,
-            ProviderEntry { scope, provider: Arc::new(Mutex::new(provider)), read: Some(read) },
-        );
+        let read = provider.read_handle();
+        let shared = Arc::new(Mutex::new(provider));
+        self.providers
+            .write()
+            .insert(authority, ProviderEntry { scope, provider: shared.clone(), read });
+        shared
     }
 
     /// `(snapshot_reads, locked_reads)` since construction: how many
@@ -350,10 +342,10 @@ mod tests {
     }
 
     fn resolver_with_attachments() -> (ContentResolver, Uri) {
-        let mut r = ContentResolver::new();
+        let r = ContentResolver::new();
         r.register(
             ProviderScope::AppDefined { owner: "com.email".into() },
-            Box::new(AttachmentProvider::default()),
+            AttachmentProvider::default(),
         );
         let base = Uri::parse("content://com.email.attachmentprovider/attachments").unwrap();
         let email = Caller::normal("com.email");
@@ -364,8 +356,8 @@ mod tests {
 
     #[test]
     fn system_providers_are_world_reachable() {
-        let mut r = ContentResolver::new();
-        r.register(ProviderScope::System, Box::new(UserDictionaryProvider::new()));
+        let r = ContentResolver::new();
+        r.register(ProviderScope::System, UserDictionaryProvider::new());
         let uri = Uri::parse("content://user_dictionary/words").unwrap();
         let any = Caller::normal("com.random");
         r.insert(&any, &uri, &ContentValues::new().put("word", "ok")).unwrap();

@@ -6,13 +6,8 @@
 //! `content://user_dictionary/tmp/words[/id]` to the caller's volatile
 //! records.
 
-use crate::provider::{
-    Caller, ContentProvider, ContentValues, ProviderError, ProviderResult, QueryArgs, ReadHandle,
-};
-use crate::uri::Uri;
-use maxoid_cowproxy::{CowProxy, DbView, QueryOpts, ReadSlot};
-use maxoid_sqldb::{FlattenPolicy, ResultSet, Value};
-use std::sync::Arc;
+use crate::cow::{CowProvider, Schema};
+use maxoid_sqldb::Database;
 
 /// Authority of the User Dictionary provider.
 pub const AUTHORITY: &str = "user_dictionary";
@@ -20,248 +15,44 @@ pub const AUTHORITY: &str = "user_dictionary";
 /// The `words` table served by this provider.
 pub const WORDS_TABLE: &str = "words";
 
-/// The provider's schema DDL.
-const SCHEMA: &str = "CREATE TABLE words (_id INTEGER PRIMARY KEY, word TEXT NOT NULL, \
-     frequency INTEGER, locale TEXT, appid INTEGER);
-     CREATE INDEX idx_words_word ON words (word);";
+static SCHEMA: Schema = Schema {
+    authority: AUTHORITY,
+    ddl: "CREATE TABLE words (_id INTEGER PRIMARY KEY, word TEXT NOT NULL, \
+          frequency INTEGER, locale TEXT, appid INTEGER);
+          CREATE INDEX idx_words_word ON words (word);",
+    views: &[],
+    routes: &[("words", WORDS_TABLE)],
+};
 
-/// The User Dictionary system content provider.
-#[derive(Debug)]
-pub struct UserDictionaryProvider {
-    proxy: CowProxy,
-}
+/// The User Dictionary system content provider: pure passive storage, so
+/// the shared core with no services.
+pub type UserDictionaryProvider = CowProvider<()>;
 
-impl Default for UserDictionaryProvider {
+impl Default for CowProvider<()> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl UserDictionaryProvider {
-    /// Creates the provider with its schema.
+impl CowProvider<()> {
+    /// Creates the provider with its schema, unjournaled.
     pub fn new() -> Self {
-        Self::with_policy(FlattenPolicy::Sqlite386)
+        Self::open(None, None)
     }
 
-    /// Creates the provider with a specific planner policy (ablations).
-    pub fn with_policy(policy: FlattenPolicy) -> Self {
-        let mut proxy = CowProxy::with_policy(policy);
-        proxy.execute_batch(SCHEMA).expect("static schema is valid");
-        UserDictionaryProvider { proxy }
-    }
-
-    /// Creates the provider with a journal sink attached *before* the
-    /// schema DDL runs, so replaying the log rebuilds the catalog
-    /// (tables and indexes) as well as the rows.
-    pub fn with_journal(sink: maxoid_journal::SinkRef) -> Self {
-        let mut proxy = CowProxy::new();
-        proxy.attach_journal(sink, &format!("db.{AUTHORITY}"));
-        proxy.execute_batch(SCHEMA).expect("static schema is valid");
-        UserDictionaryProvider { proxy }
-    }
-
-    /// Rebuilds the provider around a database recovered from a journal.
-    /// The schema is installed only if replay did not already create it
-    /// (a crash before the first flush leaves an empty log).
-    pub fn from_recovered(db: maxoid_sqldb::Database) -> Self {
-        let mut proxy = CowProxy::adopt(db);
-        if !proxy.db().has_table(WORDS_TABLE) {
-            proxy.execute_batch(SCHEMA).expect("static schema is valid");
-        }
-        UserDictionaryProvider { proxy }
-    }
-
-    /// Rebuilds the provider from a recovered database *and* reattaches
-    /// the journal, so mutations after a cold boot keep logging. The sink
-    /// is attached before any missing schema is installed: if the crash
-    /// predated the schema DDL reaching the log, the reinstall is logged
-    /// now rather than silently diverging from the journal.
-    pub fn from_recovered_journaled(
-        db: maxoid_sqldb::Database,
-        sink: maxoid_journal::SinkRef,
-    ) -> Self {
-        let mut proxy = CowProxy::adopt(db);
-        proxy.attach_journal(sink, &format!("db.{AUTHORITY}"));
-        if !proxy.db().has_table(WORDS_TABLE) {
-            proxy.execute_batch(SCHEMA).expect("static schema is valid");
-        }
-        UserDictionaryProvider { proxy }
-    }
-
-    /// Access to the underlying proxy (tests, benches).
-    pub fn proxy(&self) -> &CowProxy {
-        &self.proxy
-    }
-
-    /// Mutable access to the underlying proxy.
-    pub fn proxy_mut(&mut self) -> &mut CowProxy {
-        &mut self.proxy
-    }
-
-    /// Rows held in `initiator`'s delta tables (per-tenant accounting).
-    pub fn delta_row_count(&self, initiator: &str) -> usize {
-        self.proxy.delta_row_count(initiator)
-    }
-
-    fn check_uri(&self, uri: &Uri) -> ProviderResult<()> {
-        check_uri(uri)
-    }
-
-    /// Combines a URI item id with caller selection into proxy arguments.
-    fn build_where(uri: &Uri, args: &QueryArgs) -> (Option<String>, Vec<Value>) {
-        build_where(uri, args)
-    }
-
-    /// The lock-free read handle for this provider, to be registered via
-    /// [`crate::ContentResolver::register_with_read`]. Queries are pure
-    /// plans over the proxy's published snapshot, so the whole read path
-    /// runs without the provider lock.
-    pub fn read_handle(&self) -> Arc<dyn ReadHandle> {
-        Arc::new(DictReadHandle { slot: self.proxy.read_slot() })
-    }
-}
-
-fn check_uri(uri: &Uri) -> ProviderResult<()> {
-    if uri.authority != AUTHORITY || uri.collection() != Some(WORDS_TABLE) {
-        return Err(ProviderError::UnknownUri(uri.to_string()));
-    }
-    Ok(())
-}
-
-fn build_where(uri: &Uri, args: &QueryArgs) -> (Option<String>, Vec<Value>) {
-    let mut clauses = Vec::new();
-    let mut params = Vec::new();
-    if let Some(id) = uri.id() {
-        clauses.push("_id = ?".to_string());
-        params.push(Value::Integer(id));
-    }
-    if let Some(sel) = &args.selection {
-        clauses.push(format!("({sel})"));
-        params.extend(args.selection_args.iter().cloned());
-    }
-    if clauses.is_empty() {
-        (None, params)
-    } else {
-        (Some(clauses.join(" AND ")), params)
-    }
-}
-
-/// Snapshot read path: the same URI routing and query plan as
-/// [`UserDictionaryProvider::query`], executed against the published
-/// snapshot in [`ReadSlot::try_query`].
-#[derive(Debug)]
-struct DictReadHandle {
-    slot: ReadSlot,
-}
-
-impl ReadHandle for DictReadHandle {
-    fn try_query(
-        &self,
-        caller: &Caller,
-        uri: &Uri,
-        args: &QueryArgs,
-    ) -> Option<ProviderResult<ResultSet>> {
-        if let Err(e) = check_uri(uri) {
-            return Some(Err(e));
-        }
-        let view = match caller.db_view(uri) {
-            Ok(v) => v,
-            Err(e) => return Some(Err(e)),
-        };
-        let (where_clause, params) = build_where(uri, args);
-        let opts = QueryOpts {
-            columns: args.projection.clone(),
-            where_clause,
-            order_by: args.sort_order.clone(),
-            limit: None,
-        };
-        let rs = self.slot.try_query(&view, WORDS_TABLE, &opts, &params)?;
-        Some(rs.map_err(ProviderError::from))
-    }
-}
-
-impl ContentProvider for UserDictionaryProvider {
-    fn authority(&self) -> &str {
-        AUTHORITY
-    }
-
-    fn insert(
-        &mut self,
-        caller: &Caller,
-        uri: &Uri,
-        values: &ContentValues,
-    ) -> ProviderResult<Uri> {
-        self.check_uri(uri)?;
-        let mut view = caller.db_view(uri)?;
-        // The initiator isVolatile API (§6.1 item 4).
-        if values.is_volatile && view == DbView::Primary {
-            view = DbView::Volatile { initiator: caller.app.pkg().to_string() };
-        }
-        let vals = values.as_proxy_values();
-        let id = self.proxy.insert(&view, WORDS_TABLE, &vals)?;
-        let base = match &view {
-            DbView::Volatile { .. } => uri.without_tmp().as_volatile(),
-            _ => uri.without_tmp(),
-        };
-        Ok(base.with_id(id))
-    }
-
-    fn update(
-        &mut self,
-        caller: &Caller,
-        uri: &Uri,
-        values: &ContentValues,
-        args: &QueryArgs,
-    ) -> ProviderResult<usize> {
-        self.check_uri(uri)?;
-        let view = caller.db_view(uri)?;
-        let (where_clause, params) = Self::build_where(uri, args);
-        let sets = values.as_proxy_values();
-        Ok(self.proxy.update(&view, WORDS_TABLE, &sets, where_clause.as_deref(), &params)?)
-    }
-
-    fn query(&mut self, caller: &Caller, uri: &Uri, args: &QueryArgs) -> ProviderResult<ResultSet> {
-        self.check_uri(uri)?;
-        let view = caller.db_view(uri)?;
-        let (where_clause, params) = Self::build_where(uri, args);
-        let opts = QueryOpts {
-            columns: args.projection.clone(),
-            where_clause,
-            order_by: args.sort_order.clone(),
-            limit: None,
-        };
-        Ok(self.proxy.query(&view, WORDS_TABLE, &opts, &params)?)
-    }
-
-    fn delete(&mut self, caller: &Caller, uri: &Uri, args: &QueryArgs) -> ProviderResult<usize> {
-        self.check_uri(uri)?;
-        let view = caller.db_view(uri)?;
-        let (where_clause, params) = Self::build_where(uri, args);
-        Ok(self.proxy.delete(&view, WORDS_TABLE, where_clause.as_deref(), &params)?)
-    }
-
-    fn clear_volatile(&mut self, initiator: &str) -> ProviderResult<()> {
-        self.proxy.clear_volatile(initiator)?;
-        Ok(())
-    }
-
-    fn commit_volatile_row(
-        &mut self,
-        initiator: &str,
-        table: &str,
-        id: i64,
-    ) -> ProviderResult<bool> {
-        Ok(self.proxy.commit_volatile_row(initiator, table, id)?)
-    }
-
-    fn publish_read(&mut self) {
-        self.proxy.publish_read();
+    /// Creates the provider, journaled when given a sink and around a
+    /// journal-recovered database when given one (see [`CowProvider`]).
+    pub fn open(journal: Option<maxoid_journal::SinkRef>, recovered: Option<Database>) -> Self {
+        CowProvider::with_schema(&SCHEMA, (), journal, recovered)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::provider::{Caller, ContentProvider, ContentValues, ProviderError, QueryArgs};
+    use crate::uri::Uri;
+    use maxoid_sqldb::Value;
 
     fn words_uri() -> Uri {
         Uri::parse("content://user_dictionary/words").unwrap()

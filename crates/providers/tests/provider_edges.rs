@@ -74,7 +74,7 @@ fn volatile_download_readable_by_same_initiators_delegates() {
     kernel.install_app(&svc);
     let svc_pid: Pid = kernel.spawn(&svc, ExecContext::Normal, MountNamespace::new()).unwrap();
     let files = SystemFiles::new(kernel.vfs().clone(), SimpleLocator);
-    let mut p = DownloadsProvider::new(files);
+    let mut p = DownloadsProvider::open(files, None, None);
 
     let browser = Caller::normal("browser");
     p.enqueue(
@@ -110,7 +110,7 @@ fn volatile_download_readable_by_same_initiators_delegates() {
 #[test]
 fn resolver_clear_volatile_spans_providers() {
     let mut r = ContentResolver::new();
-    r.register(ProviderScope::System, Box::new(UserDictionaryProvider::new()));
+    r.register(ProviderScope::System, UserDictionaryProvider::new());
     let del = Caller::delegate("viewer", "init");
     r.insert(&del, &words(), &ContentValues::new().put("word", "temp")).unwrap();
     assert_eq!(r.query(&del, &words(), &QueryArgs::default()).unwrap().rows.len(), 1);

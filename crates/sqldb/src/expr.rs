@@ -219,7 +219,10 @@ pub fn eval(expr: &Expr, scope: &RowScope, env: &EvalEnv<'_>) -> SqlResult<Value
             match op {
                 UnOp::Neg => match v {
                     Value::Null => Ok(Value::Null),
-                    Value::Integer(i) => Ok(Value::Integer(-i)),
+                    // -i64::MIN does not fit: it becomes REAL, as in SQLite.
+                    Value::Integer(i) => {
+                        Ok(i.checked_neg().map_or(Value::Real(-(i as f64)), Value::Integer))
+                    }
                     Value::Real(r) => Ok(Value::Real(-r)),
                     other => other
                         .as_real()
@@ -452,28 +455,22 @@ fn arith(op: BinOp, l: &Value, r: &Value) -> SqlResult<Value> {
         return Ok(Value::Null);
     }
     // Integer arithmetic when both sides are integers (except division by
-    // zero, which yields NULL like SQLite).
+    // zero, which yields NULL like SQLite). A result that overflows i64
+    // falls through to REAL arithmetic, as in SQLite.
     if let (Value::Integer(a), Value::Integer(b)) = (l, r) {
-        return Ok(match op {
-            BinOp::Add => Value::Integer(a.wrapping_add(*b)),
-            BinOp::Sub => Value::Integer(a.wrapping_sub(*b)),
-            BinOp::Mul => Value::Integer(a.wrapping_mul(*b)),
-            BinOp::Div => {
-                if *b == 0 {
-                    Value::Null
-                } else {
-                    Value::Integer(a.wrapping_div(*b))
-                }
-            }
-            BinOp::Rem => {
-                if *b == 0 {
-                    Value::Null
-                } else {
-                    Value::Integer(a.wrapping_rem(*b))
-                }
-            }
+        let exact = match op {
+            BinOp::Add => a.checked_add(*b),
+            BinOp::Sub => a.checked_sub(*b),
+            BinOp::Mul => a.checked_mul(*b),
+            BinOp::Div | BinOp::Rem if *b == 0 => return Ok(Value::Null),
+            BinOp::Div => a.checked_div(*b),
+            // i64::MIN % -1 is 0, as in SQLite.
+            BinOp::Rem => Some(a.wrapping_rem(*b)),
             _ => unreachable!("arith called with non-arithmetic op"),
-        });
+        };
+        if let Some(v) = exact {
+            return Ok(Value::Integer(v));
+        }
     }
     let (a, b) = match (l.as_real(), r.as_real()) {
         (Some(a), Some(b)) => (a, b),
@@ -538,7 +535,9 @@ fn eval_scalar_fn(
         "upper" => Ok(str_fn(vals.first(), |s| s.to_uppercase())),
         "trim" => Ok(str_fn(vals.first(), |s| s.trim().to_string())),
         "abs" => Ok(match vals.first() {
-            Some(Value::Integer(i)) => Value::Integer(i.wrapping_abs()),
+            Some(Value::Integer(i)) => Value::Integer(
+                i.checked_abs().ok_or_else(|| SqlError::Type("integer overflow".into()))?,
+            ),
             Some(Value::Real(r)) => Value::Real(r.abs()),
             _ => Value::Null,
         }),
@@ -734,6 +733,58 @@ mod tests {
         } else {
             panic!("expected select");
         }
+    }
+
+    fn select_one(sql: &str) -> SqlResult<Value> {
+        Ok(crate::Database::new().query(sql, &[])?.rows[0][0].clone())
+    }
+
+    #[test]
+    fn negating_i64_min_is_real() {
+        let v = select_one("SELECT -(-9223372036854775807 - 1)").unwrap();
+        assert_eq!(v, Value::Real(9223372036854775808.0));
+        assert_eq!(select_one("SELECT -(-5)").unwrap(), Value::Integer(5));
+    }
+
+    #[test]
+    fn add_overflow_is_real() {
+        let v = select_one("SELECT 9223372036854775807 + 1").unwrap();
+        assert_eq!(v, Value::Real(9223372036854775808.0));
+    }
+
+    #[test]
+    fn sub_overflow_is_real() {
+        let v = select_one("SELECT -9223372036854775807 - 2").unwrap();
+        assert_eq!(v, Value::Real(-9223372036854775809.0));
+    }
+
+    #[test]
+    fn mul_overflow_is_real() {
+        let v = select_one("SELECT 4611686018427387904 * 2").unwrap();
+        assert_eq!(v, Value::Real(9223372036854775808.0));
+        assert_eq!(
+            select_one("SELECT 4611686018427387903 * 2").unwrap(),
+            Value::Integer(i64::MAX - 1)
+        );
+    }
+
+    #[test]
+    fn div_overflow_is_real() {
+        let v = select_one("SELECT (-9223372036854775807 - 1) / -1").unwrap();
+        assert_eq!(v, Value::Real(9223372036854775808.0));
+        assert_eq!(select_one("SELECT 7 / 2").unwrap(), Value::Integer(3));
+    }
+
+    #[test]
+    fn abs_of_i64_min_is_an_error() {
+        assert!(matches!(
+            select_one("SELECT abs(-9223372036854775807 - 1)"),
+            Err(SqlError::Type(_))
+        ));
+        assert_eq!(
+            select_one("SELECT abs(-9223372036854775807)").unwrap(),
+            Value::Integer(i64::MAX)
+        );
     }
 
     #[test]

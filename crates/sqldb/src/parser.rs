@@ -8,10 +8,20 @@ use crate::error::{SqlError, SqlResult};
 use crate::lexer::{lex, Token};
 use crate::value::Value;
 
+/// The tallest expression tree the parser builds, like SQLite's
+/// `SQLITE_MAX_EXPR_DEPTH`. A tree's height counts both nesting (each
+/// parenthesis, function argument or sub-select level) and binary-chain
+/// length (`a OR b OR c` is a left-deep tree of height 3), because
+/// evaluating, planning and dropping an expression all recurse down it.
+/// Taller input is a [`SqlError::Parse`], never a stack overflow: the
+/// limit is set so the tallest accepted tree parses, evaluates and drops
+/// on a 2 MiB thread in an unoptimized build.
+pub const MAX_EXPR_DEPTH: usize = 100;
+
 /// Parses a string containing one or more `;`-separated statements.
 pub fn parse_statements(sql: &str) -> SqlResult<Vec<Stmt>> {
     let tokens = lex(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser { tokens, pos: 0, depth: 0, height: 0, subselects: true };
     let mut stmts = Vec::new();
     loop {
         while p.eat_token(&Token::Semicolon) {}
@@ -33,9 +43,32 @@ pub fn parse_statement(sql: &str) -> SqlResult<Stmt> {
     }
 }
 
+/// Parses exactly one expression over the row it is evaluated on: the
+/// form a caller-supplied fragment (a provider selection) must take. A
+/// sub-select, the one expression form that reads another relation, is
+/// refused, and so is anything after the expression.
+pub fn parse_row_expr(sql: &str) -> SqlResult<Expr> {
+    let mut p = Parser { tokens: lex(sql)?, pos: 0, depth: 0, height: 0, subselects: false };
+    let expr = p.expr()?;
+    if !p.at_end() {
+        return Err(SqlError::Parse { message: format!("unexpected token {:?}", p.peek()) });
+    }
+    Ok(expr)
+}
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Expression nesting levels entered so far (see [`MAX_EXPR_DEPTH`]).
+    depth: usize,
+    /// Height of the expression tree parsed last.
+    height: usize,
+    /// Whether `IN (SELECT ...)` may appear.
+    subselects: bool,
+}
+
+fn too_deep() -> SqlError {
+    SqlError::Parse { message: format!("expression tree deeper than {MAX_EXPR_DEPTH}") }
 }
 
 impl Parser {
@@ -488,16 +521,42 @@ impl Parser {
         Ok(ResultColumn::Expr { expr, alias })
     }
 
-    /// Entry point for expressions: lowest precedence is OR.
+    /// Entry point for expressions: lowest precedence is OR. Parses one
+    /// nesting level below the current one; on return `self.height`
+    /// holds the parsed tree's height.
     fn expr(&mut self) -> SqlResult<Expr> {
-        self.or_expr()
+        if self.depth >= MAX_EXPR_DEPTH {
+            return Err(too_deep());
+        }
+        self.depth += 1;
+        let out = self.or_expr();
+        self.depth -= 1;
+        out
+    }
+
+    /// Records the height of the subtree just built at the current
+    /// nesting level, refusing one past [`MAX_EXPR_DEPTH`].
+    fn set_height(&mut self, height: usize) -> SqlResult<()> {
+        if self.depth - 1 + height > MAX_EXPR_DEPTH {
+            return Err(too_deep());
+        }
+        self.height = height;
+        Ok(())
+    }
+
+    /// `lhs op rhs`, where `lh` is the height of `lhs` and `self.height`
+    /// that of `rhs`.
+    fn binary(&mut self, op: BinOp, lhs: Expr, lh: usize, rhs: Expr) -> SqlResult<Expr> {
+        self.set_height(lh.max(self.height) + 1)?;
+        Ok(Expr::Binary(op, Box::new(lhs), Box::new(rhs)))
     }
 
     fn or_expr(&mut self) -> SqlResult<Expr> {
         let mut lhs = self.and_expr()?;
         while self.eat_kw("or") {
+            let lh = self.height;
             let rhs = self.and_expr()?;
-            lhs = Expr::Binary(BinOp::Or, Box::new(lhs), Box::new(rhs));
+            lhs = self.binary(BinOp::Or, lhs, lh, rhs)?;
         }
         Ok(lhs)
     }
@@ -505,27 +564,45 @@ impl Parser {
     fn and_expr(&mut self) -> SqlResult<Expr> {
         let mut lhs = self.not_expr()?;
         while self.eat_kw("and") {
+            let lh = self.height;
             let rhs = self.not_expr()?;
-            lhs = Expr::Binary(BinOp::And, Box::new(lhs), Box::new(rhs));
+            lhs = self.binary(BinOp::And, lhs, lh, rhs)?;
         }
         Ok(lhs)
     }
 
+    /// `NOT`* comparison, counted in a loop so a long prefix run cannot
+    /// recurse; the common `NOT`-less case stays a tail call.
     fn not_expr(&mut self) -> SqlResult<Expr> {
-        if self.eat_kw("not") {
-            let inner = self.not_expr()?;
-            Ok(Expr::Unary(UnOp::Not, Box::new(inner)))
-        } else {
-            self.comparison()
+        if !self.peek_is_kw("not") {
+            return self.comparison();
         }
+        let mut nots = 0;
+        while self.eat_kw("not") {
+            nots += 1;
+        }
+        let mut e = self.comparison()?;
+        self.set_height(self.height + nots)?;
+        for _ in 0..nots {
+            e = Expr::Unary(UnOp::Not, Box::new(e));
+        }
+        Ok(e)
     }
 
     fn comparison(&mut self) -> SqlResult<Expr> {
         let lhs = self.additive()?;
+        self.comparison_rest(lhs)
+    }
+
+    /// The operator half of [`Parser::comparison`], split out so nesting
+    /// recursion (which runs inside `additive`) carries only a small frame.
+    fn comparison_rest(&mut self, lhs: Expr) -> SqlResult<Expr> {
+        let lh = self.height;
         // IS [NOT] NULL.
         if self.eat_kw("is") {
             let negated = self.eat_kw("not");
             self.expect_kw("null")?;
+            self.set_height(lh + 1)?;
             return Ok(Expr::IsNull { expr: Box::new(lhs), negated });
         }
         // [NOT] IN / LIKE / BETWEEN.
@@ -533,8 +610,12 @@ impl Parser {
         if self.eat_kw("in") {
             self.expect_token(&Token::LParen)?;
             if self.peek_is_kw("select") {
+                if !self.subselects {
+                    return Err(SqlError::Parse { message: "sub-select not allowed here".into() });
+                }
                 let select = self.select_stmt()?;
                 self.expect_token(&Token::RParen)?;
+                self.set_height(lh + 1)?;
                 return Ok(Expr::InSelect {
                     expr: Box::new(lhs),
                     select: Box::new(select),
@@ -542,25 +623,31 @@ impl Parser {
                 });
             }
             let mut list = Vec::new();
+            let mut h = lh;
             if !self.eat_token(&Token::RParen) {
                 loop {
                     list.push(self.expr()?);
+                    h = h.max(self.height);
                     if !self.eat_token(&Token::Comma) {
                         break;
                     }
                 }
                 self.expect_token(&Token::RParen)?;
             }
+            self.set_height(h + 1)?;
             return Ok(Expr::InList { expr: Box::new(lhs), list, negated });
         }
         if self.eat_kw("like") {
             let pattern = self.additive()?;
+            self.set_height(lh.max(self.height) + 1)?;
             return Ok(Expr::Like { expr: Box::new(lhs), pattern: Box::new(pattern), negated });
         }
         if self.eat_kw("between") {
             let low = self.additive()?;
+            let loh = self.height;
             self.expect_kw("and")?;
             let high = self.additive()?;
+            self.set_height(lh.max(loh).max(self.height) + 1)?;
             return Ok(Expr::Between {
                 expr: Box::new(lhs),
                 low: Box::new(low),
@@ -585,7 +672,7 @@ impl Parser {
         if let Some(op) = op {
             self.pos += 1;
             let rhs = self.additive()?;
-            return Ok(Expr::Binary(op, Box::new(lhs), Box::new(rhs)));
+            return self.binary(op, lhs, lh, rhs);
         }
         Ok(lhs)
     }
@@ -600,8 +687,9 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
+            let lh = self.height;
             let rhs = self.multiplicative()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
+            lhs = self.binary(op, lhs, lh, rhs)?;
         }
         Ok(lhs)
     }
@@ -616,32 +704,80 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
+            let lh = self.height;
             let rhs = self.unary()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
+            lhs = self.binary(op, lhs, lh, rhs)?;
         }
         Ok(lhs)
     }
 
+    /// Prefix `-`/`+` run, counted in a loop like `NOT` (`+` is a no-op).
     fn unary(&mut self) -> SqlResult<Expr> {
-        if self.eat_token(&Token::Minus) {
-            let inner = self.unary()?;
-            return Ok(Expr::Unary(UnOp::Neg, Box::new(inner)));
+        if !matches!(self.peek(), Some(Token::Minus | Token::Plus)) {
+            return self.primary();
         }
-        if self.eat_token(&Token::Plus) {
-            return self.unary();
+        let mut negs = 0;
+        loop {
+            if self.eat_token(&Token::Minus) {
+                negs += 1;
+            } else if !self.eat_token(&Token::Plus) {
+                break;
+            }
         }
-        self.primary()
+        let mut e = self.primary()?;
+        self.set_height(self.height + negs)?;
+        for _ in 0..negs {
+            e = Expr::Unary(UnOp::Neg, Box::new(e));
+        }
+        Ok(e)
     }
 
     fn primary(&mut self) -> SqlResult<Expr> {
-        match self.next()? {
-            Token::Literal(v) => Ok(Expr::Literal(v)),
-            Token::Param(i) => Ok(Expr::Param(i)),
-            Token::LParen => {
+        match self.peek() {
+            Some(Token::LParen) => {
+                self.pos += 1;
                 let e = self.expr()?;
                 self.expect_token(&Token::RParen)?;
                 Ok(e)
             }
+            Some(Token::Ident(_)) if self.peek_at(1) == Some(&Token::LParen) => self.call(),
+            _ => {
+                self.height = 1;
+                self.atom()
+            }
+        }
+    }
+
+    /// A function call: `name(*)` or `name(arg, ...)`.
+    fn call(&mut self) -> SqlResult<Expr> {
+        let name = self.identifier()?.to_ascii_lowercase();
+        self.expect_token(&Token::LParen)?;
+        if self.eat_token(&Token::Star) {
+            self.expect_token(&Token::RParen)?;
+            self.height = 1;
+            return Ok(Expr::Call { name, args: Vec::new(), star: true });
+        }
+        let mut args = Vec::new();
+        let mut h = 0;
+        if !self.eat_token(&Token::RParen) {
+            loop {
+                args.push(self.expr()?);
+                h = h.max(self.height);
+                if !self.eat_token(&Token::Comma) {
+                    break;
+                }
+            }
+            self.expect_token(&Token::RParen)?;
+        }
+        self.set_height(h + 1)?;
+        Ok(Expr::Call { name, args, star: false })
+    }
+
+    /// A literal, parameter or column (height 1).
+    fn atom(&mut self) -> SqlResult<Expr> {
+        match self.next()? {
+            Token::Literal(v) => Ok(Expr::Literal(v)),
+            Token::Param(i) => Ok(Expr::Param(i)),
             Token::Ident(first) => {
                 if first.eq_ignore_ascii_case("null") {
                     return Ok(Expr::Literal(Value::Null));
@@ -651,29 +787,6 @@ impl Parser {
                 }
                 if first.eq_ignore_ascii_case("false") {
                     return Ok(Expr::Literal(Value::Integer(0)));
-                }
-                // Function call?
-                if self.peek() == Some(&Token::LParen) {
-                    self.pos += 1;
-                    if self.eat_token(&Token::Star) {
-                        self.expect_token(&Token::RParen)?;
-                        return Ok(Expr::Call {
-                            name: first.to_ascii_lowercase(),
-                            args: Vec::new(),
-                            star: true,
-                        });
-                    }
-                    let mut args = Vec::new();
-                    if !self.eat_token(&Token::RParen) {
-                        loop {
-                            args.push(self.expr()?);
-                            if !self.eat_token(&Token::Comma) {
-                                break;
-                            }
-                        }
-                        self.expect_token(&Token::RParen)?;
-                    }
-                    return Ok(Expr::Call { name: first.to_ascii_lowercase(), args, star: false });
                 }
                 // Qualified column?
                 if self.eat_token(&Token::Dot) {

@@ -160,10 +160,8 @@ fn per_uri_grants_are_one_shot() {
             Ok(())
         }
     }
-    sys.resolver.register(
-        maxoid_providers::ProviderScope::AppDefined { owner: "initiator".into() },
-        Box::new(Att),
-    );
+    sys.resolver
+        .register(maxoid_providers::ProviderScope::AppDefined { owner: "initiator".into() }, Att);
     let a = sys.launch("initiator").unwrap();
     let item = Uri::parse("content://initiator.attachments/att/7").unwrap();
     // Sending a VIEW intent with the grant flag issues the one-shot grant.
@@ -205,4 +203,110 @@ fn clear_vol_covers_clipboard() {
     sys.clipboard.set(&dctx, "confined clip");
     sys.clear_vol("initiator").unwrap();
     assert_eq!(sys.clipboard.get(&dctx), None);
+}
+
+/// The three system providers with the collection, text column and the
+/// name of Alice's delta table each probe aims at.
+const PROVIDERS: [(&str, &str, &str); 3] = [
+    ("content://user_dictionary/words", "word", "words_delta_com_alice"),
+    ("content://downloads/my_downloads", "title", "downloads_delta_com_alice"),
+    ("content://media/files", "title", "files_delta_com_alice"),
+];
+
+/// Caller fragments that reach past their slot: a projection and a sort
+/// term that are not column names, a selection that closes its own
+/// parenthesis to splice a UNION, a sub-select oracle on Alice's delta
+/// table, and a selection that widens an item URI to every row.
+fn hostile_fragments(col: &str, delta: &str) -> Vec<QueryArgs> {
+    let selection = |s: String| QueryArgs {
+        projection: vec![col.into()],
+        selection: Some(s),
+        ..Default::default()
+    };
+    vec![
+        QueryArgs {
+            projection: vec![format!("{col} FROM {delta} UNION ALL SELECT {col}")],
+            ..Default::default()
+        },
+        QueryArgs {
+            projection: vec![col.into()],
+            sort_order: Some(format!("{col} IN (SELECT {col} FROM {delta})")),
+            ..Default::default()
+        },
+        selection(format!("1)) UNION ALL SELECT {col} FROM {delta} WHERE ((1")),
+        selection(format!("'ALICE_SECRET' IN (SELECT {col} FROM {delta})")),
+        selection("1) OR (1".into()),
+    ]
+}
+
+/// A provider runs caller SQL fragments with its own authority over every
+/// tenant's state (the confused deputy). Each hostile fragment is refused
+/// before any SQL runs, for query, update and delete, on the locked path
+/// (a direct provider call) and on the snapshot path (the resolver's
+/// lock-free read handle), and Alice's volatile row never leaks.
+#[test]
+fn hostile_fragments_are_refused_by_every_provider() {
+    use maxoid_providers::provider::ContentProvider;
+    use maxoid_providers::{
+        Caller, DownloadsProvider, MediaProvider, ProviderError, SimpleLocator, SystemFiles,
+        UserDictionaryProvider,
+    };
+    let files = || SystemFiles::new(maxoid_vfs::Vfs::new(), SimpleLocator);
+    let direct: [Box<dyn ContentProvider>; 3] = [
+        Box::new(UserDictionaryProvider::new()),
+        Box::new(DownloadsProvider::open(files(), None, None)),
+        Box::new(MediaProvider::open(files(), None, None)),
+    ];
+    let alice_delegate = Caller::delegate("com.viewer", "com.alice");
+    let mallory = Caller::normal("com.mallory");
+    fn denied<T>(r: Result<T, ProviderError>) -> bool {
+        matches!(r, Err(ProviderError::Denied(_)))
+    }
+
+    // Locked path: direct provider calls.
+    for (mut p, (uri, col, delta)) in direct.into_iter().zip(PROVIDERS) {
+        let uri = Uri::parse(uri).unwrap();
+        let item = uri.with_id(999);
+        p.insert(&mallory, &uri, &ContentValues::new().put(col, "public1")).unwrap();
+        p.insert(&alice_delegate, &uri, &ContentValues::new().put(col, "ALICE_SECRET")).unwrap();
+        let edit = ContentValues::new().put(col, "OVERWRITTEN");
+        for args in hostile_fragments(col, delta) {
+            assert!(denied(p.query(&mallory, &uri, &args)), "{uri} query {args:?}");
+            assert!(denied(p.query(&mallory, &item, &args)), "{uri} item query {args:?}");
+            if args.selection.is_some() {
+                assert!(denied(p.update(&mallory, &item, &edit, &args)), "{uri} update {args:?}");
+                assert!(denied(p.delete(&mallory, &item, &args)), "{uri} delete {args:?}");
+            }
+        }
+        let public = QueryArgs { projection: vec![col.into()], ..Default::default() };
+        let rows = p.query(&mallory, &uri, &public).unwrap().rows;
+        assert_eq!(rows, vec![vec!["public1".into()]], "{uri}: public rows untouched");
+        // A well-formed selection still works.
+        let args = QueryArgs {
+            projection: vec![col.into()],
+            selection: Some(format!("{col} = ?")),
+            selection_args: vec!["public1".into()],
+            sort_order: Some(format!("{col} DESC, _id")),
+        };
+        assert_eq!(p.query(&mallory, &uri, &args).unwrap().rows.len(), 1, "{uri}");
+    }
+
+    // Snapshot path: the resolver's read handle.
+    let sys = standard_cast();
+    sys.install("com.alice", vec![], maxoid::MaxoidManifest::new()).unwrap();
+    let d = sys.launch_as_delegate("viewer", "com.alice").unwrap();
+    let x = sys.launch("bystander").unwrap();
+    for (uri, col, delta) in PROVIDERS {
+        let uri = Uri::parse(uri).unwrap();
+        sys.cp_insert(d, &uri, &ContentValues::new().put(col, "ALICE_SECRET")).unwrap();
+        for args in hostile_fragments(col, delta) {
+            let (snapshot_reads, _) = sys.resolver.read_path_stats();
+            let res = sys.cp_query(x, &uri, &args);
+            assert!(
+                matches!(res, Err(maxoid::SystemError::Provider(ProviderError::Denied(_)))),
+                "{uri} snapshot query {args:?}"
+            );
+            assert_eq!(sys.resolver.read_path_stats().0, snapshot_reads + 1, "{uri} {args:?}");
+        }
+    }
 }

@@ -76,7 +76,7 @@ fn live_fingerprint(sys: &mut MaxoidSystem) -> Fingerprint {
 fn recovered_fingerprint(log: &[u8]) -> Fingerprint {
     let mut rec = recover(log).expect("recovery must succeed on any committed prefix");
     let files = rec.vfs.with_store(|s| s.dump_tree());
-    let mut dict = UserDictionaryProvider::from_recovered(rec.take_db(AUTHORITY));
+    let mut dict = UserDictionaryProvider::open(None, Some(rec.take_db(AUTHORITY)));
     let mut q =
         |caller: &Caller, uri: &Uri| dict.query(caller, uri, &query_args()).ok().map(|rs| rs.rows);
     Fingerprint {
@@ -326,7 +326,7 @@ fn replay_into_cache_enabled_database_matches_cold() {
     assert!(db.statement_caches_enabled(), "caches default on during replay");
     assert!(db.stats.stmt_cache_misses.get() > 0, "replay parsed statements through the cache");
     assert!(db.catalog_generation() > 0, "replayed DDL bumped the catalog generation");
-    let mut warm = UserDictionaryProvider::from_recovered(db);
+    let mut warm = UserDictionaryProvider::open(None, Some(db));
     let q = |dict: &mut UserDictionaryProvider, caller: &Caller, uri: &Uri| {
         dict.query(caller, uri, &query_args()).ok().map(|rs| rs.rows)
     };
@@ -352,7 +352,7 @@ fn replay_into_cache_enabled_database_matches_cold() {
     let cold_files = rec.vfs.with_store(|s| s.dump_tree());
     let db = rec.take_db(AUTHORITY);
     db.set_statement_caches(false);
-    let mut cold = UserDictionaryProvider::from_recovered(db);
+    let mut cold = UserDictionaryProvider::open(None, Some(db));
     cold.proxy_mut().set_rewrite_cache(false);
     let cold_fp = Fingerprint {
         public_words: q(&mut cold, &Caller::normal("bystander"), &words_uri()),
