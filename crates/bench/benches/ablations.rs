@@ -54,7 +54,7 @@ fn bench_flattening(c: &mut Criterion) {
     g.sample_size(20);
     for (name, policy) in policies {
         let p = cow_table(policy, 5000, 100);
-        let delegate = DbView::Delegate { initiator: "A".into() };
+        let delegate = DbView::Delegate { initiator: "a".into() };
         g.bench_function(BenchmarkId::from_parameter(name), |b| {
             b.iter(|| {
                 let rs = p
@@ -117,10 +117,10 @@ fn bench_index_vs_fullscan(c: &mut Criterion) {
             // The fork predates the index here, so mirror it by hand the
             // way ensure_cow would for a post-index fork.
             p.execute_batch("CREATE INDEX idx_tab1_data ON tab1 (data);").expect("index");
-            p.execute_batch("CREATE INDEX idx_tab1_data_delta_A ON tab1_delta_A (data);")
+            p.execute_batch("CREATE INDEX idx_tab1_data_delta_a ON tab1_delta_a (data);")
                 .expect("index");
         }
-        let delegate = DbView::Delegate { initiator: "A".into() };
+        let delegate = DbView::Delegate { initiator: "a".into() };
         g.bench_function(BenchmarkId::from_parameter(name), |b| {
             let mut i = 0i64;
             b.iter(|| {

@@ -318,14 +318,14 @@ impl DictWorkload {
 }
 
 /// Builds a CowProxy with `rows` public rows and `delta_rows` volatile
-/// rows for initiator `A` — used by the flattening ablation bench.
+/// rows for initiator `a` — used by the flattening ablation bench.
 pub fn cow_table(policy: FlattenPolicy, rows: usize, delta_rows: usize) -> CowProxy {
     let mut p = CowProxy::with_policy(policy);
     p.execute_batch("CREATE TABLE tab1 (_id INTEGER PRIMARY KEY, data TEXT);").expect("schema");
     for i in 0..rows {
         p.insert(&DbView::Primary, "tab1", &[("data", format!("d{i}").into())]).expect("seed");
     }
-    let delegate = DbView::Delegate { initiator: "A".into() };
+    let delegate = DbView::Delegate { initiator: "a".into() };
     for i in 0..delta_rows {
         p.update(
             &delegate,
@@ -342,7 +342,7 @@ pub fn cow_table(policy: FlattenPolicy, rows: usize, delta_rows: usize) -> CowPr
 /// Runs a point query through the COW view (the flattening-sensitive
 /// query shape).
 pub fn cow_point_query(p: &CowProxy, id: i64) -> usize {
-    let delegate = DbView::Delegate { initiator: "A".into() };
+    let delegate = DbView::Delegate { initiator: "a".into() };
     p.query(
         &delegate,
         "tab1",

@@ -967,10 +967,12 @@ impl MaxoidSystem {
 
     /// Evicts the volatile state of tenants idle for at least
     /// `min_idle_ticks` activity-clock ticks: discards their `Vol(init)`
-    /// files, provider delta tables and confined clipboard, and drops
-    /// their gesture-lock entry. Only tenants whose gesture lock no
-    /// thread references are candidates, so an in-flight gesture is never
-    /// raced; each eviction runs under the tenant's own gesture lock.
+    /// files and confined clipboard, retires their provider COW objects
+    /// (delta tables, COW views and triggers, which a Clear-Vol only
+    /// empties), and drops their gesture-lock entry. Only tenants whose
+    /// gesture lock no thread references are candidates, so an in-flight
+    /// gesture is never raced; each eviction runs under the tenant's own
+    /// gesture lock.
     ///
     /// This is the fleet-scale memory backstop: a tenant whose user
     /// walked away stops holding volatile COW state (its *committed*
@@ -989,32 +991,41 @@ impl MaxoidSystem {
                 .map(|(k, e)| (k.clone(), Some(e.lock.clone())))
                 .collect()
         };
-        // Tenants whose entry the soft-cap sweep already dropped still
-        // hold volatile state. Absence from the map certifies at least
+        // Tenants whose entry the soft-cap sweep already dropped may still
+        // hold volatile files or provider COW objects (a Clear-Vol empties
+        // those but keeps them). Absence from the map certifies at least
         // SWEEP_RETAIN_TICKS of idleness (any later gesture would have
         // recreated the entry), so when the caller's threshold is within
-        // that certificate, owners of volatile tmp dirs join the
-        // candidate set too.
+        // that certificate, owners of volatile tmp dirs and initiators
+        // any provider records as forked join the candidate set too.
         if min_idle_ticks <= SWEEP_RETAIN_TICKS {
             let known: std::collections::BTreeSet<String> =
                 self.init_locks.lock().keys().cloned().collect();
-            let owners = self.kernel.vfs().with_store(|s| -> maxoid_vfs::VfsResult<Vec<String>> {
-                let mut out = Vec::new();
-                let tmp_root = maxoid_vfs::vpath("/backing/internal_tmp");
-                if s.exists(&tmp_root) {
-                    for e in s.read_dir(&tmp_root)? {
-                        out.push(e.name);
+            let mut owners =
+                self.kernel.vfs().with_store(|s| -> maxoid_vfs::VfsResult<Vec<String>> {
+                    let mut out = Vec::new();
+                    let tmp_root = maxoid_vfs::vpath("/backing/internal_tmp");
+                    if s.exists(&tmp_root) {
+                        for e in s.read_dir(&tmp_root)? {
+                            out.push(e.name);
+                        }
                     }
-                }
-                out.sort_unstable();
-                out.dedup();
-                Ok(out)
-            })?;
+                    Ok(out)
+                })?;
+            owners.retain(|init| !known.contains(init));
+            let mut swept = std::collections::BTreeSet::new();
             for init in owners {
-                if !known.contains(&init) && !self.volatile.list(&init)?.is_empty() {
-                    candidates.push((init, None));
+                if !self.volatile.list(&init)?.is_empty() {
+                    swept.insert(init);
                 }
             }
+            // One provider lock at a time.
+            swept.extend(self.downloads.lock().proxy().forked_initiators().map(str::to_string));
+            swept.extend(self.media.lock().proxy().forked_initiators().map(str::to_string));
+            swept.extend(self.userdict.lock().proxy().forked_initiators().map(str::to_string));
+            candidates.extend(
+                swept.into_iter().filter(|init| !known.contains(init)).map(|init| (init, None)),
+            );
         }
         let mut report = EvictReport::default();
         for (init, gesture) in candidates {
@@ -1023,7 +1034,7 @@ impl MaxoidSystem {
             let gesture = gesture.unwrap_or_else(|| self.init_lock(&init));
             let _g = gesture.lock();
             report.files_removed += self.volatile.clear(&init)?;
-            self.resolver.clear_volatile(&init)?;
+            self.resolver.retire(&init)?;
             self.clipboard.clear_confined(&init);
             let mut map = self.init_locks.lock();
             if let Some(e) = map.get(&init) {

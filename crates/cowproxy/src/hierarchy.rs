@@ -232,7 +232,7 @@ mod tests {
     }
 
     #[test]
-    fn clear_volatile_drops_user_view_instances() {
+    fn clear_keeps_user_view_instances_and_retire_drops_them() {
         let mut p = media_proxy();
         let del = DbView::Delegate { initiator: "cam".into() };
         p.insert(
@@ -243,6 +243,13 @@ mod tests {
         .unwrap();
         assert!(p.db().has_view("images_view_cam"));
         p.clear_volatile("cam").unwrap();
+        // The instance stays and reads the public rows through the empty
+        // delta table.
+        assert!(p.db().has_view("images_view_cam"));
+        assert!(p.has_delta("files", "cam"));
+        let rs = p.query(&del, "images", &QueryOpts::default(), &[]).unwrap();
+        assert_eq!(rs.rows.len(), 2);
+        p.retire("cam").unwrap();
         assert!(!p.db().has_view("images_view_cam"));
         assert!(!p.has_delta("files", "cam"));
     }
@@ -275,7 +282,7 @@ mod tests {
         let p = media_proxy();
         let del = DbView::Delegate { initiator: "fresh".into() };
         // No delta yet: the read relation is the plain user view.
-        assert_eq!(p.read_relation("images", &del).unwrap(), "images");
+        assert_eq!(p.read_relation("images", &del).unwrap().as_deref(), Some("images"));
         let rs = p.query(&del, "images", &QueryOpts::default(), &[]).unwrap();
         assert_eq!(rs.rows.len(), 2);
     }

@@ -17,7 +17,9 @@
 //! The initiator reads its volatile records through [`DbView::Volatile`]
 //! (the provider's `tmp` URIs), selectively commits them with
 //! [`CowProxy::commit_volatile_row`], and discards everything with
-//! [`CowProxy::clear_volatile`].
+//! [`CowProxy::clear_volatile`], which empties the delta tables and keeps
+//! the COW objects for the initiator's next session. Only
+//! [`CowProxy::retire`], run when an idle tenant is evicted, drops them.
 //!
 //! # Examples
 //!

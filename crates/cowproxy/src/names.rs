@@ -2,7 +2,9 @@
 //!
 //! The proxy derives delta-table, COW-view and trigger names from the
 //! primary table and the initiator, matching the paper's Figure 6
-//! (`tab1_delta_A`, `tab1_view_A`, `tab1_A_update`).
+//! (`tab1_delta_a`, `tab1_view_a`, `tab1_a_update`). The initiator part is
+//! [`encode_initiator`]'s injective encoding, so two initiators never
+//! share an object, and [`decode_initiator`] reads it back.
 
 /// Primary keys of rows inserted by delegates start at this offset so they
 /// never collide with public rows (paper §5.2: "the delta table's primary
@@ -10,37 +12,89 @@
 /// insert as 10000001.
 pub const DELTA_PK_START: i64 = 10_000_001;
 
-/// Sanitizes an initiator identity (Android package name) into an SQL
-/// identifier fragment.
-pub fn sanitize(initiator: &str) -> String {
-    initiator.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }).collect()
+/// Encodes an initiator identity (an Android package name) into an SQL
+/// identifier fragment. Bytes in `[a-z0-9]` stay as they are; every other
+/// byte becomes `_` plus two lowercase hex digits (`com.a_b` is
+/// `com_2ea_5fb`, `A` is `_41`). The encoding is injective and lowercase,
+/// so neither a lossy byte map nor the catalog's case folding can make
+/// two initiators share a delta table.
+pub fn encode_initiator(initiator: &str) -> String {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut out = String::with_capacity(initiator.len());
+    for b in initiator.bytes() {
+        if b.is_ascii_lowercase() || b.is_ascii_digit() {
+            out.push(b as char);
+        } else {
+            out.push('_');
+            out.push(HEX[(b >> 4) as usize] as char);
+            out.push(HEX[(b & 0xf) as usize] as char);
+        }
+    }
+    out
+}
+
+/// Inverts [`encode_initiator`]. Returns `None` for text that no
+/// initiator encodes to: an uppercase letter or other stray byte, a `_`
+/// without two lowercase hex digits after it, an escaped byte that would
+/// have stayed literal, or bytes that are not UTF-8.
+pub fn decode_initiator(encoded: &str) -> Option<String> {
+    fn hex(d: u8) -> Option<u8> {
+        match d {
+            b'0'..=b'9' => Some(d - b'0'),
+            b'a'..=b'f' => Some(d - b'a' + 10),
+            _ => None,
+        }
+    }
+    let mut bytes = Vec::with_capacity(encoded.len());
+    let mut it = encoded.bytes();
+    while let Some(b) = it.next() {
+        let byte = match b {
+            b'a'..=b'z' | b'0'..=b'9' => b,
+            b'_' => {
+                let byte = hex(it.next()?)? << 4 | hex(it.next()?)?;
+                if byte.is_ascii_lowercase() || byte.is_ascii_digit() {
+                    return None;
+                }
+                byte
+            }
+            _ => return None,
+        };
+        bytes.push(byte);
+    }
+    String::from_utf8(bytes).ok()
 }
 
 /// Name of the per-initiator delta table for a primary table.
 pub fn delta_table(table: &str, initiator: &str) -> String {
-    format!("{table}_delta_{}", sanitize(initiator))
+    format!("{table}_delta_{}", encode_initiator(initiator))
 }
 
 /// Name of the per-initiator COW view for a table or user-defined view.
 pub fn cow_view(table: &str, initiator: &str) -> String {
-    format!("{table}_view_{}", sanitize(initiator))
+    format!("{table}_view_{}", encode_initiator(initiator))
 }
 
 /// Name of an INSTEAD OF trigger on a COW view.
 pub fn trigger(table: &str, initiator: &str, event: &str) -> String {
-    format!("{table}_{}_{event}", sanitize(initiator))
+    format!("{table}_{}_{event}", encode_initiator(initiator))
 }
 
 /// Name of the mirrored secondary index on a per-initiator delta table.
 ///
 /// Index names share one namespace, so the base index name is suffixed the
-/// same way delta tables are (`idx_word` -> `idx_word_delta_A`).
+/// same way delta tables are (`idx_word` -> `idx_word_delta_a`).
 pub fn delta_index(index: &str, initiator: &str) -> String {
-    format!("{index}_delta_{}", sanitize(initiator))
+    format!("{index}_delta_{}", encode_initiator(initiator))
 }
 
 /// The whiteout marker column added to every delta table.
 pub const WHITEOUT_COL: &str = "_whiteout";
+
+/// Names an interner holds at most; reaching the cap clears it (the
+/// policy of the statement, plan and rewrite caches). A tenant's names are
+/// resolved again on its next call, so the cap bounds memory by the
+/// tenants seen since the last clear, not by every tenant ever seen.
+pub(crate) const NAME_INTERNER_CAP: usize = 4096;
 
 /// An interner for proxy-managed object names.
 ///
@@ -49,11 +103,13 @@ pub const WHITEOUT_COL: &str = "_whiteout";
 /// over and over. The interner memoizes each derived name as an
 /// `Arc<str>` so steady-state resolution is a hash lookup plus a
 /// refcount bump. Interior-mutable because reads go through `&CowProxy`.
+/// Holds at most `NAME_INTERNER_CAP` (4,096) names.
 #[derive(Debug, Default)]
 pub struct NameInterner {
     map: std::cell::RefCell<
         std::collections::HashMap<u64, Vec<(u8, String, String, std::sync::Arc<str>)>>,
     >,
+    len: std::cell::Cell<usize>,
 }
 
 const K_DELTA: u8 = 0;
@@ -78,14 +134,18 @@ impl NameInterner {
         b.hash(&mut h);
         let fp = h.finish();
         let mut map = self.map.borrow_mut();
-        let bucket = map.entry(fp).or_default();
-        if let Some((_, _, _, name)) =
+        if let Some((_, _, _, name)) = map.get(&fp).and_then(|bucket| {
             bucket.iter().find(|(k, ka, kb, _)| *k == kind && ka == a && kb == b)
-        {
+        }) {
             return name.clone();
         }
+        if self.len.get() >= NAME_INTERNER_CAP {
+            map.clear();
+            self.len.set(0);
+        }
         let name: std::sync::Arc<str> = make().into();
-        bucket.push((kind, a.to_string(), b.to_string(), name.clone()));
+        map.entry(fp).or_default().push((kind, a.to_string(), b.to_string(), name.clone()));
+        self.len.set(self.len.get() + 1);
         name
     }
 
@@ -122,17 +182,17 @@ mod tests {
 
     #[test]
     fn figure6_names() {
-        assert_eq!(delta_table("tab1", "A"), "tab1_delta_A");
-        assert_eq!(cow_view("tab1", "A"), "tab1_view_A");
-        assert_eq!(trigger("tab1", "A", "update"), "tab1_A_update");
+        assert_eq!(delta_table("tab1", "a"), "tab1_delta_a");
+        assert_eq!(cow_view("tab1", "a"), "tab1_view_a");
+        assert_eq!(trigger("tab1", "a", "update"), "tab1_a_update");
     }
 
     #[test]
     fn delta_index_names_follow_delta_tables() {
-        assert_eq!(delta_index("idx_word", "A"), "idx_word_delta_A");
+        assert_eq!(delta_index("idx_word", "a"), "idx_word_delta_a");
         assert_eq!(
             delta_index("idx_status", "com.android.browser"),
-            "idx_status_delta_com_android_browser"
+            "idx_status_delta_com_2eandroid_2ebrowser"
         );
     }
 
@@ -152,11 +212,52 @@ mod tests {
     }
 
     #[test]
-    fn package_names_sanitized() {
-        assert_eq!(sanitize("com.dropbox.android"), "com_dropbox_android");
+    fn interner_stays_bounded_past_its_cap() {
+        let i = NameInterner::default();
+        let oracle = |n: usize| {
+            (
+                delta_table("words", &format!("pc.init{n}")),
+                cow_view("words", &format!("pc.init{n}")),
+            )
+        };
+        for round in 0..2 {
+            for n in 0..NAME_INTERNER_CAP {
+                let init = format!("pc.init{n}");
+                let got = (i.delta_table("words", &init), i.cow_view("words", &init));
+                assert_eq!((got.0.to_string(), got.1.to_string()), oracle(n), "round {round}");
+                assert!(i.len.get() <= NAME_INTERNER_CAP);
+            }
+        }
+        let held: usize = i.map.borrow().values().map(Vec::len).sum();
+        assert_eq!(held, i.len.get());
+        assert!(held <= NAME_INTERNER_CAP);
+    }
+
+    #[test]
+    fn package_names_encode_injectively() {
+        assert_eq!(encode_initiator("com.dropbox.android"), "com_2edropbox_2eandroid");
         assert_eq!(
             delta_table("downloads", "com.android.browser"),
-            "downloads_delta_com_android_browser"
+            "downloads_delta_com_2eandroid_2ebrowser"
         );
+        // Pairs the old byte map or the catalog's case folding merged.
+        for (a, b) in [("com.a.b", "com.a_b"), ("A", "a"), ("b", "x.delta.b")] {
+            assert_ne!(encode_initiator(a), encode_initiator(b));
+            assert!(!delta_table("t", b).ends_with(&format!("_delta_{}", encode_initiator(a))));
+        }
+    }
+
+    #[test]
+    fn decoding_inverts_encoding() {
+        for init in ["a", "A", "com.a_b", "pc.init7", "", "caf\u{e9}.\u{1f600}", "_41", "x__"] {
+            let enc = encode_initiator(init);
+            assert!(enc.bytes().all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_'));
+            assert_eq!(decode_initiator(&enc).as_deref(), Some(init), "{enc}");
+        }
+        // Text no initiator encodes to: old lossy names, uppercase, short
+        // or uppercase escapes, escaped literals, bytes that are not UTF-8.
+        for bad in ["com_android", "A", "_4", "_4A", "_61", "_ff", "a-b"] {
+            assert_eq!(decode_initiator(bad), None, "{bad}");
+        }
     }
 }

@@ -10,12 +10,13 @@
 
 use crate::hierarchy::ViewHierarchy;
 use crate::names::{
-    cow_view, delta_table, sanitize, trigger, NameInterner, DELTA_PK_START, WHITEOUT_COL,
+    cow_view, decode_initiator, delta_table, trigger, NameInterner, DELTA_PK_START, WHITEOUT_COL,
 };
 use crate::reader::{CowPublished, ReadSlot};
 use crate::rewrite::{op, Key, Rewrite, RewriteCache};
 use crate::sqlgen;
 use maxoid_sqldb::{Affinity, Database, FlattenPolicy, ResultSet, SqlError, SqlResult, Value};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Which Maxoid view of provider state an operation targets.
@@ -64,8 +65,10 @@ pub const ADMIN_INITIATOR_COL: &str = "_maxoid_initiator";
 pub struct CowProxy {
     db: Database,
     hierarchy: ViewHierarchy,
-    /// Initiators that currently have at least one delta table.
-    initiators: Vec<String>,
+    /// Each initiator's forked base tables, in fork order: the tables it
+    /// has a delta table, COW view and triggers for. Clear and retire
+    /// walk this list instead of the catalog.
+    forks: BTreeMap<String, Vec<String>>,
     /// Interned delta/view/trigger names (hot-path allocation killer).
     names: NameInterner,
     /// Per-fork-epoch memo of generated SQL keyed by call shape.
@@ -104,7 +107,7 @@ impl CowProxy {
         CowProxy {
             db: Database::with_policy(policy),
             hierarchy: ViewHierarchy::default(),
-            initiators: Vec::new(),
+            forks: BTreeMap::new(),
             names: NameInterner::default(),
             rewrite: RewriteCache::default(),
             read_slot: ReadSlot::new(),
@@ -202,15 +205,11 @@ impl CowProxy {
     }
 
     /// The current fork epoch. Bumped by any event that can change COW
-    /// topology: a fork, a volatile clear, provider DDL, user-view
-    /// registration or mutable database access.
+    /// topology: a fork, a retire, provider DDL, user-view registration
+    /// or mutable database access. A volatile clear empties delta tables
+    /// and leaves the topology, and so the epoch, as it was.
     pub fn fork_epoch(&self) -> u64 {
         self.rewrite.epoch()
-    }
-
-    /// Lists initiators that currently hold volatile records.
-    pub fn initiators_with_volatile(&self) -> &[String] {
-        &self.initiators
     }
 
     /// Attaches a journal sink: every mutation executed through the
@@ -221,30 +220,44 @@ impl CowProxy {
         self.db.set_journal(sink, name);
     }
 
-    /// Wraps a database rebuilt by journal replay, rediscovering which
-    /// initiators hold volatile state from the `<table>_delta_<initiator>`
-    /// naming convention.
+    /// Wraps a database rebuilt by journal replay, rediscovering each
+    /// initiator's forked tables from the `<table>_delta_<initiator>`
+    /// naming convention: the encoded initiator decodes back to the
+    /// initiator itself (see [`crate::names::decode_initiator`]). An
+    /// encoded initiator may itself begin with `delta_` (`delta.app` is
+    /// `delta_2eapp`), so every `_delta_` in a name, overlapping ones too,
+    /// is a candidate split. A split names a fork when its prefix is a
+    /// table, its suffix decodes to an initiator, and that pair's COW view
+    /// exists (a fork creates, and a retire drops, the delta table and the
+    /// COW view in one transaction). Logs written before the injective
+    /// encoding never get here: the journal refuses their preamble.
     ///
-    /// Initiator identities recovered this way are the *sanitized*,
-    /// lowercased forms (sanitization is lossy). Those re-sanitize to
-    /// themselves, so every proxy operation keeps addressing the same
-    /// delta tables. After adopting, re-register the provider's
-    /// user-defined views (existing replayed definitions are adopted, not
-    /// recreated) and then call [`CowProxy::rebuild_cow_views`].
+    /// After adopting, re-register the provider's user-defined views
+    /// (existing replayed definitions are adopted, not recreated) and then
+    /// call [`CowProxy::rebuild_cow_views`].
     pub fn adopt(db: Database) -> Self {
-        let mut initiators: Vec<String> = Vec::new();
-        for table in db.table_names() {
-            if let Some(pos) = table.rfind("_delta_") {
-                let initiator = &table[pos + "_delta_".len()..];
-                if !initiator.is_empty() && !initiators.iter().any(|i| i == initiator) {
-                    initiators.push(initiator.to_string());
+        const SEP: &str = "_delta_";
+        let mut forks: BTreeMap<String, Vec<String>> = BTreeMap::new();
+        for name in db.table_names() {
+            let mut from = 0;
+            while let Some(i) = name[from..].find(SEP) {
+                let pos = from + i;
+                from = pos + 1;
+                let (table, encoded) = (&name[..pos], &name[pos + SEP.len()..]);
+                if encoded.is_empty() || !db.has_table(table) {
+                    continue;
+                }
+                let Some(initiator) = decode_initiator(encoded) else { continue };
+                if db.has_view(&cow_view(table, &initiator)) {
+                    forks.entry(initiator).or_default().push(table.to_string());
+                    break;
                 }
             }
         }
         CowProxy {
             db,
             hierarchy: ViewHierarchy::default(),
-            initiators,
+            forks,
             names: NameInterner::default(),
             rewrite: RewriteCache::default(),
             read_slot: ReadSlot::new(),
@@ -260,7 +273,7 @@ impl CowProxy {
     pub fn rebuild_cow_views(&mut self) -> SqlResult<()> {
         self.retract_read();
         self.rewrite.bump_epoch();
-        for initiator in &self.initiators {
+        for initiator in self.forks.keys() {
             self.hierarchy.build_cow_views(&mut self.db, initiator)?;
         }
         Ok(())
@@ -279,13 +292,21 @@ impl CowProxy {
     /// every base table (whiteouts included — they occupy space too).
     /// Per-tenant accounting hook for fleet-scale stats (DESIGN.md §4.14).
     pub fn delta_row_count(&self, initiator: &str) -> usize {
-        let suffix = format!("_delta_{}", sanitize(initiator)).to_ascii_lowercase();
-        self.db
-            .table_names()
-            .into_iter()
-            .filter(|t| t.ends_with(&suffix))
-            .map(|t| self.db.table(&t).map(|tb| tb.len()).unwrap_or(0))
+        self.forked_tables(initiator)
+            .iter()
+            .map(|t| self.db.table(&self.names.delta_table(t, initiator)).map_or(0, |d| d.len()))
             .sum()
+    }
+
+    /// The initiators holding COW objects: each has forked at least one
+    /// table and has not been retired since (a clear keeps the objects).
+    pub fn forked_initiators(&self) -> impl Iterator<Item = &str> {
+        self.forks.keys().map(String::as_str)
+    }
+
+    /// The base tables `initiator` has forked, in fork order.
+    fn forked_tables(&self, initiator: &str) -> &[String] {
+        self.forks.get(initiator).map_or(&[], Vec::as_slice)
     }
 
     /// Ensures delta table, COW view and triggers exist for base table
@@ -374,9 +395,7 @@ impl CowProxy {
         // The fork changed COW topology: cached rewrites that resolved
         // reads to the primary table are now stale for this initiator.
         self.rewrite.bump_epoch();
-        if !self.initiators.iter().any(|i| i == initiator) {
-            self.initiators.push(initiator.to_string());
-        }
+        self.forks.entry(initiator.to_string()).or_default().push(table.to_string());
         if !self.hierarchy.has_base(table) {
             return Ok(());
         }
@@ -387,15 +406,11 @@ impl CowProxy {
     ///
     /// Reads before the first volatile write see the primary table
     /// unchanged (unilateral copy-on-write: the fork happens on first
-    /// write, not on delegate start).
-    pub fn read_relation(&self, table: &str, view: &DbView) -> SqlResult<String> {
-        self.read_relation_interned(table, view).map(|r| r.to_string())
-    }
-
-    /// [`CowProxy::read_relation`] returning the interned name; the hot
-    /// query path clones an `Arc<str>` instead of reallocating.
-    fn read_relation_interned(&self, table: &str, view: &DbView) -> SqlResult<Arc<str>> {
-        relation_for_read(&self.names, &self.db, table, view)
+    /// write, not on delegate start). `None` is a volatile read of a
+    /// table the initiator never forked: there are no rows to read.
+    pub fn read_relation(&self, table: &str, view: &DbView) -> SqlResult<Option<String>> {
+        let relation = relation_for_read(&self.names, &self.db, table, view)?;
+        Ok(relation.map(|r| r.to_string()))
     }
 
     // -----------------------------------------------------------------
@@ -663,7 +678,7 @@ impl CowProxy {
                 r
             })
             .collect();
-        for initiator in &self.initiators {
+        for initiator in self.forks.keys() {
             let delta = delta_table(table, initiator);
             if !self.db.has_table(&delta) {
                 continue;
@@ -683,46 +698,81 @@ impl CowProxy {
         Ok(ResultSet { columns, rows })
     }
 
-    /// Discards all volatile state of `initiator` across every table:
-    /// drops its delta tables, COW views and triggers. This implements the
+    /// Discards all volatile state of `initiator` across every table: the
     /// initiator's "discard the entire Vol(A)" clean-up (§3.3) for
-    /// provider state.
+    /// provider state, reached from Clear-Vol and from a commit that
+    /// discards the rest. It deletes the rows of the initiator's non-empty
+    /// delta tables and keeps everything else: the delta tables and their
+    /// mirrored indexes, the COW views and INSTEAD OF triggers, and the
+    /// user-view COW instances. A gesture therefore runs and journals no
+    /// DDL and bumps neither the fork epoch nor the catalog generation, so
+    /// every tenant's cached rewrites and plans stay warm. A delegate then
+    /// reads the public rows through its empty COW view (U2), and its next
+    /// write does not fork again. [`CowProxy::retire`] is what drops the
+    /// objects. Returns the number of delta tables emptied.
     pub fn clear_volatile(&mut self, initiator: &str) -> SqlResult<usize> {
         let mut sp = maxoid_obs::span("cowproxy.clear_volatile");
         sp.field_with("initiator", || initiator.to_string());
         self.retract_read();
-        let suffix = format!("_delta_{}", sanitize(initiator));
-        let doomed: Vec<String> = self
-            .db
-            .table_names()
-            .into_iter()
-            .filter(|t| t.ends_with(&suffix.to_ascii_lowercase()))
-            .collect();
-        let mut dropped = 0;
-        for delta in &doomed {
-            let table =
-                delta.strip_suffix(&suffix.to_ascii_lowercase()).unwrap_or(delta).to_string();
-            // Dropping the view drops its triggers too.
-            self.db.execute_batch(&format!(
-                "DROP VIEW IF EXISTS {}; DROP TABLE IF EXISTS {delta};",
-                cow_view(&table, initiator)
-            ))?;
-            // Defensive: drop triggers individually in case the view name
-            // was never created.
-            for ev in ["insert", "update", "delete"] {
-                self.db.execute_batch(&format!(
-                    "DROP TRIGGER IF EXISTS {};",
-                    trigger(&table, initiator, ev)
-                ))?;
+        let mut cleared = 0;
+        for table in self.forks.get(initiator).into_iter().flatten() {
+            let delta = self.names.delta_table(table, initiator);
+            if self.db.table(&delta)?.is_empty() {
+                continue;
             }
-            dropped += 1;
+            self.db.execute(&format!("DELETE FROM {delta}"), &[])?;
+            cleared += 1;
         }
-        self.hierarchy.drop_initiator(&mut self.db, initiator)?;
-        self.initiators.retain(|i| i != initiator);
+        Ok(cleared)
+    }
+
+    /// Retires `initiator`: drops its delta tables, COW views and triggers
+    /// and its user-view COW instances, so the catalog stays bounded by
+    /// live tenants. Only idle-tenant eviction calls this; the next write
+    /// of the initiator's delegates forks again. Returns the number of
+    /// forked tables dropped.
+    pub fn retire(&mut self, initiator: &str) -> SqlResult<usize> {
+        let mut sp = maxoid_obs::span("cowproxy.retire");
+        sp.field_with("initiator", || initiator.to_string());
+        self.retract_read();
+        let tables = self.forked_tables(initiator).to_vec();
+        if tables.is_empty() {
+            return Ok(0);
+        }
+        // One transaction, like the fork: a crash never leaves a delta
+        // table without its COW view, which `adopt` would not recognise.
+        self.db.begin()?;
+        let drop = (|| -> SqlResult<()> {
+            for table in &tables {
+                // Dropping the view drops its triggers too.
+                self.db.execute_batch(&format!(
+                    "DROP VIEW IF EXISTS {}; DROP TABLE IF EXISTS {};",
+                    cow_view(table, initiator),
+                    delta_table(table, initiator)
+                ))?;
+                // Defensive: drop triggers individually in case the view
+                // name was never created.
+                for ev in ["insert", "update", "delete"] {
+                    self.db.execute_batch(&format!(
+                        "DROP TRIGGER IF EXISTS {};",
+                        trigger(table, initiator, ev)
+                    ))?;
+                }
+            }
+            self.hierarchy.drop_initiator(&mut self.db, initiator)
+        })();
+        match drop {
+            Ok(()) => self.db.commit()?,
+            Err(e) => {
+                self.db.rollback()?;
+                return Err(e);
+            }
+        }
+        self.forks.remove(initiator);
         // Delta tables and COW views are gone; cached rewrites that
         // targeted them must not be replayed.
         self.rewrite.bump_epoch();
-        Ok(dropped)
+        Ok(tables.len())
     }
 
     /// Commits one volatile row of `initiator` into the public table,
@@ -773,30 +823,35 @@ impl CowProxy {
 /// because the existence probes run against the passed database, a
 /// snapshot read decides delta/COW-view routing *within* the snapshot
 /// ("snapshot-to-snapshot"), never against newer live state.
+///
+/// `None` is a volatile read of a table the initiator never forked: it
+/// holds none of that table's rows, so there is no relation to read.
 pub(crate) fn relation_for_read(
     names: &NameInterner,
     db: &Database,
     table: &str,
     view: &DbView,
-) -> SqlResult<Arc<str>> {
+) -> SqlResult<Option<Arc<str>>> {
     match view {
-        DbView::Primary | DbView::Admin => Ok(Arc::from(table)),
+        DbView::Primary | DbView::Admin => Ok(Some(Arc::from(table))),
         DbView::Delegate { initiator } => {
             if db.has_table(&names.delta_table(table, initiator))
                 || (db.has_view(table) && db.has_view(&names.cow_view(table, initiator)))
             {
                 maxoid_obs::counter_add("cowproxy.view_rewrites", 1);
-                Ok(names.cow_view(table, initiator))
+                Ok(Some(names.cow_view(table, initiator)))
             } else {
-                Ok(Arc::from(table))
+                Ok(Some(Arc::from(table)))
             }
         }
         DbView::Volatile { initiator } => {
             let delta = names.delta_table(table, initiator);
             if db.has_table(&delta) {
-                Ok(delta)
+                Ok(Some(delta))
+            } else if db.has_table(table) {
+                Ok(None)
             } else {
-                Err(SqlError::NoSuchTable(delta.to_string()))
+                Err(SqlError::NoSuchTable(table.to_string()))
             }
         }
     }
@@ -845,7 +900,16 @@ pub(crate) fn cached_query(
             (rw.target, rw.sql, rw.appended)
         }
         None => {
-            let target = relation_for_read(names, db, table, view)?;
+            let Some(target) = relation_for_read(names, db, table, view)? else {
+                // No volatile rows to read; the columns are a delta
+                // table's.
+                let mut columns = opts.columns.clone();
+                if columns.is_empty() {
+                    columns = db.relation_columns(table)?;
+                    columns.push(WHITEOUT_COL.to_string());
+                }
+                return Ok(ResultSet { columns, rows: Vec::new() });
+            };
             let mut columns = opts.columns.clone();
             let explicit = !columns.is_empty();
             let mut appended = 0usize;
@@ -980,7 +1044,7 @@ mod tests {
     #[test]
     fn delegate_reads_primary_before_first_write() {
         let p = proxy_with_words();
-        assert_eq!(p.read_relation("words", &delegate()).unwrap(), "words");
+        assert_eq!(p.read_relation("words", &delegate()).unwrap().as_deref(), Some("words"));
         let rs = p.query(&delegate(), "words", &QueryOpts::default(), &[]).unwrap();
         assert_eq!(rs.rows.len(), 3);
     }
@@ -1095,15 +1159,100 @@ mod tests {
     fn clear_volatile_restores_pristine_state() {
         let mut p = proxy_with_words();
         p.update(&delegate(), "words", &[("word", "X".into())], Some("_id = 1"), &[]).unwrap();
+        p.insert(&delegate(), "words", &[("word", "new".into())]).unwrap();
         assert!(p.has_delta("words", "A"));
-        let dropped = p.clear_volatile("A").unwrap();
-        assert_eq!(dropped, 1);
-        assert!(!p.has_delta("words", "A"));
-        assert!(p.initiators_with_volatile().is_empty());
-        // Delegate reads fall back to primary.
+        assert_eq!(p.delta_row_count("A"), 2);
+        assert_eq!(p.clear_volatile("A").unwrap(), 1, "one delta table emptied");
+        assert_eq!(p.clear_volatile("A").unwrap(), 0, "nothing left to empty");
+        // The COW objects stay; only their rows are gone.
+        assert!(p.has_delta("words", "A"));
+        assert!(p.db().has_view("words_view__41"));
+        assert_eq!(p.delta_row_count("A"), 0);
+        // Delegate reads see the public rows through the empty COW view.
+        assert_eq!(
+            p.read_relation("words", &delegate()).unwrap().as_deref(),
+            Some("words_view__41")
+        );
         let rs = p.query(&delegate(), "words", &QueryOpts::default(), &[]).unwrap();
         let widx = rs.column_index("word").unwrap();
+        assert_eq!(rs.rows.len(), 3);
         assert_eq!(rs.rows[0][widx], Value::Text("alpha".into()));
+        // Fresh delegate inserts key from the offset again.
+        let id = p.insert(&delegate(), "words", &[("word", "again".into())]).unwrap();
+        assert_eq!(id, DELTA_PK_START);
+    }
+
+    #[test]
+    fn retire_drops_cow_objects_and_the_next_write_forks_again() {
+        let mut p = proxy_with_words();
+        p.execute_batch("CREATE INDEX idx_words_word ON words (word);").unwrap();
+        p.update(&delegate(), "words", &[("word", "X".into())], Some("_id = 1"), &[]).unwrap();
+        let e0 = p.fork_epoch();
+        assert_eq!(p.retire("A").unwrap(), 1);
+        assert!(p.fork_epoch() > e0, "retire changes COW topology");
+        assert!(!p.has_delta("words", "A"));
+        assert!(!p.db().has_view("words_view__41"));
+        assert!(!p.db().has_trigger("words__41_update"));
+        assert_eq!(p.delta_row_count("A"), 0);
+        assert_eq!(p.read_relation("words", &delegate()).unwrap().as_deref(), Some("words"));
+        assert_eq!(p.retire("A").unwrap(), 0, "an unforked initiator has nothing to retire");
+        p.update(&delegate(), "words", &[("word", "Y".into())], Some("_id = 1"), &[]).unwrap();
+        assert!(p.has_delta("words", "A"));
+        assert!(p.db().table("words_delta__41").unwrap().has_index("idx_words_word_delta__41"));
+        assert_eq!(p.delta_row_count("A"), 1);
+    }
+
+    #[test]
+    fn volatile_reads_before_any_fork_are_empty() {
+        let mut p = proxy_with_words();
+        let vol = DbView::Volatile { initiator: "A".into() };
+        let rs = p.query(&vol, "words", &QueryOpts::default(), &[]).unwrap();
+        assert!(rs.rows.is_empty());
+        assert_eq!(rs.columns, ["_id", "word", "frequency", WHITEOUT_COL]);
+        // The same columns as the delta table the first fork creates.
+        p.update(&delegate(), "words", &[("word", "X".into())], Some("_id = 1"), &[]).unwrap();
+        p.clear_volatile("A").unwrap();
+        let cleared = p.query(&vol, "words", &QueryOpts::default(), &[]).unwrap();
+        assert_eq!((cleared.columns, cleared.rows), (rs.columns, rs.rows));
+        // An unknown relation is still an error.
+        assert!(p.query(&vol, "nope", &QueryOpts::default(), &[]).is_err());
+    }
+
+    #[test]
+    fn clearing_one_tenant_keeps_every_tenants_caches_warm() {
+        let mut p = proxy_with_words();
+        let q = QueryOpts {
+            columns: vec!["word".into()],
+            where_clause: Some("_id = ?".into()),
+            ..Default::default()
+        };
+        let tenants: Vec<DbView> =
+            (0..64).map(|t| DbView::Delegate { initiator: format!("pc.init{t}") }).collect();
+        // Every fork bumps the epoch, so warm the queries after the last.
+        for (t, view) in tenants.iter().enumerate() {
+            let word = format!("t{t}");
+            p.update(view, "words", &[("word", word.into())], Some("_id = ?"), &[2.into()])
+                .unwrap();
+        }
+        for view in &tenants {
+            p.query(view, "words", &q, &[Value::Integer(2)]).unwrap();
+        }
+        let epoch = p.fork_epoch();
+        let invalidations = p.db().stats.plan_cache_invalidations.get();
+        // Tenant 0 clears and writes again.
+        assert_eq!(p.clear_volatile("pc.init0").unwrap(), 1);
+        p.update(&tenants[0], "words", &[("word", "again".into())], Some("_id = ?"), &[2.into()])
+            .unwrap();
+        assert_eq!(p.fork_epoch(), epoch, "neither the clear nor the write forked");
+        assert_eq!(p.db().stats.plan_cache_invalidations.get(), invalidations);
+        for (t, view) in tenants.iter().enumerate().skip(1) {
+            let (hits, misses) = p.rewrite_cache_stats();
+            let rs = p.query(view, "words", &q, &[Value::Integer(2)]).unwrap();
+            assert_eq!(rs.rows, vec![vec![Value::Text(format!("t{t}"))]]);
+            assert_eq!(p.rewrite_cache_stats(), (hits + 1, misses), "tenant {t} stays cached");
+        }
+        let rs = p.query(&tenants[0], "words", &q, &[Value::Integer(2)]).unwrap();
+        assert_eq!(rs.rows, vec![vec![Value::Text("again".into())]]);
     }
 
     #[test]
@@ -1221,7 +1370,7 @@ mod tests {
         // First volatile write forks the table; the delta table must come
         // up with a mirror of the base index.
         p.update(&delegate(), "words", &[("word", "X".into())], Some("_id = 1"), &[]).unwrap();
-        assert!(p.db().table("words_delta_A").unwrap().has_index("idx_words_word_delta_A"));
+        assert!(p.db().table("words_delta__41").unwrap().has_index("idx_words_word_delta__41"));
 
         p.db().stats.reset();
         let rs = p
@@ -1246,7 +1395,7 @@ mod tests {
         assert!(p.db().stats.rows_scanned.get() <= 1);
         let paths = p.db().stats.take_access_paths();
         assert!(paths.iter().any(|l| l.contains("INDEX idx_words_word EQ")), "{paths:?}");
-        assert!(paths.iter().any(|l| l.contains("INDEX idx_words_word_delta_A EQ")), "{paths:?}");
+        assert!(paths.iter().any(|l| l.contains("INDEX idx_words_word_delta__41 EQ")), "{paths:?}");
     }
 
     #[test]
@@ -1279,15 +1428,21 @@ mod tests {
         p.update(&delegate(), "words", &[("word", "x".into())], Some("_id = 1"), &[]).unwrap();
         let e1 = p.fork_epoch();
         assert!(e1 > e0);
-        // Queries before and after clear_volatile resolve differently;
-        // the epoch bump keeps the cache honest.
+        // A clear empties the delta table and keeps the topology, so the
+        // cached rewrite stays valid and reads the public row again.
         let q = QueryOpts { where_clause: Some("_id = 1".into()), ..Default::default() };
         let forked = p.query(&delegate(), "words", &q, &[]).unwrap();
         assert_eq!(forked.rows[0][1], Value::Text("x".into()));
         p.clear_volatile("A").unwrap();
-        assert!(p.fork_epoch() > e1);
+        assert_eq!(p.fork_epoch(), e1);
         let cleared = p.query(&delegate(), "words", &q, &[]).unwrap();
         assert_eq!(cleared.rows[0][1], Value::Text("alpha".into()));
+        // Retire drops the COW view: the epoch bump keeps the cache honest.
+        p.update(&delegate(), "words", &[("word", "y".into())], Some("_id = 1"), &[]).unwrap();
+        p.retire("A").unwrap();
+        assert!(p.fork_epoch() > e1);
+        let retired = p.query(&delegate(), "words", &q, &[]).unwrap();
+        assert_eq!(retired.rows[0][1], Value::Text("alpha".into()));
     }
 
     #[test]
@@ -1308,6 +1463,41 @@ mod tests {
             let mut rows = p.query(&del, "words", &q, &[]).unwrap().rows;
             rows.extend(p.query(&del, "words", &q, &[]).unwrap().rows);
             rows
+        };
+        assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    fn rewrite_cache_stays_bounded_past_its_cap_and_matches_the_oracle() {
+        use crate::rewrite::REWRITE_CACHE_CAP;
+        let run = |cache: bool| -> Vec<Vec<Vec<Value>>> {
+            let mut p = proxy_with_words();
+            p.set_rewrite_cache(cache);
+            p.db().set_statement_caches(cache);
+            let q = QueryOpts { order_by: Some("_id".into()), ..Default::default() };
+            let mut out = Vec::new();
+            // Four shapes per tenant: update, insert, delete and query.
+            let tenants = REWRITE_CACHE_CAP / 4 + 20;
+            let mut peak = 0;
+            for round in 0..2i64 {
+                for t in 0..tenants {
+                    let view = DbView::Delegate { initiator: format!("pc.init{t}") };
+                    let f = Value::Integer(round * 1000 + t as i64);
+                    p.update(&view, "words", &[("frequency", f)], Some("_id = ?"), &[2.into()])
+                        .unwrap();
+                    p.insert(&view, "words", &[("word", format!("w{t}").into())]).unwrap();
+                    p.delete(&view, "words", Some("_id = ?"), &[3.into()]).unwrap();
+                    out.push(p.query(&view, "words", &q, &[]).unwrap().rows);
+                    if round == 1 && t % 2 == 0 {
+                        p.clear_volatile(&format!("pc.init{t}")).unwrap();
+                        out.push(p.query(&view, "words", &q, &[]).unwrap().rows);
+                    }
+                    assert!(p.rewrite.len() <= REWRITE_CACHE_CAP);
+                    peak = peak.max(p.rewrite.len());
+                }
+            }
+            assert_eq!(peak, if cache { REWRITE_CACHE_CAP } else { 0 });
+            out
         };
         assert_eq!(run(true), run(false));
     }

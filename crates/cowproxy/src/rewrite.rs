@@ -5,8 +5,9 @@
 //! tables. The rewrite is a pure function of the *shape* of the call —
 //! the view, the table, the column list, the WHERE/ORDER BY text — plus
 //! the proxy's current COW topology (which deltas and COW views exist).
-//! The topology only changes at coarse-grained events: a COW fork, a
-//! volatile clear/commit, provider DDL, or view registration. The cache
+//! The topology only changes at coarse-grained events: a COW fork, an
+//! idle tenant's retirement, provider DDL, or view registration. A
+//! volatile clear or commit only deletes or copies rows. The cache
 //! therefore keys entries by call shape and stamps them with a *fork
 //! epoch*; any topology change bumps the epoch and implicitly drops every
 //! cached rewrite.
@@ -24,9 +25,11 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// Entry cap; the cache is cleared wholesale when it fills. Proxy
-/// workloads have a small closed set of statement shapes (one per
-/// provider API call site), so eviction is effectively never hit.
+/// Entry cap; the cache is cleared wholesale when it fills. A shape is
+/// per initiator, not one per provider call site: the key carries the
+/// initiator, so a tenant whose delegates insert, update and delete holds
+/// 3 shapes, and 86 such tenants pass 256. Past that, the cache clears
+/// whenever it fills and refills as the shapes recur.
 pub(crate) const REWRITE_CACHE_CAP: usize = 256;
 
 /// Operation tags distinguishing cache keys across proxy entry points.
@@ -158,6 +161,12 @@ impl RewriteCache {
 
     pub(crate) fn stats(&self) -> (u64, u64) {
         (self.hits.get(), self.misses.get())
+    }
+
+    /// Entries held.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.entries.borrow().len()
     }
 
     pub(crate) fn lookup(&self, key: &Key<'_>) -> Option<Rewrite> {

@@ -32,11 +32,11 @@ pub fn delta_index_sql(index: &str, table: &str, initiator: &str, column: &str) 
 /// Generates the COW view for a primary table (Figure 6):
 ///
 /// ```sql
-/// CREATE VIEW tab1_view_A AS
+/// CREATE VIEW tab1_view_a AS
 /// SELECT _id,data FROM tab1
-///   WHERE _id NOT IN (SELECT _id FROM tab1_delta_A)
+///   WHERE _id NOT IN (SELECT _id FROM tab1_delta_a)
 /// UNION ALL
-/// SELECT _id,data FROM tab1_delta_A WHERE _whiteout=0
+/// SELECT _id,data FROM tab1_delta_a WHERE _whiteout=0
 /// ```
 pub fn cow_view_sql(table: &str, initiator: &str, columns: &[String], pk: &str) -> String {
     let collist = columns.join(",");
@@ -108,49 +108,49 @@ mod tests {
 
     #[test]
     fn view_sql_matches_figure6_shape() {
-        let sql = cow_view_sql("tab1", "A", &cols(), "_id");
+        let sql = cow_view_sql("tab1", "a", &cols(), "_id");
         assert_eq!(
             sql,
-            "CREATE VIEW tab1_view_A AS SELECT _id,data FROM tab1 \
-             WHERE _id NOT IN (SELECT _id FROM tab1_delta_A) \
-             UNION ALL SELECT _id,data FROM tab1_delta_A WHERE _whiteout=0"
+            "CREATE VIEW tab1_view_a AS SELECT _id,data FROM tab1 \
+             WHERE _id NOT IN (SELECT _id FROM tab1_delta_a) \
+             UNION ALL SELECT _id,data FROM tab1_delta_a WHERE _whiteout=0"
         );
     }
 
     #[test]
     fn update_trigger_matches_figure6_shape() {
-        let sql = update_trigger_sql("tab1", "A", &cols());
+        let sql = update_trigger_sql("tab1", "a", &cols());
         assert_eq!(
             sql,
-            "CREATE TRIGGER tab1_A_update INSTEAD OF UPDATE ON tab1_view_A BEGIN \
-             INSERT OR REPLACE INTO tab1_delta_A (_id,data,_whiteout) \
+            "CREATE TRIGGER tab1_a_update INSTEAD OF UPDATE ON tab1_view_a BEGIN \
+             INSERT OR REPLACE INTO tab1_delta_a (_id,data,_whiteout) \
              VALUES (NEW._id, NEW.data, 0); END"
         );
     }
 
     #[test]
     fn delete_trigger_writes_whiteout() {
-        let sql = delete_trigger_sql("tab1", "A", &cols());
+        let sql = delete_trigger_sql("tab1", "a", &cols());
         assert!(sql.contains("VALUES (OLD._id, OLD.data, 1)"));
         assert!(sql.contains("INSTEAD OF DELETE"));
     }
 
     #[test]
     fn delta_index_mirrors_base_index() {
-        let sql = delta_index_sql("idx_word", "tab1", "A", "data");
-        assert_eq!(sql, "CREATE INDEX idx_word_delta_A ON tab1_delta_A (data)");
+        let sql = delta_index_sql("idx_word", "tab1", "a", "data");
+        assert_eq!(sql, "CREATE INDEX idx_word_delta_a ON tab1_delta_a (data)");
     }
 
     #[test]
     fn delta_table_adds_whiteout_column() {
         let sql = delta_table_sql(
             "tab1",
-            "A",
+            "a",
             &["_id INTEGER PRIMARY KEY".to_string(), "data TEXT".to_string()],
         );
         assert_eq!(
             sql,
-            "CREATE TABLE tab1_delta_A (_id INTEGER PRIMARY KEY, data TEXT, _whiteout BOOLEAN)"
+            "CREATE TABLE tab1_delta_a (_id INTEGER PRIMARY KEY, data TEXT, _whiteout BOOLEAN)"
         );
     }
 }

@@ -415,6 +415,19 @@ mod tests {
     }
 
     #[test]
+    fn v2_logs_are_corrupted() {
+        // A v2 log's records name COW objects in a lossy encoding; it must
+        // not replay as if it were current.
+        let mut j = Journal::in_memory(1);
+        j.append(&rec("/a")).unwrap();
+        let mut bytes = j.bytes();
+        bytes[..LOG_PREAMBLE.len()].copy_from_slice(b"MXWAL2\x00\x00");
+        let log = read_records(&bytes);
+        assert!(log.records.is_empty());
+        assert_eq!(log.tail, TailState::Corrupted { offset: 0 });
+    }
+
+    #[test]
     fn committed_filter_basic() {
         let mut j = Journal::in_memory(1);
         j.append(&rec("/outside")).unwrap();

@@ -2,7 +2,7 @@
 //! rewrites, and the `JournalSink` trait the rest of the stack emits
 //! through.
 //!
-//! A log opens with an 8-byte preamble (`MXWAL2\0\0`) followed by frames
+//! A log opens with an 8-byte preamble (`MXWAL3\0\0`) followed by frames
 //! (little-endian):
 //!
 //! ```text
@@ -67,8 +67,11 @@ pub const FRAME_HEADER: usize = 1 + 8 + 4 + 4;
 
 /// The 8-byte preamble opening every non-empty log. Its first byte is
 /// deliberately not [`FRAME_MAGIC`], so a log that opens on a bare frame
-/// is told apart from one this journal wrote.
-pub const LOG_PREAMBLE: [u8; 8] = *b"MXWAL2\x00\x00";
+/// is told apart from one this journal wrote. The version digit also
+/// covers what the records say: v3 logs name each initiator's COW objects
+/// with the injective initiator encoding, so a v2 log, whose names a lossy
+/// map wrote, does not open.
+pub const LOG_PREAMBLE: [u8; 8] = *b"MXWAL3\x00\x00";
 
 /// Default group-commit batch size (records per flush).
 pub const DEFAULT_BATCH: usize = 16;
@@ -986,7 +989,7 @@ mod tests {
     }
 
     #[test]
-    fn logs_open_with_the_v2_preamble() {
+    fn logs_open_with_the_current_preamble() {
         let mut j = Journal::in_memory(1);
         j.append(&rec("/a")).unwrap();
         let bytes = j.bytes();

@@ -166,7 +166,8 @@ impl<S> CowProvider<S> {
         CowProvider { schema, proxy, services }
     }
 
-    /// Access to the underlying proxy (tests, benches).
+    /// Access to the underlying proxy (tests, benches, idle-tenant
+    /// eviction).
     pub fn proxy(&self) -> &CowProxy {
         &self.proxy
     }
@@ -235,6 +236,11 @@ impl<S: Send> ContentProvider for CowProvider<S> {
 
     fn clear_volatile(&mut self, initiator: &str) -> ProviderResult<()> {
         self.proxy.clear_volatile(initiator)?;
+        Ok(())
+    }
+
+    fn retire(&mut self, initiator: &str) -> ProviderResult<()> {
+        self.proxy.retire(initiator)?;
         Ok(())
     }
 

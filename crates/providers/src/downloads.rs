@@ -409,10 +409,13 @@ mod tests {
         let browser = Caller::normal("com.browser");
         p.enqueue(&browser, &request(true)).unwrap();
         p.process_pending(&mut kernel, pid).unwrap();
-        p.clear_volatile("com.browser").unwrap();
         let uri = Uri::parse("content://downloads/my_downloads").unwrap();
-        let rs = p.query(&browser, &uri.as_volatile(), &QueryArgs::default());
-        // The volatile table is gone; querying tmp now fails cleanly.
-        assert!(rs.is_err() || rs.unwrap().rows.is_empty());
+        let tmp = |p: &mut DownloadsProvider<_>| {
+            p.query(&browser, &uri.as_volatile(), &QueryArgs::default()).unwrap().rows.len()
+        };
+        assert_eq!(tmp(&mut p), 1);
+        p.clear_volatile("com.browser").unwrap();
+        // The emptied delta table stays; querying tmp returns no rows.
+        assert_eq!(tmp(&mut p), 0);
     }
 }

@@ -187,6 +187,14 @@ pub trait ContentProvider {
     /// provider holds for `initiator` (Clear-Vol, §6.3).
     fn clear_volatile(&mut self, initiator: &str) -> ProviderResult<()>;
 
+    /// Maxoid administrative hook: discards `initiator`'s volatile state
+    /// and whatever the provider keeps to serve it again, because the
+    /// tenant went idle (idle-tenant eviction). Providers that keep
+    /// nothing beyond the state itself just clear it.
+    fn retire(&mut self, initiator: &str) -> ProviderResult<()> {
+        self.clear_volatile(initiator)
+    }
+
     /// Maxoid administrative hook: selectively commits one volatile row
     /// of `initiator` (identified by delta-table row id) into the
     /// provider's public state (§3.3). Returns true if a row was

@@ -252,14 +252,28 @@ impl ContentResolver {
     }
 
     /// Clears the volatile state every registered provider holds for
-    /// `initiator` (the provider half of Clear-Vol). Providers are locked
-    /// one at a time in ascending authority order (the documented
-    /// provider-lock order).
+    /// `initiator` (the provider half of Clear-Vol).
     pub fn clear_volatile(&self, initiator: &str) -> ProviderResult<()> {
+        self.each_provider(|p| p.clear_volatile(initiator))
+    }
+
+    /// Retires `initiator` from every registered provider (the provider
+    /// half of idle-tenant eviction, see [`ContentProvider::retire`]).
+    pub fn retire(&self, initiator: &str) -> ProviderResult<()> {
+        self.each_provider(|p| p.retire(initiator))
+    }
+
+    /// Runs `f` on every registered provider, locking them one at a time
+    /// in ascending authority order (the documented provider-lock order)
+    /// and republishing each one's snapshot.
+    fn each_provider(
+        &self,
+        mut f: impl FnMut(&mut dyn ContentProvider) -> ProviderResult<()>,
+    ) -> ProviderResult<()> {
         let entries: Vec<ProviderEntry> = self.providers.read().values().cloned().collect();
         for e in entries {
             let mut p = e.provider.lock();
-            let res = p.clear_volatile(initiator);
+            let res = f(&mut *p);
             p.publish_read();
             res?;
         }

@@ -97,6 +97,10 @@ pub struct Stats {
 /// Default retention cap for [`Stats::access_paths`].
 pub const ACCESS_PATH_LOG_CAP: usize = 64;
 
+/// Statements the prepared-statement cache holds; reaching the cap clears
+/// it (the plan cache's policy too).
+const STMT_CACHE_CAP: usize = 512;
+
 impl Default for Stats {
     fn default() -> Self {
         Stats {
@@ -508,7 +512,7 @@ impl Database {
         self.stats.stmt_cache_misses.set(self.stats.stmt_cache_misses.get() + 1);
         let stmt = Arc::new(parse_statement(sql)?);
         let mut cache = self.stmt_cache.borrow_mut();
-        if cache.len() >= 512 {
+        if cache.len() >= STMT_CACHE_CAP {
             cache.clear();
         }
         cache.insert(sql.to_string(), Arc::clone(&stmt));
@@ -1186,6 +1190,44 @@ mod tests {
         assert_eq!(rs.columns, vec!["_id", "data"]);
         assert_eq!(rs.rows.len(), 3);
         assert_eq!(rs.rows[2], vec![Value::Integer(3), Value::Text("c".into())]);
+    }
+
+    #[test]
+    fn statement_and_plan_caches_stay_bounded_past_their_caps() {
+        use crate::plancache::PLAN_CACHE_CAP;
+        let build = || {
+            let mut db = Database::new();
+            db.execute_batch(
+                "CREATE TABLE t (_id INTEGER PRIMARY KEY, data TEXT);
+                 CREATE INDEX idx_t_data ON t (data);",
+            )
+            .unwrap();
+            for i in 0..40 {
+                db.execute("INSERT INTO t (data) VALUES (?)", &[Value::Text(format!("d{i}"))])
+                    .unwrap();
+            }
+            db
+        };
+        let (cached, oracle) = (build(), build());
+        oracle.set_statement_caches(false);
+        let mut peak = (0, 0, 0);
+        for round in 0..2 {
+            for i in 0..STMT_CACHE_CAP.max(PLAN_CACHE_CAP) * 2 + 7 {
+                // Every statement is a new shape for all three caches.
+                let sql =
+                    format!("SELECT _id, data FROM t WHERE _id = {} OR data = 'd{i}'", i % 50);
+                let got = cached.query(&sql, &[]).unwrap();
+                assert_eq!(got.rows, oracle.query(&sql, &[]).unwrap().rows, "round {round}: {sql}");
+                let (selects, accesses) = cached.plan_cache.sizes();
+                let stmts = cached.stmt_cache.borrow().len();
+                assert!(stmts <= STMT_CACHE_CAP && selects <= PLAN_CACHE_CAP);
+                assert!(accesses <= PLAN_CACHE_CAP);
+                peak = (peak.0.max(stmts), peak.1.max(selects), peak.2.max(accesses));
+            }
+        }
+        assert_eq!(peak, (STMT_CACHE_CAP, PLAN_CACHE_CAP, PLAN_CACHE_CAP), "each cap was reached");
+        assert_eq!(oracle.stmt_cache.borrow().len(), 0);
+        assert_eq!(oracle.plan_cache.sizes(), (0, 0));
     }
 
     #[test]

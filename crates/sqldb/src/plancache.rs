@@ -34,7 +34,7 @@ use std::sync::Arc;
 /// Cache-size bound; reaching it clears the map (same policy as the
 /// statement cache — workloads that legitimately need more distinct
 /// shapes re-warm in one pass).
-const PLAN_CACHE_CAP: usize = 512;
+pub(crate) const PLAN_CACHE_CAP: usize = 512;
 
 /// A cached flatten decision for one SELECT shape.
 struct SelectEntry {
@@ -106,6 +106,12 @@ impl PlanCache {
             self.selects.borrow_mut().clear();
             self.accesses.borrow_mut().clear();
         }
+    }
+
+    /// Entries held in the flatten and access-plan maps.
+    #[cfg(test)]
+    pub(crate) fn sizes(&self) -> (usize, usize) {
+        (self.selects.borrow().len(), self.accesses.borrow().len())
     }
 
     /// Current catalog generation.

@@ -294,7 +294,7 @@ fn snapshot_slot_retracts_on_mutation_and_rearms() {
 }
 
 /// A recovered-shape database: schema, public rows, and a pre-existing
-/// delta/view/trigger complex for sanitized initiator `a`, built from the
+/// delta/view/trigger complex for initiator `a`, built from the
 /// proxy's own generated SQL (the adoption path never sees proxy state).
 fn recovered_db() -> Database {
     let mut db = Database::new();

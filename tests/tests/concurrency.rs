@@ -590,10 +590,24 @@ fn one_shot_tenants_do_not_accrete_lock_entries() {
 }
 
 /// Tenant accounting sees a delegate's COW state, and the idle evictor
-/// reclaims the volatile portion without touching committed state.
+/// reclaims the volatile portion without touching committed state. A
+/// Clear-Vol only empties the tenant's COW objects; eviction retires
+/// them, and the tenant's next delegate write forks again. The catalog is
+/// read back from the journal, which records every COW object's DDL.
 #[test]
 fn tenant_stats_and_idle_eviction() {
-    let sys = MaxoidSystem::boot().unwrap();
+    let journal = JournalHandle::with_batch(1);
+    let sys = MaxoidSystem::boot_journaled(journal.clone()).unwrap();
+    // Which of owner's COW objects the journaled catalog holds.
+    let cow_objects = || -> [bool; 3] {
+        journal.flush().unwrap();
+        let db = maxoid::durability::recover(&journal.bytes()).unwrap().take_db("user_dictionary");
+        [
+            db.has_table("words_delta_owner"),
+            db.has_view("words_view_owner"),
+            db.has_trigger("words_owner_update"),
+        ]
+    };
     let words = Uri::parse("content://user_dictionary/words").unwrap();
     sys.install("owner", vec![], MaxoidManifest::new()).unwrap();
     sys.install("tool", vec![], MaxoidManifest::new()).unwrap();
@@ -618,6 +632,18 @@ fn tenant_stats_and_idle_eviction() {
     assert!(stats.volatile_bytes >= 9);
     assert!(stats.delta_rows >= 1, "the COW update must show as a delta row");
     assert!(stats.cow_files >= 1, "the delegate fork must show as COW state");
+    assert_eq!(cow_objects(), [true; 3]);
+
+    // Clear-Vol empties the COW objects and keeps them.
+    sys.clear_vol("owner").unwrap();
+    assert_eq!(sys.tenant_stats("owner").unwrap().delta_rows, 0);
+    assert_eq!(cow_objects(), [true; 3]);
+    let update = |word: &str| {
+        let vals = ContentValues::new().put("word", word);
+        sys.cp_update(d, &words.with_id(1), &vals, &QueryArgs::default()).unwrap();
+    };
+    update("cow");
+    assert_eq!(sys.tenant_stats("owner").unwrap().delta_rows, 1);
 
     // A tenant with zero idle ticks is not evicted; after enough other
     // activity it is. (The delegate's gesture lock is unreferenced once
@@ -631,9 +657,41 @@ fn tenant_stats_and_idle_eviction() {
     let after = sys.tenant_stats("owner").unwrap();
     assert_eq!(after.volatile_files, 0, "volatile files must be reclaimed");
     assert_eq!(after.delta_rows, 0, "delta rows must be reclaimed");
+    assert_eq!(cow_objects(), [false; 3], "eviction retires the COW objects");
     // Committed state survives eviction.
     assert_eq!(sys.kernel.read(a, &secret).unwrap(), b"committed");
     let rs = sys.cp_query(a, &words.with_id(1), &QueryArgs::default()).unwrap();
     let col = rs.column_index("word").unwrap();
     assert_eq!(rs.rows[0][col].to_string(), "base");
+    // The next delegate write forks again.
+    update("again");
+    assert_eq!(cow_objects(), [true; 3]);
+    assert_eq!(sys.tenant_stats("owner").unwrap().delta_rows, 1);
+}
+
+/// A tenant whose gesture-lock entry the soft-cap sweep dropped after it
+/// forked and cleared holds no volatile files, but still holds its
+/// (empty) COW objects; the idle evictor finds it through the providers'
+/// forks and retires them, so the catalog stays bounded.
+#[test]
+fn swept_tenants_cow_objects_are_retired() {
+    use maxoid_providers::Caller;
+    let journal = JournalHandle::with_batch(1);
+    let sys = MaxoidSystem::boot_journaled(journal.clone()).unwrap();
+    let words = Uri::parse("content://user_dictionary/words").unwrap();
+    let tenants = maxoid::INIT_LOCK_SOFT_CAP + 64;
+    for t in 0..tenants {
+        let init = format!("swept{t}");
+        let vals = ContentValues::new().put("word", "draft");
+        sys.resolver.insert(&Caller::delegate("tool", &init), &words, &vals).unwrap();
+        sys.clear_vol(&init).unwrap();
+    }
+    assert!(sys.init_lock_count() < tenants, "the soft-cap sweep must have dropped entries");
+    let report = sys.evict_idle_tenants(0).unwrap();
+    assert_eq!(report.tenants, tenants, "every tenant is idle and holds COW objects");
+    journal.flush().unwrap();
+    let db = maxoid::durability::recover(&journal.bytes()).unwrap().take_db("user_dictionary");
+    let left: Vec<String> =
+        db.table_names().into_iter().filter(|t| t.contains("_delta_")).collect();
+    assert!(left.is_empty(), "eviction left delta tables behind: {left:?}");
 }

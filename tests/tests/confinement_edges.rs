@@ -208,9 +208,9 @@ fn clear_vol_covers_clipboard() {
 /// The three system providers with the collection, text column and the
 /// name of Alice's delta table each probe aims at.
 const PROVIDERS: [(&str, &str, &str); 3] = [
-    ("content://user_dictionary/words", "word", "words_delta_com_alice"),
-    ("content://downloads/my_downloads", "title", "downloads_delta_com_alice"),
-    ("content://media/files", "title", "files_delta_com_alice"),
+    ("content://user_dictionary/words", "word", "words_delta_com_2ealice"),
+    ("content://downloads/my_downloads", "title", "downloads_delta_com_2ealice"),
+    ("content://media/files", "title", "files_delta_com_2ealice"),
 ];
 
 /// Caller fragments that reach past their slot: a projection and a sort
@@ -309,4 +309,183 @@ fn hostile_fragments_are_refused_by_every_provider() {
             assert_eq!(sys.resolver.read_path_stats().0, snapshot_reads + 1, "{uri} {args:?}");
         }
     }
+}
+
+/// Initiator pairs an earlier name map merged: a lossy byte map
+/// (`com.a.b` / `com.a_b`), a delta-table name suffix (`b` /
+/// `x.delta.b`), and the catalog's case folding (`A` / `a`).
+const LOOKALIKES: [(&str, &str); 3] = [("com.a.b", "com.a_b"), ("b", "x.delta.b"), ("A", "a")];
+
+/// Distinct initiators never share COW objects (S1, S2). For each
+/// look-alike pair, on all three providers, in both roles: a delegate of
+/// one initiator never reads the other's volatile row — through a direct
+/// provider call (the locked path) or the resolver's read handle (the
+/// snapshot path) — and clearing one initiator never discards the
+/// other's volatile rows.
+#[test]
+fn distinct_initiators_never_share_cow_objects() {
+    use maxoid_providers::provider::ContentProvider;
+    use maxoid_providers::{
+        Caller, DownloadsProvider, MediaProvider, SimpleLocator, SystemFiles,
+        UserDictionaryProvider,
+    };
+    let files = || SystemFiles::new(maxoid_vfs::Vfs::new(), SimpleLocator);
+    let providers = || -> [Box<dyn ContentProvider>; 3] {
+        [
+            Box::new(UserDictionaryProvider::new()),
+            Box::new(DownloadsProvider::open(files(), None, None)),
+            Box::new(MediaProvider::open(files(), None, None)),
+        ]
+    };
+    let column = |rows: Vec<Vec<maxoid_sqldb::Value>>| -> Vec<String> {
+        rows.into_iter().map(|r| format!("{:?}", r[0])).collect()
+    };
+    let secret = format!("{:?}", maxoid_sqldb::Value::from("ALICE_SECRET"));
+    for (x, y) in LOOKALIKES {
+        for (alice, bob) in [(x, y), (y, x)] {
+            let alice_delegate = Caller::delegate("com.viewer", alice);
+            let bob_delegate = Caller::delegate("com.viewer", bob);
+            // Locked path: direct provider calls.
+            for (mut p, (uri, col, _)) in providers().into_iter().zip(PROVIDERS) {
+                let uri = Uri::parse(uri).unwrap();
+                let args = QueryArgs { projection: vec![col.into()], ..Default::default() };
+                let put = |v: &str| ContentValues::new().put(col, v);
+                p.insert(&Caller::normal("com.seed"), &uri, &put("public1")).unwrap();
+                p.insert(&alice_delegate, &uri, &put("ALICE_SECRET")).unwrap();
+                p.insert(&bob_delegate, &uri, &put("bob_draft")).unwrap();
+                let bob_sees = column(p.query(&bob_delegate, &uri, &args).unwrap().rows);
+                assert!(!bob_sees.contains(&secret), "{uri}: {bob} read {alice}'s row");
+                p.clear_volatile(bob).unwrap();
+                let alice_sees = column(p.query(&alice_delegate, &uri, &args).unwrap().rows);
+                assert!(
+                    alice_sees.contains(&secret),
+                    "{uri}: clearing {bob} discarded {alice}'s row"
+                );
+                let bob_sees = column(p.query(&bob_delegate, &uri, &args).unwrap().rows);
+                assert_eq!(bob_sees.len(), 1, "{uri}: {bob} sees only the public row");
+            }
+            // Snapshot path: the resolver serves reads from its read handle.
+            let sys = maxoid::MaxoidSystem::boot().unwrap();
+            for (uri, col, _) in PROVIDERS {
+                let uri = Uri::parse(uri).unwrap();
+                let args = QueryArgs { projection: vec![col.into()], ..Default::default() };
+                let put = |v: &str| ContentValues::new().put(col, v);
+                sys.resolver.insert(&alice_delegate, &uri, &put("ALICE_SECRET")).unwrap();
+                sys.resolver.insert(&bob_delegate, &uri, &put("bob_draft")).unwrap();
+                let (snapshot_reads, _) = sys.resolver.read_path_stats();
+                let bob_sees = column(sys.resolver.query(&bob_delegate, &uri, &args).unwrap().rows);
+                assert_eq!(sys.resolver.read_path_stats().0, snapshot_reads + 1, "{uri}");
+                assert!(!bob_sees.contains(&secret), "{uri}: {bob} read {alice}'s row");
+            }
+            sys.resolver.clear_volatile(bob).unwrap();
+            for (uri, col, _) in PROVIDERS {
+                let uri = Uri::parse(uri).unwrap();
+                let args = QueryArgs { projection: vec![col.into()], ..Default::default() };
+                let alice_sees =
+                    column(sys.resolver.query(&alice_delegate, &uri, &args).unwrap().rows);
+                assert!(
+                    alice_sees.contains(&secret),
+                    "{uri}: clearing {bob} discarded {alice}'s row"
+                );
+            }
+        }
+    }
+}
+
+/// A `tmp` query by an initiator that holds no volatile rows returns an
+/// empty result — before its delegates ever forked the table and after a
+/// Clear-Vol — on the locked path and on the snapshot path, instead of an
+/// error naming an internal table.
+#[test]
+fn tmp_queries_without_volatile_state_are_empty() {
+    use maxoid_providers::provider::ContentProvider;
+    use maxoid_providers::{Caller, UserDictionaryProvider};
+    let words = Uri::parse("content://user_dictionary/words").unwrap();
+    let tmp = words.as_volatile();
+    let initiator = Caller::normal("com.init");
+    let delegate = Caller::delegate("com.viewer", "com.init");
+    let args = QueryArgs::default();
+    let draft = ContentValues::new().put("word", "draft");
+
+    // Locked path: direct provider calls.
+    let mut p = UserDictionaryProvider::new();
+    p.insert(&Caller::normal("com.kb"), &words, &ContentValues::new().put("word", "pub")).unwrap();
+    assert_eq!(p.query(&initiator, &tmp, &args).unwrap().rows, Vec::<Vec<_>>::new());
+    p.insert(&delegate, &words, &draft).unwrap();
+    assert_eq!(p.query(&initiator, &tmp, &args).unwrap().rows.len(), 1);
+    p.clear_volatile("com.init").unwrap();
+    assert_eq!(p.query(&initiator, &tmp, &args).unwrap().rows, Vec::<Vec<_>>::new());
+
+    // Snapshot path: the resolver's read handle.
+    let sys = standard_cast();
+    sys.resolver.insert(&Caller::normal("com.kb"), &words, &draft).unwrap();
+    let snapshot_query = |expect: usize| {
+        let (snapshot_reads, _) = sys.resolver.read_path_stats();
+        let rs = sys.resolver.query(&initiator, &tmp, &args).unwrap();
+        assert_eq!(sys.resolver.read_path_stats().0, snapshot_reads + 1);
+        assert_eq!(rs.rows.len(), expect);
+    };
+    snapshot_query(0);
+    sys.resolver.insert(&delegate, &words, &draft).unwrap();
+    snapshot_query(1);
+    sys.resolver.clear_volatile("com.init").unwrap();
+    snapshot_query(0);
+}
+
+/// Initiators whose encoded name begins with `delta_`, so their delta
+/// tables hold `_delta_` twice (`words_delta_delta_2eapp`), and one that
+/// does not.
+const DELTA_PREFIXED: [&str; 4] = ["delta.app", "delta_x", "deltaA", "com.alice"];
+
+/// A provider reopened around a recovered database finds every
+/// initiator's fork, however its name splits: each adopted initiator
+/// holds its one volatile row, and a Clear-Vol leaves its delegate the
+/// public row alone and its `tmp` query empty.
+fn clear_adopted<S: Send>(mut p: maxoid_providers::CowProvider<S>, uri: &str, col: &str) {
+    use maxoid_providers::provider::ContentProvider;
+    use maxoid_providers::Caller;
+    let uri = Uri::parse(uri).unwrap();
+    let args = QueryArgs { projection: vec![col.into()], ..Default::default() };
+    for init in DELTA_PREFIXED {
+        assert_eq!(p.delta_row_count(init), 1, "{uri}: recovery lost {init}'s fork");
+        p.clear_volatile(init).unwrap();
+        assert_eq!(p.delta_row_count(init), 0, "{uri}: {init}");
+        let delegate_sees = p.query(&Caller::delegate("com.viewer", init), &uri, &args).unwrap();
+        assert_eq!(delegate_sees.rows, vec![vec![maxoid_sqldb::Value::from("public1")]], "{init}");
+        let tmp = p.query(&Caller::normal(init), &uri.as_volatile(), &args).unwrap();
+        assert!(tmp.rows.is_empty(), "{uri}: {init} kept volatile rows");
+    }
+}
+
+/// Forks of initiators whose encoded name begins with `delta_` survive
+/// recovery on all three providers, so a Clear-Vol after a reopen still
+/// discards their volatile rows.
+#[test]
+fn recovered_forks_of_delta_prefixed_initiators_are_cleared() {
+    use maxoid_providers::{
+        Caller, DownloadsProvider, MediaProvider, SimpleLocator, SystemFiles,
+        UserDictionaryProvider,
+    };
+    let journal = maxoid_journal::JournalHandle::with_batch(1);
+    let sys = maxoid::MaxoidSystem::boot_journaled(journal.clone()).unwrap();
+    for (uri, col, _) in PROVIDERS {
+        let uri = Uri::parse(uri).unwrap();
+        let put = |v: &str| ContentValues::new().put(col, v);
+        sys.resolver.insert(&Caller::normal("com.seed"), &uri, &put("public1")).unwrap();
+        for init in DELTA_PREFIXED {
+            sys.resolver
+                .insert(&Caller::delegate("com.viewer", init), &uri, &put("draft"))
+                .unwrap();
+        }
+    }
+    journal.flush().unwrap();
+    let mut rec = maxoid::durability::recover(&journal.bytes()).unwrap();
+    let files = || SystemFiles::new(maxoid_vfs::Vfs::new(), SimpleLocator);
+    let [(dict_uri, dict_col, _), (dl_uri, dl_col, _), (media_uri, media_col, _)] = PROVIDERS;
+    let dict = UserDictionaryProvider::open(None, Some(rec.take_db("user_dictionary")));
+    clear_adopted(dict, dict_uri, dict_col);
+    let downloads = DownloadsProvider::open(files(), None, Some(rec.take_db("downloads")));
+    clear_adopted(downloads, dl_uri, dl_col);
+    let media = MediaProvider::open(files(), None, Some(rec.take_db("media")));
+    clear_adopted(media, media_uri, media_col);
 }

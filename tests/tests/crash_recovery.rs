@@ -12,9 +12,8 @@
 //!   system's file tree (modulo mtimes) and provider query results,
 //!   including the COW proxy's delta tables, rowid offsets and views.
 //!
-//! Initiator/delegate package names are lowercase identifiers on purpose:
-//! adoption after recovery rediscovers initiators from sanitized
-//! (lowercased) delta-table names.
+//! Adoption after recovery decodes initiators back from delta-table
+//! names, so any package name recovers as itself.
 
 use maxoid::durability::{recover, RecoveryError};
 use maxoid::manifest::MaxoidManifest;
@@ -50,8 +49,8 @@ fn query_args() -> QueryArgs {
 
 /// Semantic state: the full file tree (mtime-free) and the user
 /// dictionary as seen publicly, by the delegate, and through the
-/// initiator's volatile (tmp) URI. Queries that fail (e.g. tmp after the
-/// delta table was dropped) record `None` so both sides must fail alike.
+/// initiator's volatile (tmp) URI. Queries that fail record `None` so
+/// both sides must fail alike.
 #[derive(Debug, PartialEq)]
 struct Fingerprint {
     files: BTreeMap<String, (bool, Vec<u8>, u32, u8)>,
@@ -585,6 +584,60 @@ fn a_failed_checkpoint_keeps_its_dirty_set() {
     assert_eq!(rec.vfs.with_store(|s| s.read(&file)).unwrap(), b"NEW CONTENT");
 }
 
+/// Runs `cycles` gesture cycles — the initiator's delegate forks the
+/// dictionary with an update, then the initiator clears `Vol` — and
+/// compacts. Returns the compacted log and the live state.
+fn fork_clear_cycles(cycles: usize) -> (Vec<u8>, Fingerprint) {
+    let mut sys = journaled_system();
+    let public = Caller::normal(INITIATOR);
+    for (w, f) in [("hello", 10), ("world", 20)] {
+        let vals = ContentValues::new().put("word", w).put("frequency", f);
+        sys.resolver.insert(&public, &words_uri(), &vals).expect("public insert");
+    }
+    let delegate = Caller::delegate(DELEGATE, INITIATOR);
+    for c in 0..cycles {
+        let vals = ContentValues::new().put("frequency", c as i64);
+        let n =
+            sys.resolver.update(&delegate, &words_uri().with_id(1), &vals, &QueryArgs::default());
+        assert_eq!(n.expect("delegate update"), 1);
+        sys.clear_vol(INITIATOR).expect("clear-vol");
+    }
+    let journal = sys.journal().unwrap().clone();
+    sys.compact().expect("compact");
+    (journal.bytes(), live_fingerprint(&mut sys))
+}
+
+/// The log stays bounded by live state across gesture cycles (ROADMAP
+/// item 3): a returning tenant's Clear-Vol deletes rows and runs no DDL,
+/// so compaction collapses its history. After 1,000 fork/clear cycles the
+/// compacted log is within 1.1x the bytes of the one after 10, and both
+/// recover the same state as the live system.
+#[test]
+fn compacted_log_stays_flat_across_gesture_cycles() {
+    let (ten, live_ten) = fork_clear_cycles(10);
+    let (thousand, live_thousand) = fork_clear_cycles(1000);
+    assert_eq!(live_ten, live_thousand, "the cycles leave the same live state");
+    assert_eq!(recovered_fingerprint(&ten), live_ten);
+    assert_eq!(recovered_fingerprint(&thousand), live_thousand);
+    assert!(
+        thousand.len() * 10 <= ten.len() * 11,
+        "compacted log grew with history: {} B after 10 cycles, {} B after 1,000",
+        ten.len(),
+        thousand.len()
+    );
+}
+
+/// A log written before COW object names were encoded injectively (the
+/// v2 preamble) names objects that may belong to several initiators at
+/// once: recovery refuses it instead of booting from it.
+#[test]
+fn logs_from_before_the_injective_names_are_refused() {
+    let (mut log, _) = fork_clear_cycles(1);
+    assert!(recover(&log).is_ok());
+    log[..8].copy_from_slice(b"MXWAL2\x00\x00");
+    assert!(matches!(recover(&log), Err(RecoveryError::Corrupted { offset: 0 })));
+}
+
 /// A random workload step driven through the resolver / kernel.
 #[derive(Debug, Clone)]
 enum Op {
@@ -594,6 +647,9 @@ enum Op {
     VolatileInsert(u8),
     DelegateFileWrite(u8, Vec<u8>),
     ClearVol,
+    /// Commit the delta row of a delegate-updated public row, discarding
+    /// the rest (`commit_vol` with `discard_rest`).
+    CommitVol(u8),
 }
 
 fn op() -> impl Strategy<Value = Op> {
@@ -605,7 +661,62 @@ fn op() -> impl Strategy<Value = Op> {
         (0..4u8, proptest::collection::vec(any::<u8>(), 1..16))
             .prop_map(|(i, d)| Op::DelegateFileWrite(i, d)),
         Just(Op::ClearVol),
+        (0..200u8).prop_map(Op::CommitVol),
     ]
+}
+
+/// Runs one workload step; failures are part of the workload.
+fn apply(sys: &MaxoidSystem, del_pid: maxoid::Pid, o: &Op) {
+    let public = Caller::normal(INITIATOR);
+    let delegate = Caller::delegate(DELEGATE, INITIATOR);
+    match o {
+        Op::PublicInsert(n) => {
+            let _ = sys.resolver.insert(
+                &public,
+                &words_uri(),
+                &ContentValues::new().put("word", format!("p{n}")).put("frequency", *n as i64),
+            );
+        }
+        Op::DelegateInsert(n) => {
+            let _ = sys.resolver.insert(
+                &delegate,
+                &words_uri(),
+                &ContentValues::new().put("word", format!("d{n}")),
+            );
+        }
+        Op::DelegateUpdate(n) => {
+            let _ = sys.resolver.update(
+                &delegate,
+                &words_uri().with_id((*n % 4) as i64 + 1),
+                &ContentValues::new().put("frequency", *n as i64),
+                &QueryArgs::default(),
+            );
+        }
+        Op::VolatileInsert(n) => {
+            let _ = sys.resolver.insert(
+                &public,
+                &words_uri(),
+                &ContentValues::new().put("word", format!("v{n}")).volatile(),
+            );
+        }
+        Op::DelegateFileWrite(i, data) => {
+            let path = vpath("/storage/sdcard").join(&format!("f{i}.dat")).unwrap();
+            let _ = sys.kernel.write(del_pid, &path, data, Mode::PUBLIC);
+        }
+        Op::ClearVol => {
+            let _ = sys.clear_vol(INITIATOR);
+        }
+        Op::CommitVol(n) => {
+            // The delta row of an updated public row keeps that row's id.
+            let id = (*n % 4) as i64 + 1;
+            let plan = VolCommitPlan {
+                provider_rows: vec![(AUTHORITY.into(), "words".into(), id)],
+                discard_rest: true,
+                ..Default::default()
+            };
+            let _ = sys.commit_vol(INITIATOR, &plan);
+        }
+    }
 }
 
 proptest! {
@@ -624,8 +735,6 @@ proptest! {
         journal.flush().unwrap();
         let base_len = journal.bytes().len();
 
-        let public = Caller::normal(INITIATOR);
-        let delegate = Caller::delegate(DELEGATE, INITIATOR);
         // Every public-view state the live system passed through.
         let mut public_history: Vec<Option<Vec<Vec<Value>>>> = Vec::new();
         let snap = |sys: &mut MaxoidSystem| {
@@ -638,44 +747,7 @@ proptest! {
         };
         public_history.push(snap(&mut sys));
         for o in &ops {
-            match o {
-                Op::PublicInsert(n) => {
-                    let _ = sys.resolver.insert(
-                        &public,
-                        &words_uri(),
-                        &ContentValues::new().put("word", format!("p{n}")).put("frequency", *n as i64),
-                    );
-                }
-                Op::DelegateInsert(n) => {
-                    let _ = sys.resolver.insert(
-                        &delegate,
-                        &words_uri(),
-                        &ContentValues::new().put("word", format!("d{n}")),
-                    );
-                }
-                Op::DelegateUpdate(n) => {
-                    let _ = sys.resolver.update(
-                        &delegate,
-                        &words_uri().with_id((*n % 4) as i64 + 1),
-                        &ContentValues::new().put("frequency", *n as i64),
-                        &QueryArgs::default(),
-                    );
-                }
-                Op::VolatileInsert(n) => {
-                    let _ = sys.resolver.insert(
-                        &public,
-                        &words_uri(),
-                        &ContentValues::new().put("word", format!("v{n}")).volatile(),
-                    );
-                }
-                Op::DelegateFileWrite(i, data) => {
-                    let path = vpath("/storage/sdcard").join(&format!("f{i}.dat")).unwrap();
-                    let _ = sys.kernel.write(del_pid, &path, data, Mode::PUBLIC);
-                }
-                Op::ClearVol => {
-                    let _ = sys.clear_vol(INITIATOR);
-                }
-            }
+            apply(&sys, del_pid, o);
             public_history.push(snap(&mut sys));
         }
         journal.flush().unwrap();
@@ -712,47 +784,8 @@ proptest! {
         let mut sys = journaled_system();
         let del_pid = sys.launch_as_delegate(DELEGATE, INITIATOR).unwrap();
         let journal = sys.journal().unwrap().clone();
-        let public = Caller::normal(INITIATOR);
-        let delegate = Caller::delegate(DELEGATE, INITIATOR);
         for o in &ops {
-            match o {
-                Op::PublicInsert(n) => {
-                    let _ = sys.resolver.insert(
-                        &public,
-                        &words_uri(),
-                        &ContentValues::new().put("word", format!("p{n}")).put("frequency", *n as i64),
-                    );
-                }
-                Op::DelegateInsert(n) => {
-                    let _ = sys.resolver.insert(
-                        &delegate,
-                        &words_uri(),
-                        &ContentValues::new().put("word", format!("d{n}")),
-                    );
-                }
-                Op::DelegateUpdate(n) => {
-                    let _ = sys.resolver.update(
-                        &delegate,
-                        &words_uri().with_id((*n % 4) as i64 + 1),
-                        &ContentValues::new().put("frequency", *n as i64),
-                        &QueryArgs::default(),
-                    );
-                }
-                Op::VolatileInsert(n) => {
-                    let _ = sys.resolver.insert(
-                        &public,
-                        &words_uri(),
-                        &ContentValues::new().put("word", format!("v{n}")).volatile(),
-                    );
-                }
-                Op::DelegateFileWrite(i, data) => {
-                    let path = vpath("/storage/sdcard").join(&format!("f{i}.dat")).unwrap();
-                    let _ = sys.kernel.write(del_pid, &path, data, Mode::PUBLIC);
-                }
-                Op::ClearVol => {
-                    let _ = sys.clear_vol(INITIATOR);
-                }
-            }
+            apply(&sys, del_pid, o);
         }
         journal.flush().unwrap();
         let live = live_fingerprint(&mut sys);

@@ -14,10 +14,10 @@ fn cols() -> Vec<String> {
 #[test]
 fn golden_view_sql() {
     assert_eq!(
-        sqlgen::cow_view_sql("tab1", "A", &cols(), "_id"),
-        "CREATE VIEW tab1_view_A AS SELECT _id,data FROM tab1 \
-         WHERE _id NOT IN (SELECT _id FROM tab1_delta_A) \
-         UNION ALL SELECT _id,data FROM tab1_delta_A WHERE _whiteout=0"
+        sqlgen::cow_view_sql("tab1", "a", &cols(), "_id"),
+        "CREATE VIEW tab1_view_a AS SELECT _id,data FROM tab1 \
+         WHERE _id NOT IN (SELECT _id FROM tab1_delta_a) \
+         UNION ALL SELECT _id,data FROM tab1_delta_a WHERE _whiteout=0"
     );
 }
 
@@ -25,9 +25,9 @@ fn golden_view_sql() {
 #[test]
 fn golden_update_trigger_sql() {
     assert_eq!(
-        sqlgen::update_trigger_sql("tab1", "A", &cols()),
-        "CREATE TRIGGER tab1_A_update INSTEAD OF UPDATE ON tab1_view_A BEGIN \
-         INSERT OR REPLACE INTO tab1_delta_A (_id,data,_whiteout) \
+        sqlgen::update_trigger_sql("tab1", "a", &cols()),
+        "CREATE TRIGGER tab1_a_update INSTEAD OF UPDATE ON tab1_view_a BEGIN \
+         INSERT OR REPLACE INTO tab1_delta_a (_id,data,_whiteout) \
          VALUES (NEW._id, NEW.data, 0); END"
     );
 }
@@ -43,7 +43,7 @@ fn figure6_worked_example() {
     for (id, d) in [(1, "a"), (2, "b"), (3, "c")] {
         p.insert(&DbView::Primary, "tab1", &[("_id", id.into()), ("data", d.into())]).unwrap();
     }
-    let delegate = DbView::Delegate { initiator: "A".into() };
+    let delegate = DbView::Delegate { initiator: "a".into() };
     // The three delegate operations from the figure.
     p.delete(&delegate, "tab1", Some("_id = 2"), &[]).unwrap();
     p.update(&delegate, "tab1", &[("data", "d".into())], Some("_id = 3"), &[]).unwrap();
@@ -71,7 +71,7 @@ fn figure6_worked_example() {
 
     // The delta table (Vol(A)) holds the figure's rows exactly.
     let delta =
-        p.db().query("SELECT _id, data, _whiteout FROM tab1_delta_A ORDER BY _id", &[]).unwrap();
+        p.db().query("SELECT _id, data, _whiteout FROM tab1_delta_a ORDER BY _id", &[]).unwrap();
     assert_eq!(
         delta.rows,
         vec![
@@ -102,23 +102,23 @@ fn generated_sql_is_executable() {
     db.execute_batch("CREATE TABLE tab1 (_id INTEGER PRIMARY KEY, data TEXT);").unwrap();
     db.execute_batch(&sqlgen::delta_table_sql(
         "tab1",
-        "A",
+        "a",
         &["_id INTEGER PRIMARY KEY".to_string(), "data TEXT".to_string()],
     ))
     .unwrap();
-    db.execute_batch(&sqlgen::cow_view_sql("tab1", "A", &cols(), "_id")).unwrap();
-    db.execute_batch(&sqlgen::insert_trigger_sql("tab1", "A", &cols())).unwrap();
-    db.execute_batch(&sqlgen::update_trigger_sql("tab1", "A", &cols())).unwrap();
-    db.execute_batch(&sqlgen::delete_trigger_sql("tab1", "A", &cols())).unwrap();
-    assert!(db.has_table("tab1_delta_A"));
-    assert!(db.has_view("tab1_view_A"));
-    assert!(db.has_trigger("tab1_A_insert"));
-    assert!(db.has_trigger("tab1_A_update"));
-    assert!(db.has_trigger("tab1_A_delete"));
+    db.execute_batch(&sqlgen::cow_view_sql("tab1", "a", &cols(), "_id")).unwrap();
+    db.execute_batch(&sqlgen::insert_trigger_sql("tab1", "a", &cols())).unwrap();
+    db.execute_batch(&sqlgen::update_trigger_sql("tab1", "a", &cols())).unwrap();
+    db.execute_batch(&sqlgen::delete_trigger_sql("tab1", "a", &cols())).unwrap();
+    assert!(db.has_table("tab1_delta_a"));
+    assert!(db.has_view("tab1_view_a"));
+    assert!(db.has_trigger("tab1_a_insert"));
+    assert!(db.has_trigger("tab1_a_update"));
+    assert!(db.has_trigger("tab1_a_delete"));
     // Drive the triggers through plain SQL.
     db.execute_batch("INSERT INTO tab1 VALUES (1,'a');").unwrap();
-    db.execute_batch("UPDATE tab1_view_A SET data = 'z' WHERE _id = 1;").unwrap();
-    let rs = db.query("SELECT data FROM tab1_view_A WHERE _id = 1", &[]).unwrap();
+    db.execute_batch("UPDATE tab1_view_a SET data = 'z' WHERE _id = 1;").unwrap();
+    let rs = db.query("SELECT data FROM tab1_view_a WHERE _id = 1", &[]).unwrap();
     assert_eq!(rs.rows, vec![vec![Value::Text("z".into())]]);
     let rs = db.query("SELECT data FROM tab1 WHERE _id = 1", &[]).unwrap();
     assert_eq!(rs.rows, vec![vec![Value::Text("a".into())]]);
@@ -133,7 +133,7 @@ fn footnote5_workaround_end_to_end() {
     for i in 0..100 {
         p.insert(&DbView::Primary, "tab1", &[("data", format!("row{i}").into())]).unwrap();
     }
-    let delegate = DbView::Delegate { initiator: "A".into() };
+    let delegate = DbView::Delegate { initiator: "a".into() };
     p.update(&delegate, "tab1", &[("data", "x".into())], Some("_id = 1"), &[]).unwrap();
     p.db().stats.reset();
     let rs = p
