@@ -246,7 +246,11 @@ fn main() {
         // Parallel hardware can only be exploited up to the core count.
         let ideal = n.min(cores) as f64;
         let efficiency = speedup / ideal;
-        json.push_scalar_unit(&format!("concurrency/threads{n}/ops_per_sec"), best, Unit::OpsPerSec);
+        json.push_scalar_unit(
+            &format!("concurrency/threads{n}/ops_per_sec"),
+            best,
+            Unit::OpsPerSec,
+        );
         json.push_scalar(&format!("concurrency/threads{n}/speedup"), speedup);
         json.push_scalar(&format!("concurrency/threads{n}/efficiency"), efficiency);
         println!(

@@ -352,7 +352,11 @@ fn main() {
     let ctxs = Arc::new(ctxs);
     let cdf = Arc::new(zipf_cdf(tenants));
     json.push_scalar("fleet/boot/secs", boot_secs);
-    json.push_scalar_unit("fleet/boot/tenants_per_sec", tenants as f64 / boot_secs, Unit::OpsPerSec);
+    json.push_scalar_unit(
+        "fleet/boot/tenants_per_sec",
+        tenants as f64 / boot_secs,
+        Unit::OpsPerSec,
+    );
     println!("  booted in {boot_secs:.2}s ({:.0} tenants/s)\n", tenants as f64 / boot_secs);
 
     if std::env::var("FLEET_OBS").is_ok() {
@@ -386,7 +390,11 @@ fn main() {
         let p95 = percentile(&mut lats, 0.95);
         let p99 = percentile(&mut lats, 0.99);
         ops_by_threads.push(rate);
-        json.push_scalar_unit(&format!("fleet/threads{threads}/ops_per_sec"), rate, Unit::OpsPerSec);
+        json.push_scalar_unit(
+            &format!("fleet/threads{threads}/ops_per_sec"),
+            rate,
+            Unit::OpsPerSec,
+        );
         json.push_scalar_unit(
             &format!("fleet/threads{threads}/sessions_per_sec"),
             lats.len() as f64 / secs,

@@ -270,7 +270,11 @@ fn main() {
     }
 
     let contended = (0..REPS).map(|_| run_contended()).fold(0.0f64, f64::max);
-    json.push_scalar_unit("mvcc/contended/readers4_writer1/ops_per_sec", contended, Unit::OpsPerSec);
+    json.push_scalar_unit(
+        "mvcc/contended/readers4_writer1/ops_per_sec",
+        contended,
+        Unit::OpsPerSec,
+    );
     println!("  4 readers + 1 writer: {contended:>12.0} q/s (reader aggregate)\n");
 
     chain_stats(&mut json);

@@ -399,7 +399,9 @@ mod tests {
         j.push("dict/insert/delegate", &Measurement { trials_ns: vec![2_000] });
         let s = j.to_json();
         assert!(s.starts_with("{\n  \"benchmarks\": [\n"));
-        assert!(s.contains("\"name\": \"dict/insert/android\", \"unit\": \"us\", \"mean_us\": 2.000"));
+        assert!(
+            s.contains("\"name\": \"dict/insert/android\", \"unit\": \"us\", \"mean_us\": 2.000")
+        );
         assert!(s.contains(
             "\"name\": \"dict/insert/delegate\", \"unit\": \"us\", \"mean_us\": 2.000, \
              \"stddev_us\": 0.000, \"median_us\": 2.000, \"trimmed_mean_us\": 2.000, \

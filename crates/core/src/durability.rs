@@ -341,16 +341,22 @@ mod tests {
             s.mkdir_all(&vpath("/data"), Uid::ROOT, Mode::PUBLIC).unwrap();
             s.write(&vpath("/data/a"), b"aaa", Uid(10_001), Mode::PRIVATE).unwrap();
         });
+        // The store's dirty image, checkpointed as the system does.
+        let checkpoint = || {
+            vfs.with_store(|s| {
+                let image = s.dirty_image();
+                j.checkpoint_delta(VFS_COMPONENT, |w| image.write_to(w)).unwrap();
+                image.clear();
+            })
+        };
         // First delta covers everything dirty since boot.
-        let (d1, _) = vfs.with_store_mut(|s| s.take_dirty_image());
-        j.checkpoint_delta(VFS_COMPONENT, d1).unwrap();
+        checkpoint();
         vfs.with_store_mut(|s| {
             s.write(&vpath("/data/b"), b"bbb", Uid(10_001), Mode::PRIVATE).unwrap();
             s.write(&vpath("/data/a"), b"aaa2", Uid(10_001), Mode::PRIVATE).unwrap();
         });
         // Second delta covers only /data/b, /data/a and their parent.
-        let (d2, _) = vfs.with_store_mut(|s| s.take_dirty_image());
-        j.checkpoint_delta(VFS_COMPONENT, d2).unwrap();
+        checkpoint();
         // Tail records after the last checkpoint replay on top.
         vfs.with_store_mut(|s| {
             s.write(&vpath("/data/c"), b"ccc", Uid::ROOT, Mode::PUBLIC).unwrap();

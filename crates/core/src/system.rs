@@ -50,7 +50,9 @@
 //! leaves: nothing is acquired while they are held. The per-initiator
 //! lock serializes delegate COW-forks, `commit_vol`, `clear_vol` and
 //! `clear_priv` for one initiator while other initiators proceed in
-//! parallel.
+//! parallel. An incremental checkpoint holds every store shard across
+//! its journal rewrite (store shards → journal state → storage), so
+//! store readers wait out the rewrite.
 
 use crate::ams::{ActivityManager, AmsError, Route};
 use crate::branch_manager::{BranchLocator, BranchManager};
@@ -394,21 +396,26 @@ impl MaxoidSystem {
     /// Incremental checkpoint: serializes only the store state dirtied
     /// since the last checkpoint as a `SnapshotDelta` record and prunes
     /// the physical VFS records it subsumes. The delta scales with the
-    /// working set, and the journal reads, filters and replaces only what
+    /// working set, and the journal scans, filters and replaces only what
     /// was logged since its last rewrite (the retained prefix — earlier
     /// snapshots and the committed SQL history — stays in place), in one
     /// storage write. So the call costs O(bytes logged since the last
-    /// checkpoint), except the first one after a boot, which rewrites the
-    /// whole log. If the journal call fails, the drained inodes are marked
-    /// dirty again so the next checkpoint's delta still covers them.
+    /// checkpoint).
+    ///
+    /// The store is held still (every shard's write guard) from the image
+    /// through the rewrite, and the image is written straight into the new
+    /// log: no file write can land between them, so none is dropped from
+    /// the log without being in the delta. The dirty sets are emptied only
+    /// once the rewrite succeeds; a failed one leaves them for the next.
     pub fn checkpoint_incremental(&self) -> SystemResult<()> {
         if let Some(j) = &self.journal {
             let _sp = maxoid_obs::span("system.checkpoint_incremental");
-            let (delta, taken) = self.kernel.vfs().with_store(|s| s.take_dirty_image());
-            if let Err(e) = j.checkpoint_delta(crate::durability::VFS_COMPONENT, delta) {
-                self.kernel.vfs().with_store(|s| s.mark_dirty(&taken));
-                return Err(e.into());
-            }
+            self.kernel.vfs().with_store(|s| {
+                let image = s.dirty_image();
+                j.checkpoint_delta(crate::durability::VFS_COMPONENT, |w| image.write_to(w))?;
+                image.clear();
+                Ok::<_, maxoid_journal::JournalError>(())
+            })?;
             maxoid_obs::counter_add("system.checkpoints_incremental", 1);
         }
         Ok(())

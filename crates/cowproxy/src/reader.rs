@@ -182,8 +182,10 @@ mod tests {
 
     fn seeded() -> CowProxy {
         let mut p = CowProxy::new();
-        p.execute_batch("CREATE TABLE words (_id INTEGER PRIMARY KEY, word TEXT, frequency INTEGER);")
-            .unwrap();
+        p.execute_batch(
+            "CREATE TABLE words (_id INTEGER PRIMARY KEY, word TEXT, frequency INTEGER);",
+        )
+        .unwrap();
         for (w, f) in [("alpha", 10), ("beta", 20), ("gamma", 30)] {
             p.insert(&DbView::Primary, "words", &[("word", w.into()), ("frequency", f.into())])
                 .unwrap();
@@ -216,10 +218,8 @@ mod tests {
         assert!(!slot.is_published(), "a write must retract the published snapshot");
         assert!(slot.try_query(&DbView::Primary, "words", &QueryOpts::default(), &[]).is_none());
         p.publish_read();
-        let rs = slot
-            .try_query(&DbView::Primary, "words", &QueryOpts::default(), &[])
-            .unwrap()
-            .unwrap();
+        let rs =
+            slot.try_query(&DbView::Primary, "words", &QueryOpts::default(), &[]).unwrap().unwrap();
         assert_eq!(rs.rows.len(), 4);
     }
 
@@ -262,7 +262,12 @@ mod tests {
         assert_eq!(rs.rows, vec![vec![Value::Text("alpha".into())]]);
         // Volatile view sees the delta row, whiteouts excluded.
         let rs = slot
-            .try_query(&DbView::Volatile { initiator: "A".into() }, "words", &QueryOpts::default(), &[])
+            .try_query(
+                &DbView::Volatile { initiator: "A".into() },
+                "words",
+                &QueryOpts::default(),
+                &[],
+            )
             .unwrap()
             .unwrap();
         assert_eq!(rs.rows.len(), 1);
@@ -337,16 +342,14 @@ mod tests {
         let slot = p.read_slot();
         // Warm the thread-local cache: delegate read before any fork
         // resolves to the primary table.
-        let rs =
-            slot.try_query(&delegate, "words", &QueryOpts::default(), &[]).unwrap().unwrap();
+        let rs = slot.try_query(&delegate, "words", &QueryOpts::default(), &[]).unwrap().unwrap();
         assert_eq!(rs.rows.len(), 3);
         // Fork: the delegate deletes a row (whiteout). The epoch bump must
         // reach the thread-local cache or the stale rewrite would keep
         // reading the primary table.
         p.delete(&delegate, "words", Some("_id = 1"), &[]).unwrap();
         p.publish_read();
-        let rs =
-            slot.try_query(&delegate, "words", &QueryOpts::default(), &[]).unwrap().unwrap();
+        let rs = slot.try_query(&delegate, "words", &QueryOpts::default(), &[]).unwrap().unwrap();
         assert_eq!(rs.rows.len(), 2, "post-fork snapshot read must see the whiteout");
     }
 }

@@ -291,18 +291,20 @@ impl Storage for BlockStorage {
         Ok(())
     }
 
-    fn read_from(&mut self, offset: usize) -> JournalResult<Vec<u8>> {
-        let offset = (offset as u64).min(self.len);
-        let mut out = vec![0u8; (self.len - offset) as usize];
+    fn read_at(&mut self, offset: usize, buf: &mut [u8]) -> JournalResult<()> {
+        let (offset, end) = (offset as u64, (offset + buf.len()) as u64);
+        if end > self.len {
+            return Err(JournalError::Io("read past the end of the log".into()));
+        }
         // Bytes a pending move covers are read from its source.
-        let split = self.moving.map_or(self.len, |m| m.at.max(offset));
-        let (here, moved) = out.split_at_mut((split - offset) as usize);
+        let split = self.moving.map_or(end, |m| m.at.clamp(offset, end));
+        let (here, moved) = buf.split_at_mut((split - offset) as usize);
         self.cache.read_bytes(self.log_offset() + offset, here).map_err(block_err)?;
-        if let Some(m) = self.moving {
+        if let Some(m) = self.moving.filter(|_| !moved.is_empty()) {
             let src = data_origin(&self.cache) + m.src + (split - m.at);
             self.cache.read_bytes(src, moved).map_err(block_err)?;
         }
-        Ok(out)
+        Ok(())
     }
 
     fn len(&self) -> usize {
@@ -355,6 +357,13 @@ mod tests {
         Record::Vfs(VfsRecord::Unlink { path: path.into() })
     }
 
+    /// The durable log from byte `offset` to its end.
+    fn log_from(s: &mut BlockStorage, offset: usize) -> Vec<u8> {
+        let mut buf = vec![0; s.len() - offset];
+        s.read_at(offset, &mut buf).unwrap();
+        buf
+    }
+
     #[test]
     fn wal_over_blocks_roundtrips() {
         let mut j = Journal::new(Box::new(BlockStorage::in_memory(8)), 1).unwrap();
@@ -382,7 +391,7 @@ mod tests {
         let mut reopened = FileDevice::open(&path).unwrap();
         reopened.set_delete_on_drop(true);
         let mut storage = BlockStorage::open(Box::new(reopened), 8).unwrap();
-        assert_eq!(storage.read_from(0).unwrap(), want, "cold reopen must see the identical log");
+        assert_eq!(log_from(&mut storage, 0), want, "cold reopen must see the identical log");
         // And the reopened storage keeps appending.
         let mut j2 = Journal::new(Box::new(storage), 1).unwrap();
         j2.append(&rec("/post-reboot")).unwrap();
@@ -411,14 +420,14 @@ mod tests {
         // log goes past its end, at the next sector.
         s.replace_from(0, vec![1u8; 6000]).unwrap();
         assert_eq!(s.start, 8192);
-        assert_eq!(s.read_from(0).unwrap(), vec![1u8; 6000]);
+        assert_eq!(log_from(&mut s, 0), vec![1u8; 6000]);
         // Short enough for the front: back to the start of the area.
         s.replace_from(0, b"new".to_vec()).unwrap();
         assert_eq!(s.start, 0);
         s.append(b" tail").unwrap();
-        assert_eq!(s.read_from(0).unwrap(), b"new tail");
+        assert_eq!(log_from(&mut s, 0), b"new tail");
         let mut reopened = BlockStorage::open(Box::new(image_of(&mut s)), 4).unwrap();
-        assert_eq!(reopened.read_from(0).unwrap(), b"new tail");
+        assert_eq!(log_from(&mut reopened, 0), b"new tail");
     }
 
     #[test]
@@ -428,11 +437,11 @@ mod tests {
         s.replace_from(3000, vec![8u8; 6000]).unwrap();
         let want = [vec![7u8; 3000], vec![8u8; 6000]].concat();
         assert_eq!((s.start, s.moving), (0, None), "the tail was moved in place");
-        assert_eq!(s.read_from(0).unwrap(), want);
-        assert_eq!(s.read_from(4000).unwrap(), want[4000..]);
+        assert_eq!(log_from(&mut s, 0), want);
+        assert_eq!(log_from(&mut s, 4000), want[4000..]);
         s.append(b"!").unwrap();
         let mut reopened = BlockStorage::open(Box::new(image_of(&mut s)), 4).unwrap();
-        assert_eq!(reopened.read_from(0).unwrap(), [&want[..], b"!"].concat());
+        assert_eq!(log_from(&mut reopened, 0), [&want[..], b"!"].concat());
     }
 
     #[test]
@@ -450,15 +459,15 @@ mod tests {
         faults.clear(2);
         assert!(s.moving.is_some(), "the copy in place failed");
         let want = [vec![7u8; 3000], vec![8u8; 6000]].concat();
-        assert_eq!(s.read_from(0).unwrap(), want, "the tail is read from beside the log");
-        assert_eq!(s.read_from(4000).unwrap(), want[4000..]);
+        assert_eq!(log_from(&mut s, 0), want, "the tail is read from beside the log");
+        assert_eq!(log_from(&mut s, 4000), want[4000..]);
         // A reopen finishes the move, and so does the next append.
         let mut reopened = BlockStorage::open(Box::new(image_of(&mut s)), 4).unwrap();
         assert_eq!(reopened.moving, None);
-        assert_eq!(reopened.read_from(0).unwrap(), want);
+        assert_eq!(log_from(&mut reopened, 0), want);
         s.append(b"!").unwrap();
         assert_eq!(s.moving, None);
-        assert_eq!(s.read_from(0).unwrap(), [&want[..], b"!"].concat());
+        assert_eq!(log_from(&mut s, 0), [&want[..], b"!"].concat());
     }
 
     #[test]
@@ -499,7 +508,7 @@ mod tests {
                 any_cut |= cut;
                 if cut && done > 0 {
                     cuts += 1;
-                    let got = BlockStorage::open(Box::new(img), 2).unwrap().read_from(0).unwrap();
+                    let got = log_from(&mut BlockStorage::open(Box::new(img), 2).unwrap(), 0);
                     assert!(
                         got == logs[done - 1] || logs.get(done) == Some(&got),
                         "budget {writes}/{torn}: a mix of logs"
@@ -556,7 +565,7 @@ mod tests {
             img.corrupt(off as u64, 0xA5);
         }
         let mut reopened = BlockStorage::open(Box::new(img), 4).expect("fallback slot must open");
-        assert_eq!(reopened.read_from(0).unwrap(), b"firstsecond");
+        assert_eq!(log_from(&mut reopened, 0), b"firstsecond");
     }
 
     #[test]
@@ -572,7 +581,7 @@ mod tests {
         img.write_sector(0, &sector).unwrap();
         let mut reopened = BlockStorage::open(Box::new(img), 4).unwrap();
         assert_eq!((reopened.gen, reopened.moving), (1, None));
-        assert_eq!(reopened.read_from(0).unwrap(), b"payload");
+        assert_eq!(log_from(&mut reopened, 0), b"payload");
     }
 
     #[test]

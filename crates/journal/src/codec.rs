@@ -91,10 +91,15 @@ impl ByteWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// Raw bytes, without a length prefix.
+    pub fn put_raw(&mut self, v: &[u8]) {
+        self.buf.extend_from_slice(v);
+    }
+
     /// Length-prefixed (u32) raw bytes.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_u32(v.len() as u32);
-        self.buf.extend_from_slice(v);
+        self.put_raw(v);
     }
 
     /// Length-prefixed (u32) UTF-8 string.
@@ -160,14 +165,23 @@ impl<'a> ByteReader<'a> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    pub fn get_bytes(&mut self) -> Result<Vec<u8>, CodecError> {
+    /// Length-prefixed (u32) raw bytes, borrowed from the buffer.
+    pub fn get_slice(&mut self) -> Result<&'a [u8], CodecError> {
         let n = self.get_u32()? as usize;
-        Ok(self.take(n)?.to_vec())
+        self.take(n)
+    }
+
+    /// Length-prefixed (u32) UTF-8 string, borrowed from the buffer.
+    pub fn get_str_ref(&mut self) -> Result<&'a str, CodecError> {
+        std::str::from_utf8(self.get_slice()?).map_err(|_| CodecError::BadUtf8)
+    }
+
+    pub fn get_bytes(&mut self) -> Result<Vec<u8>, CodecError> {
+        Ok(self.get_slice()?.to_vec())
     }
 
     pub fn get_str(&mut self) -> Result<String, CodecError> {
-        let raw = self.get_bytes()?;
-        String::from_utf8(raw).map_err(|_| CodecError::BadUtf8)
+        Ok(self.get_str_ref()?.to_owned())
     }
 }
 

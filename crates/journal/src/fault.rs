@@ -108,8 +108,8 @@ impl Storage for FaultStorage {
         Ok(())
     }
 
-    fn read_from(&mut self, offset: usize) -> JournalResult<Vec<u8>> {
-        Ok(self.buf[offset.min(self.buf.len())..].to_vec())
+    fn read_at(&mut self, offset: usize, buf: &mut [u8]) -> JournalResult<()> {
+        crate::wal::copy_out(&self.buf, offset, buf)
     }
 
     fn len(&self) -> usize {

@@ -10,7 +10,7 @@
 //! parser so the rebuilt catalog includes views, triggers and indexes).
 
 use crate::codec::{ByteReader, ByteWriter, CodecError};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Sentinel meaning "encode this path literally" in a path slot.
 pub(crate) const LITERAL_PATH: u32 = u32::MAX;
@@ -125,6 +125,36 @@ pub enum Record {
     Compaction { upto_lsn: u64 },
 }
 
+/// A record's kind: what the frame scanner reports of a payload it
+/// checked without building the record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kind {
+    TxnBegin,
+    TxnCommit,
+    TxnRollback,
+    Sql,
+    Snapshot,
+    Vfs,
+    PathDef,
+    SnapshotDelta,
+    Compaction,
+}
+
+impl Kind {
+    /// The kinds a retained prefix may hold (see `wal`): no transaction
+    /// markers, no `PathDef`s and no VFS records.
+    pub(crate) fn retainable(self) -> bool {
+        matches!(self, Kind::Snapshot | Kind::SnapshotDelta | Kind::Sql | Kind::Compaction)
+    }
+
+    /// The kinds a checkpoint carries forward from the log it rewrites:
+    /// the snapshot chain and the SQL history. VFS records are subsumed by
+    /// the new delta, and compaction markers are informational.
+    pub(crate) fn carried(self) -> bool {
+        matches!(self, Kind::Snapshot | Kind::SnapshotDelta | Kind::Sql)
+    }
+}
+
 // Record tags.
 const T_TXN_BEGIN: u8 = 1;
 const T_TXN_COMMIT: u8 = 2;
@@ -175,6 +205,18 @@ impl ParamValue {
                 w.put_u8(P_BLOB);
                 w.put_bytes(v);
             }
+        }
+    }
+
+    /// Checks one encoded value as [`ParamValue::decode`] would read it,
+    /// without building it.
+    fn check(r: &mut ByteReader<'_>) -> Result<(), CodecError> {
+        match r.get_u8()? {
+            P_NULL => Ok(()),
+            P_INT | P_REAL => r.get_u64().map(drop),
+            P_TEXT => r.get_str_ref().map(drop),
+            P_BLOB => r.get_slice().map(drop),
+            t => Err(CodecError::BadTag(t)),
         }
     }
 
@@ -271,10 +313,52 @@ impl VfsRecord {
         }
     }
 
-    fn decode(
-        r: &mut ByteReader<'_>,
-        dict: Option<&HashMap<u32, String>>,
-    ) -> Result<Self, CodecError> {
+    /// Checks an encoded record as [`VfsRecord::decode`] would read it,
+    /// without building it; `ids` stands for the decoder's dictionary.
+    fn check(r: &mut ByteReader<'_>, ids: Option<&HashSet<u32>>) -> Result<(), CodecError> {
+        match r.get_u8()? {
+            V_MKDIR | V_CHOWN_CHMOD => {
+                check_path(r, ids)?;
+                r.get_u32()?;
+                r.get_u8()?;
+            }
+            V_WRITE => {
+                check_path(r, ids)?;
+                r.get_slice()?;
+                r.get_u32()?;
+                r.get_u8()?;
+            }
+            V_APPEND => {
+                check_path(r, ids)?;
+                r.get_slice()?;
+            }
+            V_WRITE_INODE => {
+                r.get_u64()?;
+                r.get_slice()?;
+            }
+            V_UNLINK | V_RMDIR => check_path(r, ids)?,
+            V_RENAME => {
+                check_path(r, ids)?;
+                check_path(r, ids)?;
+            }
+            V_WRITE_DELTA => {
+                check_path(r, ids)?;
+                r.get_u32()?;
+                r.get_u32()?;
+                r.get_slice()?;
+            }
+            V_WRITE_INODE_DELTA => {
+                r.get_u64()?;
+                r.get_u32()?;
+                r.get_u32()?;
+                r.get_slice()?;
+            }
+            t => return Err(CodecError::BadTag(t)),
+        }
+        Ok(())
+    }
+
+    fn decode(r: &mut ByteReader<'_>, dict: &HashMap<u32, String>) -> Result<Self, CodecError> {
         Ok(match r.get_u8()? {
             V_MKDIR => VfsRecord::Mkdir {
                 path: get_path(r, dict)?,
@@ -325,23 +409,29 @@ fn put_path(w: &mut ByteWriter, path: &str, id: u32) {
     }
 }
 
-/// Decodes one path slot. With `dict` the id must resolve; without it
-/// (the torn/corrupt resync scan, which has no reliable dictionary) an id
-/// slot resolves to a placeholder so structural validity can still be
-/// judged.
-fn get_path(
-    r: &mut ByteReader<'_>,
-    dict: Option<&HashMap<u32, String>>,
-) -> Result<String, CodecError> {
+/// Decodes one path slot; an id slot must resolve in `dict`.
+fn get_path(r: &mut ByteReader<'_>, dict: &HashMap<u32, String>) -> Result<String, CodecError> {
     match r.get_u8()? {
         PATH_LITERAL => r.get_str(),
         PATH_ID => {
             let id = r.get_u32()?;
-            match dict {
-                Some(d) => d.get(&id).cloned().ok_or(CodecError::UnknownPathId(id)),
-                None => Ok(String::new()),
-            }
+            dict.get(&id).cloned().ok_or(CodecError::UnknownPathId(id))
         }
+        t => Err(CodecError::BadTag(t)),
+    }
+}
+
+/// Checks one path slot as [`get_path`] would read it: an id slot must be
+/// in `ids` (the ids earlier `PathDef`s defined), unless `ids` is `None`
+/// (the torn/corrupt resync scan, which has no reliable dictionary and
+/// judges structure only).
+fn check_path(r: &mut ByteReader<'_>, ids: Option<&HashSet<u32>>) -> Result<(), CodecError> {
+    match r.get_u8()? {
+        PATH_LITERAL => r.get_str_ref().map(drop),
+        PATH_ID => match r.get_u32()? {
+            id if ids.is_some_and(|ids| !ids.contains(&id)) => Err(CodecError::UnknownPathId(id)),
+            _ => Ok(()),
+        },
         t => Err(CodecError::BadTag(t)),
     }
 }
@@ -390,9 +480,7 @@ impl Record {
                 w.put_str(path);
             }
             Record::SnapshotDelta { component, payload } => {
-                w.put_u8(T_SNAPSHOT_DELTA);
-                w.put_str(component);
-                w.put_bytes(payload);
+                Record::encode_snapshot_delta(w, component, |w| w.put_raw(payload))
             }
             Record::Compaction { upto_lsn } => {
                 w.put_u8(T_COMPACTION);
@@ -402,13 +490,9 @@ impl Record {
     }
 
     /// Decodes a payload produced by [`Record::encode_into`]. `dict` maps
-    /// path-dictionary ids to paths; pass `None` only for structural
-    /// validation (resync scans), where unknown ids resolve to
-    /// placeholders instead of failing.
-    pub(crate) fn decode(
-        payload: &[u8],
-        dict: Option<&HashMap<u32, String>>,
-    ) -> Result<Self, CodecError> {
+    /// path-dictionary ids to paths. It accepts exactly the payloads
+    /// [`Record::check`] accepts with `dict`'s ids.
+    pub(crate) fn decode(payload: &[u8], dict: &HashMap<u32, String>) -> Result<Self, CodecError> {
         let mut r = ByteReader::new(payload);
         let rec = match r.get_u8()? {
             T_TXN_BEGIN => Record::TxnBegin { txn: r.get_u64()? },
@@ -434,6 +518,82 @@ impl Record {
             t => return Err(CodecError::BadTag(t)),
         };
         Ok(rec)
+    }
+
+    /// Checks a payload exactly as [`Record::decode`] reads it — tags,
+    /// lengths, UTF-8, and with `ids` the path-dictionary ids — without
+    /// building the record. Returns its kind, and the transaction id of a
+    /// marker or the id a `PathDef` defines (0 for other kinds). `ids`
+    /// stands for `decode`'s dictionary: the ids of the `PathDef`s before
+    /// this record, or `None` for a structural check.
+    pub(crate) fn check(
+        payload: &[u8],
+        ids: Option<&HashSet<u32>>,
+    ) -> Result<(Kind, u64), CodecError> {
+        let mut r = ByteReader::new(payload);
+        Ok(match r.get_u8()? {
+            T_TXN_BEGIN => (Kind::TxnBegin, r.get_u64()?),
+            T_TXN_COMMIT => (Kind::TxnCommit, r.get_u64()?),
+            T_TXN_ROLLBACK => (Kind::TxnRollback, r.get_u64()?),
+            T_SQL => {
+                r.get_str_ref()?;
+                r.get_str_ref()?;
+                for _ in 0..r.get_u32()? {
+                    ParamValue::check(&mut r)?;
+                }
+                (Kind::Sql, 0)
+            }
+            tag @ (T_SNAPSHOT | T_SNAPSHOT_DELTA) => {
+                r.get_str_ref()?;
+                r.get_slice()?;
+                (if tag == T_SNAPSHOT { Kind::Snapshot } else { Kind::SnapshotDelta }, 0)
+            }
+            T_VFS => {
+                VfsRecord::check(&mut r, ids)?;
+                (Kind::Vfs, 0)
+            }
+            T_PATH_DEF => {
+                let id = r.get_u32()?;
+                r.get_str_ref()?;
+                (Kind::PathDef, id as u64)
+            }
+            T_COMPACTION => {
+                r.get_u64()?;
+                (Kind::Compaction, 0)
+            }
+            t => return Err(CodecError::BadTag(t)),
+        })
+    }
+
+    /// Encodes a `SnapshotDelta` payload whose state `write` appends
+    /// straight into `w`; its length prefix is backpatched afterwards.
+    pub(crate) fn encode_snapshot_delta(
+        w: &mut ByteWriter,
+        component: &str,
+        write: impl FnOnce(&mut ByteWriter),
+    ) {
+        w.put_u8(T_SNAPSHOT_DELTA);
+        w.put_str(component);
+        let at = w.len();
+        w.put_u32(0); // payload length, backpatched below
+        write(w);
+        let len = (w.len() - at - 4) as u32;
+        w.patch(at, &len.to_le_bytes());
+    }
+
+    /// The record's kind.
+    pub(crate) fn kind(&self) -> Kind {
+        match self {
+            Record::TxnBegin { .. } => Kind::TxnBegin,
+            Record::TxnCommit { .. } => Kind::TxnCommit,
+            Record::TxnRollback { .. } => Kind::TxnRollback,
+            Record::Sql { .. } => Kind::Sql,
+            Record::Snapshot { .. } => Kind::Snapshot,
+            Record::Vfs(_) => Kind::Vfs,
+            Record::PathDef { .. } => Kind::PathDef,
+            Record::SnapshotDelta { .. } => Kind::SnapshotDelta,
+            Record::Compaction { .. } => Kind::Compaction,
+        }
     }
 
     /// The record's VFS path fields (empty for non-VFS records).
@@ -464,7 +624,8 @@ mod tests {
     fn roundtrip(rec: Record) {
         let mut w = ByteWriter::new();
         rec.encode_into(&mut w, [LITERAL_PATH; 2]);
-        assert_eq!(Record::decode(w.as_slice(), Some(&HashMap::new())).unwrap(), rec);
+        assert_eq!(Record::decode(w.as_slice(), &HashMap::new()).unwrap(), rec);
+        assert_eq!(Record::check(w.as_slice(), Some(&HashSet::new())).unwrap().0, rec.kind());
     }
 
     #[test]
@@ -530,19 +691,22 @@ mod tests {
         let bytes = w.into_bytes();
         let mut dict = HashMap::new();
         dict.insert(4u32, "/a".to_string());
-        assert_eq!(Record::decode(&bytes, Some(&dict)).unwrap(), rec);
-        // An unresolvable id fails strict decode but passes the permissive
-        // structural check the resync scan uses.
+        assert_eq!(Record::decode(&bytes, &dict).unwrap(), rec);
+        assert_eq!(Record::check(&bytes, Some(&HashSet::from([4]))), Ok((Kind::Vfs, 0)));
+        // An unresolvable id fails decode and the check with ids, but
+        // passes the structural check the resync scan uses.
         assert!(matches!(
-            Record::decode(&bytes, Some(&HashMap::new())),
+            Record::decode(&bytes, &HashMap::new()),
             Err(CodecError::UnknownPathId(4))
         ));
-        assert!(Record::decode(&bytes, None).is_ok());
+        assert_eq!(Record::check(&bytes, Some(&HashSet::new())), Err(CodecError::UnknownPathId(4)));
+        assert!(Record::check(&bytes, None).is_ok());
     }
 
     #[test]
     fn decode_rejects_unknown_tag() {
-        assert!(matches!(Record::decode(&[200], None), Err(CodecError::BadTag(200))));
+        assert!(matches!(Record::decode(&[200], &HashMap::new()), Err(CodecError::BadTag(200))));
+        assert_eq!(Record::check(&[200], None), Err(CodecError::BadTag(200)));
     }
 
     #[test]

@@ -1,10 +1,20 @@
-//! Reading a log back: frame parsing with torn-tail tolerance, and the
-//! redo filter that decides which records take effect.
+//! Reading a log back: one frame scanner with torn-tail tolerance, and
+//! the redo filter that decides which records take effect.
 //!
-//! The parser records the byte range of every frame it accepts, and the
-//! redo filter answers with indices into the parsed records, so a
-//! checkpoint can copy the frames it keeps verbatim from the bytes it has
-//! just verified instead of cloning and re-encoding their records.
+//! The scanner ([`scan`]) gives every verdict on a log's bytes: it checks
+//! each frame — magic, header, CRC, rising LSN, and that the payload
+//! decodes with its path-dictionary ids resolving — without building the
+//! record, and reports each accepted frame's LSN, kind, transaction id
+//! and byte range. It reads through a [`Source`]: a log in memory, or
+//! storage read through a fixed window ([`Windowed`]), so opening a
+//! journal or checkpointing one holds one window of the log, not all of
+//! it. [`read_records`] is the scan followed by decoding the frames it
+//! accepted.
+//!
+//! The redo filter ([`Redo`]) is fed one frame at a time, so a checkpoint
+//! can copy the frames it keeps verbatim as the scan meets them and
+//! squeeze out the ones a later rollback or a still-open transaction
+//! disqualifies, instead of cloning and re-encoding their records.
 //!
 //! Recovery is redo-only: a record inside a journal transaction applies iff
 //! *every* enclosing transaction has a durable `TxnCommit`. Transactions
@@ -13,9 +23,10 @@
 //! half of the S2 atomicity argument — the delegate's output stays in
 //! `Vol(A)` until the commit record itself is durable.
 
-use crate::record::Record;
-use crate::wal::{frame_crc, FRAME_HEADER, FRAME_MAGIC, LOG_PREAMBLE};
-use std::collections::HashMap;
+use crate::record::{Kind, Record};
+use crate::wal::{frame_crc, Storage, FRAME_HEADER, FRAME_MAGIC, LOG_PREAMBLE};
+use crate::JournalResult;
+use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 
 /// How the log ended.
@@ -37,13 +48,23 @@ pub enum TailState {
     Corrupted { offset: usize },
 }
 
+/// A frame the scanner accepted.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Frame {
+    pub(crate) lsn: u64,
+    pub(crate) kind: Kind,
+    /// The transaction a marker names (0 for other kinds).
+    pub(crate) txn: u64,
+    /// The whole frame, header included, in the bytes scanned.
+    pub(crate) range: Range<usize>,
+}
+
 /// A parsed log: LSN-stamped records plus the tail verdict.
 #[derive(Debug, Clone)]
 pub struct ReadLog {
     pub records: Vec<(u64, Record)>,
-    /// Where each record's whole frame (header included) lies in the bytes
-    /// parsed, in the same order as `records`.
-    pub(crate) frames: Vec<Range<usize>>,
+    /// The scanner's account of each record's frame, in the same order.
+    pub(crate) frames: Vec<Frame>,
     pub tail: TailState,
 }
 
@@ -54,12 +75,116 @@ impl ReadLog {
     }
 }
 
-/// Parses frames until end-of-log or the first invalid frame, classifying
-/// the invalid frame as [`TailState::Torn`] (a truncated final frame — the
-/// only shape a torn append can leave) or [`TailState::Corrupted`]
-/// (anything a truncation cannot explain). Valid prefix records are
-/// returned either way; on `Corrupted` the caller must not treat them as
-/// the whole history.
+/// Parses a whole log: [`scan`] gives the verdicts, then the frames it
+/// accepted are decoded, with literal paths (interning is a wire-format
+/// concern, invisible above this function). Valid prefix records are
+/// returned whatever the tail; on `Corrupted` the caller must not treat
+/// them as the whole history.
+pub fn read_records(bytes: &[u8]) -> ReadLog {
+    let mut frames = Vec::new();
+    let tail = match scan(&mut &bytes[..], 0, |f, _| frames.push(f.clone())) {
+        Ok(tail) => tail,
+        Err(_) => unreachable!("reading a log in memory cannot fail"),
+    };
+    let mut dict: HashMap<u32, String> = HashMap::new();
+    let records = frames
+        .iter()
+        .map(|f| {
+            let payload = &bytes[f.range.start + FRAME_HEADER..f.range.end];
+            let rec = Record::decode(payload, &dict).expect("the scanner checked this payload");
+            if let Record::PathDef { id, path } = &rec {
+                dict.insert(*id, path.clone());
+            }
+            (f.lsn, rec)
+        })
+        .collect();
+    ReadLog { records, frames, tail }
+}
+
+/// The bytes a [`scan`] reads.
+pub(crate) trait Source {
+    /// The log's length in bytes.
+    fn len(&self) -> usize;
+    /// The log's bytes in `range`, which ends at most at `len()`.
+    fn get(&mut self, range: Range<usize>) -> JournalResult<&[u8]>;
+}
+
+impl Source for &[u8] {
+    fn len(&self) -> usize {
+        <[u8]>::len(self)
+    }
+
+    fn get(&mut self, range: Range<usize>) -> JournalResult<&[u8]> {
+        Ok(&self[range])
+    }
+}
+
+/// Bytes read at a time from storage by a [`Windowed`] source.
+pub(crate) const SCAN_WINDOW: usize = 256 * 1024;
+
+/// Storage read through one fixed window of [`SCAN_WINDOW`] bytes (less
+/// when less of the log is left): a range outside the window refills it
+/// from the range's start — the part of the range already in the window
+/// moves to its front instead of being read again, so a forward scan
+/// reads each byte once — and a range larger than the window (one frame)
+/// gets a buffer its own size, dropped at the next refill.
+pub(crate) struct Windowed<'s> {
+    storage: &'s mut dyn Storage,
+    len: usize,
+    window: usize,
+    /// Where `buf` starts in the log.
+    at: usize,
+    buf: Vec<u8>,
+    /// Bytes of `buf` holding the log.
+    filled: usize,
+}
+
+impl<'s> Windowed<'s> {
+    pub(crate) fn new(storage: &'s mut dyn Storage) -> Self {
+        Windowed::with_window(storage, SCAN_WINDOW)
+    }
+
+    /// A window of `window` bytes (tests shrink it to force refills).
+    pub(crate) fn with_window(storage: &'s mut dyn Storage, window: usize) -> Self {
+        let len = storage.len();
+        Windowed { storage, len, window, at: 0, buf: Vec::new(), filled: 0 }
+    }
+}
+
+impl Source for Windowed<'_> {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn get(&mut self, range: Range<usize>) -> JournalResult<&[u8]> {
+        let end = self.at + self.filled;
+        if range.start < self.at || range.end > end {
+            let n = range.len().max(self.window).min(self.len - range.start);
+            let held = if (self.at..end).contains(&range.start) {
+                range.start - self.at..self.filled
+            } else {
+                0..0
+            };
+            let kept = held.len();
+            if self.buf.len() < n || self.buf.len() > self.window {
+                let mut buf = vec![0; n];
+                buf[..kept].copy_from_slice(&self.buf[held]);
+                self.buf = buf;
+            } else {
+                self.buf.copy_within(held, 0);
+            }
+            self.storage.read_at(range.start + kept, &mut self.buf[kept..n])?;
+            (self.at, self.filled) = (range.start, n);
+        }
+        Ok(&self.buf[range.start - self.at..range.end - self.at])
+    }
+}
+
+/// The frame scanner. Reads `src` from byte `from` — a whole log,
+/// preamble first, when `from` is 0; otherwise a frame boundary after
+/// which every dictionary id used is also defined, with LSNs checked only
+/// against each other — and calls `visit` with each accepted frame and
+/// its bytes. Returns how the log ends, or the source's read error.
 ///
 /// Classification at the first bad frame:
 ///
@@ -71,94 +196,85 @@ impl ReadLog {
 ///   bytes actually present (so the `len` field itself is what got
 ///   corrupted), or a fully valid frame exists later in the log (resync
 ///   scan) — both are `Corrupted`.
-/// * complete frame failing its CRC, failing decode, or carrying a
-///   non-monotonic LSN — `Corrupted`. A fully-present frame cannot be a
-///   truncation artifact.
-pub fn read_records(bytes: &[u8]) -> ReadLog {
-    match frames_start(bytes) {
-        Ok(pos) => read_frames(bytes, pos),
-        Err(tail) => ReadLog { records: Vec::new(), frames: Vec::new(), tail },
+/// * complete frame failing its CRC, failing the payload check, or
+///   carrying a non-monotonic LSN — `Corrupted`. A fully-present frame
+///   cannot be a truncation artifact.
+///
+/// A log shorter than its preamble that is a prefix of it is a torn first
+/// write; anything else without the preamble — frames with no preamble
+/// in front of them included — never came from this journal.
+pub(crate) fn scan<S: Source>(
+    src: &mut S,
+    from: usize,
+    mut visit: impl FnMut(&Frame, &[u8]),
+) -> JournalResult<TailState> {
+    let len = src.len();
+    let mut pos = from;
+    if from == 0 && len > 0 {
+        let head = src.get(0..len.min(LOG_PREAMBLE.len()))?;
+        if head != LOG_PREAMBLE {
+            let torn = LOG_PREAMBLE.starts_with(head);
+            return Ok(if torn {
+                TailState::Torn { offset: 0 }
+            } else {
+                TailState::Corrupted { offset: 0 }
+            });
+        }
+        pos = LOG_PREAMBLE.len();
     }
-}
-
-/// Parses the frames of `bytes` from byte `pos` on, as [`read_records`]
-/// does past the preamble: with a path dictionary of its own and LSNs
-/// checked only against each other, so `pos` must be a frame boundary
-/// after which every dictionary id used is also defined. Offsets in the
-/// returned tail state and frame ranges count from the start of `bytes`.
-pub(crate) fn read_frames(bytes: &[u8], mut pos: usize) -> ReadLog {
-    let mut records = Vec::new();
-    let mut frames = Vec::new();
-    // The path dictionary, built as `PathDef` records stream past.
-    // Records are returned with literal paths — interning is a wire
-    // format concern, invisible above this function.
-    let mut dict: HashMap<u32, String> = HashMap::new();
+    // The ids the path dictionary defines, as `PathDef`s stream past.
+    let mut ids: HashSet<u32> = HashSet::new();
     let mut last_lsn = 0u64;
-    while pos < bytes.len() {
-        let rem = bytes.len() - pos;
-        if bytes[pos] != FRAME_MAGIC {
-            return ReadLog { records, frames, tail: TailState::Corrupted { offset: pos } };
+    while pos < len {
+        let header = src.get(pos..len.min(pos + FRAME_HEADER))?;
+        if header[0] != FRAME_MAGIC {
+            return Ok(TailState::Corrupted { offset: pos });
         }
-        if rem < FRAME_HEADER {
-            return ReadLog { records, frames, tail: TailState::Torn { offset: pos } };
+        if header.len() < FRAME_HEADER {
+            return Ok(TailState::Torn { offset: pos });
         }
-        let lsn = u64::from_le_bytes(bytes[pos + 1..pos + 9].try_into().unwrap());
-        let len = u32::from_le_bytes(bytes[pos + 9..pos + 13].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(bytes[pos + 13..pos + 17].try_into().unwrap());
-        let start = pos + FRAME_HEADER;
-        let avail = bytes.len() - start;
-        if avail < len {
-            let frame_was_complete = frame_crc(lsn, avail as u32, &bytes[start..]) == crc;
-            let tail = if frame_was_complete || any_valid_frame_after(bytes, pos + 1) {
+        let lsn = u64::from_le_bytes(header[1..9].try_into().unwrap());
+        let flen = u32::from_le_bytes(header[9..13].try_into().unwrap()) as usize;
+        let crc = u32::from_le_bytes(header[13..17].try_into().unwrap());
+        let avail = len - pos - FRAME_HEADER;
+        if avail < flen {
+            // The rest of the log is shorter than this frame claims.
+            let rest = src.get(pos..len)?;
+            let frame_was_complete = frame_crc(lsn, avail as u32, &rest[FRAME_HEADER..]) == crc;
+            return Ok(if frame_was_complete || any_valid_frame_after(rest, 1) {
                 TailState::Corrupted { offset: pos }
             } else {
                 TailState::Torn { offset: pos }
-            };
-            return ReadLog { records, frames, tail };
+            });
         }
-        let payload = &bytes[start..start + len];
-        if frame_crc(lsn, len as u32, payload) != crc || lsn <= last_lsn {
-            return ReadLog { records, frames, tail: TailState::Corrupted { offset: pos } };
+        let end = pos + FRAME_HEADER + flen;
+        let bytes = src.get(pos..end)?;
+        let payload = &bytes[FRAME_HEADER..];
+        if frame_crc(lsn, flen as u32, payload) != crc || lsn <= last_lsn {
+            return Ok(TailState::Corrupted { offset: pos });
         }
-        match Record::decode(payload, Some(&dict)) {
-            Ok(rec) => {
-                if let Record::PathDef { id, path } = &rec {
-                    dict.insert(*id, path.clone());
-                }
-                records.push((lsn, rec));
-                frames.push(pos..start + len);
+        let Ok((kind, id)) = Record::check(payload, Some(&ids)) else {
+            return Ok(TailState::Corrupted { offset: pos });
+        };
+        let txn = match kind {
+            Kind::TxnBegin | Kind::TxnCommit | Kind::TxnRollback => id,
+            Kind::PathDef => {
+                ids.insert(id as u32);
+                0
             }
-            Err(_) => {
-                return ReadLog { records, frames, tail: TailState::Corrupted { offset: pos } }
-            }
-        }
+            _ => 0,
+        };
+        visit(&Frame { lsn, kind, txn, range: pos..end }, bytes);
         last_lsn = lsn;
-        pos = start + len;
+        pos = end;
     }
-    ReadLog { records, frames, tail: TailState::Clean }
-}
-
-/// Where frame parsing starts: just past the preamble (an empty log is
-/// trivially clean). A short log that is a proper prefix of the preamble
-/// is a torn first write; anything else — frames with no preamble in
-/// front of them included — never came from this journal.
-fn frames_start(bytes: &[u8]) -> Result<usize, TailState> {
-    if bytes.is_empty() {
-        return Ok(0);
-    }
-    if bytes.starts_with(&LOG_PREAMBLE) {
-        return Ok(LOG_PREAMBLE.len());
-    }
-    if LOG_PREAMBLE.starts_with(bytes) {
-        return Err(TailState::Torn { offset: 0 });
-    }
-    Err(TailState::Corrupted { offset: 0 })
+    Ok(TailState::Clean)
 }
 
 /// Resync scan: does any byte position at or after `from` start a fully
 /// valid frame (magic, complete header, in-bounds payload, matching CRC,
-/// decodable record)? Used to tell a corrupted length field mid-log apart
-/// from a genuinely torn final frame.
+/// structurally valid record)? Used to tell a corrupted length field
+/// mid-log apart from a genuinely torn final frame.
 fn any_valid_frame_after(bytes: &[u8], from: usize) -> bool {
     let mut q = from;
     while q + FRAME_HEADER <= bytes.len() {
@@ -169,12 +285,11 @@ fn any_valid_frame_after(bytes: &[u8], from: usize) -> bool {
             let start = q + FRAME_HEADER;
             if bytes.len() - start >= len {
                 let payload = &bytes[start..start + len];
-                // Structural validity only: decode without a path
-                // dictionary (unknown ids resolve to a placeholder), since
-                // the question is whether a whole frame exists here, not
+                // Structural validity only: no path dictionary, since the
+                // question is whether a whole frame exists here, not
                 // whether its paths resolve.
                 if frame_crc(lsn, len as u32, payload) == crc
-                    && Record::decode(payload, None).is_ok()
+                    && Record::check(payload, None).is_ok()
                 {
                     return true;
                 }
@@ -186,55 +301,86 @@ fn any_valid_frame_after(bytes: &[u8], from: usize) -> bool {
 }
 
 /// Applies the redo filter: returns the records that take effect, in log
-/// order, with transaction markers stripped.
+/// order. Transaction markers and `PathDef`s are never among them.
 pub fn committed_records(log: &ReadLog) -> Vec<Record> {
-    committed_indices(log).into_iter().map(|i| log.records[i].1.clone()).collect()
+    let mut out = Vec::new();
+    let mut settle = |i: usize, applies| {
+        if applies {
+            out.push(log.records[i].1.clone())
+        }
+    };
+    let mut redo = Redo::default();
+    for (i, f) in log.frames.iter().enumerate() {
+        redo.feed(f, Some(i), &mut settle);
+    }
+    redo.finish(&mut settle);
+    out
 }
 
-/// The redo filter: the indices into `log.records` of the records that
-/// take effect, in log order. Transaction markers and `PathDef`s are never
-/// among them.
+/// The redo filter, fed one frame at a time. Each item fed with a record
+/// other than a transaction marker or a `PathDef` is settled exactly once
+/// — `settle(item, true)` if the record takes effect, `false` if not — as
+/// soon as that is known; the items that take effect are settled in log
+/// order.
 ///
 /// Nested transactions are handled with a frame stack — a record applies
 /// only if all enclosing transactions committed. A rollback or an open
 /// transaction at end-of-log discards its records (and any committed inner
 /// transactions, which is the correct nesting semantics: an inner commit
 /// is provisional until the outermost transaction commits).
-pub(crate) fn committed_indices(log: &ReadLog) -> Vec<usize> {
-    let mut out: Vec<usize> = Vec::new();
-    // Stack of (txn id, buffered record indices) for open transactions.
-    let mut open: Vec<(u64, Vec<usize>)> = Vec::new();
-    for (i, (_, rec)) in log.records.iter().enumerate() {
-        match rec {
-            Record::TxnBegin { txn } => open.push((*txn, Vec::new())),
-            Record::TxnCommit { txn } => {
-                // Pop the matching frame; tolerate a stray commit by
-                // ignoring it (nothing was buffered under it).
-                if open.last().map(|(t, _)| *t == *txn).unwrap_or(false) {
-                    let (_, recs) = open.pop().unwrap();
-                    match open.last_mut() {
-                        Some((_, parent)) => parent.extend(recs),
-                        None => out.extend(recs),
-                    }
+pub(crate) struct Redo<T> {
+    /// Open transactions, innermost last, with the items each holds.
+    open: Vec<(u64, Vec<T>)>,
+}
+
+impl<T> Default for Redo<T> {
+    fn default() -> Self {
+        Redo { open: Vec::new() }
+    }
+}
+
+impl<T> Redo<T> {
+    /// Feeds `frame`, with `item` standing for its record (`None` for a
+    /// record the caller does not track; the items of markers and
+    /// `PathDef`s are dropped).
+    pub(crate) fn feed(
+        &mut self,
+        frame: &Frame,
+        item: Option<T>,
+        settle: &mut impl FnMut(T, bool),
+    ) {
+        let top = self.open.last().is_some_and(|(t, _)| *t == frame.txn);
+        match frame.kind {
+            Kind::TxnBegin => self.open.push((frame.txn, Vec::new())),
+            // A stray commit or rollback (not the innermost open
+            // transaction) is ignored: nothing was buffered under it.
+            Kind::TxnCommit if top => {
+                let (_, items) = self.open.pop().unwrap();
+                match self.open.last_mut() {
+                    Some((_, parent)) => parent.extend(items),
+                    None => items.into_iter().for_each(|i| settle(i, true)),
                 }
             }
-            Record::TxnRollback { txn } => {
-                if open.last().map(|(t, _)| *t == *txn).unwrap_or(false) {
-                    open.pop();
-                }
+            Kind::TxnRollback if top => {
+                let (_, items) = self.open.pop().unwrap();
+                items.into_iter().for_each(|i| settle(i, false));
             }
-            // Path-dictionary definitions are wire-format metadata, already
-            // consumed by `read_records` (which returns literal paths).
-            Record::PathDef { .. } => {}
-            _ => match open.last_mut() {
-                Some((_, buf)) => buf.push(i),
-                None => out.push(i),
+            Kind::TxnCommit | Kind::TxnRollback | Kind::PathDef => {}
+            _ => match (item, self.open.last_mut()) {
+                (None, _) => {}
+                (Some(i), Some((_, buf))) => buf.push(i),
+                (Some(i), None) => settle(i, true),
             },
         }
     }
-    // Transactions still open at end-of-log are discarded: the crash
-    // happened before their commit record was durable.
-    out
+
+    /// Ends the log: transactions still open are discarded, since the
+    /// crash happened before their commit record was durable.
+    pub(crate) fn finish(self, settle: &mut impl FnMut(T, bool)) {
+        for (_, items) in self.open {
+            items.into_iter().for_each(|i| settle(i, false));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -470,6 +616,26 @@ mod tests {
         use crate::wal::{MemStorage, Storage};
         use crate::JournalError;
         use proptest::prelude::*;
+        use proptest::test_runner::TestCaseError;
+
+        /// The scanner reading `log` from storage through a `window`-byte
+        /// window reaches the verdict and the frames `read_records` does,
+        /// and hands each frame's own bytes to its visitor.
+        fn windowed_scan_agrees(log: &[u8], window: usize) -> Result<(), TestCaseError> {
+            let mut storage = MemStorage::new();
+            storage.append(log).unwrap();
+            let (mut frames, mut bytes_match) = (Vec::new(), true);
+            let tail = scan(&mut Windowed::with_window(&mut storage, window), 0, |f, bytes| {
+                bytes_match &= bytes == &log[f.range.clone()];
+                frames.push(f.clone());
+            })
+            .unwrap();
+            let read = read_records(log);
+            prop_assert_eq!(tail, read.tail, "window {}", window);
+            prop_assert_eq!(frames, read.frames, "window {}", window);
+            prop_assert!(bytes_match, "window {}: a frame's bytes differ", window);
+            Ok(())
+        }
 
         /// One step of a mixed log: SQL, VFS writes with payloads up to
         /// the step's bound (so frames take both checksum kernels), a few
@@ -548,16 +714,25 @@ mod tests {
                 log.extend_from_slice(&bytes);
                 let read = read_records(&log);
                 prop_assert_eq!(read.frames.len(), read.records.len());
-                prop_assert!(read.frames.iter().all(|f| f.end <= log.len()));
+                prop_assert!(read.frames.iter().all(|f| f.range.end <= log.len()));
+                windowed_scan_agrees(&log, 7)?;
                 let _ = committed_records(&read);
-                let _ = Record::decode(&bytes, None);
-                let _ = Record::decode(&bytes, Some(&HashMap::new()));
+                let _ = Record::check(&bytes, None);
+                // The check accepts exactly the payloads the decoder
+                // decodes, with the same dictionary ids.
+                let dict: HashMap<u32, String> = (0..4).map(|i| (i, format!("/p{i}"))).collect();
+                let ids: HashSet<u32> = dict.keys().copied().collect();
+                let agree = |p: &[u8]| {
+                    Record::check(p, Some(&ids)).is_ok() == Record::decode(p, &dict).is_ok()
+                };
+                prop_assert!(agree(&bytes));
                 // The same bytes as the payload of a frame with a valid
                 // header and CRC, led by a known or unknown tag: the
                 // decoder, not the checksum, must reject what it can't
                 // read.
                 let mut payload = vec![tag];
                 payload.extend_from_slice(&bytes);
+                prop_assert!(agree(&payload));
                 let mut framed = LOG_PREAMBLE.to_vec();
                 framed.push(FRAME_MAGIC);
                 framed.extend_from_slice(&1u64.to_le_bytes());
@@ -565,6 +740,7 @@ mod tests {
                 framed.extend_from_slice(&len.to_le_bytes());
                 framed.extend_from_slice(&frame_crc(1, len, &payload).to_le_bytes());
                 framed.extend_from_slice(&payload);
+                windowed_scan_agrees(&framed, 16)?;
                 let read = read_records(&framed);
                 match read.tail {
                     TailState::Clean => prop_assert_eq!(read.records.len(), 1),
@@ -581,11 +757,11 @@ mod tests {
         /// XORed by `mask`; and that frame's range.
         fn flip_in_a_frame(
             log: &[u8],
-            frames: &[Range<usize>],
+            frames: &[Frame],
             at: usize,
             mask: u8,
         ) -> (Range<usize>, Vec<u8>) {
-            let frame = frames[at % frames.len()].clone();
+            let frame = frames[at % frames.len()].range.clone();
             let offset = frame.start + at / frames.len() % frame.len();
             (frame, crate::fault::flip_byte(log, offset, mask))
         }
@@ -605,6 +781,7 @@ mod tests {
                 prop_assert_eq!(clean.tail, TailState::Clean);
                 prop_assume!(!clean.frames.is_empty());
                 let (frame, damaged) = flip_in_a_frame(&log, &clean.frames, at, mask);
+                windowed_scan_agrees(&damaged, 1 + at % 4096)?;
                 let read = read_records(&damaged);
                 prop_assert!(
                     matches!(read.tail, TailState::Corrupted { offset } if offset <= frame.start),
@@ -627,7 +804,7 @@ mod tests {
                 storage.append(&damaged).unwrap();
                 let mut j = Journal::new(Box::new(storage), 1).unwrap();
                 let flushes = j.stats().flushes;
-                let got = j.checkpoint_delta("vfs.store", vec![1; 100]);
+                let got = j.checkpoint_delta("vfs.store", |w| w.put_raw(&[1; 100]));
                 prop_assert!(matches!(got, Err(JournalError::Corrupted { .. })), "{:?}", got);
                 prop_assert_eq!(j.bytes(), damaged);
                 prop_assert_eq!(j.stats().flushes, flushes);
@@ -646,6 +823,7 @@ mod tests {
                 let whole = read_records(&log);
                 prop_assert_eq!(whole.tail, TailState::Clean);
                 for cut in 0..=log.len() {
+                    windowed_scan_agrees(&log[..cut], 1 + cut % 97)?;
                     let read = read_records(&log[..cut]);
                     prop_assert!(
                         matches!(read.tail, TailState::Clean | TailState::Torn { .. }),

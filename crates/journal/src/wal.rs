@@ -28,35 +28,43 @@
 //!
 //! Incremental checkpoints ([`Journal::checkpoint_delta`]) and compaction
 //! ([`Journal::replace_with`]) are the only operations that shrink a log.
-//! Both pick what to keep and hand it to one private `Journal::rewrite`,
-//! which builds the new log in one buffer and installs it with a single
-//! [`Storage::replace_from`]: one storage call per rewrite, and a crash
-//! leaves the old log or the new one.
+//! Each builds the new log's tail in one buffer and installs it with a
+//! single [`Storage::replace_from`] (the private `Journal::install`): one
+//! storage call per rewrite, and a crash leaves the old log or the new
+//! one.
 //!
 //! A rewrite's output is a *retained prefix*: committed `Snapshot`,
 //! `SnapshotDelta`, `Sql` and `Compaction` frames only — no transaction
 //! markers, no `PathDef`s (the path dictionary restarts at every rewrite)
 //! and no VFS records. The redo filter passes such a prefix through
 //! unchanged, and no dictionary id after it is defined inside it, so a
-//! checkpoint reads, parses and filters only the bytes logged since the
-//! last rewrite and replaces just those, keeping the prefix's bytes and
-//! LSNs: its cost is O(bytes logged since the last rewrite), not O(log).
-//! A journal has no retained prefix until it first rewrites its log, so
-//! its first checkpoint after opening rewrites the whole log.
+//! checkpoint scans and filters only the bytes logged since the last
+//! rewrite and replaces just those, keeping the prefix's bytes and LSNs:
+//! its cost is O(bytes logged since the last rewrite), not O(log). A
+//! journal opened over an existing log takes the log's leading run of
+//! frames of those kinds as its retained prefix, found by the same scan
+//! that finds the last LSN, so a reopened log keeps its prefix too.
 //!
-//! The frames a checkpoint keeps are copied verbatim — header, LSN and
-//! CRC included — from the bytes it has just read and verified; only the
-//! new `SnapshotDelta` is encoded. Kept frames thus keep their LSNs, as
+//! A checkpoint holds the new tail and one read window, never the old
+//! tail: it scans the bytes past the prefix through a fixed window
+//! ([`crate::replay::Windowed`]), checking every frame without decoding
+//! one, and copies each committed `Snapshot`/`SnapshotDelta`/`Sql` frame
+//! verbatim — header, LSN and CRC included — into the new tail as it
+//! meets it. Frames that a later rollback or a still-open transaction
+//! disqualifies are squeezed out before the new `SnapshotDelta` is
+//! appended, its payload written straight into the tail by the caller and
+//! its length and CRC backpatched. Kept frames thus keep their LSNs, as
 //! the retained prefix does, and the delta's fresh LSN is above all of
 //! them. Frames of these kinds carry no path slots, so the path
 //! dictionary restarting at the rewrite does not touch them.
 
 use crate::codec::ByteWriter;
 use crate::record::{Record, LITERAL_PATH};
-use crate::replay::{committed_indices, read_frames, read_records, TailState};
+use crate::replay::{scan, Redo, TailState, Windowed};
 use crate::{JournalError, JournalResult};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Magic byte opening every frame.
@@ -95,13 +103,17 @@ pub fn frame_crc(lsn: u64, len: u32, payload: &[u8]) -> u32 {
 /// group-commit acknowledgement means the same thing on every backend.
 /// `replace_from` is atomic on every backend: after a crash, a reopen sees
 /// the old log or the new one, never a mix.
+///
+/// `read_at` is the one read primitive: the caller owns the buffer, so a
+/// reader holds as much of the log as it chooses to — one window of it
+/// for a scan, all of it for [`Journal::try_bytes`].
 pub trait Storage: Send {
     /// Appends bytes to the durable log.
     fn append(&mut self, bytes: &[u8]) -> JournalResult<()>;
-    /// Returns the durable log from byte `offset` (at most `len()`) to its
-    /// end. Takes `&mut self` because device-backed implementations read
-    /// through their page cache.
-    fn read_from(&mut self, offset: usize) -> JournalResult<Vec<u8>>;
+    /// Fills `buf` with the durable log's bytes from byte `offset` on; a
+    /// range past `len()` is an error. Takes `&mut self` because
+    /// device-backed implementations read through their page cache.
+    fn read_at(&mut self, offset: usize, buf: &mut [u8]) -> JournalResult<()>;
     /// Durable log length in bytes.
     fn len(&self) -> usize;
     /// True when nothing has been made durable yet.
@@ -132,8 +144,8 @@ impl Storage for MemStorage {
         Ok(())
     }
 
-    fn read_from(&mut self, offset: usize) -> JournalResult<Vec<u8>> {
-        Ok(self.buf[offset.min(self.buf.len())..].to_vec())
+    fn read_at(&mut self, offset: usize, buf: &mut [u8]) -> JournalResult<()> {
+        copy_out(&self.buf, offset, buf)
     }
 
     fn len(&self) -> usize {
@@ -145,6 +157,15 @@ impl Storage for MemStorage {
         self.buf.extend_from_slice(&tail);
         Ok(())
     }
+}
+
+/// [`Storage::read_at`] over a log held in memory.
+pub(crate) fn copy_out(log: &[u8], offset: usize, buf: &mut [u8]) -> JournalResult<()> {
+    let src = offset.checked_add(buf.len()).and_then(|end| log.get(offset..end));
+    buf.copy_from_slice(
+        src.ok_or_else(|| JournalError::Io("read past the end of the log".into()))?,
+    );
+    Ok(())
 }
 
 /// Counters exposed for tests and the overhead benches.
@@ -209,19 +230,36 @@ impl LogDevice {
     }
 }
 
-/// Frames one queued record into the batch buffer: header with `len`/`crc`
-/// backpatched once the payload length is known, payload encoded in place.
+/// Frames one queued record into the batch buffer.
 fn encode_frame(w: &mut ByteWriter, q: &Queued) {
+    put_frame(w, q.lsn, |w| q.rec.encode_into(w, q.ids));
+}
+
+/// Frames the payload `encode` writes in place: header with `len`/`crc`
+/// backpatched once the payload length is known.
+fn put_frame(w: &mut ByteWriter, lsn: u64, encode: impl FnOnce(&mut ByteWriter)) {
     let start = w.len();
     w.put_u8(FRAME_MAGIC);
-    w.put_u64(q.lsn);
+    w.put_u64(lsn);
     w.put_u32(0); // len, backpatched below
     w.put_u32(0); // crc, backpatched below
-    q.rec.encode_into(w, q.ids);
+    encode(w);
     let len = (w.len() - start - FRAME_HEADER) as u32;
     w.patch(start + 9, &len.to_le_bytes());
-    let crc = frame_crc(q.lsn, len, &w.as_slice()[start + FRAME_HEADER..]);
+    let crc = frame_crc(lsn, len, &w.as_slice()[start + FRAME_HEADER..]);
     w.patch(start + 13, &crc.to_le_bytes());
+}
+
+/// Removes the disjoint `ranges` from `buf`, keeping the rest in order.
+fn squeeze(buf: &mut Vec<u8>, ranges: &mut [Range<usize>]) {
+    ranges.sort_unstable_by_key(|r| r.start);
+    let mut to = ranges.first().map_or(buf.len(), |r| r.start);
+    for (i, r) in ranges.iter().enumerate() {
+        let next = ranges.get(i + 1).map_or(buf.len(), |n| n.start);
+        buf.copy_within(r.end..next, to);
+        to += next - r.end;
+    }
+    buf.truncate(to);
 }
 
 /// In-log path dictionary state. A path is encoded literally on first use;
@@ -270,7 +308,8 @@ pub struct Journal {
     queue: Vec<Queued>,
     interner: PathInterner,
     /// Length of the retained prefix (module docs): the log as the last
-    /// rewrite left it. 0 until this journal rewrites its log.
+    /// rewrite left it, or the leading run of retainable frames of the
+    /// log this journal opened. 0 when there is none.
     retained: usize,
     /// Highest LSN whose flush attempt has completed (successfully, or
     /// with a counted `io_errors` — matching emit's "durability loss is
@@ -299,15 +338,24 @@ impl Journal {
     /// Creates a journal over the given storage with a group-commit batch
     /// size (records per flush; 1 = flush every record).
     ///
-    /// Non-empty storage (a reopened device-backed log) is scanned once so
-    /// LSNs continue past the existing history — replay rejects
-    /// non-monotonic LSNs as corruption, so a reopened journal must never
-    /// restart numbering at 1. A log that cannot be read is an error, not
-    /// an empty history.
+    /// Non-empty storage (a reopened device-backed log) is scanned once,
+    /// through a window, so LSNs continue past the existing history —
+    /// replay rejects non-monotonic LSNs as corruption, so a reopened
+    /// journal must never restart numbering at 1 — and so the log's
+    /// leading run of retainable frames becomes the retained prefix. A log
+    /// that cannot be read is an error, not an empty history.
     pub fn new(mut storage: Box<dyn Storage>, batch: usize) -> JournalResult<Self> {
-        let last_lsn =
-            if storage.is_empty() { 0 } else { read_records(&storage.read_from(0)?).last_lsn() };
-        Ok(Journal::resume(storage, batch, last_lsn))
+        let (mut last_lsn, mut retained, mut leading) = (0, 0, true);
+        scan(&mut Windowed::new(&mut *storage), 0, |f, _| {
+            last_lsn = f.lsn;
+            leading &= f.kind.retainable();
+            if leading {
+                retained = f.range.end;
+            }
+        })?;
+        let mut j = Journal::resume(storage, batch, last_lsn);
+        j.retained = retained;
+        Ok(j)
     }
 
     /// Creates an in-memory journal.
@@ -424,7 +472,7 @@ impl Journal {
             maxoid_obs::observe("journal.flush_bytes", bytes);
             maxoid_obs::observe("journal.flush_records", batch.len() as u64);
         }
-        self.finish_group_flush(Some((bytes as usize, batch.len())), &result, high);
+        self.finish_group_flush(Some(bytes as usize), &result, high);
         result
     }
 
@@ -451,7 +499,10 @@ impl Journal {
     /// what a crash right now would leave behind), or the storage's read
     /// error.
     pub fn try_bytes(&self) -> JournalResult<Vec<u8>> {
-        self.storage.lock().storage.read_from(0)
+        let mut dev = self.storage.lock();
+        let mut log = vec![0; dev.storage.len()];
+        dev.storage.read_at(0, &mut log)?;
+        Ok(log)
     }
 
     /// [`Journal::try_bytes`] with a read error returned as an empty log.
@@ -474,122 +525,114 @@ impl Journal {
     /// Incremental checkpoint: rewrites the log as the committed snapshot
     /// chain (full snapshots and earlier deltas, every component), the
     /// committed SQL history, and a new `SnapshotDelta` carrying only the
-    /// state dirtied since the last checkpoint. Replay rebuilds the chain
-    /// in order; VFS physical records are dropped because the delta
-    /// subsumes them, and records of rolled-back or still-open
-    /// transactions are dropped with their markers.
+    /// state dirtied since the last checkpoint, whose payload `delta`
+    /// writes straight into the new log. Replay rebuilds the chain in
+    /// order; VFS physical records are dropped because the delta subsumes
+    /// them, and records of rolled-back or still-open transactions are
+    /// dropped with their markers.
     ///
-    /// Only the bytes past the retained prefix are read, filtered and
-    /// replaced (module docs); the prefix — the last rewrite's output,
-    /// already in that shape — stays as it is. The kept frames are copied
-    /// verbatim from the bytes read. If those bytes parse as
-    /// [`TailState::Corrupted`], the log is left untouched and the call
-    /// fails with [`JournalError::Corrupted`]: a rewrite must not turn
-    /// damaged history into a clean, shorter log, nor carry a damaged
-    /// frame forward.
-    pub fn checkpoint_delta(&mut self, component: &str, delta: Vec<u8>) -> JournalResult<()> {
+    /// Only the bytes past the retained prefix are scanned, filtered and
+    /// replaced (module docs); the prefix — already in that shape — stays
+    /// as it is. Those bytes are read through a fixed window and the kept
+    /// frames copied verbatim as the scan meets them, so the call holds the
+    /// new tail and one window. If the scan finds
+    /// [`TailState::Corrupted`], `delta` is not called, the log is left
+    /// untouched and the call fails with [`JournalError::Corrupted`]: a
+    /// rewrite must not turn damaged history into a clean, shorter log,
+    /// nor carry a damaged frame forward.
+    pub fn checkpoint_delta(
+        &mut self,
+        component: &str,
+        delta: impl FnOnce(&mut ByteWriter),
+    ) -> JournalResult<()> {
         self.flush()?;
+        let _sp = maxoid_obs::span("journal.rewrite");
         let keep = self.retained;
-        let tail = self.storage.lock().storage.read_from(keep)?;
-        let log = if keep == 0 { read_records(&tail) } else { read_frames(&tail, 0) };
-        if let TailState::Corrupted { offset } = log.tail {
-            return Err(JournalError::Corrupted { offset: keep + offset });
+        let storage = Arc::clone(&self.storage);
+        let mut dev = storage.lock();
+        let mut tail = if keep == 0 { LOG_PREAMBLE.to_vec() } else { Vec::new() };
+        let mut squeezed: Vec<Range<usize>> = Vec::new();
+        let mut settle = |copy, applies: bool| {
+            if !applies {
+                squeezed.push(copy)
+            }
+        };
+        let mut redo = Redo::default();
+        let end = scan(&mut Windowed::new(&mut *dev.storage), keep, |f, frame| {
+            let copy = f.kind.carried().then(|| {
+                tail.extend_from_slice(frame);
+                tail.len() - frame.len()..tail.len()
+            });
+            redo.feed(f, copy, &mut settle);
+        })?;
+        if let TailState::Corrupted { offset } = end {
+            return Err(JournalError::Corrupted { offset });
         }
-        let kept: Vec<&[u8]> = committed_indices(&log)
-            .into_iter()
-            .filter(|&i| {
-                matches!(
-                    log.records[i].1,
-                    Record::Snapshot { .. } | Record::SnapshotDelta { .. } | Record::Sql { .. }
-                )
-            })
-            .map(|i| &tail[log.frames[i].clone()])
-            .collect();
-        drop(log);
-        // The delta's frame: header, tag, two length-prefixed fields.
-        let delta_frame = FRAME_HEADER + 1 + 4 + component.len() + 4 + delta.len();
-        let delta = Record::SnapshotDelta { component: component.to_string(), payload: delta };
-        self.rewrite(keep, &kept, [delta], delta_frame)
+        redo.finish(&mut settle);
+        squeeze(&mut tail, &mut squeezed);
+        let old_interner = std::mem::take(&mut self.interner);
+        let lsn = self.next_lsn;
+        self.next_lsn += 1;
+        let mut w = ByteWriter::from_vec(tail);
+        put_frame(&mut w, lsn, |w| Record::encode_snapshot_delta(w, component, delta));
+        self.install(&mut *dev.storage, keep, w.into_bytes(), lsn, true, old_interner)
     }
 
     /// Replaces the whole log with `records` — a compacted reconstruction
     /// of live state — preceded by a `Compaction` marker recording the LSN
     /// horizon the rewrite subsumes. Recovery over the new log replays
-    /// live state, not uptime history.
+    /// live state, not uptime history. The records get fresh LSNs and a
+    /// fresh path dictionary exactly as `enqueue` would after an empty
+    /// log. The new log is the next retained prefix, unless `records` held
+    /// a kind a prefix may not (then the next checkpoint reads it all).
     pub fn replace_with(&mut self, records: Vec<Record>, upto_lsn: u64) -> JournalResult<()> {
-        // Compaction exists to shrink the log, so the old log's length is
-        // the records' reservation; a larger compacted log grows it.
-        let capacity = self.len();
-        self.rewrite(
-            0,
-            &[],
-            std::iter::once(Record::Compaction { upto_lsn }).chain(records),
-            capacity,
-        )
-    }
-
-    /// The one path that truncates or rewrites the log: keeps its first
-    /// `keep` bytes (0, or the retained prefix) and replaces the rest with
-    /// the `framed` frames, then `records`. Flushes the queue, then gives
-    /// `records` fresh LSNs and a fresh path dictionary exactly as
-    /// `enqueue` would after an empty log. One buffer, reserved once with
-    /// `capacity` bytes for the records' frames, gets the preamble when
-    /// `keep == 0`, a verbatim copy of each `framed` frame, and the
-    /// records framed in turn (each dropped once encoded); a single
-    /// [`Storage::replace_from`] installs it, booked as one flush.
-    ///
-    /// `framed` must hold whole, verified frames of the kinds a retained
-    /// prefix may hold, in rising LSN order, each LSN above the kept
-    /// prefix's and below `next_lsn`, so LSNs keep rising (and txn ids do
-    /// too). The new log is the next retained
-    /// prefix, unless `records` held a kind a prefix may not (then the
-    /// next checkpoint reads it all). If the replace fails, the old log,
-    /// its dictionary and its prefix stay.
-    fn rewrite(
-        &mut self,
-        keep: usize,
-        framed: &[&[u8]],
-        records: impl IntoIterator<Item = Record>,
-        capacity: usize,
-    ) -> JournalResult<()> {
         self.flush()?;
         let _sp = maxoid_obs::span("journal.rewrite");
         let old_interner = std::mem::take(&mut self.interner);
-        for rec in records {
+        for rec in std::iter::once(Record::Compaction { upto_lsn }).chain(records) {
             self.enqueue(rec);
         }
         let batch = std::mem::take(&mut self.queue);
-        let count = framed.len() + batch.len();
         let high = batch.last().map_or(self.acked_lsn, |q| q.lsn);
-        let retainable = batch.iter().all(|q| {
-            matches!(
-                q.rec,
-                Record::Snapshot { .. }
-                    | Record::SnapshotDelta { .. }
-                    | Record::Sql { .. }
-                    | Record::Compaction { .. }
-            )
-        });
-        let framed_len: usize = framed.iter().map(|f| f.len()).sum();
-        let mut buf = Vec::with_capacity(LOG_PREAMBLE.len() + framed_len + capacity);
-        if keep == 0 && count > 0 {
-            buf.extend_from_slice(&LOG_PREAMBLE);
-        }
-        for frame in framed {
-            buf.extend_from_slice(frame);
-        }
-        let mut w = ByteWriter::from_vec(buf);
+        let retainable = batch.iter().all(|q| q.rec.kind().retainable());
+        // Compaction exists to shrink the log, so the old log's length is
+        // the records' reservation; a larger compacted log grows it.
+        let mut tail = Vec::with_capacity(LOG_PREAMBLE.len() + self.len());
+        tail.extend_from_slice(&LOG_PREAMBLE);
+        let mut w = ByteWriter::from_vec(tail);
         for q in batch {
             encode_frame(&mut w, &q);
         }
-        let buf = w.into_bytes();
-        let bytes = buf.len();
-        let result = self.storage.lock().storage.replace_from(keep, buf);
+        let storage = Arc::clone(&self.storage);
+        let mut dev = storage.lock();
+        self.install(&mut *dev.storage, 0, w.into_bytes(), high, retainable, old_interner)
+    }
+
+    /// The one path that truncates or rewrites the log: makes it its
+    /// first `keep` bytes (0, or the retained prefix) followed by `tail`,
+    /// with one [`Storage::replace_from`], booked as one flush that
+    /// acknowledges up to `high`. `tail` opens with the preamble when
+    /// `keep` is 0, and its frames' LSNs rise past the kept bytes' and up
+    /// to `high`. On success the new log is the next retained prefix if
+    /// `retainable`, and the path dictionary is the one the tail was
+    /// encoded with; if the replace fails, the old log, `old_interner` and
+    /// the old prefix stay.
+    fn install(
+        &mut self,
+        storage: &mut dyn Storage,
+        keep: usize,
+        tail: Vec<u8>,
+        high: u64,
+        retainable: bool,
+        old_interner: PathInterner,
+    ) -> JournalResult<()> {
+        let bytes = tail.len();
+        let result = storage.replace_from(keep, tail);
         match result {
             Ok(()) => self.retained = if retainable { keep + bytes } else { 0 },
             Err(_) => self.interner = old_interner,
         }
-        self.finish_group_flush(Some((bytes, count)), &result, high);
+        self.finish_group_flush(Some(bytes), &result, high);
         result
     }
 
@@ -637,13 +680,13 @@ impl Journal {
     /// counted durability loss, exactly like `emit`'s).
     pub(crate) fn finish_group_flush(
         &mut self,
-        batch: Option<(usize, usize)>,
+        bytes: Option<usize>,
         result: &JournalResult<()>,
         high: u64,
     ) {
         match result {
             Ok(()) => {
-                if let Some((bytes, _records)) = batch {
+                if let Some(bytes) = bytes {
                     self.stats.flushes += 1;
                     self.stats.bytes_flushed += bytes as u64;
                     maxoid_obs::counter_add("journal.flushes", 1);
@@ -798,7 +841,7 @@ impl JournalHandle {
             let (result, bytes) = dev.write_batch(&batch);
             drop(dev);
             j = self.shared.journal.lock();
-            let booked = if batch.is_empty() { None } else { Some((bytes as usize, batch.len())) };
+            let booked = (!batch.is_empty()).then_some(bytes as usize);
             j.finish_group_flush(booked, &result, high);
             j.set_group_leader(false);
             self.shared.flushed.notify_all();
@@ -865,7 +908,11 @@ impl JournalHandle {
     }
 
     /// Incremental checkpoint: see [`Journal::checkpoint_delta`].
-    pub fn checkpoint_delta(&self, component: &str, delta: Vec<u8>) -> JournalResult<()> {
+    pub fn checkpoint_delta(
+        &self,
+        component: &str,
+        delta: impl FnOnce(&mut ByteWriter),
+    ) -> JournalResult<()> {
         self.with(|j| j.checkpoint_delta(component, delta))
     }
 
@@ -946,7 +993,7 @@ impl JournalSink for NullSink {
 mod tests {
     use super::*;
     use crate::record::VfsRecord;
-    use crate::replay::{committed_records, read_records, TailState};
+    use crate::replay::{committed_records, read_records, TailState, SCAN_WINDOW};
 
     fn rec(path: &str) -> Record {
         Record::Vfs(VfsRecord::Unlink { path: path.into() })
@@ -1040,7 +1087,7 @@ mod tests {
         j.append(&rec("/a")).unwrap();
         j.append(&sql("CREATE TABLE t (x)")).unwrap();
         j.append(&rec("/a")).unwrap();
-        j.checkpoint_delta("vfs.store", vec![1, 2, 3]).unwrap();
+        j.checkpoint_delta("vfs.store", |w| w.put_raw(&[1, 2, 3])).unwrap();
         let log = read_records(&j.bytes());
         let recs: Vec<&Record> = log.records.iter().map(|(_, r)| r).collect();
         // The VFS records (and the PathDef their repeated path earned)
@@ -1057,7 +1104,7 @@ mod tests {
         let txn = j.begin_txn().unwrap();
         j.append(&sql("INSERT ...")).unwrap();
         j.rollback_txn(txn).unwrap();
-        j.checkpoint_delta("vfs.store", vec![]).unwrap();
+        j.checkpoint_delta("vfs.store", |_| {}).unwrap();
         let log = read_records(&j.bytes());
         assert_eq!(log.records.len(), 1);
         assert!(matches!(log.records[0].1, Record::SnapshotDelta { .. }));
@@ -1073,7 +1120,7 @@ mod tests {
         let before = read_records(&before_bytes);
         assert_eq!(before.records.len(), 200, "200 records at batch 8 are all flushed");
         let flushes = j.stats().flushes;
-        j.checkpoint_delta("vfs.store", vec![9]).unwrap();
+        j.checkpoint_delta("vfs.store", |w| w.put_raw(&[9])).unwrap();
         assert_eq!(j.stats().flushes, flushes + 1, "the whole rewrite is one storage call");
         let after_bytes = j.bytes();
         let after = read_records(&after_bytes);
@@ -1096,7 +1143,7 @@ mod tests {
     #[derive(Clone, Default)]
     struct Shared {
         log: Arc<Mutex<Vec<u8>>>,
-        /// `(offset, bytes returned)` of every `read_from`.
+        /// `(offset, bytes read)` of every `read_at`.
         reads: Arc<Mutex<Vec<(usize, usize)>>>,
     }
 
@@ -1106,10 +1153,9 @@ mod tests {
             Ok(())
         }
 
-        fn read_from(&mut self, offset: usize) -> JournalResult<Vec<u8>> {
-            let out = self.log.lock()[offset..].to_vec();
-            self.reads.lock().push((offset, out.len()));
-            Ok(out)
+        fn read_at(&mut self, offset: usize, buf: &mut [u8]) -> JournalResult<()> {
+            self.reads.lock().push((offset, buf.len()));
+            copy_out(&self.log.lock(), offset, buf)
         }
 
         fn len(&self) -> usize {
@@ -1131,7 +1177,7 @@ mod tests {
         for i in 0..100 {
             j.append(&sql(&format!("INSERT INTO t VALUES ({i})"))).unwrap();
         }
-        j.checkpoint_delta("vfs.store", vec![1]).unwrap();
+        j.checkpoint_delta("vfs.store", |w| w.put_raw(&[1])).unwrap();
         let prefix = j.bytes();
         let txn = j.begin_txn().unwrap();
         for i in 100..150 {
@@ -1142,7 +1188,7 @@ mod tests {
         let before = j.bytes();
         shared.reads.lock().clear();
         let flushes = j.stats().flushes;
-        j.checkpoint_delta("vfs.store", vec![2]).unwrap();
+        j.checkpoint_delta("vfs.store", |w| w.put_raw(&[2])).unwrap();
         assert_eq!(
             *shared.reads.lock(),
             vec![(prefix.len(), before.len() - prefix.len())],
@@ -1174,29 +1220,118 @@ mod tests {
         let second = crate::fault::record_boundaries(&clean)[2];
         shared.log.lock()[second + FRAME_HEADER] ^= 0x01;
         let damaged = j.bytes();
-        let err = j.checkpoint_delta("vfs.store", vec![1]);
+        let err = j.checkpoint_delta("vfs.store", |w| w.put_raw(&[1]));
         assert_eq!(err, Err(JournalError::Corrupted { offset: second }));
         assert_eq!(j.bytes(), damaged);
         // Repaired, it checkpoints; damage past the retained prefix is
         // refused the same way, at its offset in the whole log.
         *shared.log.lock() = clean;
-        j.checkpoint_delta("vfs.store", vec![1]).unwrap();
+        j.checkpoint_delta("vfs.store", |w| w.put_raw(&[1])).unwrap();
         let prefix = j.len();
         j.append(&sql("INSERT INTO t VALUES (3)")).unwrap();
         j.append(&sql("INSERT INTO t VALUES (4)")).unwrap();
         shared.log.lock()[prefix + FRAME_HEADER] ^= 0x01;
         let damaged = j.bytes();
-        let err = j.checkpoint_delta("vfs.store", vec![2]);
+        let err = j.checkpoint_delta("vfs.store", |w| w.put_raw(&[2]));
         assert_eq!(err, Err(JournalError::Corrupted { offset: prefix }));
         assert_eq!(j.bytes(), damaged);
         // A torn tail is legal (its bytes were never acknowledged), and
         // the rewrite drops it.
         shared.log.lock()[prefix + FRAME_HEADER] ^= 0x01;
         shared.log.lock().extend_from_slice(&[FRAME_MAGIC, 9, 9]);
-        j.checkpoint_delta("vfs.store", vec![2]).unwrap();
+        j.checkpoint_delta("vfs.store", |w| w.put_raw(&[2])).unwrap();
         let log = read_records(&j.bytes());
         assert_eq!(log.tail, TailState::Clean);
         assert_eq!(log.records.len(), 3 + 1 + 2 + 1);
+    }
+
+    #[test]
+    fn checkpoint_refuses_a_checksummed_frame_that_does_not_decode() {
+        // Two payloads under a valid header and CRC that no record decodes
+        // from: an unknown record tag, and an unlink whose path slot names
+        // dictionary id 7, which no `PathDef` has defined.
+        let mut undefined_id = ByteWriter::new();
+        rec("/a").encode_into(&mut undefined_id, [7, LITERAL_PATH]);
+        for bad in [vec![200u8], undefined_id.into_bytes()] {
+            // In the first checkpoint's whole log, and past a prefix.
+            for prefix in [false, true] {
+                let shared = Shared::default();
+                let mut j = Journal::new(Box::new(shared.clone()), 1).unwrap();
+                j.append(&sql("INSERT INTO t VALUES (1)")).unwrap();
+                if prefix {
+                    j.checkpoint_delta("vfs.store", |w| w.put_raw(&[1])).unwrap();
+                }
+                j.append(&rec("/b")).unwrap();
+                let at = j.len();
+                let mut frame = ByteWriter::new();
+                put_frame(&mut frame, j.next_lsn, |w| w.put_raw(&bad));
+                shared.log.lock().extend_from_slice(frame.as_slice());
+                j.next_lsn += 1;
+                // Acknowledged history follows the damage.
+                j.append(&sql("INSERT INTO t VALUES (2)")).unwrap();
+                let damaged = j.bytes();
+                let mut written = false;
+                let got = j.checkpoint_delta("vfs.store", |_| written = true);
+                assert_eq!(got, Err(JournalError::Corrupted { offset: at }), "prefix {prefix}");
+                assert!(!written, "no delta is written over a damaged log");
+                assert_eq!(j.bytes(), damaged, "the log is left as it was");
+            }
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_reads_through_one_window() {
+        // Over 8 MiB of tail: SQL and file writes of many sizes in and
+        // out of transactions, and a snapshot larger than the window
+        // every 40 records.
+        let shared = Shared::default();
+        let mut j = Journal::new(Box::new(shared.clone()), 16).unwrap();
+        let mut i = 0usize;
+        while j.len() < 8 << 20 {
+            let txn = i.is_multiple_of(7).then(|| j.begin_txn().unwrap());
+            if i % 40 == 39 {
+                let payload = vec![i as u8; SCAN_WINDOW + 4321];
+                j.append(&Record::Snapshot { component: "vfs.store".into(), payload }).unwrap();
+            } else if i.is_multiple_of(3) {
+                j.append(&sql(&format!("INSERT INTO t VALUES ({i})"))).unwrap();
+            } else {
+                let data = vec![i as u8; i * 7919 % 150_000];
+                let path = format!("/d/f{}", i % 9);
+                j.append(&Record::Vfs(VfsRecord::Write { path, data, owner: 1, mode: 3 })).unwrap();
+            }
+            if let Some(txn) = txn {
+                if i.is_multiple_of(2) {
+                    j.commit_txn(txn).unwrap();
+                } else {
+                    j.rollback_txn(txn).unwrap();
+                }
+            }
+            i += 1;
+        }
+        j.flush().unwrap();
+        let before = j.bytes();
+        let old = read_records(&before);
+        let largest = old.frames.iter().map(|f| f.range.len()).max().unwrap();
+        assert!(largest > SCAN_WINDOW);
+        shared.reads.lock().clear();
+        j.checkpoint_delta("vfs.store", |w| w.put_raw(&[9])).unwrap();
+        let reads = shared.reads.lock().clone();
+        let bound = SCAN_WINDOW.max(largest);
+        assert!(reads.iter().all(|&(_, n)| n <= bound), "a read past {bound} B: {reads:?}");
+        // It read the whole tail, each byte once.
+        let mut next = 0;
+        for &(at, n) in &reads {
+            assert_eq!(at, next, "reads follow each other: {reads:?}");
+            next += n;
+        }
+        assert_eq!(next, before.len());
+        // And kept what the redo filter keeps.
+        let mut want: Vec<Record> = committed_records(&old)
+            .into_iter()
+            .filter(|r| matches!(r, Record::Snapshot { .. } | Record::Sql { .. }))
+            .collect();
+        want.push(Record::SnapshotDelta { component: "vfs.store".into(), payload: vec![9] });
+        assert_eq!(committed_records(&read_records(&j.bytes())), want);
     }
 
     #[test]
@@ -1208,7 +1343,7 @@ mod tests {
         let mut j = Journal::in_memory(1);
         j.replace_with(vec![Record::TxnBegin { txn: 99 }, sql("A")], 0).unwrap();
         j.append(&sql("B")).unwrap();
-        j.checkpoint_delta("vfs.store", vec![1]).unwrap();
+        j.checkpoint_delta("vfs.store", |w| w.put_raw(&[1])).unwrap();
         let recs = committed_records(&read_records(&j.bytes()));
         assert!(matches!(&recs[..], [Record::SnapshotDelta { payload, .. }] if payload == &[1]));
     }
@@ -1218,9 +1353,9 @@ mod tests {
         let mut j = Journal::in_memory(1);
         j.append(&Record::Snapshot { component: "vfs.store".into(), payload: vec![1] }).unwrap();
         j.append(&rec("/a")).unwrap();
-        j.checkpoint_delta("vfs.store", vec![2]).unwrap();
+        j.checkpoint_delta("vfs.store", |w| w.put_raw(&[2])).unwrap();
         j.append(&rec("/b")).unwrap();
-        j.checkpoint_delta("vfs.store", vec![3]).unwrap();
+        j.checkpoint_delta("vfs.store", |w| w.put_raw(&[3])).unwrap();
         let log = read_records(&j.bytes());
         let recs: Vec<&Record> = log.records.iter().map(|(_, r)| r).collect();
         // Chain order: full snapshot, then deltas oldest-first; the plain

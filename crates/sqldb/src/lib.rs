@@ -62,8 +62,8 @@ pub use db::{
 pub use error::{SqlError, SqlResult};
 pub use expr::{like_match, MemberSet, OrdValue, RowScope, TriggerCtx};
 pub use heap::{HeapCfg, HeapTier};
-pub use mvcc::{MvccStats, ReadSnapshot, SnapshotReader};
 pub use index::{RowIdSet, SecondaryIndex};
+pub use mvcc::{MvccStats, ReadSnapshot, SnapshotReader};
 pub use planner::{AccessPath, AccessPlan, FlattenPolicy, PlanChoice};
 pub use table::{Table, TableSchema};
 pub use value::Value;

@@ -651,8 +651,10 @@ impl Table {
                 ix.remove_entry(old, rowid);
             }
         }
-        let conflict =
-            self.indexes.iter().find_map(|ix| ix.check_unique(&values[ix.column()], new_rowid).err());
+        let conflict = self
+            .indexes
+            .iter()
+            .find_map(|ix| ix.check_unique(&values[ix.column()], new_rowid).err());
         if let Some(e) = conflict {
             if let Some(old) = &old {
                 for ix in Arc::make_mut(&mut self.indexes) {

@@ -313,7 +313,7 @@ struct Shard {
     slots: Vec<Option<Inode>>,
     /// Freed ids available for reuse, LIFO (global ids, all in this shard).
     free: Vec<InodeId>,
-    /// Global ids mutated since the last [`Store::take_dirty_image`].
+    /// Global ids mutated since the last [`DirtyImage::clear`].
     /// Deallocated slots stay in the set (the delta must record the
     /// tombstone).
     dirty: BTreeSet<u64>,
@@ -352,6 +352,59 @@ impl Shard {
             }
             self.free.push(id);
             self.dirty.insert(id.0);
+        }
+    }
+}
+
+/// The store held still by [`Store::dirty_image`]: every shard's write
+/// guard, for as long as a checkpoint writes the store's dirty image into
+/// the journal and makes it durable.
+pub struct DirtyImage<'a> {
+    store: &'a Store,
+    guards: Vec<RwLockWriteGuard<'a, Shard>>,
+}
+
+impl DirtyImage<'_> {
+    /// Serializes the *incremental* image into `w` — root, clock, and for
+    /// each shard with a non-empty dirty set: its slot count, the dirtied
+    /// slots (id-tagged, tombstones included) and its full free list.
+    /// Shards without dirty slots are omitted entirely; that is sound
+    /// because alloc and dealloc always dirty the slot they touch, so a
+    /// free list can never change without its shard appearing in the
+    /// delta. Applying the images in checkpoint order on top of the base
+    /// snapshot reproduces the exact store.
+    pub fn write_to(&self, w: &mut ByteWriter) {
+        let store = self.store;
+        w.put_u64(store.root.load(Ordering::Relaxed));
+        w.put_u64(store.clock.load(Ordering::Relaxed));
+        w.put_u32(STORE_SHARDS as u32);
+        let n_dirty = self.guards.iter().filter(|sh| !sh.dirty.is_empty()).count();
+        w.put_u32(n_dirty as u32);
+        for (idx, sh) in self.guards.iter().enumerate() {
+            if sh.dirty.is_empty() {
+                continue;
+            }
+            w.put_u32(idx as u32);
+            w.put_u32(sh.slots.len() as u32);
+            w.put_u32(sh.dirty.len() as u32);
+            for &id in &sh.dirty {
+                w.put_u64(id);
+                let slot = sh.slots.get(local_of(InodeId(id))).and_then(|s| s.as_ref());
+                write_slot(w, &store.paged, slot);
+            }
+            w.put_u32(sh.free.len() as u32);
+            for id in &sh.free {
+                w.put_u64(id.0);
+            }
+        }
+    }
+
+    /// Empties every dirty set, once the image is durable, and lets the
+    /// store go. An image that never became durable is dropped instead,
+    /// so the next one still covers its inodes.
+    pub fn clear(mut self) {
+        for sh in &mut self.guards {
+            sh.dirty.clear();
         }
     }
 }
@@ -794,10 +847,8 @@ impl Store {
             if existing.is_some() {
                 return Err(VfsError::AlreadyExists);
             }
-            let child = locked.alloc_in(
-                alloc_shard,
-                Inode::Dir { entries: BTreeMap::new(), owner, mode, mtime },
-            );
+            let child = locked
+                .alloc_in(alloc_shard, Inode::Dir { entries: BTreeMap::new(), owner, mode, mtime });
             locked.link(parent, name, child, mtime);
             self.bump_path(path);
             self.emit(VfsRecord::Mkdir {
@@ -907,8 +958,8 @@ impl Store {
                 id
             } else {
                 let new_fd = fd_store(&self.paged, self.spill_threshold, data);
-                let id = locked
-                    .alloc_in(alloc_shard, Inode::File { data: new_fd, owner, mode, mtime });
+                let id =
+                    locked.alloc_in(alloc_shard, Inode::File { data: new_fd, owner, mode, mtime });
                 locked.link(parent, name, id, mtime);
                 // Creation (not overwrite) makes a new path visible.
                 self.bump_path(path);
@@ -1148,8 +1199,7 @@ impl Store {
             // The moved inode's shard is in the lock set so its type (file
             // vs directory, for the visibility bump) can be read without
             // acquiring anything after the set is taken.
-            let mut shards =
-                vec![shard_of(from_parent), shard_of(to_parent), shard_of(moved)];
+            let mut shards = vec![shard_of(from_parent), shard_of(to_parent), shard_of(moved)];
             if let Some(r) = replaced {
                 shards.push(shard_of(r));
             }
@@ -1375,58 +1425,16 @@ impl Store {
         w.into_bytes()
     }
 
-    /// Serializes an *incremental* image — root, clock, and for each shard
-    /// with a non-empty dirty set: its slot count, the dirtied slots
-    /// (id-tagged, tombstones included) and its full free list — then
-    /// clears every dirty set, returning the image and the ids it drained.
-    /// Shards without dirty slots are omitted entirely; that is sound
-    /// because alloc and dealloc always dirty the slot they touch, so a
-    /// free list can never change without its shard appearing in the
-    /// delta. Applying the resulting deltas in take order on top of the
-    /// base snapshot reproduces the exact store. An image that never
-    /// became durable must hand its ids back through
-    /// [`Store::mark_dirty`], or the next delta would miss them.
-    pub fn take_dirty_image(&self) -> (Vec<u8>, Vec<InodeId>) {
-        let mut guards: Vec<_> = self.shards.iter().map(|s| s.write()).collect();
-        let mut w = ByteWriter::new();
-        w.put_u64(self.root.load(Ordering::Relaxed));
-        w.put_u64(self.clock.load(Ordering::Relaxed));
-        w.put_u32(STORE_SHARDS as u32);
-        let n_dirty = guards.iter().filter(|sh| !sh.dirty.is_empty()).count();
-        w.put_u32(n_dirty as u32);
-        for (idx, sh) in guards.iter().enumerate() {
-            if sh.dirty.is_empty() {
-                continue;
-            }
-            w.put_u32(idx as u32);
-            w.put_u32(sh.slots.len() as u32);
-            w.put_u32(sh.dirty.len() as u32);
-            for &id in &sh.dirty {
-                w.put_u64(id);
-                let slot = sh.slots.get(local_of(InodeId(id))).and_then(|s| s.as_ref());
-                write_slot(&mut w, &self.paged, slot);
-            }
-            w.put_u32(sh.free.len() as u32);
-            for id in &sh.free {
-                w.put_u64(id.0);
-            }
-        }
-        let mut taken = Vec::new();
-        for sh in &mut guards {
-            taken.extend(std::mem::take(&mut sh.dirty).into_iter().map(InodeId));
-        }
-        (w.into_bytes(), taken)
+    /// Holds the store still for an incremental checkpoint: takes every
+    /// shard's write guard, in ascending order (the multi-shard order), so
+    /// no mutation lands between the image written from the returned
+    /// [`DirtyImage`] and the journal rewrite that makes it durable. Store
+    /// readers wait until it is dropped.
+    pub fn dirty_image(&self) -> DirtyImage<'_> {
+        DirtyImage { store: self, guards: self.shards.iter().map(|s| s.write()).collect() }
     }
 
-    /// Marks `ids` dirty again, so the next [`Store::take_dirty_image`]
-    /// records their current slots.
-    pub fn mark_dirty(&self, ids: &[InodeId]) {
-        for id in ids {
-            self.shards[shard_of(*id)].write().dirty.insert(id.0);
-        }
-    }
-
-    /// Applies a [`Store::take_dirty_image`] payload on top of the current
+    /// Applies a [`DirtyImage::write_to`] payload on top of the current
     /// contents: listed slots are replaced (or tombstoned), listed shards'
     /// free lists are overwritten, root and clock adopt the delta's
     /// values. Slot tables grow as needed; they never shrink, matching the
@@ -1845,16 +1853,25 @@ mod tests {
 
     #[test]
     fn dirty_image_chain_matches_full_snapshot() {
+        // The dirty image, with the dirty sets emptied as a durable
+        // checkpoint empties them.
+        let take = |s: &Store| {
+            let image = s.dirty_image();
+            let mut w = ByteWriter::new();
+            image.write_to(&mut w);
+            image.clear();
+            w.into_bytes()
+        };
         let s = store_with(&[("/a/f", "1"), ("/b/g", "2")]);
         let shadow = Store::new();
-        shadow.apply_dirty_image(&s.take_dirty_image().0).unwrap();
+        shadow.apply_dirty_image(&take(&s)).unwrap();
         assert_eq!(shadow.dump_tree(), s.dump_tree());
         // Mutations between takes produce a small delta that catches the
         // shadow up — including tombstones for freed slots.
         s.write(&vpath("/a/f"), b"updated", Uid::ROOT, Mode::PUBLIC).unwrap();
         s.unlink(&vpath("/b/g")).unwrap();
         s.rename(&vpath("/a/f"), &vpath("/b/h")).unwrap();
-        let (delta, _) = s.take_dirty_image();
+        let delta = take(&s);
         assert!(delta.len() < s.snapshot_image().len());
         shadow.apply_dirty_image(&delta).unwrap();
         assert_eq!(shadow.dump_tree(), s.dump_tree());
@@ -2048,10 +2065,8 @@ mod tests {
                     continue;
                 }
                 let (pa, pb) = (vpath(&format!("/t{i}")), vpath(&format!("/t{j}")));
-                let (sa, sb) = (
-                    Store::vis_branch_shard(&pa).unwrap(),
-                    Store::vis_branch_shard(&pb).unwrap(),
-                );
+                let (sa, sb) =
+                    (Store::vis_branch_shard(&pa).unwrap(), Store::vis_branch_shard(&pb).unwrap());
                 let deep = Store::vis_branch_shard(&pa.join("f").unwrap()).unwrap();
                 if sa != sb && deep != sb {
                     pair = Some((pa, pb, sa, sb));
@@ -2121,5 +2136,3 @@ mod tests {
         }
     }
 }
-
-

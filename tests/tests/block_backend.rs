@@ -363,7 +363,7 @@ proptest! {
 
         match BlockStorage::open(Box::new(platter), 4) {
             Ok(mut s) => {
-                let parsed = read_records(&s.read_from(0).unwrap());
+                let parsed = read_records(&whole_log(&mut s));
                 prop_assert!(parsed.records.len() >= acked,
                     "{} acked but only {} replayable", acked, parsed.records.len());
             }
@@ -403,7 +403,7 @@ fn ack_200(dev: Box<dyn maxoid_block::BlockDevice>) -> Journal {
 
 fn run(j: &mut Journal, rewrite: Rewrite) -> maxoid_journal::JournalResult<()> {
     match rewrite {
-        Rewrite::CheckpointDelta => j.checkpoint_delta("vfs.store", vec![5; 3000]),
+        Rewrite::CheckpointDelta => j.checkpoint_delta("vfs.store", |w| w.put_raw(&[5; 3000])),
         Rewrite::ReplaceWith => {
             let live = vec![
                 Record::Snapshot { component: "vfs.store".into(), payload: vec![6; 6000] },
@@ -463,7 +463,14 @@ fn rewrite_power_loss_keeps_the_old_log_or_the_new_one() {
 fn log_on(platter: &SharedDev) -> Vec<u8> {
     let mut storage =
         BlockStorage::open(Box::new(platter.clone()), 4).expect("acked log must reopen");
-    storage.read_from(0).unwrap()
+    whole_log(&mut storage)
+}
+
+/// The whole durable log of `storage`.
+fn whole_log(storage: &mut BlockStorage) -> Vec<u8> {
+    let mut log = vec![0; storage.len()];
+    storage.read_at(0, &mut log).unwrap();
+    log
 }
 
 /// 200 acknowledged `Sql` records, a first checkpoint, then 100 more
@@ -472,7 +479,7 @@ fn log_on(platter: &SharedDev) -> Vec<u8> {
 /// is returned) and splices.
 fn ack_and_checkpoint(dev: Box<dyn maxoid_block::BlockDevice>) -> (Journal, usize) {
     let mut j = ack_200(dev);
-    j.checkpoint_delta("vfs.store", vec![4; 2000]).unwrap();
+    j.checkpoint_delta("vfs.store", |w| w.put_raw(&[4; 2000])).unwrap();
     let prefix = j.len();
     for i in 200..300 {
         j.append(&acked_sql(i)).unwrap();
@@ -492,7 +499,7 @@ fn ack_and_checkpoint(dev: Box<dyn maxoid_block::BlockDevice>) -> (Journal, usiz
 /// log.
 #[test]
 fn splice_power_loss_keeps_the_old_log_or_the_new_one() {
-    let checkpoint = |j: &mut Journal| j.checkpoint_delta("vfs.store", vec![5; 3000]);
+    let checkpoint = |j: &mut Journal| j.checkpoint_delta("vfs.store", |w| w.put_raw(&[5; 3000]));
     let platter = SharedDev::default();
     let (mut j, prefix) = ack_and_checkpoint(Box::new(platter.clone()));
     let (acked, old) = (platter.writes(), j.bytes());
@@ -570,12 +577,83 @@ fn checkpoint_never_launders_a_damaged_log() {
     let storage = BlockStorage::open(Box::new(platter.clone()), 4).unwrap();
     let mut j = Journal::new(Box::new(storage), 8).unwrap();
     let writes = platter.writes();
-    let got = j.checkpoint_delta("vfs.store", vec![9; 100]);
+    let got = j.checkpoint_delta("vfs.store", |w| w.put_raw(&[9; 100]));
     assert_eq!(got, Err(JournalError::Corrupted { offset: frame }));
     assert_eq!(platter.writes(), writes, "nothing was written");
     drop(j);
     assert_eq!(log_on(&platter), damaged, "the damaged log is still the log");
     assert!(matches!(recover(&damaged), Err(RecoveryError::Corrupted { .. })));
+}
+
+/// Block storage that records the `(offset, length)` of every read.
+struct RecordingReads {
+    inner: BlockStorage,
+    reads: Arc<Mutex<Vec<(usize, usize)>>>,
+}
+
+impl Storage for RecordingReads {
+    fn append(&mut self, bytes: &[u8]) -> maxoid_journal::JournalResult<()> {
+        self.inner.append(bytes)
+    }
+
+    fn read_at(&mut self, offset: usize, buf: &mut [u8]) -> maxoid_journal::JournalResult<()> {
+        self.reads.lock().unwrap().push((offset, buf.len()));
+        self.inner.read_at(offset, buf)
+    }
+
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+
+    fn replace_from(&mut self, keep: usize, tail: Vec<u8>) -> maxoid_journal::JournalResult<()> {
+        self.inner.replace_from(keep, tail)
+    }
+}
+
+/// A journal reopened over its device keeps the retained prefix its last
+/// checkpoint left: the first checkpoint after the reopen reads only past
+/// it, splices, and leaves the prefix's bytes as they were — while
+/// keeping what a whole-log rewrite keeps.
+#[test]
+fn a_reopened_journal_keeps_its_retained_prefix() {
+    let mut dev = FileDevice::temp("reopen-prefix").unwrap();
+    dev.set_delete_on_drop(false);
+    let path = dev.path().to_path_buf();
+    let append_sql_and_vfs = |j: &mut Journal, range: std::ops::Range<usize>| {
+        for i in range {
+            j.append(&acked_sql(i)).unwrap();
+            j.append(&Record::Vfs(VfsRecord::Unlink { path: format!("/d/f{}", i % 10) })).unwrap();
+        }
+        j.flush().unwrap();
+    };
+    let mut j = Journal::new(Box::new(BlockStorage::open(Box::new(dev), 4).unwrap()), 8).unwrap();
+    append_sql_and_vfs(&mut j, 0..200);
+    j.checkpoint_delta("vfs.store", |w| w.put_raw(&[4; 2000])).unwrap();
+    let prefix = j.bytes();
+    drop(j);
+
+    let mut dev = FileDevice::open(&path).unwrap();
+    dev.set_delete_on_drop(true);
+    let reads = Arc::new(Mutex::new(Vec::new()));
+    let inner = BlockStorage::open(Box::new(dev), 4).unwrap();
+    let storage = RecordingReads { inner, reads: reads.clone() };
+    let mut j = Journal::new(Box::new(storage), 8).unwrap();
+    append_sql_and_vfs(&mut j, 200..300);
+    let before = read_records(&j.bytes());
+    reads.lock().unwrap().clear();
+    j.checkpoint_delta("vfs.store", |w| w.put_raw(&[5; 3000])).unwrap();
+    let reads = reads.lock().unwrap().clone();
+    assert!(!reads.is_empty());
+    assert!(
+        reads.iter().all(|&(at, _)| at >= prefix.len()),
+        "the checkpoint read inside the {}-byte prefix: {reads:?}",
+        prefix.len()
+    );
+    let after = j.bytes();
+    assert_eq!(after[..prefix.len()], prefix[..], "the prefix's bytes are unchanged");
+    let mut want = chain_and_sql(committed_records(&before));
+    want.push(Record::SnapshotDelta { component: "vfs.store".into(), payload: vec![5; 3000] });
+    assert_eq!(committed_records(&read_records(&after)), want);
 }
 
 /// A step of the `spliced ≡ rewritten` workload.
@@ -671,7 +749,7 @@ proptest! {
                         component: "vfs.store".into(),
                         payload: delta.clone(),
                     });
-                    j.checkpoint_delta("vfs.store", delta).unwrap();
+                    j.checkpoint_delta("vfs.store", |w| w.put_raw(&delta)).unwrap();
                     let after_bytes = j.bytes();
                     let after = read_records(&after_bytes);
                     prop_assert_eq!(after.tail, TailState::Clean);

@@ -540,8 +540,8 @@ impl Storage for FailingRewrite {
         self.log.append(bytes)
     }
 
-    fn read_from(&mut self, offset: usize) -> JournalResult<Vec<u8>> {
-        self.log.read_from(offset)
+    fn read_at(&mut self, offset: usize, buf: &mut [u8]) -> JournalResult<()> {
+        self.log.read_at(offset, buf)
     }
 
     fn len(&self) -> usize {
