@@ -36,6 +36,10 @@ const MAGIC: &[u8; 4] = b"MXP1";
 const HEADER_LEN: usize = 12;
 const ENTRY_LEN: usize = 8;
 const FREE_PART: u16 = 0xFFFF;
+/// The smallest sector a partitioned device takes: two directory entries,
+/// which leaves room for the header too.
+const MIN_SECTOR: usize = 2 * ENTRY_LEN;
+const _: () = assert!(HEADER_LEN <= MIN_SECTOR);
 
 struct PartInner {
     dev: Box<dyn BlockDevice>,
@@ -133,10 +137,7 @@ impl PartitionTable {
     ) -> BlockResult<Self> {
         let mut dev = dev;
         let ss = dev.sector_size();
-        assert!(
-            ss >= HEADER_LEN && ss >= 2 * ENTRY_LEN,
-            "partitioned devices need sectors of at least 16 bytes"
-        );
+        assert!(ss >= MIN_SECTOR, "partitioned devices need sectors of at least 16 bytes");
         assert!(chunk_sectors > 0 && dir_sectors > 0);
         let mut header = vec![0u8; ss];
         header[..4].copy_from_slice(MAGIC);
@@ -165,10 +166,16 @@ impl PartitionTable {
     }
 
     /// Opens an existing partitioned image, rebuilding the chunk maps
-    /// from the on-device directory (the cold-boot path).
+    /// from the on-device directory (the cold-boot path). An image that
+    /// does not decode — a device with sectors too small for the header,
+    /// bad magic, a sector size other than the device's, a zero geometry,
+    /// or a directory past the device end — is an error.
     pub fn open(dev: Box<dyn BlockDevice>) -> BlockResult<Self> {
         let mut dev = dev;
         let ss = dev.sector_size();
+        if ss < MIN_SECTOR {
+            return Err(BlockError::Io(format!("{ss}-byte sectors hold no partition table")));
+        }
         let mut header = vec![0u8; ss];
         dev.read_sector(0, &mut header)?;
         if &header[..4] != MAGIC {
@@ -184,6 +191,11 @@ impl PartitionTable {
         let dir_sectors = u16::from_le_bytes(header[10..12].try_into().unwrap()) as u64;
         if chunk_sectors == 0 || dir_sectors == 0 {
             return Err(BlockError::Io("corrupt partition header geometry".into()));
+        }
+        if 1 + dir_sectors > dev.len_sectors() {
+            return Err(BlockError::Io(format!(
+                "a {dir_sectors}-sector partition directory past the device end"
+            )));
         }
         let mut maps: HashMap<u16, HashMap<u64, u64>> = HashMap::new();
         let mut lens: HashMap<u16, u64> = HashMap::new();
@@ -224,7 +236,7 @@ impl PartitionTable {
             let ss = dev.sector_size();
             let mut header = vec![0u8; ss];
             dev.read_sector(0, &mut header)?;
-            if &header[..4] == MAGIC {
+            if header.starts_with(MAGIC) {
                 return Self::open(dev);
             }
         }
@@ -356,6 +368,102 @@ mod tests {
         assert_eq!(buf, vec![9u8; 32]);
         a.read_sector(0, &mut buf).unwrap();
         assert!(buf.iter().all(|&x| x == 0));
+    }
+
+    #[test]
+    fn sectors_too_small_for_the_header_do_not_open() {
+        // A 4-byte sector holding the magic once panicked the decoder as
+        // it read the sector size past the sector's end.
+        for ss in [4, 8, 12] {
+            let mut dev = MemDevice::with_sector_size(ss);
+            let mut sector = vec![0u8; ss];
+            sector[..4].copy_from_slice(MAGIC);
+            dev.write_sector(0, &sector).unwrap();
+            dev.write_sector(1, &sector).unwrap();
+            assert!(matches!(PartitionTable::open(Box::new(dev)), Err(BlockError::Io(_))));
+        }
+    }
+
+    #[test]
+    fn a_directory_past_the_device_end_does_not_open() {
+        // The header claims three directory sectors; the image ends after
+        // one. The missing sectors would read as zeros — entries naming
+        // partition 0, chunk 0 — so the image must not open.
+        let table =
+            PartitionTable::create(Box::new(MemDevice::with_sector_size(32)), 2, 1).unwrap();
+        let mut dev = MemDevice::with_sector_size(32);
+        let mut sector = vec![0u8; 32];
+        let mut inner = table.inner.lock().unwrap();
+        for s in 0..2 {
+            inner.dev.read_sector(s, &mut sector).unwrap();
+            dev.write_sector(s, &sector).unwrap();
+        }
+        drop(inner);
+        let mut header = vec![0u8; 32];
+        dev.read_sector(0, &mut header).unwrap();
+        header[10..12].copy_from_slice(&3u16.to_le_bytes());
+        dev.write_sector(0, &header).unwrap();
+        assert!(matches!(PartitionTable::open(Box::new(dev)), Err(BlockError::Io(_))));
+    }
+
+    /// Decoder fuzzing: a partitioned image is read back on cold boot,
+    /// so no header or directory bytes may panic `open`, and a header it
+    /// cannot trust must be an error.
+    mod fuzz {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn fuzz_partition_table_open_never_panics_and_refuses_bad_headers(
+                ss in prop_oneof![1usize..24, Just(32usize), Just(64usize)],
+                magic in any::<bool>(),
+                stored_ss in proptest::option::of(any::<u32>()),
+                geometry in (0u16..5, prop_oneof![0u16..5, any::<u16>()]),
+                noise in proptest::collection::vec(any::<u8>(), 0..600),
+                sectors in 1u64..12,
+            ) {
+                let (chunk, dir): (u16, u16) = geometry;
+                let mut dev = MemDevice::with_sector_size(ss);
+                // Sector 0: the magic (or not), a stored sector size (the
+                // device's, or any), the geometry, then noise; every other
+                // sector — the directory and past it — is noise.
+                let mut header = if magic { MAGIC.to_vec() } else { noise.iter().take(4).copied().collect() };
+                header.extend_from_slice(&stored_ss.unwrap_or(ss as u32).to_le_bytes());
+                header.extend_from_slice(&chunk.to_le_bytes());
+                header.extend_from_slice(&dir.to_le_bytes());
+                let mut image = header;
+                image.extend_from_slice(&noise);
+                image.resize(ss * sectors as usize, 0xFF);
+                for (s, sector) in image.chunks(ss).enumerate() {
+                    dev.write_sector(s as u64, sector).unwrap();
+                }
+                let len = dev.len_sectors();
+                let got = PartitionTable::open(Box::new(dev));
+                let sound = ss >= MIN_SECTOR
+                    && image.starts_with(MAGIC)
+                    && stored_ss.is_none_or(|s| s as usize == ss)
+                    && chunk > 0
+                    && dir > 0
+                    && (dir as u64) < len;
+                prop_assert_eq!(got.is_ok(), sound, "{:?}", got.as_ref().err());
+                if let Ok(table) = got {
+                    // Every partition reads and writes through the maps it
+                    // rebuilt without panicking.
+                    let mut buf = vec![0u8; ss];
+                    for part in [PART_WAL, PART_VFS, PART_HEAP, 7] {
+                        let mut h = table.handle(part);
+                        let _ = h.len_sectors();
+                        for sector in 0..4 * chunk as u64 {
+                            let _ = h.read_sector(sector, &mut buf);
+                            let _ = h.write_sector(sector, &buf);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

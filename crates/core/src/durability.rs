@@ -345,7 +345,7 @@ mod tests {
         let checkpoint = || {
             vfs.with_store(|s| {
                 let image = s.dirty_image();
-                j.checkpoint_delta(VFS_COMPONENT, |w| image.write_to(w)).unwrap();
+                j.checkpoint_delta(VFS_COMPONENT, &image).unwrap();
                 image.clear();
             })
         };

@@ -403,16 +403,17 @@ impl MaxoidSystem {
     /// checkpoint).
     ///
     /// The store is held still (every shard's write guard) from the image
-    /// through the rewrite, and the image is written straight into the new
-    /// log: no file write can land between them, so none is dropped from
-    /// the log without being in the delta. The dirty sets are emptied only
-    /// once the rewrite succeeds; a failed one leaves them for the next.
+    /// through the rewrite's commit, and the image streams straight into
+    /// the new log on storage, a spilled file a page at a time: no file
+    /// write can land between them, so none is dropped from the log
+    /// without being in the delta. The dirty sets are emptied only once
+    /// the rewrite succeeds; a failed one leaves them for the next.
     pub fn checkpoint_incremental(&self) -> SystemResult<()> {
         if let Some(j) = &self.journal {
             let _sp = maxoid_obs::span("system.checkpoint_incremental");
             self.kernel.vfs().with_store(|s| {
                 let image = s.dirty_image();
-                j.checkpoint_delta(crate::durability::VFS_COMPONENT, |w| image.write_to(w))?;
+                j.checkpoint_delta(crate::durability::VFS_COMPONENT, &image)?;
                 image.clear();
                 Ok::<_, maxoid_journal::JournalError>(())
             })?;

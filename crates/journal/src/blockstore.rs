@@ -27,7 +27,11 @@
 //! device but were never acknowledged, exactly the "lost tail" a torn
 //! append models.
 //!
-//! `replace_from(0, log)` (a whole rewrite) writes the new log *beside*
+//! `replace_from` is streamed: the caller announces the new tail's length
+//! and writes it in pieces, which go straight through the cache to the
+//! device, beside the live log, as they arrive.
+//!
+//! `replace_from(0, ..)` (a whole rewrite) writes the new log *beside*
 //! the live one: at the front of the data area if it ends before the live
 //! log's first sector, otherwise from the first sector past the live
 //! log's end. After a flush barrier, one superblock commit names the new
@@ -38,20 +42,22 @@
 //! about twice the largest log into the data area, and the area stays
 //! under about three times the largest log.
 //!
-//! `replace_from(keep, tail)` with `keep > 0` (a checkpoint keeping its
-//! retained prefix) *splices*: it writes `tail` beside the log, from the
-//! first sector past both the live log's end and `start + keep +
-//! tail.len()` — so it overlaps neither the live log nor its own in-place
-//! target — then, after a flush barrier, commits a superblock naming the
-//! new `len` and a **move** (`move_src` = where the tail was written,
-//! `move_at` = `keep`): "the log's bytes from `move_at` on are at
-//! `move_src`". That commit makes the new log durable. Only then is the
-//! tail copied in place at `start + keep`, flushed, and a superblock
-//! without the move committed (`move_src` = `u64::MAX`). Reads serve the
-//! tail from `move_src` until the move is done, and `append`,
-//! `replace_from` and `open` finish a pending move first; the copy is
-//! idempotent, so a cut anywhere reopens as the old log or the whole new
-//! one. A checkpoint thus writes about twice its tail, never the prefix.
+//! `replace_from(keep, ..)` with `keep > 0` (a checkpoint keeping its
+//! retained prefix) *splices*: it writes the tail beside the log, from the
+//! first sector past both the live log's end and `start + keep + n` (`n`
+//! the announced tail length) — so it overlaps neither the live log nor
+//! its own in-place target — then, after a flush barrier, commits a
+//! superblock naming the new `len` and a **move** (`move_src` = where the
+//! tail was written, `move_at` = `keep`): "the log's bytes from `move_at`
+//! on are at `move_src`". That commit makes the new log durable. Only then
+//! is the tail copied in place at `start + keep`, one window at a time
+//! from beside the log, flushed, and a superblock without the move
+//! committed (`move_src` = `u64::MAX`). Reads serve the tail from
+//! `move_src` until the move is done, and `append`, `replace_from` and
+//! `open` finish a pending move first, through the same window; the copy
+//! is idempotent, so a cut anywhere reopens as the old log or the whole
+//! new one. A checkpoint thus writes about twice its tail, never the
+//! prefix.
 //!
 //! Superblock commits alternate between **two slots** (generation `g`
 //! lands in sector `g % 2`), so the commit never overwrites the slot it
@@ -66,7 +72,8 @@
 //! the device end) is reported loudly rather than treated as an empty
 //! log — shortened history must never be silent.
 
-use crate::wal::Storage;
+use crate::replay::SCAN_WINDOW;
+use crate::wal::{Fill, Replacement, Storage, Tail};
 use crate::{JournalError, JournalResult};
 use maxoid_block::{BlockDevice, BlockError, PageCache};
 
@@ -239,22 +246,20 @@ impl BlockStorage {
         Ok(())
     }
 
-    /// Finishes a pending move, if any: reads its tail from beside the
-    /// log and moves it in place.
+    /// Finishes a pending move, if any: copies its tail from beside the
+    /// log to `start + at`, one window at a time, flushes, and commits a
+    /// superblock without the move. On `Err` the move stays pending — the
+    /// log is still whole, read from beside.
     fn finish_move(&mut self) -> JournalResult<()> {
         let Some(m) = self.moving else { return Ok(()) };
-        let mut tail = vec![0u8; (self.len - m.at) as usize];
-        let src = data_origin(&self.cache) + m.src;
-        self.cache.read_bytes(src, &mut tail).map_err(block_err)?;
-        self.move_in_place(&tail)
-    }
-
-    /// Writes the pending move's `tail` at `start + at`, flushes, and
-    /// commits a superblock without the move. On `Err` the move stays
-    /// pending — the log is still whole, read from beside.
-    fn move_in_place(&mut self, tail: &[u8]) -> JournalResult<()> {
-        let Some(m) = self.moving else { return Ok(()) };
-        self.cache.write_bytes(self.log_offset() + m.at, tail).map_err(block_err)?;
+        let (src, dst) = (data_origin(&self.cache) + m.src, self.log_offset() + m.at);
+        let n = (self.len - m.at) as usize;
+        let mut window = vec![0u8; n.min(SCAN_WINDOW)];
+        for at in (0..n).step_by(SCAN_WINDOW) {
+            let piece = &mut window[..(n - at).min(SCAN_WINDOW)];
+            self.cache.read_bytes(src + at as u64, piece).map_err(block_err)?;
+            self.cache.write_bytes(dst + at as u64, piece).map_err(block_err)?;
+        }
         self.cache.flush().map_err(block_err)?;
         self.moving = None;
         if let Err(e) = self.commit_superblock() {
@@ -262,6 +267,24 @@ impl BlockStorage {
             return Err(e);
         }
         Ok(())
+    }
+}
+
+/// A replacement's tail, written through the cache from data-area offset
+/// `at` on, while the live log stays where the superblock says.
+struct Beside<'a> {
+    storage: &'a mut BlockStorage,
+    at: u64,
+}
+
+impl Replacement for Beside<'_> {
+    fn write_at(&mut self, at: usize, bytes: &[u8]) -> JournalResult<()> {
+        let offset = data_origin(&self.storage.cache) + self.at + at as u64;
+        self.storage.cache.write_bytes(offset, bytes).map_err(block_err)
+    }
+
+    fn read_old(&mut self, offset: usize, buf: &mut [u8]) -> JournalResult<()> {
+        self.storage.read_at(offset, buf)
     }
 }
 
@@ -311,7 +334,7 @@ impl Storage for BlockStorage {
         self.len as usize
     }
 
-    fn replace_from(&mut self, keep: usize, tail: Vec<u8>) -> JournalResult<()> {
+    fn replace_from(&mut self, keep: usize, len: usize, fill: Fill<'_>) -> JournalResult<()> {
         self.finish_move()?;
         // Beside the live log, never over it (module docs): a whole
         // rewrite goes to the front of the data area if it ends before the
@@ -319,11 +342,11 @@ impl Storage for BlockStorage {
         // first sector past the live log's end; a splice's tail goes past
         // its in-place target too.
         let ss = self.cache.page_size() as u64;
-        let (keep, n) = (keep as u64, tail.len() as u64);
+        let (keep, n) = (keep as u64, len as u64);
         let end = self.start + self.len;
         let past = if keep == 0 { end } else { end.max(self.start + keep + n) };
         let at = if keep == 0 && n <= self.start { 0 } else { past.div_ceil(ss) * ss };
-        self.cache.write_bytes(data_origin(&self.cache) + at, &tail).map_err(block_err)?;
+        Tail::run(len, &mut Beside { storage: self, at }, fill)?;
         self.cache.flush().map_err(block_err)?;
         let old = (self.start, self.len);
         if keep == 0 {
@@ -340,7 +363,7 @@ impl Storage for BlockStorage {
         }
         // The new log is durable. A failed in-place copy leaves the move
         // pending, for the next append, rewrite or open to finish.
-        let _ = self.move_in_place(&tail);
+        let _ = self.finish_move();
         Ok(())
     }
 }
@@ -355,6 +378,11 @@ mod tests {
 
     fn rec(path: &str) -> Record {
         Record::Vfs(VfsRecord::Unlink { path: path.into() })
+    }
+
+    /// Makes `s`'s log its first `keep` bytes followed by `tail`.
+    fn replace(s: &mut BlockStorage, keep: usize, tail: &[u8]) -> JournalResult<()> {
+        s.replace_from(keep, tail.len(), &mut |t| t.write_all(tail))
     }
 
     /// The durable log from byte `offset` to its end.
@@ -418,11 +446,11 @@ mod tests {
         s.append(&[7u8; 5000]).unwrap();
         // Longer than the (empty) gap in front of the live log: the new
         // log goes past its end, at the next sector.
-        s.replace_from(0, vec![1u8; 6000]).unwrap();
+        replace(&mut s, 0, &[1u8; 6000]).unwrap();
         assert_eq!(s.start, 8192);
         assert_eq!(log_from(&mut s, 0), vec![1u8; 6000]);
         // Short enough for the front: back to the start of the area.
-        s.replace_from(0, b"new".to_vec()).unwrap();
+        replace(&mut s, 0, b"new").unwrap();
         assert_eq!(s.start, 0);
         s.append(b" tail").unwrap();
         assert_eq!(log_from(&mut s, 0), b"new tail");
@@ -434,7 +462,7 @@ mod tests {
     fn splice_keeps_the_prefix_in_place() {
         let mut s = BlockStorage::in_memory(4);
         s.append(&[7u8; 5000]).unwrap();
-        s.replace_from(3000, vec![8u8; 6000]).unwrap();
+        replace(&mut s, 3000, &[8u8; 6000]).unwrap();
         let want = [vec![7u8; 3000], vec![8u8; 6000]].concat();
         assert_eq!((s.start, s.moving), (0, None), "the tail was moved in place");
         assert_eq!(log_from(&mut s, 0), want);
@@ -455,7 +483,7 @@ mod tests {
         // read, after the commit that made the splice durable.
         s.drop_clean_pages();
         faults.fail(2);
-        s.replace_from(3000, vec![8u8; 6000]).expect("the splice is durable");
+        replace(&mut s, 3000, &[8u8; 6000]).expect("the splice is durable");
         faults.clear(2);
         assert!(s.moving.is_some(), "the copy in place failed");
         let want = [vec![7u8; 3000], vec![8u8; 6000]].concat();
@@ -488,7 +516,7 @@ mod tests {
             if s.append(&first).is_ok() {
                 done = 1;
                 for (keep, tail) in &steps {
-                    if s.replace_from(*keep, tail.clone()).is_err() {
+                    if replace(&mut s, *keep, tail).is_err() {
                         break;
                     }
                     done += 1;
@@ -539,6 +567,182 @@ mod tests {
         img
     }
 
+    /// `n` bytes of a pattern picked by `seed`.
+    fn pattern(n: usize, seed: u8) -> Vec<u8> {
+        (0..n).map(|i| (i as u8).wrapping_mul(7).wrapping_add(seed)).collect()
+    }
+
+    /// The whole durable log of `s`.
+    fn whole(s: &mut dyn Storage) -> Vec<u8> {
+        let mut log = vec![0; s.len()];
+        s.read_at(0, &mut log).unwrap();
+        log
+    }
+
+    /// Makes `s`'s log its first `keep` bytes followed by `tail`, written
+    /// in uneven pieces with its first four bytes zero until a closing
+    /// patch. Between pieces the old log, `old`, must read back as it was.
+    fn replace_unevenly(
+        s: &mut dyn Storage,
+        keep: usize,
+        tail: &[u8],
+        old: &[u8],
+    ) -> JournalResult<()> {
+        s.replace_from(keep, tail.len(), &mut |t| {
+            let mut at = 0;
+            for n in [1, 4095, 4096, 3000, 1].into_iter().cycle() {
+                let mut read = vec![0; old.len()];
+                t.read_old(0, &mut read)?;
+                assert_eq!(read, old, "the old log changed during the fill");
+                assert!(t.read_old(old.len() - 1, &mut [0; 2]).is_err(), "a read past the old log");
+                if at == tail.len() {
+                    break;
+                }
+                let mut piece = tail[at..tail.len().min(at + n)].to_vec();
+                piece.iter_mut().take(4usize.saturating_sub(at)).for_each(|b| *b = 0);
+                t.write(&piece)?;
+                at += piece.len();
+            }
+            t.patch(0, &tail[..4.min(tail.len())])
+        })
+    }
+
+    /// The storages the streamed-replacement contract is checked on.
+    fn every_storage() -> Vec<(&'static str, Box<dyn Storage>)> {
+        let file = FileDevice::temp("replace-contract").unwrap();
+        vec![
+            ("mem", Box::new(crate::MemStorage::new())),
+            ("fault", Box::new(crate::FaultStorage::with_budget(usize::MAX))),
+            ("block on a mem device", Box::new(BlockStorage::in_memory(4))),
+            ("block on a file device", Box::new(BlockStorage::open(Box::new(file), 4).unwrap())),
+        ]
+    }
+
+    #[test]
+    fn streamed_replacement_contract_on_every_storage() {
+        let old = pattern(10_000, 1);
+        for (name, mut s) in every_storage() {
+            let s = &mut *s;
+            s.append(&old[..6000]).unwrap();
+            s.append(&old[6000..]).unwrap();
+            // Fills that fail or break a rule leave the old log as the log,
+            // whether they return the error or carry on regardless.
+            let big = vec![5u8; SCAN_WINDOW + 1];
+            type Broken<'b> = Box<dyn FnMut(&mut Tail<'_>) -> JournalResult<()> + 'b>;
+            let broken: Vec<(&str, usize, Broken)> = vec![
+                (
+                    "an error",
+                    5000,
+                    Box::new(|t| {
+                        t.write(&[1; 3000])?;
+                        Err(JournalError::Io("the fill gave up".into()))
+                    }),
+                ),
+                ("too few bytes", 5000, Box::new(|t| t.write(&[1; 4999]))),
+                (
+                    "too many bytes",
+                    5000,
+                    Box::new(|t| {
+                        t.write(&[1; 5000])?;
+                        let _ = t.write(&[1]);
+                        Ok(())
+                    }),
+                ),
+                (
+                    "a patch past what was written",
+                    5000,
+                    Box::new(|t| {
+                        t.write(&[1; 3000])?;
+                        let _ = t.patch(2999, &[2, 2]);
+                        t.write(&[1; 2000])
+                    }),
+                ),
+                (
+                    "a piece larger than the window",
+                    big.len(),
+                    Box::new(|t| {
+                        let _ = t.write(&big);
+                        t.write_all(&big)
+                    }),
+                ),
+            ];
+            for (what, len, mut fill) in broken {
+                for keep in [0, 3000] {
+                    assert!(s.replace_from(keep, len, &mut *fill).is_err(), "{name}: {what}");
+                    assert_eq!(whole(s), old, "{name}: {what} (keep {keep})");
+                }
+            }
+            // A committed replacement reads back exactly: a splice, then a
+            // whole rewrite, and the log still takes appends.
+            let tail = pattern(20_000, 2);
+            replace_unevenly(s, 3000, &tail, &old).unwrap();
+            let spliced = [&old[..3000], &tail[..]].concat();
+            assert_eq!(whole(s), spliced, "{name}");
+            let rewritten = pattern(9000, 3);
+            replace_unevenly(s, 0, &rewritten, &spliced).unwrap();
+            s.append(b"!").unwrap();
+            assert_eq!(whole(s), [&rewritten[..], b"!"].concat(), "{name}");
+        }
+    }
+
+    #[test]
+    fn streamed_replacement_out_of_budget_keeps_the_old_log() {
+        // The budget covers the old log and part of the new tail: the
+        // piece that runs it out fails the replacement, and the old log
+        // stays the log.
+        let old = pattern(10_000, 1);
+        let mut s = crate::FaultStorage::with_budget(old.len() + 2500);
+        s.append(&old).unwrap();
+        let got = s.replace_from(3000, 5000, &mut |t| (0..5).try_for_each(|_| t.write(&[1; 1000])));
+        assert_eq!(got, Err(JournalError::Crashed));
+        assert!(s.crashed());
+        assert_eq!(whole(&mut s), old);
+    }
+
+    #[test]
+    fn streamed_replacement_placements_reopen_as_the_new_log() {
+        // A whole rewrite past the live log's end, one at the front of the
+        // data area, and a splice, on a mem and on a file device; each
+        // reopens as the new log, and the file reopens from its path.
+        for on_file in [false, true] {
+            let mut path = None;
+            let dev: Box<dyn maxoid_block::BlockDevice> = if on_file {
+                let mut dev = FileDevice::temp("placements").unwrap();
+                dev.set_delete_on_drop(false);
+                path = Some(dev.path().to_path_buf());
+                Box::new(dev)
+            } else {
+                Box::new(MemDevice::new())
+            };
+            let mut s = BlockStorage::open(dev, 4).unwrap();
+            let mut log = pattern(9000, 1);
+            s.append(&log).unwrap();
+            // (keep, tail, where the new log starts): longer than the empty
+            // gap in front, past the live log's end (the first sector past
+            // 9,000 bytes); shorter than the gap that leaves, the front; a
+            // splice keeping 1,000 bytes, moved in place.
+            let steps = [
+                (0, pattern(12_000, 2), 12_288),
+                (0, pattern(5000, 3), 0),
+                (1000, pattern(7000, 4), 0),
+            ];
+            for (keep, tail, start) in steps {
+                replace_unevenly(&mut s, keep, &tail, &log).unwrap();
+                log = [&log[..keep], &tail[..]].concat();
+                assert_eq!((s.start, s.moving), (start, None), "keep {keep}");
+                let mut reopened = BlockStorage::open(Box::new(image_of(&mut s)), 4).unwrap();
+                assert_eq!(log_from(&mut reopened, 0), log, "keep {keep}, file device {on_file}");
+            }
+            drop(s);
+            if let Some(path) = path {
+                let mut dev = FileDevice::open(&path).unwrap();
+                dev.set_delete_on_drop(true);
+                let mut reopened = BlockStorage::open(Box::new(dev), 4).unwrap();
+                assert_eq!(log_from(&mut reopened, 0), log);
+            }
+        }
+    }
+
     #[test]
     fn superblock_corruption_is_loud() {
         let mut s = BlockStorage::in_memory(4);
@@ -582,6 +786,126 @@ mod tests {
         let mut reopened = BlockStorage::open(Box::new(img), 4).unwrap();
         assert_eq!((reopened.gen, reopened.moving), (1, None));
         assert_eq!(log_from(&mut reopened, 0), b"payload");
+    }
+
+    /// Superblock decoder fuzzing: a device's two slots are read back on
+    /// every cold boot, so no bytes in them may panic `open`, and no log
+    /// it opens may lie past the device end.
+    mod fuzz {
+        use super::*;
+        use proptest::prelude::*;
+        use proptest::test_runner::TestCaseError;
+
+        /// One slot's bytes: noise (led by the magic or not), or a
+        /// CRC-valid superblock with arbitrary fields, small ones often
+        /// inside the device and large ones past it.
+        fn slot() -> impl Strategy<Value = Vec<u8>> {
+            let field = || prop_oneof![0u64..40_000, any::<u64>()];
+            prop_oneof![
+                (any::<bool>(), proptest::collection::vec(any::<u8>(), 0..SUPERBLOCK_LEN + 8))
+                    .prop_map(|(magic, mut bytes)| {
+                        if magic {
+                            bytes.splice(..bytes.len().min(8), SUPERBLOCK_MAGIC);
+                        }
+                        bytes
+                    }),
+                (0u64..4, (field(), field()), proptest::option::of((field(), field()))).prop_map(
+                    |(gen, (start, len), moving)| {
+                        let moving = moving.map(|(src, at)| Move { src, at });
+                        encode_superblock(gen, start, len, moving)
+                    }
+                ),
+            ]
+        }
+
+        /// What an opened storage must be: a log inside the device that
+        /// reads back whole, with no move left pending.
+        fn sound(s: &mut BlockStorage) -> Result<(), TestCaseError> {
+            let ss = s.cache.page_size() as u64;
+            let capacity = s.device().len_sectors() * ss - 2 * ss;
+            prop_assert!(s.start + s.len <= capacity, "a log past the device end: {:?}", s);
+            prop_assert_eq!(s.moving, None);
+            let mut log = vec![0; s.len()];
+            prop_assert!(s.read_at(0, &mut log).is_ok());
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn fuzz_superblock_slots_never_panic_open(
+                slots in (slot(), slot()),
+                data_sectors in 0usize..10,
+            ) {
+                let mut img = MemDevice::new();
+                for (k, bytes) in [slots.0, slots.1].iter().enumerate() {
+                    let mut sector = vec![0u8; 4096];
+                    let n = bytes.len().min(4096);
+                    sector[..n].copy_from_slice(&bytes[..n]);
+                    img.write_sector(k as u64, &sector).unwrap();
+                }
+                for k in 0..data_sectors {
+                    img.write_sector(2 + k as u64, &[k as u8; 4096]).unwrap();
+                }
+                if let Ok(mut s) = BlockStorage::open(Box::new(img), 4) {
+                    sound(&mut s)?;
+                }
+            }
+        }
+
+        /// A step of a storage's history: an append, a whole rewrite, or
+        /// a splice keeping some of the log.
+        fn history() -> impl Strategy<Value = Vec<(u8, usize, usize)>> {
+            proptest::collection::vec((0u8..3, 1usize..9000, 0usize..9000), 1..6)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn fuzz_a_flipped_superblock_byte_opens_the_newest_log_or_an_older_one(
+                steps in history(),
+                newest in any::<bool>(),
+                at in 0usize..SUPERBLOCK_LEN,
+                mask in 1u8..=255,
+            ) {
+                let mut s = BlockStorage::in_memory(4);
+                for (op, n, keep) in steps {
+                    let bytes = vec![n as u8; n];
+                    match op {
+                        0 => s.append(&bytes).unwrap(),
+                        1 => replace(&mut s, 0, &bytes).unwrap(),
+                        _ => {
+                            let keep = keep.min(s.len());
+                            replace(&mut s, keep, &bytes).unwrap()
+                        }
+                    }
+                }
+                let log = log_from(&mut s, 0);
+                let mut img = image_of(&mut s);
+                let parsed = |img: &MemDevice, k: usize| parse_slot(&img.raw()[k * 4096..][..4096]);
+                let gens = [0, 1].map(|k| parsed(&img, k).map(|(gen, ..)| gen));
+                let newer = if gens[0] > gens[1] { 0 } else { 1 };
+                let (flipped, other) = if newest { (newer, 1 - newer) } else { (1 - newer, newer) };
+                let fallback = parsed(&img, other);
+                img.corrupt((flipped * 4096 + at) as u64, mask);
+                match BlockStorage::open(Box::new(img), 4) {
+                    Ok(mut opened) => {
+                        sound(&mut opened)?;
+                        // The other slot's log; finishing its pending
+                        // move, if it had one, committed one more.
+                        let (gen, start, len, moving) = fallback.expect("a slot to open");
+                        let gen = gen + moving.is_some() as u64;
+                        prop_assert_eq!((opened.gen, opened.start, opened.len), (gen, start, len));
+                        if !newest {
+                            prop_assert!(log_from(&mut opened, 0) == log, "not the newest log");
+                        }
+                    }
+                    Err(_) => prop_assert!(newest, "a flip in the older slot lost the newest log"),
+                }
+            }
+        }
     }
 
     #[test]

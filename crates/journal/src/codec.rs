@@ -39,6 +39,45 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+/// A sink for little-endian encoded values: a [`ByteWriter`] in memory,
+/// or a checkpoint streaming its delta into a new log. Only `put_raw` is
+/// required; every other value is written through it.
+pub trait Put {
+    /// Raw bytes, without a length prefix.
+    fn put_raw(&mut self, v: &[u8]);
+
+    fn put_u8(&mut self, v: u8) {
+        self.put_raw(&[v]);
+    }
+
+    fn put_u32(&mut self, v: u32) {
+        self.put_raw(&v.to_le_bytes());
+    }
+
+    fn put_u64(&mut self, v: u64) {
+        self.put_raw(&v.to_le_bytes());
+    }
+
+    fn put_i64(&mut self, v: i64) {
+        self.put_raw(&v.to_le_bytes());
+    }
+
+    fn put_f64(&mut self, v: f64) {
+        self.put_raw(&v.to_le_bytes());
+    }
+
+    /// Length-prefixed (u32) raw bytes.
+    fn put_bytes(&mut self, v: &[u8]) {
+        self.put_u32(v.len() as u32);
+        self.put_raw(v);
+    }
+
+    /// Length-prefixed (u32) UTF-8 string.
+    fn put_str(&mut self, v: &str) {
+        self.put_bytes(v.as_bytes());
+    }
+}
+
 /// Append-only little-endian byte writer.
 #[derive(Debug, Default)]
 pub struct ByteWriter {
@@ -71,48 +110,22 @@ impl ByteWriter {
         self.buf[offset..offset + bytes.len()].copy_from_slice(bytes);
     }
 
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn put_i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn put_f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Raw bytes, without a length prefix.
-    pub fn put_raw(&mut self, v: &[u8]) {
-        self.buf.extend_from_slice(v);
-    }
-
-    /// Length-prefixed (u32) raw bytes.
-    pub fn put_bytes(&mut self, v: &[u8]) {
-        self.put_u32(v.len() as u32);
-        self.put_raw(v);
-    }
-
-    /// Length-prefixed (u32) UTF-8 string.
-    pub fn put_str(&mut self, v: &str) {
-        self.put_bytes(v.as_bytes());
-    }
-
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 
     pub fn as_slice(&self) -> &[u8] {
         &self.buf
+    }
+}
+
+impl Put for ByteWriter {
+    fn put_raw(&mut self, v: &[u8]) {
+        self.buf.extend_from_slice(v);
+    }
+
+    fn put_u8(&mut self, v: u8) {
+        self.buf.push(v);
     }
 }
 
@@ -213,7 +226,9 @@ fn crc_tables() -> &'static [[u32; 256]; 8] {
 
 /// The CRC register after `data`, from register `crc` (pre- and
 /// post-inversion are the callers'), on whichever kernel this CPU runs.
-fn crc_update(crc: u32, data: &[u8]) -> u32 {
+/// Fed piece by piece from `!0` and inverted at the end, it gives
+/// [`crc32`] of the pieces' concatenation.
+pub(crate) fn crc_update(crc: u32, data: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
     if data.len() >= clmul::MIN_LEN {
         if let Some(crc) = clmul::crc_update(crc, data) {

@@ -11,7 +11,7 @@
 //!   journal's writes short, modelling power loss during a group-commit
 //!   flush or a log rewrite itself.
 
-use crate::wal::{Storage, FRAME_HEADER, FRAME_MAGIC, LOG_PREAMBLE};
+use crate::wal::{replace_in_memory, Fill, Storage, FRAME_HEADER, FRAME_MAGIC, LOG_PREAMBLE};
 use crate::{JournalError, JournalResult};
 
 /// Returns every crash point of a log: byte offsets at record boundaries,
@@ -68,10 +68,10 @@ pub fn flip_byte(bytes: &[u8], offset: usize, mask: u8) -> Vec<u8> {
 /// Storage that stops persisting after a byte budget is exhausted,
 /// simulating a crash during a flush or a rewrite. An append that would
 /// exceed the budget lands only up to it (a torn write). A rewrite is
-/// charged its new tail, and one that would exceed the budget lands
-/// nothing the log can see: the old log stays the log. Either way the
-/// storage reports [`JournalError::Crashed`] for that write and
-/// everything after.
+/// charged its new tail piece by piece (patches included), and one whose
+/// budget runs out mid-fill lands nothing the log can see: the old log
+/// stays the log. Either way the storage reports
+/// [`JournalError::Crashed`] for that write and everything after.
 #[derive(Debug)]
 pub struct FaultStorage {
     buf: Vec<u8>,
@@ -116,15 +116,19 @@ impl Storage for FaultStorage {
         self.buf.len()
     }
 
-    fn replace_from(&mut self, keep: usize, tail: Vec<u8>) -> JournalResult<()> {
-        if self.crashed || tail.len() > self.budget {
-            self.crashed = true;
+    fn replace_from(&mut self, keep: usize, len: usize, fill: Fill<'_>) -> JournalResult<()> {
+        if self.crashed {
             return Err(JournalError::Crashed);
         }
-        self.budget -= tail.len();
-        self.buf.truncate(keep);
-        self.buf.extend_from_slice(&tail);
-        Ok(())
+        let (budget, crashed) = (&mut self.budget, &mut self.crashed);
+        replace_in_memory(&mut self.buf, keep, len, fill, |n| {
+            if *crashed || n > *budget {
+                *crashed = true;
+                return Err(JournalError::Crashed);
+            }
+            *budget -= n;
+            Ok(())
+        })
     }
 }
 

@@ -28,13 +28,13 @@ pub mod replay;
 pub mod wal;
 
 pub use blockstore::BlockStorage;
-pub use codec::CodecError;
+pub use codec::{CodecError, Put};
 pub use fault::{crash_prefix, flip_byte, record_boundaries, torn_log, FaultStorage};
 pub use record::{ParamValue, Record, VfsRecord};
 pub use replay::{committed_records, read_records, ReadLog, TailState};
 pub use wal::{
-    Journal, JournalHandle, JournalSink, JournalStats, MemStorage, NullSink, SinkRef, Storage,
-    DEFAULT_BATCH, LOG_PREAMBLE,
+    Delta, Fill, Journal, JournalHandle, JournalSink, JournalStats, MemStorage, NullSink,
+    Replacement, SinkRef, Storage, Tail, DEFAULT_BATCH, LOG_PREAMBLE,
 };
 
 /// Errors raised by journal operations.

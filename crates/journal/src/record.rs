@@ -9,7 +9,7 @@
 //! logically (statement text plus bound parameters, replayed through the
 //! parser so the rebuilt catalog includes views, triggers and indexes).
 
-use crate::codec::{ByteReader, ByteWriter, CodecError};
+use crate::codec::{ByteReader, ByteWriter, CodecError, Put};
 use std::collections::{HashMap, HashSet};
 
 /// Sentinel meaning "encode this path literally" in a path slot.
@@ -480,7 +480,8 @@ impl Record {
                 w.put_str(path);
             }
             Record::SnapshotDelta { component, payload } => {
-                Record::encode_snapshot_delta(w, component, |w| w.put_raw(payload))
+                Record::put_snapshot_delta_head(w, component, payload.len() as u32);
+                w.put_raw(payload);
             }
             Record::Compaction { upto_lsn } => {
                 w.put_u8(T_COMPACTION);
@@ -565,20 +566,18 @@ impl Record {
         })
     }
 
-    /// Encodes a `SnapshotDelta` payload whose state `write` appends
-    /// straight into `w`; its length prefix is backpatched afterwards.
-    pub(crate) fn encode_snapshot_delta(
-        w: &mut ByteWriter,
-        component: &str,
-        write: impl FnOnce(&mut ByteWriter),
-    ) {
+    /// Writes the head of a `SnapshotDelta` payload — its tag, component
+    /// and the length prefix of the `len` bytes of state that follow it —
+    /// so the state itself can be streamed after it.
+    pub(crate) fn put_snapshot_delta_head(w: &mut dyn Put, component: &str, len: u32) {
         w.put_u8(T_SNAPSHOT_DELTA);
         w.put_str(component);
-        let at = w.len();
-        w.put_u32(0); // payload length, backpatched below
-        write(w);
-        let len = (w.len() - at - 4) as u32;
-        w.patch(at, &len.to_le_bytes());
+        w.put_u32(len);
+    }
+
+    /// The length of the head [`Record::put_snapshot_delta_head`] writes.
+    pub(crate) fn snapshot_delta_head_len(component: &str) -> usize {
+        1 + 4 + component.len() + 4
     }
 
     /// The record's kind.

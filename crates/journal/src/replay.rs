@@ -11,10 +11,10 @@
 //! it. [`read_records`] is the scan followed by decoding the frames it
 //! accepted.
 //!
-//! The redo filter ([`Redo`]) is fed one frame at a time, so a checkpoint
-//! can copy the frames it keeps verbatim as the scan meets them and
-//! squeeze out the ones a later rollback or a still-open transaction
-//! disqualifies, instead of cloning and re-encoding their records.
+//! The redo filter ([`Redo`]) is fed one frame at a time, with whatever
+//! item the caller tracks for it, so a checkpoint can feed it byte ranges
+//! and keep the frames that take effect as ranges to copy verbatim later,
+//! instead of cloning and re-encoding their records.
 //!
 //! Recovery is redo-only: a record inside a journal transaction applies iff
 //! *every* enclosing transaction has a durable `TxnCommit`. Transactions
@@ -804,7 +804,7 @@ mod tests {
                 storage.append(&damaged).unwrap();
                 let mut j = Journal::new(Box::new(storage), 1).unwrap();
                 let flushes = j.stats().flushes;
-                let got = j.checkpoint_delta("vfs.store", |w| w.put_raw(&[1; 100]));
+                let got = j.checkpoint_delta("vfs.store", &[1; 100][..]);
                 prop_assert!(matches!(got, Err(JournalError::Corrupted { .. })), "{:?}", got);
                 prop_assert_eq!(j.bytes(), damaged);
                 prop_assert_eq!(j.stats().flushes, flushes);

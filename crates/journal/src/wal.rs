@@ -28,10 +28,10 @@
 //!
 //! Incremental checkpoints ([`Journal::checkpoint_delta`]) and compaction
 //! ([`Journal::replace_with`]) are the only operations that shrink a log.
-//! Each builds the new log's tail in one buffer and installs it with a
-//! single [`Storage::replace_from`] (the private `Journal::install`): one
-//! storage call per rewrite, and a crash leaves the old log or the new
-//! one.
+//! Each installs its new tail with a single streamed
+//! [`Storage::replace_from`] (the private `Journal::install`): the length
+//! is announced first, the bytes are written in order through a [`Tail`],
+//! and a crash leaves the old log or the new one.
 //!
 //! A rewrite's output is a *retained prefix*: committed `Snapshot`,
 //! `SnapshotDelta`, `Sql` and `Compaction` frames only — no transaction
@@ -45,22 +45,27 @@
 //! frames of those kinds as its retained prefix, found by the same scan
 //! that finds the last LSN, so a reopened log keeps its prefix too.
 //!
-//! A checkpoint holds the new tail and one read window, never the old
-//! tail: it scans the bytes past the prefix through a fixed window
+//! A checkpoint holds one window, one write chunk and a list of byte
+//! ranges, never the tail it reads or the one it writes. Pass one scans
+//! the bytes past the prefix through a fixed window
 //! ([`crate::replay::Windowed`]), checking every frame without decoding
-//! one, and copies each committed `Snapshot`/`SnapshotDelta`/`Sql` frame
-//! verbatim — header, LSN and CRC included — into the new tail as it
-//! meets it. Frames that a later rollback or a still-open transaction
-//! disqualifies are squeezed out before the new `SnapshotDelta` is
-//! appended, its payload written straight into the tail by the caller and
-//! its length and CRC backpatched. Kept frames thus keep their LSNs, as
-//! the retained prefix does, and the delta's fresh LSN is above all of
-//! them. Frames of these kinds carry no path slots, so the path
-//! dictionary restarting at the rewrite does not touch them.
+//! one, and feeds the redo filter byte ranges: it keeps the committed
+//! `Snapshot`/`SnapshotDelta`/`Sql` frames as merged ranges, and the frames
+//! a later rollback or a still-open transaction disqualifies never enter
+//! them. Pass two copies those ranges verbatim — header, LSN and CRC
+//! included — from the old log into the new tail through the write chunk,
+//! re-checking each frame's CRC on the way, then frames the new
+//! `SnapshotDelta`, whose length the caller's [`Delta`] reports up front:
+//! its payload streams through the chunk while its CRC is computed, and
+//! the four CRC bytes are patched in place before the storage commits.
+//! Kept frames thus keep their LSNs, as the retained prefix does, and the
+//! delta's fresh LSN is above all of them. Frames of these kinds carry no
+//! path slots, so the path dictionary restarting at the rewrite does not
+//! touch them.
 
-use crate::codec::ByteWriter;
+use crate::codec::{crc_update, ByteWriter, Put};
 use crate::record::{Record, LITERAL_PATH};
-use crate::replay::{scan, Redo, TailState, Windowed};
+use crate::replay::{scan, Redo, TailState, Windowed, SCAN_WINDOW};
 use crate::{JournalError, JournalResult};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::HashMap;
@@ -121,9 +126,112 @@ pub trait Storage: Send {
         self.len() == 0
     }
     /// Makes the log its first `keep` bytes (at most `len()`) followed by
-    /// `tail`, atomically (see above). On `Err` the old log is still the
-    /// log.
-    fn replace_from(&mut self, keep: usize, tail: Vec<u8>) -> JournalResult<()>;
+    /// a new tail of exactly `len` bytes, which `fill` writes through a
+    /// [`Tail`] as the storage takes them (implementations run it with
+    /// [`Tail::run`]). While it runs, the old log is still the log, and
+    /// `fill` may read it through the tail. The storage commits, atomically
+    /// (see above), only if `fill` succeeded and exactly `len` bytes
+    /// arrived; on `Err` the old log is still the log.
+    fn replace_from(&mut self, keep: usize, len: usize, fill: Fill<'_>) -> JournalResult<()>;
+}
+
+/// What writes a replacement's new tail: see [`Storage::replace_from`].
+pub type Fill<'f> = &'f mut dyn FnMut(&mut Tail<'_>) -> JournalResult<()>;
+
+/// Where a storage puts a replacement's new tail while it arrives, and
+/// the old log it still holds meanwhile.
+pub trait Replacement {
+    /// Writes `bytes` at byte `at` of the new tail.
+    fn write_at(&mut self, at: usize, bytes: &[u8]) -> JournalResult<()>;
+    /// Fills `buf` from the old log's bytes at `offset`, as
+    /// [`Storage::read_at`] does.
+    fn read_old(&mut self, offset: usize, buf: &mut [u8]) -> JournalResult<()>;
+}
+
+/// A replacement's new tail as the caller writes it: exactly the
+/// announced bytes, in order, in pieces of at most one scan window; bytes
+/// already written may be patched, and the old log may be read. A
+/// broken rule — a larger piece, a byte past the announced length, a
+/// patch outside what was written — or a storage error fails the call
+/// and the whole replacement, even if the caller goes on.
+pub struct Tail<'a> {
+    len: usize,
+    written: usize,
+    failed: Option<JournalError>,
+    out: &'a mut dyn Replacement,
+}
+
+impl Tail<'_> {
+    /// Runs `fill` over `out` for a tail of `len` bytes: `Ok` only if
+    /// `fill` succeeded and no rule was broken, and then exactly `len`
+    /// bytes arrived, so the storage may commit.
+    pub fn run(len: usize, out: &mut dyn Replacement, fill: Fill<'_>) -> JournalResult<()> {
+        let mut tail = Tail { len, written: 0, failed: None, out };
+        fill(&mut tail)?;
+        match tail.failed {
+            Some(e) => Err(e),
+            None if tail.written != len => Err(JournalError::Io(format!(
+                "a replacement tail of {} bytes where {len} were announced",
+                tail.written
+            ))),
+            None => Ok(()),
+        }
+    }
+
+    /// The announced length.
+    pub fn announced(&self) -> usize {
+        self.len
+    }
+
+    /// Bytes written so far.
+    pub fn written(&self) -> usize {
+        self.written
+    }
+
+    /// Fails the replacement with `e`, and the call with a copy of it.
+    fn fail(&mut self, e: JournalError) -> JournalResult<()> {
+        self.failed.get_or_insert(e.clone());
+        Err(e)
+    }
+
+    /// Writes `bytes` at byte `at` of the tail, unless it already failed.
+    fn put(&mut self, at: usize, bytes: &[u8]) -> JournalResult<()> {
+        if let Some(e) = &self.failed {
+            return Err(e.clone());
+        }
+        self.out.write_at(at, bytes).or_else(|e| self.fail(e))
+    }
+
+    /// Writes the next `piece` of the tail (at most one scan window).
+    pub fn write(&mut self, piece: &[u8]) -> JournalResult<()> {
+        if piece.len() > SCAN_WINDOW || self.len - self.written < piece.len() {
+            let (n, at, len) = (piece.len(), self.written, self.len);
+            let e = format!("a {n}-byte piece at byte {at} of a {len}-byte tail");
+            return self.fail(JournalError::Io(e));
+        }
+        self.put(self.written, piece)?;
+        self.written += piece.len();
+        Ok(())
+    }
+
+    /// Writes `bytes` as the next pieces of the tail.
+    pub fn write_all(&mut self, bytes: &[u8]) -> JournalResult<()> {
+        bytes.chunks(SCAN_WINDOW).try_for_each(|piece| self.write(piece))
+    }
+
+    /// Overwrites bytes already written, from byte `at` of the tail.
+    pub fn patch(&mut self, at: usize, bytes: &[u8]) -> JournalResult<()> {
+        if at.checked_add(bytes.len()).is_none_or(|end| end > self.written) {
+            let e = format!("a patch at byte {at} of a tail written to byte {}", self.written);
+            return self.fail(JournalError::Io(e));
+        }
+        self.put(at, bytes)
+    }
+
+    /// Fills `buf` from the old log's bytes at `offset`.
+    pub fn read_old(&mut self, offset: usize, buf: &mut [u8]) -> JournalResult<()> {
+        self.out.read_old(offset, buf)
+    }
 }
 
 /// Plain in-memory storage.
@@ -152,10 +260,8 @@ impl Storage for MemStorage {
         self.buf.len()
     }
 
-    fn replace_from(&mut self, keep: usize, tail: Vec<u8>) -> JournalResult<()> {
-        self.buf.truncate(keep);
-        self.buf.extend_from_slice(&tail);
-        Ok(())
+    fn replace_from(&mut self, keep: usize, len: usize, fill: Fill<'_>) -> JournalResult<()> {
+        replace_in_memory(&mut self.buf, keep, len, fill, |_| Ok(()))
     }
 }
 
@@ -166,6 +272,68 @@ pub(crate) fn copy_out(log: &[u8], offset: usize, buf: &mut [u8]) -> JournalResu
         src.ok_or_else(|| JournalError::Io("read past the end of the log".into()))?,
     );
     Ok(())
+}
+
+/// [`Storage::replace_from`] over a log held in memory: the new tail is
+/// written past the old log's end, each write first passing `charge` (a
+/// fault storage spends its budget there), and only once all of it has
+/// arrived does it move over the old log's bytes past `keep`.
+pub(crate) fn replace_in_memory(
+    log: &mut Vec<u8>,
+    keep: usize,
+    len: usize,
+    fill: Fill<'_>,
+    charge: impl FnMut(usize) -> JournalResult<()>,
+) -> JournalResult<()> {
+    struct PastTheEnd<'a, C> {
+        log: &'a mut Vec<u8>,
+        old: usize,
+        charge: C,
+    }
+    impl<C: FnMut(usize) -> JournalResult<()>> Replacement for PastTheEnd<'_, C> {
+        fn write_at(&mut self, at: usize, bytes: &[u8]) -> JournalResult<()> {
+            (self.charge)(bytes.len())?;
+            let (from, to) = (self.old + at, self.old + at + bytes.len());
+            if self.log.len() < to {
+                self.log.resize(to, 0);
+            }
+            self.log[from..to].copy_from_slice(bytes);
+            Ok(())
+        }
+
+        fn read_old(&mut self, offset: usize, buf: &mut [u8]) -> JournalResult<()> {
+            copy_out(&self.log[..self.old], offset, buf)
+        }
+    }
+    let old = log.len();
+    let result = Tail::run(len, &mut PastTheEnd { log: &mut *log, old, charge }, fill);
+    if result.is_ok() {
+        log.copy_within(old.., keep);
+        log.truncate(keep + len);
+    } else {
+        log.truncate(old);
+    }
+    result
+}
+
+/// A snapshot delta's state, streamed into a checkpoint's new log. Its
+/// length is known before any of it is written, so the delta's frame is
+/// written front to back and only its CRC is patched afterwards.
+pub trait Delta {
+    /// The state's length in bytes, exactly what `write_to` writes.
+    fn encoded_len(&self) -> usize;
+    /// Writes the state into `w`.
+    fn write_to(&self, w: &mut dyn Put);
+}
+
+impl Delta for [u8] {
+    fn encoded_len(&self) -> usize {
+        self.len()
+    }
+
+    fn write_to(&self, w: &mut dyn Put) {
+        w.put_raw(self);
+    }
 }
 
 /// Counters exposed for tests and the overhead benches.
@@ -200,7 +368,8 @@ struct Queued {
 
 /// The storage plus the flush-side scratch buffer, behind one mutex: a
 /// flush encodes its whole batch into `scratch` (reused across flushes —
-/// no per-record allocation) and hands storage exactly one append.
+/// no per-record allocation, and at most one scan window of capacity kept
+/// between them) and hands storage exactly one append.
 struct LogDevice {
     storage: Box<dyn Storage>,
     scratch: Vec<u8>,
@@ -222,9 +391,13 @@ impl LogDevice {
         for q in batch {
             encode_frame(&mut w, q);
         }
-        let buf = w.into_bytes();
+        let mut buf = w.into_bytes();
         let n = buf.len() as u64;
         let res = self.storage.append(&buf);
+        // A batch that carried a large record keeps no more than one
+        // window of it for the rest of the journal's life.
+        buf.clear();
+        buf.shrink_to(SCAN_WINDOW);
         self.scratch = buf;
         (res, n)
     }
@@ -250,16 +423,148 @@ fn put_frame(w: &mut ByteWriter, lsn: u64, encode: impl FnOnce(&mut ByteWriter))
     w.patch(start + 13, &crc.to_le_bytes());
 }
 
-/// Removes the disjoint `ranges` from `buf`, keeping the rest in order.
-fn squeeze(buf: &mut Vec<u8>, ranges: &mut [Range<usize>]) {
-    ranges.sort_unstable_by_key(|r| r.start);
-    let mut to = ranges.first().map_or(buf.len(), |r| r.start);
-    for (i, r) in ranges.iter().enumerate() {
-        let next = ranges.get(i + 1).map_or(buf.len(), |n| n.start);
-        buf.copy_within(r.end..next, to);
-        to += next - r.end;
+/// The checkpoint's writer into a [`Tail`]: one chunk of at most one
+/// scan window, handed to the tail whenever it fills. Bytes `put`
+/// through it are checksummed as they pass, from the register
+/// [`Chunk::start_frame`] sets. A write the tail refuses fails the tail,
+/// which then refuses every later one, so `put`s after it are dropped and
+/// the replacement fails.
+struct Chunk<'t, 'a> {
+    tail: &'t mut Tail<'a>,
+    buf: Vec<u8>,
+    crc: u32,
+}
+
+impl<'t, 'a> Chunk<'t, 'a> {
+    fn new(tail: &'t mut Tail<'a>) -> Self {
+        let buf = Vec::with_capacity(tail.announced().min(SCAN_WINDOW));
+        Chunk { tail, buf, crc: !0 }
     }
-    buf.truncate(to);
+
+    /// The tail offset of the next byte.
+    fn at(&self) -> usize {
+        self.tail.written() + self.buf.len()
+    }
+
+    /// Hands the chunk to the tail.
+    fn flush(&mut self) -> JournalResult<()> {
+        let result = if self.buf.is_empty() { Ok(()) } else { self.tail.write(&self.buf) };
+        self.buf.clear();
+        result
+    }
+
+    /// Copies the frames in `range` of the old log — whole frames, read
+    /// straight into the chunk — and re-checks each one's CRC as it
+    /// passes: a frame that no longer matches is `Corrupted`.
+    fn copy_frames(&mut self, range: Range<usize>) -> JournalResult<()> {
+        let mut check = FrameCheck::at(range.start);
+        let mut at = range.start;
+        while at < range.end {
+            if self.buf.len() == SCAN_WINDOW {
+                self.flush()?;
+            }
+            let from = self.buf.len();
+            let n = (range.end - at).min(SCAN_WINDOW - from);
+            self.buf.resize(from + n, 0);
+            self.tail.read_old(at, &mut self.buf[from..])?;
+            check.feed(&self.buf[from..])?;
+            at += n;
+        }
+        check.end()
+    }
+
+    /// Writes the header of a frame of `len` payload bytes at `lsn`, with
+    /// a zero CRC for [`Chunk::finish`]'s caller to patch, and starts the
+    /// checksum over the bytes put after it.
+    fn start_frame(&mut self, lsn: u64, len: u32) {
+        self.put_u8(FRAME_MAGIC);
+        self.put_u64(lsn);
+        self.put_u32(len);
+        self.put_u32(0);
+        self.crc = crc_update(crc_update(!0, &lsn.to_le_bytes()), &len.to_le_bytes());
+    }
+
+    /// Flushes the last chunk; returns the CRC of the frame started last.
+    fn finish(mut self) -> JournalResult<u32> {
+        self.flush()?;
+        Ok(!self.crc)
+    }
+}
+
+impl Put for Chunk<'_, '_> {
+    fn put_raw(&mut self, mut v: &[u8]) {
+        self.crc = crc_update(self.crc, v);
+        while !v.is_empty() {
+            let n = v.len().min(SCAN_WINDOW - self.buf.len());
+            self.buf.extend_from_slice(&v[..n]);
+            v = &v[n..];
+            if self.buf.len() == SCAN_WINDOW {
+                // A refused write fails the tail (the type's docs).
+                let _ = self.flush();
+            }
+        }
+    }
+}
+
+/// Re-checks frames as their bytes stream past: each header's magic, then
+/// the payload against the header's CRC.
+struct FrameCheck {
+    /// Where the current frame starts in the log.
+    at: usize,
+    header: [u8; FRAME_HEADER],
+    /// Header bytes seen of the current frame.
+    have: usize,
+    /// Payload bytes of the current frame still to come.
+    left: usize,
+    crc: u32,
+}
+
+impl FrameCheck {
+    fn at(at: usize) -> Self {
+        FrameCheck { at, header: [0; FRAME_HEADER], have: 0, left: 0, crc: 0 }
+    }
+
+    fn corrupted(&self) -> JournalError {
+        JournalError::Corrupted { offset: self.at }
+    }
+
+    fn feed(&mut self, mut bytes: &[u8]) -> JournalResult<()> {
+        loop {
+            if self.have < FRAME_HEADER {
+                let n = bytes.len().min(FRAME_HEADER - self.have);
+                self.header[self.have..self.have + n].copy_from_slice(&bytes[..n]);
+                (self.have, bytes) = (self.have + n, &bytes[n..]);
+                if self.have < FRAME_HEADER {
+                    return Ok(());
+                }
+                if self.header[0] != FRAME_MAGIC {
+                    return Err(self.corrupted());
+                }
+                self.left = u32::from_le_bytes(self.header[9..13].try_into().unwrap()) as usize;
+                self.crc = crc_update(!0, &self.header[1..13]);
+            }
+            let n = bytes.len().min(self.left);
+            self.crc = crc_update(self.crc, &bytes[..n]);
+            (self.left, bytes) = (self.left - n, &bytes[n..]);
+            if self.left > 0 {
+                return Ok(());
+            }
+            if !self.crc != u32::from_le_bytes(self.header[13..].try_into().unwrap()) {
+                return Err(self.corrupted());
+            }
+            let len = u32::from_le_bytes(self.header[9..13].try_into().unwrap()) as usize;
+            (self.at, self.have) = (self.at + FRAME_HEADER + len, 0);
+        }
+    }
+
+    /// The bytes fed ended on a frame boundary.
+    fn end(&self) -> JournalResult<()> {
+        if self.have == 0 {
+            Ok(())
+        } else {
+            Err(self.corrupted())
+        }
+    }
 }
 
 /// In-log path dictionary state. A path is encoded literally on first use;
@@ -525,57 +830,79 @@ impl Journal {
     /// Incremental checkpoint: rewrites the log as the committed snapshot
     /// chain (full snapshots and earlier deltas, every component), the
     /// committed SQL history, and a new `SnapshotDelta` carrying only the
-    /// state dirtied since the last checkpoint, whose payload `delta`
-    /// writes straight into the new log. Replay rebuilds the chain in
-    /// order; VFS physical records are dropped because the delta subsumes
-    /// them, and records of rolled-back or still-open transactions are
-    /// dropped with their markers.
+    /// state dirtied since the last checkpoint, which `delta` streams
+    /// straight into the new log. Replay rebuilds the chain in order; VFS
+    /// physical records are dropped because the delta subsumes them, and
+    /// records of rolled-back or still-open transactions are dropped with
+    /// their markers.
     ///
     /// Only the bytes past the retained prefix are scanned, filtered and
     /// replaced (module docs); the prefix — already in that shape — stays
-    /// as it is. Those bytes are read through a fixed window and the kept
-    /// frames copied verbatim as the scan meets them, so the call holds the
-    /// new tail and one window. If the scan finds
-    /// [`TailState::Corrupted`], `delta` is not called, the log is left
-    /// untouched and the call fails with [`JournalError::Corrupted`]: a
-    /// rewrite must not turn damaged history into a clean, shorter log,
-    /// nor carry a damaged frame forward.
-    pub fn checkpoint_delta(
+    /// as it is. Pass one reads those bytes through a fixed window and
+    /// keeps the frames to carry as byte ranges; pass two copies the
+    /// ranges from the old log into the new one through one write chunk,
+    /// then the delta, so the call holds a window, a chunk and the ranges.
+    /// If the scan finds [`TailState::Corrupted`], `delta` is not written,
+    /// the log is left untouched and the call fails with
+    /// [`JournalError::Corrupted`]: a rewrite must not turn damaged
+    /// history into a clean, shorter log, nor carry a damaged frame
+    /// forward. A kept frame whose CRC no longer matches when pass two
+    /// copies it fails the same way, and the old log stays the log.
+    pub fn checkpoint_delta<D: Delta + ?Sized>(
         &mut self,
         component: &str,
-        delta: impl FnOnce(&mut ByteWriter),
+        delta: &D,
     ) -> JournalResult<()> {
         self.flush()?;
         let _sp = maxoid_obs::span("journal.rewrite");
         let keep = self.retained;
         let storage = Arc::clone(&self.storage);
         let mut dev = storage.lock();
-        let mut tail = if keep == 0 { LOG_PREAMBLE.to_vec() } else { Vec::new() };
-        let mut squeezed: Vec<Range<usize>> = Vec::new();
-        let mut settle = |copy, applies: bool| {
+        // Pass one: the frames that take effect, as merged byte ranges.
+        let mut kept: Vec<Range<usize>> = Vec::new();
+        let mut settle = |range: Range<usize>, applies: bool| {
             if !applies {
-                squeezed.push(copy)
+                return;
+            }
+            match kept.last_mut() {
+                Some(last) if last.end == range.start => last.end = range.end,
+                _ => kept.push(range),
             }
         };
         let mut redo = Redo::default();
-        let end = scan(&mut Windowed::new(&mut *dev.storage), keep, |f, frame| {
-            let copy = f.kind.carried().then(|| {
-                tail.extend_from_slice(frame);
-                tail.len() - frame.len()..tail.len()
-            });
-            redo.feed(f, copy, &mut settle);
+        let end = scan(&mut Windowed::new(&mut *dev.storage), keep, |f, _| {
+            redo.feed(f, f.kind.carried().then(|| f.range.clone()), &mut settle);
         })?;
         if let TailState::Corrupted { offset } = end {
             return Err(JournalError::Corrupted { offset });
         }
         redo.finish(&mut settle);
-        squeeze(&mut tail, &mut squeezed);
+        // Pass two: the kept frames, then the delta's frame, whose length
+        // is known before any of it is written.
+        let state = delta.encoded_len();
+        let payload = Record::snapshot_delta_head_len(component) + state;
+        let payload = u32::try_from(payload)
+            .map_err(|_| JournalError::Io(format!("a {payload}-byte snapshot delta")))?;
+        let preamble = if keep == 0 { &LOG_PREAMBLE[..] } else { &[] };
+        let carried: usize = kept.iter().map(|r| r.len()).sum();
+        let len = preamble.len() + carried + FRAME_HEADER + payload as usize;
         let old_interner = std::mem::take(&mut self.interner);
         let lsn = self.next_lsn;
         self.next_lsn += 1;
-        let mut w = ByteWriter::from_vec(tail);
-        put_frame(&mut w, lsn, |w| Record::encode_snapshot_delta(w, component, delta));
-        self.install(&mut *dev.storage, keep, w.into_bytes(), lsn, true, old_interner)
+        let fill = &mut |tail: &mut Tail<'_>| {
+            let mut out = Chunk::new(tail);
+            out.put_raw(preamble);
+            for range in &kept {
+                out.copy_frames(range.clone())?;
+            }
+            let frame = out.at();
+            out.start_frame(lsn, payload);
+            Record::put_snapshot_delta_head(&mut out, component, state as u32);
+            delta.write_to(&mut out);
+            let crc = out.finish()?;
+            tail.patch(frame + 13, &crc.to_le_bytes())
+        };
+        self.install(&mut *dev.storage, keep, len, fill, lsn, old_interner)
     }
 
     /// Replaces the whole log with `records` — a compacted reconstruction
@@ -585,6 +912,8 @@ impl Journal {
     /// fresh path dictionary exactly as `enqueue` would after an empty
     /// log. The new log is the next retained prefix, unless `records` held
     /// a kind a prefix may not (then the next checkpoint reads it all).
+    /// The records arrive whole, so they are framed into one buffer,
+    /// which is then written in window-sized pieces.
     pub fn replace_with(&mut self, records: Vec<Record>, upto_lsn: u64) -> JournalResult<()> {
         self.flush()?;
         let _sp = maxoid_obs::span("journal.rewrite");
@@ -603,36 +932,42 @@ impl Journal {
         for q in batch {
             encode_frame(&mut w, &q);
         }
+        let tail = w.into_bytes();
         let storage = Arc::clone(&self.storage);
         let mut dev = storage.lock();
-        self.install(&mut *dev.storage, 0, w.into_bytes(), high, retainable, old_interner)
+        let fill = &mut |t: &mut Tail<'_>| t.write_all(&tail);
+        let result = self.install(&mut *dev.storage, 0, tail.len(), fill, high, old_interner);
+        if result.is_ok() && !retainable {
+            self.retained = 0;
+        }
+        result
     }
 
     /// The one path that truncates or rewrites the log: makes it its
-    /// first `keep` bytes (0, or the retained prefix) followed by `tail`,
-    /// with one [`Storage::replace_from`], booked as one flush that
-    /// acknowledges up to `high`. `tail` opens with the preamble when
-    /// `keep` is 0, and its frames' LSNs rise past the kept bytes' and up
-    /// to `high`. On success the new log is the next retained prefix if
-    /// `retainable`, and the path dictionary is the one the tail was
-    /// encoded with; if the replace fails, the old log, `old_interner` and
-    /// the old prefix stay.
+    /// first `keep` bytes (0, or the retained prefix) followed by the
+    /// `len` bytes `fill` writes, with one [`Storage::replace_from`],
+    /// booked as one flush that acknowledges up to `high`. The new tail
+    /// opens with the preamble when `keep` is 0, and its frames' LSNs rise
+    /// past the kept bytes' and up to `high`. On success the new log is
+    /// the next retained prefix (a caller whose tail may not be one resets
+    /// it), and the path dictionary is the one the tail was encoded with;
+    /// if the replace fails, the old log, `old_interner` and the old
+    /// prefix stay.
     fn install(
         &mut self,
         storage: &mut dyn Storage,
         keep: usize,
-        tail: Vec<u8>,
+        len: usize,
+        fill: Fill<'_>,
         high: u64,
-        retainable: bool,
         old_interner: PathInterner,
     ) -> JournalResult<()> {
-        let bytes = tail.len();
-        let result = storage.replace_from(keep, tail);
+        let result = storage.replace_from(keep, len, fill);
         match result {
-            Ok(()) => self.retained = if retainable { keep + bytes } else { 0 },
+            Ok(()) => self.retained = keep + len,
             Err(_) => self.interner = old_interner,
         }
-        self.finish_group_flush(Some(bytes), &result, high);
+        self.finish_group_flush(Some(len), &result, high);
         result
     }
 
@@ -908,10 +1243,10 @@ impl JournalHandle {
     }
 
     /// Incremental checkpoint: see [`Journal::checkpoint_delta`].
-    pub fn checkpoint_delta(
+    pub fn checkpoint_delta<D: Delta + ?Sized>(
         &self,
         component: &str,
-        delta: impl FnOnce(&mut ByteWriter),
+        delta: &D,
     ) -> JournalResult<()> {
         self.with(|j| j.checkpoint_delta(component, delta))
     }
@@ -1087,7 +1422,7 @@ mod tests {
         j.append(&rec("/a")).unwrap();
         j.append(&sql("CREATE TABLE t (x)")).unwrap();
         j.append(&rec("/a")).unwrap();
-        j.checkpoint_delta("vfs.store", |w| w.put_raw(&[1, 2, 3])).unwrap();
+        j.checkpoint_delta("vfs.store", &[1, 2, 3][..]).unwrap();
         let log = read_records(&j.bytes());
         let recs: Vec<&Record> = log.records.iter().map(|(_, r)| r).collect();
         // The VFS records (and the PathDef their repeated path earned)
@@ -1104,7 +1439,7 @@ mod tests {
         let txn = j.begin_txn().unwrap();
         j.append(&sql("INSERT ...")).unwrap();
         j.rollback_txn(txn).unwrap();
-        j.checkpoint_delta("vfs.store", |_| {}).unwrap();
+        j.checkpoint_delta("vfs.store", &[][..]).unwrap();
         let log = read_records(&j.bytes());
         assert_eq!(log.records.len(), 1);
         assert!(matches!(log.records[0].1, Record::SnapshotDelta { .. }));
@@ -1120,7 +1455,7 @@ mod tests {
         let before = read_records(&before_bytes);
         assert_eq!(before.records.len(), 200, "200 records at batch 8 are all flushed");
         let flushes = j.stats().flushes;
-        j.checkpoint_delta("vfs.store", |w| w.put_raw(&[9])).unwrap();
+        j.checkpoint_delta("vfs.store", &[9][..]).unwrap();
         assert_eq!(j.stats().flushes, flushes + 1, "the whole rewrite is one storage call");
         let after_bytes = j.bytes();
         let after = read_records(&after_bytes);
@@ -1138,13 +1473,21 @@ mod tests {
         assert!(delta[0].0 > before.last_lsn());
     }
 
-    /// Storage whose log, and the reads made of it, stay visible to the
-    /// test after the journal takes it.
+    /// Storage whose log, and the reads and writes made of it, stay
+    /// visible to the test after the journal takes it.
     #[derive(Clone, Default)]
     struct Shared {
         log: Arc<Mutex<Vec<u8>>>,
-        /// `(offset, bytes read)` of every `read_at`.
+        /// `(offset, bytes read)` of every read of the log: `read_at`, and
+        /// a replacement's `read_old`.
         reads: Arc<Mutex<Vec<(usize, usize)>>>,
+        /// `(tail offset, bytes)` of every write of a replacement's tail,
+        /// patches included.
+        writes: Arc<Mutex<Vec<(usize, usize)>>>,
+        /// While set, every `read_old` comes back with its last byte
+        /// flipped: a medium that reads a frame differently the second
+        /// time.
+        flip_rereads: Arc<std::sync::atomic::AtomicBool>,
     }
 
     impl Storage for Shared {
@@ -1162,12 +1505,74 @@ mod tests {
             self.log.lock().len()
         }
 
-        fn replace_from(&mut self, keep: usize, tail: Vec<u8>) -> JournalResult<()> {
-            let mut log = self.log.lock();
-            log.truncate(keep);
-            log.extend_from_slice(&tail);
+        fn replace_from(&mut self, keep: usize, len: usize, fill: Fill<'_>) -> JournalResult<()> {
+            let shared = &*self;
+            let recorded = &mut |tail: &mut Tail<'_>| {
+                Tail::run(len, &mut Recorded { tail, shared }, &mut *fill)
+            };
+            replace_in_memory(&mut self.log.lock(), keep, len, recorded, |_| Ok(()))
+        }
+    }
+
+    /// A [`Shared`] replacement's tail, recording what passes through it.
+    struct Recorded<'t, 'a, 's> {
+        tail: &'t mut Tail<'a>,
+        shared: &'s Shared,
+    }
+
+    impl Replacement for Recorded<'_, '_, '_> {
+        fn write_at(&mut self, at: usize, bytes: &[u8]) -> JournalResult<()> {
+            self.shared.writes.lock().push((at, bytes.len()));
+            if at == self.tail.written() {
+                self.tail.write(bytes)
+            } else {
+                self.tail.patch(at, bytes)
+            }
+        }
+
+        fn read_old(&mut self, offset: usize, buf: &mut [u8]) -> JournalResult<()> {
+            self.shared.reads.lock().push((offset, buf.len()));
+            self.tail.read_old(offset, buf)?;
+            if self.shared.flip_rereads.load(std::sync::atomic::Ordering::SeqCst) {
+                if let Some(last) = buf.last_mut() {
+                    *last ^= 0x01;
+                }
+            }
             Ok(())
         }
+    }
+
+    /// The frames past `from` that a checkpoint of `log` keeps, as the
+    /// merged byte ranges pass two copies.
+    fn kept_ranges(log: &[u8], from: usize) -> Vec<Range<usize>> {
+        let mut kept: Vec<Range<usize>> = Vec::new();
+        let mut settle = |r: Range<usize>, applies: bool| match kept.last_mut() {
+            Some(last) if applies && last.end == r.start => last.end = r.end,
+            _ if applies => kept.push(r),
+            _ => {}
+        };
+        let mut redo = Redo::default();
+        for f in read_records(log).frames.iter().filter(|f| f.range.start >= from) {
+            redo.feed(f, f.kind.carried().then(|| f.range.clone()), &mut settle);
+        }
+        redo.finish(&mut settle);
+        kept
+    }
+
+    /// `reads` merged where one ends where the next starts; every read
+    /// must start past the one before it, so no byte is read twice.
+    fn merged(reads: &[(usize, usize)]) -> Vec<Range<usize>> {
+        let mut out: Vec<Range<usize>> = Vec::new();
+        for &(at, n) in reads {
+            match out.last_mut() {
+                Some(last) if last.end == at => last.end += n,
+                last => {
+                    assert!(last.is_none_or(|l| l.end < at), "a read goes back: {reads:?}");
+                    out.push(at..at + n);
+                }
+            }
+        }
+        out
     }
 
     #[test]
@@ -1177,7 +1582,7 @@ mod tests {
         for i in 0..100 {
             j.append(&sql(&format!("INSERT INTO t VALUES ({i})"))).unwrap();
         }
-        j.checkpoint_delta("vfs.store", |w| w.put_raw(&[1])).unwrap();
+        j.checkpoint_delta("vfs.store", &[1][..]).unwrap();
         let prefix = j.bytes();
         let txn = j.begin_txn().unwrap();
         for i in 100..150 {
@@ -1188,12 +1593,23 @@ mod tests {
         let before = j.bytes();
         shared.reads.lock().clear();
         let flushes = j.stats().flushes;
-        j.checkpoint_delta("vfs.store", |w| w.put_raw(&[2])).unwrap();
+        j.checkpoint_delta("vfs.store", &[2][..]).unwrap();
+        let reads = shared.reads.lock().clone();
         assert_eq!(
-            *shared.reads.lock(),
-            vec![(prefix.len(), before.len() - prefix.len())],
-            "one read, of exactly the bytes logged since the first checkpoint"
+            reads[0],
+            (prefix.len(), before.len() - prefix.len()),
+            "the scan: one read, of exactly the bytes logged since the first checkpoint"
         );
+        // The copy: each of the 50 committed SQL frames, between which
+        // the file records sit, read once more.
+        let sql_frames: Vec<(usize, usize)> = read_records(&before)
+            .frames
+            .iter()
+            .filter(|f| f.range.start >= prefix.len() && f.kind == crate::record::Kind::Sql)
+            .map(|f| (f.range.start, f.range.len()))
+            .collect();
+        assert_eq!(sql_frames.len(), 50);
+        assert_eq!(reads[1..], sql_frames[..]);
         assert_eq!(j.stats().flushes, flushes + 1, "still one storage call");
         let after = j.bytes();
         assert_eq!(after[..prefix.len()], prefix[..], "the prefix's bytes are untouched");
@@ -1220,29 +1636,43 @@ mod tests {
         let second = crate::fault::record_boundaries(&clean)[2];
         shared.log.lock()[second + FRAME_HEADER] ^= 0x01;
         let damaged = j.bytes();
-        let err = j.checkpoint_delta("vfs.store", |w| w.put_raw(&[1]));
+        let err = j.checkpoint_delta("vfs.store", &[1][..]);
         assert_eq!(err, Err(JournalError::Corrupted { offset: second }));
         assert_eq!(j.bytes(), damaged);
         // Repaired, it checkpoints; damage past the retained prefix is
         // refused the same way, at its offset in the whole log.
         *shared.log.lock() = clean;
-        j.checkpoint_delta("vfs.store", |w| w.put_raw(&[1])).unwrap();
+        j.checkpoint_delta("vfs.store", &[1][..]).unwrap();
         let prefix = j.len();
         j.append(&sql("INSERT INTO t VALUES (3)")).unwrap();
         j.append(&sql("INSERT INTO t VALUES (4)")).unwrap();
         shared.log.lock()[prefix + FRAME_HEADER] ^= 0x01;
         let damaged = j.bytes();
-        let err = j.checkpoint_delta("vfs.store", |w| w.put_raw(&[2]));
+        let err = j.checkpoint_delta("vfs.store", &[2][..]);
         assert_eq!(err, Err(JournalError::Corrupted { offset: prefix }));
         assert_eq!(j.bytes(), damaged);
         // A torn tail is legal (its bytes were never acknowledged), and
         // the rewrite drops it.
         shared.log.lock()[prefix + FRAME_HEADER] ^= 0x01;
         shared.log.lock().extend_from_slice(&[FRAME_MAGIC, 9, 9]);
-        j.checkpoint_delta("vfs.store", |w| w.put_raw(&[2])).unwrap();
+        j.checkpoint_delta("vfs.store", &[2][..]).unwrap();
         let log = read_records(&j.bytes());
         assert_eq!(log.tail, TailState::Clean);
         assert_eq!(log.records.len(), 3 + 1 + 2 + 1);
+    }
+
+    /// A delta that records whether it was written.
+    #[derive(Default)]
+    struct Spy(std::cell::Cell<bool>);
+
+    impl Delta for Spy {
+        fn encoded_len(&self) -> usize {
+            0
+        }
+
+        fn write_to(&self, _: &mut dyn Put) {
+            self.0.set(true);
+        }
     }
 
     #[test]
@@ -1259,7 +1689,7 @@ mod tests {
                 let mut j = Journal::new(Box::new(shared.clone()), 1).unwrap();
                 j.append(&sql("INSERT INTO t VALUES (1)")).unwrap();
                 if prefix {
-                    j.checkpoint_delta("vfs.store", |w| w.put_raw(&[1])).unwrap();
+                    j.checkpoint_delta("vfs.store", &[1][..]).unwrap();
                 }
                 j.append(&rec("/b")).unwrap();
                 let at = j.len();
@@ -1270,21 +1700,19 @@ mod tests {
                 // Acknowledged history follows the damage.
                 j.append(&sql("INSERT INTO t VALUES (2)")).unwrap();
                 let damaged = j.bytes();
-                let mut written = false;
-                let got = j.checkpoint_delta("vfs.store", |_| written = true);
+                let delta = Spy::default();
+                let got = j.checkpoint_delta("vfs.store", &delta);
                 assert_eq!(got, Err(JournalError::Corrupted { offset: at }), "prefix {prefix}");
-                assert!(!written, "no delta is written over a damaged log");
+                assert!(!delta.0.get(), "no delta is written over a damaged log");
                 assert_eq!(j.bytes(), damaged, "the log is left as it was");
             }
         }
     }
 
-    #[test]
-    fn a_checkpoint_reads_through_one_window() {
-        // Over 8 MiB of tail: SQL and file writes of many sizes in and
-        // out of transactions, and a snapshot larger than the window
-        // every 40 records.
-        let shared = Shared::default();
+    /// Over 8 MiB of log on `shared`, flushed: SQL and file writes of
+    /// many sizes in and out of transactions, and a snapshot larger than
+    /// the window every 40 records.
+    fn eight_mib_log(shared: &Shared) -> Journal {
         let mut j = Journal::new(Box::new(shared.clone()), 16).unwrap();
         let mut i = 0usize;
         while j.len() < 8 << 20 {
@@ -1309,29 +1737,205 @@ mod tests {
             i += 1;
         }
         j.flush().unwrap();
+        j
+    }
+
+    #[test]
+    fn a_checkpoint_reads_through_one_window() {
+        let shared = Shared::default();
+        let mut j = eight_mib_log(&shared);
         let before = j.bytes();
         let old = read_records(&before);
         let largest = old.frames.iter().map(|f| f.range.len()).max().unwrap();
         assert!(largest > SCAN_WINDOW);
         shared.reads.lock().clear();
-        j.checkpoint_delta("vfs.store", |w| w.put_raw(&[9])).unwrap();
+        j.checkpoint_delta("vfs.store", &[9][..]).unwrap();
         let reads = shared.reads.lock().clone();
         let bound = SCAN_WINDOW.max(largest);
         assert!(reads.iter().all(|&(_, n)| n <= bound), "a read past {bound} B: {reads:?}");
-        // It read the whole tail, each byte once.
-        let mut next = 0;
-        for &(at, n) in &reads {
-            assert_eq!(at, next, "reads follow each other: {reads:?}");
-            next += n;
-        }
-        assert_eq!(next, before.len());
-        // And kept what the redo filter keeps.
+        // The scan read the whole tail, each byte once, in order: the
+        // reads until as many bytes as the log holds were read.
+        let mut read = 0;
+        let scan = reads.iter().take_while(|&&(_, n)| {
+            read += n;
+            read - n < before.len()
+        });
+        let (scanned, copied) = reads.split_at(scan.count());
+        assert_eq!(merged(scanned), vec![0..before.len()], "the scan: {scanned:?}");
+        // The copy read exactly the kept frames, each once, in pieces of
+        // at most one window.
+        assert!(copied.iter().all(|&(_, n)| n <= SCAN_WINDOW), "a copy read past the window");
+        assert_eq!(merged(copied), kept_ranges(&before, 0));
+        // And it kept what the redo filter keeps.
         let mut want: Vec<Record> = committed_records(&old)
             .into_iter()
             .filter(|r| matches!(r, Record::Snapshot { .. } | Record::Sql { .. }))
             .collect();
         want.push(Record::SnapshotDelta { component: "vfs.store".into(), payload: vec![9] });
         assert_eq!(committed_records(&read_records(&j.bytes())), want);
+    }
+
+    /// A delta of `len` bytes written in puts of uneven sizes, from one
+    /// byte to several windows.
+    struct Uneven(usize);
+
+    impl Uneven {
+        fn bytes(&self) -> Vec<u8> {
+            (0..self.0).map(|i| (i * 31 % 251) as u8).collect()
+        }
+    }
+
+    impl Delta for Uneven {
+        fn encoded_len(&self) -> usize {
+            self.0
+        }
+
+        fn write_to(&self, w: &mut dyn Put) {
+            let bytes = self.bytes();
+            let mut rest = &bytes[..];
+            for n in [1, 3, 4096, 3 * SCAN_WINDOW + 17, 1, 5000].into_iter().cycle() {
+                let (now, later) = rest.split_at(n.min(rest.len()));
+                w.put_raw(now);
+                rest = later;
+                if rest.is_empty() {
+                    break;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_writes_through_one_chunk() {
+        // An 8 MiB tail and an 8 MiB delta: the storage sees the new tail
+        // in pieces of at most one window, in order, and one patch — the
+        // delta frame's 4 CRC bytes.
+        let shared = Shared::default();
+        let mut j = eight_mib_log(&shared);
+        let before = j.bytes();
+        let delta = Uneven((8 << 20) + 12_345);
+        let kept: usize = kept_ranges(&before, 0).iter().map(|r| r.len()).sum();
+        let want = buffered_checkpoint(&before, 0, j.next_lsn, &delta.bytes());
+        j.checkpoint_delta("vfs.store", &delta).unwrap();
+        assert!(j.bytes() == want, "not the bytes a buffered checkpoint wrote");
+        let writes = shared.writes.lock().clone();
+        assert!(writes.iter().all(|&(_, n)| n <= SCAN_WINDOW), "a write past the window");
+        let (mut end, mut patches) = (0, Vec::new());
+        for &(at, n) in &writes {
+            if at == end {
+                end += n;
+            } else {
+                patches.push((at, n));
+            }
+        }
+        let frame = LOG_PREAMBLE.len() + kept;
+        assert_eq!(patches, vec![(frame + 13, 4)], "one patch: the delta's CRC");
+        assert_eq!(end, j.len(), "the tail arrived in order");
+        let after = read_records(&j.bytes());
+        assert_eq!(after.tail, TailState::Clean);
+        let last = after.records.last().map(|(_, r)| r);
+        assert!(
+            matches!(last, Some(Record::SnapshotDelta { payload, .. }) if *payload == delta.bytes())
+        );
+    }
+
+    /// The log a checkpoint wrote when it built its new tail in one
+    /// buffer: `old`'s first `keep` bytes, then the preamble (at `keep`
+    /// 0), the frames past `keep` that take effect, and a `SnapshotDelta`
+    /// of `delta` at `lsn`, framed by `put_frame`.
+    fn buffered_checkpoint(old: &[u8], keep: usize, lsn: u64, delta: &[u8]) -> Vec<u8> {
+        let mut w = ByteWriter::from_vec(old[..keep].to_vec());
+        if keep == 0 {
+            w.put_raw(&LOG_PREAMBLE);
+        }
+        for range in kept_ranges(old, keep) {
+            w.put_raw(&old[range]);
+        }
+        let rec = Record::SnapshotDelta { component: "vfs.store".into(), payload: delta.to_vec() };
+        put_frame(&mut w, lsn, |w| rec.encode_into(w, [LITERAL_PATH; 2]));
+        w.into_bytes()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(64))]
+
+        /// Two checkpoints (a whole rewrite, then a splice past its
+        /// prefix) over random SQL, file writes, unlinks and snapshots in
+        /// and out of committed, rolled-back and open transactions write
+        /// the same log, byte for byte, as the buffered checkpoint did.
+        #[test]
+        fn streamed_checkpoints_write_the_bytes_buffered_ones_did(
+            steps in proptest::collection::vec((0u8..7, 0u16..u16::MAX), 1..40),
+            deltas in (0usize..3000, 0usize..(2 * SCAN_WINDOW)),
+        ) {
+            let mut j = Journal::in_memory(4);
+            let mut open = Vec::new();
+            for (round, len) in [deltas.0, deltas.1].into_iter().enumerate() {
+                for &(op, n) in &steps {
+                    match op {
+                        0 => j.append(&sql(&format!("INSERT INTO t VALUES ({round}, {n})"))).map(drop),
+                        1 => {
+                            let data = vec![n as u8; n as usize % 5000];
+                            let path = format!("/d/f{}", n % 5);
+                            j.append(&Record::Vfs(VfsRecord::Write { path, data, owner: 1, mode: 3 })).map(drop)
+                        }
+                        2 => {
+                            let payload = vec![n as u8; n as usize % 3000];
+                            j.append(&Record::Snapshot { component: "vfs.store".into(), payload }).map(drop)
+                        }
+                        3 => j.begin_txn().map(|t| open.push(t)),
+                        4 => open.pop().map_or(Ok(()), |t| j.commit_txn(t)),
+                        5 => open.pop().map_or(Ok(()), |t| j.rollback_txn(t)),
+                        _ => j.append(&rec(&format!("/d/f{}", n % 5))).map(drop),
+                    }
+                    .unwrap();
+                }
+                j.flush().unwrap();
+                let delta: Vec<u8> = (0..len).map(|i| (i * 13 + round) as u8).collect();
+                let want = buffered_checkpoint(&j.bytes(), j.retained, j.next_lsn, &delta);
+                j.checkpoint_delta("vfs.store", &delta[..]).unwrap();
+                proptest::prop_assert!(j.bytes() == want, "round {}", round);
+            }
+        }
+    }
+
+    #[test]
+    fn a_kept_frame_that_reads_back_differently_fails_the_checkpoint() {
+        // Pass one reads the tail clean; pass two's copy of a kept frame
+        // reads it with a flipped byte. The checkpoint fails Corrupted at
+        // that frame, and the old log stays the log.
+        for keep in [false, true] {
+            let shared = Shared::default();
+            let mut j = Journal::new(Box::new(shared.clone()), 1).unwrap();
+            j.append(&sql("INSERT INTO t VALUES (1)")).unwrap();
+            if keep {
+                j.checkpoint_delta("vfs.store", &[1][..]).unwrap();
+            }
+            let at = j.len();
+            j.append(&sql("INSERT INTO t VALUES (2)")).unwrap();
+            j.append(&rec("/a")).unwrap();
+            let before = j.bytes();
+            shared.flip_rereads.store(true, std::sync::atomic::Ordering::SeqCst);
+            // The flipped byte is the copy's last: INSERT 2's.
+            let got = j.checkpoint_delta("vfs.store", &[2][..]);
+            assert_eq!(got, Err(JournalError::Corrupted { offset: at }), "keep {keep}");
+            assert_eq!(j.bytes(), before, "the log is left as it was");
+            shared.flip_rereads.store(false, std::sync::atomic::Ordering::SeqCst);
+            j.checkpoint_delta("vfs.store", &[2][..]).unwrap();
+            assert_eq!(read_records(&j.bytes()).tail, TailState::Clean);
+        }
+    }
+
+    #[test]
+    fn a_flush_keeps_at_most_one_window_of_scratch() {
+        let mut j = Journal::in_memory(1);
+        let data = vec![7u8; 4 << 20];
+        j.append(&Record::Vfs(VfsRecord::Write { path: "/big".into(), data, owner: 1, mode: 3 }))
+            .unwrap();
+        assert!(j.len() > 4 << 20, "the 4 MiB record was flushed");
+        let kept = j.storage.lock().scratch.capacity();
+        assert!(kept <= SCAN_WINDOW, "{kept} B of scratch kept past the flush");
+        j.append(&rec("/a")).unwrap();
+        assert_eq!(read_records(&j.bytes()).records.len(), 2);
     }
 
     #[test]
@@ -1343,7 +1947,7 @@ mod tests {
         let mut j = Journal::in_memory(1);
         j.replace_with(vec![Record::TxnBegin { txn: 99 }, sql("A")], 0).unwrap();
         j.append(&sql("B")).unwrap();
-        j.checkpoint_delta("vfs.store", |w| w.put_raw(&[1])).unwrap();
+        j.checkpoint_delta("vfs.store", &[1][..]).unwrap();
         let recs = committed_records(&read_records(&j.bytes()));
         assert!(matches!(&recs[..], [Record::SnapshotDelta { payload, .. }] if payload == &[1]));
     }
@@ -1353,9 +1957,9 @@ mod tests {
         let mut j = Journal::in_memory(1);
         j.append(&Record::Snapshot { component: "vfs.store".into(), payload: vec![1] }).unwrap();
         j.append(&rec("/a")).unwrap();
-        j.checkpoint_delta("vfs.store", |w| w.put_raw(&[2])).unwrap();
+        j.checkpoint_delta("vfs.store", &[2][..]).unwrap();
         j.append(&rec("/b")).unwrap();
-        j.checkpoint_delta("vfs.store", |w| w.put_raw(&[3])).unwrap();
+        j.checkpoint_delta("vfs.store", &[3][..]).unwrap();
         let log = read_records(&j.bytes());
         let recs: Vec<&Record> = log.records.iter().map(|(_, r)| r).collect();
         // Chain order: full snapshot, then deltas oldest-first; the plain

@@ -50,8 +50,8 @@ use crate::cred::{Mode, Uid};
 use crate::error::{VfsError, VfsResult};
 use crate::path::VPath;
 use maxoid_block::{BlockDevice, CacheStats, ExtentAllocator, PageCache};
-use maxoid_journal::codec::{ByteReader, ByteWriter};
-use maxoid_journal::{Record, SinkRef, VfsRecord};
+use maxoid_journal::codec::{ByteReader, ByteWriter, Put};
+use maxoid_journal::{Delta, Record, SinkRef, VfsRecord};
 use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -365,25 +365,54 @@ pub struct DirtyImage<'a> {
 }
 
 impl DirtyImage<'_> {
-    /// Serializes the *incremental* image into `w` — root, clock, and for
-    /// each shard with a non-empty dirty set: its slot count, the dirtied
-    /// slots (id-tagged, tombstones included) and its full free list.
-    /// Shards without dirty slots are omitted entirely; that is sound
-    /// because alloc and dealloc always dirty the slot they touch, so a
-    /// free list can never change without its shard appearing in the
-    /// delta. Applying the images in checkpoint order on top of the base
-    /// snapshot reproduces the exact store.
-    pub fn write_to(&self, w: &mut ByteWriter) {
+    /// The shards with a non-empty dirty set, with their indices.
+    fn dirty_shards(&self) -> impl Iterator<Item = (usize, &Shard)> {
+        self.guards
+            .iter()
+            .enumerate()
+            .map(|(idx, sh)| (idx, &**sh))
+            .filter(|(_, sh)| !sh.dirty.is_empty())
+    }
+
+    /// Empties every dirty set, once the image is durable, and lets the
+    /// store go. An image that never became durable is dropped instead,
+    /// so the next one still covers its inodes.
+    pub fn clear(mut self) {
+        for sh in &mut self.guards {
+            sh.dirty.clear();
+        }
+    }
+}
+
+/// The *incremental* image — root, clock, and for each shard with a
+/// non-empty dirty set: its slot count, the dirtied slots (id-tagged,
+/// tombstones included) and its full free list. Shards without dirty
+/// slots are omitted entirely; that is sound because alloc and dealloc
+/// always dirty the slot they touch, so a free list can never change
+/// without its shard appearing in the delta. Applying the images in
+/// checkpoint order on top of the base snapshot reproduces the exact
+/// store. Its length is counted from the inodes, so a checkpoint frames
+/// it before writing it, and a spilled file's content is written a page
+/// at a time.
+impl Delta for DirtyImage<'_> {
+    fn encoded_len(&self) -> usize {
+        let mut n = 8 + 8 + 4 + 4;
+        for (_, sh) in self.dirty_shards() {
+            n += 4 + 4 + 4 + 4 + 8 * sh.free.len();
+            for &id in &sh.dirty {
+                n += 8 + slot_len(sh.slots.get(local_of(InodeId(id))).and_then(|s| s.as_ref()));
+            }
+        }
+        n
+    }
+
+    fn write_to(&self, w: &mut dyn Put) {
         let store = self.store;
         w.put_u64(store.root.load(Ordering::Relaxed));
         w.put_u64(store.clock.load(Ordering::Relaxed));
         w.put_u32(STORE_SHARDS as u32);
-        let n_dirty = self.guards.iter().filter(|sh| !sh.dirty.is_empty()).count();
-        w.put_u32(n_dirty as u32);
-        for (idx, sh) in self.guards.iter().enumerate() {
-            if sh.dirty.is_empty() {
-                continue;
-            }
+        w.put_u32(self.dirty_shards().count() as u32);
+        for (idx, sh) in self.dirty_shards() {
             w.put_u32(idx as u32);
             w.put_u32(sh.slots.len() as u32);
             w.put_u32(sh.dirty.len() as u32);
@@ -396,15 +425,6 @@ impl DirtyImage<'_> {
             for id in &sh.free {
                 w.put_u64(id.0);
             }
-        }
-    }
-
-    /// Empties every dirty set, once the image is durable, and lets the
-    /// store go. An image that never became durable is dropped instead,
-    /// so the next one still covers its inodes.
-    pub fn clear(mut self) {
-        for sh in &mut self.guards {
-            sh.dirty.clear();
         }
     }
 }
@@ -1587,13 +1607,34 @@ impl Store {
 /// by full snapshots and incremental dirty images so the two formats can
 /// never drift apart. File content is always materialized, so the image
 /// bytes are identical whether payloads were resident or spilled — backend
-/// equivalence at the serialization boundary.
-fn write_slot(w: &mut ByteWriter, paged: &Option<Mutex<PagedBacking>>, slot: Option<&Inode>) {
+/// equivalence at the serialization boundary. Spilled content reaches `w`
+/// one page at a time, each copied out of the cache before `w` sees it,
+/// so the paged mutex stays a leaf.
+fn write_slot(w: &mut dyn Put, paged: &Option<Mutex<PagedBacking>>, slot: Option<&Inode>) {
     match slot {
         None => w.put_u8(0),
         Some(Inode::File { data, owner, mode, mtime }) => {
             w.put_u8(1);
-            w.put_bytes(&fd_load(paged, data));
+            match data {
+                FileData::Resident(d) => w.put_bytes(d),
+                FileData::Paged { sectors, len } => {
+                    w.put_u32(*len as u32);
+                    let p =
+                        paged.as_ref().expect("paged file data in a store with no block device");
+                    let mut page = Vec::new();
+                    let mut left = *len as usize;
+                    for &sec in sectors {
+                        let mut p = p.lock();
+                        let n = left.min(p.cache.page_size());
+                        let cached = p.cache.read(sec).expect("vfs spill device read failed");
+                        page.clear();
+                        page.extend_from_slice(&cached.data()[..n]);
+                        drop(p);
+                        w.put_raw(&page);
+                        left -= n;
+                    }
+                }
+            }
             w.put_u32(owner.0);
             w.put_u8(mode.to_bits());
             w.put_u64(*mtime);
@@ -1608,6 +1649,18 @@ fn write_slot(w: &mut ByteWriter, paged: &Option<Mutex<PagedBacking>>, slot: Opt
             w.put_u32(owner.0);
             w.put_u8(mode.to_bits());
             w.put_u64(*mtime);
+        }
+    }
+}
+
+/// The bytes [`write_slot`] writes for `slot`.
+fn slot_len(slot: Option<&Inode>) -> usize {
+    match slot {
+        None => 1,
+        Some(Inode::File { data, .. }) => 1 + 4 + data.len() as usize + 4 + 1 + 8,
+        Some(Inode::Dir { entries, .. }) => {
+            let names: usize = entries.keys().map(|name| 4 + name.len() + 8).sum();
+            1 + 4 + names + 4 + 1 + 8
         }
     }
 }
@@ -1890,6 +1943,72 @@ mod tests {
 
     fn paged_store(pages: usize, threshold: usize) -> Store {
         Store::with_block_device(Box::new(maxoid_block::MemDevice::new()), pages, threshold)
+    }
+
+    /// Every `put_raw` that reaches a writer, in order.
+    #[derive(Default)]
+    struct Puts(Vec<Vec<u8>>);
+
+    impl Put for Puts {
+        fn put_raw(&mut self, v: &[u8]) {
+            self.0.push(v.to_vec());
+        }
+    }
+
+    #[test]
+    fn paged_content_reaches_the_writer_a_page_at_a_time() {
+        let s = paged_store(8, 4096);
+        let big: Vec<u8> = (0..(3 << 20) + 1234).map(|i| (i % 251) as u8).collect();
+        s.write(&vpath("/big"), &big, Uid::ROOT, Mode::PUBLIC).unwrap();
+        let image = s.dirty_image();
+        let mut puts = Puts::default();
+        image.write_to(&mut puts);
+        assert!(puts.0.iter().all(|p| p.len() <= 4096), "a put larger than a page");
+        // The file's pages arrive in order, one put each.
+        let first = puts.0.iter().position(|p| p[..] == big[..4096]).expect("the first page");
+        let pages = &puts.0[first..first + big.len().div_ceil(4096)];
+        assert_eq!(pages.concat(), big);
+        // And the image is the one a buffer would hold.
+        let mut w = ByteWriter::new();
+        image.write_to(&mut w);
+        assert_eq!(puts.0.concat(), w.into_bytes());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(64))]
+
+        /// A dirty image's reported length is the bytes it writes, over
+        /// random stores: resident and paged files, appends across the
+        /// spill threshold, directories, unlinks, and dirty sets emptied
+        /// by some of the checkpoints in between.
+        #[test]
+        fn prop_dirty_image_length_is_the_bytes_it_writes(
+            ops in proptest::collection::vec((0u8..5, 0u8..8, 0usize..20_000), 1..40),
+        ) {
+            let s = paged_store(8, 1024);
+            for (round, batch) in ops.chunks(8).enumerate() {
+                for &(op, f, n) in batch {
+                    let dir = vpath(&format!("/d{}", f % 3));
+                    let file = vpath(&format!("/d{}/f{f}", f % 3));
+                    let _ = s.mkdir_all(&dir, Uid::ROOT, Mode::PUBLIC);
+                    let _ = match op {
+                        0 | 1 => s.write(&file, &vec![f; n], Uid::ROOT, Mode::PUBLIC).map(drop),
+                        2 => s.unlink(&file),
+                        3 => s
+                            .mkdir_all(&vpath(&format!("/d{}/sub{n}", f % 3)), Uid::ROOT, Mode::PUBLIC)
+                            .map(drop),
+                        _ => s.append(&file, &vec![f; n % 3000]).map(drop),
+                    };
+                }
+                let image = s.dirty_image();
+                let mut w = ByteWriter::new();
+                image.write_to(&mut w);
+                proptest::prop_assert_eq!(w.len(), image.encoded_len(), "round {}", round);
+                if round % 2 == 0 {
+                    image.clear();
+                }
+            }
+        }
     }
 
     #[test]

@@ -40,8 +40,9 @@ use maxoid::manifest::MaxoidManifest;
 use maxoid::{Caller, ContentValues, MaxoidSystem, QueryArgs, Uri};
 use maxoid_block::{BlockDevice, FaultDevice, FileDevice, MemDevice, ReadFaults};
 use maxoid_journal::{
-    committed_records, flip_byte, read_records, record_boundaries, BlockStorage, Journal,
-    JournalError, JournalHandle, JournalSink, Record, Storage, TailState, VfsRecord,
+    committed_records, flip_byte, read_records, record_boundaries, BlockStorage, Fill, Journal,
+    JournalError, JournalHandle, JournalSink, Record, Replacement, Storage, Tail, TailState,
+    VfsRecord,
 };
 use maxoid_sqldb::Value;
 use maxoid_vfs::{vpath, Mode, Store, Uid, VPath, Vfs};
@@ -403,7 +404,7 @@ fn ack_200(dev: Box<dyn maxoid_block::BlockDevice>) -> Journal {
 
 fn run(j: &mut Journal, rewrite: Rewrite) -> maxoid_journal::JournalResult<()> {
     match rewrite {
-        Rewrite::CheckpointDelta => j.checkpoint_delta("vfs.store", |w| w.put_raw(&[5; 3000])),
+        Rewrite::CheckpointDelta => j.checkpoint_delta("vfs.store", &[5; 3000][..]),
         Rewrite::ReplaceWith => {
             let live = vec![
                 Record::Snapshot { component: "vfs.store".into(), payload: vec![6; 6000] },
@@ -479,7 +480,7 @@ fn whole_log(storage: &mut BlockStorage) -> Vec<u8> {
 /// is returned) and splices.
 fn ack_and_checkpoint(dev: Box<dyn maxoid_block::BlockDevice>) -> (Journal, usize) {
     let mut j = ack_200(dev);
-    j.checkpoint_delta("vfs.store", |w| w.put_raw(&[4; 2000])).unwrap();
+    j.checkpoint_delta("vfs.store", &[4; 2000][..]).unwrap();
     let prefix = j.len();
     for i in 200..300 {
         j.append(&acked_sql(i)).unwrap();
@@ -499,7 +500,7 @@ fn ack_and_checkpoint(dev: Box<dyn maxoid_block::BlockDevice>) -> (Journal, usiz
 /// log.
 #[test]
 fn splice_power_loss_keeps_the_old_log_or_the_new_one() {
-    let checkpoint = |j: &mut Journal| j.checkpoint_delta("vfs.store", |w| w.put_raw(&[5; 3000]));
+    let checkpoint = |j: &mut Journal| j.checkpoint_delta("vfs.store", &[5; 3000][..]);
     let platter = SharedDev::default();
     let (mut j, prefix) = ack_and_checkpoint(Box::new(platter.clone()));
     let (acked, old) = (platter.writes(), j.bytes());
@@ -577,7 +578,7 @@ fn checkpoint_never_launders_a_damaged_log() {
     let storage = BlockStorage::open(Box::new(platter.clone()), 4).unwrap();
     let mut j = Journal::new(Box::new(storage), 8).unwrap();
     let writes = platter.writes();
-    let got = j.checkpoint_delta("vfs.store", |w| w.put_raw(&[9; 100]));
+    let got = j.checkpoint_delta("vfs.store", &[9; 100][..]);
     assert_eq!(got, Err(JournalError::Corrupted { offset: frame }));
     assert_eq!(platter.writes(), writes, "nothing was written");
     drop(j);
@@ -585,7 +586,8 @@ fn checkpoint_never_launders_a_damaged_log() {
     assert!(matches!(recover(&damaged), Err(RecoveryError::Corrupted { .. })));
 }
 
-/// Block storage that records the `(offset, length)` of every read.
+/// Block storage that records the `(offset, length)` of every read, a
+/// replacement's reads of the old log included.
 struct RecordingReads {
     inner: BlockStorage,
     reads: Arc<Mutex<Vec<(usize, usize)>>>,
@@ -605,8 +607,38 @@ impl Storage for RecordingReads {
         self.inner.len()
     }
 
-    fn replace_from(&mut self, keep: usize, tail: Vec<u8>) -> maxoid_journal::JournalResult<()> {
-        self.inner.replace_from(keep, tail)
+    fn replace_from(
+        &mut self,
+        keep: usize,
+        len: usize,
+        fill: Fill<'_>,
+    ) -> maxoid_journal::JournalResult<()> {
+        let reads = &self.reads;
+        let recorded = &mut |tail: &mut Tail<'_>| {
+            Tail::run(len, &mut RecordedTail { tail, reads }, &mut *fill)
+        };
+        self.inner.replace_from(keep, len, recorded)
+    }
+}
+
+/// A [`RecordingReads`] replacement's tail.
+struct RecordedTail<'t, 'a, 'r> {
+    tail: &'t mut Tail<'a>,
+    reads: &'r Mutex<Vec<(usize, usize)>>,
+}
+
+impl Replacement for RecordedTail<'_, '_, '_> {
+    fn write_at(&mut self, at: usize, bytes: &[u8]) -> maxoid_journal::JournalResult<()> {
+        if at == self.tail.written() {
+            self.tail.write(bytes)
+        } else {
+            self.tail.patch(at, bytes)
+        }
+    }
+
+    fn read_old(&mut self, offset: usize, buf: &mut [u8]) -> maxoid_journal::JournalResult<()> {
+        self.reads.lock().unwrap().push((offset, buf.len()));
+        self.tail.read_old(offset, buf)
     }
 }
 
@@ -628,7 +660,7 @@ fn a_reopened_journal_keeps_its_retained_prefix() {
     };
     let mut j = Journal::new(Box::new(BlockStorage::open(Box::new(dev), 4).unwrap()), 8).unwrap();
     append_sql_and_vfs(&mut j, 0..200);
-    j.checkpoint_delta("vfs.store", |w| w.put_raw(&[4; 2000])).unwrap();
+    j.checkpoint_delta("vfs.store", &[4; 2000][..]).unwrap();
     let prefix = j.bytes();
     drop(j);
 
@@ -641,7 +673,7 @@ fn a_reopened_journal_keeps_its_retained_prefix() {
     append_sql_and_vfs(&mut j, 200..300);
     let before = read_records(&j.bytes());
     reads.lock().unwrap().clear();
-    j.checkpoint_delta("vfs.store", |w| w.put_raw(&[5; 3000])).unwrap();
+    j.checkpoint_delta("vfs.store", &[5; 3000][..]).unwrap();
     let reads = reads.lock().unwrap().clone();
     assert!(!reads.is_empty());
     assert!(
@@ -749,7 +781,7 @@ proptest! {
                         component: "vfs.store".into(),
                         payload: delta.clone(),
                     });
-                    j.checkpoint_delta("vfs.store", |w| w.put_raw(&delta)).unwrap();
+                    j.checkpoint_delta("vfs.store", &delta[..]).unwrap();
                     let after_bytes = j.bytes();
                     let after = read_records(&after_bytes);
                     prop_assert_eq!(after.tail, TailState::Clean);

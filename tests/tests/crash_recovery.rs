@@ -17,10 +17,11 @@
 
 use maxoid::durability::{recover, RecoveryError};
 use maxoid::manifest::MaxoidManifest;
-use maxoid::{Caller, ContentValues, MaxoidSystem, QueryArgs, Uri, VolCommitPlan};
+use maxoid::{Caller, ContentValues, MaxoidSystem, QueryArgs, SystemError, Uri, VolCommitPlan};
 use maxoid_journal::{
-    crash_prefix, flip_byte, read_records, record_boundaries, torn_log, JournalError,
-    JournalHandle, JournalResult, MemStorage, Record, Storage, TailState, VfsRecord,
+    crash_prefix, flip_byte, read_records, record_boundaries, torn_log, Fill, JournalError,
+    JournalHandle, JournalResult, MemStorage, Record, Replacement, Storage, Tail, TailState,
+    VfsRecord,
 };
 use maxoid_providers::provider::ContentProvider;
 use maxoid_providers::UserDictionaryProvider;
@@ -548,11 +549,11 @@ impl Storage for FailingRewrite {
         self.log.len()
     }
 
-    fn replace_from(&mut self, keep: usize, tail: Vec<u8>) -> JournalResult<()> {
+    fn replace_from(&mut self, keep: usize, len: usize, fill: Fill<'_>) -> JournalResult<()> {
         if self.fail_next.swap(false, Ordering::SeqCst) {
             return Err(JournalError::Io("injected rewrite failure".into()));
         }
-        self.log.replace_from(keep, tail)
+        self.log.replace_from(keep, len, fill)
     }
 }
 
@@ -582,6 +583,97 @@ fn a_failed_checkpoint_keeps_its_dirty_set() {
     sys.checkpoint_incremental().expect("a later checkpoint");
     let rec = recover(&journal.bytes()).expect("recover");
     assert_eq!(rec.vfs.with_store(|s| s.read(&file)).unwrap(), b"NEW CONTENT");
+}
+
+/// In-memory log storage whose replacements, while `armed`, read the old
+/// log back with the last byte of every read flipped: a checkpoint's scan
+/// reads the log clean, and its copy of the kept frames does not.
+struct FlippingRereads {
+    log: MemStorage,
+    armed: Arc<AtomicBool>,
+}
+
+impl Storage for FlippingRereads {
+    fn append(&mut self, bytes: &[u8]) -> JournalResult<()> {
+        self.log.append(bytes)
+    }
+
+    fn read_at(&mut self, offset: usize, buf: &mut [u8]) -> JournalResult<()> {
+        self.log.read_at(offset, buf)
+    }
+
+    fn len(&self) -> usize {
+        self.log.len()
+    }
+
+    fn replace_from(&mut self, keep: usize, len: usize, fill: Fill<'_>) -> JournalResult<()> {
+        let armed = &*self.armed;
+        let flipping =
+            &mut |tail: &mut Tail<'_>| Tail::run(len, &mut Flipping { tail, armed }, &mut *fill);
+        self.log.replace_from(keep, len, flipping)
+    }
+}
+
+/// A [`FlippingRereads`] replacement's tail.
+struct Flipping<'t, 'a, 'f> {
+    tail: &'t mut Tail<'a>,
+    armed: &'f AtomicBool,
+}
+
+impl Replacement for Flipping<'_, '_, '_> {
+    fn write_at(&mut self, at: usize, bytes: &[u8]) -> JournalResult<()> {
+        if at == self.tail.written() {
+            self.tail.write(bytes)
+        } else {
+            self.tail.patch(at, bytes)
+        }
+    }
+
+    fn read_old(&mut self, offset: usize, buf: &mut [u8]) -> JournalResult<()> {
+        self.tail.read_old(offset, buf)?;
+        if let (true, Some(last)) = (self.armed.load(Ordering::SeqCst), buf.last_mut()) {
+            *last ^= 0x01;
+        }
+        Ok(())
+    }
+}
+
+/// A checkpoint copies the frames it keeps from the old log a second
+/// time, after the scan checked them: a frame that reads back damaged
+/// then fails the checkpoint `Corrupted`, leaves the log as it was, and
+/// leaves the store's dirty set for the next checkpoint, whose delta
+/// carries the acknowledged write the failed one would have.
+#[test]
+fn a_kept_frame_read_back_damaged_fails_the_checkpoint() {
+    let armed = Arc::new(AtomicBool::new(false));
+    let storage = FlippingRereads { log: MemStorage::new(), armed: armed.clone() };
+    let mut sys =
+        MaxoidSystem::boot_journaled(JournalHandle::with_storage(Box::new(storage), 1).unwrap())
+            .expect("boot");
+    sys.install(INITIATOR, vec![], MaxoidManifest::new()).expect("install initiator");
+    let file = vpath("/p1/a");
+    sys.kernel.vfs().with_store(|s| s.mkdir_all(&vpath("/p1"), Uid::ROOT, Mode::PUBLIC)).unwrap();
+    sys.checkpoint_incremental().expect("first checkpoint");
+    // Past the retained prefix: a committed SQL frame to carry, and a file
+    // write only the next delta can carry.
+    let vals = ContentValues::new().put("word", "kept").put("frequency", 1);
+    sys.resolver.insert(&Caller::normal(INITIATOR), &words_uri(), &vals).expect("insert");
+    sys.kernel.vfs().with_store(|s| s.write(&file, b"ACKED", Uid::ROOT, Mode::PUBLIC)).unwrap();
+    let journal = sys.journal().expect("journaled").clone();
+    journal.flush().expect("the write is acknowledged");
+    let before = journal.bytes();
+    armed.store(true, Ordering::SeqCst);
+    let got = sys.checkpoint_incremental();
+    assert!(
+        matches!(got, Err(SystemError::Journal(JournalError::Corrupted { .. }))),
+        "a kept frame read back damaged: {got:?}"
+    );
+    assert_eq!(journal.bytes(), before, "the log is left as it was");
+    armed.store(false, Ordering::SeqCst);
+    sys.checkpoint_incremental().expect("a later checkpoint");
+    let rec = recover(&journal.bytes()).expect("recover");
+    assert_eq!(rec.vfs.with_store(|s| s.read(&file)).unwrap(), b"ACKED");
+    assert_eq!(recovered_fingerprint(&journal.bytes()), live_fingerprint(&mut sys));
 }
 
 /// Runs `cycles` gesture cycles — the initiator's delegate forks the
