@@ -307,7 +307,7 @@ mod tests {
     use maxoid::manifest::MaxoidManifest;
 
     fn boot_with(pkgs: &[&str]) -> MaxoidSystem {
-        let mut sys = MaxoidSystem::boot().unwrap();
+        let sys = MaxoidSystem::boot().unwrap();
         for p in pkgs {
             sys.install(p, vec![], MaxoidManifest::new()).unwrap();
         }
@@ -333,7 +333,7 @@ mod tests {
         );
         // Public trace: copy on the SD card — visible to any other app.
         let other_pkg = "com.other";
-        let mut sys2 = sys;
+        let sys2 = sys;
         sys2.install(other_pkg, vec![], MaxoidManifest::new()).unwrap();
         let other = sys2.launch(other_pkg).unwrap();
         assert_eq!(

@@ -78,7 +78,7 @@ mod tests {
     use maxoid::manifest::MaxoidManifest;
 
     fn boot() -> (MaxoidSystem, EBookDroid, String) {
-        let mut sys = MaxoidSystem::boot().unwrap();
+        let sys = MaxoidSystem::boot().unwrap();
         let viewer = EBookDroid::default();
         sys.install(&viewer.pkg, vec![], MaxoidManifest::new()).unwrap();
         sys.install("com.email", vec![], MaxoidManifest::new()).unwrap();

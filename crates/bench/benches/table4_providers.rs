@@ -19,7 +19,7 @@ fn bench_downloads(c: &mut Criterion) {
     for variant in ["baseline", "public", "volatile"] {
         g.bench_function(BenchmarkId::from_parameter(variant), |b| {
             b.iter(|| {
-                let mut sys = MaxoidSystem::boot().expect("boot");
+                let sys = MaxoidSystem::boot().expect("boot");
                 for i in 0..FILES {
                     sys.kernel.net.publish(
                         "files.example",
@@ -79,7 +79,7 @@ fn bench_media_scan(c: &mut Criterion) {
     for variant in ["public", "volatile"] {
         g.bench_function(BenchmarkId::from_parameter(variant), |b| {
             b.iter(|| {
-                let mut sys = MaxoidSystem::boot().expect("boot");
+                let sys = MaxoidSystem::boot().expect("boot");
                 sys.install("bench.cam", vec![], MaxoidManifest::new()).expect("install");
                 sys.install("bench.init", vec![], MaxoidManifest::new()).expect("install");
                 let pid = if variant == "volatile" {

@@ -13,7 +13,7 @@ use maxoid_vfs::{vpath, Mode};
 const PDF_SIZE: usize = 256 * 1024;
 
 fn setup(mode: &str, pkg: &str) -> (MaxoidSystem, Pid) {
-    let mut sys = MaxoidSystem::boot().expect("boot");
+    let sys = MaxoidSystem::boot().expect("boot");
     sys.install(pkg, vec![], MaxoidManifest::new()).expect("install");
     sys.install("bench.init", vec![], MaxoidManifest::new()).expect("install");
     let seeder = sys.launch("bench.init").expect("seeder");

@@ -49,7 +49,7 @@ const MAX_CACHED_RATIO: f64 = 3.0;
 const BACKENDS: [&str; 3] = ["resident", "paged_mem", "paged_file"];
 
 fn hot_store(backend: &str) -> Store {
-    let mut s = match backend {
+    let s = match backend {
         "resident" => Store::new(),
         "paged_mem" => Store::with_block_device(Box::new(MemDevice::new()), PAGES, THRESHOLD),
         "paged_file" => Store::with_block_device(
@@ -135,7 +135,7 @@ fn main() {
     println!("\nworking-set sweep (page budget {} KiB, sequential re-read passes):", PAGES * 4);
     for ratio in [0.5f64, 1.0, 2.0, 4.0] {
         let files = ((PAGES as f64 * ratio) as usize).max(1);
-        let mut s = Store::with_block_device(Box::new(MemDevice::new()), PAGES, THRESHOLD);
+        let s = Store::with_block_device(Box::new(MemDevice::new()), PAGES, THRESHOLD);
         s.mkdir_all(&vpath("/data"), Uid::ROOT, Mode::PUBLIC).expect("mkdir");
         let payload = vec![0x77u8; 4096];
         for i in 0..files {

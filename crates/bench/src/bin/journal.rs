@@ -19,7 +19,7 @@
 //!
 //! Run with: `cargo run --release -p maxoid-bench --bin journal`
 
-use maxoid::durability::{compact_log, recover};
+use maxoid::durability::{compact, recover};
 use maxoid_bench::{measure, measure_interleaved, BenchJson, Case, Measurement};
 use maxoid_journal::JournalHandle;
 use maxoid_sqldb::{Database, Value};
@@ -84,7 +84,7 @@ fn main() {
         MODES
             .iter()
             .map(|&(_, batch)| {
-                let mut store = Store::new();
+                let store = Store::new();
                 store.mkdir_all(&vpath("/data"), Uid::ROOT, Mode::PUBLIC).expect("mkdir");
                 if let Some(b) = batch {
                     store.set_journal(JournalHandle::with_batch(b).sink());
@@ -140,10 +140,8 @@ fn main() {
     println!("\nrecovery of compacted logs (identical live state, 100x history):");
     let mut compacted_medians = Vec::new();
     for n in [1_000usize, 100_000] {
-        let full = build_churn_log(n);
-        let (records, upto) = compact_log(&full).expect("compact");
-        let j = JournalHandle::with_batch(64);
-        j.replace_with(records, upto).expect("replace");
+        let j = build_churn_log(n);
+        j.with_flushed(compact).expect("flush").expect("compact");
         let log = j.bytes();
         let m = measure(
             30,
@@ -192,7 +190,7 @@ fn build_log(n: usize) -> Vec<u8> {
     db.set_journal(j.sink(), "db.bench");
     db.execute_batch("CREATE TABLE words (_id INTEGER PRIMARY KEY, word TEXT, frequency INTEGER);")
         .expect("schema");
-    let mut store = Store::new();
+    let store = Store::new();
     store.set_journal(j.sink());
     store.mkdir_all(&vpath("/data"), Uid::ROOT, Mode::PUBLIC).expect("mkdir");
     let payload = vec![0x5au8; 1024];
@@ -219,8 +217,8 @@ fn build_log(n: usize) -> Vec<u8> {
 /// independent of `n`: the ops cycle over 4 files and 50 dictionary rows
 /// with contents keyed by `i % 100`, so any `n` divisible by 100 lands
 /// every file and row on the same last value. Only the history length
-/// differs — exactly the input compaction collapses.
-fn build_churn_log(n: usize) -> Vec<u8> {
+/// differs — exactly the input compaction collapses. Returns the journal.
+fn build_churn_log(n: usize) -> JournalHandle {
     assert!(n % 100 == 0, "n must align the churn cycles");
     const FILES: usize = 4;
     const ROWS: usize = 50;
@@ -236,7 +234,7 @@ fn build_churn_log(n: usize) -> Vec<u8> {
         )
         .expect("seed");
     }
-    let mut store = Store::new();
+    let store = Store::new();
     store.set_journal(j.sink());
     store.mkdir_all(&vpath("/data"), Uid::ROOT, Mode::PUBLIC).expect("mkdir");
     for i in 0..n {
@@ -257,7 +255,7 @@ fn build_churn_log(n: usize) -> Vec<u8> {
         .expect("update");
     }
     j.flush().expect("flush");
-    j.bytes()
+    j
 }
 
 fn print_row(json: &mut BenchJson, section: &str, ms: &[Measurement]) {

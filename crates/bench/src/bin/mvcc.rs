@@ -18,8 +18,6 @@
 //! - `lat1/dict/...` single-thread regression cells with the
 //!   BENCH_cache methodology, so MVCC bookkeeping shows up next to the
 //!   PR-4 numbers if it slows the serial path.
-//! - `mvcc/chain/...` version-chain and GC statistics from a direct
-//!   [`Database`] workload holding snapshots across update storms.
 //!
 //! Run with: `cargo run --release -p maxoid-bench --bin mvcc`
 //! Writes `BENCH_mvcc.json`; exits non-zero when multi-reader
@@ -31,7 +29,6 @@
 use maxoid::manifest::MaxoidManifest;
 use maxoid::{ContentValues, MaxoidSystem, Pid, QueryArgs, Uri};
 use maxoid_bench::{measure, BenchJson, DictMode, DictWorkload, Unit};
-use maxoid_sqldb::Database;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
@@ -153,48 +150,6 @@ fn run_contended() -> f64 {
     total as f64 / secs
 }
 
-/// Direct sqldb workload surfacing version-chain and GC behaviour:
-/// update storms with a bounded set of live snapshots pinning history.
-fn chain_stats(json: &mut BenchJson) {
-    let mut db = Database::new();
-    db.execute_batch("CREATE TABLE t (_id INTEGER PRIMARY KEY, data TEXT);").expect("ddl");
-    for i in 0..100 {
-        db.execute("INSERT INTO t (data) VALUES (?1)", &[format!("v{i}").into()]).expect("seed");
-    }
-    // Rolling window of 4 live snapshots across 50 update rounds: each
-    // round rewrites every row, takes a fresh snapshot and drops the
-    // oldest, so GC can trim all but the pinned versions.
-    let mut window = std::collections::VecDeque::new();
-    for round in 0..50 {
-        for id in 1..=100i64 {
-            db.execute(
-                "UPDATE t SET data = ?1 WHERE _id = ?2",
-                &[format!("r{round}").into(), id.into()],
-            )
-            .expect("update");
-        }
-        window.push_back(db.begin_read().expect("snapshot"));
-        if window.len() > 4 {
-            window.pop_front();
-        }
-    }
-    drop(window);
-    let s = db.mvcc_stats();
-    println!(
-        "Version chains (100 rows x 50 update rounds, 4-snapshot window):\n  \
-         max chain {} | created {} | gced {} | live {} | published {}",
-        s.max_chain, s.versions_created, s.versions_gced, s.live_snapshots, s.snapshots_published
-    );
-    json.push_scalar("mvcc/chain/max_chain", s.max_chain as f64);
-    json.push_scalar("mvcc/chain/versions_created", s.versions_created as f64);
-    json.push_scalar("mvcc/chain/versions_gced", s.versions_gced as f64);
-    json.push_scalar("mvcc/chain/live_snapshots", s.live_snapshots as f64);
-    json.push_scalar("mvcc/chain/snapshots_published", s.snapshots_published as f64);
-    // Chains must stay bounded by the snapshot window, not grow with
-    // the number of rounds.
-    assert!(s.max_chain <= 4 + 2, "version chains grew unbounded: {}", s.max_chain);
-}
-
 fn main() {
     let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
     let mut json = BenchJson::new();
@@ -276,8 +231,6 @@ fn main() {
         Unit::OpsPerSec,
     );
     println!("  4 readers + 1 writer: {contended:>12.0} q/s (reader aggregate)\n");
-
-    chain_stats(&mut json);
 
     json.write("BENCH_mvcc.json").expect("write BENCH_mvcc.json");
     println!("\n(wrote BENCH_mvcc.json)");

@@ -11,19 +11,26 @@
 //!   statement a provider database executed, which on replay rebuilds
 //!   the full catalog (tables, indexes, views, triggers) and rows.
 //!
-//! [`recover`] replays the *committed* prefix of a log against a fresh
-//! substrate. Records inside a journal transaction apply only if every
-//! enclosing transaction committed before the crash, so a volatile-state
-//! commit interrupted at any record boundary lands all-committed or
-//! all-volatile — never between (the S2 invariant exercised by the crash
-//! fault-injection tests). A `Snapshot` record (written by compaction)
-//! resets its component wholesale, and a `SnapshotDelta` (written by an
-//! incremental checkpoint) merges over it, before later records re-apply.
-//! Both arrive through one journal rewrite that replaces the log
-//! atomically, so a crash mid-checkpoint or mid-compaction recovers the
-//! log from before it or the one after it.
+//! Every reader of a log goes through the journal's one replay
+//! ([`maxoid_journal::replay()`], or [`Journal::replay`] over storage),
+//! which scans the log one frame at a time and hands on each record as
+//! soon as the redo filter settles it as taking effect; the substrate is
+//! rebuilt as the records arrive. [`recover`] replays a log in memory,
+//! the cold boot replays the journal's own storage through one window of
+//! it, and [`compact`] replays it into a scratch substrate. Records inside
+//! a journal transaction apply only if every enclosing transaction
+//! committed before the crash, so a volatile-state commit interrupted at
+//! any record boundary lands all-committed or all-volatile — never
+//! between (the S2 invariant exercised by the crash fault-injection
+//! tests). A `SnapshotDelta` (the store's one image format, written by
+//! checkpoints and by compaction) merges over the store the earlier
+//! records rebuilt, before later records re-apply. Every image arrives
+//! through one journal rewrite that replaces the log atomically, so a
+//! crash mid-checkpoint or mid-compaction recovers the log from before it
+//! or the one after it.
 
-use maxoid_journal::{committed_records, read_records, Record, TailState};
+use crate::system::{SystemError, SystemResult};
+use maxoid_journal::{Journal, Record, TailState};
 use maxoid_sqldb::{Database, FlattenPolicy};
 use maxoid_vfs::Vfs;
 use std::collections::BTreeMap;
@@ -49,7 +56,7 @@ pub enum RecoveryError {
         /// The underlying SQL error.
         error: maxoid_sqldb::SqlError,
     },
-    /// A snapshot record named a component this version cannot restore.
+    /// An image record named a component this version cannot restore.
     UnknownComponent(String),
     /// The log carries damage a torn write cannot explain (mid-log bit
     /// rot, bad magic, checksum failure on a complete frame). Committed
@@ -76,18 +83,22 @@ impl std::fmt::Display for RecoveryError {
 
 impl std::error::Error for RecoveryError {}
 
+impl From<RecoveryError> for SystemError {
+    fn from(e: RecoveryError) -> Self {
+        SystemError::Recovery(e.to_string())
+    }
+}
+
 /// The substrate rebuilt from a journal.
 #[derive(Debug)]
 pub struct RecoveredSubstrate {
-    /// The file store, rebuilt record by record (or from a snapshot).
+    /// The file store, rebuilt record by record and image by image.
     pub vfs: Vfs,
     /// Provider databases keyed by full component name
     /// (`db.<authority>`).
     pub dbs: BTreeMap<String, Database>,
     /// Whether the log ended cleanly or with a torn (truncated) frame.
     pub tail: TailState,
-    /// Number of committed records applied.
-    pub applied: usize,
 }
 
 impl RecoveredSubstrate {
@@ -98,6 +109,62 @@ impl RecoveredSubstrate {
         self.dbs
             .remove(&format!("{DB_COMPONENT_PREFIX}{authority}"))
             .unwrap_or_else(|| Database::with_policy(FlattenPolicy::Sqlite386))
+    }
+}
+
+/// A substrate rebuilt from the records a replay hands on, as they
+/// arrive, into `vfs` — empty, with no journal sink attached: replay must
+/// not re-log itself. The first record that fails to apply is kept, and
+/// the ones after it are skipped.
+struct Rebuild {
+    vfs: Vfs,
+    dbs: BTreeMap<String, Database>,
+    failed: Option<RecoveryError>,
+}
+
+impl Rebuild {
+    fn new(vfs: Vfs) -> Self {
+        Rebuild { vfs, dbs: BTreeMap::new(), failed: None }
+    }
+
+    /// Applies one record that takes effect.
+    fn apply(&mut self, rec: Record) {
+        if self.failed.is_some() {
+            return;
+        }
+        let vfs = &self.vfs;
+        let result = match rec {
+            Record::Vfs(v) => {
+                vfs.with_store_mut(|s| s.apply_journal_record(&v)).map_err(RecoveryError::Vfs)
+            }
+            Record::SnapshotDelta { component, payload } if component == VFS_COMPONENT => {
+                vfs.with_store_mut(|s| s.apply_dirty_image(&payload)).map_err(RecoveryError::Vfs)
+            }
+            Record::SnapshotDelta { component, .. } => {
+                Err(RecoveryError::UnknownComponent(component))
+            }
+            Record::Sql { db, sql, params } => self
+                .dbs
+                .entry(db.clone())
+                .or_insert_with(|| Database::with_policy(FlattenPolicy::Sqlite386))
+                .apply_journal_sql(&sql, &params)
+                .map_err(|error| RecoveryError::Sql { db, error }),
+            // The replay hands on no transaction markers and no path
+            // dictionary definitions.
+            _ => Ok(()),
+        };
+        self.failed = result.err();
+    }
+
+    /// The rebuilt substrate, once the replay ended with `tail`. Damage
+    /// wins over a record that failed to apply before it: nothing in a
+    /// damaged log can be trusted, so the damage is what to report.
+    fn finish(self, tail: TailState) -> Result<RecoveredSubstrate, RecoveryError> {
+        match (tail, self.failed) {
+            (TailState::Corrupted { offset }, _) => Err(RecoveryError::Corrupted { offset }),
+            (_, Some(e)) => Err(e),
+            (tail, None) => Ok(RecoveredSubstrate { vfs: self.vfs, dbs: self.dbs, tail }),
+        }
     }
 }
 
@@ -112,99 +179,55 @@ impl RecoveredSubstrate {
 /// Recovered databases use the default planner policy; the policy is an
 /// execution-time setting, not journaled state.
 pub fn recover(log_bytes: &[u8]) -> Result<RecoveredSubstrate, RecoveryError> {
-    recover_into(log_bytes, Vfs::new())
+    let mut rebuild = Rebuild::new(Vfs::new());
+    let tail = maxoid_journal::replay(log_bytes, |rec| rebuild.apply(rec));
+    rebuild.finish(tail)
 }
 
-/// Like [`recover`], but replays into a caller-provided (empty) VFS — the
-/// cold-boot path hands in a block-backed store so recovered file payloads
-/// spill to device pages instead of resident memory. The VFS must have no
-/// journal sink attached yet; replay must not re-log itself.
-pub fn recover_into(log_bytes: &[u8], vfs: Vfs) -> Result<RecoveredSubstrate, RecoveryError> {
-    let log = read_records(log_bytes);
-    if let TailState::Corrupted { offset } = log.tail {
-        return Err(RecoveryError::Corrupted { offset });
-    }
-    let tail = log.tail.clone();
-    let records = committed_records(&log);
-    let mut dbs: BTreeMap<String, Database> = BTreeMap::new();
-    let mut applied = 0;
-    for rec in &records {
-        match rec {
-            Record::Vfs(v) => {
-                vfs.with_store_mut(|s| s.apply_journal_record(v)).map_err(RecoveryError::Vfs)?;
-            }
-            Record::Sql { db, sql, params } => {
-                let database = dbs
-                    .entry(db.clone())
-                    .or_insert_with(|| Database::with_policy(FlattenPolicy::Sqlite386));
-                database
-                    .apply_journal_sql(sql, params)
-                    .map_err(|error| RecoveryError::Sql { db: db.clone(), error })?;
-            }
-            Record::Snapshot { component, payload } => {
-                if component == VFS_COMPONENT {
-                    vfs.with_store_mut(|s| s.restore_image(payload)).map_err(RecoveryError::Vfs)?;
-                } else {
-                    return Err(RecoveryError::UnknownComponent(component.clone()));
-                }
-            }
-            Record::SnapshotDelta { component, payload } => {
-                if component == VFS_COMPONENT {
-                    vfs.with_store_mut(|s| s.apply_dirty_image(payload))
-                        .map_err(RecoveryError::Vfs)?;
-                } else {
-                    return Err(RecoveryError::UnknownComponent(component.clone()));
-                }
-            }
-            // A compaction marker records the LSN horizon the rewritten
-            // log subsumes; the records that follow it *are* the state.
-            Record::Compaction { .. } => {}
-            // committed_records consumes transaction markers and path
-            // dictionary definitions.
-            Record::TxnBegin { .. }
-            | Record::TxnCommit { .. }
-            | Record::TxnRollback { .. }
-            | Record::PathDef { .. } => {}
-        }
-        applied += 1;
-    }
-    Ok(RecoveredSubstrate { vfs, dbs, tail, applied })
+/// Like [`recover`], over `journal`'s durable log read through one window
+/// of its storage, into `vfs` (empty, no journal sink) — the cold boot
+/// hands in a block-backed store, so recovered file payloads spill to
+/// device pages instead of resident memory. A log that cannot be read
+/// fails with the read error.
+pub(crate) fn recover_journal(journal: &Journal, vfs: Vfs) -> SystemResult<RecoveredSubstrate> {
+    let mut rebuild = Rebuild::new(vfs);
+    let tail = journal.replay(|rec| rebuild.apply(rec))?;
+    Ok(rebuild.finish(tail)?)
 }
 
-/// Builds a compacted replacement for `log_bytes`: records that replay to
-/// the *same* live state without the uptime history. Returns the records
-/// plus the highest LSN they subsume (for the `Compaction` marker).
+/// Compacts `journal`: records that replay to the *same* live state
+/// without the uptime history. The durable log is replayed into a scratch
+/// substrate, collecting the committed DDL statements (CREATE/DROP/ALTER —
+/// catalog state that rows alone cannot reproduce) in the same pass; the
+/// log is then rewritten from empty as that DDL in log order, each
+/// database's row dump, and the scratch store's image. Row-churn history
+/// (INSERT/UPDATE/DELETE chains) collapses into the final rows, which is
+/// what bounds recovery cost by live state. The scratch store was built
+/// from empty, so every slot is in its dirty set and its dirty image is
+/// the whole store, allocation state included; it streams into the new
+/// log as a checkpoint's delta does.
 ///
-/// The rewrite is: one VFS snapshot of the recovered store; the committed
-/// DDL statements in original order (CREATE/DROP/ALTER — catalog state
-/// that rows alone cannot reproduce); then each database's row dump.
-/// Row-churn history (INSERT/UPDATE/DELETE chains) collapses into the
-/// final rows, which is what bounds recovery cost by live state.
-pub fn compact_log(log_bytes: &[u8]) -> Result<(Vec<Record>, u64), RecoveryError> {
-    let log = read_records(log_bytes);
-    if let TailState::Corrupted { offset } = log.tail {
-        return Err(RecoveryError::Corrupted { offset });
-    }
-    let upto = log.last_lsn();
-    let sub = recover(log_bytes)?;
+/// The caller holds the journal from the replay through the rewrite
+/// ([`maxoid_journal::JournalHandle::with_flushed`]), so no record becomes
+/// durable between them. A log that cannot be read or replayed is an
+/// error, and the log stays as it was.
+pub fn compact(journal: &mut Journal) -> SystemResult<()> {
+    let mut rebuild = Rebuild::new(Vfs::new());
     let mut records = Vec::new();
-    records.push(Record::Snapshot {
-        component: VFS_COMPONENT.to_string(),
-        payload: sub.vfs.with_store(|s| s.snapshot_image()),
-    });
-    for rec in committed_records(&log) {
-        if let Record::Sql { ref sql, .. } = rec {
-            if is_ddl(sql) {
-                records.push(rec);
-            }
+    let tail = journal.replay(|rec| {
+        if matches!(&rec, Record::Sql { sql, .. } if is_ddl(sql)) {
+            records.push(rec.clone());
         }
-    }
+        rebuild.apply(rec)
+    })?;
+    let sub = rebuild.finish(tail)?;
     for (component, db) in &sub.dbs {
         for (sql, params) in db.dump_sql() {
             records.push(Record::Sql { db: component.clone(), sql, params });
         }
     }
-    Ok((records, upto))
+    sub.vfs.with_store(|s| journal.compact(&records, VFS_COMPONENT, &s.dirty_image()))?;
+    Ok(())
 }
 
 /// True for statements that define catalog state (tables, indexes, views,
@@ -220,8 +243,13 @@ fn is_ddl(sql: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maxoid_journal::JournalHandle;
+    use maxoid_journal::{JournalHandle, MemStorage, Storage};
     use maxoid_vfs::{vpath, Mode, Uid};
+
+    /// Compacts `j` as `MaxoidSystem::compact` does.
+    fn compact_journal(j: &JournalHandle) {
+        j.with_flushed(compact).unwrap().unwrap();
+    }
 
     #[test]
     fn recover_rebuilds_vfs_and_db() {
@@ -301,10 +329,8 @@ mod tests {
         j.flush().unwrap();
         let full = j.bytes();
 
-        let (records, upto) = compact_log(&full).unwrap();
-        let j2 = JournalHandle::with_batch(1);
-        j2.replace_with(records, upto).unwrap();
-        let compacted = j2.bytes();
+        compact_journal(&j);
+        let compacted = j.bytes();
         assert!(compacted.len() < full.len(), "compaction should shrink a churned log");
 
         let mut from_full = recover(&full).unwrap();
@@ -330,6 +356,35 @@ mod tests {
         }
         let q = "SELECT _id FROM t WHERE v = 'new'";
         assert_eq!(a.query(q, &[]).unwrap().rows, b.query(q, &[]).unwrap().rows);
+    }
+
+    #[test]
+    fn cold_boot_from_a_compacted_log_reuses_the_same_hole() {
+        let j = JournalHandle::with_batch(1);
+        let vfs = Vfs::new();
+        vfs.attach_journal(j.sink());
+        vfs.with_store_mut(|s| {
+            s.mkdir_all(&vpath("/a"), Uid::ROOT, Mode::PUBLIC).unwrap();
+            s.mkdir_all(&vpath("/b"), Uid::ROOT, Mode::PUBLIC).unwrap();
+            s.write(&vpath("/a/f"), b"1", Uid::ROOT, Mode::PUBLIC).unwrap();
+            s.write(&vpath("/b/g"), b"2", Uid::ROOT, Mode::PUBLIC).unwrap();
+            s.unlink(&vpath("/a/f")).unwrap(); // leave a hole in the inode table
+        });
+        compact_journal(&j);
+        // A cold boot: a journal reopened over the compacted log, replayed
+        // through its storage.
+        let mut storage = MemStorage::new();
+        storage.append(&j.bytes()).unwrap();
+        let reopened = Journal::new(Box::new(storage), 1).unwrap();
+        let booted = recover_journal(&reopened, Vfs::new()).unwrap();
+        assert_eq!(booted.vfs.with_store(|s| s.dump_tree()), vfs.with_store(|s| s.dump_tree()));
+        // Allocation state came through the image: the next allocation
+        // reuses the hole in both stores, and the clocks agree.
+        let write = |v: &Vfs| {
+            v.with_store_mut(|s| s.write(&vpath("/n"), b"x", Uid::ROOT, Mode::PUBLIC)).unwrap()
+        };
+        assert_eq!(write(&booted.vfs), write(&vfs));
+        assert_eq!(booted.vfs.with_store(|s| s.now()), vfs.with_store(|s| s.now()));
     }
 
     #[test]

@@ -52,7 +52,9 @@
 //! `clear_priv` for one initiator while other initiators proceed in
 //! parallel. An incremental checkpoint holds every store shard across
 //! its journal rewrite (store shards → journal state → storage), so
-//! store readers wait out the rewrite.
+//! store readers wait out the rewrite. A compaction holds the journal
+//! state from its replay through its rewrite (journal state → storage,
+//! no store or provider lock), so writers wait out the compaction.
 
 use crate::ams::{ActivityManager, AmsError, Route};
 use crate::branch_manager::{BranchLocator, BranchManager};
@@ -90,7 +92,7 @@ pub enum SystemError {
     Journal(maxoid_journal::JournalError),
     /// A block-device operation (partition table, storage tier) failed.
     Block(maxoid_block::BlockError),
-    /// Log compaction could not replay the current log.
+    /// The log could not be replayed (cold boot or compaction).
     Recovery(String),
 }
 
@@ -103,7 +105,7 @@ impl std::fmt::Display for SystemError {
             SystemError::Provider(e) => write!(f, "provider: {e}"),
             SystemError::Journal(e) => write!(f, "journal: {e}"),
             SystemError::Block(e) => write!(f, "block: {e}"),
-            SystemError::Recovery(e) => write!(f, "compaction replay: {e}"),
+            SystemError::Recovery(e) => write!(f, "log replay: {e}"),
         }
     }
 }
@@ -311,17 +313,15 @@ impl MaxoidSystem {
         sp.field("journaled", if journal.is_some() { "true" } else { "false" });
 
         // Cold boot: the handle was opened over existing storage. Replay
-        // the committed log into the bare VFS *before* any journal sink is
-        // attached (replay must not re-log itself), and keep the recovered
-        // provider databases for adoption below. A log that cannot be read
-        // fails the boot rather than booting an empty device.
+        // the committed log, through one window of it, into the bare VFS
+        // *before* any journal sink is attached (replay must not re-log
+        // itself), and keep the recovered provider databases for adoption
+        // below. A log that cannot be read fails the boot rather than
+        // booting an empty device.
         let mut recovered = None;
-        if let Some(j) = &journal {
-            if !j.is_empty() {
-                let sub = crate::durability::recover_into(&j.try_bytes()?, vfs.clone())
-                    .map_err(|e| SystemError::Recovery(e.to_string()))?;
-                recovered = Some(sub);
-            }
+        if let Some(j) = journal.as_ref().filter(|j| !j.is_empty()) {
+            let vfs = vfs.clone();
+            recovered = Some(j.with(|j| crate::durability::recover_journal(j, vfs))?);
         }
         sp.field("cold_boot", if recovered.is_some() { "true" } else { "false" });
 
@@ -398,7 +398,7 @@ impl MaxoidSystem {
     /// the physical VFS records it subsumes. The delta scales with the
     /// working set, and the journal scans, filters and replaces only what
     /// was logged since its last rewrite (the retained prefix — earlier
-    /// snapshots and the committed SQL history — stays in place), in one
+    /// images and the committed SQL history — stays in place), in one
     /// storage write. So the call costs O(bytes logged since the last
     /// checkpoint).
     ///
@@ -422,21 +422,20 @@ impl MaxoidSystem {
         Ok(())
     }
 
-    /// Compacts the journal: recovery-replays the current log in memory,
-    /// then rewrites it as a snapshot + catalog DDL + row dumps, so a
-    /// subsequent recovery replays *live state* instead of uptime
-    /// history. The rewrite rides the journal's own locking (state →
-    /// storage order), and records enqueued after it land after it; but
-    /// records made durable between the log read and the rewrite are not
-    /// in the compacted log. A log that cannot be read is an error, and
-    /// the log stays as it was.
+    /// Compacts the journal: replays the durable log into a scratch
+    /// substrate, then rewrites it from empty as catalog DDL + row dumps +
+    /// the scratch store's image, so a subsequent recovery replays *live
+    /// state* instead of uptime history (see
+    /// [`crate::durability::compact`]). Once any in-flight group commit
+    /// has landed, the flush, the replay and the rewrite run under one
+    /// hold of the journal-state lock, so every record durable before the
+    /// rewrite is in the compacted log, and every record appended during
+    /// it waits and lands after it. No store or provider lock is taken. A
+    /// log that cannot be read is an error, and the log stays as it was.
     pub fn compact(&self) -> SystemResult<()> {
         if let Some(j) = &self.journal {
             let _sp = maxoid_obs::span("system.compact");
-            j.flush()?;
-            let (records, upto) = crate::durability::compact_log(&j.try_bytes()?)
-                .map_err(|e| SystemError::Recovery(e.to_string()))?;
-            j.replace_with(records, upto)?;
+            j.with_flushed(crate::durability::compact)??;
             maxoid_obs::counter_add("system.compactions", 1);
         }
         Ok(())

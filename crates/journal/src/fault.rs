@@ -136,7 +136,7 @@ impl Storage for FaultStorage {
 mod tests {
     use super::*;
     use crate::record::{Record, VfsRecord};
-    use crate::replay::{committed_records, read_records, TailState};
+    use crate::replay::{read_records, replay, TailState};
     use crate::wal::Journal;
 
     fn rec(path: &str) -> Record {
@@ -195,8 +195,9 @@ mod tests {
         assert!(log.records.len() < 10);
         assert!(j.stats().io_errors > 0);
         // The surviving prefix still replays.
-        let recs = committed_records(&log);
-        assert_eq!(recs.len(), log.records.len());
+        let mut recs = 0;
+        replay(&bytes, |_| recs += 1);
+        assert_eq!(recs, log.records.len());
     }
 
     #[test]
@@ -207,9 +208,8 @@ mod tests {
         for i in 0..10 {
             j.append(&rec(&format!("/f{i}"))).unwrap();
         }
-        let upto = read_records(&j.bytes()).last_lsn();
-        let replacement = vec![Record::Snapshot { component: "c".into(), payload: vec![7; 64] }];
-        assert_eq!(j.replace_with(replacement, upto), Err(JournalError::Crashed));
+        let sql = Record::Sql { db: "d".into(), sql: "CREATE TABLE t (x)".into(), params: vec![] };
+        assert_eq!(j.compact(&[sql], "c", &[7; 64][..]), Err(JournalError::Crashed));
         assert_eq!(j.bytes(), old, "a failed rewrite leaves the old log whole");
     }
 
@@ -246,7 +246,6 @@ mod tests {
         let t = j.begin_txn().unwrap();
         j.append(&rec("/x")).unwrap();
         assert!(j.commit_txn(t).is_err());
-        let recs = committed_records(&read_records(&j.bytes()));
-        assert!(recs.is_empty(), "uncommitted txn must not apply");
+        replay(&j.bytes(), |r| panic!("uncommitted txn must not apply: {r:?}"));
     }
 }

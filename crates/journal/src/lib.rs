@@ -15,7 +15,8 @@
 //! * [`record`] — typed records and their binary encoding;
 //! * [`wal`] — frames, group commit, transactions, log rewrites,
 //!   [`JournalSink`];
-//! * [`replay`] — torn-tail-tolerant parsing + the redo filter;
+//! * [`replay`](mod@replay) — torn-tail-tolerant parsing, the redo
+//!   filter, and the one replay that reads records back;
 //! * [`fault`] — crash-point surgery and a byte-budget fault storage;
 //! * [`blockstore`] — the log on a `maxoid-block` device behind a page
 //!   cache, for logs that outgrow memory and cold boots from a file.
@@ -31,7 +32,7 @@ pub use blockstore::BlockStorage;
 pub use codec::{CodecError, Put};
 pub use fault::{crash_prefix, flip_byte, record_boundaries, torn_log, FaultStorage};
 pub use record::{ParamValue, Record, VfsRecord};
-pub use replay::{committed_records, read_records, ReadLog, TailState};
+pub use replay::{read_records, replay, ReadLog, TailState, SCAN_WINDOW};
 pub use wal::{
     Delta, Fill, Journal, JournalHandle, JournalSink, JournalStats, MemStorage, NullSink,
     Replacement, SinkRef, Storage, Tail, DEFAULT_BATCH, LOG_PREAMBLE,

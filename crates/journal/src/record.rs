@@ -106,23 +106,17 @@ pub enum Record {
     TxnRollback { txn: u64 },
     /// A logically-logged SQL mutation against database `db`.
     Sql { db: String, sql: String, params: Vec<ParamValue> },
-    /// An opaque component snapshot (e.g. an exact VFS store image).
-    /// Replay restores the snapshot, then applies later records.
-    Snapshot { component: String, payload: Vec<u8> },
     /// A physically-logged backing-store mutation.
     Vfs(VfsRecord),
     /// Defines path-dictionary id `id` as `path` for every later record in
     /// the log. Pure framing metadata: it carries no state and is skipped
     /// by the redo filter.
     PathDef { id: u32, path: String },
-    /// An incremental component snapshot: only the state dirtied since the
-    /// previous `Snapshot`/`SnapshotDelta` for this component. Replay
-    /// merges it over whatever those earlier records rebuilt.
+    /// A component's image: the state dirtied since the previous
+    /// `SnapshotDelta` for this component — all of it, for a component
+    /// rebuilt from empty, as a compaction writes it. Replay merges it over
+    /// whatever the earlier records rebuilt.
     SnapshotDelta { component: String, payload: Vec<u8> },
-    /// Marks a log produced by compaction: the records that follow
-    /// reconstruct the live state that history up to `upto_lsn` had built.
-    /// Informational on replay.
-    Compaction { upto_lsn: u64 },
 }
 
 /// A record's kind: what the frame scanner reports of a payload it
@@ -133,25 +127,18 @@ pub(crate) enum Kind {
     TxnCommit,
     TxnRollback,
     Sql,
-    Snapshot,
     Vfs,
     PathDef,
     SnapshotDelta,
-    Compaction,
 }
 
 impl Kind {
-    /// The kinds a retained prefix may hold (see `wal`): no transaction
-    /// markers, no `PathDef`s and no VFS records.
+    /// The kinds a retained prefix may hold (see `wal`), which are the
+    /// kinds a checkpoint carries forward from the log it rewrites: the
+    /// image chain and the SQL history. No transaction markers, no
+    /// `PathDef`s, and no VFS records, which the new image subsumes.
     pub(crate) fn retainable(self) -> bool {
-        matches!(self, Kind::Snapshot | Kind::SnapshotDelta | Kind::Sql | Kind::Compaction)
-    }
-
-    /// The kinds a checkpoint carries forward from the log it rewrites:
-    /// the snapshot chain and the SQL history. VFS records are subsumed by
-    /// the new delta, and compaction markers are informational.
-    pub(crate) fn carried(self) -> bool {
-        matches!(self, Kind::Snapshot | Kind::SnapshotDelta | Kind::Sql)
+        matches!(self, Kind::SnapshotDelta | Kind::Sql)
     }
 }
 
@@ -160,11 +147,11 @@ const T_TXN_BEGIN: u8 = 1;
 const T_TXN_COMMIT: u8 = 2;
 const T_TXN_ROLLBACK: u8 = 3;
 const T_SQL: u8 = 4;
-const T_SNAPSHOT: u8 = 5;
+// Tag 5 (a whole-store snapshot) and tag 9 (a compaction marker) were
+// retired with log format v3; a v4 log never holds them.
 const T_VFS: u8 = 6;
 const T_PATH_DEF: u8 = 7;
 const T_SNAPSHOT_DELTA: u8 = 8;
-const T_COMPACTION: u8 = 9;
 
 // VfsRecord tags.
 const V_MKDIR: u8 = 1;
@@ -465,11 +452,6 @@ impl Record {
                     p.encode(w);
                 }
             }
-            Record::Snapshot { component, payload } => {
-                w.put_u8(T_SNAPSHOT);
-                w.put_str(component);
-                w.put_bytes(payload);
-            }
             Record::Vfs(v) => {
                 w.put_u8(T_VFS);
                 v.encode(w, ids);
@@ -482,10 +464,6 @@ impl Record {
             Record::SnapshotDelta { component, payload } => {
                 Record::put_snapshot_delta_head(w, component, payload.len() as u32);
                 w.put_raw(payload);
-            }
-            Record::Compaction { upto_lsn } => {
-                w.put_u8(T_COMPACTION);
-                w.put_u64(*upto_lsn);
             }
         }
     }
@@ -509,13 +487,11 @@ impl Record {
                 }
                 Record::Sql { db, sql, params }
             }
-            T_SNAPSHOT => Record::Snapshot { component: r.get_str()?, payload: r.get_bytes()? },
             T_VFS => Record::Vfs(VfsRecord::decode(&mut r, dict)?),
             T_PATH_DEF => Record::PathDef { id: r.get_u32()?, path: r.get_str()? },
             T_SNAPSHOT_DELTA => {
                 Record::SnapshotDelta { component: r.get_str()?, payload: r.get_bytes()? }
             }
-            T_COMPACTION => Record::Compaction { upto_lsn: r.get_u64()? },
             t => return Err(CodecError::BadTag(t)),
         };
         Ok(rec)
@@ -544,10 +520,10 @@ impl Record {
                 }
                 (Kind::Sql, 0)
             }
-            tag @ (T_SNAPSHOT | T_SNAPSHOT_DELTA) => {
+            T_SNAPSHOT_DELTA => {
                 r.get_str_ref()?;
                 r.get_slice()?;
-                (if tag == T_SNAPSHOT { Kind::Snapshot } else { Kind::SnapshotDelta }, 0)
+                (Kind::SnapshotDelta, 0)
             }
             T_VFS => {
                 VfsRecord::check(&mut r, ids)?;
@@ -557,10 +533,6 @@ impl Record {
                 let id = r.get_u32()?;
                 r.get_str_ref()?;
                 (Kind::PathDef, id as u64)
-            }
-            T_COMPACTION => {
-                r.get_u64()?;
-                (Kind::Compaction, 0)
             }
             t => return Err(CodecError::BadTag(t)),
         })
@@ -587,11 +559,9 @@ impl Record {
             Record::TxnCommit { .. } => Kind::TxnCommit,
             Record::TxnRollback { .. } => Kind::TxnRollback,
             Record::Sql { .. } => Kind::Sql,
-            Record::Snapshot { .. } => Kind::Snapshot,
             Record::Vfs(_) => Kind::Vfs,
             Record::PathDef { .. } => Kind::PathDef,
             Record::SnapshotDelta { .. } => Kind::SnapshotDelta,
-            Record::Compaction { .. } => Kind::Compaction,
         }
     }
 
@@ -604,14 +574,11 @@ impl Record {
     }
 
     /// True for records that must force a group-commit flush: transaction
-    /// boundaries (durability of the commit decision) and snapshots.
+    /// boundaries (durability of the commit decision) and images.
     pub fn forces_flush(&self) -> bool {
         matches!(
             self,
-            Record::TxnCommit { .. }
-                | Record::TxnRollback { .. }
-                | Record::Snapshot { .. }
-                | Record::SnapshotDelta { .. }
+            Record::TxnCommit { .. } | Record::TxnRollback { .. } | Record::SnapshotDelta { .. }
         )
     }
 }
@@ -643,7 +610,6 @@ mod tests {
                 ParamValue::Blob(vec![0, 255]),
             ],
         });
-        roundtrip(Record::Snapshot { component: "vfs.store".into(), payload: vec![9; 100] });
         roundtrip(Record::Vfs(VfsRecord::Mkdir {
             path: "/a/b".into(),
             owner: 10001,
@@ -667,7 +633,6 @@ mod tests {
     fn v2_only_variants_roundtrip() {
         roundtrip(Record::PathDef { id: 3, path: "/a/b".into() });
         roundtrip(Record::SnapshotDelta { component: "vfs.store".into(), payload: vec![1, 2] });
-        roundtrip(Record::Compaction { upto_lsn: 900 });
         roundtrip(Record::Vfs(VfsRecord::WriteDelta {
             path: "/f".into(),
             prefix: 3,
@@ -704,15 +669,20 @@ mod tests {
 
     #[test]
     fn decode_rejects_unknown_tag() {
-        assert!(matches!(Record::decode(&[200], &HashMap::new()), Err(CodecError::BadTag(200))));
-        assert_eq!(Record::check(&[200], None), Err(CodecError::BadTag(200)));
+        // The retired tags of a v3 log's snapshot and compaction marker
+        // read like any unknown tag.
+        for tag in [200, 5, 9] {
+            let payload = [tag, 0, 0, 0, 0, 0, 0, 0, 0];
+            assert_eq!(Record::decode(&payload, &HashMap::new()), Err(CodecError::BadTag(tag)));
+            assert_eq!(Record::check(&payload, None), Err(CodecError::BadTag(tag)));
+        }
     }
 
     #[test]
     fn flush_forcing_records() {
         assert!(Record::TxnCommit { txn: 1 }.forces_flush());
         assert!(Record::TxnRollback { txn: 1 }.forces_flush());
-        assert!(Record::Snapshot { component: "c".into(), payload: vec![] }.forces_flush());
+        assert!(Record::SnapshotDelta { component: "c".into(), payload: vec![] }.forces_flush());
         assert!(!Record::TxnBegin { txn: 1 }.forces_flush());
         assert!(!Record::Vfs(VfsRecord::Unlink { path: "/f".into() }).forces_flush());
     }

@@ -7,14 +7,19 @@
 //! record, and reports each accepted frame's LSN, kind, transaction id
 //! and byte range. It reads through a [`Source`]: a log in memory, or
 //! storage read through a fixed window ([`Windowed`]), so opening a
-//! journal or checkpointing one holds one window of the log, not all of
-//! it. [`read_records`] is the scan followed by decoding the frames it
-//! accepted.
+//! journal, checkpointing one or replaying one holds one window of the
+//! log, not all of it.
 //!
 //! The redo filter ([`Redo`]) is fed one frame at a time, with whatever
 //! item the caller tracks for it, so a checkpoint can feed it byte ranges
 //! and keep the frames that take effect as ranges to copy verbatim later,
 //! instead of cloning and re-encoding their records.
+//!
+//! [`replay`] is the one reader of records: the scan, one decode step per
+//! accepted frame, and the redo filter, which hands each record on as soon
+//! as it settles as taking effect. Recovery, cold boot and compaction all
+//! read a log through it. [`read_records`] is the scan plus the same
+//! decode step, for frame-level inspection.
 //!
 //! Recovery is redo-only: a record inside a journal transaction applies iff
 //! *every* enclosing transaction has a durable `TxnCommit`. Transactions
@@ -71,34 +76,74 @@ pub struct ReadLog {
 impl ReadLog {
     /// Highest LSN seen, or 0 for an empty log.
     pub fn last_lsn(&self) -> u64 {
-        self.records.last().map(|(l, _)| *l).unwrap_or(0)
+        self.frames.last().map_or(0, |f| f.lsn)
     }
 }
 
-/// Parses a whole log: [`scan`] gives the verdicts, then the frames it
-/// accepted are decoded, with literal paths (interning is a wire-format
-/// concern, invisible above this function). Valid prefix records are
-/// returned whatever the tail; on `Corrupted` the caller must not treat
-/// them as the whole history.
+/// The decode step: builds the record of a frame the scanner accepted,
+/// with literal paths (interning is a wire-format concern, invisible above
+/// this step), and grows the path dictionary as `PathDef`s pass.
+#[derive(Default)]
+struct Decoder {
+    dict: HashMap<u32, String>,
+}
+
+impl Decoder {
+    /// The record of `frame`, a whole frame [`scan`] accepted.
+    fn decode(&mut self, frame: &[u8]) -> Record {
+        let rec = Record::decode(&frame[FRAME_HEADER..], &self.dict)
+            .expect("the scanner checked this payload");
+        if let Record::PathDef { id, path } = &rec {
+            self.dict.insert(*id, path.clone());
+        }
+        rec
+    }
+}
+
+/// Parses a whole log in memory: [`scan`] gives the verdicts, and each
+/// frame it accepted is decoded. Valid prefix records are returned
+/// whatever the tail; on `Corrupted` the caller must not treat them as the
+/// whole history. For inspecting frames; [`replay`] is what reads the
+/// records that take effect.
 pub fn read_records(bytes: &[u8]) -> ReadLog {
-    let mut frames = Vec::new();
-    let tail = match scan(&mut &bytes[..], 0, |f, _| frames.push(f.clone())) {
-        Ok(tail) => tail,
-        Err(_) => unreachable!("reading a log in memory cannot fail"),
-    };
-    let mut dict: HashMap<u32, String> = HashMap::new();
-    let records = frames
-        .iter()
-        .map(|f| {
-            let payload = &bytes[f.range.start + FRAME_HEADER..f.range.end];
-            let rec = Record::decode(payload, &dict).expect("the scanner checked this payload");
-            if let Record::PathDef { id, path } = &rec {
-                dict.insert(*id, path.clone());
-            }
-            (f.lsn, rec)
-        })
-        .collect();
+    let (mut frames, mut records, mut decoder) = (Vec::new(), Vec::new(), Decoder::default());
+    let tail = scan(&mut &bytes[..], 0, |f, frame| {
+        records.push((f.lsn, decoder.decode(frame)));
+        frames.push(f.clone());
+    });
+    let tail = tail.expect("reading a log in memory cannot fail");
     ReadLog { records, frames, tail }
+}
+
+/// The one replay, of the log in `bytes`: scans it from its preamble,
+/// decodes each frame the scan accepts, feeds the record to the redo
+/// filter, and hands `apply` each record the filter settles as taking
+/// effect — in log order, as soon as it settles, never a transaction
+/// marker or a `PathDef`. It holds one frame and the records of the
+/// transactions still open; `apply` builds whatever state it keeps.
+///
+/// Returns how the log ended. The records before a torn or corrupted
+/// frame have been handed on by then: on [`TailState::Corrupted`] the
+/// caller must throw away what it built.
+pub fn replay(bytes: &[u8], apply: impl FnMut(Record)) -> TailState {
+    replay_from(&mut &bytes[..], apply).expect("reading a log in memory cannot fail")
+}
+
+/// [`replay`] over any source — storage through one window, for a
+/// journal — returning the source's read error too.
+pub(crate) fn replay_from<S: Source>(
+    src: &mut S,
+    mut apply: impl FnMut(Record),
+) -> JournalResult<TailState> {
+    let (mut decoder, mut redo) = (Decoder::default(), Redo::default());
+    let mut settle = |rec, applies| {
+        if applies {
+            apply(rec)
+        }
+    };
+    let tail = scan(src, 0, |f, frame| redo.feed(f, Some(decoder.decode(frame)), &mut settle))?;
+    redo.finish(&mut settle);
+    Ok(tail)
 }
 
 /// The bytes a [`scan`] reads.
@@ -119,8 +164,9 @@ impl Source for &[u8] {
     }
 }
 
-/// Bytes read at a time from storage by a [`Windowed`] source.
-pub(crate) const SCAN_WINDOW: usize = 256 * 1024;
+/// Bytes read at a time from storage by a scan or a replay, and the
+/// largest piece of a replacement's tail (see [`crate::Tail::write`]).
+pub const SCAN_WINDOW: usize = 256 * 1024;
 
 /// Storage read through one fixed window of [`SCAN_WINDOW`] bytes (less
 /// when less of the log is left): a range outside the window refills it
@@ -300,23 +346,6 @@ fn any_valid_frame_after(bytes: &[u8], from: usize) -> bool {
     false
 }
 
-/// Applies the redo filter: returns the records that take effect, in log
-/// order. Transaction markers and `PathDef`s are never among them.
-pub fn committed_records(log: &ReadLog) -> Vec<Record> {
-    let mut out = Vec::new();
-    let mut settle = |i: usize, applies| {
-        if applies {
-            out.push(log.records[i].1.clone())
-        }
-    };
-    let mut redo = Redo::default();
-    for (i, f) in log.frames.iter().enumerate() {
-        redo.feed(f, Some(i), &mut settle);
-    }
-    redo.finish(&mut settle);
-    out
-}
-
 /// The redo filter, fed one frame at a time. Each item fed with a record
 /// other than a transaction marker or a `PathDef` is settled exactly once
 /// — `settle(item, true)` if the record takes effect, `false` if not — as
@@ -391,6 +420,13 @@ mod tests {
 
     fn rec(path: &str) -> Record {
         Record::Vfs(VfsRecord::Unlink { path: path.into() })
+    }
+
+    /// The records `replay` hands on for `log`.
+    fn committed(log: &[u8]) -> Vec<Record> {
+        let mut recs = Vec::new();
+        replay(log, |r| recs.push(r));
+        recs
     }
 
     fn paths(recs: &[Record]) -> Vec<String> {
@@ -574,6 +610,62 @@ mod tests {
     }
 
     #[test]
+    fn v3_logs_are_refused() {
+        // A v3 log may hold a whole-store snapshot (tag 5) or a compaction
+        // marker (tag 9), which v4 retired: it is refused as a whole, not
+        // read up to its first such frame.
+        let mut j = Journal::in_memory(1);
+        j.append(&rec("/a")).unwrap();
+        let mut bytes = j.bytes();
+        bytes[..LOG_PREAMBLE.len()].copy_from_slice(b"MXWAL3\x00\x00");
+        let log = read_records(&bytes);
+        assert!(log.records.is_empty());
+        assert_eq!(log.tail, TailState::Corrupted { offset: 0 });
+        assert_eq!(replay(&bytes, |r| panic!("{r:?} replayed from a v3 log")), log.tail);
+    }
+
+    /// A log in memory that notes how far it has been read.
+    struct Noted<'a> {
+        log: &'a [u8],
+        read_to: std::rc::Rc<std::cell::Cell<usize>>,
+    }
+
+    impl Source for Noted<'_> {
+        fn len(&self) -> usize {
+            self.log.len()
+        }
+
+        fn get(&mut self, range: Range<usize>) -> JournalResult<&[u8]> {
+            self.read_to.set(self.read_to.get().max(range.end));
+            Ok(&self.log[range])
+        }
+    }
+
+    #[test]
+    fn replay_hands_on_records_as_they_settle() {
+        // An autocommit record is handed on as soon as its frame is read,
+        // a transaction's records when its commit is, and a rolled-back
+        // one's never.
+        let mut j = Journal::in_memory(1);
+        j.append(&rec("/before")).unwrap();
+        let t = j.begin_txn().unwrap();
+        j.append(&rec("/in")).unwrap();
+        j.commit_txn(t).unwrap();
+        let t = j.begin_txn().unwrap();
+        j.append(&rec("/rolled-back")).unwrap();
+        j.rollback_txn(t).unwrap();
+        let bytes = j.bytes();
+        let read_to = std::rc::Rc::new(std::cell::Cell::new(0));
+        let mut seen = Vec::new();
+        let mut src = Noted { log: &bytes, read_to: read_to.clone() };
+        let tail = replay_from(&mut src, |r| seen.push((paths(&[r]), read_to.get()))).unwrap();
+        assert_eq!(tail, TailState::Clean);
+        let frames = read_records(&bytes).frames;
+        let want = |path: &str, frame: usize| (vec![path.to_string()], frames[frame].range.end);
+        assert_eq!(seen, vec![want("/before", 0), want("/in", 3)]);
+    }
+
+    #[test]
     fn committed_filter_basic() {
         let mut j = Journal::in_memory(1);
         j.append(&rec("/outside")).unwrap();
@@ -586,7 +678,7 @@ mod tests {
         j.begin_txn().unwrap();
         j.append(&rec("/in-open")).unwrap();
         j.flush().unwrap();
-        let recs = committed_records(&read_records(&j.bytes()));
+        let recs = committed(&j.bytes());
         assert_eq!(paths(&recs), vec!["/outside", "/in-committed"]);
     }
 
@@ -599,11 +691,11 @@ mod tests {
         j.commit_txn(inner).unwrap();
         j.append(&rec("/outer")).unwrap();
         // Crash before outer commit: nothing applies.
-        let recs = committed_records(&read_records(&j.bytes()));
+        let recs = committed(&j.bytes());
         assert!(paths(&recs).is_empty());
         // Outer commit lands: both apply, in order.
         j.commit_txn(outer).unwrap();
-        let recs = committed_records(&read_records(&j.bytes()));
+        let recs = committed(&j.bytes());
         assert_eq!(paths(&recs), vec!["/inner", "/outer"]);
     }
 
@@ -687,7 +779,7 @@ mod tests {
                         j.append(&Record::Vfs(VfsRecord::Write { path, data, owner: 1, mode: 3 }))
                     }
                     Step::Unlink(p) => j.append(&rec(&format!("/d/f{}", p % 4))),
-                    Step::Snapshot(n) => j.append(&Record::Snapshot {
+                    Step::Snapshot(n) => j.append(&Record::SnapshotDelta {
                         component: "vfs.store".into(),
                         payload: vec![n as u8; n as usize],
                     }),
@@ -716,7 +808,7 @@ mod tests {
                 prop_assert_eq!(read.frames.len(), read.records.len());
                 prop_assert!(read.frames.iter().all(|f| f.range.end <= log.len()));
                 windowed_scan_agrees(&log, 7)?;
-                let _ = committed_records(&read);
+                prop_assert_eq!(replay(&log, drop), read.tail);
                 let _ = Record::check(&bytes, None);
                 // The check accepts exactly the payloads the decoder
                 // decodes, with the same dictionary ids.

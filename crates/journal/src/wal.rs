@@ -2,7 +2,7 @@
 //! rewrites, and the `JournalSink` trait the rest of the stack emits
 //! through.
 //!
-//! A log opens with an 8-byte preamble (`MXWAL3\0\0`) followed by frames
+//! A log opens with an 8-byte preamble (`MXWAL4\0\0`) followed by frames
 //! (little-endian):
 //!
 //! ```text
@@ -27,16 +27,18 @@
 //! `journal_overhead` ablation.
 //!
 //! Incremental checkpoints ([`Journal::checkpoint_delta`]) and compaction
-//! ([`Journal::replace_with`]) are the only operations that shrink a log.
-//! Each installs its new tail with a single streamed
-//! [`Storage::replace_from`] (the private `Journal::install`): the length
-//! is announced first, the bytes are written in order through a [`Tail`],
-//! and a crash leaves the old log or the new one.
+//! ([`Journal::compact`]) are the only operations that shrink a log.
+//! Both end in one `SnapshotDelta` frame and install the new tail with a
+//! single streamed [`Storage::replace_from`] (the private
+//! `Journal::install`): the length is announced first, the bytes are
+//! written in order through a [`Tail`], and a crash leaves the old log or
+//! the new one. A checkpoint keeps the log's retained prefix and carries
+//! the committed frames past it; a compaction rewrites from byte 0 —
+//! the preamble, the caller's SQL frames, then the image.
 //!
-//! A rewrite's output is a *retained prefix*: committed `Snapshot`,
-//! `SnapshotDelta`, `Sql` and `Compaction` frames only — no transaction
-//! markers, no `PathDef`s (the path dictionary restarts at every rewrite)
-//! and no VFS records. The redo filter passes such a prefix through
+//! A rewrite's output is a *retained prefix*: committed `SnapshotDelta`
+//! and `Sql` frames only — no transaction markers, no `PathDef`s (the
+//! path dictionary restarts at every rewrite) and no VFS records. The redo filter passes such a prefix through
 //! unchanged, and no dictionary id after it is defined inside it, so a
 //! checkpoint scans and filters only the bytes logged since the last
 //! rewrite and replaces just those, keeping the prefix's bytes and LSNs:
@@ -50,7 +52,7 @@
 //! the bytes past the prefix through a fixed window
 //! ([`crate::replay::Windowed`]), checking every frame without decoding
 //! one, and feeds the redo filter byte ranges: it keeps the committed
-//! `Snapshot`/`SnapshotDelta`/`Sql` frames as merged ranges, and the frames
+//! `SnapshotDelta`/`Sql` frames as merged ranges, and the frames
 //! a later rollback or a still-open transaction disqualifies never enter
 //! them. Pass two copies those ranges verbatim — header, LSN and CRC
 //! included — from the old log into the new tail through the write chunk,
@@ -65,7 +67,7 @@
 
 use crate::codec::{crc_update, ByteWriter, Put};
 use crate::record::{Record, LITERAL_PATH};
-use crate::replay::{scan, Redo, TailState, Windowed, SCAN_WINDOW};
+use crate::replay::{replay_from, scan, Redo, TailState, Windowed, SCAN_WINDOW};
 use crate::{JournalError, JournalResult};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::HashMap;
@@ -81,10 +83,12 @@ pub const FRAME_HEADER: usize = 1 + 8 + 4 + 4;
 /// The 8-byte preamble opening every non-empty log. Its first byte is
 /// deliberately not [`FRAME_MAGIC`], so a log that opens on a bare frame
 /// is told apart from one this journal wrote. The version digit also
-/// covers what the records say: v3 logs name each initiator's COW objects
-/// with the injective initiator encoding, so a v2 log, whose names a lossy
-/// map wrote, does not open.
-pub const LOG_PREAMBLE: [u8; 8] = *b"MXWAL3\x00\x00";
+/// covers what the records say: since v3 logs name each initiator's COW
+/// objects with the injective initiator encoding, a v2 log, whose names a
+/// lossy map wrote, does not open; and since v4 a store's only image is
+/// the `SnapshotDelta`, so a v3 log, which may hold the retired
+/// whole-store snapshot or compaction marker, does not open either.
+pub const LOG_PREAMBLE: [u8; 8] = *b"MXWAL4\x00\x00";
 
 /// Default group-commit batch size (records per flush).
 pub const DEFAULT_BATCH: usize = 16;
@@ -111,7 +115,7 @@ pub fn frame_crc(lsn: u64, len: u32, payload: &[u8]) -> u32 {
 ///
 /// `read_at` is the one read primitive: the caller owns the buffer, so a
 /// reader holds as much of the log as it chooses to — one window of it
-/// for a scan, all of it for [`Journal::try_bytes`].
+/// for a scan or a replay, all of it for [`Journal::try_bytes`].
 pub trait Storage: Send {
     /// Appends bytes to the durable log.
     fn append(&mut self, bytes: &[u8]) -> JournalResult<()>;
@@ -812,7 +816,8 @@ impl Journal {
 
     /// [`Journal::try_bytes`] with a read error returned as an empty log.
     /// That is not the log: code that acts on the log — rewriting it,
-    /// booting from it — must read it with `try_bytes`.
+    /// booting from it — reads it with [`Journal::replay`], which returns
+    /// the error.
     pub fn bytes(&self) -> Vec<u8> {
         self.try_bytes().unwrap_or_default()
     }
@@ -827,9 +832,9 @@ impl Journal {
         self.len() == 0
     }
 
-    /// Incremental checkpoint: rewrites the log as the committed snapshot
-    /// chain (full snapshots and earlier deltas, every component), the
-    /// committed SQL history, and a new `SnapshotDelta` carrying only the
+    /// Incremental checkpoint: rewrites the log as the committed image
+    /// chain (earlier `SnapshotDelta`s, every component), the committed
+    /// SQL history, and a new `SnapshotDelta` carrying only the
     /// state dirtied since the last checkpoint, which `delta` streams
     /// straight into the new log. Replay rebuilds the chain in order; VFS
     /// physical records are dropped because the delta subsumes them, and
@@ -871,30 +876,104 @@ impl Journal {
         };
         let mut redo = Redo::default();
         let end = scan(&mut Windowed::new(&mut *dev.storage), keep, |f, _| {
-            redo.feed(f, f.kind.carried().then(|| f.range.clone()), &mut settle);
+            redo.feed(f, f.kind.retainable().then(|| f.range.clone()), &mut settle);
         })?;
         if let TailState::Corrupted { offset } = end {
             return Err(JournalError::Corrupted { offset });
         }
         redo.finish(&mut settle);
-        // Pass two: the kept frames, then the delta's frame, whose length
-        // is known before any of it is written.
+        // Pass two: the kept frames, then the delta's frame.
+        let preamble = if keep == 0 { &LOG_PREAMBLE[..] } else { &[] };
+        let carried: usize = kept.iter().map(|r| r.len()).sum();
+        let head = &mut |out: &mut Chunk<'_, '_>| {
+            out.put_raw(preamble);
+            kept.iter().try_for_each(|range| out.copy_frames(range.clone()))
+        };
+        self.install(&mut *dev.storage, keep, preamble.len() + carried, head, component, delta)
+    }
+
+    /// Compaction: replaces the whole log with the preamble, `records` —
+    /// a reconstruction of live state, such as each database's catalog
+    /// and rows — and a `SnapshotDelta` of `image` for `component`,
+    /// written as a checkpoint writes its delta. The records get fresh
+    /// LSNs from the journal's counter and literal paths, and are framed
+    /// into one buffer, of their size, not the log's; the image streams
+    /// through the write chunk. Recovery over the new log replays live
+    /// state, not uptime history. The new log is the next retained
+    /// prefix, unless `records` held a kind a prefix may not (then the
+    /// next checkpoint reads it all).
+    ///
+    /// The caller read the log it replaces: to keep every record durable
+    /// by then, it holds the journal from that read until this returns
+    /// (see [`JournalHandle::with_flushed`]).
+    pub fn compact<D: Delta + ?Sized>(
+        &mut self,
+        records: &[Record],
+        component: &str,
+        image: &D,
+    ) -> JournalResult<()> {
+        self.flush()?;
+        let _sp = maxoid_obs::span("journal.rewrite");
+        let mut w = ByteWriter::from_vec(LOG_PREAMBLE.to_vec());
+        for rec in records {
+            put_frame(&mut w, self.next_lsn, |w| rec.encode_into(w, [LITERAL_PATH; 2]));
+            self.next_lsn += 1;
+        }
+        let framed = w.into_bytes();
+        let storage = Arc::clone(&self.storage);
+        let mut dev = storage.lock();
+        let head = &mut |out: &mut Chunk<'_, '_>| {
+            out.put_raw(&framed);
+            Ok(())
+        };
+        let result = self.install(&mut *dev.storage, 0, framed.len(), head, component, image);
+        if result.is_ok() && !records.iter().all(|r| r.kind().retainable()) {
+            self.retained = 0;
+        }
+        result
+    }
+
+    /// Replays the durable log through one window of it, handing `apply`
+    /// each record that takes effect as soon as it settles (see
+    /// [`crate::replay()`]). Returns how the log ended, or the storage's
+    /// read error: a log that could not be read is not an empty history.
+    pub fn replay(&self, apply: impl FnMut(Record)) -> JournalResult<TailState> {
+        let mut dev = self.storage.lock();
+        replay_from(&mut Windowed::new(&mut *dev.storage), apply)
+    }
+
+    /// The one path that truncates or rewrites the log: makes it its
+    /// first `keep` bytes (0, or the retained prefix) followed by the
+    /// `head_len` bytes `head` writes (the preamble first when `keep` is
+    /// 0) and a `SnapshotDelta` frame of `delta` for `component` at a
+    /// fresh LSN, above every LSN before it. The frame's length is known
+    /// before any of it is written: its payload streams through the write
+    /// chunk while its CRC is computed, and the four CRC bytes are patched
+    /// in place. One [`Storage::replace_from`] does it all, booked as one
+    /// flush. On success the new log is the next retained prefix (a
+    /// caller whose tail may not be one resets it), and the path
+    /// dictionary restarts; if the replace fails, the old log, the old
+    /// dictionary and the old prefix stay.
+    fn install<D: Delta + ?Sized>(
+        &mut self,
+        storage: &mut dyn Storage,
+        keep: usize,
+        head_len: usize,
+        head: &mut dyn FnMut(&mut Chunk<'_, '_>) -> JournalResult<()>,
+        component: &str,
+        delta: &D,
+    ) -> JournalResult<()> {
         let state = delta.encoded_len();
         let payload = Record::snapshot_delta_head_len(component) + state;
         let payload = u32::try_from(payload)
             .map_err(|_| JournalError::Io(format!("a {payload}-byte snapshot delta")))?;
-        let preamble = if keep == 0 { &LOG_PREAMBLE[..] } else { &[] };
-        let carried: usize = kept.iter().map(|r| r.len()).sum();
-        let len = preamble.len() + carried + FRAME_HEADER + payload as usize;
+        let len = head_len + FRAME_HEADER + payload as usize;
         let old_interner = std::mem::take(&mut self.interner);
         let lsn = self.next_lsn;
         self.next_lsn += 1;
         let fill = &mut |tail: &mut Tail<'_>| {
             let mut out = Chunk::new(tail);
-            out.put_raw(preamble);
-            for range in &kept {
-                out.copy_frames(range.clone())?;
-            }
+            head(&mut out)?;
             let frame = out.at();
             out.start_frame(lsn, payload);
             Record::put_snapshot_delta_head(&mut out, component, state as u32);
@@ -902,72 +981,12 @@ impl Journal {
             let crc = out.finish()?;
             tail.patch(frame + 13, &crc.to_le_bytes())
         };
-        self.install(&mut *dev.storage, keep, len, fill, lsn, old_interner)
-    }
-
-    /// Replaces the whole log with `records` — a compacted reconstruction
-    /// of live state — preceded by a `Compaction` marker recording the LSN
-    /// horizon the rewrite subsumes. Recovery over the new log replays
-    /// live state, not uptime history. The records get fresh LSNs and a
-    /// fresh path dictionary exactly as `enqueue` would after an empty
-    /// log. The new log is the next retained prefix, unless `records` held
-    /// a kind a prefix may not (then the next checkpoint reads it all).
-    /// The records arrive whole, so they are framed into one buffer,
-    /// which is then written in window-sized pieces.
-    pub fn replace_with(&mut self, records: Vec<Record>, upto_lsn: u64) -> JournalResult<()> {
-        self.flush()?;
-        let _sp = maxoid_obs::span("journal.rewrite");
-        let old_interner = std::mem::take(&mut self.interner);
-        for rec in std::iter::once(Record::Compaction { upto_lsn }).chain(records) {
-            self.enqueue(rec);
-        }
-        let batch = std::mem::take(&mut self.queue);
-        let high = batch.last().map_or(self.acked_lsn, |q| q.lsn);
-        let retainable = batch.iter().all(|q| q.rec.kind().retainable());
-        // Compaction exists to shrink the log, so the old log's length is
-        // the records' reservation; a larger compacted log grows it.
-        let mut tail = Vec::with_capacity(LOG_PREAMBLE.len() + self.len());
-        tail.extend_from_slice(&LOG_PREAMBLE);
-        let mut w = ByteWriter::from_vec(tail);
-        for q in batch {
-            encode_frame(&mut w, &q);
-        }
-        let tail = w.into_bytes();
-        let storage = Arc::clone(&self.storage);
-        let mut dev = storage.lock();
-        let fill = &mut |t: &mut Tail<'_>| t.write_all(&tail);
-        let result = self.install(&mut *dev.storage, 0, tail.len(), fill, high, old_interner);
-        if result.is_ok() && !retainable {
-            self.retained = 0;
-        }
-        result
-    }
-
-    /// The one path that truncates or rewrites the log: makes it its
-    /// first `keep` bytes (0, or the retained prefix) followed by the
-    /// `len` bytes `fill` writes, with one [`Storage::replace_from`],
-    /// booked as one flush that acknowledges up to `high`. The new tail
-    /// opens with the preamble when `keep` is 0, and its frames' LSNs rise
-    /// past the kept bytes' and up to `high`. On success the new log is
-    /// the next retained prefix (a caller whose tail may not be one resets
-    /// it), and the path dictionary is the one the tail was encoded with;
-    /// if the replace fails, the old log, `old_interner` and the old
-    /// prefix stay.
-    fn install(
-        &mut self,
-        storage: &mut dyn Storage,
-        keep: usize,
-        len: usize,
-        fill: Fill<'_>,
-        high: u64,
-        old_interner: PathInterner,
-    ) -> JournalResult<()> {
         let result = storage.replace_from(keep, len, fill);
         match result {
             Ok(()) => self.retained = keep + len,
             Err(_) => self.interner = old_interner,
         }
-        self.finish_group_flush(Some(len), &result, high);
+        self.finish_group_flush(Some(len), &result, lsn);
         result
     }
 
@@ -1208,11 +1227,7 @@ impl JournalHandle {
     /// Flushes everything queued. Waits out any in-flight leader first so
     /// the acknowledgement covers a known storage outcome.
     pub fn flush(&self) -> JournalResult<()> {
-        let mut j = self.shared.journal.lock();
-        while j.group_leader_active() {
-            self.shared.flushed.wait(&mut j);
-        }
-        j.flush()
+        self.with_flushed(|_| ())
     }
 
     /// Durable log bytes (a crash right now loses only the pending
@@ -1251,9 +1266,18 @@ impl JournalHandle {
         self.with(|j| j.checkpoint_delta(component, delta))
     }
 
-    /// Log compaction: see [`Journal::replace_with`].
-    pub fn replace_with(&self, records: Vec<Record>, upto_lsn: u64) -> JournalResult<()> {
-        self.with(|j| j.replace_with(records, upto_lsn))
+    /// Runs `f` on the journal under one hold of the journal-state lock,
+    /// once no group-commit leader is in flight and every queued record is
+    /// durable. Nothing can become durable while `f` runs — appending
+    /// threads wait on the lock — so the log `f` reads stays the whole
+    /// durable log until `f` rewrites it: what a compaction needs.
+    pub fn with_flushed<R>(&self, f: impl FnOnce(&mut Journal) -> R) -> JournalResult<R> {
+        let mut j = self.shared.journal.lock();
+        while j.group_leader_active() {
+            self.shared.flushed.wait(&mut j);
+        }
+        j.flush()?;
+        Ok(f(&mut j))
     }
 
     /// Wraps the handle as a [`SinkRef`] for embedding in other crates'
@@ -1328,10 +1352,17 @@ impl JournalSink for NullSink {
 mod tests {
     use super::*;
     use crate::record::VfsRecord;
-    use crate::replay::{committed_records, read_records, TailState, SCAN_WINDOW};
+    use crate::replay::{read_records, replay, TailState, SCAN_WINDOW};
 
     fn rec(path: &str) -> Record {
         Record::Vfs(VfsRecord::Unlink { path: path.into() })
+    }
+
+    /// The records a replay of `log` hands on.
+    fn committed(log: &[u8]) -> Vec<Record> {
+        let mut recs = Vec::new();
+        replay(log, |r| recs.push(r));
+        recs
     }
 
     #[test]
@@ -1553,7 +1584,7 @@ mod tests {
         };
         let mut redo = Redo::default();
         for f in read_records(log).frames.iter().filter(|f| f.range.start >= from) {
-            redo.feed(f, f.kind.carried().then(|| f.range.clone()), &mut settle);
+            redo.feed(f, f.kind.retainable().then(|| f.range.clone()), &mut settle);
         }
         redo.finish(&mut settle);
         kept
@@ -1710,7 +1741,7 @@ mod tests {
     }
 
     /// Over 8 MiB of log on `shared`, flushed: SQL and file writes of
-    /// many sizes in and out of transactions, and a snapshot larger than
+    /// many sizes in and out of transactions, and an image larger than
     /// the window every 40 records.
     fn eight_mib_log(shared: &Shared) -> Journal {
         let mut j = Journal::new(Box::new(shared.clone()), 16).unwrap();
@@ -1719,7 +1750,8 @@ mod tests {
             let txn = i.is_multiple_of(7).then(|| j.begin_txn().unwrap());
             if i % 40 == 39 {
                 let payload = vec![i as u8; SCAN_WINDOW + 4321];
-                j.append(&Record::Snapshot { component: "vfs.store".into(), payload }).unwrap();
+                let image = Record::SnapshotDelta { component: "vfs.store".into(), payload };
+                j.append(&image).unwrap();
             } else if i.is_multiple_of(3) {
                 j.append(&sql(&format!("INSERT INTO t VALUES ({i})"))).unwrap();
             } else {
@@ -1767,12 +1799,12 @@ mod tests {
         assert!(copied.iter().all(|&(_, n)| n <= SCAN_WINDOW), "a copy read past the window");
         assert_eq!(merged(copied), kept_ranges(&before, 0));
         // And it kept what the redo filter keeps.
-        let mut want: Vec<Record> = committed_records(&old)
+        let mut want: Vec<Record> = committed(&before)
             .into_iter()
-            .filter(|r| matches!(r, Record::Snapshot { .. } | Record::Sql { .. }))
+            .filter(|r| matches!(r, Record::SnapshotDelta { .. } | Record::Sql { .. }))
             .collect();
         want.push(Record::SnapshotDelta { component: "vfs.store".into(), payload: vec![9] });
-        assert_eq!(committed_records(&read_records(&j.bytes())), want);
+        assert_eq!(committed(&j.bytes()), want);
     }
 
     /// A delta of `len` bytes written in puts of uneven sizes, from one
@@ -1880,7 +1912,7 @@ mod tests {
                         }
                         2 => {
                             let payload = vec![n as u8; n as usize % 3000];
-                            j.append(&Record::Snapshot { component: "vfs.store".into(), payload }).map(drop)
+                            j.append(&Record::SnapshotDelta { component: "vfs.store".into(), payload }).map(drop)
                         }
                         3 => j.begin_txn().map(|t| open.push(t)),
                         4 => open.pop().map_or(Ok(()), |t| j.commit_txn(t)),
@@ -1945,48 +1977,86 @@ mod tests {
         // would, drop the never-committed transaction with what it holds.
         // Kept as a prefix, that transaction would swallow the new delta.
         let mut j = Journal::in_memory(1);
-        j.replace_with(vec![Record::TxnBegin { txn: 99 }, sql("A")], 0).unwrap();
+        j.compact(&[Record::TxnBegin { txn: 99 }, sql("A")], "vfs.store", &[][..]).unwrap();
         j.append(&sql("B")).unwrap();
         j.checkpoint_delta("vfs.store", &[1][..]).unwrap();
-        let recs = committed_records(&read_records(&j.bytes()));
+        let recs = committed(&j.bytes());
         assert!(matches!(&recs[..], [Record::SnapshotDelta { payload, .. }] if payload == &[1]));
     }
 
     #[test]
     fn checkpoint_delta_retains_the_chain() {
         let mut j = Journal::in_memory(1);
-        j.append(&Record::Snapshot { component: "vfs.store".into(), payload: vec![1] }).unwrap();
+        j.append(&Record::SnapshotDelta { component: "vfs.store".into(), payload: vec![1] })
+            .unwrap();
         j.append(&rec("/a")).unwrap();
         j.checkpoint_delta("vfs.store", &[2][..]).unwrap();
         j.append(&rec("/b")).unwrap();
         j.checkpoint_delta("vfs.store", &[3][..]).unwrap();
         let log = read_records(&j.bytes());
         let recs: Vec<&Record> = log.records.iter().map(|(_, r)| r).collect();
-        // Chain order: full snapshot, then deltas oldest-first; the plain
-        // vfs records were subsumed.
+        // Chain order: oldest image first; the plain vfs records were
+        // subsumed.
         assert_eq!(recs.len(), 3);
-        assert!(matches!(recs[0], Record::Snapshot { .. }));
+        assert!(matches!(recs[0], Record::SnapshotDelta { payload, .. } if payload == &vec![1]));
         assert!(matches!(recs[1], Record::SnapshotDelta { payload, .. } if payload == &vec![2]));
         assert!(matches!(recs[2], Record::SnapshotDelta { payload, .. } if payload == &vec![3]));
     }
 
     #[test]
-    fn replace_with_rewrites_history_and_keeps_lsns_rising() {
+    fn compaction_rewrites_history_and_keeps_lsns_rising() {
         let mut j = Journal::in_memory(1);
         for i in 0..10 {
             j.append(&rec(&format!("/f{i}"))).unwrap();
+            j.append(&rec(&format!("/f{i}"))).unwrap();
         }
         let last = read_records(&j.bytes()).last_lsn();
-        j.replace_with(
-            vec![Record::Snapshot { component: "vfs.store".into(), payload: vec![7] }],
-            last,
-        )
-        .unwrap();
+        let flushes = j.stats().flushes;
+        j.compact(&[sql("CREATE TABLE t (x)")], "vfs.store", &[7][..]).unwrap();
+        assert_eq!(j.stats().flushes, flushes + 1, "the whole rewrite is one storage call");
         let log = read_records(&j.bytes());
         assert_eq!(log.tail, TailState::Clean);
-        assert_eq!(log.records.len(), 2);
-        assert!(matches!(log.records[0].1, Record::Compaction { upto_lsn } if upto_lsn == last));
-        assert!(log.records[0].0 > last, "new LSNs continue past the compacted horizon");
+        assert_eq!(log.records.len(), 2, "no dictionary carried over: {:?}", log.records);
+        assert_eq!(log.records[0].1, sql("CREATE TABLE t (x)"));
+        assert!(
+            matches!(&log.records[1].1, Record::SnapshotDelta { payload, .. } if payload == &[7])
+        );
+        assert!(log.records[0].0 > last, "new LSNs continue past the compacted history");
+        assert!(log.records[1].0 > log.records[0].0);
+        assert_eq!(j.retained, j.len(), "the compacted log is the next retained prefix");
+        // The path dictionary restarted: a repeated path defines its id
+        // again.
+        j.append(&rec("/f0")).unwrap();
+        j.append(&rec("/f0")).unwrap();
+        let log = read_records(&j.bytes());
+        assert!(matches!(log.records[3].1, Record::PathDef { .. }), "{:?}", log.records);
+    }
+
+    #[test]
+    fn a_compaction_writes_its_image_through_one_chunk() {
+        // The SQL frames go out in one buffer; an 8 MiB image follows in
+        // pieces of at most one window, in order, and one patch — its 4
+        // CRC bytes — as a checkpoint's delta does.
+        let shared = Shared::default();
+        let mut j = eight_mib_log(&shared);
+        let image = Uneven((8 << 20) + 12_345);
+        let sql = [sql("CREATE TABLE t (x)"), sql("INSERT INTO t VALUES (1)")];
+        let lsn = j.next_lsn;
+        shared.writes.lock().clear();
+        j.compact(&sql, "vfs.store", &image).unwrap();
+        let mut w = ByteWriter::from_vec(LOG_PREAMBLE.to_vec());
+        for (i, r) in sql.iter().enumerate() {
+            put_frame(&mut w, lsn + i as u64, |w| r.encode_into(w, [LITERAL_PATH; 2]));
+        }
+        let delta = Record::SnapshotDelta { component: "vfs.store".into(), payload: image.bytes() };
+        let frame = w.len();
+        put_frame(&mut w, lsn + 2, |w| delta.encode_into(w, [LITERAL_PATH; 2]));
+        assert!(j.bytes() == w.into_bytes(), "not the preamble, the SQL frames and the image");
+        let writes = shared.writes.lock().clone();
+        assert!(writes.iter().all(|&(_, n)| n <= SCAN_WINDOW), "a write past the window");
+        let patches: Vec<_> = writes.iter().filter(|&&(at, _)| at == frame + 13).collect();
+        assert_eq!(patches, vec![&(frame + 13, 4)], "one patch: the image's CRC");
+        assert_eq!(writes.iter().map(|&(_, n)| n).sum::<usize>(), j.len() + 4);
     }
 
     #[test]

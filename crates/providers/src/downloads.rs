@@ -268,7 +268,7 @@ mod tests {
     use maxoid_vfs::{vpath, MountNamespace};
 
     fn setup() -> (Kernel, Pid, DownloadsProvider<SimpleLocator>) {
-        let mut kernel = Kernel::new();
+        let kernel = Kernel::new();
         kernel.net.publish("files.example", "doc.pdf", b"PDFDATA".to_vec());
         let svc = AppId::new("android.providers.downloads");
         kernel.install_app(&svc);

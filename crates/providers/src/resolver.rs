@@ -380,7 +380,7 @@ mod tests {
 
     #[test]
     fn app_defined_requires_grant() {
-        let (mut r, item) = resolver_with_attachments();
+        let (r, item) = resolver_with_attachments();
         let viewer = Caller::normal("com.viewer");
         // No grant: denied.
         assert!(matches!(
@@ -400,7 +400,7 @@ mod tests {
 
     #[test]
     fn read_grant_does_not_allow_write() {
-        let (mut r, item) = resolver_with_attachments();
+        let (r, item) = resolver_with_attachments();
         r.grant_uri_permission("com.viewer", &item, false, false);
         let viewer = Caller::normal("com.viewer");
         assert!(matches!(
@@ -414,7 +414,7 @@ mod tests {
 
     #[test]
     fn grants_are_per_exact_uri() {
-        let (mut r, item) = resolver_with_attachments();
+        let (r, item) = resolver_with_attachments();
         r.grant_uri_permission("com.viewer", &item, false, false);
         let viewer = Caller::normal("com.viewer");
         let other = item.with_id(999);
@@ -426,7 +426,7 @@ mod tests {
 
     #[test]
     fn revoke_removes_grants() {
-        let (mut r, item) = resolver_with_attachments();
+        let (r, item) = resolver_with_attachments();
         r.grant_uri_permission("com.viewer", &item, false, false);
         r.revoke_uri_permission(&item);
         let viewer = Caller::normal("com.viewer");
@@ -438,7 +438,7 @@ mod tests {
 
     #[test]
     fn unknown_authority_is_error() {
-        let mut r = ContentResolver::new();
+        let r = ContentResolver::new();
         let uri = Uri::parse("content://nope/x").unwrap();
         assert!(matches!(
             r.query(&Caller::normal("a"), &uri, &QueryArgs::default()),

@@ -109,7 +109,7 @@ fn volatile_download_readable_by_same_initiators_delegates() {
 
 #[test]
 fn resolver_clear_volatile_spans_providers() {
-    let mut r = ContentResolver::new();
+    let r = ContentResolver::new();
     r.register(ProviderScope::System, UserDictionaryProvider::new());
     let del = Caller::delegate("viewer", "init");
     r.insert(&del, &words(), &ContentValues::new().put("word", "temp")).unwrap();

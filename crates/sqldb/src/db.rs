@@ -297,8 +297,7 @@ pub struct Database {
     /// instead of O(all tables), the difference between µs and ms once
     /// a fleet-scale database holds thousands of per-tenant delta
     /// tables. Mutation paths evict their table's entry eagerly
-    /// ([`Database::table_mut`]) so the cache never pins dead row
-    /// versions against the refcount-driven chain trim.
+    /// ([`Database::table_mut`]) so the cache never pins replaced rows.
     frozen_cache: RefCell<Arc<BTreeMap<String, Arc<Table>>>>,
     /// Names evicted from `frozen_cache` since the last publication —
     /// exactly the tables `begin_read` must re-freeze. `None` means the
@@ -677,7 +676,7 @@ impl Database {
     /// any table has paged its rows to the heap tier.
     ///
     /// Publication is incremental: a table is shallow-frozen (the `Arc`
-    /// of its version-chain map cloned, see [`crate::table`]) only when
+    /// of its rowid map cloned, see [`crate::table`]) only when
     /// its version tag changed since the last publication; unchanged
     /// tables reuse the previous frozen copy by `Arc`. A fleet-scale
     /// database with thousands of quiescent per-tenant delta tables
@@ -770,23 +769,16 @@ impl Database {
                 }
             }
         };
-        let snap = Arc::new(DbSnapshot::new(
-            stamp,
-            gen,
-            self.flatten_policy,
-            tables,
-            views,
-            triggers,
-            self.mvcc.register(stamp),
-        ));
+        let snap =
+            Arc::new(DbSnapshot::new(stamp, gen, self.flatten_policy, tables, views, triggers));
         self.mvcc.note_published();
         maxoid_obs::counter_add("sqldb.snapshots_published", 1);
         *self.published.borrow_mut() = Some(Arc::clone(&snap));
         Some(ReadSnapshot { snap })
     }
 
-    /// Point-in-time MVCC counters: commit stamp, live snapshots,
-    /// version-chain and GC statistics.
+    /// Point-in-time MVCC counters: the commit stamp and the snapshots
+    /// published.
     pub fn mvcc_stats(&self) -> MvccStats {
         self.mvcc.stats()
     }
@@ -967,10 +959,10 @@ impl Database {
     /// Returns a mutable base table by name. Conservatively retracts the
     /// published snapshot: the caller may mutate through the handle.
     /// Also drops this table's frozen-cache entry *before* the caller
-    /// mutates: a cached freeze holds `Arc`s on the table's version
-    /// chains, and the refcount-driven trim (see `trim_chain`) must not
-    /// see stale versions pinned by a mere cache. Unchanged tables keep
-    /// their cache entry, whose pins are exactly the live head versions.
+    /// mutates: a cached freeze holds `Arc`s on the table's rows, which
+    /// would keep every row the caller replaces alive as long as the
+    /// cache. Unchanged tables keep their cache entry, whose pins are
+    /// exactly the live rows.
     /// Inside a transaction, the first call for a table records its
     /// pre-image in the undo log (a paged table's rows are copied into
     /// memory then).
@@ -1238,7 +1230,7 @@ mod tests {
 
     #[test]
     fn journal_replay_rebuilds_catalog_and_rows() {
-        use maxoid_journal::{committed_records, read_records, JournalHandle, Record};
+        use maxoid_journal::{replay, JournalHandle, Record};
         let h = JournalHandle::with_batch(1);
         let mut db = Database::new();
         db.set_journal(h.sink(), "db.test");
@@ -1264,12 +1256,12 @@ mod tests {
         db.query("SELECT * FROM words", &[]).unwrap();
 
         let mut replayed = Database::new();
-        for rec in committed_records(&read_records(&h.bytes())) {
+        replay(&h.bytes(), |rec| {
             if let Record::Sql { db: name, sql, params } = rec {
                 assert_eq!(name, "db.test");
                 replayed.apply_journal_sql(&sql, &params).unwrap();
             }
-        }
+        });
         assert!(replayed.has_table("words"));
         assert!(replayed.has_view("frequent"));
         assert!(replayed

@@ -1,63 +1,40 @@
-//! Multiversion concurrency control: commit stamps, snapshot tickets and
-//! the published-snapshot machinery behind [`Database::begin_read`].
+//! Multiversion concurrency control: commit stamps and the
+//! published-snapshot machinery behind [`Database::begin_read`].
 //!
 //! The design exploits one structural fact: a [`Database`] is only ever
 //! mutated by its single owner (the write-lock holder), and snapshots are
 //! published exclusively at *committed, quiescent* points. A snapshot is
 //! therefore a shallow freeze — every table's rowid map is an
-//! `Arc<BTreeMap<_, Arc<VerNode>>>`, so freezing clones a handful of
-//! `Arc`s, and a frozen map's heads *are* exactly the committed row
-//! versions at freeze time. Readers never traverse version chains;
-//! visibility is map membership, which keeps the snapshot read path
-//! byte-for-byte the same cost as an ordinary read.
+//! `Arc<BTreeMap<_, Arc<Vec<Value>>>>`, so freezing clones a handful of
+//! `Arc`s, and a frozen map's rows *are* exactly the committed rows at
+//! freeze time. Visibility is map membership, which keeps the snapshot
+//! read path byte-for-byte the same cost as an ordinary read.
 //!
-//! Version chains still exist (newest-first, `begin`-stamped) because they
-//! are what makes writes cheap in the presence of live snapshots: a write
-//! pushes a fresh head above the old version instead of copying the row,
-//! and garbage collection is *refcount-driven* — a frozen map pins every
-//! version it can see with its own `Arc`, so any chain node whose
-//! refcount has returned to one is invisible to every reader and is
-//! spliced out in place by the next write to that row (see
-//! `table::trim_chain`). Versions older than the oldest live snapshot are
-//! by construction unpinned, so the classic "trim below the oldest
-//! reader" rule falls out as a consequence rather than being the
-//! mechanism. No background thread is involved.
+//! Writes stay cheap in the presence of live snapshots without version
+//! chains: a write privatizes the map (`Arc::make_mut`) and replaces the
+//! row's `Arc`, and a frozen map pins every row it can see with its own
+//! `Arc`. Old rows are reclaimed by reference counting when the last
+//! snapshot that sees them drops; nothing tracks which snapshots are live,
+//! and no background thread is involved.
 //!
 //! [`Database::begin_read`]: crate::Database::begin_read
 
 use crate::db::{Database, TriggerDef, ViewDef};
 use crate::planner::FlattenPolicy;
 use crate::table::Table;
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// MVCC bookkeeping shared between a live [`Database`], every table it
-/// owns, and every snapshot it has published. All fields are independent
-/// of the database's single-threaded interior, so snapshots can be
-/// dropped (and their tickets deregistered) from any thread.
+/// MVCC bookkeeping shared between a live [`Database`] and every table it
+/// owns. All fields are independent of the database's single-threaded
+/// interior.
 #[derive(Debug)]
 pub(crate) struct MvccShared {
     /// Current commit stamp: bumped once per completed mutating
     /// statement. A published snapshot is valid exactly while its stamp
     /// equals this value.
     stamp: AtomicU64,
-    /// Stamp of the oldest live snapshot, `u64::MAX` when none are live.
-    /// Read lock-free on the write path (stats, trim fast-outs); the
-    /// `live` mutex is only touched when snapshots are published or
-    /// dropped.
-    oldest: AtomicU64,
-    /// Live snapshot registry: stamp -> number of outstanding tickets.
-    live: Mutex<BTreeMap<u64, usize>>,
-    /// Row versions ever created (chain pushes; first versions included).
-    versions_created: AtomicU64,
-    /// Row versions reclaimed by the in-place chain trim. Versions freed
-    /// wholesale when a snapshot's map drops are reclaimed by `Arc` and
-    /// not counted here.
-    versions_gced: AtomicU64,
-    /// Longest version chain observed after any single write.
-    max_chain: AtomicU64,
     /// Snapshots published (memoized republications excluded).
     snapshots_published: AtomicU64,
     /// Source of table version tags: every mutation of any attached table
@@ -72,11 +49,6 @@ impl Default for MvccShared {
     fn default() -> Self {
         MvccShared {
             stamp: AtomicU64::new(0),
-            oldest: AtomicU64::new(u64::MAX),
-            live: Mutex::new(BTreeMap::new()),
-            versions_created: AtomicU64::new(0),
-            versions_gced: AtomicU64::new(0),
-            max_chain: AtomicU64::new(0),
             snapshots_published: AtomicU64::new(0),
             table_ver: AtomicU64::new(0),
         }
@@ -105,47 +77,6 @@ impl MvccShared {
         self.table_ver.load(Ordering::Acquire)
     }
 
-    /// Stamp of the oldest live snapshot, if any.
-    pub(crate) fn oldest_live(&self) -> Option<u64> {
-        match self.oldest.load(Ordering::Acquire) {
-            u64::MAX => None,
-            s => Some(s),
-        }
-    }
-
-    /// Registers a live snapshot at `stamp` and returns the ticket whose
-    /// drop deregisters it.
-    pub(crate) fn register(self: &Arc<Self>, stamp: u64) -> SnapTicket {
-        let mut live = self.live.lock();
-        *live.entry(stamp).or_insert(0) += 1;
-        let oldest = live.keys().next().copied().unwrap_or(u64::MAX);
-        self.oldest.store(oldest, Ordering::Release);
-        SnapTicket { mvcc: Arc::clone(self), stamp }
-    }
-
-    fn deregister(&self, stamp: u64) {
-        let mut live = self.live.lock();
-        if let Some(n) = live.get_mut(&stamp) {
-            *n -= 1;
-            if *n == 0 {
-                live.remove(&stamp);
-            }
-        }
-        let oldest = live.keys().next().copied().unwrap_or(u64::MAX);
-        self.oldest.store(oldest, Ordering::Release);
-    }
-
-    /// Records a version pushed onto a chain now `chain_len` long.
-    pub(crate) fn note_version(&self, chain_len: u64) {
-        self.versions_created.fetch_add(1, Ordering::Relaxed);
-        self.max_chain.fetch_max(chain_len, Ordering::Relaxed);
-    }
-
-    /// Records `n` versions reclaimed by the in-place trim.
-    pub(crate) fn note_gced(&self, n: u64) {
-        self.versions_gced.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Records one fresh snapshot publication.
     pub(crate) fn note_published(&self) {
         self.snapshots_published.fetch_add(1, Ordering::Relaxed);
@@ -155,11 +86,6 @@ impl MvccShared {
     pub(crate) fn stats(&self) -> MvccStats {
         MvccStats {
             stamp: self.stamp(),
-            live_snapshots: self.live.lock().values().sum(),
-            oldest_live: self.oldest_live(),
-            versions_created: self.versions_created.load(Ordering::Relaxed),
-            versions_gced: self.versions_gced.load(Ordering::Relaxed),
-            max_chain: self.max_chain.load(Ordering::Relaxed),
             snapshots_published: self.snapshots_published.load(Ordering::Relaxed),
         }
     }
@@ -172,35 +98,8 @@ impl MvccShared {
 pub struct MvccStats {
     /// Current commit stamp (mutating statements executed).
     pub stamp: u64,
-    /// Snapshots currently live (outstanding [`ReadSnapshot`] handles and
-    /// the database's own memoized publication).
-    pub live_snapshots: usize,
-    /// Stamp of the oldest live snapshot.
-    pub oldest_live: Option<u64>,
-    /// Row versions ever created.
-    pub versions_created: u64,
-    /// Row versions reclaimed by the in-place chain trim (versions freed
-    /// when a whole snapshot map drops are reclaimed by `Arc` directly
-    /// and not counted).
-    pub versions_gced: u64,
-    /// Longest per-row version chain observed after any single write.
-    pub max_chain: u64,
     /// Snapshots published (memoized reuse excluded).
     pub snapshots_published: u64,
-}
-
-/// Keeps one snapshot registered in the live set; dropping it (from any
-/// thread) deregisters and lets the trim advance past its stamp.
-#[derive(Debug)]
-pub(crate) struct SnapTicket {
-    mvcc: Arc<MvccShared>,
-    stamp: u64,
-}
-
-impl Drop for SnapTicket {
-    fn drop(&mut self) {
-        self.mvcc.deregister(self.stamp);
-    }
 }
 
 /// An immutable, shareable freeze of a whole database at one commit
@@ -215,8 +114,6 @@ pub(crate) struct DbSnapshot {
     pub(crate) tables: Arc<BTreeMap<String, Arc<Table>>>,
     pub(crate) views: Arc<BTreeMap<String, Arc<ViewDef>>>,
     pub(crate) triggers: Arc<BTreeMap<String, Arc<TriggerDef>>>,
-    /// Keeps the snapshot registered for GC while any handle is alive.
-    _ticket: SnapTicket,
 }
 
 impl DbSnapshot {
@@ -227,9 +124,8 @@ impl DbSnapshot {
         tables: Arc<BTreeMap<String, Arc<Table>>>,
         views: Arc<BTreeMap<String, Arc<ViewDef>>>,
         triggers: Arc<BTreeMap<String, Arc<TriggerDef>>>,
-        ticket: SnapTicket,
     ) -> Self {
-        DbSnapshot { stamp, catalog_gen, flatten_policy, tables, views, triggers, _ticket: ticket }
+        DbSnapshot { stamp, catalog_gen, flatten_policy, tables, views, triggers }
     }
 }
 
@@ -372,23 +268,21 @@ mod tests {
 
     #[test]
     fn dropping_snapshots_lets_gc_reclaim_versions() {
+        // A live snapshot keeps reading the row it saw across updates;
+        // once it drops, the live table is the only owner of each row
+        // (`table::tests::a_dropped_snapshot_leaves_the_live_map_the_only_owner`).
         let mut db = seeded();
         let snap = db.begin_read().unwrap();
+        let mut reader = SnapshotReader::new();
         for i in 0..10 {
             db.execute("UPDATE t SET data = ?1 WHERE _id = 1", &[Value::Text(format!("v{i}"))])
                 .unwrap();
+            let rs = reader.bind(&snap).query("SELECT data FROM t WHERE _id = 1", &[]).unwrap();
+            assert_eq!(rs.rows[0][0], Value::Text("a".into()), "after update {i}");
         }
-        let pinned = db.mvcc_stats();
-        assert!(pinned.live_snapshots >= 1);
-        assert!(pinned.max_chain >= 2, "a live snapshot must pin old versions");
         drop(snap);
-        assert_eq!(db.mvcc_stats().live_snapshots, 0);
-        // The next write to the row splices the whole stale tail: only
-        // one live version per row (3 rows) remains.
-        db.execute("UPDATE t SET data = 'final' WHERE _id = 1", &[]).unwrap();
-        let after = db.mvcc_stats();
-        assert_eq!(after.versions_created - after.versions_gced, 3);
-        assert_eq!(db.mvcc_stats().max_chain, 2, "the trim kept every chain short");
+        let live = db.query("SELECT data FROM t WHERE _id = 1", &[]).unwrap();
+        assert_eq!(live.rows[0][0], Value::Text("v9".into()));
     }
 
     #[test]

@@ -21,16 +21,14 @@
 //!
 //! # Multiversion storage
 //!
-//! Resident rows are multiversioned: the rowid map is an
-//! `Arc<BTreeMap<i64, Arc<VerNode>>>` whose entries are short,
-//! newest-first per-row version chains stamped with the commit stamp that
-//! wrote them. [`Table::freeze`] shallow-copies the map `Arc` into an
-//! immutable snapshot table, so `Database::begin_read` is O(#tables) and
-//! snapshot readers see exactly the committed heads at freeze time
-//! without ever walking a chain. Mutations privatize the map with
-//! `Arc::make_mut`, push a fresh head above the old version, and run the
-//! refcount-driven chain trim ([`trim_chain`]) — in the common
-//! no-snapshot case the chain collapses back to length one immediately.
+//! Resident rows are shared, not copied: the rowid map is an
+//! `Arc<BTreeMap<i64, Arc<Vec<Value>>>>`. [`Table::freeze`] shallow-copies
+//! the map `Arc` into an immutable snapshot table, so
+//! `Database::begin_read` is O(#tables) and snapshot readers see exactly
+//! the committed rows at freeze time. Mutations privatize the map with
+//! `Arc::make_mut` and replace a row's `Arc`; a frozen map keeps every
+//! row it saw alive with its own `Arc` until it drops, and no other
+//! version of a row is kept.
 //!
 //! A transaction's undo log clones a table on the transaction's first
 //! change to it (see `Database::begin`). The clone shares resident rows
@@ -46,7 +44,6 @@ use crate::heap::{encoded_len, HeapCfg, PagedRows};
 use crate::index::SecondaryIndex;
 use crate::mvcc::MvccShared;
 use crate::value::Value;
-use parking_lot::Mutex;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -93,93 +90,12 @@ impl TableSchema {
     }
 }
 
-/// One committed version of a row in a newest-first chain.
-///
-/// `begin` is the commit stamp of the mutating statement that wrote the
-/// version (informational: readers resolve visibility by map membership,
-/// never by stamp comparison — see the module docs of [`crate::mvcc`]).
-/// `next` points at the next-older version; the chain exists so a write
-/// over a snapshot-pinned row is a push, not a copy, and so the GC
-/// counters can report chain shape.
-#[derive(Debug)]
-struct VerNode {
-    begin: u64,
-    row: Vec<Value>,
-    /// Next-older version. Readers resolve visibility by map membership
-    /// and never follow this link, so it is owned by the single writer;
-    /// the (never-contended) mutex exists only to keep `VerNode: Sync`
-    /// while letting the trim splice dead versions out from *under* a
-    /// snapshot-pinned node it cannot otherwise mutate.
-    next: Mutex<Option<Arc<VerNode>>>,
-}
-
-/// Length of the version chain starting at `node`.
-fn chain_len(node: &Arc<VerNode>) -> u64 {
-    let mut n = 1;
-    let mut cur = Arc::clone(node);
-    loop {
-        let next = cur.next.lock().clone();
-        match next {
-            Some(nx) => {
-                n += 1;
-                cur = nx;
-            }
-            None => break,
-        }
-    }
-    n
-}
-
-/// Refcount-driven version GC, run in place after every write installs a
-/// fresh head. A published snapshot pins each version it can see with its
-/// own `Arc` in the frozen rowid map, so a chain node whose refcount has
-/// returned to one is provably invisible to every reader and is spliced
-/// out. The walk continues *through* still-pinned nodes (their `next`
-/// links are writer-owned even though the node itself is shared), so a
-/// steady stream of live snapshots cannot stop versions older than the
-/// oldest one from being reclaimed: after every write the chain holds
-/// exactly the head plus the still-pinned survivors, bounding its length
-/// by the number of live snapshots plus one.
-fn trim_chain(head: &Arc<VerNode>, mvcc: &MvccShared) {
-    let mut gced = 0u64;
-    let mut cur = Arc::clone(head);
-    loop {
-        // Splice every dead version directly below `cur`, then step to
-        // the first still-pinned survivor (if any).
-        let pinned = {
-            let mut next = cur.next.lock();
-            loop {
-                match next.take() {
-                    None => break None,
-                    Some(n) => match Arc::try_unwrap(n) {
-                        Ok(dead) => {
-                            *next = dead.next.into_inner();
-                            gced += 1;
-                        }
-                        Err(p) => {
-                            *next = Some(Arc::clone(&p));
-                            break Some(p);
-                        }
-                    },
-                }
-            }
-        };
-        match pinned {
-            Some(p) => cur = p,
-            None => break,
-        }
-    }
-    if gced > 0 {
-        mvcc.note_gced(gced);
-    }
-}
-
-/// The two payload homes: resident version chains or the device-backed
-/// heap. `bytes` tracks live encoded size (head versions only) in both
-/// modes so the spill decision and stats cost nothing extra.
+/// The two payload homes: resident shared rows or the device-backed heap.
+/// `bytes` tracks live encoded size in both modes so the spill decision
+/// and stats cost nothing extra.
 #[derive(Debug)]
 enum Rows {
-    Resident { map: Arc<BTreeMap<i64, Arc<VerNode>>>, bytes: usize },
+    Resident { map: Arc<BTreeMap<i64, Arc<Vec<Value>>>>, bytes: usize },
     Paged(PagedRows),
 }
 
@@ -218,7 +134,7 @@ impl Rows {
 
     fn get(&self, id: i64) -> Option<Cow<'_, [Value]>> {
         match self {
-            Rows::Resident { map, .. } => map.get(&id).map(|n| Cow::Borrowed(n.row.as_slice())),
+            Rows::Resident { map, .. } => map.get(&id).map(|r| Cow::Borrowed(r.as_slice())),
             Rows::Paged(p) => p.get(id).map(Cow::Owned),
         }
     }
@@ -226,27 +142,19 @@ impl Rows {
     fn iter(&self) -> Box<dyn Iterator<Item = (i64, Cow<'_, [Value]>)> + '_> {
         match self {
             Rows::Resident { map, .. } => {
-                Box::new(map.iter().map(|(&id, n)| (id, Cow::Borrowed(n.row.as_slice()))))
+                Box::new(map.iter().map(|(&id, r)| (id, Cow::Borrowed(r.as_slice()))))
             }
             Rows::Paged(p) => Box::new(p.iter().map(|(id, r)| (id, Cow::Owned(r)))),
         }
     }
 
-    fn insert(&mut self, id: i64, values: Vec<Value>, mvcc: &MvccShared) {
+    fn insert(&mut self, id: i64, values: Vec<Value>) {
         match self {
             Rows::Resident { map, bytes } => {
                 *bytes += encoded_len(&values);
-                let begin = mvcc.stamp() + 1;
-                let map = Arc::make_mut(map);
-                let next = map.remove(&id);
-                if let Some(prev) = &next {
-                    *bytes -= encoded_len(&prev.row);
-                    debug_assert!(prev.begin <= begin, "version chains are newest-first");
+                if let Some(prev) = Arc::make_mut(map).insert(id, Arc::new(values)) {
+                    *bytes -= encoded_len(&prev);
                 }
-                let head = Arc::new(VerNode { begin, row: values, next: Mutex::new(next) });
-                trim_chain(&head, mvcc);
-                mvcc.note_version(chain_len(&head));
-                map.insert(id, head);
             }
             Rows::Paged(p) => p.insert(id, &values),
         }
@@ -256,13 +164,9 @@ impl Rows {
         match self {
             Rows::Resident { map, bytes } => {
                 let old = Arc::make_mut(map).remove(&id)?;
-                *bytes -= encoded_len(&old.row);
-                // The whole chain (head included) is reclaimed by `Arc`
-                // the moment the last snapshot referencing it drops.
-                Some(match Arc::try_unwrap(old) {
-                    Ok(node) => node.row,
-                    Err(pinned) => pinned.row.clone(),
-                })
+                *bytes -= encoded_len(&old);
+                // A row a snapshot still sees stays with the snapshot.
+                Some(Arc::try_unwrap(old).unwrap_or_else(|pinned| (*pinned).clone()))
             }
             Rows::Paged(p) => p.remove(id),
         }
@@ -280,21 +184,15 @@ impl Rows {
         }
     }
 
-    /// A logically private copy. Resident rows share the version-chain
-    /// map structurally (`Arc`) and privatize copy-on-write at the next
+    /// A logically private copy. Resident rows share the rowid map
+    /// structurally (`Arc`) and privatize copy-on-write at the next
     /// mutation; paged rows are materialized, never aliased (a copy must
     /// not share heap pages with the live table).
     fn clone_resident(&self) -> Rows {
         match self {
             Rows::Resident { map, bytes } => Rows::Resident { map: map.clone(), bytes: *bytes },
             Rows::Paged(p) => Rows::Resident {
-                map: Arc::new(
-                    p.iter()
-                        .map(|(id, row)| {
-                            (id, Arc::new(VerNode { begin: 0, row, next: Mutex::new(None) }))
-                        })
-                        .collect(),
-                ),
+                map: Arc::new(p.iter().map(|(id, row)| (id, Arc::new(row))).collect()),
                 bytes: p.bytes(),
             },
         }
@@ -428,8 +326,8 @@ impl Table {
             return;
         }
         let mut paged = PagedRows::new(cfg.tier.clone());
-        for (id, node) in std::mem::take(Arc::make_mut(map)) {
-            paged.insert(id, &node.row);
+        for (id, row) in std::mem::take(Arc::make_mut(map)) {
+            paged.insert(id, &row);
         }
         self.rows = Rows::Paged(paged);
     }
@@ -478,16 +376,6 @@ impl Table {
     /// All secondary indexes on this table.
     pub fn indexes(&self) -> &[SecondaryIndex] {
         self.indexes.as_slice()
-    }
-
-    /// Length of the version chain currently kept for `rowid` (0 when the
-    /// row does not exist or lives on the heap tier). Observability for
-    /// the MVCC GC; never used to answer queries.
-    pub fn version_chain_len(&self, rowid: i64) -> u64 {
-        match &self.rows {
-            Rows::Resident { map, .. } => map.get(&rowid).map_or(0, |n| chain_len(n)),
-            Rows::Paged(_) => 0,
-        }
     }
 
     /// Sets the first auto-assigned rowid. Used by the COW proxy to start
@@ -584,7 +472,7 @@ impl Table {
                 ix.insert_entry(&values, rowid);
             }
         }
-        self.rows.insert(rowid, values, &self.mvcc);
+        self.rows.insert(rowid, values);
         self.maybe_spill();
         Ok(rowid)
     }
@@ -671,7 +559,7 @@ impl Table {
         if new_rowid != rowid {
             self.rows.remove(rowid);
         }
-        self.rows.insert(new_rowid, values, &self.mvcc);
+        self.rows.insert(new_rowid, values);
         self.maybe_spill();
         Ok(())
     }
@@ -737,6 +625,37 @@ mod tests {
         // rows are enough to both migrate and evict.
         let tier = HeapTier::new(Box::new(MemDevice::with_sector_size(64)), 2);
         HeapCfg { tier, threshold: 128 }
+    }
+
+    /// The strong count of each resident row's `Arc`, by rowid.
+    fn owners(t: &Table) -> Vec<usize> {
+        match &t.rows {
+            Rows::Resident { map, .. } => map.values().map(Arc::strong_count).collect(),
+            Rows::Paged(_) => unreachable!("resident table"),
+        }
+    }
+
+    #[test]
+    fn a_dropped_snapshot_leaves_the_live_map_the_only_owner() {
+        let mut t = Table::new(schema());
+        for data in ["a", "b", "c"] {
+            t.insert(vec![Value::Null, data.into()], false).unwrap();
+        }
+        let frozen = t.freeze().unwrap();
+        assert_eq!(owners(&t), vec![1, 1, 1], "the freeze shares the map itself");
+        for i in 0..10 {
+            t.update_row(1, vec![Value::Integer(1), format!("v{i}").into()]).unwrap();
+        }
+        // The first write copied the map, so each unchanged row has two
+        // owners. The snapshot keeps reading the row it saw; the live
+        // table holds only its newest row, and no update kept the ones
+        // between.
+        assert_eq!(frozen.get(1).unwrap()[1], Value::Text("a".into()));
+        assert_eq!(t.get(1).unwrap()[1], Value::Text("v9".into()));
+        assert_eq!(owners(&t), vec![1, 2, 2]);
+        assert_eq!(owners(&frozen), vec![1, 2, 2], "row 1's first version: the snapshot's alone");
+        drop(frozen);
+        assert_eq!(owners(&t), vec![1, 1, 1], "the live map is the only owner of each row");
     }
 
     #[test]

@@ -50,7 +50,7 @@ use crate::cred::{Mode, Uid};
 use crate::error::{VfsError, VfsResult};
 use crate::path::VPath;
 use maxoid_block::{BlockDevice, CacheStats, ExtentAllocator, PageCache};
-use maxoid_journal::codec::{ByteReader, ByteWriter, Put};
+use maxoid_journal::codec::{ByteReader, Put};
 use maxoid_journal::{Delta, Record, SinkRef, VfsRecord};
 use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use std::collections::{BTreeMap, BTreeSet};
@@ -59,7 +59,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Number of inode-table shards. A power of two so `id % STORE_SHARDS`
 /// compiles to a mask; 16 keeps per-shard contention negligible for the
 /// fleet sizes the `fleet` bench drives while the all-shard operations
-/// (snapshots, restores) stay cheap.
+/// (dirty images) stay cheap.
 pub const STORE_SHARDS: usize = 16;
 
 /// Number of namespace-visibility generation counters.
@@ -390,8 +390,12 @@ impl DirtyImage<'_> {
 /// slots are omitted entirely; that is sound because alloc and dealloc
 /// always dirty the slot they touch, so a free list can never change
 /// without its shard appearing in the delta. Applying the images in
-/// checkpoint order on top of the base snapshot reproduces the exact
-/// store. Its length is counted from the inodes, so a checkpoint frames
+/// checkpoint order to [`Store::new`] reproduces the exact store. A store
+/// built from `Store::new` with no image ever cleared has every slot in
+/// its dirty set (`new` dirties the root; alloc, dealloc, touch and an
+/// applied image dirty what they change), so its image is the whole
+/// store, allocation state included: the one image a compaction writes.
+/// Its length is counted from the inodes, so a checkpoint frames
 /// it before writing it, and a spilled file's content is written a page
 /// at a time.
 impl Delta for DirtyImage<'_> {
@@ -509,8 +513,8 @@ impl Locked<'_> {
 /// UIDs matter. Callers that need checks use [`crate::fs::Vfs`].
 pub struct Store {
     shards: Vec<RwLock<Shard>>,
-    /// Root inode id (always 0 in practice; atomic only so image restore
-    /// can adopt the image's value through `&self`).
+    /// Root inode id (always 0 in practice; atomic only so an applied
+    /// image can adopt the image's value through `&self`).
     root: AtomicU64,
     /// Logical store-wide clock.
     clock: AtomicU64,
@@ -521,7 +525,7 @@ pub struct Store {
     journal: RwLock<Option<SinkRef>>,
     /// Namespace-visibility generations, sharded by path prefix: advanced
     /// by every mutation that can change *which* paths exist (create,
-    /// unlink, rmdir, rename, image restore) but not by content-only
+    /// unlink, rmdir, rename, an applied image) but not by content-only
     /// writes or appends. Union path-resolution caches validate against
     /// the counters for their branch hosts' prefixes, so one tenant's
     /// namespace changes no longer invalidate every other tenant's cache.
@@ -1420,31 +1424,6 @@ impl Store {
         Ok(())
     }
 
-    /// Serializes the exact store image — every shard's slot table
-    /// (including free slots), free list, plus root id and clock — for a
-    /// journal snapshot record. Exactness matters: replayed `WriteInode`
-    /// records address inodes by id, so the image must preserve
-    /// allocation state. All shard read guards are held for the duration,
-    /// making the image a consistent point-in-time cut.
-    pub fn snapshot_image(&self) -> Vec<u8> {
-        let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
-        let mut w = ByteWriter::new();
-        w.put_u64(self.root.load(Ordering::Relaxed));
-        w.put_u64(self.clock.load(Ordering::Relaxed));
-        w.put_u32(STORE_SHARDS as u32);
-        for sh in &guards {
-            w.put_u32(sh.slots.len() as u32);
-            for slot in &sh.slots {
-                write_slot(&mut w, &self.paged, slot.as_ref());
-            }
-            w.put_u32(sh.free.len() as u32);
-            for id in &sh.free {
-                w.put_u64(id.0);
-            }
-        }
-        w.into_bytes()
-    }
-
     /// Holds the store still for an incremental checkpoint: takes every
     /// shard's write guard, in ascending order (the multi-shard order), so
     /// no mutation lands between the image written from the returned
@@ -1508,52 +1487,6 @@ impl Store {
         Ok(())
     }
 
-    /// Restores the store from a [`Store::snapshot_image`] payload,
-    /// replacing all current contents. The journal sink is preserved.
-    pub fn restore_image(&self, image: &[u8]) -> VfsResult<()> {
-        let mut guards: Vec<_> = self.shards.iter().map(|s| s.write()).collect();
-        let mut r = ByteReader::new(image);
-        let bad = |_| VfsError::InvalidArgument;
-        let root = r.get_u64().map_err(bad)?;
-        let clock = r.get_u64().map_err(bad)?;
-        if r.get_u32().map_err(bad)? as usize != STORE_SHARDS {
-            return Err(VfsError::InvalidArgument);
-        }
-        let mut parsed: Vec<Shard> = Vec::with_capacity(STORE_SHARDS);
-        for idx in 0..STORE_SHARDS {
-            let n = r.get_u32().map_err(bad)? as usize;
-            let mut slots = Vec::with_capacity(n);
-            for _ in 0..n {
-                slots.push(read_slot(&mut r, &self.paged, self.spill_threshold)?);
-            }
-            let fcount = r.get_u32().map_err(bad)? as usize;
-            let mut free = Vec::with_capacity(fcount);
-            for _ in 0..fcount {
-                free.push(InodeId(r.get_u64().map_err(bad)?));
-            }
-            // Wholesale replacement: every slot is "dirty" relative to any
-            // delta taken earlier.
-            let dirty = (0..slots.len()).map(|l| global_id(idx, l).0).collect();
-            parsed.push(Shard { slots, free, dirty });
-        }
-        // The old tree is being replaced wholesale: release its extents.
-        for sh in guards.iter() {
-            for slot in sh.slots.iter().flatten() {
-                if let Inode::File { data, .. } = slot {
-                    fd_free(&self.paged, data);
-                }
-            }
-        }
-        for (sh, new) in guards.iter_mut().zip(parsed) {
-            **sh = new;
-        }
-        self.root.store(root, Ordering::Relaxed);
-        self.clock.store(clock, Ordering::Relaxed);
-        drop(guards);
-        self.bump_all();
-        Ok(())
-    }
-
     /// Dumps the whole tree as `path -> (is_dir, data, owner, mode bits)`
     /// for state-equivalence checks. Mtimes are deliberately excluded:
     /// failed operations advance the clock but are not journaled, so a
@@ -1603,9 +1536,8 @@ impl Store {
     }
 }
 
-/// Serializes one inode slot: 0 = empty, 1 = file, 2 = directory. Shared
-/// by full snapshots and incremental dirty images so the two formats can
-/// never drift apart. File content is always materialized, so the image
+/// Serializes one inode slot: 0 = empty, 1 = file, 2 = directory. File
+/// content is always materialized, so the image
 /// bytes are identical whether payloads were resident or spilled — backend
 /// equivalence at the serialization boundary. Spilled content reaches `w`
 /// one page at a time, each copied out of the cache before `w` sees it,
@@ -1720,6 +1652,7 @@ fn delta_bounds(old: &[u8], new: &[u8]) -> Option<(usize, usize)> {
 mod tests {
     use super::*;
     use crate::path::vpath;
+    use maxoid_journal::codec::ByteWriter;
 
     fn store_with(paths: &[(&str, &str)]) -> Store {
         let s = Store::new();
@@ -1815,7 +1748,7 @@ mod tests {
 
     #[test]
     fn journal_replay_rebuilds_identical_tree() {
-        use maxoid_journal::{committed_records, read_records, JournalHandle, Record};
+        use maxoid_journal::{replay, JournalHandle, Record};
         let h = JournalHandle::with_batch(1);
         let s = Store::new();
         s.set_journal(h.sink());
@@ -1832,22 +1765,30 @@ mod tests {
         assert!(s.mkdir(&vpath("/data/app"), Uid::ROOT, Mode::PUBLIC).is_err());
 
         let replayed = Store::new();
-        for rec in committed_records(&read_records(&h.bytes())) {
+        replay(&h.bytes(), |rec| {
             if let Record::Vfs(v) = rec {
                 replayed.apply_journal_record(&v).unwrap();
             }
-        }
+        });
         assert_eq!(replayed.dump_tree(), s.dump_tree());
         assert_eq!(replayed.inode_count(), s.inode_count());
     }
 
+    /// The store's dirty image, its dirty sets left as they are.
+    fn image(s: &Store) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        s.dirty_image().write_to(&mut w);
+        w.into_bytes()
+    }
+
     #[test]
-    fn snapshot_image_roundtrip_is_exact() {
+    fn dirty_image_roundtrip_is_exact() {
+        // A store whose image was never cleared has every slot dirty, so
+        // its dirty image is the whole store.
         let s = store_with(&[("/a/f", "1"), ("/b/g", "2")]);
         s.unlink(&vpath("/a/f")).unwrap(); // leave a hole in the inode table
-        let image = s.snapshot_image();
         let restored = Store::new();
-        restored.restore_image(&image).unwrap();
+        restored.apply_dirty_image(&image(&s)).unwrap();
         assert_eq!(restored.dump_tree(), s.dump_tree());
         // Allocation state is preserved: the next alloc reuses the hole in
         // both stores, keeping later WriteInode replay valid.
@@ -1859,7 +1800,7 @@ mod tests {
 
     #[test]
     fn overwrites_are_delta_logged_and_replay_exactly() {
-        use maxoid_journal::{committed_records, read_records, JournalHandle, Record};
+        use maxoid_journal::{replay, JournalHandle, Record};
         let h = JournalHandle::with_batch(1);
         let s = Store::new();
         s.set_journal(h.sink());
@@ -1877,7 +1818,8 @@ mod tests {
         v[0] = 1;
         s.write_inode(id, &v).unwrap();
 
-        let recs = committed_records(&read_records(&h.bytes()));
+        let mut recs = Vec::new();
+        replay(&h.bytes(), |r| recs.push(r));
         let kinds: Vec<&'static str> = recs
             .iter()
             .filter_map(|r| match r {
@@ -1917,7 +1859,8 @@ mod tests {
         };
         let s = store_with(&[("/a/f", "1"), ("/b/g", "2")]);
         let shadow = Store::new();
-        shadow.apply_dirty_image(&take(&s)).unwrap();
+        let full = take(&s);
+        shadow.apply_dirty_image(&full).unwrap();
         assert_eq!(shadow.dump_tree(), s.dump_tree());
         // Mutations between takes produce a small delta that catches the
         // shadow up — including tombstones for freed slots.
@@ -1925,7 +1868,7 @@ mod tests {
         s.unlink(&vpath("/b/g")).unwrap();
         s.rename(&vpath("/a/f"), &vpath("/b/h")).unwrap();
         let delta = take(&s);
-        assert!(delta.len() < s.snapshot_image().len());
+        assert!(delta.len() < full.len());
         shadow.apply_dirty_image(&delta).unwrap();
         assert_eq!(shadow.dump_tree(), s.dump_tree());
         // Allocation state converged too: next writes allocate identically.
@@ -1936,9 +1879,20 @@ mod tests {
     }
 
     #[test]
-    fn restore_image_rejects_garbage() {
+    fn dirty_image_rejects_garbage() {
         let s = Store::new();
-        assert_eq!(s.restore_image(&[1, 2, 3]).err(), Some(VfsError::InvalidArgument));
+        assert_eq!(s.apply_dirty_image(&[1, 2, 3]).err(), Some(VfsError::InvalidArgument));
+        // A good image with its shard count, or one shard's index, out of
+        // range; and every truncation of it.
+        let good = image(&store_with(&[("/a/f", "1")]));
+        let mut shards = good.clone();
+        shards[16] ^= 1;
+        let mut idx = good.clone();
+        idx[24..28].copy_from_slice(&(STORE_SHARDS as u32).to_le_bytes());
+        for bad in [&shards[..], &idx[..]].into_iter().chain((0..good.len()).map(|n| &good[..n])) {
+            assert_eq!(Store::new().apply_dirty_image(bad).err(), Some(VfsError::InvalidArgument));
+        }
+        Store::new().apply_dirty_image(&good).unwrap();
     }
 
     fn paged_store(pages: usize, threshold: usize) -> Store {
@@ -2101,7 +2055,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_images_identical_across_backends() {
+    fn dirty_images_identical_across_backends() {
         let script: &[(&str, &[u8])] =
             &[("/a/f", &[1u8; 5000]), ("/a/g", b"tiny"), ("/b/h", &[9u8; 12_345])];
         let resident = Store::new();
@@ -2113,12 +2067,12 @@ mod tests {
                 s.write(&vp, body, Uid::ROOT, Mode::PUBLIC).unwrap();
             }
         }
-        assert_eq!(resident.snapshot_image(), paged.snapshot_image());
+        assert_eq!(image(&resident), image(&paged));
         assert_eq!(resident.dump_tree(), paged.dump_tree());
-        // Restoring a resident image into a paged store spills by
-        // threshold and still reads back identically.
+        // Applying a resident image to a paged store spills by threshold
+        // and still reads back identically.
         let restored = paged_store(8, 64);
-        restored.restore_image(&resident.snapshot_image()).unwrap();
+        restored.apply_dirty_image(&image(&resident)).unwrap();
         assert_eq!(restored.dump_tree(), resident.dump_tree());
         assert!(restored.stats().spilled_files >= 2);
     }

@@ -9,13 +9,15 @@
 //! - **Backend equivalence** (proptest): the same randomized workload
 //!   applied to a resident-only store, a mem-device-backed store and a
 //!   file-device-backed store produces byte-identical `dump_tree()` and
-//!   `snapshot_image()` results, including under a page budget far
+//!   dirty images, including under a page budget far
 //!   smaller than the working set (eviction pressure).
 //! - **Cold boot**: a journaled system whose WAL sits on a file-backed
 //!   [`BlockStorage`] is dropped and re-booted from the device alone;
 //!   files and provider rows come back exactly, and the rebooted system
 //!   keeps journaling (LSN continuity) so a *second* cold boot sees the
-//!   post-reboot writes too.
+//!   post-reboot writes too. A cold boot reads its log through one window:
+//!   no read larger than the window or the largest frame, each scan of the
+//!   log front to back once.
 //! - **Corruption stays loud**: the PR-3/PR-6 byte-flip discipline holds
 //!   when the log's bytes round-trip through a block device — a flipped
 //!   byte is `Corrupted`, never a silently shortened history — and a
@@ -40,9 +42,9 @@ use maxoid::manifest::MaxoidManifest;
 use maxoid::{Caller, ContentValues, MaxoidSystem, QueryArgs, Uri};
 use maxoid_block::{BlockDevice, FaultDevice, FileDevice, MemDevice, ReadFaults};
 use maxoid_journal::{
-    committed_records, flip_byte, read_records, record_boundaries, BlockStorage, Fill, Journal,
+    flip_byte, read_records, record_boundaries, replay, BlockStorage, Delta, Fill, Journal,
     JournalError, JournalHandle, JournalSink, Record, Replacement, Storage, Tail, TailState,
-    VfsRecord,
+    VfsRecord, SCAN_WINDOW,
 };
 use maxoid_sqldb::Value;
 use maxoid_vfs::{vpath, Mode, Store, Uid, VPath, Vfs};
@@ -53,6 +55,21 @@ use std::sync::{Arc, Mutex};
 
 const PAGES: usize = 4;
 const THRESHOLD: usize = 64;
+
+/// The records a replay of `log` hands on.
+fn committed(log: &[u8]) -> Vec<Record> {
+    let mut recs = Vec::new();
+    replay(log, |r| recs.push(r));
+    recs
+}
+
+/// The store's dirty image, its dirty sets left as they are: the whole
+/// store, for one built from empty.
+fn image(s: &Store) -> Vec<u8> {
+    let mut w = maxoid_journal::codec::ByteWriter::new();
+    s.dirty_image().write_to(&mut w);
+    w.into_bytes()
+}
 
 fn fpath(i: u8) -> VPath {
     vpath("/").join(&format!("f{}", i % 8)).unwrap()
@@ -118,10 +135,10 @@ proptest! {
 
         prop_assert_eq!(resident.dump_tree(), mem.dump_tree());
         prop_assert_eq!(resident.dump_tree(), file.dump_tree());
-        // Snapshot images are the serialization boundary: paged content
-        // must materialize to the exact resident bytes.
-        prop_assert_eq!(resident.snapshot_image(), mem.snapshot_image());
-        prop_assert_eq!(resident.snapshot_image(), file.snapshot_image());
+        // Images are the serialization boundary: paged content must
+        // materialize to the exact resident bytes.
+        prop_assert_eq!(image(&resident), image(&mem));
+        prop_assert_eq!(image(&resident), image(&file));
 
         // The page budget is structural: it never grows with the
         // working set.
@@ -134,8 +151,8 @@ proptest! {
 /// stays exact and the counters show the cache actually thrashed.
 #[test]
 fn eviction_pressure_keeps_backends_equivalent() {
-    let mut resident = Store::new();
-    let mut mem = Store::with_block_device(Box::new(MemDevice::new()), PAGES, THRESHOLD);
+    let resident = Store::new();
+    let mem = Store::with_block_device(Box::new(MemDevice::new()), PAGES, THRESHOLD);
     for i in 0..8u8 {
         let data = pattern(i, 8000);
         resident.write(&fpath(i), &data, Uid::ROOT, Mode::PUBLIC).unwrap();
@@ -144,7 +161,7 @@ fn eviction_pressure_keeps_backends_equivalent() {
     for i in 0..8u8 {
         assert_eq!(resident.read(&fpath(i)).unwrap(), mem.read(&fpath(i)).unwrap());
     }
-    assert_eq!(resident.snapshot_image(), mem.snapshot_image());
+    assert_eq!(image(&resident), image(&mem));
     let st = mem.stats();
     let cache = st.cache.expect("paged store exposes cache stats");
     assert!(cache.evictions > 0, "8x working set must evict: {cache:?}");
@@ -381,7 +398,7 @@ proptest! {
 #[derive(Clone, Copy, Debug)]
 enum Rewrite {
     CheckpointDelta,
-    ReplaceWith,
+    Compact,
 }
 
 fn acked_sql(i: usize) -> Record {
@@ -405,21 +422,20 @@ fn ack_200(dev: Box<dyn maxoid_block::BlockDevice>) -> Journal {
 fn run(j: &mut Journal, rewrite: Rewrite) -> maxoid_journal::JournalResult<()> {
     match rewrite {
         Rewrite::CheckpointDelta => j.checkpoint_delta("vfs.store", &[5; 3000][..]),
-        Rewrite::ReplaceWith => {
-            let live = vec![
-                Record::Snapshot { component: "vfs.store".into(), payload: vec![6; 6000] },
-                Record::Sql { db: "db.t".into(), sql: "CREATE TABLE t (x)".into(), params: vec![] },
-            ];
-            j.replace_with(live, 200)
+        Rewrite::Compact => {
+            let sql =
+                Record::Sql { db: "db.t".into(), sql: "CREATE TABLE t (x)".into(), params: vec![] };
+            j.compact(&[sql], "vfs.store", &[6; 6000][..])
         }
     }
 }
 
 /// The committed records of the log on `platter`, after a reboot.
 fn committed_on(platter: SharedDev) -> Vec<Record> {
-    let log = read_records(&log_on(&platter));
-    assert!(!matches!(log.tail, TailState::Corrupted { .. }), "rewrite left {:?}", log.tail);
-    committed_records(&log)
+    let log = log_on(&platter);
+    let tail = read_records(&log).tail;
+    assert!(!matches!(tail, TailState::Corrupted { .. }), "rewrite left {tail:?}");
+    committed(&log)
 }
 
 /// A power cut anywhere inside a log rewrite — checkpoint or compaction,
@@ -429,7 +445,7 @@ fn committed_on(platter: SharedDev) -> Vec<Record> {
 #[test]
 fn rewrite_power_loss_keeps_the_old_log_or_the_new_one() {
     let old: Vec<Record> = (0..200).map(acked_sql).collect();
-    for rewrite in [Rewrite::CheckpointDelta, Rewrite::ReplaceWith] {
+    for rewrite in [Rewrite::CheckpointDelta, Rewrite::Compact] {
         // A fault-free run counts the writes the acks take and the ones
         // the rewrite takes, and records the rewritten log.
         let platter = SharedDev::default();
@@ -671,7 +687,7 @@ fn a_reopened_journal_keeps_its_retained_prefix() {
     let storage = RecordingReads { inner, reads: reads.clone() };
     let mut j = Journal::new(Box::new(storage), 8).unwrap();
     append_sql_and_vfs(&mut j, 200..300);
-    let before = read_records(&j.bytes());
+    let before = j.bytes();
     reads.lock().unwrap().clear();
     j.checkpoint_delta("vfs.store", &[5; 3000][..]).unwrap();
     let reads = reads.lock().unwrap().clone();
@@ -683,9 +699,9 @@ fn a_reopened_journal_keeps_its_retained_prefix() {
     );
     let after = j.bytes();
     assert_eq!(after[..prefix.len()], prefix[..], "the prefix's bytes are unchanged");
-    let mut want = chain_and_sql(committed_records(&before));
+    let mut want = chain_and_sql(committed(&before));
     want.push(Record::SnapshotDelta { component: "vfs.store".into(), payload: vec![5; 3000] });
-    assert_eq!(committed_records(&read_records(&after)), want);
+    assert_eq!(committed(&after), want);
 }
 
 /// A step of the `spliced ≡ rewritten` workload.
@@ -724,9 +740,7 @@ fn frames_of(log: &[u8]) -> Vec<&[u8]> {
 /// The records a checkpoint keeps from the committed ones.
 fn chain_and_sql(recs: Vec<Record>) -> Vec<Record> {
     recs.into_iter()
-        .filter(|r| {
-            matches!(r, Record::Snapshot { .. } | Record::SnapshotDelta { .. } | Record::Sql { .. })
-        })
+        .filter(|r| matches!(r, Record::SnapshotDelta { .. } | Record::Sql { .. }))
         .collect()
 }
 
@@ -735,10 +749,9 @@ proptest! {
 
     /// A checkpoint that keeps its retained prefix and splices only what
     /// was logged since the last rewrite leaves exactly the committed
-    /// records a whole-log rewrite would: the committed snapshot chain and
-    /// SQL of the whole log before it, then the new delta (compaction
-    /// markers aside, which recovery ignores). LSNs strictly rise across
-    /// the spliced log, past everything the log held before.
+    /// records a whole-log rewrite would: the committed image chain and
+    /// SQL of the whole log before it, then the new delta. LSNs strictly
+    /// rise across the spliced log, past everything the log held before.
     #[test]
     fn prop_spliced_checkpoints_equal_whole_log_rewrites(
         ops in proptest::collection::vec(log_op(), 1..80),
@@ -776,7 +789,7 @@ proptest! {
                     let before = read_records(&before_bytes);
                     prop_assert_eq!(before.tail, TailState::Clean);
                     let delta = vec![n as u8; n as usize];
-                    let mut want = chain_and_sql(committed_records(&before));
+                    let mut want = chain_and_sql(committed(&before_bytes));
                     want.push(Record::SnapshotDelta {
                         component: "vfs.store".into(),
                         payload: delta.clone(),
@@ -793,17 +806,16 @@ proptest! {
                     let (delta_frame, kept) = new_frames.split_last().unwrap();
                     prop_assert!(kept.iter().all(|f| old_frames.contains(f)));
                     prop_assert!(!old_frames.contains(delta_frame));
-                    let mut got = committed_records(&after);
-                    got.retain(|r| !matches!(r, Record::Compaction { .. }));
-                    prop_assert_eq!(got, want);
+                    prop_assert_eq!(committed(&after_bytes), want);
                     prop_assert!(after.records.windows(2).all(|w| w[0].0 < w[1].0));
                     prop_assert!(after.last_lsn() > before.last_lsn());
                 }
                 LogOp::Compact => {
+                    // The committed chain and SQL as the compaction's
+                    // records, then its image.
                     j.flush().unwrap();
-                    let log = read_records(&j.bytes());
-                    let live = chain_and_sql(committed_records(&log));
-                    j.replace_with(live, log.last_lsn()).unwrap();
+                    let live = chain_and_sql(committed(&j.bytes()));
+                    j.compact(&live, "vfs.store", &[7; 100][..]).unwrap();
                 }
                 LogOp::Reopen => {
                     // Queued records die with the process, open
@@ -887,6 +899,64 @@ fn cold_boot_under_read_faults_fails() {
         MaxoidSystem::boot_journaled(j).is_err(),
         "a cold boot must not come up empty over a log it could not read"
     );
+}
+
+/// `reads` cut into runs, each read starting where the one before it
+/// ended.
+fn runs(reads: &[(usize, usize)]) -> Vec<std::ops::Range<usize>> {
+    let mut out: Vec<std::ops::Range<usize>> = Vec::new();
+    for &(at, n) in reads {
+        match out.last_mut() {
+            Some(run) if run.end == at => run.end += n,
+            _ => out.push(at..at + n),
+        }
+    }
+    out
+}
+
+/// A cold boot reads its log through one window: the journal's open and
+/// the replay each read the log once, front to back, in reads of at most
+/// the window or the largest frame, and no read covers the whole log.
+#[test]
+fn a_cold_boot_reads_its_log_through_one_window() {
+    let platter = SharedDev::default();
+    let storage = BlockStorage::open(Box::new(platter.clone()), 4).unwrap();
+    let j = JournalHandle::with_storage(Box::new(storage), 16).unwrap();
+    let sys = MaxoidSystem::boot_journaled(j.clone()).expect("boot");
+    seed_system(&sys);
+    // Files before a checkpoint, whose image frame outgrows the window,
+    // and more after it, so the log spans several windows.
+    let write = |from: u8, to: u8| {
+        sys.kernel.vfs().with_store_mut(|s| {
+            for i in from..to {
+                let path = vpath("/storage/sdcard").join(&format!("f{i}")).unwrap();
+                s.write(&path, &pattern(i, 20_000), Uid::ROOT, Mode::PUBLIC).unwrap();
+            }
+        })
+    };
+    write(0, 40);
+    sys.checkpoint_incremental().unwrap();
+    write(40, 100);
+    j.flush().unwrap();
+    let (files, words) = (files_of(&sys), query_words(&sys));
+    drop((sys, j));
+    let log = log_on(&platter);
+    let largest = record_boundaries(&log).windows(2).skip(1).map(|w| w[1] - w[0]).max().unwrap();
+    assert!(log.len() > 4 * SCAN_WINDOW && largest > SCAN_WINDOW, "{} B, {largest}", log.len());
+
+    let reads = Arc::new(Mutex::new(Vec::new()));
+    let inner = BlockStorage::open(Box::new(platter.clone()), 4).unwrap();
+    let storage = RecordingReads { inner, reads: reads.clone() };
+    let j = JournalHandle::with_storage(Box::new(storage), 16).unwrap();
+    let sys = MaxoidSystem::boot_journaled(j).expect("cold boot");
+    sys.install(INITIATOR, vec![], MaxoidManifest::new()).expect("re-install");
+    assert_eq!(files_of(&sys), files);
+    assert_eq!(query_words(&sys), words);
+    let reads = reads.lock().unwrap().clone();
+    let bound = SCAN_WINDOW.max(largest);
+    assert!(reads.iter().all(|&(_, n)| n <= bound), "a read past {bound} B: {reads:?}");
+    assert!(reads.iter().all(|&(_, n)| n < log.len()), "a read of the whole log");
+    assert_eq!(runs(&reads), vec![0..log.len(), 0..log.len()], "the open's scan, the replay");
 }
 
 #[test]

@@ -9,7 +9,7 @@ use maxoid_vfs::{vpath, Mode, OpenMode};
 /// locations — renames stay inside its confined view.
 #[test]
 fn rename_does_not_escape() {
-    let mut sys = standard_cast();
+    let sys = standard_cast();
     let a = sys.launch("initiator").unwrap();
     let secret = write_private(&sys, a, "initiator", "s.txt", b"secret");
     let d =
@@ -26,7 +26,7 @@ fn rename_does_not_escape() {
 /// Directory creation by a delegate is confined too.
 #[test]
 fn mkdir_is_confined() {
-    let mut sys = standard_cast();
+    let sys = standard_cast();
     let d = sys.launch_as_delegate("viewer", "initiator").unwrap();
     sys.kernel.mkdir_all(d, &vpath("/storage/sdcard/exfil/deep/dir"), Mode::PUBLIC).unwrap();
     sys.kernel.write(d, &vpath("/storage/sdcard/exfil/deep/dir/x"), b"data", Mode::PUBLIC).unwrap();
@@ -38,7 +38,7 @@ fn mkdir_is_confined() {
 /// delegate opens for write on a public file pins the *volatile* copy.
 #[test]
 fn write_handle_pins_volatile_copy() {
-    let mut sys = standard_cast();
+    let sys = standard_cast();
     let x = sys.launch("bystander").unwrap();
     let f = write_public(&sys, x, "doc.txt", b"public v1");
     let d = sys.launch_as_delegate("viewer", "initiator").unwrap();
@@ -53,7 +53,7 @@ fn write_handle_pins_volatile_copy() {
 /// volatile state: tmp URIs always address the caller's own.
 #[test]
 fn tmp_uris_are_callers_own() {
-    let mut sys = standard_cast();
+    let sys = standard_cast();
     sys.install("other", vec![], maxoid::MaxoidManifest::new()).unwrap();
     let words = Uri::parse("content://user_dictionary/words").unwrap();
     // A delegate of `other` creates a volatile record.
@@ -74,7 +74,7 @@ fn tmp_uris_are_callers_own() {
 /// from ResolverActivity cannot accidentally launder the context.
 #[test]
 fn chooser_keeps_computed_context() {
-    let mut sys = standard_cast();
+    let sys = standard_cast();
     // A second viewer creates ambiguity.
     sys.install(
         "viewer2",
@@ -98,7 +98,7 @@ fn chooser_keeps_computed_context() {
 /// delegate kills the normal instance, and vice versa.
 #[test]
 fn conflicting_instances_are_killed() {
-    let mut sys = standard_cast();
+    let sys = standard_cast();
     let normal = sys.launch("viewer").unwrap();
     let d = sys.launch_as_delegate("viewer", "initiator").unwrap();
     // The normal instance is gone.
@@ -113,7 +113,7 @@ fn conflicting_instances_are_killed() {
 /// open exactly one attachment URI, once, and write grants are separate.
 #[test]
 fn per_uri_grants_are_one_shot() {
-    let mut sys = standard_cast();
+    let sys = standard_cast();
     // Register an app-defined provider for `initiator`.
     struct Att;
     impl maxoid_providers::provider::ContentProvider for Att {
@@ -182,7 +182,7 @@ fn per_uri_grants_are_one_shot() {
 /// private provider-ish files even knowing their exact path.
 #[test]
 fn initiator_cannot_probe_delegate_fork() {
-    let mut sys = standard_cast();
+    let sys = standard_cast();
     let a = sys.launch("initiator").unwrap();
     let d = sys.launch_as_delegate("viewer", "initiator").unwrap();
     write_private(&sys, d, "viewer", "delegate_secrets.db", b"fork data");
@@ -197,7 +197,7 @@ fn initiator_cannot_probe_delegate_fork() {
 /// Clear-Vol also resets the confined clipboard.
 #[test]
 fn clear_vol_covers_clipboard() {
-    let mut sys = standard_cast();
+    let sys = standard_cast();
     let d = sys.launch_as_delegate("viewer", "initiator").unwrap();
     let dctx = sys.kernel.process(d).unwrap().ctx.clone();
     sys.clipboard.set(&dctx, "confined clip");

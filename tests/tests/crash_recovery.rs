@@ -369,7 +369,7 @@ fn group_commit_batching_loses_only_the_pending_tail() {
     // flush-forcing record arrives. bytes() models the crash image: the
     // pending tail is lost, but what is durable is a valid prefix.
     let j = JournalHandle::with_batch(64);
-    let mut sys = MaxoidSystem::boot_journaled(j).expect("boot");
+    let sys = MaxoidSystem::boot_journaled(j).expect("boot");
     sys.install(INITIATOR, vec![], MaxoidManifest::new()).unwrap();
     let public = Caller::normal(INITIATOR);
     for i in 0..5 {
@@ -390,7 +390,7 @@ fn group_commit_batching_loses_only_the_pending_tail() {
 
 /// Builds a log exercising every format-v2 record type: repeated
 /// overwrites of one file (delta-encoded writes + an interned path), a
-/// compaction (`Compaction` marker + snapshot + DDL + row dumps), and
+/// compaction (DDL + row dumps + the store's image), and
 /// post-compaction traffic (a fresh `PathDef` — the rewrite resets the
 /// dictionary). Returns the system; its journal holds the log.
 fn v2_heavy_system() -> MaxoidSystem {
@@ -429,9 +429,7 @@ fn record_kinds(log: &[u8]) -> std::collections::BTreeSet<&'static str> {
             Record::Vfs(VfsRecord::WriteInodeDelta { .. }) => "write-inode-delta",
             Record::Vfs(_) => "vfs",
             Record::PathDef { .. } => "path-def",
-            Record::Snapshot { .. } => "snapshot",
             Record::SnapshotDelta { .. } => "snapshot-delta",
-            Record::Compaction { .. } => "compaction",
             Record::Sql { .. } => "sql",
             Record::TxnBegin { .. } | Record::TxnCommit { .. } | Record::TxnRollback { .. } => {
                 "txn"
@@ -443,7 +441,7 @@ fn record_kinds(log: &[u8]) -> std::collections::BTreeSet<&'static str> {
 /// The PR-3 sweeps, on a log full of format-v2 record types: a crash at
 /// any boundary of a compacted-then-extended log recovers, the full log
 /// reproduces the live state, and a flipped byte anywhere — inside
-/// delta, dictionary, snapshot or compaction records — is `Corrupted`,
+/// delta, dictionary, image or compacted SQL records — is `Corrupted`,
 /// never a silently shortened history.
 #[test]
 fn v2_record_types_survive_flip_and_crash_sweeps() {
@@ -453,7 +451,7 @@ fn v2_record_types_survive_flip_and_crash_sweeps() {
     let log = journal.bytes();
 
     let kinds = record_kinds(&log);
-    for want in ["write-delta", "path-def", "snapshot", "compaction", "sql", "vfs"] {
+    for want in ["write-delta", "path-def", "snapshot-delta", "sql", "vfs"] {
         assert!(kinds.contains(want), "workload must produce a {want} record, got {kinds:?}");
     }
 

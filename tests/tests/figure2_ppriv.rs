@@ -23,7 +23,7 @@ fn read(sys: &MaxoidSystem, pid: maxoid::Pid, p: &VPath) -> Option<String> {
 /// while pPriv(B^A) persists throughout and pPriv(B^C) stays isolated.
 #[test]
 fn figure2_full_replay() {
-    let mut sys = standard_cast();
+    let sys = standard_cast();
     sys.install("other", vec![], maxoid::MaxoidManifest::new()).unwrap();
 
     // B runs normally with preferences version 0.
@@ -70,7 +70,7 @@ fn figure2_full_replay() {
 #[test]
 fn fork_outcomes_match_policy() {
     use maxoid::ForkOutcome;
-    let mut sys = standard_cast();
+    let sys = standard_cast();
     let b = sys.launch("viewer").unwrap();
     sys.kernel.write(b, &npriv_file(), b"v0", Mode::PRIVATE).unwrap();
     assert_eq!(sys.fork_outcome_probe("initiator", "viewer").unwrap(), ForkOutcome::FreshFork);
@@ -88,7 +88,7 @@ fn fork_outcomes_match_policy() {
 /// of B sees Priv(B) exactly as it was.
 #[test]
 fn s4_restore_after_delegate_runs() {
-    let mut sys = standard_cast();
+    let sys = standard_cast();
     let b = sys.launch("viewer").unwrap();
     sys.kernel.write(b, &npriv_file(), b"pristine", Mode::PRIVATE).unwrap();
     for _ in 0..3 {

@@ -7,7 +7,7 @@ use maxoid::MaxoidSystem;
 use maxoid_vfs::{vpath, Mode};
 
 fn boot() -> MaxoidSystem {
-    let mut sys = MaxoidSystem::boot().expect("boot");
+    let sys = MaxoidSystem::boot().expect("boot");
     sys.install("A", vec![], MaxoidManifest::new().private_ext_dir("data/A")).unwrap();
     sys.install("B", vec![], MaxoidManifest::new().private_ext_dir("data/B")).unwrap();
     sys.install("X", vec![], MaxoidManifest::new()).unwrap();
@@ -16,7 +16,7 @@ fn boot() -> MaxoidSystem {
 
 #[test]
 fn figure4_three_views() {
-    let mut sys = boot();
+    let sys = boot();
     let a = sys.launch("A").unwrap();
     let x = sys.launch("X").unwrap();
     let file_b = vpath("/storage/sdcard/data/A/b");
@@ -53,7 +53,7 @@ fn figure4_three_views() {
 
 #[test]
 fn commit_makes_edit_durable_then_discard_cleans() {
-    let mut sys = boot();
+    let sys = boot();
     let a = sys.launch("A").unwrap();
     let file_b = vpath("/storage/sdcard/data/A/b");
     sys.kernel.write(a, &file_b, b"b0", Mode::PUBLIC).unwrap();
@@ -77,7 +77,7 @@ fn commit_makes_edit_durable_then_discard_cleans() {
 
 #[test]
 fn delegate_deletion_is_confined_too() {
-    let mut sys = boot();
+    let sys = boot();
     let x = sys.launch("X").unwrap();
     let f = vpath("/storage/sdcard/shared.txt");
     sys.kernel.write(x, &f, b"keep me", Mode::PUBLIC).unwrap();
@@ -97,7 +97,7 @@ fn delegate_deletion_is_confined_too() {
 fn append_semantics_match_aufs() {
     // The worst-case microbenchmark path: append to a lower-branch file
     // copies the whole file up, then appends.
-    let mut sys = boot();
+    let sys = boot();
     let x = sys.launch("X").unwrap();
     let f = vpath("/storage/sdcard/log.txt");
     sys.kernel.write(x, &f, b"base|", Mode::PUBLIC).unwrap();
@@ -112,7 +112,7 @@ fn append_semantics_match_aufs() {
 
 #[test]
 fn readdir_views_are_consistent() {
-    let mut sys = boot();
+    let sys = boot();
     let a = sys.launch("A").unwrap();
     let x = sys.launch("X").unwrap();
     sys.kernel.write(x, &vpath("/storage/sdcard/pub1.txt"), b"1", Mode::PUBLIC).unwrap();

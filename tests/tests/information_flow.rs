@@ -9,7 +9,7 @@ use maxoid_vfs::{vpath, Mode};
 /// Priv(A) -> B^A: a delegate reads its initiator's private state.
 #[test]
 fn edge_priv_a_to_delegate() {
-    let mut sys = standard_cast();
+    let sys = standard_cast();
     let a = sys.launch("initiator").unwrap();
     let secret = write_private(&sys, a, "initiator", "secret.txt", b"priv(A)");
     let d =
@@ -21,7 +21,7 @@ fn edge_priv_a_to_delegate() {
 /// visible to A and to co-delegates, not to the public.
 #[test]
 fn edge_delegate_to_vol_a() {
-    let mut sys = standard_cast();
+    let sys = standard_cast();
     let a = sys.launch("initiator").unwrap();
     let d = sys.launch_as_delegate("viewer", "initiator").unwrap();
     sys.kernel.write(d, &vpath("/storage/sdcard/out.txt"), b"tainted", Mode::PUBLIC).unwrap();
@@ -41,7 +41,7 @@ fn edge_delegate_to_vol_a() {
 /// untouched (S4) and A cannot read the fork (S3).
 #[test]
 fn edge_delegate_to_priv_fork() {
-    let mut sys = standard_cast();
+    let sys = standard_cast();
     let a = sys.launch("initiator").unwrap();
     let d = sys.launch_as_delegate("viewer", "initiator").unwrap();
     let fork_file = write_private(&sys, d, "viewer", "notes.db", b"in fork");
@@ -58,7 +58,7 @@ fn edge_delegate_to_priv_fork() {
 /// and initiator updates remain visible until the unilateral fork (U2).
 #[test]
 fn edge_pub_all_visibility() {
-    let mut sys = standard_cast();
+    let sys = standard_cast();
     let x = sys.launch("bystander").unwrap();
     let f = write_public(&sys, x, "news.txt", b"v1");
     let d = sys.launch_as_delegate("viewer", "initiator").unwrap();
@@ -77,7 +77,7 @@ fn edge_pub_all_visibility() {
 /// Forbidden edge: delegate -> network (ENETUNREACH).
 #[test]
 fn forbidden_delegate_network() {
-    let mut sys = standard_cast();
+    let sys = standard_cast();
     sys.kernel.net.publish("c2.example", "drop", vec![]);
     let d = sys.launch_as_delegate("viewer", "initiator").unwrap();
     assert!(sys.kernel.connect(d, "c2.example").is_err());
@@ -90,7 +90,7 @@ fn forbidden_delegate_network() {
 /// Forbidden edge: delegate -> unrelated app via Binder.
 #[test]
 fn forbidden_delegate_binder() {
-    let mut sys = standard_cast();
+    let sys = standard_cast();
     let a = sys.launch("initiator").unwrap();
     let x = sys.launch("bystander").unwrap();
     let d = sys.launch_as_delegate("viewer", "initiator").unwrap();
@@ -101,7 +101,7 @@ fn forbidden_delegate_binder() {
 /// Forbidden edges: delegate -> Bluetooth / SMS; clipboard confinement.
 #[test]
 fn forbidden_delegate_services() {
-    let mut sys = standard_cast();
+    let sys = standard_cast();
     let d = sys.launch_as_delegate("viewer", "initiator").unwrap();
     let dctx = sys.kernel.process(d).unwrap().ctx.clone();
     assert!(sys.bluetooth.send(&dctx, b"leak").is_err());
@@ -117,7 +117,7 @@ fn forbidden_delegate_services() {
 /// provider instead of files.
 #[test]
 fn provider_edges_mirror_file_edges() {
-    let mut sys = standard_cast();
+    let sys = standard_cast();
     let words = Uri::parse("content://user_dictionary/words").unwrap();
     let x = sys.launch("bystander").unwrap();
     sys.cp_insert(x, &words, &ContentValues::new().put("word", "public")).unwrap();
@@ -152,7 +152,7 @@ fn provider_edges_mirror_file_edges() {
 /// B^A stay inside A's delegate set; nested delegation fails.
 #[test]
 fn ipc_transitivity_and_broadcast() {
-    let mut sys = standard_cast();
+    let sys = standard_cast();
     sys.install(
         "editor",
         vec![maxoid::AppIntentFilter::new("EDIT", None)],
@@ -193,7 +193,7 @@ fn ipc_transitivity_and_broadcast() {
 /// privilege.
 #[test]
 fn initiators_keep_stock_behaviour() {
-    let mut sys = standard_cast();
+    let sys = standard_cast();
     sys.kernel.net.publish("api.example", "sync", b"ok".to_vec());
     let a = sys.launch("initiator").unwrap();
     // Network, public writes, provider inserts: all stock.

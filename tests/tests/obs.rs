@@ -145,7 +145,7 @@ proptest! {
 fn delegation_lifecycle_is_obs_neutral() {
     let _g = GATE.lock().unwrap();
     let run = || -> Vec<String> {
-        let mut sys = MaxoidSystem::boot().expect("boot");
+        let sys = MaxoidSystem::boot().expect("boot");
         sys.install(INITIATOR, vec![], MaxoidManifest::new()).unwrap();
         sys.install(DELEGATE, vec![], MaxoidManifest::new()).unwrap();
         let uri = Uri::parse("content://user_dictionary/words").unwrap();

@@ -44,7 +44,7 @@ proptest! {
     /// its own writes.
     #[test]
     fn delegate_file_ops_preserve_public_state(ops in proptest::collection::vec(file_op(), 1..24)) {
-        let mut sys = MaxoidSystem::boot().unwrap();
+        let sys = MaxoidSystem::boot().unwrap();
         sys.install("init", vec![], MaxoidManifest::new()).unwrap();
         sys.install("worker", vec![], MaxoidManifest::new()).unwrap();
         sys.install("public", vec![], MaxoidManifest::new()).unwrap();
@@ -133,7 +133,7 @@ proptest! {
     /// rows, and the public rows never change.
     #[test]
     fn delegate_provider_ops_match_shadow_model(ops in proptest::collection::vec(row_op(), 1..20)) {
-        let mut sys = MaxoidSystem::boot().unwrap();
+        let sys = MaxoidSystem::boot().unwrap();
         sys.install("init", vec![], MaxoidManifest::new()).unwrap();
         sys.install("worker", vec![], MaxoidManifest::new()).unwrap();
         sys.install("public", vec![], MaxoidManifest::new()).unwrap();

@@ -20,7 +20,7 @@ fn worker_pkg(j: usize) -> String {
 
 #[test]
 fn many_initiators_stay_pairwise_isolated() {
-    let mut sys = MaxoidSystem::boot().unwrap();
+    let sys = MaxoidSystem::boot().unwrap();
     for i in 0..INITIATORS {
         sys.install(&init_pkg(i), vec![], MaxoidManifest::new().private_ext_dir("data")).unwrap();
     }
@@ -115,7 +115,7 @@ fn many_initiators_stay_pairwise_isolated() {
 fn delegate_forks_scale_per_initiator_pair() {
     // The same worker app forked for many initiators keeps every fork
     // independent; pPriv too.
-    let mut sys = MaxoidSystem::boot().unwrap();
+    let sys = MaxoidSystem::boot().unwrap();
     sys.install("worker", vec![], MaxoidManifest::new()).unwrap();
     for i in 0..INITIATORS {
         sys.install(&init_pkg(i), vec![], MaxoidManifest::new()).unwrap();

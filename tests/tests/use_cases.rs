@@ -203,7 +203,7 @@ fn use_case_google_drive() {
 /// because they need network: our delegate fails exactly that way.
 #[test]
 fn network_dependent_delegate_fails_gracefully() {
-    let mut sys = MaxoidSystem::boot().unwrap();
+    let sys = MaxoidSystem::boot().unwrap();
     sys.kernel.net.publish("convert.example", "api", b"".to_vec());
     sys.install("converter", vec![], MaxoidManifest::new()).unwrap();
     sys.install("docs", vec![], MaxoidManifest::new()).unwrap();
