@@ -149,8 +149,7 @@ impl Rebuild {
                 .or_insert_with(|| Database::with_policy(FlattenPolicy::Sqlite386))
                 .apply_journal_sql(&sql, &params)
                 .map_err(|error| RecoveryError::Sql { db, error }),
-            // The replay hands on no transaction markers and no path
-            // dictionary definitions.
+            // The replay hands on no transaction markers.
             _ => Ok(()),
         };
         self.failed = result.err();

@@ -252,14 +252,6 @@ impl MaxoidSystem {
         Self::boot_inner(Some(journal), Vfs::new())
     }
 
-    /// Like [`MaxoidSystem::boot_journaled`], but the caller supplies the
-    /// (empty) VFS — typically [`Vfs::with_block_device`], so that both the
-    /// journal *and* the file store live behind block devices and large
-    /// recovered payloads spill to pages instead of resident memory.
-    pub fn boot_journaled_with_vfs(journal: JournalHandle, vfs: Vfs) -> SystemResult<Self> {
-        Self::boot_inner(Some(journal), vfs)
-    }
-
     /// Boots (or cold-boots) a Maxoid device from **one block device**:
     /// a [`maxoid_block::PartitionTable`] multiplexes the image into a
     /// WAL partition (the journal's `BlockStorage`), a VFS spill

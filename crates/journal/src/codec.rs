@@ -22,8 +22,6 @@ pub enum CodecError {
     BadTag(u8),
     /// A length-prefixed string was not valid UTF-8.
     BadUtf8,
-    /// A path field referenced a dictionary id with no `PathDef`.
-    UnknownPathId(u32),
 }
 
 impl std::fmt::Display for CodecError {
@@ -32,7 +30,6 @@ impl std::fmt::Display for CodecError {
             CodecError::Truncated => write!(f, "truncated payload"),
             CodecError::BadTag(t) => write!(f, "unknown tag byte {t:#04x}"),
             CodecError::BadUtf8 => write!(f, "invalid utf-8 in string field"),
-            CodecError::UnknownPathId(id) => write!(f, "undefined path dictionary id {id}"),
         }
     }
 }

@@ -8,17 +8,12 @@
 //! like `copy_all` decompose into these); SQL mutations are logged
 //! logically (statement text plus bound parameters, replayed through the
 //! parser so the rebuilt catalog includes views, triggers and indexes).
+//!
+//! Every record is self-contained: its paths are literal strings and an
+//! overwrite carries the file's whole new contents, so a frame decodes
+//! the same with no other frame in front of it.
 
 use crate::codec::{ByteReader, ByteWriter, CodecError, Put};
-use std::collections::{HashMap, HashSet};
-
-/// Sentinel meaning "encode this path literally" in a path slot.
-pub(crate) const LITERAL_PATH: u32 = u32::MAX;
-
-// Path-field tags: a path slot is either the string itself or a
-// dictionary id defined by an earlier `PathDef` record.
-const PATH_LITERAL: u8 = 0;
-const PATH_ID: u8 = 1;
 
 /// A bound SQL parameter value, mirroring `maxoid_sqldb::Value`.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,24 +68,6 @@ pub enum VfsRecord {
         owner: u32,
         mode: u8,
     },
-    /// Overwrite logged as a delta against the file's previous contents:
-    /// the new payload is `old[..prefix] ++ data ++ old[old_len-suffix..]`.
-    /// Emitted instead of a full `Write` when the changed span is small
-    /// relative to the new length; owner/mode are unchanged by an
-    /// overwrite, so they are not logged.
-    WriteDelta {
-        path: String,
-        prefix: u32,
-        suffix: u32,
-        data: Vec<u8>,
-    },
-    /// [`VfsRecord::WriteDelta`] addressed by inode id (open handles).
-    WriteInodeDelta {
-        inode: u64,
-        prefix: u32,
-        suffix: u32,
-        data: Vec<u8>,
-    },
 }
 
 /// One typed journal record.
@@ -108,10 +85,6 @@ pub enum Record {
     Sql { db: String, sql: String, params: Vec<ParamValue> },
     /// A physically-logged backing-store mutation.
     Vfs(VfsRecord),
-    /// Defines path-dictionary id `id` as `path` for every later record in
-    /// the log. Pure framing metadata: it carries no state and is skipped
-    /// by the redo filter.
-    PathDef { id: u32, path: String },
     /// A component's image: the state dirtied since the previous
     /// `SnapshotDelta` for this component — all of it, for a component
     /// rebuilt from empty, as a compaction writes it. Replay merges it over
@@ -128,15 +101,14 @@ pub(crate) enum Kind {
     TxnRollback,
     Sql,
     Vfs,
-    PathDef,
     SnapshotDelta,
 }
 
 impl Kind {
     /// The kinds a retained prefix may hold (see `wal`), which are the
     /// kinds a checkpoint carries forward from the log it rewrites: the
-    /// image chain and the SQL history. No transaction markers, no
-    /// `PathDef`s, and no VFS records, which the new image subsumes.
+    /// image chain and the SQL history. No transaction markers and no VFS
+    /// records, which the new image subsumes.
     pub(crate) fn retainable(self) -> bool {
         matches!(self, Kind::SnapshotDelta | Kind::Sql)
     }
@@ -147,10 +119,10 @@ const T_TXN_BEGIN: u8 = 1;
 const T_TXN_COMMIT: u8 = 2;
 const T_TXN_ROLLBACK: u8 = 3;
 const T_SQL: u8 = 4;
-// Tag 5 (a whole-store snapshot) and tag 9 (a compaction marker) were
-// retired with log format v3; a v4 log never holds them.
+// Retired tags, which a v5 log never holds: 5 (a whole-store snapshot)
+// and 9 (a compaction marker), with format v4; 7 (a path-dictionary
+// definition), with format v5.
 const T_VFS: u8 = 6;
-const T_PATH_DEF: u8 = 7;
 const T_SNAPSHOT_DELTA: u8 = 8;
 
 // VfsRecord tags.
@@ -162,8 +134,8 @@ const V_UNLINK: u8 = 5;
 const V_RMDIR: u8 = 6;
 const V_RENAME: u8 = 7;
 const V_CHOWN_CHMOD: u8 = 8;
-const V_WRITE_DELTA: u8 = 9;
-const V_WRITE_INODE_DELTA: u8 = 10;
+// Tags 9 and 10 (overwrites logged as deltas against the old contents)
+// were retired with format v5.
 
 // ParamValue tags.
 const P_NULL: u8 = 0;
@@ -220,43 +192,24 @@ impl ParamValue {
 }
 
 impl VfsRecord {
-    /// The record's path fields (rename is the only two-path record), in
-    /// a fixed slot order matching the id array of the encoder.
-    pub(crate) fn paths(&self) -> [Option<&str>; 2] {
-        match self {
-            VfsRecord::Mkdir { path, .. }
-            | VfsRecord::Write { path, .. }
-            | VfsRecord::Append { path, .. }
-            | VfsRecord::Unlink { path }
-            | VfsRecord::Rmdir { path }
-            | VfsRecord::ChownChmod { path, .. }
-            | VfsRecord::WriteDelta { path, .. } => [Some(path), None],
-            VfsRecord::Rename { from, to } => [Some(from), Some(to)],
-            VfsRecord::WriteInode { .. } | VfsRecord::WriteInodeDelta { .. } => [None, None],
-        }
-    }
-
-    /// Every path field is a tagged slot: the literal string, or a u32
-    /// dictionary id assigned by an earlier `PathDef` (4 bytes however
-    /// long the path is).
-    fn encode(&self, w: &mut ByteWriter, ids: [u32; 2]) {
+    fn encode(&self, w: &mut ByteWriter) {
         match self {
             VfsRecord::Mkdir { path, owner, mode } => {
                 w.put_u8(V_MKDIR);
-                put_path(w, path, ids[0]);
+                w.put_str(path);
                 w.put_u32(*owner);
                 w.put_u8(*mode);
             }
             VfsRecord::Write { path, data, owner, mode } => {
                 w.put_u8(V_WRITE);
-                put_path(w, path, ids[0]);
+                w.put_str(path);
                 w.put_bytes(data);
                 w.put_u32(*owner);
                 w.put_u8(*mode);
             }
             VfsRecord::Append { path, data } => {
                 w.put_u8(V_APPEND);
-                put_path(w, path, ids[0]);
+                w.put_str(path);
                 w.put_bytes(data);
             }
             VfsRecord::WriteInode { inode, data } => {
@@ -266,170 +219,90 @@ impl VfsRecord {
             }
             VfsRecord::Unlink { path } => {
                 w.put_u8(V_UNLINK);
-                put_path(w, path, ids[0]);
+                w.put_str(path);
             }
             VfsRecord::Rmdir { path } => {
                 w.put_u8(V_RMDIR);
-                put_path(w, path, ids[0]);
+                w.put_str(path);
             }
             VfsRecord::Rename { from, to } => {
                 w.put_u8(V_RENAME);
-                put_path(w, from, ids[0]);
-                put_path(w, to, ids[1]);
+                w.put_str(from);
+                w.put_str(to);
             }
             VfsRecord::ChownChmod { path, owner, mode } => {
                 w.put_u8(V_CHOWN_CHMOD);
-                put_path(w, path, ids[0]);
+                w.put_str(path);
                 w.put_u32(*owner);
                 w.put_u8(*mode);
-            }
-            VfsRecord::WriteDelta { path, prefix, suffix, data } => {
-                w.put_u8(V_WRITE_DELTA);
-                put_path(w, path, ids[0]);
-                w.put_u32(*prefix);
-                w.put_u32(*suffix);
-                w.put_bytes(data);
-            }
-            VfsRecord::WriteInodeDelta { inode, prefix, suffix, data } => {
-                w.put_u8(V_WRITE_INODE_DELTA);
-                w.put_u64(*inode);
-                w.put_u32(*prefix);
-                w.put_u32(*suffix);
-                w.put_bytes(data);
             }
         }
     }
 
     /// Checks an encoded record as [`VfsRecord::decode`] would read it,
-    /// without building it; `ids` stands for the decoder's dictionary.
-    fn check(r: &mut ByteReader<'_>, ids: Option<&HashSet<u32>>) -> Result<(), CodecError> {
+    /// without building it.
+    fn check(r: &mut ByteReader<'_>) -> Result<(), CodecError> {
         match r.get_u8()? {
             V_MKDIR | V_CHOWN_CHMOD => {
-                check_path(r, ids)?;
+                r.get_str_ref()?;
                 r.get_u32()?;
                 r.get_u8()?;
             }
             V_WRITE => {
-                check_path(r, ids)?;
+                r.get_str_ref()?;
                 r.get_slice()?;
                 r.get_u32()?;
                 r.get_u8()?;
             }
             V_APPEND => {
-                check_path(r, ids)?;
+                r.get_str_ref()?;
                 r.get_slice()?;
             }
             V_WRITE_INODE => {
                 r.get_u64()?;
                 r.get_slice()?;
             }
-            V_UNLINK | V_RMDIR => check_path(r, ids)?,
+            V_UNLINK | V_RMDIR => {
+                r.get_str_ref()?;
+            }
             V_RENAME => {
-                check_path(r, ids)?;
-                check_path(r, ids)?;
-            }
-            V_WRITE_DELTA => {
-                check_path(r, ids)?;
-                r.get_u32()?;
-                r.get_u32()?;
-                r.get_slice()?;
-            }
-            V_WRITE_INODE_DELTA => {
-                r.get_u64()?;
-                r.get_u32()?;
-                r.get_u32()?;
-                r.get_slice()?;
+                r.get_str_ref()?;
+                r.get_str_ref()?;
             }
             t => return Err(CodecError::BadTag(t)),
         }
         Ok(())
     }
 
-    fn decode(r: &mut ByteReader<'_>, dict: &HashMap<u32, String>) -> Result<Self, CodecError> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(match r.get_u8()? {
-            V_MKDIR => VfsRecord::Mkdir {
-                path: get_path(r, dict)?,
-                owner: r.get_u32()?,
-                mode: r.get_u8()?,
-            },
+            V_MKDIR => {
+                VfsRecord::Mkdir { path: r.get_str()?, owner: r.get_u32()?, mode: r.get_u8()? }
+            }
             V_WRITE => VfsRecord::Write {
-                path: get_path(r, dict)?,
+                path: r.get_str()?,
                 data: r.get_bytes()?,
                 owner: r.get_u32()?,
                 mode: r.get_u8()?,
             },
-            V_APPEND => VfsRecord::Append { path: get_path(r, dict)?, data: r.get_bytes()? },
+            V_APPEND => VfsRecord::Append { path: r.get_str()?, data: r.get_bytes()? },
             V_WRITE_INODE => VfsRecord::WriteInode { inode: r.get_u64()?, data: r.get_bytes()? },
-            V_UNLINK => VfsRecord::Unlink { path: get_path(r, dict)? },
-            V_RMDIR => VfsRecord::Rmdir { path: get_path(r, dict)? },
-            V_RENAME => VfsRecord::Rename { from: get_path(r, dict)?, to: get_path(r, dict)? },
-            V_CHOWN_CHMOD => VfsRecord::ChownChmod {
-                path: get_path(r, dict)?,
-                owner: r.get_u32()?,
-                mode: r.get_u8()?,
-            },
-            V_WRITE_DELTA => VfsRecord::WriteDelta {
-                path: get_path(r, dict)?,
-                prefix: r.get_u32()?,
-                suffix: r.get_u32()?,
-                data: r.get_bytes()?,
-            },
-            V_WRITE_INODE_DELTA => VfsRecord::WriteInodeDelta {
-                inode: r.get_u64()?,
-                prefix: r.get_u32()?,
-                suffix: r.get_u32()?,
-                data: r.get_bytes()?,
-            },
+            V_UNLINK => VfsRecord::Unlink { path: r.get_str()? },
+            V_RMDIR => VfsRecord::Rmdir { path: r.get_str()? },
+            V_RENAME => VfsRecord::Rename { from: r.get_str()?, to: r.get_str()? },
+            V_CHOWN_CHMOD => {
+                VfsRecord::ChownChmod { path: r.get_str()?, owner: r.get_u32()?, mode: r.get_u8()? }
+            }
             t => return Err(CodecError::BadTag(t)),
         })
     }
 }
 
-/// Encodes one path slot: the literal string, or a dictionary id.
-fn put_path(w: &mut ByteWriter, path: &str, id: u32) {
-    if id == LITERAL_PATH {
-        w.put_u8(PATH_LITERAL);
-        w.put_str(path);
-    } else {
-        w.put_u8(PATH_ID);
-        w.put_u32(id);
-    }
-}
-
-/// Decodes one path slot; an id slot must resolve in `dict`.
-fn get_path(r: &mut ByteReader<'_>, dict: &HashMap<u32, String>) -> Result<String, CodecError> {
-    match r.get_u8()? {
-        PATH_LITERAL => r.get_str(),
-        PATH_ID => {
-            let id = r.get_u32()?;
-            dict.get(&id).cloned().ok_or(CodecError::UnknownPathId(id))
-        }
-        t => Err(CodecError::BadTag(t)),
-    }
-}
-
-/// Checks one path slot as [`get_path`] would read it: an id slot must be
-/// in `ids` (the ids earlier `PathDef`s defined), unless `ids` is `None`
-/// (the torn/corrupt resync scan, which has no reliable dictionary and
-/// judges structure only).
-fn check_path(r: &mut ByteReader<'_>, ids: Option<&HashSet<u32>>) -> Result<(), CodecError> {
-    match r.get_u8()? {
-        PATH_LITERAL => r.get_str_ref().map(drop),
-        PATH_ID => match r.get_u32()? {
-            id if ids.is_some_and(|ids| !ids.contains(&id)) => Err(CodecError::UnknownPathId(id)),
-            _ => Ok(()),
-        },
-        t => Err(CodecError::BadTag(t)),
-    }
-}
-
 impl Record {
-    /// Encodes the record's payload (no frame header) into `w`. `ids[k]`
-    /// is the dictionary id of VFS path slot `k`, or `LITERAL_PATH`.
-    /// Writing into a caller-supplied writer lets the WAL frame a whole
-    /// batch, or a whole rewritten log, into one buffer instead of a `Vec`
-    /// per record.
-    pub(crate) fn encode_into(&self, w: &mut ByteWriter, ids: [u32; 2]) {
+    /// Encodes the record's payload (no frame header) into `w`. Writing
+    /// into a caller-supplied writer lets the WAL frame a whole batch into
+    /// one buffer instead of a `Vec` per record.
+    pub(crate) fn encode_into(&self, w: &mut ByteWriter) {
         match self {
             Record::TxnBegin { txn } => {
                 w.put_u8(T_TXN_BEGIN);
@@ -454,12 +327,7 @@ impl Record {
             }
             Record::Vfs(v) => {
                 w.put_u8(T_VFS);
-                v.encode(w, ids);
-            }
-            Record::PathDef { id, path } => {
-                w.put_u8(T_PATH_DEF);
-                w.put_u32(*id);
-                w.put_str(path);
+                v.encode(w);
             }
             Record::SnapshotDelta { component, payload } => {
                 Record::put_snapshot_delta_head(w, component, payload.len() as u32);
@@ -468,10 +336,9 @@ impl Record {
         }
     }
 
-    /// Decodes a payload produced by [`Record::encode_into`]. `dict` maps
-    /// path-dictionary ids to paths. It accepts exactly the payloads
-    /// [`Record::check`] accepts with `dict`'s ids.
-    pub(crate) fn decode(payload: &[u8], dict: &HashMap<u32, String>) -> Result<Self, CodecError> {
+    /// Decodes a payload produced by [`Record::encode_into`]. It accepts
+    /// exactly the payloads [`Record::check`] accepts.
+    pub(crate) fn decode(payload: &[u8]) -> Result<Self, CodecError> {
         let mut r = ByteReader::new(payload);
         let rec = match r.get_u8()? {
             T_TXN_BEGIN => Record::TxnBegin { txn: r.get_u64()? },
@@ -487,8 +354,7 @@ impl Record {
                 }
                 Record::Sql { db, sql, params }
             }
-            T_VFS => Record::Vfs(VfsRecord::decode(&mut r, dict)?),
-            T_PATH_DEF => Record::PathDef { id: r.get_u32()?, path: r.get_str()? },
+            T_VFS => Record::Vfs(VfsRecord::decode(&mut r)?),
             T_SNAPSHOT_DELTA => {
                 Record::SnapshotDelta { component: r.get_str()?, payload: r.get_bytes()? }
             }
@@ -498,15 +364,9 @@ impl Record {
     }
 
     /// Checks a payload exactly as [`Record::decode`] reads it — tags,
-    /// lengths, UTF-8, and with `ids` the path-dictionary ids — without
-    /// building the record. Returns its kind, and the transaction id of a
-    /// marker or the id a `PathDef` defines (0 for other kinds). `ids`
-    /// stands for `decode`'s dictionary: the ids of the `PathDef`s before
-    /// this record, or `None` for a structural check.
-    pub(crate) fn check(
-        payload: &[u8],
-        ids: Option<&HashSet<u32>>,
-    ) -> Result<(Kind, u64), CodecError> {
+    /// lengths and UTF-8 — without building the record. Returns its kind,
+    /// and the transaction id of a marker (0 for other kinds).
+    pub(crate) fn check(payload: &[u8]) -> Result<(Kind, u64), CodecError> {
         let mut r = ByteReader::new(payload);
         Ok(match r.get_u8()? {
             T_TXN_BEGIN => (Kind::TxnBegin, r.get_u64()?),
@@ -526,13 +386,8 @@ impl Record {
                 (Kind::SnapshotDelta, 0)
             }
             T_VFS => {
-                VfsRecord::check(&mut r, ids)?;
+                VfsRecord::check(&mut r)?;
                 (Kind::Vfs, 0)
-            }
-            T_PATH_DEF => {
-                let id = r.get_u32()?;
-                r.get_str_ref()?;
-                (Kind::PathDef, id as u64)
             }
             t => return Err(CodecError::BadTag(t)),
         })
@@ -560,16 +415,7 @@ impl Record {
             Record::TxnRollback { .. } => Kind::TxnRollback,
             Record::Sql { .. } => Kind::Sql,
             Record::Vfs(_) => Kind::Vfs,
-            Record::PathDef { .. } => Kind::PathDef,
             Record::SnapshotDelta { .. } => Kind::SnapshotDelta,
-        }
-    }
-
-    /// The record's VFS path fields (empty for non-VFS records).
-    pub(crate) fn vfs_paths(&self) -> [Option<&str>; 2] {
-        match self {
-            Record::Vfs(v) => v.paths(),
-            _ => [None, None],
         }
     }
 
@@ -589,9 +435,9 @@ mod tests {
 
     fn roundtrip(rec: Record) {
         let mut w = ByteWriter::new();
-        rec.encode_into(&mut w, [LITERAL_PATH; 2]);
-        assert_eq!(Record::decode(w.as_slice(), &HashMap::new()).unwrap(), rec);
-        assert_eq!(Record::check(w.as_slice(), Some(&HashSet::new())).unwrap().0, rec.kind());
+        rec.encode_into(&mut w);
+        assert_eq!(Record::decode(w.as_slice()).unwrap(), rec);
+        assert_eq!(Record::check(w.as_slice()).unwrap().0, rec.kind());
     }
 
     #[test]
@@ -631,50 +477,24 @@ mod tests {
 
     #[test]
     fn v2_only_variants_roundtrip() {
-        roundtrip(Record::PathDef { id: 3, path: "/a/b".into() });
         roundtrip(Record::SnapshotDelta { component: "vfs.store".into(), payload: vec![1, 2] });
-        roundtrip(Record::Vfs(VfsRecord::WriteDelta {
-            path: "/f".into(),
-            prefix: 3,
-            suffix: 9,
-            data: b"mid".to_vec(),
-        }));
-        roundtrip(Record::Vfs(VfsRecord::WriteInodeDelta {
-            inode: 7,
-            prefix: 0,
-            suffix: 0,
-            data: vec![],
-        }));
-    }
-
-    #[test]
-    fn v2_interned_paths_roundtrip() {
-        let rec = Record::Vfs(VfsRecord::Rename { from: "/a".into(), to: "/b".into() });
-        let mut w = ByteWriter::new();
-        rec.encode_into(&mut w, [4, LITERAL_PATH]);
-        let bytes = w.into_bytes();
-        let mut dict = HashMap::new();
-        dict.insert(4u32, "/a".to_string());
-        assert_eq!(Record::decode(&bytes, &dict).unwrap(), rec);
-        assert_eq!(Record::check(&bytes, Some(&HashSet::from([4]))), Ok((Kind::Vfs, 0)));
-        // An unresolvable id fails decode and the check with ids, but
-        // passes the structural check the resync scan uses.
-        assert!(matches!(
-            Record::decode(&bytes, &HashMap::new()),
-            Err(CodecError::UnknownPathId(4))
-        ));
-        assert_eq!(Record::check(&bytes, Some(&HashSet::new())), Err(CodecError::UnknownPathId(4)));
-        assert!(Record::check(&bytes, None).is_ok());
     }
 
     #[test]
     fn decode_rejects_unknown_tag() {
-        // The retired tags of a v3 log's snapshot and compaction marker
-        // read like any unknown tag.
-        for tag in [200, 5, 9] {
-            let payload = [tag, 0, 0, 0, 0, 0, 0, 0, 0];
-            assert_eq!(Record::decode(&payload, &HashMap::new()), Err(CodecError::BadTag(tag)));
-            assert_eq!(Record::check(&payload, None), Err(CodecError::BadTag(tag)));
+        // The retired tags — a v3 log's snapshot (5) and compaction marker
+        // (9), a v4 log's path-dictionary definition (7) — read like any
+        // unknown tag, however many bytes follow them.
+        for tag in [200, 5, 9, 7] {
+            let payload = [[tag].as_slice(), &[0; 24]].concat();
+            assert_eq!(Record::decode(&payload), Err(CodecError::BadTag(tag)));
+            assert_eq!(Record::check(&payload), Err(CodecError::BadTag(tag)));
+        }
+        // So do a v4 log's delta-logged overwrites, VFS tags 9 and 10.
+        for tag in [200, 9, 10] {
+            let payload = [[T_VFS, tag].as_slice(), &[0; 24]].concat();
+            assert_eq!(Record::decode(&payload), Err(CodecError::BadTag(tag)));
+            assert_eq!(Record::check(&payload), Err(CodecError::BadTag(tag)));
         }
     }
 

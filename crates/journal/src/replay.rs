@@ -3,12 +3,13 @@
 //!
 //! The scanner ([`scan`]) gives every verdict on a log's bytes: it checks
 //! each frame — magic, header, CRC, rising LSN, and that the payload
-//! decodes with its path-dictionary ids resolving — without building the
-//! record, and reports each accepted frame's LSN, kind, transaction id
-//! and byte range. It reads through a [`Source`]: a log in memory, or
-//! storage read through a fixed window ([`Windowed`]), so opening a
-//! journal, checkpointing one or replaying one holds one window of the
-//! log, not all of it.
+//! decodes — without building the record, and reports each accepted
+//! frame's LSN, kind, transaction id and byte range. Every frame is
+//! self-contained (see [`crate::record`]), so a frame the scanner accepts
+//! decodes the same wherever it sits in a log. It reads through a
+//! [`Source`]: a log in memory, or storage read through a fixed window
+//! ([`Windowed`]), so opening a journal, checkpointing one or replaying
+//! one holds one window of the log, not all of it.
 //!
 //! The redo filter ([`Redo`]) is fed one frame at a time, with whatever
 //! item the caller tracks for it, so a checkpoint can feed it byte ranges
@@ -31,7 +32,6 @@
 use crate::record::{Kind, Record};
 use crate::wal::{frame_crc, Storage, FRAME_HEADER, FRAME_MAGIC, LOG_PREAMBLE};
 use crate::JournalResult;
-use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 
 /// How the log ended.
@@ -80,24 +80,10 @@ impl ReadLog {
     }
 }
 
-/// The decode step: builds the record of a frame the scanner accepted,
-/// with literal paths (interning is a wire-format concern, invisible above
-/// this step), and grows the path dictionary as `PathDef`s pass.
-#[derive(Default)]
-struct Decoder {
-    dict: HashMap<u32, String>,
-}
-
-impl Decoder {
-    /// The record of `frame`, a whole frame [`scan`] accepted.
-    fn decode(&mut self, frame: &[u8]) -> Record {
-        let rec = Record::decode(&frame[FRAME_HEADER..], &self.dict)
-            .expect("the scanner checked this payload");
-        if let Record::PathDef { id, path } = &rec {
-            self.dict.insert(*id, path.clone());
-        }
-        rec
-    }
+/// The decode step: the record of `frame`, a whole frame [`scan`]
+/// accepted.
+fn decode(frame: &[u8]) -> Record {
+    Record::decode(&frame[FRAME_HEADER..]).expect("the scanner checked this payload")
 }
 
 /// Parses a whole log in memory: [`scan`] gives the verdicts, and each
@@ -106,9 +92,9 @@ impl Decoder {
 /// whole history. For inspecting frames; [`replay`] is what reads the
 /// records that take effect.
 pub fn read_records(bytes: &[u8]) -> ReadLog {
-    let (mut frames, mut records, mut decoder) = (Vec::new(), Vec::new(), Decoder::default());
+    let (mut frames, mut records) = (Vec::new(), Vec::new());
     let tail = scan(&mut &bytes[..], 0, |f, frame| {
-        records.push((f.lsn, decoder.decode(frame)));
+        records.push((f.lsn, decode(frame)));
         frames.push(f.clone());
     });
     let tail = tail.expect("reading a log in memory cannot fail");
@@ -119,8 +105,8 @@ pub fn read_records(bytes: &[u8]) -> ReadLog {
 /// decodes each frame the scan accepts, feeds the record to the redo
 /// filter, and hands `apply` each record the filter settles as taking
 /// effect — in log order, as soon as it settles, never a transaction
-/// marker or a `PathDef`. It holds one frame and the records of the
-/// transactions still open; `apply` builds whatever state it keeps.
+/// marker. It holds one frame and the records of the transactions still
+/// open; `apply` builds whatever state it keeps.
 ///
 /// Returns how the log ended. The records before a torn or corrupted
 /// frame have been handed on by then: on [`TailState::Corrupted`] the
@@ -135,13 +121,13 @@ pub(crate) fn replay_from<S: Source>(
     src: &mut S,
     mut apply: impl FnMut(Record),
 ) -> JournalResult<TailState> {
-    let (mut decoder, mut redo) = (Decoder::default(), Redo::default());
+    let mut redo = Redo::default();
     let mut settle = |rec, applies| {
         if applies {
             apply(rec)
         }
     };
-    let tail = scan(src, 0, |f, frame| redo.feed(f, Some(decoder.decode(frame)), &mut settle))?;
+    let tail = scan(src, 0, |f, frame| redo.feed(f, Some(decode(frame)), &mut settle))?;
     redo.finish(&mut settle);
     Ok(tail)
 }
@@ -227,10 +213,10 @@ impl Source for Windowed<'_> {
 }
 
 /// The frame scanner. Reads `src` from byte `from` — a whole log,
-/// preamble first, when `from` is 0; otherwise a frame boundary after
-/// which every dictionary id used is also defined, with LSNs checked only
-/// against each other — and calls `visit` with each accepted frame and
-/// its bytes. Returns how the log ends, or the source's read error.
+/// preamble first, when `from` is 0; otherwise a frame boundary, with
+/// LSNs checked only against each other — and calls `visit` with each
+/// accepted frame and its bytes. Returns how the log ends, or the
+/// source's read error.
 ///
 /// Classification at the first bad frame:
 ///
@@ -268,8 +254,6 @@ pub(crate) fn scan<S: Source>(
         }
         pos = LOG_PREAMBLE.len();
     }
-    // The ids the path dictionary defines, as `PathDef`s stream past.
-    let mut ids: HashSet<u32> = HashSet::new();
     let mut last_lsn = 0u64;
     while pos < len {
         let header = src.get(pos..len.min(pos + FRAME_HEADER))?;
@@ -299,16 +283,8 @@ pub(crate) fn scan<S: Source>(
         if frame_crc(lsn, flen as u32, payload) != crc || lsn <= last_lsn {
             return Ok(TailState::Corrupted { offset: pos });
         }
-        let Ok((kind, id)) = Record::check(payload, Some(&ids)) else {
+        let Ok((kind, txn)) = Record::check(payload) else {
             return Ok(TailState::Corrupted { offset: pos });
-        };
-        let txn = match kind {
-            Kind::TxnBegin | Kind::TxnCommit | Kind::TxnRollback => id,
-            Kind::PathDef => {
-                ids.insert(id as u32);
-                0
-            }
-            _ => 0,
         };
         visit(&Frame { lsn, kind, txn, range: pos..end }, bytes);
         last_lsn = lsn;
@@ -331,12 +307,7 @@ fn any_valid_frame_after(bytes: &[u8], from: usize) -> bool {
             let start = q + FRAME_HEADER;
             if bytes.len() - start >= len {
                 let payload = &bytes[start..start + len];
-                // Structural validity only: no path dictionary, since the
-                // question is whether a whole frame exists here, not
-                // whether its paths resolve.
-                if frame_crc(lsn, len as u32, payload) == crc
-                    && Record::check(payload, None).is_ok()
-                {
+                if frame_crc(lsn, len as u32, payload) == crc && Record::check(payload).is_ok() {
                     return true;
                 }
             }
@@ -347,10 +318,9 @@ fn any_valid_frame_after(bytes: &[u8], from: usize) -> bool {
 }
 
 /// The redo filter, fed one frame at a time. Each item fed with a record
-/// other than a transaction marker or a `PathDef` is settled exactly once
-/// — `settle(item, true)` if the record takes effect, `false` if not — as
-/// soon as that is known; the items that take effect are settled in log
-/// order.
+/// other than a transaction marker is settled exactly once — `settle(item,
+/// true)` if the record takes effect, `false` if not — as soon as that is
+/// known; the items that take effect are settled in log order.
 ///
 /// Nested transactions are handled with a frame stack — a record applies
 /// only if all enclosing transactions committed. A rollback or an open
@@ -370,8 +340,8 @@ impl<T> Default for Redo<T> {
 
 impl<T> Redo<T> {
     /// Feeds `frame`, with `item` standing for its record (`None` for a
-    /// record the caller does not track; the items of markers and
-    /// `PathDef`s are dropped).
+    /// record the caller does not track; the items of markers are
+    /// dropped).
     pub(crate) fn feed(
         &mut self,
         frame: &Frame,
@@ -394,7 +364,7 @@ impl<T> Redo<T> {
                 let (_, items) = self.open.pop().unwrap();
                 items.into_iter().for_each(|i| settle(i, false));
             }
-            Kind::TxnCommit | Kind::TxnRollback | Kind::PathDef => {}
+            Kind::TxnCommit | Kind::TxnRollback => {}
             _ => match (item, self.open.last_mut()) {
                 (None, _) => {}
                 (Some(i), Some((_, buf))) => buf.push(i),
@@ -624,6 +594,40 @@ mod tests {
         assert_eq!(replay(&bytes, |r| panic!("{r:?} replayed from a v3 log")), log.tail);
     }
 
+    #[test]
+    fn v4_logs_are_refused() {
+        // A v4 log may name a path by a dictionary id (record tag 7 defines
+        // one) or log an overwrite as a delta (VFS tags 9 and 10), which
+        // v5 retired: it is refused as a whole.
+        let mut j = Journal::in_memory(1);
+        j.append(&rec("/a")).unwrap();
+        let mut bytes = j.bytes();
+        bytes[..LOG_PREAMBLE.len()].copy_from_slice(b"MXWAL4\x00\x00");
+        let log = read_records(&bytes);
+        assert!(log.records.is_empty());
+        assert_eq!(log.tail, TailState::Corrupted { offset: 0 });
+        assert_eq!(replay(&bytes, |r| panic!("{r:?} replayed from a v4 log")), log.tail);
+    }
+
+    #[test]
+    fn a_vfs_frame_decodes_wherever_it_is_copied() {
+        // The third use of a path: the frame names it by itself, not by
+        // anything an earlier frame defined, so copied alone behind a
+        // fresh preamble it reads as the same record.
+        let mut j = Journal::in_memory(1);
+        for _ in 0..3 {
+            j.append(&rec("/hot/path")).unwrap();
+        }
+        let bytes = j.bytes();
+        let whole = read_records(&bytes);
+        let (last, frame) = (whole.records.last().unwrap(), whole.frames.last().unwrap());
+        assert_eq!(last.1, rec("/hot/path"));
+        let copied = [&LOG_PREAMBLE[..], &bytes[frame.range.clone()]].concat();
+        let alone = read_records(&copied);
+        assert_eq!(alone.tail, TailState::Clean);
+        assert_eq!(alone.records, vec![last.clone()]);
+    }
+
     /// A log in memory that notes how far it has been read.
     struct Noted<'a> {
         log: &'a [u8],
@@ -731,8 +735,7 @@ mod tests {
 
         /// One step of a mixed log: SQL, VFS writes with payloads up to
         /// the step's bound (so frames take both checksum kernels), a few
-        /// repeated paths (so `PathDef`s and interned slots appear),
-        /// snapshots, and nested transactions.
+        /// repeated paths, snapshots, and nested transactions.
         #[derive(Debug, Clone)]
         enum Step {
             Sql(u16),
@@ -809,14 +812,9 @@ mod tests {
                 prop_assert!(read.frames.iter().all(|f| f.range.end <= log.len()));
                 windowed_scan_agrees(&log, 7)?;
                 prop_assert_eq!(replay(&log, drop), read.tail);
-                let _ = Record::check(&bytes, None);
                 // The check accepts exactly the payloads the decoder
-                // decodes, with the same dictionary ids.
-                let dict: HashMap<u32, String> = (0..4).map(|i| (i, format!("/p{i}"))).collect();
-                let ids: HashSet<u32> = dict.keys().copied().collect();
-                let agree = |p: &[u8]| {
-                    Record::check(p, Some(&ids)).is_ok() == Record::decode(p, &dict).is_ok()
-                };
+                // decodes.
+                let agree = |p: &[u8]| Record::check(p).is_ok() == Record::decode(p).is_ok();
                 prop_assert!(agree(&bytes));
                 // The same bytes as the payload of a frame with a valid
                 // header and CRC, led by a known or unknown tag: the

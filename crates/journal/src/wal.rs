@@ -2,7 +2,7 @@
 //! rewrites, and the `JournalSink` trait the rest of the stack emits
 //! through.
 //!
-//! A log opens with an 8-byte preamble (`MXWAL4\0\0`) followed by frames
+//! A log opens with an 8-byte preamble (`MXWAL5\0\0`) followed by frames
 //! (little-endian):
 //!
 //! ```text
@@ -16,9 +16,14 @@
 //! including the LSN or length — fails verification instead of being
 //! replayed with a wrong header.
 //!
-//! The write path is pipelined: `append` interns paths and pushes the
-//! *record* onto a pending queue under the journal-state lock — encoding
-//! and checksumming happen later, outside that lock, when a flush trigger
+//! Each frame's payload is one self-contained record (see
+//! [`crate::record`]): it names its paths literally and an overwrite
+//! carries the whole new contents, so a frame means the same wherever it
+//! is copied.
+//!
+//! The write path is pipelined: `append` pushes the *record* onto a
+//! pending queue under the journal-state lock — encoding and
+//! checksumming happen later, outside that lock, when a flush trigger
 //! (batch full, or a flush-forcing record) drives the whole queue through
 //! one framed storage append using a reusable scratch buffer. Only flushed
 //! bytes survive a crash — [`Journal::bytes`] deliberately exposes the
@@ -37,11 +42,10 @@
 //! the preamble, the caller's SQL frames, then the image.
 //!
 //! A rewrite's output is a *retained prefix*: committed `SnapshotDelta`
-//! and `Sql` frames only — no transaction markers, no `PathDef`s (the
-//! path dictionary restarts at every rewrite) and no VFS records. The redo filter passes such a prefix through
-//! unchanged, and no dictionary id after it is defined inside it, so a
-//! checkpoint scans and filters only the bytes logged since the last
-//! rewrite and replaces just those, keeping the prefix's bytes and LSNs:
+//! and `Sql` frames only — no transaction markers and no VFS records. The
+//! redo filter passes such a prefix through unchanged, so a checkpoint
+//! scans and filters only the bytes logged since the last rewrite and
+//! replaces just those, keeping the prefix's bytes and LSNs:
 //! its cost is O(bytes logged since the last rewrite), not O(log). A
 //! journal opened over an existing log takes the log's leading run of
 //! frames of those kinds as its retained prefix, found by the same scan
@@ -61,16 +65,13 @@
 //! its payload streams through the chunk while its CRC is computed, and
 //! the four CRC bytes are patched in place before the storage commits.
 //! Kept frames thus keep their LSNs, as the retained prefix does, and the
-//! delta's fresh LSN is above all of them. Frames of these kinds carry no
-//! path slots, so the path dictionary restarting at the rewrite does not
-//! touch them.
+//! delta's fresh LSN is above all of them.
 
 use crate::codec::{crc_update, ByteWriter, Put};
-use crate::record::{Record, LITERAL_PATH};
+use crate::record::Record;
 use crate::replay::{replay_from, scan, Redo, TailState, Windowed, SCAN_WINDOW};
 use crate::{JournalError, JournalResult};
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -85,10 +86,12 @@ pub const FRAME_HEADER: usize = 1 + 8 + 4 + 4;
 /// is told apart from one this journal wrote. The version digit also
 /// covers what the records say: since v3 logs name each initiator's COW
 /// objects with the injective initiator encoding, a v2 log, whose names a
-/// lossy map wrote, does not open; and since v4 a store's only image is
-/// the `SnapshotDelta`, so a v3 log, which may hold the retired
-/// whole-store snapshot or compaction marker, does not open either.
-pub const LOG_PREAMBLE: [u8; 8] = *b"MXWAL4\x00\x00";
+/// lossy map wrote, does not open; since v4 a store's only image is the
+/// `SnapshotDelta`, so a v3 log, which may hold the retired whole-store
+/// snapshot or compaction marker, does not open either; and since v5
+/// every record is self-contained, so a v4 log, which may name a path by
+/// a dictionary id or log an overwrite as a delta, does not open.
+pub const LOG_PREAMBLE: [u8; 8] = *b"MXWAL5\x00\x00";
 
 /// Default group-commit batch size (records per flush).
 pub const DEFAULT_BATCH: usize = 16;
@@ -343,7 +346,7 @@ impl Delta for [u8] {
 /// Counters exposed for tests and the overhead benches.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JournalStats {
-    /// Records appended (including queued ones and `PathDef`s).
+    /// Records appended, including queued ones.
     pub records: u64,
     /// Group-commit flushes performed.
     pub flushes: u64,
@@ -361,13 +364,11 @@ pub struct JournalStats {
 }
 
 /// A record waiting in the pending queue: encoding is deferred to the
-/// flush, so the queue holds typed records plus the path-dictionary ids
-/// resolved at enqueue time (interning must see paths in LSN order; the
-/// encoder must not need the state lock).
+/// flush, so the queue holds typed records (the encoder must not need
+/// the state lock).
 struct Queued {
     lsn: u64,
     rec: Record,
-    ids: [u32; 2],
 }
 
 /// The storage plus the flush-side scratch buffer, behind one mutex: a
@@ -409,7 +410,7 @@ impl LogDevice {
 
 /// Frames one queued record into the batch buffer.
 fn encode_frame(w: &mut ByteWriter, q: &Queued) {
-    put_frame(w, q.lsn, |w| q.rec.encode_into(w, q.ids));
+    put_frame(w, q.lsn, |w| q.rec.encode_into(w));
 }
 
 /// Frames the payload `encode` writes in place: header with `len`/`crc`
@@ -571,37 +572,6 @@ impl FrameCheck {
     }
 }
 
-/// In-log path dictionary state. A path is encoded literally on first use;
-/// its second use emits a `PathDef` assigning a u32 id, and every use from
-/// then on costs 4 bytes. (Interning on second rather than first use keeps
-/// one-shot paths from bloating the dictionary and the log.)
-#[derive(Default)]
-struct PathInterner {
-    map: HashMap<String, Option<u32>>,
-    next_id: u32,
-}
-
-impl PathInterner {
-    /// Returns `(newly_assigned_id, slot_encoding)` for one use of `path`:
-    /// the id to define via `PathDef` (if this use triggers interning) and
-    /// the id to encode the slot with (`LITERAL_PATH` for literal).
-    fn use_path(&mut self, path: &str) -> (Option<u32>, u32) {
-        match self.map.get_mut(path) {
-            None => {
-                self.map.insert(path.to_string(), None);
-                (None, LITERAL_PATH)
-            }
-            Some(slot @ None) => {
-                let id = self.next_id;
-                self.next_id += 1;
-                *slot = Some(id);
-                (Some(id), id)
-            }
-            Some(Some(id)) => (None, *id),
-        }
-    }
-}
-
 /// The write-ahead log.
 ///
 /// Storage sits behind its own mutex (below the journal-state lock in the
@@ -615,7 +585,6 @@ pub struct Journal {
     next_txn: u64,
     batch: usize,
     queue: Vec<Queued>,
-    interner: PathInterner,
     /// Length of the retained prefix (module docs): the log as the last
     /// rewrite left it, or the leading run of retainable frames of the
     /// log this journal opened. 0 when there is none.
@@ -680,7 +649,6 @@ impl Journal {
             next_txn: 1,
             batch: batch.max(1),
             queue: Vec::new(),
-            interner: PathInterner::default(),
             retained: 0,
             acked_lsn: last_lsn,
             group_leader: false,
@@ -698,37 +666,12 @@ impl Journal {
         self.stats
     }
 
-    /// Interns the record's paths (possibly queueing `PathDef`s), assigns
-    /// an LSN and pushes the record onto the pending queue. No encoding,
-    /// no checksum, no storage — those are the flush's job.
+    /// Assigns the record an LSN and pushes it onto the pending queue. No
+    /// encoding, no checksum, no storage — those are the flush's job.
     fn enqueue(&mut self, rec: Record) -> u64 {
-        let mut ids = [LITERAL_PATH; 2];
-        let mut defs: [Option<(u32, String)>; 2] = [None, None];
-        for (k, path) in rec.vfs_paths().iter().enumerate() {
-            if let Some(path) = path {
-                let (newly, id) = self.interner.use_path(path);
-                ids[k] = id;
-                if let Some(newly) = newly {
-                    defs[k] = Some((newly, path.to_string()));
-                }
-            }
-        }
-        for def in defs.iter_mut() {
-            if let Some((id, path)) = def.take() {
-                let lsn = self.next_lsn;
-                self.next_lsn += 1;
-                self.queue.push(Queued {
-                    lsn,
-                    rec: Record::PathDef { id, path },
-                    ids: [LITERAL_PATH; 2],
-                });
-                self.stats.records += 1;
-                maxoid_obs::counter_add("journal.records", 1);
-            }
-        }
         let lsn = self.next_lsn;
         self.next_lsn += 1;
-        self.queue.push(Queued { lsn, rec, ids });
+        self.queue.push(Queued { lsn, rec });
         self.stats.records += 1;
         maxoid_obs::counter_add("journal.records", 1);
         lsn
@@ -896,9 +839,9 @@ impl Journal {
     /// a reconstruction of live state, such as each database's catalog
     /// and rows — and a `SnapshotDelta` of `image` for `component`,
     /// written as a checkpoint writes its delta. The records get fresh
-    /// LSNs from the journal's counter and literal paths, and are framed
-    /// into one buffer, of their size, not the log's; the image streams
-    /// through the write chunk. Recovery over the new log replays live
+    /// LSNs from the journal's counter and are framed into one buffer, of
+    /// their size, not the log's; the image streams through the write
+    /// chunk. Recovery over the new log replays live
     /// state, not uptime history. The new log is the next retained
     /// prefix, unless `records` held a kind a prefix may not (then the
     /// next checkpoint reads it all).
@@ -916,7 +859,7 @@ impl Journal {
         let _sp = maxoid_obs::span("journal.rewrite");
         let mut w = ByteWriter::from_vec(LOG_PREAMBLE.to_vec());
         for rec in records {
-            put_frame(&mut w, self.next_lsn, |w| rec.encode_into(w, [LITERAL_PATH; 2]));
+            put_frame(&mut w, self.next_lsn, |w| rec.encode_into(w));
             self.next_lsn += 1;
         }
         let framed = w.into_bytes();
@@ -951,9 +894,8 @@ impl Journal {
     /// chunk while its CRC is computed, and the four CRC bytes are patched
     /// in place. One [`Storage::replace_from`] does it all, booked as one
     /// flush. On success the new log is the next retained prefix (a
-    /// caller whose tail may not be one resets it), and the path
-    /// dictionary restarts; if the replace fails, the old log, the old
-    /// dictionary and the old prefix stay.
+    /// caller whose tail may not be one resets it); if the replace fails,
+    /// the old log and the old prefix stay.
     fn install<D: Delta + ?Sized>(
         &mut self,
         storage: &mut dyn Storage,
@@ -968,7 +910,6 @@ impl Journal {
         let payload = u32::try_from(payload)
             .map_err(|_| JournalError::Io(format!("a {payload}-byte snapshot delta")))?;
         let len = head_len + FRAME_HEADER + payload as usize;
-        let old_interner = std::mem::take(&mut self.interner);
         let lsn = self.next_lsn;
         self.next_lsn += 1;
         let fill = &mut |tail: &mut Tail<'_>| {
@@ -982,9 +923,8 @@ impl Journal {
             tail.patch(frame + 13, &crc.to_le_bytes())
         };
         let result = storage.replace_from(keep, len, fill);
-        match result {
-            Ok(()) => self.retained = keep + len,
-            Err(_) => self.interner = old_interner,
+        if result.is_ok() {
+            self.retained = keep + len;
         }
         self.finish_group_flush(Some(len), &result, lsn);
         result
@@ -1089,7 +1029,7 @@ struct JournalShared {
 /// A cloneable, lockable handle to a shared journal.
 ///
 /// Every append routes through the pipelined writer: the record is queued
-/// under the state lock (paying interning + a vec push, not encoding), and
+/// under the state lock (paying a vec push, not encoding), and
 /// a flush trigger makes the first thread the **leader** — it pins the
 /// storage lock (still under the state lock, preserving LSN order against
 /// concurrent direct flushes), releases the state lock so other threads
@@ -1410,39 +1350,6 @@ mod tests {
         assert_eq!(bytes[LOG_PREAMBLE.len()], FRAME_MAGIC);
     }
 
-    #[test]
-    fn repeated_paths_are_interned() {
-        let mut j = Journal::in_memory(1);
-        // First use: literal, no dictionary traffic.
-        j.append(&rec("/hot")).unwrap();
-        let one_use = j.len();
-        // Second use: a PathDef is logged alongside the record.
-        j.append(&rec("/hot")).unwrap();
-        let log = read_records(&j.bytes());
-        assert!(
-            log.records.iter().any(|(_, r)| matches!(r, Record::PathDef { .. })),
-            "second use must define the dictionary id"
-        );
-        // Third use onward: the path costs an id slot, much smaller than
-        // the literal frame.
-        let before = j.len();
-        j.append(&rec("/hot")).unwrap();
-        let id_frame = j.len() - before;
-        assert!(
-            id_frame < one_use - LOG_PREAMBLE.len(),
-            "interned frame ({id_frame}B) should undercut the literal frame"
-        );
-        // Every record still decodes to the literal path.
-        let log = read_records(&j.bytes());
-        let unlinks: Vec<_> = log
-            .records
-            .iter()
-            .filter(|(_, r)| matches!(r, Record::Vfs(VfsRecord::Unlink { path }) if path == "/hot"))
-            .collect();
-        assert_eq!(unlinks.len(), 3);
-        assert_eq!(log.tail, TailState::Clean);
-    }
-
     fn sql(text: &str) -> Record {
         Record::Sql { db: "d".into(), sql: text.into(), params: vec![] }
     }
@@ -1456,8 +1363,8 @@ mod tests {
         j.checkpoint_delta("vfs.store", &[1, 2, 3][..]).unwrap();
         let log = read_records(&j.bytes());
         let recs: Vec<&Record> = log.records.iter().map(|(_, r)| r).collect();
-        // The VFS records (and the PathDef their repeated path earned)
-        // are subsumed by the delta; the SQL stays, ahead of it.
+        // The VFS records are subsumed by the delta; the SQL stays, ahead
+        // of it.
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0], &sql("CREATE TABLE t (x)"));
         assert!(matches!(recs[1], Record::SnapshotDelta { component, payload }
@@ -1709,11 +1616,13 @@ mod tests {
     #[test]
     fn checkpoint_refuses_a_checksummed_frame_that_does_not_decode() {
         // Two payloads under a valid header and CRC that no record decodes
-        // from: an unknown record tag, and an unlink whose path slot names
-        // dictionary id 7, which no `PathDef` has defined.
-        let mut undefined_id = ByteWriter::new();
-        rec("/a").encode_into(&mut undefined_id, [7, LITERAL_PATH]);
-        for bad in [vec![200u8], undefined_id.into_bytes()] {
+        // from: an unknown record tag, and an unlink whose path is not
+        // UTF-8.
+        let mut not_utf8 = ByteWriter::new();
+        rec("/a").encode_into(&mut not_utf8);
+        let mut not_utf8 = not_utf8.into_bytes();
+        *not_utf8.last_mut().unwrap() = 0xFF;
+        for bad in [vec![200u8], not_utf8] {
             // In the first checkpoint's whole log, and past a prefix.
             for prefix in [false, true] {
                 let shared = Shared::default();
@@ -1883,7 +1792,7 @@ mod tests {
             w.put_raw(&old[range]);
         }
         let rec = Record::SnapshotDelta { component: "vfs.store".into(), payload: delta.to_vec() };
-        put_frame(&mut w, lsn, |w| rec.encode_into(w, [LITERAL_PATH; 2]));
+        put_frame(&mut w, lsn, |w| rec.encode_into(w));
         w.into_bytes()
     }
 
@@ -2016,7 +1925,7 @@ mod tests {
         assert_eq!(j.stats().flushes, flushes + 1, "the whole rewrite is one storage call");
         let log = read_records(&j.bytes());
         assert_eq!(log.tail, TailState::Clean);
-        assert_eq!(log.records.len(), 2, "no dictionary carried over: {:?}", log.records);
+        assert_eq!(log.records.len(), 2, "the SQL and the image only: {:?}", log.records);
         assert_eq!(log.records[0].1, sql("CREATE TABLE t (x)"));
         assert!(
             matches!(&log.records[1].1, Record::SnapshotDelta { payload, .. } if payload == &[7])
@@ -2024,12 +1933,13 @@ mod tests {
         assert!(log.records[0].0 > last, "new LSNs continue past the compacted history");
         assert!(log.records[1].0 > log.records[0].0);
         assert_eq!(j.retained, j.len(), "the compacted log is the next retained prefix");
-        // The path dictionary restarted: a repeated path defines its id
-        // again.
-        j.append(&rec("/f0")).unwrap();
+        // A record appended after the rewrite follows it, its LSN still
+        // rising.
         j.append(&rec("/f0")).unwrap();
         let log = read_records(&j.bytes());
-        assert!(matches!(log.records[3].1, Record::PathDef { .. }), "{:?}", log.records);
+        assert_eq!(log.records.len(), 3, "{:?}", log.records);
+        assert_eq!(log.records[2].1, rec("/f0"));
+        assert!(log.records[2].0 > log.records[1].0);
     }
 
     #[test]
@@ -2046,11 +1956,11 @@ mod tests {
         j.compact(&sql, "vfs.store", &image).unwrap();
         let mut w = ByteWriter::from_vec(LOG_PREAMBLE.to_vec());
         for (i, r) in sql.iter().enumerate() {
-            put_frame(&mut w, lsn + i as u64, |w| r.encode_into(w, [LITERAL_PATH; 2]));
+            put_frame(&mut w, lsn + i as u64, |w| r.encode_into(w));
         }
         let delta = Record::SnapshotDelta { component: "vfs.store".into(), payload: image.bytes() };
         let frame = w.len();
-        put_frame(&mut w, lsn + 2, |w| delta.encode_into(w, [LITERAL_PATH; 2]));
+        put_frame(&mut w, lsn + 2, |w| delta.encode_into(w));
         assert!(j.bytes() == w.into_bytes(), "not the preamble, the SQL frames and the image");
         let writes = shared.writes.lock().clone();
         assert!(writes.iter().all(|&(_, n)| n <= SCAN_WINDOW), "a write past the window");

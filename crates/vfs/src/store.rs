@@ -728,10 +728,6 @@ impl Store {
         self.journal.write().take()
     }
 
-    fn journaled(&self) -> bool {
-        self.journal.read().is_some()
-    }
-
     fn emit(&self, rec: VfsRecord) {
         if let Some(j) = &*self.journal.read() {
             j.emit(Record::Vfs(rec));
@@ -958,17 +954,9 @@ impl Store {
                 continue;
             }
             let mtime = self.tick();
-            let journaled = self.journaled();
-            let mut delta: Option<(usize, usize)> = None;
             let id = if let Some(id) = existing {
-                match locked.get(id)? {
-                    Inode::File { data: d, .. } => {
-                        if journaled {
-                            let old = fd_load(&self.paged, d);
-                            delta = delta_bounds(&old, data);
-                        }
-                    }
-                    Inode::Dir { .. } => return Err(VfsError::IsADirectory),
+                if let Inode::Dir { .. } = locked.get(id)? {
+                    return Err(VfsError::IsADirectory);
                 }
                 let new_fd = fd_store(&self.paged, self.spill_threshold, data);
                 match locked.get_mut(id)? {
@@ -990,24 +978,15 @@ impl Store {
                 id
             };
             locked.touch(id);
-            if let Some((prefix, suffix)) = delta {
-                // Overwrite sharing most bytes with the old contents: log
-                // only the changed middle. (Owner/mode are untouched by
-                // overwrite, so the delta record carries neither.)
-                self.emit(VfsRecord::WriteDelta {
-                    path: path.as_str().to_string(),
-                    prefix: prefix as u32,
-                    suffix: suffix as u32,
-                    data: data[prefix..data.len() - suffix].to_vec(),
-                });
-            } else {
-                self.emit(VfsRecord::Write {
-                    path: path.as_str().to_string(),
-                    data: data.to_vec(),
-                    owner: owner.0,
-                    mode: mode.to_bits(),
-                });
-            }
+            // An overwrite logs the whole new contents, so the old ones
+            // are freed unread. Replaying it keeps the file's owner and
+            // mode, as the overwrite did.
+            self.emit(VfsRecord::Write {
+                path: path.as_str().to_string(),
+                data: data.to_vec(),
+                owner: owner.0,
+                mode: mode.to_bits(),
+            });
             return Ok(id);
         }
     }
@@ -1065,18 +1044,10 @@ impl Store {
 
     /// Overwrites a file's contents by inode id (used by file handles).
     pub fn write_inode(&self, id: InodeId, data: &[u8]) -> VfsResult<()> {
-        let journaled = self.journaled();
-        let mut delta: Option<(usize, usize)> = None;
         let mut locked = self.lock_shards(vec![shard_of(id)]);
         let mtime = self.tick();
-        match locked.get(id)? {
-            Inode::File { data: d, .. } => {
-                if journaled {
-                    let old = fd_load(&self.paged, d);
-                    delta = delta_bounds(&old, data);
-                }
-            }
-            Inode::Dir { .. } => return Err(VfsError::IsADirectory),
+        if let Inode::Dir { .. } = locked.get(id)? {
+            return Err(VfsError::IsADirectory);
         }
         let new_fd = fd_store(&self.paged, self.spill_threshold, data);
         match locked.get_mut(id)? {
@@ -1088,16 +1059,7 @@ impl Store {
             _ => unreachable!("checked to be a file above"),
         }
         locked.touch(id);
-        if let Some((prefix, suffix)) = delta {
-            self.emit(VfsRecord::WriteInodeDelta {
-                inode: id.0,
-                prefix: prefix as u32,
-                suffix: suffix as u32,
-                data: data[prefix..data.len() - suffix].to_vec(),
-            });
-        } else {
-            self.emit(VfsRecord::WriteInode { inode: id.0, data: data.to_vec() });
-        }
+        self.emit(VfsRecord::WriteInode { inode: id.0, data: data.to_vec() });
         Ok(())
     }
 
@@ -1374,13 +1336,6 @@ impl Store {
             }
             VfsRecord::Append { path, data } => self.append(&VPath::new(path)?, data)?,
             VfsRecord::WriteInode { inode, data } => self.write_inode(InodeId(*inode), data)?,
-            VfsRecord::WriteDelta { path, prefix, suffix, data } => {
-                let id = self.resolve(&VPath::new(path)?)?;
-                self.apply_delta(id, *prefix, *suffix, data)?;
-            }
-            VfsRecord::WriteInodeDelta { inode, prefix, suffix, data } => {
-                self.apply_delta(InodeId(*inode), *prefix, *suffix, data)?;
-            }
             VfsRecord::Unlink { path } => self.unlink(&VPath::new(path)?)?,
             VfsRecord::Rmdir { path } => self.rmdir(&VPath::new(path)?)?,
             VfsRecord::Rename { from, to } => self.rename(&VPath::new(from)?, &VPath::new(to)?)?,
@@ -1388,39 +1343,6 @@ impl Store {
                 self.chown_chmod(&VPath::new(path)?, Uid(*owner), Mode::from_bits(*mode))?
             }
         }
-        Ok(())
-    }
-
-    /// Replays a delta record: `new = old[..prefix] ++ mid ++
-    /// old[len-suffix..]`, owner and mode untouched (an overwrite never
-    /// changes them).
-    fn apply_delta(&self, id: InodeId, prefix: u32, suffix: u32, mid: &[u8]) -> VfsResult<()> {
-        let (prefix, suffix) = (prefix as usize, suffix as usize);
-        let mut locked = self.lock_shards(vec![shard_of(id)]);
-        let mtime = self.tick();
-        let old = match locked.get(id)? {
-            Inode::File { data: d, .. } => {
-                if prefix + suffix > d.len() as usize {
-                    return Err(VfsError::InvalidArgument);
-                }
-                fd_load(&self.paged, d)
-            }
-            Inode::Dir { .. } => return Err(VfsError::IsADirectory),
-        };
-        let mut new = Vec::with_capacity(prefix + mid.len() + suffix);
-        new.extend_from_slice(&old[..prefix]);
-        new.extend_from_slice(mid);
-        new.extend_from_slice(&old[old.len() - suffix..]);
-        let new_fd = fd_store(&self.paged, self.spill_threshold, &new);
-        match locked.get_mut(id)? {
-            Inode::File { data: d, mtime: m, .. } => {
-                fd_free(&self.paged, d);
-                *d = new_fd;
-                *m = mtime;
-            }
-            _ => unreachable!("checked to be a file above"),
-        }
-        locked.touch(id);
         Ok(())
     }
 
@@ -1630,29 +1552,12 @@ fn read_slot(
     }
 }
 
-/// Decides whether an overwrite should be delta-logged: returns the
-/// (prefix, suffix) byte counts shared with the old contents when the
-/// changed middle is at most half the new payload, `None` when a full
-/// image is cheaper (or as cheap — the fallback keeps pathological
-/// rewrites from paying delta overhead on top of full size).
-fn delta_bounds(old: &[u8], new: &[u8]) -> Option<(usize, usize)> {
-    let prefix = old.iter().zip(new.iter()).take_while(|(a, b)| a == b).count();
-    let overlap = old.len().min(new.len()) - prefix;
-    let suffix =
-        old.iter().rev().zip(new.iter().rev()).take_while(|(a, b)| a == b).count().min(overlap);
-    let mid = new.len() - prefix - suffix;
-    if mid * 2 <= new.len() {
-        Some((prefix, suffix))
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::path::vpath;
     use maxoid_journal::codec::ByteWriter;
+    use std::sync::Arc;
 
     fn store_with(paths: &[(&str, &str)]) -> Store {
         let s = Store::new();
@@ -1799,43 +1704,40 @@ mod tests {
     }
 
     #[test]
-    fn overwrites_are_delta_logged_and_replay_exactly() {
+    fn overwrites_replay_exactly() {
         use maxoid_journal::{replay, JournalHandle, Record};
         let h = JournalHandle::with_batch(1);
         let s = Store::new();
         s.set_journal(h.sink());
         let mut base = vec![0u8; 4096];
         s.write(&vpath("/f"), &base, Uid::ROOT, Mode::PUBLIC).unwrap();
-        // Small in-place change: must log a delta, not the whole 4KB.
+        // Small in-place change.
         base[100..108].copy_from_slice(b"CHANGED!");
         s.write(&vpath("/f"), &base, Uid::ROOT, Mode::PUBLIC).unwrap();
-        // Majority rewrite: must fall back to a full image.
+        // Majority rewrite.
         let rewrite = vec![9u8; 4096];
         s.write(&vpath("/f"), &rewrite, Uid::ROOT, Mode::PUBLIC).unwrap();
-        // Inode-handle path gets the same treatment.
+        // Through an inode handle.
         let id = s.resolve(&vpath("/f")).unwrap();
         let mut v = rewrite.clone();
         v[0] = 1;
         s.write_inode(id, &v).unwrap();
 
+        // Every overwrite logs the file's whole new contents.
         let mut recs = Vec::new();
         replay(&h.bytes(), |r| recs.push(r));
-        let kinds: Vec<&'static str> = recs
+        let writes: Vec<(&'static str, &[u8])> = recs
             .iter()
             .filter_map(|r| match r {
-                Record::Vfs(VfsRecord::Write { .. }) => Some("write"),
-                Record::Vfs(VfsRecord::WriteDelta { data, .. }) => {
-                    assert!(data.len() < 64, "delta logs only the changed middle");
-                    Some("delta")
-                }
-                Record::Vfs(VfsRecord::WriteInodeDelta { data, .. }) => {
-                    assert!(data.len() < 64);
-                    Some("inode-delta")
-                }
+                Record::Vfs(VfsRecord::Write { data, .. }) => Some(("write", &data[..])),
+                Record::Vfs(VfsRecord::WriteInode { data, .. }) => Some(("inode", &data[..])),
                 _ => None,
             })
             .collect();
-        assert_eq!(kinds, vec!["write", "delta", "write", "inode-delta"]);
+        let zeros = vec![0u8; 4096];
+        let want: Vec<(&'static str, &[u8])> =
+            vec![("write", &zeros), ("write", &base), ("write", &rewrite), ("inode", &v)];
+        assert_eq!(writes, want);
 
         let replayed = Store::new();
         for rec in recs {
@@ -1897,6 +1799,49 @@ mod tests {
 
     fn paged_store(pages: usize, threshold: usize) -> Store {
         Store::with_block_device(Box::new(maxoid_block::MemDevice::new()), pages, threshold)
+    }
+
+    /// A memory device that counts the sectors read from it.
+    struct CountingDevice(maxoid_block::MemDevice, Arc<AtomicU64>);
+
+    impl BlockDevice for CountingDevice {
+        fn sector_size(&self) -> usize {
+            self.0.sector_size()
+        }
+
+        fn len_sectors(&self) -> u64 {
+            self.0.len_sectors()
+        }
+
+        fn read_sector(&mut self, sector: u64, buf: &mut [u8]) -> maxoid_block::BlockResult<()> {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            self.0.read_sector(sector, buf)
+        }
+
+        fn write_sector(&mut self, sector: u64, buf: &[u8]) -> maxoid_block::BlockResult<()> {
+            self.0.write_sector(sector, buf)
+        }
+
+        fn flush(&mut self) -> maxoid_block::BlockResult<()> {
+            self.0.flush()
+        }
+    }
+
+    #[test]
+    fn a_journaled_overwrite_reads_none_of_the_old_file() {
+        // A one-page spill cache: by the time a second file is written,
+        // all four pages of the first are on the device, not cached.
+        let reads = Arc::new(AtomicU64::new(0));
+        let dev = CountingDevice(maxoid_block::MemDevice::new(), reads.clone());
+        let s = Store::with_block_device(Box::new(dev), 1, 1024);
+        let h = maxoid_journal::JournalHandle::with_batch(1);
+        s.set_journal(h.sink());
+        s.write(&vpath("/f"), &[1; 16 << 10], Uid::ROOT, Mode::PUBLIC).unwrap();
+        s.write(&vpath("/g"), &[2; 16 << 10], Uid::ROOT, Mode::PUBLIC).unwrap();
+        let before = reads.load(Ordering::Relaxed);
+        s.write(&vpath("/f"), &[3; 16 << 10], Uid::ROOT, Mode::PUBLIC).unwrap();
+        assert_eq!(reads.load(Ordering::Relaxed), before, "the overwrite read the old file");
+        assert_eq!(s.read(&vpath("/f")).unwrap(), vec![3; 16 << 10]);
     }
 
     /// Every `put_raw` that reaches a writer, in order.

@@ -11,11 +11,12 @@
 //!   file-device-backed store produces byte-identical `dump_tree()` and
 //!   dirty images, including under a page budget far
 //!   smaller than the working set (eviction pressure).
-//! - **Cold boot**: a journaled system whose WAL sits on a file-backed
-//!   [`BlockStorage`] is dropped and re-booted from the device alone;
-//!   files and provider rows come back exactly, and the rebooted system
-//!   keeps journaling (LSN continuity) so a *second* cold boot sees the
-//!   post-reboot writes too. A cold boot reads its log through one window:
+//! - **Cold boot**: a system booted from one file-backed device (its WAL
+//!   a [`BlockStorage`] on one partition) is dropped and re-booted from
+//!   the device alone; files and provider rows come back exactly, and the
+//!   rebooted system keeps journaling (LSN continuity) so a *second* cold
+//!   boot sees the post-reboot writes too; an image whose log an older
+//!   format wrote is refused. A cold boot reads its log through one window:
 //!   no read larger than the window or the largest frame, each scan of the
 //!   log front to back once.
 //! - **Corruption stays loud**: the PR-3/PR-6 byte-flip discipline holds
@@ -39,15 +40,15 @@
 
 use maxoid::durability::{recover, RecoveryError};
 use maxoid::manifest::MaxoidManifest;
-use maxoid::{Caller, ContentValues, MaxoidSystem, QueryArgs, Uri};
+use maxoid::{Caller, ContentValues, DeviceBootConfig, MaxoidSystem, QueryArgs, SystemError, Uri};
 use maxoid_block::{BlockDevice, FaultDevice, FileDevice, MemDevice, ReadFaults};
 use maxoid_journal::{
     flip_byte, read_records, record_boundaries, replay, BlockStorage, Delta, Fill, Journal,
     JournalError, JournalHandle, JournalSink, Record, Replacement, Storage, Tail, TailState,
-    VfsRecord, SCAN_WINDOW,
+    VfsRecord, LOG_PREAMBLE, SCAN_WINDOW,
 };
 use maxoid_sqldb::Value;
-use maxoid_vfs::{vpath, Mode, Store, Uid, VPath, Vfs};
+use maxoid_vfs::{vpath, Mode, Store, Uid, VPath};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -207,12 +208,12 @@ fn seed_system(sys: &MaxoidSystem) {
         .expect("write blob");
 }
 
-/// Opens (or reopens) a journal over the file device at `path`.
-fn file_journal(path: &std::path::Path, fresh: bool) -> JournalHandle {
+/// Opens (or reopens) the single device image at `path`.
+fn file_device(path: &std::path::Path, fresh: bool) -> Box<dyn BlockDevice> {
     let mut dev =
         if fresh { FileDevice::create(path).unwrap() } else { FileDevice::open(path).unwrap() };
     dev.set_delete_on_drop(false);
-    JournalHandle::with_storage(Box::new(BlockStorage::open(Box::new(dev), 8).unwrap()), 1).unwrap()
+    Box::new(dev)
 }
 
 #[test]
@@ -220,20 +221,20 @@ fn cold_boot_from_file_backed_journal_restores_state() {
     let dir = std::env::temp_dir();
     let path = dir.join(format!("maxoid-coldboot-{}.blk", std::process::id()));
     let _ = std::fs::remove_file(&path);
+    let cfg = DeviceBootConfig::default();
 
-    // First life: journaled boot over a file-backed block device.
-    let sys = MaxoidSystem::boot_journaled(file_journal(&path, true)).expect("boot");
+    // First life: a boot from one file-backed device, which holds the
+    // journal and the VFS spill tier.
+    let sys = MaxoidSystem::boot_from_device(file_device(&path, true), &cfg).expect("boot");
     seed_system(&sys);
     sys.journal().unwrap().flush().unwrap();
     let files = files_of(&sys);
     let words = query_words(&sys);
     drop(sys);
 
-    // Second life: nothing survives but the device. Boot cold into a
-    // block-backed VFS so recovered payloads spill to pages, not RAM.
-    let vfs = Vfs::with_block_device(Box::new(MemDevice::new()), 8, THRESHOLD);
-    let sys2 =
-        MaxoidSystem::boot_journaled_with_vfs(file_journal(&path, false), vfs).expect("cold boot");
+    // Second life: nothing survives but the device. Recovered payloads
+    // past the spill threshold go to its pages, not RAM.
+    let sys2 = MaxoidSystem::boot_from_device(file_device(&path, false), &cfg).expect("cold boot");
     // App installs are not journaled; re-install before using the cast.
     sys2.install(INITIATOR, vec![], MaxoidManifest::new()).expect("re-install");
     assert_eq!(files_of(&sys2), files, "file tree must survive the reboot");
@@ -255,11 +256,47 @@ fn cold_boot_from_file_backed_journal_restores_state() {
     assert_eq!(words2.len(), words.len() + 1);
     drop(sys2);
 
-    let sys3 = MaxoidSystem::boot_journaled(file_journal(&path, false)).expect("second cold boot");
+    let sys3 =
+        MaxoidSystem::boot_from_device(file_device(&path, false), &cfg).expect("second cold boot");
     sys3.install(INITIATOR, vec![], MaxoidManifest::new()).expect("re-install");
     assert_eq!(query_words(&sys3), words2, "post-reboot write must survive the next reboot");
     drop(sys3);
     let _ = std::fs::remove_file(&path);
+}
+
+/// A device image whose log a v4 journal wrote (its preamble says so)
+/// may name paths by dictionary ids and hold delta-logged overwrites:
+/// recovery and the cold boot refuse it instead of booting an empty
+/// device.
+#[test]
+fn v4_images_are_refused_by_recovery_and_the_cold_boot() {
+    let platter = SharedDev::default();
+    let cfg = DeviceBootConfig::default();
+    let sys = MaxoidSystem::boot_from_device(Box::new(platter.clone()), &cfg).expect("boot");
+    seed_system(&sys);
+    let j = sys.journal().unwrap().clone();
+    j.flush().unwrap();
+    let mut log = j.bytes();
+    drop((sys, j));
+    assert!(recover(&log).is_ok());
+    log[..LOG_PREAMBLE.len()].copy_from_slice(b"MXWAL4\x00\x00");
+    assert!(matches!(recover(&log), Err(RecoveryError::Corrupted { offset: 0 })));
+    // The same preamble on the device: every copy of it in the image.
+    let mut disk = platter.0.lock().unwrap();
+    let at: Vec<usize> = (0..disk.raw().len() - LOG_PREAMBLE.len())
+        .filter(|&i| disk.raw()[i..i + LOG_PREAMBLE.len()] == LOG_PREAMBLE)
+        .collect();
+    assert!(!at.is_empty(), "the image holds a log");
+    for i in at {
+        disk.corrupt(i as u64 + 5, b'5' ^ b'4');
+    }
+    drop(disk);
+    let refused = RecoveryError::Corrupted { offset: 0 }.to_string();
+    match MaxoidSystem::boot_from_device(Box::new(platter), &cfg) {
+        Err(SystemError::Recovery(e)) if e == refused => {}
+        Err(e) => panic!("a v4 image refused for the wrong reason: {e}"),
+        Ok(_) => panic!("a v4 image booted"),
+    }
 }
 
 /// Builds a journaled system over an in-memory `BlockStorage`, runs the

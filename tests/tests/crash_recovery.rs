@@ -21,7 +21,6 @@ use maxoid::{Caller, ContentValues, MaxoidSystem, QueryArgs, SystemError, Uri, V
 use maxoid_journal::{
     crash_prefix, flip_byte, read_records, record_boundaries, torn_log, Fill, JournalError,
     JournalHandle, JournalResult, MemStorage, Record, Replacement, Storage, Tail, TailState,
-    VfsRecord,
 };
 use maxoid_providers::provider::ContentProvider;
 use maxoid_providers::UserDictionaryProvider;
@@ -388,11 +387,10 @@ fn group_commit_batching_loses_only_the_pending_tail() {
     assert_eq!(rec_fp.public_words.as_ref().map(|r| r.len()), Some(5));
 }
 
-/// Builds a log exercising every format-v2 record type: repeated
-/// overwrites of one file (delta-encoded writes + an interned path), a
-/// compaction (DDL + row dumps + the store's image), and
-/// post-compaction traffic (a fresh `PathDef` — the rewrite resets the
-/// dictionary). Returns the system; its journal holds the log.
+/// Builds a log exercising the record types format v2 brought that
+/// remain: repeated overwrites of one file (each a whole `Write`), a
+/// compaction (DDL + row dumps + the store's image), and post-compaction
+/// traffic. Returns the system; its journal holds the log.
 fn v2_heavy_system() -> MaxoidSystem {
     let mut sys = journaled_system();
     seed_volatile_state(&mut sys);
@@ -402,7 +400,7 @@ fn v2_heavy_system() -> MaxoidSystem {
         .mkdir_all(pid, &vpath(&format!("/data/data/{INITIATOR}/files")), Mode::PRIVATE)
         .expect("mkdir");
     for i in 0..4u8 {
-        // Same length, small middle change: the overwrite delta-encodes.
+        // Same length, small middle change.
         let body = format!("draft {i} -- mostly unchanged trailing text");
         sys.kernel.write(pid, &note, body.as_bytes(), Mode::PRIVATE).expect("write");
     }
@@ -411,7 +409,7 @@ fn v2_heavy_system() -> MaxoidSystem {
         let body = format!("final {i} -- mostly unchanged trailing text");
         sys.kernel.write(pid, &note, body.as_bytes(), Mode::PRIVATE).expect("write");
     }
-    // A fresh file after the rewrite: a full-image (non-delta) record.
+    // A fresh file after the rewrite.
     sys.kernel
         .write(pid, &note.parent().unwrap().join("new.txt").unwrap(), b"x", Mode::PRIVATE)
         .expect("write");
@@ -425,10 +423,7 @@ fn record_kinds(log: &[u8]) -> std::collections::BTreeSet<&'static str> {
         .records
         .iter()
         .map(|(_, r)| match r {
-            Record::Vfs(VfsRecord::WriteDelta { .. }) => "write-delta",
-            Record::Vfs(VfsRecord::WriteInodeDelta { .. }) => "write-inode-delta",
             Record::Vfs(_) => "vfs",
-            Record::PathDef { .. } => "path-def",
             Record::SnapshotDelta { .. } => "snapshot-delta",
             Record::Sql { .. } => "sql",
             Record::TxnBegin { .. } | Record::TxnCommit { .. } | Record::TxnRollback { .. } => {
@@ -441,8 +436,8 @@ fn record_kinds(log: &[u8]) -> std::collections::BTreeSet<&'static str> {
 /// The PR-3 sweeps, on a log full of format-v2 record types: a crash at
 /// any boundary of a compacted-then-extended log recovers, the full log
 /// reproduces the live state, and a flipped byte anywhere — inside
-/// delta, dictionary, image or compacted SQL records — is `Corrupted`,
-/// never a silently shortened history.
+/// overwrite, image or compacted SQL records — is `Corrupted`, never a
+/// silently shortened history.
 #[test]
 fn v2_record_types_survive_flip_and_crash_sweeps() {
     let mut sys = v2_heavy_system();
@@ -451,7 +446,7 @@ fn v2_record_types_survive_flip_and_crash_sweeps() {
     let log = journal.bytes();
 
     let kinds = record_kinds(&log);
-    for want in ["write-delta", "path-def", "snapshot-delta", "sql", "vfs"] {
+    for want in ["snapshot-delta", "sql", "vfs"] {
         assert!(kinds.contains(want), "workload must produce a {want} record, got {kinds:?}");
     }
 
