@@ -188,7 +188,7 @@ fn bench_stmt_cache_vs_reparse(c: &mut Criterion) {
 /// flush toward the logging-off floor. The JSON-emitting variant plus
 /// the recovery-time-vs-log-size experiment live in `src/bin/journal.rs`.
 fn bench_journal_overhead(c: &mut Criterion) {
-    use maxoid_journal::JournalHandle;
+    use maxoid_journal::Journal;
     use maxoid_sqldb::Database;
     let mut g = c.benchmark_group("ablation/journal_overhead_insert");
     g.sample_size(20);
@@ -198,7 +198,7 @@ fn bench_journal_overhead(c: &mut Criterion) {
         g.bench_function(BenchmarkId::from_parameter(name), |b| {
             let mut db = Database::new();
             if let Some(n) = batch {
-                db.set_journal(JournalHandle::with_batch(n).sink(), "db.bench");
+                db.set_journal(Journal::in_memory(n), "db.bench");
             }
             db.execute_batch("CREATE TABLE t (_id INTEGER PRIMARY KEY, data TEXT);")
                 .expect("schema");

@@ -23,7 +23,7 @@ use maxoid::manifest::MaxoidManifest;
 use maxoid::{Caller, ContentValues, MaxoidSystem, QueryArgs, Uri};
 use maxoid_bench::{measure, measure_interleaved, BenchJson, Case, Measurement};
 use maxoid_block::{FileDevice, MemDevice};
-use maxoid_journal::{BlockStorage, JournalHandle};
+use maxoid_journal::{BlockStorage, Journal};
 use maxoid_vfs::{vpath, Mode, Store, Uid};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -192,7 +192,7 @@ fn main() {
             || {
                 let dev = FileDevice::open(&path).expect("reopen");
                 let storage = BlockStorage::open(Box::new(dev), 64).expect("open storage");
-                let j = JournalHandle::with_storage(Box::new(storage), 16).expect("open journal");
+                let j = Journal::new(Box::new(storage), 16).expect("open journal");
                 std::hint::black_box(MaxoidSystem::boot_journaled(j).expect("cold boot"));
             },
         );
@@ -230,7 +230,7 @@ fn build_device_log(path: &std::path::Path, n: usize) {
     let _ = std::fs::remove_file(path);
     let dev = FileDevice::create(path).expect("create device");
     let storage = BlockStorage::open(Box::new(dev), 64).expect("open storage");
-    let j = JournalHandle::with_storage(Box::new(storage), 16).expect("open journal");
+    let j = Journal::new(Box::new(storage), 16).expect("open journal");
     let sys = MaxoidSystem::boot_journaled(j.clone()).expect("boot");
     sys.install("seeder", vec![], MaxoidManifest::new()).expect("install");
     let words = Uri::parse("content://user_dictionary/words").unwrap();

@@ -21,7 +21,7 @@
 
 use maxoid::durability::{compact, recover};
 use maxoid_bench::{measure, measure_interleaved, BenchJson, Case, Measurement};
-use maxoid_journal::JournalHandle;
+use maxoid_journal::Journal;
 use maxoid_sqldb::{Database, Value};
 use maxoid_vfs::{vpath, Mode, Store, Uid};
 use std::cell::RefCell;
@@ -50,7 +50,7 @@ fn main() {
             .map(|&(_, batch)| {
                 let mut db = Database::new();
                 if let Some(b) = batch {
-                    db.set_journal(JournalHandle::with_batch(b).sink(), "db.bench");
+                    db.set_journal(Journal::in_memory(b), "db.bench");
                 }
                 db.execute_batch(
                     "CREATE TABLE words (_id INTEGER PRIMARY KEY, word TEXT, frequency INTEGER);",
@@ -87,7 +87,7 @@ fn main() {
                 let store = Store::new();
                 store.mkdir_all(&vpath("/data"), Uid::ROOT, Mode::PUBLIC).expect("mkdir");
                 if let Some(b) = batch {
-                    store.set_journal(JournalHandle::with_batch(b).sink());
+                    store.set_journal(Journal::in_memory(b));
                 }
                 let store = Rc::new(RefCell::new(store));
                 let i = Rc::new(RefCell::new(0u64));
@@ -185,13 +185,13 @@ fn main() {
 /// inserts and half physical 1KB file writes — the mix `recover` sees
 /// after real use.
 fn build_log(n: usize) -> Vec<u8> {
-    let j = JournalHandle::with_batch(64);
+    let j = Journal::in_memory(64);
     let mut db = Database::new();
-    db.set_journal(j.sink(), "db.bench");
+    db.set_journal(j.clone(), "db.bench");
     db.execute_batch("CREATE TABLE words (_id INTEGER PRIMARY KEY, word TEXT, frequency INTEGER);")
         .expect("schema");
     let store = Store::new();
-    store.set_journal(j.sink());
+    store.set_journal(j.clone());
     store.mkdir_all(&vpath("/data"), Uid::ROOT, Mode::PUBLIC).expect("mkdir");
     let payload = vec![0x5au8; 1024];
     for i in 0..n / 2 {
@@ -218,13 +218,13 @@ fn build_log(n: usize) -> Vec<u8> {
 /// with contents keyed by `i % 100`, so any `n` divisible by 100 lands
 /// every file and row on the same last value. Only the history length
 /// differs — exactly the input compaction collapses. Returns the journal.
-fn build_churn_log(n: usize) -> JournalHandle {
+fn build_churn_log(n: usize) -> Journal {
     assert!(n % 100 == 0, "n must align the churn cycles");
     const FILES: usize = 4;
     const ROWS: usize = 50;
-    let j = JournalHandle::with_batch(64);
+    let j = Journal::in_memory(64);
     let mut db = Database::new();
-    db.set_journal(j.sink(), "db.bench");
+    db.set_journal(j.clone(), "db.bench");
     db.execute_batch("CREATE TABLE words (_id INTEGER PRIMARY KEY, word TEXT, frequency INTEGER);")
         .expect("schema");
     for r in 0..ROWS {
@@ -235,7 +235,7 @@ fn build_churn_log(n: usize) -> JournalHandle {
         .expect("seed");
     }
     let store = Store::new();
-    store.set_journal(j.sink());
+    store.set_journal(j.clone());
     store.mkdir_all(&vpath("/data"), Uid::ROOT, Mode::PUBLIC).expect("mkdir");
     for i in 0..n {
         let gen = (i % 100) as i64;

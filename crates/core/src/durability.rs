@@ -12,7 +12,8 @@
 //!   the full catalog (tables, indexes, views, triggers) and rows.
 //!
 //! Every reader of a log goes through the journal's one replay
-//! ([`maxoid_journal::replay()`], or [`Journal::replay`] over storage),
+//! ([`maxoid_journal::replay()`], or [`JournalState::replay`] over the
+//! journal's storage, under [`maxoid_journal::Journal::with_flushed`]),
 //! which scans the log one frame at a time and hands on each record as
 //! soon as the redo filter settles it as taking effect; the substrate is
 //! rebuilt as the records arrive. [`recover`] replays a log in memory,
@@ -30,7 +31,7 @@
 //! or the one after it.
 
 use crate::system::{SystemError, SystemResult};
-use maxoid_journal::{Journal, Record, TailState};
+use maxoid_journal::{JournalState, Record, TailState};
 use maxoid_sqldb::{Database, FlattenPolicy};
 use maxoid_vfs::Vfs;
 use std::collections::BTreeMap;
@@ -113,7 +114,7 @@ impl RecoveredSubstrate {
 }
 
 /// A substrate rebuilt from the records a replay hands on, as they
-/// arrive, into `vfs` — empty, with no journal sink attached: replay must
+/// arrive, into `vfs` — empty, with no journal attached: replay must
 /// not re-log itself. The first record that fails to apply is kept, and
 /// the ones after it are skipped.
 struct Rebuild {
@@ -184,11 +185,14 @@ pub fn recover(log_bytes: &[u8]) -> Result<RecoveredSubstrate, RecoveryError> {
 }
 
 /// Like [`recover`], over `journal`'s durable log read through one window
-/// of its storage, into `vfs` (empty, no journal sink) — the cold boot
+/// of its storage, into `vfs` (empty, no journal attached) — the cold boot
 /// hands in a block-backed store, so recovered file payloads spill to
 /// device pages instead of resident memory. A log that cannot be read
 /// fails with the read error.
-pub(crate) fn recover_journal(journal: &Journal, vfs: Vfs) -> SystemResult<RecoveredSubstrate> {
+pub(crate) fn recover_journal(
+    journal: &JournalState,
+    vfs: Vfs,
+) -> SystemResult<RecoveredSubstrate> {
     let mut rebuild = Rebuild::new(vfs);
     let tail = journal.replay(|rec| rebuild.apply(rec))?;
     Ok(rebuild.finish(tail)?)
@@ -207,10 +211,10 @@ pub(crate) fn recover_journal(journal: &Journal, vfs: Vfs) -> SystemResult<Recov
 /// log as a checkpoint's delta does.
 ///
 /// The caller holds the journal from the replay through the rewrite
-/// ([`maxoid_journal::JournalHandle::with_flushed`]), so no record becomes
+/// ([`maxoid_journal::Journal::with_flushed`]), so no record becomes
 /// durable between them. A log that cannot be read or replayed is an
 /// error, and the log stays as it was.
-pub fn compact(journal: &mut Journal) -> SystemResult<()> {
+pub fn compact(journal: &mut JournalState) -> SystemResult<()> {
     let mut rebuild = Rebuild::new(Vfs::new());
     let mut records = Vec::new();
     let tail = journal.replay(|rec| {
@@ -242,25 +246,25 @@ fn is_ddl(sql: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maxoid_journal::{JournalHandle, MemStorage, Storage};
+    use maxoid_journal::{Journal, MemStorage, Storage};
     use maxoid_vfs::{vpath, Mode, Uid};
 
     /// Compacts `j` as `MaxoidSystem::compact` does.
-    fn compact_journal(j: &JournalHandle) {
+    fn compact_journal(j: &Journal) {
         j.with_flushed(compact).unwrap().unwrap();
     }
 
     #[test]
     fn recover_rebuilds_vfs_and_db() {
-        let j = JournalHandle::with_batch(1);
+        let j = Journal::in_memory(1);
         let vfs = Vfs::new();
-        vfs.attach_journal(j.sink());
+        vfs.attach_journal(j.clone());
         vfs.with_store_mut(|s| {
             s.mkdir_all(&vpath("/data"), Uid::ROOT, Mode::PUBLIC).unwrap();
             s.write(&vpath("/data/f"), b"hello", Uid(10_001), Mode::PRIVATE).unwrap();
         });
         let mut db = Database::new();
-        db.set_journal(j.sink(), "db.test");
+        db.set_journal(j.clone(), "db.test");
         db.execute_batch("CREATE TABLE t (_id INTEGER PRIMARY KEY, v TEXT);").unwrap();
         db.execute("INSERT INTO t (v) VALUES (?)", &[maxoid_sqldb::Value::Text("x".into())])
             .unwrap();
@@ -280,9 +284,9 @@ mod tests {
 
     #[test]
     fn compacted_log_recovers_identically() {
-        let j = JournalHandle::with_batch(1);
+        let j = Journal::in_memory(1);
         let vfs = Vfs::new();
-        vfs.attach_journal(j.sink());
+        vfs.attach_journal(j.clone());
         vfs.with_store_mut(|s| {
             s.mkdir_all(&vpath("/a/b"), Uid::ROOT, Mode::PUBLIC).unwrap();
             s.write(&vpath("/a/b/f"), b"version 1", Uid(10_001), Mode::PRIVATE).unwrap();
@@ -295,7 +299,7 @@ mod tests {
             s.unlink(&vpath("/a/tmp")).unwrap();
         });
         let mut db = Database::new();
-        db.set_journal(j.sink(), "db.contacts");
+        db.set_journal(j.clone(), "db.contacts");
         db.execute_batch("CREATE TABLE t (_id INTEGER PRIMARY KEY, v TEXT);").unwrap();
         db.execute_batch("CREATE TABLE hid (v TEXT);").unwrap();
         for i in 0..10 {
@@ -359,9 +363,9 @@ mod tests {
 
     #[test]
     fn cold_boot_from_a_compacted_log_reuses_the_same_hole() {
-        let j = JournalHandle::with_batch(1);
+        let j = Journal::in_memory(1);
         let vfs = Vfs::new();
-        vfs.attach_journal(j.sink());
+        vfs.attach_journal(j.clone());
         vfs.with_store_mut(|s| {
             s.mkdir_all(&vpath("/a"), Uid::ROOT, Mode::PUBLIC).unwrap();
             s.mkdir_all(&vpath("/b"), Uid::ROOT, Mode::PUBLIC).unwrap();
@@ -375,7 +379,7 @@ mod tests {
         let mut storage = MemStorage::new();
         storage.append(&j.bytes()).unwrap();
         let reopened = Journal::new(Box::new(storage), 1).unwrap();
-        let booted = recover_journal(&reopened, Vfs::new()).unwrap();
+        let booted = reopened.with_flushed(|j| recover_journal(j, Vfs::new())).unwrap().unwrap();
         assert_eq!(booted.vfs.with_store(|s| s.dump_tree()), vfs.with_store(|s| s.dump_tree()));
         // Allocation state came through the image: the next allocation
         // reuses the hole in both stores, and the clocks agree.
@@ -388,9 +392,9 @@ mod tests {
 
     #[test]
     fn incremental_checkpoint_recovers() {
-        let j = JournalHandle::with_batch(1);
+        let j = Journal::in_memory(1);
         let vfs = Vfs::new();
-        vfs.attach_journal(j.sink());
+        vfs.attach_journal(j.clone());
         vfs.with_store_mut(|s| {
             s.mkdir_all(&vpath("/data"), Uid::ROOT, Mode::PUBLIC).unwrap();
             s.write(&vpath("/data/a"), b"aaa", Uid(10_001), Mode::PRIVATE).unwrap();
@@ -423,9 +427,9 @@ mod tests {
 
     #[test]
     fn uncommitted_txn_is_discarded() {
-        let j = JournalHandle::with_batch(1);
+        let j = Journal::in_memory(1);
         let vfs = Vfs::new();
-        vfs.attach_journal(j.sink());
+        vfs.attach_journal(j.clone());
         vfs.with_store_mut(|s| {
             s.write(&vpath("/keep"), b"k", Uid::ROOT, Mode::PUBLIC).unwrap();
         });

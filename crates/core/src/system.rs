@@ -29,8 +29,9 @@
 //!   parallel with each other; mutations serialize on the write lock
 //!   and republish a snapshot before releasing it. Different
 //!   authorities dispatch in parallel as before;
-//! * journal — a state mutex plus a storage mutex with leader/follower
-//!   group commit (see [`maxoid_journal::JournalHandle`]);
+//! * journal — one [`maxoid_journal::Journal`] handle, shared by every
+//!   emitter: a state mutex plus a storage mutex with leader/follower
+//!   group commit;
 //! * AMS registry (`RwLock`), private-state manager (`Mutex`), services
 //!   (leaf mutexes), and a per-initiator gesture lock serializing the
 //!   delegation lifecycle of one initiator.
@@ -64,7 +65,7 @@ use crate::manifest::MaxoidManifest;
 use crate::private_state::{ForkOutcome, PrivateStateManager};
 use crate::services::{BluetoothService, ClipboardService, SmsService};
 use crate::volatile::{VolatileEntry, VolatileState};
-use maxoid_journal::JournalHandle;
+use maxoid_journal::Journal;
 use maxoid_kernel::{AppId, ExecContext, Kernel, KernelError, Pid};
 use maxoid_providers::{
     downloads, media, userdict, Caller, ContentResolver, ContentValues, DownloadRequest,
@@ -176,7 +177,7 @@ pub struct MaxoidSystem {
     media: Arc<Mutex<MediaProvider<BranchLocator>>>,
     userdict: Arc<Mutex<UserDictionaryProvider>>,
     downloads_pid: Pid,
-    journal: Option<JournalHandle>,
+    journal: Option<Journal>,
     /// Heap tier provider row payloads page to, when booted from a
     /// device (or attached explicitly).
     heap: Option<maxoid_sqldb::HeapTier>,
@@ -235,7 +236,7 @@ impl MaxoidSystem {
 
     /// Boots a Maxoid device with a write-ahead journal attached.
     ///
-    /// The journal sink is wired into the VFS store *before* the branch
+    /// The journal is wired into the VFS store *before* the branch
     /// manager creates the backing layout and into each provider database
     /// *before* its schema DDL runs, so replaying the log from an empty
     /// substrate ([`crate::durability::recover`]) rebuilds everything —
@@ -245,10 +246,10 @@ impl MaxoidSystem {
     /// If the journal already holds records (e.g. it sits on a file-backed
     /// [`maxoid_journal::BlockStorage`] reopened after a restart), boot
     /// instead **cold-boots**: the log is replayed into the fresh substrate
-    /// before any sinks attach, then providers adopt the recovered
+    /// before the journal attaches, then providers adopt the recovered
     /// databases. App installs and UIDs are not journaled — callers
     /// re-install apps after a cold boot.
-    pub fn boot_journaled(journal: JournalHandle) -> SystemResult<Self> {
+    pub fn boot_journaled(journal: Journal) -> SystemResult<Self> {
         Self::boot_inner(Some(journal), Vfs::new())
     }
 
@@ -271,7 +272,7 @@ impl MaxoidSystem {
             Box::new(table.handle(maxoid_block::PART_WAL)),
             cfg.wal_pages,
         )?;
-        let journal = JournalHandle::with_storage(Box::new(wal), cfg.wal_batch)?;
+        let journal = Journal::new(Box::new(wal), cfg.wal_batch)?;
         let vfs = Vfs::with_block_device(
             Box::new(table.handle(maxoid_block::PART_VFS)),
             cfg.vfs_pages,
@@ -300,26 +301,26 @@ impl MaxoidSystem {
         self.heap.as_ref()
     }
 
-    fn boot_inner(journal: Option<JournalHandle>, vfs: Vfs) -> SystemResult<Self> {
+    fn boot_inner(journal: Option<Journal>, vfs: Vfs) -> SystemResult<Self> {
         let mut sp = maxoid_obs::span("system.boot");
         sp.field("journaled", if journal.is_some() { "true" } else { "false" });
 
-        // Cold boot: the handle was opened over existing storage. Replay
+        // Cold boot: the journal was opened over existing storage. Replay
         // the committed log, through one window of it, into the bare VFS
-        // *before* any journal sink is attached (replay must not re-log
+        // *before* the journal is attached (replay must not re-log
         // itself), and keep the recovered provider databases for adoption
         // below. A log that cannot be read fails the boot rather than
         // booting an empty device.
         let mut recovered = None;
         if let Some(j) = journal.as_ref().filter(|j| !j.is_empty()) {
             let vfs = vfs.clone();
-            recovered = Some(j.with(|j| crate::durability::recover_journal(j, vfs))?);
+            recovered = Some(j.with_flushed(|j| crate::durability::recover_journal(j, vfs))??);
         }
         sp.field("cold_boot", if recovered.is_some() { "true" } else { "false" });
 
         let kernel = Kernel::with_vfs(vfs);
         if let Some(j) = &journal {
-            kernel.vfs().attach_journal(j.sink());
+            kernel.vfs().attach_journal(j.clone());
         }
         let branch_mgr = BranchManager::new(kernel.vfs().clone())?;
         let volatile = VolatileState::new(kernel.vfs().clone());
@@ -337,14 +338,14 @@ impl MaxoidSystem {
         // cold boot) and registered with its lock-free read handle: the
         // resolver keeps the provider's mutex, and so does the system, for
         // the service APIs (download pump, media scans).
-        let sink = || journal.as_ref().map(JournalHandle::sink);
         let mut db = |authority| recovered.as_mut().map(|sub| sub.take_db(authority));
         let resolver = ContentResolver::new();
-        let downloads = DownloadsProvider::open(files.clone(), sink(), db(downloads::AUTHORITY));
+        let downloads =
+            DownloadsProvider::open(files.clone(), journal.clone(), db(downloads::AUTHORITY));
         let downloads = resolver.register(ProviderScope::System, downloads);
-        let media = MediaProvider::open(files, sink(), db(media::AUTHORITY));
+        let media = MediaProvider::open(files, journal.clone(), db(media::AUTHORITY));
         let media = resolver.register(ProviderScope::System, media);
-        let userdict = UserDictionaryProvider::open(sink(), db(userdict::AUTHORITY));
+        let userdict = UserDictionaryProvider::open(journal.clone(), db(userdict::AUTHORITY));
         let userdict = resolver.register(ProviderScope::System, userdict);
 
         // Make the boot-time records (layout mkdirs, schema DDL) durable:
@@ -375,7 +376,7 @@ impl MaxoidSystem {
     }
 
     /// Returns the attached journal, if this system was booted with one.
-    pub fn journal(&self) -> Option<&JournalHandle> {
+    pub fn journal(&self) -> Option<&Journal> {
         self.journal.as_ref()
     }
 
@@ -863,10 +864,10 @@ impl MaxoidSystem {
         for rel in &plan.internal {
             self.volatile.commit_internal(init, rel)?;
         }
-        let mut rows_committed = 0;
+        let mut public_rows = Vec::new();
         for (authority, table, id) in &plan.provider_rows {
-            if self.resolver.commit_volatile_row(authority, init, table, *id)? {
-                rows_committed += 1;
+            if let Some(public) = self.resolver.commit_volatile_row(authority, init, table, *id)? {
+                public_rows.push((authority.clone(), table.clone(), public));
             }
         }
         let mut files_removed = 0;
@@ -875,7 +876,7 @@ impl MaxoidSystem {
             self.resolver.clear_volatile(init)?;
             self.clipboard.clear_confined(init);
         }
-        Ok(VolCommitOutcome { rows_committed, files_removed })
+        Ok(VolCommitOutcome { rows_committed: public_rows.len(), public_rows, files_removed })
     }
 
     /// The launcher's Clear-Priv gesture (§6.3): clears `Priv(x^init)`
@@ -1134,10 +1135,14 @@ pub struct VolCommitPlan {
 }
 
 /// What [`MaxoidSystem::commit_vol`] accomplished.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VolCommitOutcome {
     /// Provider delta rows promoted into public tables.
     pub rows_committed: usize,
+    /// Where each committed row landed, in plan order:
+    /// `(authority, table, public row id)`. A row the delegate updated
+    /// keeps its public id; a row it inserted gets a fresh one.
+    pub public_rows: Vec<(String, String, i64)>,
     /// Volatile files removed by the trailing discard (0 when
     /// `discard_rest` was false).
     pub files_removed: usize,

@@ -57,6 +57,11 @@ impl ViewHierarchy {
         Ok(())
     }
 
+    /// The registered user views, by lowercased name.
+    pub(crate) fn names(&self) -> Vec<String> {
+        self.views.keys().cloned().collect()
+    }
+
     /// Whether some registered user view selects from `table` directly.
     pub fn has_base(&self, table: &str) -> bool {
         self.views.values().any(|v| v.bases.iter().any(|b| b.eq_ignore_ascii_case(table)))

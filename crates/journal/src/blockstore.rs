@@ -394,9 +394,9 @@ mod tests {
 
     #[test]
     fn wal_over_blocks_roundtrips() {
-        let mut j = Journal::new(Box::new(BlockStorage::in_memory(8)), 1).unwrap();
+        let j = Journal::new(Box::new(BlockStorage::in_memory(8)), 1).unwrap();
         for i in 0..20 {
-            j.append(&rec(&format!("/f{i}"))).unwrap();
+            j.append(rec(&format!("/f{i}"))).unwrap();
         }
         let log = read_records(&j.bytes());
         assert_eq!(log.records.len(), 20);
@@ -408,10 +408,9 @@ mod tests {
         let mut dev = FileDevice::temp("wal-reopen").unwrap();
         dev.set_delete_on_drop(false);
         let path = dev.path().to_path_buf();
-        let mut j =
-            Journal::new(Box::new(BlockStorage::open(Box::new(dev), 8).unwrap()), 1).unwrap();
+        let j = Journal::new(Box::new(BlockStorage::open(Box::new(dev), 8).unwrap()), 1).unwrap();
         for i in 0..5 {
-            j.append(&rec(&format!("/f{i}"))).unwrap();
+            j.append(rec(&format!("/f{i}"))).unwrap();
         }
         let want = j.bytes();
         drop(j);
@@ -421,8 +420,8 @@ mod tests {
         let mut storage = BlockStorage::open(Box::new(reopened), 8).unwrap();
         assert_eq!(log_from(&mut storage, 0), want, "cold reopen must see the identical log");
         // And the reopened storage keeps appending.
-        let mut j2 = Journal::new(Box::new(storage), 1).unwrap();
-        j2.append(&rec("/post-reboot")).unwrap();
+        let j2 = Journal::new(Box::new(storage), 1).unwrap();
+        j2.append(rec("/post-reboot")).unwrap();
         assert_eq!(read_records(&j2.bytes()).records.len(), 6);
     }
 
@@ -430,9 +429,9 @@ mod tests {
     fn tiny_cache_still_serves_the_whole_log() {
         // 2 pages of 4096B cache a multi-sector log: every read_bytes
         // walk faults pages in and out, and the log is still exact.
-        let mut j = Journal::new(Box::new(BlockStorage::in_memory(2)), 4).unwrap();
+        let j = Journal::new(Box::new(BlockStorage::in_memory(2)), 4).unwrap();
         for i in 0..200 {
-            j.append(&rec(&format!("/some/deeply/nested/path/file-{i}"))).unwrap();
+            j.append(rec(&format!("/some/deeply/nested/path/file-{i}"))).unwrap();
         }
         j.flush().unwrap();
         let log = read_records(&j.bytes());
@@ -921,10 +920,10 @@ mod tests {
         let inner = MemDevice::new();
         let fault = FaultDevice::with_write_budget(Box::new(inner), 3, 17);
         let storage = BlockStorage::open(Box::new(fault), 4).unwrap();
-        let mut j = Journal::new(Box::new(storage), 1).unwrap();
+        let j = Journal::new(Box::new(storage), 1).unwrap();
         let mut last_ok = 0;
         for i in 0..50 {
-            if j.append(&rec(&format!("/f{i}"))).is_ok() && j.stats().io_errors == 0 {
+            if j.append(rec(&format!("/f{i}"))).is_ok() && j.stats().io_errors == 0 {
                 last_ok = i + 1;
             }
         }

@@ -144,9 +144,9 @@ mod tests {
     }
 
     fn sample_log(n: usize) -> Vec<u8> {
-        let mut j = Journal::in_memory(1);
+        let j = Journal::in_memory(1);
         for i in 0..n {
-            j.append(&rec(&format!("/f{i}"))).unwrap();
+            j.append(rec(&format!("/f{i}"))).unwrap();
         }
         j.bytes()
     }
@@ -185,9 +185,9 @@ mod tests {
         let full = sample_log(10);
         // Allow roughly half the log through.
         let budget = full.len() / 2;
-        let mut j = Journal::new(Box::new(FaultStorage::with_budget(budget)), 1).unwrap();
+        let j = Journal::new(Box::new(FaultStorage::with_budget(budget)), 1).unwrap();
         for i in 0..10 {
-            let _ = j.append(&rec(&format!("/f{i}")));
+            let _ = j.append(rec(&format!("/f{i}")));
         }
         let bytes = j.bytes();
         assert!(bytes.len() <= budget);
@@ -204,12 +204,13 @@ mod tests {
     fn fault_storage_replace_keeps_the_old_log() {
         let old = sample_log(10);
         // Enough budget for the appends, not for the rewrite after them.
-        let mut j = Journal::new(Box::new(FaultStorage::with_budget(old.len() + 20)), 1).unwrap();
+        let j = Journal::new(Box::new(FaultStorage::with_budget(old.len() + 20)), 1).unwrap();
         for i in 0..10 {
-            j.append(&rec(&format!("/f{i}"))).unwrap();
+            j.append(rec(&format!("/f{i}"))).unwrap();
         }
         let sql = Record::Sql { db: "d".into(), sql: "CREATE TABLE t (x)".into(), params: vec![] };
-        assert_eq!(j.compact(&[sql], "c", &[7; 64][..]), Err(JournalError::Crashed));
+        let compacted = j.with_flushed(|st| st.compact(&[sql], "c", &[7; 64][..])).unwrap();
+        assert_eq!(compacted, Err(JournalError::Crashed));
         assert_eq!(j.bytes(), old, "a failed rewrite leaves the old log whole");
     }
 
@@ -236,15 +237,15 @@ mod tests {
     #[test]
     fn fault_storage_loses_uncommitted_txn() {
         // Budget admits the begin + one record but not the commit.
-        let mut probe = Journal::in_memory(1);
+        let probe = Journal::in_memory(1);
         let t = probe.begin_txn().unwrap();
-        probe.append(&rec("/x")).unwrap();
+        probe.append(rec("/x")).unwrap();
         let before_commit = probe.bytes().len();
         probe.commit_txn(t).unwrap();
 
-        let mut j = Journal::new(Box::new(FaultStorage::with_budget(before_commit)), 1).unwrap();
+        let j = Journal::new(Box::new(FaultStorage::with_budget(before_commit)), 1).unwrap();
         let t = j.begin_txn().unwrap();
-        j.append(&rec("/x")).unwrap();
+        j.append(rec("/x")).unwrap();
         assert!(j.commit_txn(t).is_err());
         replay(&j.bytes(), |r| panic!("uncommitted txn must not apply: {r:?}"));
     }

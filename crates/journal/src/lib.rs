@@ -13,8 +13,8 @@
 //!
 //! * [`codec`] — little-endian byte writer/reader + CRC-32;
 //! * [`record`] — typed records and their binary encoding;
-//! * [`wal`] — frames, group commit, transactions, log rewrites,
-//!   [`JournalSink`];
+//! * [`wal`] — frames, group commit, transactions, log rewrites, and
+//!   [`Journal`], the one handle every emitter shares;
 //! * [`replay`](mod@replay) — torn-tail-tolerant parsing, the redo
 //!   filter, and the one replay that reads records back;
 //! * [`fault`] — crash-point surgery and a byte-budget fault storage;
@@ -34,8 +34,8 @@ pub use fault::{crash_prefix, flip_byte, record_boundaries, torn_log, FaultStora
 pub use record::{ParamValue, Record, VfsRecord};
 pub use replay::{read_records, replay, ReadLog, TailState, SCAN_WINDOW};
 pub use wal::{
-    Delta, Fill, Journal, JournalHandle, JournalSink, JournalStats, MemStorage, NullSink,
-    Replacement, SinkRef, Storage, Tail, DEFAULT_BATCH, LOG_PREAMBLE,
+    Delta, Fill, Journal, JournalState, JournalStats, MemStorage, Replacement, Storage, Tail,
+    DEFAULT_BATCH, LOG_PREAMBLE,
 };
 
 /// Errors raised by journal operations.

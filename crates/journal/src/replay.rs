@@ -418,9 +418,9 @@ mod tests {
 
     #[test]
     fn torn_tail_keeps_valid_prefix() {
-        let mut j = Journal::in_memory(1);
-        j.append(&rec("/a")).unwrap();
-        j.append(&rec("/b")).unwrap();
+        let j = Journal::in_memory(1);
+        j.append(rec("/a")).unwrap();
+        j.append(rec("/b")).unwrap();
         let mut bytes = j.bytes();
         let cut = bytes.len() - 3;
         bytes.truncate(cut);
@@ -431,9 +431,9 @@ mod tests {
 
     #[test]
     fn crc_corruption_is_not_torn() {
-        let mut j = Journal::in_memory(1);
-        j.append(&rec("/a")).unwrap();
-        j.append(&rec("/b")).unwrap();
+        let j = Journal::in_memory(1);
+        j.append(rec("/a")).unwrap();
+        j.append(rec("/b")).unwrap();
         let mut bytes = j.bytes();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF; // flip a payload byte of the second frame
@@ -445,8 +445,8 @@ mod tests {
 
     #[test]
     fn bad_magic_is_corrupted() {
-        let mut j = Journal::in_memory(1);
-        j.append(&rec("/a")).unwrap();
+        let j = Journal::in_memory(1);
+        j.append(rec("/a")).unwrap();
         let mut bytes = j.bytes();
         bytes.push(0x00); // garbage after a valid frame
         let log = read_records(&bytes);
@@ -458,10 +458,10 @@ mod tests {
 
     #[test]
     fn mid_log_corruption_is_flagged_not_swallowed() {
-        let mut j = Journal::in_memory(1);
-        j.append(&rec("/a")).unwrap();
-        j.append(&rec("/b")).unwrap();
-        j.append(&rec("/c")).unwrap();
+        let j = Journal::in_memory(1);
+        j.append(rec("/a")).unwrap();
+        j.append(rec("/b")).unwrap();
+        j.append(rec("/c")).unwrap();
         let bytes = j.bytes();
         let b = crate::fault::record_boundaries(&bytes);
         let (second, third) = (b[b.len() - 3], b[b.len() - 2]);
@@ -483,9 +483,9 @@ mod tests {
 
     #[test]
     fn corrupted_len_field_on_final_frame_is_detected() {
-        let mut j = Journal::in_memory(1);
-        j.append(&rec("/a")).unwrap();
-        j.append(&rec("/b")).unwrap();
+        let j = Journal::in_memory(1);
+        j.append(rec("/a")).unwrap();
+        j.append(rec("/b")).unwrap();
         let bytes = j.bytes();
         let b = crate::fault::record_boundaries(&bytes);
         let second = b[b.len() - 2];
@@ -501,12 +501,12 @@ mod tests {
 
     #[test]
     fn non_monotonic_lsn_is_corrupted() {
-        let mut a = Journal::in_memory(1);
-        a.append(&rec("/a")).unwrap();
-        a.append(&rec("/b")).unwrap();
+        let a = Journal::in_memory(1);
+        a.append(rec("/a")).unwrap();
+        a.append(rec("/b")).unwrap();
         let two = a.bytes();
-        let mut b = Journal::in_memory(1);
-        b.append(&rec("/c")).unwrap();
+        let b = Journal::in_memory(1);
+        b.append(rec("/c")).unwrap();
         // Splice a frame with lsn=1 (preamble stripped) after frames with
         // lsn=1,2: valid CRC, but the LSN sequence goes backwards.
         let mut spliced = two.clone();
@@ -518,9 +518,9 @@ mod tests {
 
     #[test]
     fn genuine_truncations_stay_torn() {
-        let mut j = Journal::in_memory(1);
-        j.append(&rec("/a")).unwrap();
-        j.append(&rec("/b")).unwrap();
+        let j = Journal::in_memory(1);
+        j.append(rec("/a")).unwrap();
+        j.append(rec("/b")).unwrap();
         let bytes = j.bytes();
         let b = crate::fault::record_boundaries(&bytes);
         let second = b[b.len() - 2];
@@ -539,8 +539,8 @@ mod tests {
 
     #[test]
     fn torn_preamble_is_torn_not_corrupted() {
-        let mut j = Journal::in_memory(1);
-        j.append(&rec("/a")).unwrap();
+        let j = Journal::in_memory(1);
+        j.append(rec("/a")).unwrap();
         let bytes = j.bytes();
         // A crash during the very first flush can leave any prefix of the
         // preamble: torn, with nothing recoverable — but never Corrupted.
@@ -555,8 +555,8 @@ mod tests {
     fn frames_without_the_preamble_are_corrupted() {
         // No format but the preamble-led one is read: a log that opens
         // straight on a valid frame never came from this journal.
-        let mut j = Journal::in_memory(1);
-        j.append(&Record::Sql { db: "d".into(), sql: "CREATE TABLE t (x)".into(), params: vec![] })
+        let j = Journal::in_memory(1);
+        j.append(Record::Sql { db: "d".into(), sql: "CREATE TABLE t (x)".into(), params: vec![] })
             .unwrap();
         let bytes = j.bytes();
         let bare = &bytes[LOG_PREAMBLE.len()..];
@@ -570,8 +570,8 @@ mod tests {
     fn v2_logs_are_corrupted() {
         // A v2 log's records name COW objects in a lossy encoding; it must
         // not replay as if it were current.
-        let mut j = Journal::in_memory(1);
-        j.append(&rec("/a")).unwrap();
+        let j = Journal::in_memory(1);
+        j.append(rec("/a")).unwrap();
         let mut bytes = j.bytes();
         bytes[..LOG_PREAMBLE.len()].copy_from_slice(b"MXWAL2\x00\x00");
         let log = read_records(&bytes);
@@ -584,8 +584,8 @@ mod tests {
         // A v3 log may hold a whole-store snapshot (tag 5) or a compaction
         // marker (tag 9), which v4 retired: it is refused as a whole, not
         // read up to its first such frame.
-        let mut j = Journal::in_memory(1);
-        j.append(&rec("/a")).unwrap();
+        let j = Journal::in_memory(1);
+        j.append(rec("/a")).unwrap();
         let mut bytes = j.bytes();
         bytes[..LOG_PREAMBLE.len()].copy_from_slice(b"MXWAL3\x00\x00");
         let log = read_records(&bytes);
@@ -599,8 +599,8 @@ mod tests {
         // A v4 log may name a path by a dictionary id (record tag 7 defines
         // one) or log an overwrite as a delta (VFS tags 9 and 10), which
         // v5 retired: it is refused as a whole.
-        let mut j = Journal::in_memory(1);
-        j.append(&rec("/a")).unwrap();
+        let j = Journal::in_memory(1);
+        j.append(rec("/a")).unwrap();
         let mut bytes = j.bytes();
         bytes[..LOG_PREAMBLE.len()].copy_from_slice(b"MXWAL4\x00\x00");
         let log = read_records(&bytes);
@@ -614,9 +614,9 @@ mod tests {
         // The third use of a path: the frame names it by itself, not by
         // anything an earlier frame defined, so copied alone behind a
         // fresh preamble it reads as the same record.
-        let mut j = Journal::in_memory(1);
+        let j = Journal::in_memory(1);
         for _ in 0..3 {
-            j.append(&rec("/hot/path")).unwrap();
+            j.append(rec("/hot/path")).unwrap();
         }
         let bytes = j.bytes();
         let whole = read_records(&bytes);
@@ -650,13 +650,13 @@ mod tests {
         // An autocommit record is handed on as soon as its frame is read,
         // a transaction's records when its commit is, and a rolled-back
         // one's never.
-        let mut j = Journal::in_memory(1);
-        j.append(&rec("/before")).unwrap();
+        let j = Journal::in_memory(1);
+        j.append(rec("/before")).unwrap();
         let t = j.begin_txn().unwrap();
-        j.append(&rec("/in")).unwrap();
+        j.append(rec("/in")).unwrap();
         j.commit_txn(t).unwrap();
         let t = j.begin_txn().unwrap();
-        j.append(&rec("/rolled-back")).unwrap();
+        j.append(rec("/rolled-back")).unwrap();
         j.rollback_txn(t).unwrap();
         let bytes = j.bytes();
         let read_to = std::rc::Rc::new(std::cell::Cell::new(0));
@@ -671,16 +671,16 @@ mod tests {
 
     #[test]
     fn committed_filter_basic() {
-        let mut j = Journal::in_memory(1);
-        j.append(&rec("/outside")).unwrap();
+        let j = Journal::in_memory(1);
+        j.append(rec("/outside")).unwrap();
         let t = j.begin_txn().unwrap();
-        j.append(&rec("/in-committed")).unwrap();
+        j.append(rec("/in-committed")).unwrap();
         j.commit_txn(t).unwrap();
         let t2 = j.begin_txn().unwrap();
-        j.append(&rec("/in-rolled-back")).unwrap();
+        j.append(rec("/in-rolled-back")).unwrap();
         j.rollback_txn(t2).unwrap();
         j.begin_txn().unwrap();
-        j.append(&rec("/in-open")).unwrap();
+        j.append(rec("/in-open")).unwrap();
         j.flush().unwrap();
         let recs = committed(&j.bytes());
         assert_eq!(paths(&recs), vec!["/outside", "/in-committed"]);
@@ -688,12 +688,12 @@ mod tests {
 
     #[test]
     fn nested_inner_commit_is_provisional() {
-        let mut j = Journal::in_memory(1);
+        let j = Journal::in_memory(1);
         let outer = j.begin_txn().unwrap();
         let inner = j.begin_txn().unwrap();
-        j.append(&rec("/inner")).unwrap();
+        j.append(rec("/inner")).unwrap();
         j.commit_txn(inner).unwrap();
-        j.append(&rec("/outer")).unwrap();
+        j.append(rec("/outer")).unwrap();
         // Crash before outer commit: nothing applies.
         let recs = committed(&j.bytes());
         assert!(paths(&recs).is_empty());
@@ -761,7 +761,7 @@ mod tests {
 
         /// The durable log of `steps`, flushed, at group-commit `batch`.
         fn mixed_log(steps: &[Step], batch: usize) -> Vec<u8> {
-            let mut j = Journal::in_memory(batch);
+            let j = Journal::in_memory(batch);
             let mut open = Vec::new();
             for s in steps {
                 match *s {
@@ -770,19 +770,15 @@ mod tests {
                             ParamValue::Int(i as i64),
                             ParamValue::Blob(vec![7; i as usize % 40]),
                         ];
-                        j.append(&Record::Sql {
-                            db: "d".into(),
-                            sql: format!("INSERT {i}"),
-                            params,
-                        })
+                        j.append(Record::Sql { db: "d".into(), sql: format!("INSERT {i}"), params })
                     }
                     Step::Write(p, n) => {
                         let data = (0..n).map(|k| (k as u8).wrapping_mul(p | 1)).collect();
                         let path = format!("/d/f{}", p % 4);
-                        j.append(&Record::Vfs(VfsRecord::Write { path, data, owner: 1, mode: 3 }))
+                        j.append(Record::Vfs(VfsRecord::Write { path, data, owner: 1, mode: 3 }))
                     }
-                    Step::Unlink(p) => j.append(&rec(&format!("/d/f{}", p % 4))),
-                    Step::Snapshot(n) => j.append(&Record::SnapshotDelta {
+                    Step::Unlink(p) => j.append(rec(&format!("/d/f{}", p % 4))),
+                    Step::Snapshot(n) => j.append(Record::SnapshotDelta {
                         component: "vfs.store".into(),
                         payload: vec![n as u8; n as usize],
                     }),
@@ -892,7 +888,7 @@ mod tests {
                 let (_, damaged) = flip_in_a_frame(&log, &clean.frames, at, mask);
                 let mut storage = MemStorage::new();
                 storage.append(&damaged).unwrap();
-                let mut j = Journal::new(Box::new(storage), 1).unwrap();
+                let j = Journal::new(Box::new(storage), 1).unwrap();
                 let flushes = j.stats().flushes;
                 let got = j.checkpoint_delta("vfs.store", &[1; 100][..]);
                 prop_assert!(matches!(got, Err(JournalError::Corrupted { .. })), "{:?}", got);

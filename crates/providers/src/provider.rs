@@ -197,15 +197,16 @@ pub trait ContentProvider {
 
     /// Maxoid administrative hook: selectively commits one volatile row
     /// of `initiator` (identified by delta-table row id) into the
-    /// provider's public state (§3.3). Returns true if a row was
-    /// committed. Providers without proxy-managed row state ignore it.
+    /// provider's public state (§3.3). Returns the public id the row
+    /// landed at, or `None` if nothing was committed. Providers without
+    /// proxy-managed row state ignore it.
     fn commit_volatile_row(
         &mut self,
         _initiator: &str,
         _table: &str,
         _id: i64,
-    ) -> ProviderResult<bool> {
-        Ok(false)
+    ) -> ProviderResult<Option<i64>> {
+        Ok(None)
     }
 
     /// MVCC hook: publishes a fresh committed snapshot for lock-free

@@ -282,14 +282,15 @@ impl ContentResolver {
 
     /// Selectively commits one volatile row of `initiator` held by the
     /// provider serving `authority` (the resolver half of the
-    /// initiator's Commit gesture, §3.3). Returns true if a row moved.
+    /// initiator's Commit gesture, §3.3). Returns the public id the row
+    /// landed at, or `None` if no row moved.
     pub fn commit_volatile_row(
         &self,
         authority: &str,
         initiator: &str,
         table: &str,
         id: i64,
-    ) -> ProviderResult<bool> {
+    ) -> ProviderResult<Option<i64>> {
         let entry = self.entry(authority)?;
         let mut p = entry.provider.lock();
         let res = p.commit_volatile_row(initiator, table, id);

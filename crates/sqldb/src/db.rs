@@ -263,10 +263,10 @@ pub struct Database {
     /// Undo log of the open transaction, replayed on ROLLBACK. `None` =
     /// autocommit.
     tx_undo: Option<TxUndo>,
-    /// Optional journal sink; when attached, successful mutations are
+    /// Optional journal; when attached, successful mutations are
     /// logged logically (statement text + parameters) under
     /// `journal_name`.
-    journal: Option<maxoid_journal::SinkRef>,
+    journal: Option<maxoid_journal::Journal>,
     /// Component name used in emitted `Sql` records (e.g.
     /// `db.user_dictionary`).
     journal_name: String,
@@ -445,15 +445,15 @@ impl Database {
         Database { flatten_policy: policy, ..Database::default() }
     }
 
-    /// Attaches a journal sink. `name` identifies this database in `Sql`
+    /// Attaches a journal. `name` identifies this database in `Sql`
     /// records so recovery can route them back (e.g. `db.media`).
-    pub fn set_journal(&mut self, sink: maxoid_journal::SinkRef, name: &str) {
-        self.journal = Some(sink);
+    pub fn set_journal(&mut self, journal: maxoid_journal::Journal, name: &str) {
+        self.journal = Some(journal);
         self.journal_name = name.to_string();
     }
 
-    /// Detaches the journal sink, returning it if one was attached.
-    pub fn take_journal(&mut self) -> Option<maxoid_journal::SinkRef> {
+    /// Detaches the journal, returning it if one was attached.
+    pub fn take_journal(&mut self) -> Option<maxoid_journal::Journal> {
         self.journal.take()
     }
 
@@ -841,7 +841,10 @@ impl Database {
             begin_tables: self.tables.len(),
         });
         if let Some(j) = &self.journal {
-            self.journal_txn = Some(j.begin_txn());
+            // A `TxnBegin` the journal could not write is counted in its
+            // `io_errors`, as every emit's failure is; BEGIN goes on, and
+            // the transaction it could not open is not closed either.
+            self.journal_txn = j.begin_txn().ok();
         }
         Ok(())
     }
@@ -1230,10 +1233,10 @@ mod tests {
 
     #[test]
     fn journal_replay_rebuilds_catalog_and_rows() {
-        use maxoid_journal::{replay, JournalHandle, Record};
-        let h = JournalHandle::with_batch(1);
+        use maxoid_journal::{replay, Journal, Record};
+        let h = Journal::in_memory(1);
         let mut db = Database::new();
-        db.set_journal(h.sink(), "db.test");
+        db.set_journal(h.clone(), "db.test");
         db.execute_batch(
             "CREATE TABLE words (_id INTEGER PRIMARY KEY, word TEXT, freq INTEGER);
              CREATE INDEX idx_words_word ON words (word);

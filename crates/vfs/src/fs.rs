@@ -99,10 +99,10 @@ impl Vfs {
         f(&self.store)
     }
 
-    /// Attaches a journal sink to the backing store: every successful
-    /// store mutation from here on emits a physical journal record.
-    pub fn attach_journal(&self, sink: maxoid_journal::SinkRef) {
-        self.store.set_journal(sink);
+    /// Attaches a journal to the backing store: every successful store
+    /// mutation from here on emits a physical journal record.
+    pub fn attach_journal(&self, journal: maxoid_journal::Journal) {
+        self.store.set_journal(journal);
     }
 
     fn creation_mode(mount: &Mount, requested: Mode) -> Mode {

@@ -51,7 +51,7 @@ use crate::error::{VfsError, VfsResult};
 use crate::path::VPath;
 use maxoid_block::{BlockDevice, CacheStats, ExtentAllocator, PageCache};
 use maxoid_journal::codec::{ByteReader, Put};
-use maxoid_journal::{Delta, Record, SinkRef, VfsRecord};
+use maxoid_journal::{Delta, Journal, Record, VfsRecord};
 use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -518,11 +518,11 @@ pub struct Store {
     root: AtomicU64,
     /// Logical store-wide clock.
     clock: AtomicU64,
-    /// Optional journal sink; when attached, every successful leaf
-    /// mutation emits a physical [`VfsRecord`]. Behind its own `RwLock`
-    /// (taken *after* shard guards, before the sink) so attach/detach work
+    /// Optional journal; when attached, every successful leaf mutation
+    /// emits a physical [`VfsRecord`]. Behind its own `RwLock` (taken
+    /// *after* shard guards, before the journal) so attach/detach work
     /// through `&self`.
-    journal: RwLock<Option<SinkRef>>,
+    journal: RwLock<Option<Journal>>,
     /// Namespace-visibility generations, sharded by path prefix: advanced
     /// by every mutation that can change *which* paths exist (create,
     /// unlink, rmdir, rename, an applied image) but not by content-only
@@ -718,13 +718,13 @@ impl Store {
 
     // ----- journal plumbing -----
 
-    /// Attaches a journal sink; subsequent successful mutations are logged.
-    pub fn set_journal(&self, sink: SinkRef) {
-        *self.journal.write() = Some(sink);
+    /// Attaches a journal; subsequent successful mutations are logged.
+    pub fn set_journal(&self, journal: Journal) {
+        *self.journal.write() = Some(journal);
     }
 
-    /// Detaches the journal sink, returning it if one was attached.
-    pub fn take_journal(&self) -> Option<SinkRef> {
+    /// Detaches the journal, returning it if one was attached.
+    pub fn take_journal(&self) -> Option<Journal> {
         self.journal.write().take()
     }
 
@@ -1316,7 +1316,7 @@ impl Store {
 
 impl Store {
     /// Applies a journal record during recovery by routing it through the
-    /// same leaf primitives that produced it. The journal sink is detached
+    /// same leaf primitives that produced it. The journal is detached
     /// for the duration so replay does not re-log. Recovery is exclusive:
     /// no concurrent mutators run while records are being applied.
     pub fn apply_journal_record(&self, rec: &VfsRecord) -> VfsResult<()> {
@@ -1653,10 +1653,10 @@ mod tests {
 
     #[test]
     fn journal_replay_rebuilds_identical_tree() {
-        use maxoid_journal::{replay, JournalHandle, Record};
-        let h = JournalHandle::with_batch(1);
+        use maxoid_journal::{replay, Record};
+        let h = Journal::in_memory(1);
         let s = Store::new();
-        s.set_journal(h.sink());
+        s.set_journal(h.clone());
         s.mkdir_all(&vpath("/data/app"), Uid(10_001), Mode::PRIVATE).unwrap();
         s.write(&vpath("/data/app/f"), b"v1", Uid(10_001), Mode::PRIVATE).unwrap();
         s.append(&vpath("/data/app/f"), b"+2").unwrap();
@@ -1705,10 +1705,10 @@ mod tests {
 
     #[test]
     fn overwrites_replay_exactly() {
-        use maxoid_journal::{replay, JournalHandle, Record};
-        let h = JournalHandle::with_batch(1);
+        use maxoid_journal::{replay, Record};
+        let h = Journal::in_memory(1);
         let s = Store::new();
-        s.set_journal(h.sink());
+        s.set_journal(h.clone());
         let mut base = vec![0u8; 4096];
         s.write(&vpath("/f"), &base, Uid::ROOT, Mode::PUBLIC).unwrap();
         // Small in-place change.
@@ -1834,8 +1834,8 @@ mod tests {
         let reads = Arc::new(AtomicU64::new(0));
         let dev = CountingDevice(maxoid_block::MemDevice::new(), reads.clone());
         let s = Store::with_block_device(Box::new(dev), 1, 1024);
-        let h = maxoid_journal::JournalHandle::with_batch(1);
-        s.set_journal(h.sink());
+        let h = Journal::in_memory(1);
+        s.set_journal(h.clone());
         s.write(&vpath("/f"), &[1; 16 << 10], Uid::ROOT, Mode::PUBLIC).unwrap();
         s.write(&vpath("/g"), &[2; 16 << 10], Uid::ROOT, Mode::PUBLIC).unwrap();
         let before = reads.load(Ordering::Relaxed);

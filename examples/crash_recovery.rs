@@ -23,7 +23,7 @@ use maxoid::durability::recover;
 use maxoid::manifest::MaxoidManifest;
 use maxoid::{Caller, ContentValues, MaxoidSystem, QueryArgs, Uri, VolCommitPlan};
 use maxoid_block::FileDevice;
-use maxoid_journal::{crash_prefix, record_boundaries, BlockStorage, JournalHandle};
+use maxoid_journal::{crash_prefix, record_boundaries, BlockStorage, Journal};
 use maxoid_providers::provider::ContentProvider;
 use maxoid_providers::UserDictionaryProvider;
 use maxoid_vfs::{vpath, Mode};
@@ -31,7 +31,7 @@ use maxoid_vfs::{vpath, Mode};
 fn main() {
     // Boot on a journal that flushes every record (batch size 1), so
     // every record boundary is a place the power cord can be pulled.
-    let journal = JournalHandle::with_batch(1);
+    let journal = Journal::in_memory(1);
     let sys = MaxoidSystem::boot_journaled(journal.clone()).expect("boot");
     sys.install("editor", vec![], MaxoidManifest::new()).expect("install editor");
     sys.install("cleaner", vec![], MaxoidManifest::new()).expect("install cleaner");
@@ -123,11 +123,8 @@ fn cold_start_from_file() {
 
     // First life: every record flushed through the block device.
     let dev = FileDevice::create(&path).expect("create device");
-    let journal = JournalHandle::with_storage(
-        Box::new(BlockStorage::open(Box::new(dev), 16).expect("open")),
-        1,
-    )
-    .expect("open journal");
+    let journal = Journal::new(Box::new(BlockStorage::open(Box::new(dev), 16).expect("open")), 1)
+        .expect("open journal");
     let sys = MaxoidSystem::boot_journaled(journal.clone()).expect("boot");
     sys.install("editor", vec![], MaxoidManifest::new()).expect("install");
     let words = Uri::parse("content://user_dictionary/words").unwrap();
@@ -149,11 +146,8 @@ fn cold_start_from_file() {
 
     // Second life: reopen the device, cold-boot, measure.
     let dev = FileDevice::open(&path).expect("reopen device");
-    let journal = JournalHandle::with_storage(
-        Box::new(BlockStorage::open(Box::new(dev), 16).expect("open")),
-        1,
-    )
-    .expect("open journal");
+    let journal = Journal::new(Box::new(BlockStorage::open(Box::new(dev), 16).expect("open")), 1)
+        .expect("open journal");
     let t0 = std::time::Instant::now();
     let sys = MaxoidSystem::boot_journaled(journal).expect("cold boot");
     let boot = t0.elapsed();

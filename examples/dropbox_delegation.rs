@@ -69,7 +69,7 @@ fn maxoid_mode() {
     let reader = AdobeReader::default();
     // Journaled boot so the trace also shows the WAL group-commit spans.
     let mut sys =
-        MaxoidSystem::boot_journaled(maxoid_journal::JournalHandle::with_batch(1)).expect("boot");
+        MaxoidSystem::boot_journaled(maxoid_journal::Journal::in_memory(1)).expect("boot");
     sys.kernel.net.publish("dropbox.example", "notes.txt", b"original notes".to_vec());
     // The paper's fix: declare the storage dir private, VIEW = delegate.
     sys.install(&dropbox.pkg, vec![], dropbox.maxoid_manifest()).expect("install");

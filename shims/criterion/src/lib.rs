@@ -161,21 +161,6 @@ impl Criterion {
         println!("benchmarking group: {name}");
         BenchmarkGroup { _criterion: std::marker::PhantomData, name, sample_count: 20 }
     }
-
-    /// Runs an ungrouped benchmark.
-    pub fn bench_function<I, F>(&mut self, id: I, f: F) -> &mut Self
-    where
-        I: Into<BenchmarkId>,
-        F: FnMut(&mut Bencher),
-    {
-        let mut g = BenchmarkGroup {
-            _criterion: std::marker::PhantomData,
-            name: "bench".to_string(),
-            sample_count: 20,
-        };
-        g.bench_function(id, f);
-        self
-    }
 }
 
 /// Declares a group-runner function from benchmark functions.

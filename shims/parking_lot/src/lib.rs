@@ -6,16 +6,16 @@
 //! is ignored, matching parking_lot's poison-free semantics: a panicked
 //! holder does not wedge later accessors.
 
-use std::sync::{Condvar as StdCondvar, Mutex as StdMutex, RwLock as StdRwLock};
+use std::sync::{Condvar as StdCondvar, Mutex as StdMutex, RwLock as StdRwLock, RwLockReadGuard};
 use std::time::Duration;
 
 /// Guard type returned by [`Mutex::lock`] (std's guard; the poison-free
 /// behaviour lives in the lock methods, not the guard).
 pub use std::sync::MutexGuard;
 
-/// Guard types returned by [`RwLock::read`] / [`RwLock::write`] (std's
-/// guards, re-exported so callers can name them in struct fields).
-pub use std::sync::{RwLockReadGuard, RwLockWriteGuard};
+/// Guard type returned by [`RwLock::write`] (std's guard, re-exported so
+/// callers can name it in struct fields).
+pub use std::sync::RwLockWriteGuard;
 
 /// Mutual exclusion lock with parking_lot's panic-free API.
 #[derive(Debug, Default)]
@@ -47,11 +47,6 @@ impl<T: ?Sized> Mutex<T> {
             Err(std::sync::TryLockError::WouldBlock) => None,
         }
     }
-
-    /// Mutable access without locking (exclusive borrow proves safety).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 /// Reader-writer lock with parking_lot's panic-free API.
@@ -62,11 +57,6 @@ impl<T> RwLock<T> {
     /// Creates the lock holding `value`.
     pub fn new(value: T) -> Self {
         RwLock(StdRwLock::new(value))
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -99,11 +89,6 @@ impl<T: ?Sized> RwLock<T> {
             Err(std::sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
             Err(std::sync::TryLockError::WouldBlock) => None,
         }
-    }
-
-    /// Mutable access without locking (exclusive borrow proves safety).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -161,11 +146,6 @@ impl Condvar {
             std::ptr::write(guard, reacquired);
             WaitTimeoutResult(res.timed_out())
         }
-    }
-
-    /// Wakes one blocked waiter.
-    pub fn notify_one(&self) {
-        self.0.notify_one();
     }
 
     /// Wakes every blocked waiter.

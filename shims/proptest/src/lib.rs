@@ -112,9 +112,7 @@ pub mod option {
 pub mod prelude {
     pub use crate::strategy::{any, Just, Strategy};
     pub use crate::test_runner::Config as ProptestConfig;
-    pub use crate::{
-        prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest,
-    };
+    pub use crate::{prop_assert, prop_assert_eq, prop_assume, prop_oneof, proptest};
 }
 
 /// Defines property tests: an optional `#![proptest_config(..)]` header
@@ -206,20 +204,6 @@ macro_rules! prop_assert_eq {
             return ::std::result::Result::Err($crate::test_runner::TestCaseError::Fail(
                 format!("{}: {:?} != {:?}", format!($($fmt)+), l, r),
             ));
-        }
-    }};
-}
-
-/// Asserts inequality inside a proptest body.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($left:expr, $right:expr) => {{
-        let (l, r) = (&$left, &$right);
-        if *l == *r {
-            return ::std::result::Result::Err($crate::test_runner::TestCaseError::Fail(format!(
-                "assertion failed: {:?} == {:?}",
-                l, r
-            )));
         }
     }};
 }

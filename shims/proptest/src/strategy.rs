@@ -21,27 +21,6 @@ pub trait Strategy {
     {
         Map { inner: self, f }
     }
-
-    /// Generates a value, then generates from the strategy `f` builds
-    /// out of it.
-    fn prop_flat_map<S, F>(self, f: F) -> FlatMap<Self, F>
-    where
-        Self: Sized,
-        S: Strategy,
-        F: Fn(Self::Value) -> S,
-    {
-        FlatMap { inner: self, f }
-    }
-
-    /// Rejects generated values failing `f` (bounded retries; falls back
-    /// to the last draw if none passes, rather than aborting the test).
-    fn prop_filter<F>(self, _whence: &'static str, f: F) -> Filter<Self, F>
-    where
-        Self: Sized,
-        F: Fn(&Self::Value) -> bool,
-    {
-        Filter { inner: self, f }
-    }
 }
 
 /// Output of [`Strategy::prop_map`].
@@ -59,50 +38,6 @@ where
     type Value = T;
     fn generate(&self, rng: &mut TestRng) -> T {
         (self.f)(self.inner.generate(rng))
-    }
-}
-
-/// Output of [`Strategy::prop_flat_map`].
-#[derive(Clone)]
-pub struct FlatMap<S, F> {
-    inner: S,
-    f: F,
-}
-
-impl<S, F, S2> Strategy for FlatMap<S, F>
-where
-    S: Strategy,
-    S2: Strategy,
-    F: Fn(S::Value) -> S2,
-{
-    type Value = S2::Value;
-    fn generate(&self, rng: &mut TestRng) -> Self::Value {
-        (self.f)(self.inner.generate(rng)).generate(rng)
-    }
-}
-
-/// Output of [`Strategy::prop_filter`].
-#[derive(Clone)]
-pub struct Filter<S, F> {
-    inner: S,
-    f: F,
-}
-
-impl<S, F> Strategy for Filter<S, F>
-where
-    S: Strategy,
-    F: Fn(&S::Value) -> bool,
-{
-    type Value = S::Value;
-    fn generate(&self, rng: &mut TestRng) -> Self::Value {
-        let mut last = self.inner.generate(rng);
-        for _ in 0..32 {
-            if (self.f)(&last) {
-                break;
-            }
-            last = self.inner.generate(rng);
-        }
-        last
     }
 }
 

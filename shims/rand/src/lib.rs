@@ -28,16 +28,6 @@ pub trait Rng: RngCore {
     fn gen_range<T: SampleUniform>(&mut self, range: Range<T>) -> T {
         T::sample(self, range)
     }
-
-    /// A uniformly random value of a supported primitive type.
-    fn gen<T: Standard>(&mut self) -> T {
-        T::generate(self)
-    }
-
-    /// A biased coin flip.
-    fn gen_bool(&mut self, p: f64) -> bool {
-        (self.next_u64() >> 11) as f64 / ((1u64 << 53) as f64) < p
-    }
 }
 
 impl<R: RngCore> Rng for R {}
@@ -63,30 +53,6 @@ macro_rules! impl_uniform {
 }
 
 impl_uniform!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-
-/// Types with a "just give me a random one" distribution.
-pub trait Standard: Sized {
-    /// Generates one value.
-    fn generate<R: RngCore + ?Sized>(rng: &mut R) -> Self;
-}
-
-impl Standard for u8 {
-    fn generate<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64() as u8
-    }
-}
-
-impl Standard for u64 {
-    fn generate<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64()
-    }
-}
-
-impl Standard for bool {
-    fn generate<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64() & 1 == 1
-    }
-}
 
 /// Named RNG implementations, mirroring `rand::rngs`.
 pub mod rngs {

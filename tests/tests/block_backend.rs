@@ -44,8 +44,8 @@ use maxoid::{Caller, ContentValues, DeviceBootConfig, MaxoidSystem, QueryArgs, S
 use maxoid_block::{BlockDevice, FaultDevice, FileDevice, MemDevice, ReadFaults};
 use maxoid_journal::{
     flip_byte, read_records, record_boundaries, replay, BlockStorage, Delta, Fill, Journal,
-    JournalError, JournalHandle, JournalSink, Record, Replacement, Storage, Tail, TailState,
-    VfsRecord, LOG_PREAMBLE, SCAN_WINDOW,
+    JournalError, Record, Replacement, Storage, Tail, TailState, VfsRecord, LOG_PREAMBLE,
+    SCAN_WINDOW,
 };
 use maxoid_sqldb::Value;
 use maxoid_vfs::{vpath, Mode, Store, Uid, VPath};
@@ -302,7 +302,7 @@ fn v4_images_are_refused_by_recovery_and_the_cold_boot() {
 /// Builds a journaled system over an in-memory `BlockStorage`, runs the
 /// seed workload and returns the flushed log bytes.
 fn block_backed_log() -> Vec<u8> {
-    let j = JournalHandle::with_storage(Box::new(BlockStorage::in_memory(8)), 1).unwrap();
+    let j = Journal::new(Box::new(BlockStorage::in_memory(8)), 1).unwrap();
     let sys = MaxoidSystem::boot_journaled(j).expect("boot");
     seed_system(&sys);
     let j = sys.journal().unwrap().clone();
@@ -399,7 +399,7 @@ proptest! {
     fn prop_power_loss_never_loses_acked_records(budget in 1u64..40, torn in 0usize..4096) {
         let platter = SharedDev::default();
         let dev = FaultDevice::with_write_budget(Box::new(platter.clone()), budget, torn);
-        let mut j = maxoid_journal::Journal::new(
+        let j = maxoid_journal::Journal::new(
             Box::new(BlockStorage::open(Box::new(dev), 4).unwrap()),
             1,
         )
@@ -409,7 +409,7 @@ proptest! {
             let rec = maxoid_journal::Record::Vfs(maxoid_journal::VfsRecord::Unlink {
                 path: format!("/d{i}").into(),
             });
-            match j.append(&rec) {
+            match j.append(rec) {
                 Ok(_) => acked += 1,
                 Err(_) => break,
             }
@@ -444,9 +444,9 @@ fn acked_sql(i: usize) -> Record {
 
 /// Acknowledges `n` `Sql` records at batch 8 on `dev`.
 fn ack_n(dev: Box<dyn maxoid_block::BlockDevice>, n: usize) -> Journal {
-    let mut j = Journal::new(Box::new(BlockStorage::open(dev, 4).unwrap()), 8).unwrap();
+    let j = Journal::new(Box::new(BlockStorage::open(dev, 4).unwrap()), 8).unwrap();
     for i in 0..n {
-        j.append(&acked_sql(i)).unwrap();
+        j.append(acked_sql(i)).unwrap();
     }
     assert_eq!((j.stats().flushes, j.stats().io_errors), (n as u64 / 8, 0), "all acknowledged");
     j
@@ -456,13 +456,13 @@ fn ack_200(dev: Box<dyn maxoid_block::BlockDevice>) -> Journal {
     ack_n(dev, 200)
 }
 
-fn run(j: &mut Journal, rewrite: Rewrite) -> maxoid_journal::JournalResult<()> {
+fn run(j: &Journal, rewrite: Rewrite) -> maxoid_journal::JournalResult<()> {
     match rewrite {
         Rewrite::CheckpointDelta => j.checkpoint_delta("vfs.store", &[5; 3000][..]),
         Rewrite::Compact => {
             let sql =
                 Record::Sql { db: "db.t".into(), sql: "CREATE TABLE t (x)".into(), params: vec![] };
-            j.compact(&[sql], "vfs.store", &[6; 6000][..])
+            j.with_flushed(|st| st.compact(&[sql], "vfs.store", &[6; 6000][..]))?
         }
     }
 }
@@ -486,9 +486,9 @@ fn rewrite_power_loss_keeps_the_old_log_or_the_new_one() {
         // A fault-free run counts the writes the acks take and the ones
         // the rewrite takes, and records the rewritten log.
         let platter = SharedDev::default();
-        let mut j = ack_200(Box::new(platter.clone()));
+        let j = ack_200(Box::new(platter.clone()));
         let acked = platter.writes();
-        run(&mut j, rewrite).unwrap();
+        run(&j, rewrite).unwrap();
         drop(j);
         let total = platter.writes();
         let new = committed_on(platter);
@@ -498,8 +498,8 @@ fn rewrite_power_loss_keeps_the_old_log_or_the_new_one() {
             for torn in [0, 100, 4000] {
                 let probe = SharedDev::default();
                 let dev = FaultDevice::with_write_budget(Box::new(probe.clone()), writes, torn);
-                let mut j = ack_200(Box::new(dev));
-                assert!(run(&mut j, rewrite).is_err(), "the budget ends inside the rewrite");
+                let j = ack_200(Box::new(dev));
+                assert!(run(&j, rewrite).is_err(), "the budget ends inside the rewrite");
                 drop(j); // RAM is gone; only the platter survives.
                 let got = committed_on(probe);
                 assert!(
@@ -532,12 +532,12 @@ fn whole_log(storage: &mut BlockStorage) -> Vec<u8> {
 /// checkpoint on this journal keeps the first one's output (whose length
 /// is returned) and splices.
 fn ack_and_checkpoint(dev: Box<dyn maxoid_block::BlockDevice>) -> (Journal, usize) {
-    let mut j = ack_200(dev);
+    let j = ack_200(dev);
     j.checkpoint_delta("vfs.store", &[4; 2000][..]).unwrap();
     let prefix = j.len();
     for i in 200..300 {
-        j.append(&acked_sql(i)).unwrap();
-        j.append(&Record::Vfs(VfsRecord::Unlink { path: format!("/d/f{}", i % 10) })).unwrap();
+        j.append(acked_sql(i)).unwrap();
+        j.append(Record::Vfs(VfsRecord::Unlink { path: format!("/d/f{}", i % 10) })).unwrap();
     }
     j.flush().unwrap();
     assert_eq!(j.stats().io_errors, 0, "all acknowledged");
@@ -553,11 +553,11 @@ fn ack_and_checkpoint(dev: Box<dyn maxoid_block::BlockDevice>) -> (Journal, usiz
 /// log.
 #[test]
 fn splice_power_loss_keeps_the_old_log_or_the_new_one() {
-    let checkpoint = |j: &mut Journal| j.checkpoint_delta("vfs.store", &[5; 3000][..]);
+    let checkpoint = |j: &Journal| j.checkpoint_delta("vfs.store", &[5; 3000][..]);
     let platter = SharedDev::default();
-    let (mut j, prefix) = ack_and_checkpoint(Box::new(platter.clone()));
+    let (j, prefix) = ack_and_checkpoint(Box::new(platter.clone()));
     let (acked, old) = (platter.writes(), j.bytes());
-    checkpoint(&mut j).unwrap();
+    checkpoint(&j).unwrap();
     let new = j.bytes();
     drop(j);
     let total = platter.writes();
@@ -569,10 +569,10 @@ fn splice_power_loss_keeps_the_old_log_or_the_new_one() {
         for torn in [0, 100, 4000] {
             let probe = SharedDev::default();
             let dev = FaultDevice::with_write_budget(Box::new(probe.clone()), writes, torn);
-            let (mut j, _) = ack_and_checkpoint(Box::new(dev));
+            let (j, _) = ack_and_checkpoint(Box::new(dev));
             // A cut of the copy in place comes after the commit, so the
             // checkpoint may still return `Ok`.
-            let _ = checkpoint(&mut j);
+            let _ = checkpoint(&j);
             drop(j); // RAM is gone; only the platter survives.
             cuts += 1;
             redo_cuts += cut_every_redo_write(&probe, &new);
@@ -629,7 +629,7 @@ fn checkpoint_never_launders_a_damaged_log() {
     assert_eq!(damaged, flip_byte(&clean, at, 0x10));
 
     let storage = BlockStorage::open(Box::new(platter.clone()), 4).unwrap();
-    let mut j = Journal::new(Box::new(storage), 8).unwrap();
+    let j = Journal::new(Box::new(storage), 8).unwrap();
     let writes = platter.writes();
     let got = j.checkpoint_delta("vfs.store", &[9; 100][..]);
     assert_eq!(got, Err(JournalError::Corrupted { offset: frame }));
@@ -704,15 +704,15 @@ fn a_reopened_journal_keeps_its_retained_prefix() {
     let mut dev = FileDevice::temp("reopen-prefix").unwrap();
     dev.set_delete_on_drop(false);
     let path = dev.path().to_path_buf();
-    let append_sql_and_vfs = |j: &mut Journal, range: std::ops::Range<usize>| {
+    let append_sql_and_vfs = |j: &Journal, range: std::ops::Range<usize>| {
         for i in range {
-            j.append(&acked_sql(i)).unwrap();
-            j.append(&Record::Vfs(VfsRecord::Unlink { path: format!("/d/f{}", i % 10) })).unwrap();
+            j.append(acked_sql(i)).unwrap();
+            j.append(Record::Vfs(VfsRecord::Unlink { path: format!("/d/f{}", i % 10) })).unwrap();
         }
         j.flush().unwrap();
     };
-    let mut j = Journal::new(Box::new(BlockStorage::open(Box::new(dev), 4).unwrap()), 8).unwrap();
-    append_sql_and_vfs(&mut j, 0..200);
+    let j = Journal::new(Box::new(BlockStorage::open(Box::new(dev), 4).unwrap()), 8).unwrap();
+    append_sql_and_vfs(&j, 0..200);
     j.checkpoint_delta("vfs.store", &[4; 2000][..]).unwrap();
     let prefix = j.bytes();
     drop(j);
@@ -722,8 +722,8 @@ fn a_reopened_journal_keeps_its_retained_prefix() {
     let reads = Arc::new(Mutex::new(Vec::new()));
     let inner = BlockStorage::open(Box::new(dev), 4).unwrap();
     let storage = RecordingReads { inner, reads: reads.clone() };
-    let mut j = Journal::new(Box::new(storage), 8).unwrap();
-    append_sql_and_vfs(&mut j, 200..300);
+    let j = Journal::new(Box::new(storage), 8).unwrap();
+    append_sql_and_vfs(&j, 200..300);
     let before = j.bytes();
     reads.lock().unwrap().clear();
     j.checkpoint_delta("vfs.store", &[5; 3000][..]).unwrap();
@@ -803,11 +803,11 @@ proptest! {
         for op in &ops {
             match *op {
                 LogOp::Sql(i) => {
-                    j.append(&acked_sql(i as usize)).unwrap();
+                    j.append(acked_sql(i as usize)).unwrap();
                 }
                 LogOp::Vfs(i) => {
                     let path = format!("/d/f{}", i % 6);
-                    j.append(&Record::Vfs(VfsRecord::Unlink { path })).unwrap();
+                    j.append(Record::Vfs(VfsRecord::Unlink { path })).unwrap();
                 }
                 LogOp::Begin => open_txns.push(j.begin_txn().unwrap()),
                 LogOp::Commit => {
@@ -852,7 +852,7 @@ proptest! {
                     // records, then its image.
                     j.flush().unwrap();
                     let live = chain_and_sql(committed(&j.bytes()));
-                    j.compact(&live, "vfs.store", &[7; 100][..]).unwrap();
+                    j.with_flushed(|st| st.compact(&live, "vfs.store", &[7; 100][..])).unwrap().unwrap();
                 }
                 LogOp::Reopen => {
                     // Queued records die with the process, open
@@ -869,11 +869,11 @@ proptest! {
 /// Opens a journal (2-page cache, so reads reach the device) over
 /// `platter` behind a [`FaultDevice`], returning the handle that arms its
 /// read faults.
-fn faulty_journal(platter: &SharedDev) -> (JournalHandle, ReadFaults) {
+fn faulty_journal(platter: &SharedDev) -> (Journal, ReadFaults) {
     let dev = FaultDevice::new(Box::new(platter.clone()));
     let faults = dev.read_faults();
     let storage = BlockStorage::open(Box::new(dev), 2).unwrap();
-    (JournalHandle::with_storage(Box::new(storage), 1).unwrap(), faults)
+    (Journal::new(Box::new(storage), 1).unwrap(), faults)
 }
 
 /// Fails (or, with `on == false`, heals) reads of every data sector
@@ -958,7 +958,7 @@ fn runs(reads: &[(usize, usize)]) -> Vec<std::ops::Range<usize>> {
 fn a_cold_boot_reads_its_log_through_one_window() {
     let platter = SharedDev::default();
     let storage = BlockStorage::open(Box::new(platter.clone()), 4).unwrap();
-    let j = JournalHandle::with_storage(Box::new(storage), 16).unwrap();
+    let j = Journal::new(Box::new(storage), 16).unwrap();
     let sys = MaxoidSystem::boot_journaled(j.clone()).expect("boot");
     seed_system(&sys);
     // Files before a checkpoint, whose image frame outgrows the window,
@@ -984,7 +984,7 @@ fn a_cold_boot_reads_its_log_through_one_window() {
     let reads = Arc::new(Mutex::new(Vec::new()));
     let inner = BlockStorage::open(Box::new(platter.clone()), 4).unwrap();
     let storage = RecordingReads { inner, reads: reads.clone() };
-    let j = JournalHandle::with_storage(Box::new(storage), 16).unwrap();
+    let j = Journal::new(Box::new(storage), 16).unwrap();
     let sys = MaxoidSystem::boot_journaled(j).expect("cold boot");
     sys.install(INITIATOR, vec![], MaxoidManifest::new()).expect("re-install");
     assert_eq!(files_of(&sys), files);
@@ -1006,7 +1006,7 @@ fn opening_a_journal_over_an_unreadable_log_fails() {
     let storage = BlockStorage::open(Box::new(dev), 2).unwrap();
     data_read_faults(&faults, &platter, true);
     // Numbering from 1 over this log would make the next append corrupt it.
-    assert!(JournalHandle::with_storage(Box::new(storage), 1).is_err());
+    assert!(Journal::new(Box::new(storage), 1).is_err());
     data_read_faults(&faults, &platter, false);
     let (j, _) = faulty_journal(&platter);
     j.emit(Record::Sql { db: "d".into(), sql: "SELECT 1".into(), params: vec![] });

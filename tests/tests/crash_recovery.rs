@@ -19,8 +19,8 @@ use maxoid::durability::{recover, RecoveryError};
 use maxoid::manifest::MaxoidManifest;
 use maxoid::{Caller, ContentValues, MaxoidSystem, QueryArgs, SystemError, Uri, VolCommitPlan};
 use maxoid_journal::{
-    crash_prefix, flip_byte, read_records, record_boundaries, torn_log, Fill, JournalError,
-    JournalHandle, JournalResult, MemStorage, Record, Replacement, Storage, Tail, TailState,
+    crash_prefix, flip_byte, read_records, record_boundaries, torn_log, Fill, Journal,
+    JournalError, JournalResult, MemStorage, Record, Replacement, Storage, Tail, TailState,
 };
 use maxoid_providers::provider::ContentProvider;
 use maxoid_providers::UserDictionaryProvider;
@@ -89,7 +89,7 @@ fn recovered_fingerprint(log: &[u8]) -> Fingerprint {
 /// Boots a journaled system (batch size 1: every record durable at its
 /// own boundary) with the initiator/delegate cast installed.
 fn journaled_system() -> MaxoidSystem {
-    let j = JournalHandle::with_batch(1);
+    let j = Journal::in_memory(1);
     let sys = MaxoidSystem::boot_journaled(j).expect("boot");
     sys.install(INITIATOR, vec![], MaxoidManifest::new()).expect("install initiator");
     sys.install(DELEGATE, vec![], MaxoidManifest::new()).expect("install delegate");
@@ -367,7 +367,7 @@ fn group_commit_batching_loses_only_the_pending_tail() {
     // With a large batch, records sit in the pending buffer until a
     // flush-forcing record arrives. bytes() models the crash image: the
     // pending tail is lost, but what is durable is a valid prefix.
-    let j = JournalHandle::with_batch(64);
+    let j = Journal::in_memory(64);
     let sys = MaxoidSystem::boot_journaled(j).expect("boot");
     sys.install(INITIATOR, vec![], MaxoidManifest::new()).unwrap();
     let public = Caller::normal(INITIATOR);
@@ -559,8 +559,7 @@ fn a_failed_checkpoint_keeps_its_dirty_set() {
     let fail_next = Arc::new(AtomicBool::new(false));
     let storage = FailingRewrite { log: MemStorage::new(), fail_next: fail_next.clone() };
     let sys =
-        MaxoidSystem::boot_journaled(JournalHandle::with_storage(Box::new(storage), 1).unwrap())
-            .expect("boot");
+        MaxoidSystem::boot_journaled(Journal::new(Box::new(storage), 1).unwrap()).expect("boot");
     let file = vpath("/p1/a");
     let write = |data: &[u8]| {
         sys.kernel.vfs().with_store(|s| s.write(&file, data, Uid::ROOT, Mode::PUBLIC)).unwrap();
@@ -641,8 +640,7 @@ fn a_kept_frame_read_back_damaged_fails_the_checkpoint() {
     let armed = Arc::new(AtomicBool::new(false));
     let storage = FlippingRereads { log: MemStorage::new(), armed: armed.clone() };
     let mut sys =
-        MaxoidSystem::boot_journaled(JournalHandle::with_storage(Box::new(storage), 1).unwrap())
-            .expect("boot");
+        MaxoidSystem::boot_journaled(Journal::new(Box::new(storage), 1).unwrap()).expect("boot");
     sys.install(INITIATOR, vec![], MaxoidManifest::new()).expect("install initiator");
     let file = vpath("/p1/a");
     sys.kernel.vfs().with_store(|s| s.mkdir_all(&vpath("/p1"), Uid::ROOT, Mode::PUBLIC)).unwrap();
