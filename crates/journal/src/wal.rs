@@ -72,6 +72,7 @@ use crate::record::Record;
 use crate::replay::{replay_from, scan, Redo, TailState, Windowed, SCAN_WINDOW};
 use crate::{JournalError, JournalResult};
 use parking_lot::{Condvar, Mutex, MutexGuard};
+use std::cell::Cell;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -623,6 +624,22 @@ pub struct JournalState {
     stats: JournalStats,
 }
 
+thread_local! {
+    /// The journal (its `Shared`'s address) whose state this thread has
+    /// lent to a [`Journal::with_flushed`] closure, or 0.
+    static LENT: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Puts back the thread's previously lent journal when a `with_flushed`
+/// closure returns or unwinds.
+struct Lend(usize);
+
+impl Drop for Lend {
+    fn drop(&mut self) {
+        LENT.with(|l| l.set(self.0));
+    }
+}
+
 impl std::fmt::Debug for Journal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("Journal(..)")
@@ -673,7 +690,19 @@ impl Journal {
         Journal { shared: Arc::new(Shared { state: Mutex::new(state), flushed: Condvar::new() }) }
     }
 
+    fn id(&self) -> usize {
+        Arc::as_ptr(&self.shared) as usize
+    }
+
+    /// Takes the state lock. It is not reentrant, so a call from inside
+    /// this journal's own `with_flushed` closure panics rather than wait
+    /// on it forever.
     fn lock(&self) -> MutexGuard<'_, JournalState> {
+        assert!(
+            LENT.with(Cell::get) != self.id(),
+            "a journal was called from inside its own `with_flushed` closure, \
+             which holds its state lock"
+        );
         self.shared.state.lock()
     }
 
@@ -820,7 +849,9 @@ impl Journal {
     /// once no group-commit leader is in flight and every queued record is
     /// durable. Nothing can become durable while `f` runs — appending
     /// threads wait on the lock — so the log `f` reads stays the whole
-    /// durable log until `f` rewrites it: what a compaction needs.
+    /// durable log until `f` rewrites it: what a compaction needs. For
+    /// the same reason `f` must not call this journal (or an emitter it
+    /// is attached to): such a call panics.
     pub fn with_flushed<R>(&self, f: impl FnOnce(&mut JournalState) -> R) -> JournalResult<R> {
         let mut st = self.lock();
         while st.leader {
@@ -828,6 +859,7 @@ impl Journal {
         }
         let (mut st, flushed) = self.write_queue(st, false);
         flushed?;
+        let _lend = Lend(LENT.with(|l| l.replace(self.id())));
         Ok(f(&mut st))
     }
 
@@ -1066,6 +1098,25 @@ mod tests {
 
     fn state(j: &Journal) -> MutexGuard<'_, JournalState> {
         j.shared.state.lock()
+    }
+
+    #[test]
+    #[should_panic(expected = "inside its own `with_flushed` closure")]
+    fn a_call_from_inside_with_flushed_panics_instead_of_hanging() {
+        let j = Journal::in_memory(1);
+        j.emit(rec("/a"));
+        let _ = j.with_flushed(|_| j.len());
+    }
+
+    /// Another journal is not lent, and the lend ends with the closure.
+    #[test]
+    fn with_flushed_lends_only_its_own_journal() {
+        let (a, b) = (Journal::in_memory(1), Journal::in_memory(1));
+        b.emit(rec("/b"));
+        let len = a.with_flushed(|_| b.len()).unwrap();
+        assert_eq!(len, b.len());
+        a.emit(rec("/a"));
+        assert!(!a.is_empty());
     }
 
     /// The records a replay of `log` hands on.

@@ -3,7 +3,7 @@
 use crate::ast::{Expr, SelectStmt, Stmt, TriggerEvent};
 use crate::error::{SqlError, SqlResult};
 use crate::expr::{SubqueryCache, TriggerCtx};
-use crate::mvcc::{DbSnapshot, MvccShared, MvccStats, ReadSnapshot};
+use crate::mvcc::{DbSnapshot, MvccStats, ReadSnapshot};
 use crate::parser::{parse_statement, parse_statements};
 use crate::plancache::{PlanCache, SelectLookup};
 use crate::planner::{plan_access, try_flatten, AccessPlan, FlattenPolicy};
@@ -12,16 +12,6 @@ use crate::value::Value;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-
-/// Memoized `Arc`'d catalog clones keyed by catalog generation, so
-/// repeated snapshot publications between DDL statements share one copy
-/// of the view/trigger definitions. The maps hold `Arc`'d definitions,
-/// so even the rebuild after a generation bump is refcount bumps plus
-/// key clones — at fleet scale the system database carries thousands of
-/// per-tenant COW views/triggers, and a deep catalog clone per fork was
-/// the dominant cost of snapshot publication.
-type CatalogMemo =
-    (u64, Arc<BTreeMap<String, Arc<ViewDef>>>, Arc<BTreeMap<String, Arc<TriggerDef>>>);
 
 /// Memoized `(view, event) -> trigger name` index keyed by catalog
 /// generation, replacing the O(#triggers) linear scan in
@@ -52,6 +42,26 @@ pub struct TriggerDef {
     pub on: String,
     /// Body statements.
     pub body: Vec<Stmt>,
+}
+
+/// A catalog map by lowercased name: the map and each entry behind an
+/// `Arc`.
+type Map<T> = Arc<BTreeMap<String, Arc<T>>>;
+
+/// The catalog: base tables, views and triggers, copy-on-write at the map
+/// level. The live database, each published snapshot, each snapshot
+/// reader and an open transaction's BEGIN image hold the same three maps.
+/// A change privatizes the map it changes (`Arc::make_mut`, a copy of the
+/// map only while someone else holds it) and then the one entry it
+/// changes, so publishing, rebinding a reader and BEGIN copy nothing, and
+/// ROLLBACK puts the BEGIN image back.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Catalog {
+    /// Private to this module, so a table changes in place only through
+    /// `own_table`, which keeps a paged table's heap pages single-owner.
+    tables: Map<Table>,
+    pub(crate) views: Map<ViewDef>,
+    pub(crate) triggers: Map<TriggerDef>,
 }
 
 /// Execution counters, used by tests and the flattening ablation bench.
@@ -241,13 +251,9 @@ pub(crate) const MAX_DEPTH: usize = 32;
 /// ```
 #[derive(Debug, Default)]
 pub struct Database {
-    /// Base tables by key. Private so every change goes through the
-    /// helpers that feed the transaction undo log (`table_mut`,
-    /// `create_table`, `drop_table`, `attach_heap`); other modules read
-    /// it through [`Database::tables`].
-    tables: BTreeMap<String, Table>,
-    pub(crate) views: BTreeMap<String, Arc<ViewDef>>,
-    pub(crate) triggers: BTreeMap<String, Arc<TriggerDef>>,
+    /// Tables, views and triggers (see `Catalog`); other modules read
+    /// the tables through [`Database::tables`].
+    pub(crate) catalog: Catalog,
     /// Planner policy for UNION ALL view flattening.
     pub flatten_policy: FlattenPolicy,
     /// Execution counters.
@@ -260,9 +266,9 @@ pub struct Database {
     /// Flatten-rewrite and access-plan cache, invalidated by the catalog
     /// generation counter (bumped on any DDL and on rollback).
     pub(crate) plan_cache: PlanCache,
-    /// Undo log of the open transaction, replayed on ROLLBACK. `None` =
-    /// autocommit.
-    tx_undo: Option<TxUndo>,
+    /// The catalog at BEGIN, which ROLLBACK puts back and COMMIT drops.
+    /// `None` = autocommit.
+    begin: Option<Catalog>,
     /// Optional journal; when attached, successful mutations are
     /// logged logically (statement text + parameters) under
     /// `journal_name`.
@@ -270,47 +276,22 @@ pub struct Database {
     /// Component name used in emitted `Sql` records (e.g.
     /// `db.user_dictionary`).
     journal_name: String,
-    /// Open journal transaction id mirroring `tx_undo`.
+    /// Open journal transaction id mirroring `begin`.
     journal_txn: Option<u64>,
     /// Heap tier applied to every table (existing and future) so large
     /// row payloads page to a block device instead of staying resident.
     pub(crate) heap: Option<crate::heap::HeapCfg>,
-    /// Shared MVCC bookkeeping: the commit stamp, the live-snapshot
-    /// registry driving version GC, and the version/GC counters. Shared
-    /// (`Arc`) with every table and every published snapshot.
-    pub(crate) mvcc: Arc<MvccShared>,
+    /// Commit stamp: bumped once per completed mutating statement. A
+    /// published snapshot is current exactly while its stamp equals this.
+    stamp: u64,
+    /// Snapshots published (memoized republications excluded).
+    snapshots_published: Cell<u64>,
     /// Memoized publication: the snapshot handed out by the last
-    /// [`Database::begin_read`], reused until the next mutation so
-    /// reader-heavy workloads pay the freeze cost once per write, not
-    /// once per read.
+    /// [`Database::begin_read`], reused until the next mutation so a read
+    /// storm between two writes shares one snapshot.
     published: RefCell<Option<Arc<DbSnapshot>>>,
-    /// See [`CatalogMemo`].
-    catalog_memo: RefCell<Option<CatalogMemo>>,
     /// See [`TriggerMemo`].
     trigger_memo: RefCell<Option<TriggerMemo>>,
-    /// The frozen tables of the last publication, keyed by table name
-    /// and shared (`Arc`) with the snapshots handed out. `begin_read`
-    /// patches this map in place (`Arc::make_mut`, so a still-live
-    /// older snapshot degrades to one O(#tables) map clone rather than
-    /// corruption), re-freezing only tables whose version tag changed —
-    /// publication is O(tables touched since the last publication)
-    /// instead of O(all tables), the difference between µs and ms once
-    /// a fleet-scale database holds thousands of per-tenant delta
-    /// tables. Mutation paths evict their table's entry eagerly
-    /// ([`Database::table_mut`]) so the cache never pins replaced rows.
-    frozen_cache: RefCell<Arc<BTreeMap<String, Arc<Table>>>>,
-    /// Names evicted from `frozen_cache` since the last publication —
-    /// exactly the tables `begin_read` must re-freeze. `None` means the
-    /// cache cannot be trusted incrementally (initial state, rollback,
-    /// heap attach) and the next publication walks every table once,
-    /// after which tracking resumes.
-    frozen_dirty: RefCell<Option<std::collections::BTreeSet<String>>>,
-    /// A published snapshot this (reader-private) database is bound to.
-    /// When set, read-path table lookups resolve from the snapshot's
-    /// frozen map instead of `self.tables`, which stays empty — so a
-    /// [`crate::SnapshotReader`] rebind is O(1) regardless of how many
-    /// tables the database holds. Writer databases never set this.
-    bound: Option<Arc<DbSnapshot>>,
 }
 
 // Threading contract: a live `Database` is `Send` but deliberately *not*
@@ -327,27 +308,6 @@ const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<Database>();
 };
-
-/// Rollback state of the open transaction. Tables are logged lazily, on
-/// the transaction's first change to each, so BEGIN copies no table and
-/// a transaction pays only for what it touches.
-#[derive(Debug)]
-struct TxUndo {
-    /// Every table the transaction has changed, mapped to its state at
-    /// BEGIN: the pre-image, or `None` when the table did not exist then.
-    tables: BTreeMap<String, Option<Table>>,
-    /// The view and trigger catalogs at BEGIN (`Arc`'d definitions, so
-    /// the copy is refcount bumps).
-    views: BTreeMap<String, Arc<ViewDef>>,
-    triggers: BTreeMap<String, Arc<TriggerDef>>,
-    /// The last table version tag minted before BEGIN: a table with a
-    /// later tag changed inside the transaction and must have an entry.
-    #[cfg(debug_assertions)]
-    begin_ver: u64,
-    /// Number of tables at BEGIN, so a drop that skipped the log shows.
-    #[cfg(debug_assertions)]
-    begin_tables: usize,
-}
 
 /// Point-in-time copy of the [`Stats`] counters, taken before a statement
 /// runs so the per-statement delta can be mirrored into the obs registry.
@@ -655,7 +615,7 @@ impl Database {
         if Self::loggable(stmt) {
             // Conservatively also on error: a failed multi-row statement
             // may have mutated before failing. Over-invalidation only
-            // costs the next `begin_read` a cheap re-freeze.
+            // costs the next `begin_read` a fresh publication.
             self.note_mutation();
         }
         out
@@ -664,114 +624,47 @@ impl Database {
     /// Retracts the memoized published snapshot and advances the commit
     /// stamp. Must run after anything that can change table data, the
     /// catalog, or row storage; missing a call here is a snapshot
-    /// staleness bug, an extra call is just a cheap re-freeze.
+    /// staleness bug, an extra call just costs a fresh publication.
     pub(crate) fn note_mutation(&mut self) {
         self.published.borrow_mut().take();
-        self.mvcc.bump_stamp();
+        self.stamp += 1;
     }
 
     /// Captures an immutable snapshot of the current committed state for
     /// lock-free readers, or `None` when one cannot be published — inside
     /// an open transaction (uncommitted state must stay private) or when
-    /// any table has paged its rows to the heap tier.
+    /// any table has paged its rows to the heap tier (heap pages have one
+    /// owner, and readers must not fault them lock-free).
     ///
-    /// Publication is incremental: a table is shallow-frozen (the `Arc`
-    /// of its rowid map cloned, see [`crate::table`]) only when
-    /// its version tag changed since the last publication; unchanged
-    /// tables reuse the previous frozen copy by `Arc`. A fleet-scale
-    /// database with thousands of quiescent per-tenant delta tables
-    /// therefore pays per-publication cost proportional to the tables
-    /// actually touched, not the catalog size. The result is memoized
-    /// until the next mutation, so a read storm between two writes
-    /// performs exactly one freeze. Statements run against the snapshot
-    /// through a [`crate::SnapshotReader`] and see exactly this commit
-    /// stamp's state, while the owner keeps executing writes
-    /// concurrently.
+    /// A snapshot is the live catalog's three map `Arc`s (see `Catalog`),
+    /// so publication copies no map and no table, whatever the catalog's
+    /// size. The result is memoized until the next mutation, so a read
+    /// storm between two writes shares one snapshot. Statements run
+    /// against the snapshot through a [`crate::SnapshotReader`] and see
+    /// exactly this commit stamp's state, while the owner keeps executing
+    /// writes concurrently: a write copies away from the snapshot what it
+    /// changes.
     pub fn begin_read(&self) -> Option<ReadSnapshot> {
         let _sp = maxoid_obs::span("sqldb.begin_read");
-        if self.tx_undo.is_some() {
+        if self.begin.is_some() {
             return None;
         }
-        let stamp = self.mvcc.stamp();
         if let Some(snap) = self.published.borrow().as_ref() {
-            if snap.stamp == stamp {
+            if snap.stamp == self.stamp {
                 return Some(ReadSnapshot { snap: Arc::clone(snap) });
             }
         }
-        let tables = {
-            let mut cache = self.frozen_cache.borrow_mut();
-            let mut dirty_opt = self.frozen_dirty.borrow_mut();
-            let mut incremental = false;
-            if let Some(dirty) = dirty_opt.as_mut() {
-                // Re-freeze exactly the tables mutated since the last
-                // publication; everything else keeps its frozen copy.
-                if !dirty.is_empty() {
-                    let map = Arc::make_mut(&mut *cache);
-                    loop {
-                        let name = match dirty.iter().next() {
-                            Some(n) => n.clone(),
-                            None => break,
-                        };
-                        dirty.remove(&name);
-                        match self.tables.get(&name) {
-                            Some(t) => {
-                                let frozen = Arc::new(t.freeze()?);
-                                map.insert(name, frozen);
-                            }
-                            None => {
-                                map.remove(&name);
-                            }
-                        }
-                    }
-                }
-                // A name-count mismatch means the dirty tracking missed
-                // a create/drop; fall back to the full walk.
-                incremental = cache.len() == self.tables.len();
-            }
-            #[cfg(debug_assertions)]
-            if incremental {
-                for (name, t) in &self.tables {
-                    let f = cache.get(name).expect("frozen cache covers every table");
-                    debug_assert_eq!(
-                        f.version_tag(),
-                        t.version_tag(),
-                        "stale frozen cache for table {name}: a mutation path \
-                         bypassed table_mut/uncache_frozen"
-                    );
-                }
-            }
-            if !incremental {
-                let mut map = BTreeMap::new();
-                for (name, t) in &self.tables {
-                    let frozen = match cache.get(name) {
-                        Some(f) if f.version_tag() == t.version_tag() && !t.is_paged() => {
-                            Arc::clone(f)
-                        }
-                        _ => Arc::new(t.freeze()?),
-                    };
-                    map.insert(name.clone(), frozen);
-                }
-                *cache = Arc::new(map);
-                *dirty_opt = Some(std::collections::BTreeSet::new());
-            }
-            Arc::clone(&*cache)
-        };
-        let gen = self.catalog_generation();
-        let (views, triggers) = {
-            let mut memo = self.catalog_memo.borrow_mut();
-            match memo.as_ref() {
-                Some((g, v, t)) if *g == gen => (Arc::clone(v), Arc::clone(t)),
-                _ => {
-                    let v = Arc::new(self.views.clone());
-                    let t = Arc::new(self.triggers.clone());
-                    *memo = Some((gen, Arc::clone(&v), Arc::clone(&t)));
-                    (v, t)
-                }
-            }
-        };
-        let snap =
-            Arc::new(DbSnapshot::new(stamp, gen, self.flatten_policy, tables, views, triggers));
-        self.mvcc.note_published();
+        // Only a database with a heap attached can hold a paged table.
+        if self.heap.is_some() && self.catalog.tables.values().any(|t| t.is_paged()) {
+            return None;
+        }
+        let snap = Arc::new(DbSnapshot {
+            stamp: self.stamp,
+            catalog_gen: self.catalog_generation(),
+            flatten_policy: self.flatten_policy,
+            catalog: self.catalog.clone(),
+        });
+        self.snapshots_published.set(self.snapshots_published.get() + 1);
         maxoid_obs::counter_add("sqldb.snapshots_published", 1);
         *self.published.borrow_mut() = Some(Arc::clone(&snap));
         Some(ReadSnapshot { snap })
@@ -780,32 +673,7 @@ impl Database {
     /// Point-in-time MVCC counters: the commit stamp and the snapshots
     /// published.
     pub fn mvcc_stats(&self) -> MvccStats {
-        self.mvcc.stats()
-    }
-
-    /// Re-points this (reader-private) database at a published snapshot.
-    /// O(1) for table data — the snapshot is bound, not copied, and
-    /// read-path lookups resolve through it (see `Database::bound`).
-    /// Catalog re-clone plus plan-cache invalidation happen only when
-    /// the snapshot's catalog generation changed.
-    pub(crate) fn retarget(&mut self, snap: &Arc<DbSnapshot>, catalog_changed: bool) {
-        self.bound = Some(Arc::clone(snap));
-        self.flatten_policy = snap.flatten_policy;
-        if catalog_changed {
-            self.views = (*snap.views).clone();
-            self.triggers = (*snap.triggers).clone();
-            self.bump_catalog_generation();
-        }
-    }
-
-    /// Read-path table lookup: the bound snapshot when this database is
-    /// a snapshot reader, the live tables otherwise. `name` must already
-    /// be lowercased with [`key`].
-    pub(crate) fn read_table(&self, name: &str) -> Option<&Table> {
-        if let Some(b) = &self.bound {
-            return b.tables.get(name).map(|a| &**a);
-        }
-        self.tables.get(name)
+        MvccStats { stamp: self.stamp, snapshots_published: self.snapshots_published.get() }
     }
 
     /// Executes a pre-parsed SELECT.
@@ -820,26 +688,17 @@ impl Database {
         crate::exec::exec_select(self, stmt, params, trigger, cache, depth)
     }
 
-    /// Starts a transaction. No table is copied here: each table's
-    /// pre-image enters the undo log on the transaction's first change to
-    /// it, so BEGIN costs the same for resident and paged tables, and a
-    /// DDL-only transaction never reads a paged table's rows. Only the
-    /// view and trigger catalogs are copied, as `Arc`'d definitions.
+    /// Starts a transaction. BEGIN captures the catalog's three map
+    /// `Arc`s and copies nothing, so it costs the same for resident and
+    /// paged tables, and a DDL-only transaction never reads a paged
+    /// table's rows.
     pub fn begin(&mut self) -> SqlResult<()> {
-        if self.tx_undo.is_some() {
+        if self.begin.is_some() {
             return Err(SqlError::Unsupported(
                 "cannot start a transaction within a transaction".into(),
             ));
         }
-        self.tx_undo = Some(TxUndo {
-            tables: BTreeMap::new(),
-            views: self.views.clone(),
-            triggers: self.triggers.clone(),
-            #[cfg(debug_assertions)]
-            begin_ver: self.mvcc.last_table_ver(),
-            #[cfg(debug_assertions)]
-            begin_tables: self.tables.len(),
-        });
+        self.begin = Some(self.catalog.clone());
         if let Some(j) = &self.journal {
             // A `TxnBegin` the journal could not write is counted in its
             // `io_errors`, as every emit's failure is; BEGIN goes on, and
@@ -849,42 +708,25 @@ impl Database {
         Ok(())
     }
 
-    /// Commits the open transaction, discarding its undo log.
+    /// Commits the open transaction. Dropping the BEGIN image frees what
+    /// only it still held: the versions the transaction replaced, and the
+    /// heap pages of tables dropped inside the transaction.
     pub fn commit(&mut self) -> SqlResult<()> {
-        let undo = self.tx_undo.take().ok_or_else(|| {
+        self.begin.take().ok_or_else(|| {
             SqlError::Unsupported("cannot commit - no transaction is active".into())
         })?;
-        #[cfg(debug_assertions)]
-        self.check_undo_log(&undo);
-        // Frees the pre-images, and the heap pages of tables dropped
-        // inside the transaction.
-        drop(undo);
         if let (Some(j), Some(txn)) = (&self.journal, self.journal_txn.take()) {
             j.emit(maxoid_journal::Record::TxnCommit { txn });
         }
         Ok(())
     }
 
-    /// Rolls back the open transaction: every table in the undo log gets
-    /// its BEGIN state back (tables created inside the transaction are
-    /// removed), and the view and trigger catalogs are restored.
+    /// Rolls back the open transaction: the catalog captured at BEGIN
+    /// becomes the catalog again, every table, view and trigger with it.
     pub fn rollback(&mut self) -> SqlResult<()> {
-        let undo = self.tx_undo.take().ok_or_else(|| {
+        self.catalog = self.begin.take().ok_or_else(|| {
             SqlError::Unsupported("cannot rollback - no transaction is active".into())
         })?;
-        #[cfg(debug_assertions)]
-        self.check_undo_log(&undo);
-        for (name, pre) in undo.tables {
-            // Restored tables carry their BEGIN tags; re-freeze them at
-            // the next publication like any other changed table.
-            self.uncache_frozen(&name);
-            match pre {
-                Some(table) => self.tables.insert(name, table),
-                None => self.tables.remove(&name),
-            };
-        }
-        self.views = undo.views;
-        self.triggers = undo.triggers;
         // The restored catalog may differ from the one cached plans were
         // computed against.
         self.bump_catalog_generation();
@@ -893,28 +735,6 @@ impl Database {
             j.emit(maxoid_journal::Record::TxnRollback { txn });
         }
         Ok(())
-    }
-
-    /// Debug-build audit of the undo log against the table version tags:
-    /// every table whose tag was minted after BEGIN, and every table
-    /// dropped since, must have an entry. A mutation path that bypasses
-    /// the logging helpers fails here instead of surviving a ROLLBACK.
-    #[cfg(debug_assertions)]
-    fn check_undo_log(&self, undo: &TxUndo) {
-        for (name, t) in &self.tables {
-            assert!(
-                t.version_tag() <= undo.begin_ver || undo.tables.contains_key(name),
-                "table {name} changed inside a transaction without an undo entry: \
-                 a mutation path bypassed the undo log"
-            );
-        }
-        let untouched = self.tables.keys().filter(|n| !undo.tables.contains_key(*n)).count();
-        let logged = undo.tables.values().filter(|pre| pre.is_some()).count();
-        assert_eq!(
-            untouched + logged,
-            undo.begin_tables,
-            "a table was dropped inside a transaction without an undo entry"
-        );
     }
 
     /// Applies a recovered `Sql` journal record. Batch records (no
@@ -936,121 +756,86 @@ impl Database {
 
     /// Returns true while a transaction is open.
     pub fn in_transaction(&self) -> bool {
-        self.tx_undo.is_some()
+        self.begin.is_some()
     }
 
     /// Returns true if a base table with this name exists.
     pub fn has_table(&self, name: &str) -> bool {
-        self.read_table(&key(name)).is_some()
+        self.catalog.tables.contains_key(&key(name))
     }
 
     /// Returns true if a view with this name exists.
     pub fn has_view(&self, name: &str) -> bool {
-        self.views.contains_key(&key(name))
+        self.catalog.views.contains_key(&key(name))
     }
 
     /// Returns true if a trigger with this name exists.
     pub fn has_trigger(&self, name: &str) -> bool {
-        self.triggers.contains_key(&key(name))
+        self.catalog.triggers.contains_key(&key(name))
     }
 
     /// Returns a base table by name.
     pub fn table(&self, name: &str) -> SqlResult<&Table> {
-        self.read_table(&key(name)).ok_or_else(|| SqlError::NoSuchTable(name.to_string()))
+        self.catalog
+            .tables
+            .get(&key(name))
+            .map(|t| &**t)
+            .ok_or_else(|| SqlError::NoSuchTable(name.to_string()))
     }
 
     /// Returns a mutable base table by name. Conservatively retracts the
-    /// published snapshot: the caller may mutate through the handle.
-    /// Also drops this table's frozen-cache entry *before* the caller
-    /// mutates: a cached freeze holds `Arc`s on the table's rows, which
-    /// would keep every row the caller replaces alive as long as the
-    /// cache. Unchanged tables keep their cache entry, whose pins are
-    /// exactly the live rows.
-    /// Inside a transaction, the first call for a table records its
-    /// pre-image in the undo log (a paged table's rows are copied into
-    /// memory then).
+    /// published snapshot: the caller may mutate through the handle. A
+    /// table a snapshot or the BEGIN image shares is copied away from it
+    /// first (see `own_table`).
     pub fn table_mut(&mut self, name: &str) -> SqlResult<&mut Table> {
         self.note_mutation();
-        self.uncache_frozen(name);
         let k = key(name);
-        let table =
-            self.tables.get_mut(&k).ok_or_else(|| SqlError::NoSuchTable(name.to_string()))?;
-        if let Some(undo) = &mut self.tx_undo {
-            undo.tables.entry(k).or_insert_with(|| Some(table.clone()));
-        }
-        Ok(table)
+        let live = Arc::make_mut(&mut self.catalog.tables)
+            .get_mut(&k)
+            .ok_or_else(|| SqlError::NoSuchTable(name.to_string()))?;
+        Ok(own_table(&k, live, self.begin.as_mut()))
     }
 
-    /// Read access to the base tables; changes go through the logging
-    /// helpers.
-    pub(crate) fn tables(&self) -> &BTreeMap<String, Table> {
-        &self.tables
+    /// Read access to the base tables; changes go through `table_mut`,
+    /// `create_table`, `drop_table` and `attach_heap`.
+    pub(crate) fn tables(&self) -> &BTreeMap<String, Arc<Table>> {
+        &self.catalog.tables
     }
 
-    /// Registers a new table, which must not exist yet. Inside a
-    /// transaction its BEGIN state is recorded as absent.
+    /// Registers a new table, which must not exist yet.
     pub(crate) fn create_table(&mut self, name: &str, table: Table) {
-        self.uncache_frozen(name);
-        let k = key(name);
-        if let Some(undo) = &mut self.tx_undo {
-            undo.tables.entry(k.clone()).or_insert(None);
-        }
-        let prev = self.tables.insert(k, table);
+        let prev = Arc::make_mut(&mut self.catalog.tables).insert(key(name), Arc::new(table));
         debug_assert!(prev.is_none(), "create_table over an existing table {name}");
     }
 
     /// Removes a table; returns false when it did not exist. Inside a
-    /// transaction the dropped table itself becomes its undo entry, so
-    /// nothing is copied.
+    /// transaction the BEGIN image keeps the dropped table, so nothing is
+    /// copied.
     pub(crate) fn drop_table(&mut self, name: &str) -> bool {
         let k = key(name);
-        let Some(table) = self.tables.remove(&k) else {
-            return false;
-        };
-        self.uncache_frozen(name);
-        if let Some(undo) = &mut self.tx_undo {
-            undo.tables.entry(k).or_insert(Some(table));
-        }
-        true
-    }
-
-    /// Drops `name`'s frozen-cache entry (same rationale as
-    /// [`Database::table_mut`]); for table creation, drop and rollback.
-    fn uncache_frozen(&self, name: &str) {
-        let k = key(name);
-        let mut cache = self.frozen_cache.borrow_mut();
-        if cache.contains_key(&k) {
-            Arc::make_mut(&mut *cache).remove(&k);
-        }
-        if let Some(dirty) = self.frozen_dirty.borrow_mut().as_mut() {
-            dirty.insert(k);
-        }
+        self.catalog.tables.contains_key(&k)
+            && Arc::make_mut(&mut self.catalog.tables).remove(&k).is_some()
     }
 
     /// Attaches a device-backed heap tier: every table (existing and
     /// created later) spills its row payloads to `tier` once it outgrows
     /// `threshold` encoded bytes. Already-oversized tables migrate
     /// immediately — this is how a cold boot re-adopts a dataset that was
-    /// paged in the previous run. Inside a transaction every table's
-    /// pre-image is logged, so a ROLLBACK restores the tables as they
-    /// were at BEGIN.
+    /// paged in the previous run. Inside a transaction the BEGIN image
+    /// keeps every table as it was, so a ROLLBACK restores them.
     pub fn attach_heap(&mut self, tier: crate::heap::HeapTier, threshold: usize) {
         self.note_mutation();
-        *self.frozen_cache.borrow_mut() = Arc::new(BTreeMap::new());
-        *self.frozen_dirty.borrow_mut() = None;
         let cfg = crate::heap::HeapCfg { tier, threshold };
-        for (name, t) in self.tables.iter_mut() {
-            if let Some(undo) = &mut self.tx_undo {
-                undo.tables.entry(name.clone()).or_insert_with(|| Some(t.clone()));
-            }
-            t.attach_heap(cfg.clone());
+        for (k, live) in Arc::make_mut(&mut self.catalog.tables).iter_mut() {
+            own_table(k, live, self.begin.as_mut()).attach_heap(cfg.clone());
         }
         self.heap = Some(cfg);
     }
 
     /// Returns a view definition by name.
     pub fn view(&self, name: &str) -> SqlResult<&ViewDef> {
-        self.views
+        self.catalog
+            .views
             .get(&key(name))
             .map(|v| v.as_ref())
             .ok_or_else(|| SqlError::NoSuchTable(name.to_string()))
@@ -1066,7 +851,7 @@ impl Database {
             let mut memo = self.trigger_memo.borrow_mut();
             if !matches!(memo.as_ref(), Some((g, _)) if *g == gen) {
                 let mut ix = BTreeMap::new();
-                for (name, t) in &self.triggers {
+                for (name, t) in self.catalog.triggers.iter() {
                     // entry(): first trigger in name order wins, matching
                     // the previous linear scan.
                     ix.entry((t.on.clone(), t.event)).or_insert_with(|| name.clone());
@@ -1076,17 +861,17 @@ impl Database {
             let (_, ix) = memo.as_ref().expect("just populated");
             ix.get(&(key(view_name), event)).cloned()
         };
-        self.triggers.get(&name?).map(|t| t.as_ref())
+        self.catalog.triggers.get(&name?).map(|t| t.as_ref())
     }
 
     /// Lists base table names (lowercased keys).
     pub fn table_names(&self) -> Vec<String> {
-        self.tables.keys().cloned().collect()
+        self.catalog.tables.keys().cloned().collect()
     }
 
     /// Lists view names (lowercased keys).
     pub fn view_names(&self) -> Vec<String> {
-        self.views.keys().cloned().collect()
+        self.catalog.views.keys().cloned().collect()
     }
 
     /// Dumps every base table's rows as replayable `(sql, params)`
@@ -1106,11 +891,7 @@ impl Database {
     /// views exist, and the dump addresses base tables directly.
     pub fn dump_sql(&self) -> Vec<(String, Vec<maxoid_journal::ParamValue>)> {
         let mut out = Vec::new();
-        for name in self.table_names() {
-            let table = match self.table(&name) {
-                Ok(t) => t,
-                Err(_) => continue,
-            };
+        for (name, table) in self.catalog.tables.iter() {
             let cols = table.schema.column_names().join(", ");
             let placeholders: Vec<String> =
                 (1..=table.schema.columns.len()).map(|i| format!("?{i}")).collect();
@@ -1130,14 +911,30 @@ impl Database {
 
     /// Returns output column names for a table or view.
     pub fn relation_columns(&self, name: &str) -> SqlResult<Vec<String>> {
-        if let Some(t) = self.read_table(&key(name)) {
+        if let Some(t) = self.catalog.tables.get(&key(name)) {
             return Ok(t.schema.column_names());
         }
-        if let Some(v) = self.views.get(&key(name)) {
+        if let Some(v) = self.catalog.views.get(&key(name)) {
             return Ok(v.columns.clone());
         }
         Err(SqlError::NoSuchTable(name.to_string()))
     }
+}
+
+/// Makes the live table `live` (key `k`) private and returns it. Inside a
+/// transaction, a paged table the BEGIN image shares first gives the image
+/// a materialized copy (`Clone for Table`), so the live table stays paged
+/// and no heap page has two owners. Any other shared table is copied for
+/// the live side by `Arc::make_mut`: a shallow copy, whose rows and
+/// indexes stay shared until they change.
+fn own_table<'a>(k: &str, live: &'a mut Arc<Table>, begin: Option<&mut Catalog>) -> &'a mut Table {
+    if let Some(image) = begin {
+        if live.is_paged() && image.tables.get(k).is_some_and(|t| Arc::ptr_eq(t, live)) {
+            let copy = Arc::new(Table::clone(live));
+            Arc::make_mut(&mut image.tables).insert(k.to_string(), copy);
+        }
+    }
+    Arc::make_mut(live)
 }
 
 /// Normalizes an object name to its registry key.
@@ -1170,7 +967,7 @@ pub fn param_to_value(p: &maxoid_journal::ParamValue) -> Value {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -1305,29 +1102,72 @@ mod tests {
         assert_eq!(db.stats.access_path_cap.get(), 3);
     }
 
-    /// A change that skips the undo log still moves the table's version
-    /// tag, which the debug-build audit at COMMIT/ROLLBACK checks against
-    /// the log.
+    /// With the whole catalog captured at BEGIN there is no per-table log
+    /// to skip: a row inserted into a table reached without `table_mut`
+    /// is gone after ROLLBACK.
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "changed inside a transaction without an undo entry")]
-    fn undo_log_audit_catches_a_change_that_skips_the_log() {
+    fn rollback_undoes_a_change_made_without_table_mut() {
         let mut db = Database::new();
         db.execute_batch("CREATE TABLE t (_id INTEGER PRIMARY KEY, v TEXT);").unwrap();
         db.begin().unwrap();
-        db.tables.get_mut("t").unwrap().insert(vec![Value::Null, "x".into()], false).unwrap();
-        db.commit().unwrap();
+        let live = Arc::make_mut(&mut db.catalog.tables).get_mut("t").unwrap();
+        Arc::make_mut(live).insert(vec![Value::Null, "x".into()], false).unwrap();
+        assert_eq!(db.table("t").unwrap().len(), 1);
+        db.rollback().unwrap();
+        assert_eq!(db.table("t").unwrap().len(), 0);
     }
 
+    /// A table removed without `drop_table` is back after ROLLBACK.
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "dropped inside a transaction without an undo entry")]
-    fn undo_log_audit_catches_a_drop_that_skips_the_log() {
+    fn rollback_undoes_a_drop_made_without_drop_table() {
         let mut db = Database::new();
         db.execute_batch("CREATE TABLE t (_id INTEGER PRIMARY KEY, v TEXT);").unwrap();
         db.begin().unwrap();
-        db.tables.remove("t");
+        Arc::make_mut(&mut db.catalog.tables).remove("t");
+        assert!(!db.has_table("t"));
         db.rollback().unwrap();
+        assert!(db.has_table("t"));
+        assert_eq!(db.table("t").unwrap().schema.column_names(), ["_id", "v"]);
+    }
+
+    /// Which of the table, view and trigger maps `a` and `b` share.
+    pub(crate) fn same_maps(a: &Catalog, b: &Catalog) -> [bool; 3] {
+        [
+            Arc::ptr_eq(&a.tables, &b.tables),
+            Arc::ptr_eq(&a.views, &b.views),
+            Arc::ptr_eq(&a.triggers, &b.triggers),
+        ]
+    }
+
+    /// BEGIN copies nothing: its image holds the live maps until a change
+    /// copies the one map it changes away from the image.
+    #[test]
+    fn begin_shares_the_live_maps_until_the_first_change() {
+        let mut db = Database::new();
+        db.execute_batch(
+            "CREATE TABLE t (_id INTEGER PRIMARY KEY, v TEXT);
+             INSERT INTO t (v) VALUES ('a');
+             CREATE VIEW tv AS SELECT _id, v FROM t;
+             CREATE TRIGGER tv_ins INSTEAD OF INSERT ON tv BEGIN
+               INSERT INTO t (v) VALUES (NEW.v);
+             END;",
+        )
+        .unwrap();
+        db.begin().unwrap();
+        let image = db.begin.clone().unwrap();
+        assert_eq!(same_maps(&image, &db.catalog), [true; 3]);
+        db.query("SELECT v FROM tv", &[]).unwrap();
+        assert_eq!(same_maps(&image, &db.catalog), [true; 3], "a read changes nothing");
+        db.execute("INSERT INTO t (v) VALUES ('b')", &[]).unwrap();
+        assert_eq!(same_maps(&image, &db.catalog), [false, true, true]);
+        assert!(!Arc::ptr_eq(&image.tables["t"], &db.catalog.tables["t"]));
+        assert_eq!(image.tables["t"].len(), 1, "the image keeps the BEGIN rows");
+        db.execute_batch("CREATE VIEW tv2 AS SELECT v FROM t").unwrap();
+        assert_eq!(same_maps(&image, &db.catalog), [false, false, true]);
+        drop(image);
+        db.rollback().unwrap();
+        assert_eq!(db.table("t").unwrap().len(), 1);
+        assert!(!db.has_view("tv2"));
     }
 
     #[test]

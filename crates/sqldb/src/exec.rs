@@ -24,7 +24,7 @@ pub fn exec_stmt(
 ) -> SqlResult<ExecOutcome> {
     match stmt {
         Stmt::CreateTable { name, if_not_exists, columns } => {
-            if db.tables().contains_key(&key(name)) || db.views.contains_key(&key(name)) {
+            if db.tables().contains_key(&key(name)) || db.catalog.views.contains_key(&key(name)) {
                 if *if_not_exists {
                     return Ok(ExecOutcome::ddl());
                 }
@@ -32,7 +32,6 @@ pub fn exec_stmt(
             }
             let schema = TableSchema::new(name.clone(), columns.clone())?;
             let mut table = Table::new(schema);
-            table.attach_mvcc(db.mvcc.clone());
             if let Some(cfg) = &db.heap {
                 table.attach_heap(cfg.clone());
             }
@@ -41,14 +40,14 @@ pub fn exec_stmt(
             Ok(ExecOutcome::ddl())
         }
         Stmt::CreateView { name, if_not_exists, select } => {
-            if db.tables().contains_key(&key(name)) || db.views.contains_key(&key(name)) {
+            if db.tables().contains_key(&key(name)) || db.catalog.views.contains_key(&key(name)) {
                 if *if_not_exists {
                     return Ok(ExecOutcome::ddl());
                 }
                 return Err(SqlError::AlreadyExists(name.clone()));
             }
             let columns = view_output_columns(db, select)?;
-            db.views.insert(
+            Arc::make_mut(&mut db.catalog.views).insert(
                 key(name),
                 Arc::new(ViewDef { name: name.clone(), select: select.clone(), columns }),
             );
@@ -56,18 +55,18 @@ pub fn exec_stmt(
             Ok(ExecOutcome::ddl())
         }
         Stmt::CreateTrigger { name, if_not_exists, event, on, body } => {
-            if db.triggers.contains_key(&key(name)) {
+            if db.catalog.triggers.contains_key(&key(name)) {
                 if *if_not_exists {
                     return Ok(ExecOutcome::ddl());
                 }
                 return Err(SqlError::AlreadyExists(name.clone()));
             }
-            if !db.views.contains_key(&key(on)) {
+            if !db.catalog.views.contains_key(&key(on)) {
                 return Err(SqlError::Unsupported(format!(
                     "INSTEAD OF trigger requires a view, {on} is not one"
                 )));
             }
-            db.triggers.insert(
+            Arc::make_mut(&mut db.catalog.triggers).insert(
                 key(name),
                 Arc::new(TriggerDef {
                     name: name.clone(),
@@ -96,8 +95,8 @@ pub fn exec_stmt(
         }
         Stmt::DropIndex { name, if_exists } => {
             // Resolve the owning table first so the drop goes through
-            // `table_mut` (snapshot retraction, frozen-cache eviction and
-            // the transaction undo log).
+            // `table_mut` (snapshot retraction, and a private copy of a
+            // table a snapshot or the BEGIN image shares).
             let owner = db.tables().iter().find(|(_, t)| t.has_index(name)).map(|(n, _)| n.clone());
             if let Some(owner) = owner {
                 db.table_mut(&owner)?.drop_index(name);
@@ -120,25 +119,29 @@ pub fn exec_stmt(
             Ok(ExecOutcome::ddl())
         }
         Stmt::DropView { name, if_exists } => {
-            if db.views.remove(&key(name)).is_none() {
+            let k = key(name);
+            if !db.catalog.views.contains_key(&k) {
                 if !*if_exists {
                     return Err(SqlError::NoSuchTable(name.clone()));
                 }
-            } else {
-                db.bump_catalog_generation();
+                return Ok(ExecOutcome::ddl());
             }
+            Arc::make_mut(&mut db.catalog.views).remove(&k);
             // Triggers on the view are dropped with it, like SQLite.
-            db.triggers.retain(|_, t| t.on != key(name));
+            Arc::make_mut(&mut db.catalog.triggers).retain(|_, t| t.on != k);
+            db.bump_catalog_generation();
             Ok(ExecOutcome::ddl())
         }
         Stmt::DropTrigger { name, if_exists } => {
-            if db.triggers.remove(&key(name)).is_none() {
+            let k = key(name);
+            if !db.catalog.triggers.contains_key(&k) {
                 if !*if_exists {
                     return Err(SqlError::NoSuchTrigger(name.clone()));
                 }
-            } else {
-                db.bump_catalog_generation();
+                return Ok(ExecOutcome::ddl());
             }
+            Arc::make_mut(&mut db.catalog.triggers).remove(&k);
+            db.bump_catalog_generation();
             Ok(ExecOutcome::ddl())
         }
         Stmt::Insert { table, columns, source, or_replace } => {
@@ -387,7 +390,7 @@ fn exec_core(
 
     // Fast path: single base table, no aggregate — stream rows without
     // materializing the whole table, using pk point lookups when possible.
-    if core.from.len() == 1 && db.read_table(&key(&core.from[0].name)).is_some() {
+    if core.from.len() == 1 && db.tables().contains_key(&key(&core.from[0].name)) {
         return exec_core_single_table(db, core, order_by, aggregate, env);
     }
 
@@ -396,7 +399,7 @@ fn exec_core(
     let mut sources = Vec::new();
     for tref in &core.from {
         let k = key(&tref.name);
-        if let Some(t) = db.read_table(&k) {
+        if let Some(t) = db.tables().get(&k) {
             // Resident rows are borrowed from storage; paged tables
             // decode into owned rows — the Cow absorbs both.
             let rows: Vec<Cow<'_, [Value]>> = t.iter().map(|(_, r)| r).collect();
@@ -406,7 +409,7 @@ fn exec_core(
                 columns: t.schema.column_names(),
                 rows,
             });
-        } else if let Some(v) = db.views.get(&k) {
+        } else if let Some(v) = db.catalog.views.get(&k) {
             db.stats.materialized_views.set(db.stats.materialized_views.get() + 1);
             let rs = exec_select(db, &v.select, env.params, env.trigger, env.cache, env.depth + 1)?;
             sources.push(Source {
@@ -504,7 +507,7 @@ fn exec_core_single_table(
     env: &EvalEnv<'_>,
 ) -> SqlResult<(Vec<String>, KeyedRows)> {
     let tref = &core.from[0];
-    let table = db.read_table(&key(&tref.name)).expect("checked by caller");
+    let table = db.tables().get(&key(&tref.name)).expect("checked by caller");
     let binding = tref.binding().to_string();
     let columns = table.schema.column_names();
 
@@ -1004,7 +1007,7 @@ fn exec_insert(
     }
 
     // INSERT into a view: fire its INSTEAD OF INSERT trigger per row.
-    if db.views.contains_key(&tkey) {
+    if db.catalog.views.contains_key(&tkey) {
         let (view_cols, body) = {
             let v = db.view(table)?;
             let trig = db
@@ -1141,7 +1144,7 @@ fn exec_update(
         return Ok(ExecOutcome { rows: None, rows_affected: affected, last_insert_id: None });
     }
 
-    if db.views.contains_key(&tkey) {
+    if db.catalog.views.contains_key(&tkey) {
         // INSTEAD OF UPDATE: materialize matching view rows, fire trigger
         // with OLD = row, NEW = row + sets.
         let (view_cols, body, matches) = {
@@ -1217,7 +1220,7 @@ fn exec_delete(
         return Ok(ExecOutcome { rows: None, rows_affected: affected, last_insert_id: None });
     }
 
-    if db.views.contains_key(&tkey) {
+    if db.catalog.views.contains_key(&tkey) {
         let (view_cols, body, matches) = {
             let v = db.view(table)?;
             let trig = db

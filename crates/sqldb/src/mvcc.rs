@@ -1,95 +1,29 @@
-//! Multiversion concurrency control: commit stamps and the
-//! published-snapshot machinery behind [`Database::begin_read`].
+//! Multiversion concurrency control: the published-snapshot machinery
+//! behind [`Database::begin_read`].
 //!
 //! The design exploits one structural fact: a [`Database`] is only ever
 //! mutated by its single owner (the write-lock holder), and snapshots are
-//! published exclusively at *committed, quiescent* points. A snapshot is
-//! therefore a shallow freeze — every table's rowid map is an
-//! `Arc<BTreeMap<_, Arc<Vec<Value>>>>`, so freezing clones a handful of
-//! `Arc`s, and a frozen map's rows *are* exactly the committed rows at
-//! freeze time. Visibility is map membership, which keeps the snapshot
+//! published exclusively at *committed, quiescent* points. The catalog is
+//! copy-on-write at every level: the table, view and trigger maps, each
+//! table in them, each table's rowid map and each row sit behind `Arc`s.
+//! A snapshot is the live catalog's three map `Arc`s, so publishing
+//! copies nothing, and the rows a snapshot sees *are* the committed rows
+//! at its stamp. Visibility is map membership, which keeps the snapshot
 //! read path byte-for-byte the same cost as an ordinary read.
 //!
 //! Writes stay cheap in the presence of live snapshots without version
-//! chains: a write privatizes the map (`Arc::make_mut`) and replaces the
-//! row's `Arc`, and a frozen map pins every row it can see with its own
-//! `Arc`. Old rows are reclaimed by reference counting when the last
-//! snapshot that sees them drops; nothing tracks which snapshots are live,
-//! and no background thread is involved.
+//! chains: a write privatizes the table map, then the table, then its
+//! rowid map (`Arc::make_mut`, each copying entries, never rows), and
+//! replaces the row's `Arc`. Old maps, tables and rows are reclaimed by
+//! reference counting when the last snapshot that sees them drops;
+//! nothing tracks which snapshots are live, and no background thread is
+//! involved.
 //!
 //! [`Database::begin_read`]: crate::Database::begin_read
 
-use crate::db::{Database, TriggerDef, ViewDef};
+use crate::db::{Catalog, Database};
 use crate::planner::FlattenPolicy;
-use crate::table::Table;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// MVCC bookkeeping shared between a live [`Database`] and every table it
-/// owns. All fields are independent of the database's single-threaded
-/// interior.
-#[derive(Debug)]
-pub(crate) struct MvccShared {
-    /// Current commit stamp: bumped once per completed mutating
-    /// statement. A published snapshot is valid exactly while its stamp
-    /// equals this value.
-    stamp: AtomicU64,
-    /// Snapshots published (memoized republications excluded).
-    snapshots_published: AtomicU64,
-    /// Source of table version tags: every mutation of any attached table
-    /// takes a fresh value, so two table states with equal tags are
-    /// guaranteed to have identical contents (clones copy the tag along
-    /// with the content they share). Lets `begin_read` and
-    /// [`SnapshotReader`] rebinds skip unchanged tables.
-    table_ver: AtomicU64,
-}
-
-impl Default for MvccShared {
-    fn default() -> Self {
-        MvccShared {
-            stamp: AtomicU64::new(0),
-            snapshots_published: AtomicU64::new(0),
-            table_ver: AtomicU64::new(0),
-        }
-    }
-}
-
-impl MvccShared {
-    /// Current commit stamp.
-    pub(crate) fn stamp(&self) -> u64 {
-        self.stamp.load(Ordering::Acquire)
-    }
-
-    /// Advances the commit stamp (one mutating statement completed).
-    pub(crate) fn bump_stamp(&self) {
-        self.stamp.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// Mints a fresh table version tag (see `MvccShared::table_ver`).
-    pub(crate) fn next_table_ver(&self) -> u64 {
-        self.table_ver.fetch_add(1, Ordering::AcqRel) + 1
-    }
-
-    /// The last table version tag minted; every later tag is greater.
-    #[cfg(debug_assertions)]
-    pub(crate) fn last_table_ver(&self) -> u64 {
-        self.table_ver.load(Ordering::Acquire)
-    }
-
-    /// Records one fresh snapshot publication.
-    pub(crate) fn note_published(&self) {
-        self.snapshots_published.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Point-in-time counter snapshot.
-    pub(crate) fn stats(&self) -> MvccStats {
-        MvccStats {
-            stamp: self.stamp(),
-            snapshots_published: self.snapshots_published.load(Ordering::Relaxed),
-        }
-    }
-}
 
 /// Point-in-time MVCC counters, from [`Database::mvcc_stats`].
 ///
@@ -102,36 +36,20 @@ pub struct MvccStats {
     pub snapshots_published: u64,
 }
 
-/// An immutable, shareable freeze of a whole database at one commit
-/// stamp: shallow copies of every table (rowid maps and secondary
-/// indexes shared by `Arc`), plus the catalog needed to plan and execute
-/// read-only statements.
+/// An immutable, shareable view of a whole database at one commit stamp:
+/// the live catalog's maps, shared by `Arc`, plus what a reader needs to
+/// plan read-only statements the way the writer would.
 #[derive(Debug)]
 pub(crate) struct DbSnapshot {
     pub(crate) stamp: u64,
     pub(crate) catalog_gen: u64,
     pub(crate) flatten_policy: FlattenPolicy,
-    pub(crate) tables: Arc<BTreeMap<String, Arc<Table>>>,
-    pub(crate) views: Arc<BTreeMap<String, Arc<ViewDef>>>,
-    pub(crate) triggers: Arc<BTreeMap<String, Arc<TriggerDef>>>,
-}
-
-impl DbSnapshot {
-    pub(crate) fn new(
-        stamp: u64,
-        catalog_gen: u64,
-        flatten_policy: FlattenPolicy,
-        tables: Arc<BTreeMap<String, Arc<Table>>>,
-        views: Arc<BTreeMap<String, Arc<ViewDef>>>,
-        triggers: Arc<BTreeMap<String, Arc<TriggerDef>>>,
-    ) -> Self {
-        DbSnapshot { stamp, catalog_gen, flatten_policy, tables, views, triggers }
-    }
+    pub(crate) catalog: Catalog,
 }
 
 // The whole point: a snapshot can be handed to reader threads while the
 // writer keeps mutating. Everything inside is either plain immutable data
-// or `Arc`/atomic-shared.
+// or `Arc`-shared.
 const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<DbSnapshot>();
@@ -167,13 +85,14 @@ impl ReadSnapshot {
 /// A reusable executor for read-only statements against
 /// [`ReadSnapshot`]s.
 ///
-/// Internally this is a thin private [`Database`] whose tables are
-/// re-pointed (shallowly) at whatever snapshot is bound; its prepared-
-/// statement and plan caches persist across rebinds, so steady-state
-/// snapshot reads pay no re-parse or re-plan cost. Retargeting to a new
-/// snapshot of the *same* database costs O(#tables) `Arc` clones; the
-/// catalog (views/triggers) is only re-cloned when the snapshot's catalog
-/// generation actually changed.
+/// Internally this is a thin private [`Database`] whose catalog is the
+/// bound snapshot's: a rebind takes the snapshot's three map `Arc`s as
+/// its own, so it is O(1) however many tables, views and triggers the
+/// database holds, and every read (`table_names`, `dump_sql` included)
+/// sees the bound stamp. Its prepared-statement and plan caches persist
+/// across rebinds and are invalidated only when the snapshot's catalog
+/// generation changed, so steady-state snapshot reads pay no re-parse or
+/// re-plan cost.
 ///
 /// A reader must only ever be bound to snapshots of one logical database
 /// (stamps from different databases are not comparable). One reader per
@@ -196,7 +115,12 @@ impl SnapshotReader {
     pub fn bind(&mut self, snap: &ReadSnapshot) -> &Database {
         let s = &snap.snap;
         if self.stamp != Some(s.stamp) {
-            self.db.retarget(s, self.catalog_gen != Some(s.catalog_gen));
+            self.db.catalog = s.catalog.clone();
+            self.db.flatten_policy = s.flatten_policy;
+            if self.catalog_gen != Some(s.catalog_gen) {
+                // Cached plans were made against another catalog.
+                self.db.bump_catalog_generation();
+            }
             self.stamp = Some(s.stamp);
             self.catalog_gen = Some(s.catalog_gen);
         }
@@ -212,6 +136,7 @@ impl SnapshotReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::db::tests::same_maps;
     use crate::value::Value;
 
     fn seeded() -> Database {
@@ -308,6 +233,49 @@ mod tests {
         assert_ne!(s3.catalog_gen(), s2.catalog_gen());
         let rs = reader.bind(&s3).query("SELECT data FROM v ORDER BY data", &[]).unwrap();
         assert_eq!(rs.rows.len(), 2);
+    }
+
+    /// Publication and a rebind copy nothing: the snapshot holds the live
+    /// database's maps, and a bound reader holds the snapshot's.
+    #[test]
+    fn snapshots_and_bound_readers_share_the_live_maps() {
+        let mut db = seeded();
+        db.execute_batch(
+            "CREATE VIEW tv AS SELECT _id, data FROM t;
+             CREATE TRIGGER tv_del INSTEAD OF DELETE ON tv BEGIN
+               DELETE FROM t WHERE _id = OLD._id;
+             END;",
+        )
+        .unwrap();
+        let snap = db.begin_read().unwrap();
+        assert_eq!(same_maps(&snap.snap.catalog, &db.catalog), [true; 3]);
+        let mut reader = SnapshotReader::new();
+        reader.bind(&snap);
+        assert_eq!(same_maps(&reader.db.catalog, &snap.snap.catalog), [true; 3]);
+        // A write copies the table map away from the snapshot; the next
+        // publication and rebind share the new one.
+        db.execute("DELETE FROM tv WHERE _id = 1", &[]).unwrap();
+        assert_eq!(same_maps(&snap.snap.catalog, &db.catalog), [false, true, true]);
+        let next = db.begin_read().unwrap();
+        assert_eq!(same_maps(&reader.bind(&next).catalog, &db.catalog), [true; 3]);
+        let rs = reader.db().query("SELECT count(*) FROM tv", &[]).unwrap();
+        assert_eq!(rs.scalar(), Some(&Value::Integer(2)));
+    }
+
+    /// Every read of a bound reader sees the bound stamp: its table list
+    /// and row dump are the live database's at that stamp.
+    #[test]
+    fn a_bound_reader_lists_what_it_reads() {
+        let mut db = seeded();
+        db.execute_batch("CREATE TABLE u (_id INTEGER PRIMARY KEY, w TEXT)").unwrap();
+        let (names, dump) = (db.table_names(), db.dump_sql());
+        let snap = db.begin_read().unwrap();
+        db.execute_batch("DROP TABLE u; INSERT INTO t (data) VALUES ('d')").unwrap();
+        let mut reader = SnapshotReader::new();
+        let bound = reader.bind(&snap);
+        assert!(bound.has_table("t") && bound.has_table("u"));
+        assert_eq!(bound.table_names(), names);
+        assert_eq!(bound.dump_sql(), dump);
     }
 
     #[test]

@@ -22,27 +22,27 @@
 //! # Multiversion storage
 //!
 //! Resident rows are shared, not copied: the rowid map is an
-//! `Arc<BTreeMap<i64, Arc<Vec<Value>>>>`. [`Table::freeze`] shallow-copies
-//! the map `Arc` into an immutable snapshot table, so
-//! `Database::begin_read` is O(#tables) and snapshot readers see exactly
-//! the committed rows at freeze time. Mutations privatize the map with
-//! `Arc::make_mut` and replace a row's `Arc`; a frozen map keeps every
-//! row it saw alive with its own `Arc` until it drops, and no other
-//! version of a row is kept.
+//! `Arc<BTreeMap<i64, Arc<Vec<Value>>>>`, and a database's catalog holds
+//! each table behind an `Arc` too (`db::Catalog`). Cloning a resident
+//! table copies those `Arc`s, so a published snapshot, a snapshot reader
+//! and a transaction's BEGIN image share the live table until it changes,
+//! and snapshot readers see exactly the committed rows of their stamp.
+//! Mutations privatize the map with `Arc::make_mut` and replace a row's
+//! `Arc`; an older copy keeps every row it saw alive with its own `Arc`
+//! until it drops, and no other version of a row is kept.
 //!
-//! A transaction's undo log clones a table on the transaction's first
-//! change to it (see `Database::begin`). The clone shares resident rows
-//! structurally the same way (copy-on-write at the next mutation); paged
-//! rows are materialized, because a pre-image must not alias heap pages
-//! the live table keeps mutating. Creating or dropping a table clones
-//! nothing: BEGIN copies no table, and a dropped table moves into the
-//! undo log whole, so a DDL-only transaction never reads a paged row.
+//! Paged rows are never shared: cloning a paged table materializes its
+//! rows, because a copy must not alias heap pages the live table keeps
+//! mutating. So snapshots leave paged tables out (`Database::begin_read`
+//! refuses), and the first change to a paged table inside a transaction
+//! puts a materialized copy into the BEGIN image while the live table
+//! stays paged. Creating or dropping a table clones nothing, so a
+//! DDL-only transaction never reads a paged row.
 
 use crate::ast::ColumnDef;
 use crate::error::{SqlError, SqlResult};
 use crate::heap::{encoded_len, HeapCfg, PagedRows};
 use crate::index::SecondaryIndex;
-use crate::mvcc::MvccShared;
 use crate::value::Value;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -183,12 +183,14 @@ impl Rows {
             Rows::Paged(p) => p.clear(),
         }
     }
+}
 
+impl Clone for Rows {
     /// A logically private copy. Resident rows share the rowid map
     /// structurally (`Arc`) and privatize copy-on-write at the next
     /// mutation; paged rows are materialized, never aliased (a copy must
     /// not share heap pages with the live table).
-    fn clone_resident(&self) -> Rows {
+    fn clone(&self) -> Rows {
         match self {
             Rows::Resident { map, bytes } => Rows::Resident { map: map.clone(), bytes: *bytes },
             Rows::Paged(p) => Rows::Resident {
@@ -200,7 +202,7 @@ impl Rows {
 }
 
 /// A base table: schema plus rows indexed by rowid.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Table {
     /// The table's schema.
     pub schema: TableSchema,
@@ -208,39 +210,14 @@ pub struct Table {
     /// Minimum rowid for auto-assigned keys (the COW proxy's offset `N`).
     pk_start: i64,
     /// Secondary indexes, maintained incrementally by every row mutation.
-    /// Living inside the table means transaction undo entries (which
-    /// hold whole tables) and `DROP TABLE` handle indexes with no extra
-    /// bookkeeping.
-    /// `Arc`-shared so snapshot freezes are shallow; privatized
-    /// copy-on-write at the next index mutation.
+    /// Living inside the table means a BEGIN image (which holds whole
+    /// tables) and `DROP TABLE` handle indexes with no extra bookkeeping.
+    /// `Arc`-shared so a clone is shallow; privatized copy-on-write at
+    /// the next index mutation.
     indexes: Arc<Vec<SecondaryIndex>>,
     /// Spill target and threshold; `None` keeps the table resident
     /// forever.
     heap: Option<HeapCfg>,
-    /// MVCC bookkeeping shared with the owning database (attached at
-    /// CREATE TABLE); standalone tables get a private default.
-    mvcc: Arc<MvccShared>,
-    /// Content version tag, re-minted from the shared MVCC counter on
-    /// every mutation (and on attach). Clones copy the tag along with
-    /// the content they share, so within one database's lineage two
-    /// tables with equal tags have identical contents — the invariant
-    /// `begin_read` and snapshot-reader rebinds rely on to skip
-    /// unchanged tables.
-    ver: u64,
-}
-
-impl Clone for Table {
-    fn clone(&self) -> Self {
-        Table {
-            schema: self.schema.clone(),
-            rows: self.rows.clone_resident(),
-            pk_start: self.pk_start,
-            indexes: Arc::clone(&self.indexes),
-            heap: self.heap.clone(),
-            mvcc: Arc::clone(&self.mvcc),
-            ver: self.ver,
-        }
-    }
 }
 
 impl Table {
@@ -252,59 +229,15 @@ impl Table {
             pk_start: 1,
             indexes: Arc::new(Vec::new()),
             heap: None,
-            mvcc: Arc::default(),
-            ver: 0,
         }
-    }
-
-    /// Points the table at the owning database's shared MVCC bookkeeping.
-    /// Re-mints the version tag from the new counter so a freshly
-    /// attached table never aliases a tag minted before attachment
-    /// (e.g. a same-named table that was dropped and recreated).
-    pub(crate) fn attach_mvcc(&mut self, mvcc: Arc<MvccShared>) {
-        self.mvcc = mvcc;
-        self.ver = self.mvcc.next_table_ver();
-    }
-
-    /// The content version tag (see the `ver` field).
-    pub(crate) fn version_tag(&self) -> u64 {
-        self.ver
-    }
-
-    /// Re-mints the version tag; called by every mutating entry point
-    /// (conservatively at entry, so failed statements over-invalidate —
-    /// the only cost is one re-freeze at the next publication).
-    fn touch(&mut self) {
-        self.ver = self.mvcc.next_table_ver();
-    }
-
-    /// An immutable shallow freeze for publication inside a read
-    /// snapshot: the row map and secondary indexes are shared by `Arc`,
-    /// and the heap config is detached (a frozen table never spills).
-    /// `None` when the rows live on the heap tier — paged payloads fault
-    /// through a shared page cache whose pins and evictions must not be
-    /// driven lock-free from reader threads.
-    pub(crate) fn freeze(&self) -> Option<Table> {
-        if self.is_paged() {
-            return None;
-        }
-        Some(Table {
-            schema: self.schema.clone(),
-            rows: self.rows.clone_resident(),
-            pk_start: self.pk_start,
-            indexes: Arc::clone(&self.indexes),
-            heap: None,
-            mvcc: Arc::clone(&self.mvcc),
-            ver: self.ver,
-        })
     }
 
     /// Attaches a heap tier: once the table's encoded payload exceeds
     /// `cfg.threshold` bytes its rows move to the device and are faulted
     /// through the page cache on access. Oversized tables migrate
-    /// immediately.
-    pub fn attach_heap(&mut self, cfg: HeapCfg) {
-        self.touch();
+    /// immediately. Crate-private, so a table pages only under its
+    /// database's heap (`Database::attach_heap`).
+    pub(crate) fn attach_heap(&mut self, cfg: HeapCfg) {
         self.heap = Some(cfg);
         self.maybe_spill();
     }
@@ -337,7 +270,6 @@ impl Table {
     /// unknown column, a duplicate index name on this table, or — for
     /// `unique` — existing duplicate non-NULL values.
     pub fn create_index(&mut self, name: &str, column: &str, unique: bool) -> SqlResult<()> {
-        self.touch();
         let Some(col) = self.schema.column_index(column) else {
             return Err(SqlError::NoSuchColumn(format!("{}.{column}", self.schema.name)));
         };
@@ -358,7 +290,6 @@ impl Table {
         if !self.has_index(name) {
             return false;
         }
-        self.touch();
         Arc::make_mut(&mut self.indexes).retain(|ix| !ix.name().eq_ignore_ascii_case(name));
         true
     }
@@ -381,7 +312,6 @@ impl Table {
     /// Sets the first auto-assigned rowid. Used by the COW proxy to start
     /// delta-table keys at a large offset.
     pub fn set_pk_start(&mut self, start: i64) {
-        self.touch();
         self.pk_start = start;
     }
 
@@ -415,7 +345,6 @@ impl Table {
     /// (INSERT OR REPLACE); otherwise a duplicate key is a constraint
     /// error. Returns the rowid of the inserted row.
     pub fn insert(&mut self, mut values: Vec<Value>, replace: bool) -> SqlResult<i64> {
-        self.touch();
         debug_assert_eq!(values.len(), self.schema.columns.len());
         // Apply column affinities.
         for (i, v) in values.iter_mut().enumerate() {
@@ -497,7 +426,6 @@ impl Table {
     /// Replaces the row at `rowid` (which must exist). If the new values
     /// change the primary key the row is re-keyed.
     pub fn update_row(&mut self, rowid: i64, mut values: Vec<Value>) -> SqlResult<()> {
-        self.touch();
         for (i, v) in values.iter_mut().enumerate() {
             let owned = std::mem::replace(v, Value::Null);
             *v = self.schema.columns[i].affinity.apply(owned);
@@ -566,7 +494,6 @@ impl Table {
 
     /// Deletes a row by rowid; returns true if it existed.
     pub fn delete_row(&mut self, rowid: i64) -> bool {
-        self.touch();
         match self.rows.remove(rowid) {
             Some(old) => {
                 if !self.indexes.is_empty() {
@@ -582,7 +509,6 @@ impl Table {
 
     /// Removes all rows.
     pub fn clear(&mut self) {
-        self.touch();
         self.rows.clear();
         if !self.indexes.is_empty() {
             for ix in Arc::make_mut(&mut self.indexes) {
@@ -641,8 +567,8 @@ mod tests {
         for data in ["a", "b", "c"] {
             t.insert(vec![Value::Null, data.into()], false).unwrap();
         }
-        let frozen = t.freeze().unwrap();
-        assert_eq!(owners(&t), vec![1, 1, 1], "the freeze shares the map itself");
+        let frozen = t.clone();
+        assert_eq!(owners(&t), vec![1, 1, 1], "the clone shares the map itself");
         for i in 0..10 {
             t.update_row(1, vec![Value::Integer(1), format!("v{i}").into()]).unwrap();
         }

@@ -157,3 +157,72 @@ fn trigger_effects_roll_back_too() {
     let n = db.query("SELECT count(*) FROM audit", &[]).unwrap();
     assert_eq!(n.scalar(), Some(&Value::Integer(0)));
 }
+
+/// A heap attached inside a transaction: ROLLBACK brings every table back
+/// as it was at BEGIN (rows, indexes, resident), and COMMIT keeps them
+/// paged.
+#[test]
+fn attach_heap_inside_a_transaction_rolls_back_or_commits() {
+    for commit in [false, true] {
+        let mut db = Database::new();
+        db.execute_batch(
+            "CREATE TABLE t (_id INTEGER PRIMARY KEY, v TEXT, n INTEGER);
+             INSERT INTO t (v, n) VALUES ('a', 1), ('b', 2);
+             CREATE INDEX ix_t_n ON t (n);
+             CREATE TABLE u (_id INTEGER PRIMARY KEY, w TEXT);
+             INSERT INTO u (w) VALUES ('x');",
+        )
+        .unwrap();
+        let (dump, indexes) = (db.dump_sql(), index_names(&db));
+        db.begin().unwrap();
+        db.attach_heap(HeapTier::new(Box::new(MemDevice::new()), 2), 0);
+        assert!(db.table_names().iter().all(|n| db.table(n).unwrap().is_paged()));
+        if commit { db.commit() } else { db.rollback() }.unwrap();
+        assert_eq!(db.dump_sql(), dump, "commit={commit}");
+        assert_eq!(index_names(&db), indexes, "commit={commit}");
+        for name in db.table_names() {
+            assert_eq!(db.table(&name).unwrap().is_paged(), commit, "{name}, commit={commit}");
+        }
+        db.stats.reset();
+        let rs = db.query("SELECT v FROM t WHERE n = 2", &[]).unwrap();
+        assert_eq!(rs.rows, vec![vec![Value::Text("b".into())]]);
+        assert_eq!(db.stats.index_probes.get(), 1, "commit={commit}");
+    }
+}
+
+/// A paged table stays paged while a transaction changes it and after
+/// COMMIT, and ROLLBACK restores its rows.
+#[test]
+fn a_paged_table_stays_paged_through_a_transaction() {
+    let mut db = Database::new();
+    db.attach_heap(HeapTier::new(Box::new(MemDevice::new()), 2), 0);
+    db.execute_batch(
+        "CREATE TABLE t (_id INTEGER PRIMARY KEY, v TEXT);
+         INSERT INTO t (v) VALUES ('a'), ('b');",
+    )
+    .unwrap();
+    let paged = |db: &Database| db.table("t").unwrap().is_paged();
+    assert!(paged(&db));
+    let dump = db.dump_sql();
+    db.execute_batch("BEGIN; INSERT INTO t (v) VALUES ('c'); UPDATE t SET v = 'z' WHERE _id = 1;")
+        .unwrap();
+    assert!(paged(&db), "the live table stays paged inside the transaction");
+    db.rollback().unwrap();
+    assert_eq!(db.dump_sql(), dump);
+    db.execute("INSERT INTO t (v) VALUES ('d')", &[]).unwrap();
+    assert!(paged(&db));
+    db.execute_batch("BEGIN; DELETE FROM t WHERE _id = 2; COMMIT;").unwrap();
+    assert!(paged(&db));
+    let rs = db.query("SELECT v FROM t ORDER BY _id", &[]).unwrap();
+    assert_eq!(rs.rows, vec![vec![Value::Text("a".into())], vec![Value::Text("d".into())]]);
+}
+
+#[test]
+fn a_row_inserted_through_table_mut_is_gone_after_rollback() {
+    let mut db = seeded();
+    db.begin().unwrap();
+    db.table_mut("t").unwrap().insert(vec![Value::Null, "c".into()], false).unwrap();
+    assert_eq!(count(&db), 3);
+    db.rollback().unwrap();
+    assert_eq!(count(&db), 2);
+}

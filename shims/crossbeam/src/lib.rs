@@ -42,118 +42,6 @@ pub mod thread {
     }
 }
 
-/// Multi-producer channels mirroring the `crossbeam-channel` surface the
-/// workspace uses, backed by `std::sync::mpsc`. The receiver is made
-/// cloneable (crossbeam receivers are multi-consumer) by sharing the
-/// underlying std receiver behind a mutex; contending consumers simply
-/// take turns, which is enough for work-queue and watchdog patterns.
-pub mod channel {
-    use std::sync::mpsc;
-    use std::sync::{Arc, Mutex};
-    use std::time::Duration;
-
-    /// Send failed: every receiver is gone. Carries the value back.
-    #[derive(Debug, PartialEq, Eq)]
-    pub struct SendError<T>(pub T);
-
-    /// Blocking receive failed: every sender is gone.
-    #[derive(Debug, PartialEq, Eq)]
-    pub struct RecvError;
-
-    /// Non-blocking receive outcome.
-    #[derive(Debug, PartialEq, Eq)]
-    pub enum TryRecvError {
-        /// Channel currently empty, senders still connected.
-        Empty,
-        /// Channel empty and every sender is gone.
-        Disconnected,
-    }
-
-    /// Timed receive outcome.
-    #[derive(Debug, PartialEq, Eq)]
-    pub enum RecvTimeoutError {
-        /// No message arrived within the timeout.
-        Timeout,
-        /// Channel empty and every sender is gone.
-        Disconnected,
-    }
-
-    /// Sending half; clone freely across threads.
-    pub struct Sender<T>(mpsc::Sender<T>);
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            Sender(self.0.clone())
-        }
-    }
-
-    impl<T> Sender<T> {
-        /// Queues `value`; fails only when all receivers dropped.
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            self.0.send(value).map_err(|mpsc::SendError(v)| SendError(v))
-        }
-    }
-
-    /// Receiving half; clone shares the same queue (multi-consumer).
-    pub struct Receiver<T>(Arc<Mutex<mpsc::Receiver<T>>>);
-
-    impl<T> Clone for Receiver<T> {
-        fn clone(&self) -> Self {
-            Receiver(self.0.clone())
-        }
-    }
-
-    impl<T> Receiver<T> {
-        fn inner(&self) -> std::sync::MutexGuard<'_, mpsc::Receiver<T>> {
-            self.0.lock().unwrap_or_else(|e| e.into_inner())
-        }
-
-        /// Blocks until a message arrives or all senders drop.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            self.inner().recv().map_err(|_| RecvError)
-        }
-
-        /// Returns immediately with a message, `Empty`, or `Disconnected`.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            self.inner().try_recv().map_err(|e| match e {
-                mpsc::TryRecvError::Empty => TryRecvError::Empty,
-                mpsc::TryRecvError::Disconnected => TryRecvError::Disconnected,
-            })
-        }
-
-        /// Blocks up to `timeout` for a message.
-        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            self.inner().recv_timeout(timeout).map_err(|e| match e {
-                mpsc::RecvTimeoutError::Timeout => RecvTimeoutError::Timeout,
-                mpsc::RecvTimeoutError::Disconnected => RecvTimeoutError::Disconnected,
-            })
-        }
-
-        /// Draining iterator: yields until all senders drop.
-        pub fn iter(&self) -> Iter<'_, T> {
-            Iter { rx: self }
-        }
-    }
-
-    /// Iterator over received messages (see [`Receiver::iter`]).
-    pub struct Iter<'a, T> {
-        rx: &'a Receiver<T>,
-    }
-
-    impl<T> Iterator for Iter<'_, T> {
-        type Item = T;
-        fn next(&mut self) -> Option<T> {
-            self.rx.recv().ok()
-        }
-    }
-
-    /// Creates a channel with no capacity bound.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = mpsc::channel();
-        (Sender(tx), Receiver(Arc::new(Mutex::new(rx))))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::thread;
@@ -197,53 +85,5 @@ mod tests {
         })
         .expect("threads join");
         assert_eq!(total, 60);
-    }
-
-    #[test]
-    fn channel_crosses_threads() {
-        let (tx, rx) = super::channel::unbounded::<usize>();
-        thread::scope(|scope| {
-            for i in 0..4 {
-                let tx = tx.clone();
-                scope.spawn(move |_| tx.send(i).expect("receiver alive"));
-            }
-        })
-        .expect("threads join");
-        drop(tx);
-        let mut got: Vec<usize> = rx.iter().collect();
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn try_recv_reports_empty_then_disconnected() {
-        use super::channel::TryRecvError;
-        let (tx, rx) = super::channel::unbounded::<u8>();
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
-        tx.send(9).unwrap();
-        assert_eq!(rx.try_recv(), Ok(9));
-        drop(tx);
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
-    }
-
-    #[test]
-    fn recv_timeout_times_out_without_senders_sending() {
-        use super::channel::RecvTimeoutError;
-        let (tx, rx) = super::channel::unbounded::<u8>();
-        let res = rx.recv_timeout(std::time::Duration::from_millis(5));
-        assert_eq!(res, Err(RecvTimeoutError::Timeout));
-        tx.send(1).unwrap();
-        assert_eq!(rx.recv_timeout(std::time::Duration::from_millis(100)), Ok(1));
-    }
-
-    #[test]
-    fn cloned_receivers_share_the_queue() {
-        let (tx, rx) = super::channel::unbounded::<u8>();
-        let rx2 = rx.clone();
-        tx.send(1).unwrap();
-        tx.send(2).unwrap();
-        let a = rx.recv().unwrap();
-        let b = rx2.recv().unwrap();
-        assert_eq!(a + b, 3, "each message delivered exactly once");
     }
 }

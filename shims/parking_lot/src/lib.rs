@@ -7,7 +7,6 @@
 //! holder does not wedge later accessors.
 
 use std::sync::{Condvar as StdCondvar, Mutex as StdMutex, RwLock as StdRwLock, RwLockReadGuard};
-use std::time::Duration;
 
 /// Guard type returned by [`Mutex::lock`] (std's guard; the poison-free
 /// behaviour lives in the lock methods, not the guard).
@@ -38,15 +37,6 @@ impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         self.0.lock().unwrap_or_else(|e| e.into_inner())
     }
-
-    /// Attempts to acquire the lock without blocking; `None` when held.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(g),
-            Err(std::sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
 }
 
 /// Reader-writer lock with parking_lot's panic-free API.
@@ -69,39 +59,6 @@ impl<T: ?Sized> RwLock<T> {
     /// Acquires an exclusive write guard.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         self.0.write().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Attempts to acquire a read guard without blocking; `None` when a
-    /// writer holds the lock.
-    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
-        match self.0.try_read() {
-            Ok(g) => Some(g),
-            Err(std::sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Attempts to acquire a write guard without blocking; `None` when
-    /// any other guard is outstanding.
-    pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
-        match self.0.try_write() {
-            Ok(g) => Some(g),
-            Err(std::sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-}
-
-/// Result of a timed condition-variable wait (parking_lot's shape: a
-/// method rather than std's tuple return).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitTimeoutResult(bool);
-
-impl WaitTimeoutResult {
-    /// True when the wait returned because the timeout elapsed rather
-    /// than a notification.
-    pub fn timed_out(&self) -> bool {
-        self.0
     }
 }
 
@@ -129,22 +86,6 @@ impl Condvar {
             let owned = std::ptr::read(guard);
             let reacquired = self.0.wait(owned).unwrap_or_else(|e| e.into_inner());
             std::ptr::write(guard, reacquired);
-        }
-    }
-
-    /// As [`Condvar::wait`] but gives up after `timeout`.
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        // SAFETY: same move-out/write-back discipline as `wait`.
-        unsafe {
-            let owned = std::ptr::read(guard);
-            let (reacquired, res) =
-                self.0.wait_timeout(owned, timeout).unwrap_or_else(|e| e.into_inner());
-            std::ptr::write(guard, reacquired);
-            WaitTimeoutResult(res.timed_out())
         }
     }
 
@@ -179,32 +120,6 @@ mod tests {
     }
 
     #[test]
-    fn try_lock_fails_while_held() {
-        let m = Mutex::new(5);
-        let g = m.lock();
-        assert!(m.try_lock().is_none());
-        drop(g);
-        assert_eq!(*m.try_lock().expect("free now"), 5);
-    }
-
-    #[test]
-    fn try_read_and_try_write_respect_writers() {
-        let l = RwLock::new(0u32);
-        {
-            let _r = l.read();
-            assert!(l.try_read().is_some(), "readers share");
-            assert!(l.try_write().is_none(), "writer excluded by reader");
-        }
-        {
-            let _w = l.write();
-            assert!(l.try_read().is_none(), "reader excluded by writer");
-            assert!(l.try_write().is_none(), "second writer excluded");
-        }
-        *l.try_write().expect("free now") = 7;
-        assert_eq!(*l.read(), 7);
-    }
-
-    #[test]
     fn condvar_handoff_between_threads() {
         use std::sync::Arc;
         let pair = Arc::new((Mutex::new(false), Condvar::new()));
@@ -223,17 +138,5 @@ mod tests {
             cv.notify_all();
         }
         assert!(t.join().expect("waiter joins"));
-    }
-
-    #[test]
-    fn condvar_wait_for_times_out() {
-        let m = Mutex::new(());
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        let res = cv.wait_for(&mut g, Duration::from_millis(10));
-        assert!(res.timed_out());
-        // The guard is still valid and the mutex still works afterwards.
-        drop(g);
-        assert!(m.try_lock().is_some());
     }
 }

@@ -130,9 +130,9 @@ fn apply(db: &mut Database, op: &Op) -> String {
             format!("{a}/{b}/{c}")
         }
         Op::TxnDdl(k, commit) => {
-            // Table and index DDL inside a transaction: a DROP TABLE
-            // moves the table into the undo log, and ROLLBACK restores
-            // schema, rows and the rowid floor alike.
+            // Table and index DDL inside a transaction: the BEGIN image
+            // keeps a dropped table, and ROLLBACK restores schema, rows
+            // and the rowid floor alike.
             let a = format!("{:?}", db.begin());
             let b = format!(
                 "{:?}",
