@@ -375,7 +375,7 @@ impl CowProxy {
         maxoid_obs::counter_add("cowproxy.cow_forks", 1);
         let (columns, column_defs, pk, base_indexes) = {
             let t = self.db.table(table)?;
-            let columns = t.schema.column_names();
+            let columns = t.schema.column_names().to_vec();
             // Mirror every base-table secondary index onto the delta table
             // so index access paths work on both arms of the COW view.
             let base_indexes: Vec<(String, String)> = t
@@ -495,6 +495,7 @@ impl CowProxy {
         };
         match view {
             DbView::Primary | DbView::Admin => {
+                self.lift_owner_floor(table, &cols)?;
                 let sql = match self.rewrite.lookup(&key) {
                     Some(rw) => rw.sql,
                     None => {
@@ -861,7 +862,7 @@ impl CowProxy {
         let Some(row) = rs.rows.first() else { return Ok(None) };
         let inserted = id >= DELTA_PK_START;
         let public = if inserted { self.fresh_public_id(table)? } else { id };
-        let public_cols = self.db.table(table)?.schema.column_names();
+        let public_cols = self.db.table(table)?.schema.column_names().to_vec();
         let mut cols = Vec::new();
         let mut params = Vec::new();
         for (c, v) in rs.columns.iter().zip(row) {
@@ -888,6 +889,32 @@ impl CowProxy {
         self.db.execute(&format!("DELETE FROM {delta} WHERE _id = ?"), &[Value::Integer(id)])?;
         sp.field_with("public_id", || public.to_string());
         Ok(Some(public))
+    }
+
+    /// Gives an owner's insert into `table` that assigns no id of its own
+    /// the floor a committed insert gets (see
+    /// [`CowProxy::fresh_public_id`]), when some tenant has forked the
+    /// table. Otherwise an id the owner just deleted while a tenant holds
+    /// its copy-up would go to this insert, and that tenant's commit
+    /// (`INSERT OR REPLACE`) would then replace the owner's new row. A
+    /// floor above the table's next id is set by a logged `ALTER TABLE …
+    /// ROWID START`, so replay lands the row at the same id.
+    fn lift_owner_floor(&mut self, table: &str, cols: &[&str]) -> SqlResult<()> {
+        let forked = self.forks.values().flatten().any(|t| t.eq_ignore_ascii_case(table));
+        // A user view has no ids of its own to lift.
+        let Some(t) = forked.then(|| self.db.table(table).ok()).flatten() else {
+            return Ok(());
+        };
+        let pk = t.schema.pk_column.map(|i| t.schema.columns[i].name.as_str());
+        if cols.iter().any(|c| pk.is_some_and(|pk| c.eq_ignore_ascii_case(pk))) {
+            return Ok(());
+        }
+        let next = t.next_rowid();
+        let floor = self.fresh_public_id(table)?;
+        if floor > next {
+            self.db.execute(&format!("ALTER TABLE {table} ROWID START {floor}"), &[])?;
+        }
+        Ok(())
     }
 
     /// The id a committed insert into `table` takes: the public table's

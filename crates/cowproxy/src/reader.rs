@@ -170,7 +170,11 @@ impl ReadSlot {
             }
             let db = r.reader.bind(&published.snap);
             maxoid_obs::counter_add("cowproxy.snapshot_queries", 1);
-            Some(cached_query(&r.rewrite, &r.names, db, view, table, opts, params))
+            let rs = cached_query(&r.rewrite, &r.names, db, view, table, opts, params);
+            // Hold the snapshot only while the query runs: a write that
+            // follows then finds the live maps unshared and copies none.
+            r.reader.release();
+            Some(rs)
         })
     }
 }

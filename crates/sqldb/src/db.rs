@@ -9,16 +9,17 @@ use crate::plancache::{PlanCache, SelectLookup};
 use crate::planner::{plan_access, try_flatten, AccessPlan, FlattenPolicy};
 use crate::table::Table;
 use crate::value::Value;
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-/// Memoized `(view, event) -> trigger name` index keyed by catalog
+/// Memoized `view -> event -> trigger name` index keyed by catalog
 /// generation, replacing the O(#triggers) linear scan in
 /// [`Database::trigger_for`]. At fleet scale one system database holds
 /// thousands of per-tenant COW triggers, and every view write performs a
-/// trigger lookup.
-type TriggerMemo = (u64, BTreeMap<(String, TriggerEvent), String>);
+/// trigger lookup. Keyed by view first so a lookup borrows the view name.
+type TriggerMemo = (u64, BTreeMap<String, BTreeMap<TriggerEvent, String>>);
 
 /// A stored view definition.
 #[derive(Debug, Clone)]
@@ -49,12 +50,13 @@ pub struct TriggerDef {
 type Map<T> = Arc<BTreeMap<String, Arc<T>>>;
 
 /// The catalog: base tables, views and triggers, copy-on-write at the map
-/// level. The live database, each published snapshot, each snapshot
-/// reader and an open transaction's BEGIN image hold the same three maps.
-/// A change privatizes the map it changes (`Arc::make_mut`, a copy of the
-/// map only while someone else holds it) and then the one entry it
-/// changes, so publishing, rebinding a reader and BEGIN copy nothing, and
-/// ROLLBACK puts the BEGIN image back.
+/// level, and the heap setting new tables are created under. The live
+/// database, each published snapshot, each snapshot reader and an open
+/// transaction's BEGIN image hold the same three maps. A change privatizes
+/// the map it changes (`Arc::make_mut`, a copy of the map only while
+/// someone else holds it) and then the one entry it changes, so
+/// publishing, rebinding a reader and BEGIN copy nothing, and ROLLBACK
+/// puts the BEGIN image back, heap setting included.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Catalog {
     /// Private to this module, so a table changes in place only through
@@ -62,6 +64,9 @@ pub(crate) struct Catalog {
     tables: Map<Table>,
     pub(crate) views: Map<ViewDef>,
     pub(crate) triggers: Map<TriggerDef>,
+    /// Heap tier applied to every table (existing and future) so large
+    /// row payloads page to a block device instead of staying resident.
+    pub(crate) heap: Option<crate::heap::HeapCfg>,
 }
 
 /// Execution counters, used by tests and the flattening ablation bench.
@@ -278,9 +283,6 @@ pub struct Database {
     journal_name: String,
     /// Open journal transaction id mirroring `begin`.
     journal_txn: Option<u64>,
-    /// Heap tier applied to every table (existing and future) so large
-    /// row payloads page to a block device instead of staying resident.
-    pub(crate) heap: Option<crate::heap::HeapCfg>,
     /// Commit stamp: bumped once per completed mutating statement. A
     /// published snapshot is current exactly while its stamp equals this.
     stamp: u64,
@@ -609,8 +611,13 @@ impl Database {
         &mut self,
         stmt: &Stmt,
         params: &[Value],
-        trigger: Option<&TriggerCtx>,
+        trigger: Option<&TriggerCtx<'_>>,
     ) -> SqlResult<ExecOutcome> {
+        if Self::loggable(stmt) {
+            // Let go of the memoized snapshot first: a change then copies
+            // a map only while a reader or the BEGIN image still holds it.
+            self.published.borrow_mut().take();
+        }
         let out = crate::exec::exec_stmt(self, stmt, params, trigger);
         if Self::loggable(stmt) {
             // Conservatively also on error: a failed multi-row statement
@@ -655,7 +662,7 @@ impl Database {
             }
         }
         // Only a database with a heap attached can hold a paged table.
-        if self.heap.is_some() && self.catalog.tables.values().any(|t| t.is_paged()) {
+        if self.catalog.heap.is_some() && self.catalog.tables.values().any(|t| t.is_paged()) {
             return None;
         }
         let snap = Arc::new(DbSnapshot {
@@ -681,7 +688,7 @@ impl Database {
         &self,
         stmt: &SelectStmt,
         params: &[Value],
-        trigger: Option<&TriggerCtx>,
+        trigger: Option<&TriggerCtx<'_>>,
         cache: &SubqueryCache,
         depth: usize,
     ) -> SqlResult<ResultSet> {
@@ -722,7 +729,9 @@ impl Database {
     }
 
     /// Rolls back the open transaction: the catalog captured at BEGIN
-    /// becomes the catalog again, every table, view and trigger with it.
+    /// becomes the catalog again, every table, view and trigger with it,
+    /// and the heap setting too (a heap attached inside the transaction is
+    /// detached again, as the tables it paged are restored resident).
     pub fn rollback(&mut self) -> SqlResult<()> {
         self.catalog = self.begin.take().ok_or_else(|| {
             SqlError::Unsupported("cannot rollback - no transaction is active".into())
@@ -761,24 +770,24 @@ impl Database {
 
     /// Returns true if a base table with this name exists.
     pub fn has_table(&self, name: &str) -> bool {
-        self.catalog.tables.contains_key(&key(name))
+        self.catalog.tables.contains_key(&*key(name))
     }
 
     /// Returns true if a view with this name exists.
     pub fn has_view(&self, name: &str) -> bool {
-        self.catalog.views.contains_key(&key(name))
+        self.catalog.views.contains_key(&*key(name))
     }
 
     /// Returns true if a trigger with this name exists.
     pub fn has_trigger(&self, name: &str) -> bool {
-        self.catalog.triggers.contains_key(&key(name))
+        self.catalog.triggers.contains_key(&*key(name))
     }
 
     /// Returns a base table by name.
     pub fn table(&self, name: &str) -> SqlResult<&Table> {
         self.catalog
             .tables
-            .get(&key(name))
+            .get(&*key(name))
             .map(|t| &**t)
             .ok_or_else(|| SqlError::NoSuchTable(name.to_string()))
     }
@@ -791,7 +800,7 @@ impl Database {
         self.note_mutation();
         let k = key(name);
         let live = Arc::make_mut(&mut self.catalog.tables)
-            .get_mut(&k)
+            .get_mut(&*k)
             .ok_or_else(|| SqlError::NoSuchTable(name.to_string()))?;
         Ok(own_table(&k, live, self.begin.as_mut()))
     }
@@ -804,7 +813,8 @@ impl Database {
 
     /// Registers a new table, which must not exist yet.
     pub(crate) fn create_table(&mut self, name: &str, table: Table) {
-        let prev = Arc::make_mut(&mut self.catalog.tables).insert(key(name), Arc::new(table));
+        let prev =
+            Arc::make_mut(&mut self.catalog.tables).insert(key(name).into_owned(), Arc::new(table));
         debug_assert!(prev.is_none(), "create_table over an existing table {name}");
     }
 
@@ -813,8 +823,8 @@ impl Database {
     /// copied.
     pub(crate) fn drop_table(&mut self, name: &str) -> bool {
         let k = key(name);
-        self.catalog.tables.contains_key(&k)
-            && Arc::make_mut(&mut self.catalog.tables).remove(&k).is_some()
+        self.catalog.tables.contains_key(&*k)
+            && Arc::make_mut(&mut self.catalog.tables).remove(&*k).is_some()
     }
 
     /// Attaches a device-backed heap tier: every table (existing and
@@ -829,16 +839,18 @@ impl Database {
         for (k, live) in Arc::make_mut(&mut self.catalog.tables).iter_mut() {
             own_table(k, live, self.begin.as_mut()).attach_heap(cfg.clone());
         }
-        self.heap = Some(cfg);
+        self.catalog.heap = Some(cfg);
     }
 
     /// Returns a view definition by name.
     pub fn view(&self, name: &str) -> SqlResult<&ViewDef> {
-        self.catalog
-            .views
-            .get(&key(name))
-            .map(|v| v.as_ref())
-            .ok_or_else(|| SqlError::NoSuchTable(name.to_string()))
+        self.view_def(name).map(|v| v.as_ref())
+    }
+
+    /// Returns a view definition by name as the catalog holds it, so a
+    /// caller that goes on to change the database can keep it by `Arc`.
+    pub(crate) fn view_def(&self, name: &str) -> SqlResult<&Arc<ViewDef>> {
+        self.catalog.views.get(&*key(name)).ok_or_else(|| SqlError::NoSuchTable(name.to_string()))
     }
 
     /// Returns the trigger attached to `view_name` for `event`, if any.
@@ -846,22 +858,31 @@ impl Database {
     /// generation (every trigger create/drop and rollback bumps the
     /// generation), so the lookup does not scan the trigger catalog.
     pub fn trigger_for(&self, view_name: &str, event: TriggerEvent) -> Option<&TriggerDef> {
+        self.trigger_def(view_name, event).map(|t| t.as_ref())
+    }
+
+    /// [`Database::trigger_for`], returning the trigger as the catalog
+    /// holds it, so a caller that goes on to change the database can keep
+    /// it (and run its body) by `Arc`.
+    pub(crate) fn trigger_def(
+        &self,
+        view_name: &str,
+        event: TriggerEvent,
+    ) -> Option<&Arc<TriggerDef>> {
         let gen = self.catalog_generation();
-        let name = {
-            let mut memo = self.trigger_memo.borrow_mut();
-            if !matches!(memo.as_ref(), Some((g, _)) if *g == gen) {
-                let mut ix = BTreeMap::new();
-                for (name, t) in self.catalog.triggers.iter() {
-                    // entry(): first trigger in name order wins, matching
-                    // the previous linear scan.
-                    ix.entry((t.on.clone(), t.event)).or_insert_with(|| name.clone());
-                }
-                *memo = Some((gen, ix));
+        let mut memo = self.trigger_memo.borrow_mut();
+        if !matches!(memo.as_ref(), Some((g, _)) if *g == gen) {
+            let mut ix: BTreeMap<String, BTreeMap<TriggerEvent, String>> = BTreeMap::new();
+            for (name, t) in self.catalog.triggers.iter() {
+                // entry(): first trigger in name order wins, matching the
+                // previous linear scan.
+                ix.entry(t.on.clone()).or_default().entry(t.event).or_insert_with(|| name.clone());
             }
-            let (_, ix) = memo.as_ref().expect("just populated");
-            ix.get(&(key(view_name), event)).cloned()
-        };
-        self.catalog.triggers.get(&name?).map(|t| t.as_ref())
+            *memo = Some((gen, ix));
+        }
+        let (_, ix) = memo.as_ref().expect("just populated");
+        let name = ix.get(&*key(view_name))?.get(&event)?;
+        self.catalog.triggers.get(name)
     }
 
     /// Lists base table names (lowercased keys).
@@ -911,10 +932,10 @@ impl Database {
 
     /// Returns output column names for a table or view.
     pub fn relation_columns(&self, name: &str) -> SqlResult<Vec<String>> {
-        if let Some(t) = self.catalog.tables.get(&key(name)) {
-            return Ok(t.schema.column_names());
+        if let Some(t) = self.catalog.tables.get(&*key(name)) {
+            return Ok(t.schema.column_names().to_vec());
         }
-        if let Some(v) = self.catalog.views.get(&key(name)) {
+        if let Some(v) = self.catalog.views.get(&*key(name)) {
             return Ok(v.columns.clone());
         }
         Err(SqlError::NoSuchTable(name.to_string()))
@@ -937,9 +958,15 @@ fn own_table<'a>(k: &str, live: &'a mut Arc<Table>, begin: Option<&mut Catalog>)
     Arc::make_mut(live)
 }
 
-/// Normalizes an object name to its registry key.
-pub(crate) fn key(name: &str) -> String {
-    name.to_ascii_lowercase()
+/// Normalizes an object name to its registry key, borrowing a name that
+/// is already lowercase (every name the COW proxy generates), so a lookup
+/// allocates only for a mixed-case name.
+pub(crate) fn key(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
+    }
 }
 
 /// Lowers a [`Value`] into its journal-record form.
@@ -1128,6 +1155,11 @@ pub(crate) mod tests {
         db.rollback().unwrap();
         assert!(db.has_table("t"));
         assert_eq!(db.table("t").unwrap().schema.column_names(), ["_id", "v"]);
+    }
+
+    /// The address of `c`'s table map, to tell whether a write copied it.
+    pub(crate) fn table_map(c: &Catalog) -> *const BTreeMap<String, Arc<Table>> {
+        Arc::as_ptr(&c.tables)
     }
 
     /// Which of the table, view and trigger maps `a` and `b` share.

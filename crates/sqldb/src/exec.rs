@@ -5,7 +5,7 @@ use crate::ast::{
 };
 use crate::db::{key, Database, ExecOutcome, ResultSet, TriggerDef, ViewDef, MAX_DEPTH};
 use crate::error::{SqlError, SqlResult};
-use crate::expr::{eval, EvalEnv, RowScope, SubqueryCache, TriggerCtx};
+use crate::expr::{eval, eval_ref, EvalEnv, RowScope, SubqueryCache, TriggerCtx};
 use crate::planner::{bind_access_plan, AccessPath};
 use crate::table::{Table, TableSchema};
 use crate::value::Value;
@@ -20,11 +20,11 @@ pub fn exec_stmt(
     db: &mut Database,
     stmt: &Stmt,
     params: &[Value],
-    trigger: Option<&TriggerCtx>,
+    trigger: Option<&TriggerCtx<'_>>,
 ) -> SqlResult<ExecOutcome> {
     match stmt {
         Stmt::CreateTable { name, if_not_exists, columns } => {
-            if db.tables().contains_key(&key(name)) || db.catalog.views.contains_key(&key(name)) {
+            if db.tables().contains_key(&*key(name)) || db.catalog.views.contains_key(&*key(name)) {
                 if *if_not_exists {
                     return Ok(ExecOutcome::ddl());
                 }
@@ -32,7 +32,7 @@ pub fn exec_stmt(
             }
             let schema = TableSchema::new(name.clone(), columns.clone())?;
             let mut table = Table::new(schema);
-            if let Some(cfg) = &db.heap {
+            if let Some(cfg) = &db.catalog.heap {
                 table.attach_heap(cfg.clone());
             }
             db.create_table(name, table);
@@ -40,7 +40,7 @@ pub fn exec_stmt(
             Ok(ExecOutcome::ddl())
         }
         Stmt::CreateView { name, if_not_exists, select } => {
-            if db.tables().contains_key(&key(name)) || db.catalog.views.contains_key(&key(name)) {
+            if db.tables().contains_key(&*key(name)) || db.catalog.views.contains_key(&*key(name)) {
                 if *if_not_exists {
                     return Ok(ExecOutcome::ddl());
                 }
@@ -48,30 +48,30 @@ pub fn exec_stmt(
             }
             let columns = view_output_columns(db, select)?;
             Arc::make_mut(&mut db.catalog.views).insert(
-                key(name),
+                key(name).into_owned(),
                 Arc::new(ViewDef { name: name.clone(), select: select.clone(), columns }),
             );
             db.bump_catalog_generation();
             Ok(ExecOutcome::ddl())
         }
         Stmt::CreateTrigger { name, if_not_exists, event, on, body } => {
-            if db.catalog.triggers.contains_key(&key(name)) {
+            if db.catalog.triggers.contains_key(&*key(name)) {
                 if *if_not_exists {
                     return Ok(ExecOutcome::ddl());
                 }
                 return Err(SqlError::AlreadyExists(name.clone()));
             }
-            if !db.catalog.views.contains_key(&key(on)) {
+            if !db.catalog.views.contains_key(&*key(on)) {
                 return Err(SqlError::Unsupported(format!(
                     "INSTEAD OF trigger requires a view, {on} is not one"
                 )));
             }
             Arc::make_mut(&mut db.catalog.triggers).insert(
-                key(name),
+                key(name).into_owned(),
                 Arc::new(TriggerDef {
                     name: name.clone(),
                     event: *event,
-                    on: key(on),
+                    on: key(on).into_owned(),
                     body: body.clone(),
                 }),
             );
@@ -86,7 +86,7 @@ pub fn exec_stmt(
                 }
                 return Err(SqlError::AlreadyExists(format!("index {name}")));
             }
-            if !db.tables().contains_key(&key(table)) {
+            if !db.tables().contains_key(&*key(table)) {
                 return Err(SqlError::NoSuchTable(table.clone()));
             }
             db.table_mut(table)?.create_index(name, column, *unique)?;
@@ -120,27 +120,27 @@ pub fn exec_stmt(
         }
         Stmt::DropView { name, if_exists } => {
             let k = key(name);
-            if !db.catalog.views.contains_key(&k) {
+            if !db.catalog.views.contains_key(&*k) {
                 if !*if_exists {
                     return Err(SqlError::NoSuchTable(name.clone()));
                 }
                 return Ok(ExecOutcome::ddl());
             }
-            Arc::make_mut(&mut db.catalog.views).remove(&k);
+            Arc::make_mut(&mut db.catalog.views).remove(&*k);
             // Triggers on the view are dropped with it, like SQLite.
-            Arc::make_mut(&mut db.catalog.triggers).retain(|_, t| t.on != k);
+            Arc::make_mut(&mut db.catalog.triggers).retain(|_, t| t.on != *k);
             db.bump_catalog_generation();
             Ok(ExecOutcome::ddl())
         }
         Stmt::DropTrigger { name, if_exists } => {
             let k = key(name);
-            if !db.catalog.triggers.contains_key(&k) {
+            if !db.catalog.triggers.contains_key(&*k) {
                 if !*if_exists {
                     return Err(SqlError::NoSuchTrigger(name.clone()));
                 }
                 return Ok(ExecOutcome::ddl());
             }
-            Arc::make_mut(&mut db.catalog.triggers).remove(&k);
+            Arc::make_mut(&mut db.catalog.triggers).remove(&*k);
             db.bump_catalog_generation();
             Ok(ExecOutcome::ddl())
         }
@@ -219,7 +219,7 @@ pub fn exec_select(
     db: &Database,
     stmt: &SelectStmt,
     params: &[Value],
-    trigger: Option<&TriggerCtx>,
+    trigger: Option<&TriggerCtx<'_>>,
     cache: &SubqueryCache,
     depth: usize,
 ) -> SqlResult<ResultSet> {
@@ -242,7 +242,7 @@ fn exec_select_plain(
     db: &Database,
     stmt: &SelectStmt,
     params: &[Value],
-    trigger: Option<&TriggerCtx>,
+    trigger: Option<&TriggerCtx<'_>>,
     cache: &SubqueryCache,
     depth: usize,
 ) -> SqlResult<ResultSet> {
@@ -264,7 +264,11 @@ fn exec_select_plain(
                 message: "SELECTs to the left and right of UNION ALL do not have the same number of result columns".into(),
             });
         }
-        rows.append(&mut core_rows);
+        if rows.is_empty() {
+            rows = core_rows;
+        } else {
+            rows.append(&mut core_rows);
+        }
     }
     // Sorting.
     if !stmt.order_by.is_empty() {
@@ -353,11 +357,12 @@ fn resolve_output_order_term(
     }
 }
 
-/// A FROM source bound for the nested-loop join. Base-table rows are
-/// borrowed straight out of storage; only view results are owned.
+/// A FROM source bound for the nested-loop join. Names are borrowed from
+/// the statement and the catalog; base-table rows are borrowed straight
+/// out of storage, and only view results are owned.
 struct Source<'a> {
-    binding: String,
-    columns: Vec<String>,
+    binding: &'a str,
+    columns: &'a [String],
     rows: Vec<Cow<'a, [Value]>>,
 }
 
@@ -378,19 +383,18 @@ fn exec_core(
     // FROM-less SELECT (e.g. `SELECT 1`).
     if core.from.is_empty() {
         let scope = RowScope::empty();
-        if let Some(w) = &core.where_clause {
-            if eval(w, &scope, env)?.truthiness() != Some(true) {
-                return Ok((project_names(core, &scope)?, Vec::new()));
-            }
+        if !passes(core.where_clause.as_ref(), &scope, env)? {
+            return Ok((project_names(core, &scope)?, Vec::new()));
         }
-        let (names, row) = project(core, &scope, env)?;
+        let row = project(core, &scope, env)?;
+        let names = project_names(core, &scope)?;
         let keys = sort_keys(order_by, &scope, &row, &names, env)?;
         return Ok((names, vec![(row, keys)]));
     }
 
     // Fast path: single base table, no aggregate — stream rows without
     // materializing the whole table, using pk point lookups when possible.
-    if core.from.len() == 1 && db.tables().contains_key(&key(&core.from[0].name)) {
+    if core.from.len() == 1 && db.tables().contains_key(&*key(&core.from[0].name)) {
         return exec_core_single_table(db, core, order_by, aggregate, env);
     }
 
@@ -399,22 +403,22 @@ fn exec_core(
     let mut sources = Vec::new();
     for tref in &core.from {
         let k = key(&tref.name);
-        if let Some(t) = db.tables().get(&k) {
+        if let Some(t) = db.tables().get(&*k) {
             // Resident rows are borrowed from storage; paged tables
             // decode into owned rows — the Cow absorbs both.
             let rows: Vec<Cow<'_, [Value]>> = t.iter().map(|(_, r)| r).collect();
             db.stats.rows_scanned.set(db.stats.rows_scanned.get() + rows.len() as u64);
             sources.push(Source {
-                binding: tref.binding().to_string(),
+                binding: tref.binding(),
                 columns: t.schema.column_names(),
                 rows,
             });
-        } else if let Some(v) = db.catalog.views.get(&k) {
+        } else if let Some(v) = db.catalog.views.get(&*k) {
             db.stats.materialized_views.set(db.stats.materialized_views.get() + 1);
             let rs = exec_select(db, &v.select, env.params, env.trigger, env.cache, env.depth + 1)?;
             sources.push(Source {
-                binding: tref.binding().to_string(),
-                columns: v.columns.clone(),
+                binding: tref.binding(),
+                columns: &v.columns,
                 rows: rs.rows.into_iter().map(Cow::Owned).collect(),
             });
         } else {
@@ -422,7 +426,12 @@ fn exec_core(
         }
     }
 
-    let mut out: Vec<(Vec<Value>, Option<Vec<Value>>)> = Vec::new();
+    // One scope for the whole join: each combination rebinds its rows.
+    let mut scope = RowScope::empty();
+    for s in &sources {
+        scope.push_ref(s.binding, s.columns, s.rows.first().map_or(&[][..], |r| &**r));
+    }
+    let mut out: KeyedRows = Vec::new();
     let mut matched_scopes: Vec<RowScope> = Vec::new();
     let mut names: Option<Vec<String>> = None;
     let mut index = vec![0usize; sources.len()];
@@ -431,24 +440,20 @@ fn exec_core(
         if sources.iter().any(|s| s.rows.is_empty()) {
             break;
         }
-        let mut scope = RowScope::empty();
         for (si, s) in sources.iter().enumerate() {
-            scope.push_ref(&s.binding, &s.columns, &s.rows[index[si]]);
+            scope.set_row(si, &s.rows[index[si]]);
         }
-        let pass = match &core.where_clause {
-            Some(w) => eval(w, &scope, env)?.truthiness() == Some(true),
-            None => true,
-        };
-        if pass {
+        if passes(core.where_clause.as_ref(), &scope, env)? {
             db.stats.rows_cloned.set(db.stats.rows_cloned.get() + 1);
             if aggregate {
-                matched_scopes.push(scope);
+                matched_scopes.push(scope.clone());
             } else {
-                let (n, row) = project(core, &scope, env)?;
-                let keys = sort_keys(order_by, &scope, &row, &n, env)?;
+                let row = project(core, &scope, env)?;
                 if names.is_none() {
-                    names = Some(n);
+                    names = Some(project_names(core, &scope)?);
                 }
+                let out_names = names.as_deref().expect("named by the first projected row");
+                let keys = sort_keys(order_by, &scope, &row, out_names, env)?;
                 out.push((row, keys));
             }
         }
@@ -468,26 +473,19 @@ fn exec_core(
     }
 
     if aggregate {
-        let template = {
-            let mut scope = RowScope::empty();
-            for s in &sources {
-                scope.push(&s.binding, s.columns.clone(), vec![Value::Null; s.columns.len()]);
-            }
-            scope
-        };
+        let nulls: Vec<Vec<Value>> =
+            sources.iter().map(|s| vec![Value::Null; s.columns.len()]).collect();
+        let mut template = RowScope::empty();
+        for (s, row) in sources.iter().zip(&nulls) {
+            template.push_ref(s.binding, s.columns, row);
+        }
         return grouped_rows(core, order_by, matched_scopes, &template, env);
     }
 
     let names = match names {
         Some(n) => n,
-        None => {
-            // No rows matched; compute names from an all-NULL scope.
-            let mut scope = RowScope::empty();
-            for s in &sources {
-                scope.push(&s.binding, s.columns.clone(), vec![Value::Null; s.columns.len()]);
-            }
-            project_names(core, &scope)?
-        }
+        // No rows matched; the names come from the bindings alone.
+        None => project_names(core, &scope)?,
     };
     if core.distinct {
         dedupe_rows(&mut out);
@@ -495,10 +493,20 @@ fn exec_core(
     Ok((names, out))
 }
 
+/// True when the row bound in `scope` passes `where_clause` (an absent
+/// clause passes every row).
+fn passes(where_clause: Option<&Expr>, scope: &RowScope, env: &EvalEnv<'_>) -> SqlResult<bool> {
+    match where_clause {
+        Some(w) => Ok(eval_ref(w, scope, env)?.truthiness() == Some(true)),
+        None => Ok(true),
+    }
+}
+
 /// Single-table core execution with access-path selection: rowid point
-/// probes, secondary-index probes, or a full scan as a last resort. Rows
-/// are bound by reference; only rows surviving the WHERE filter are
-/// materialized (counted by `db.stats.rows_cloned`).
+/// probes, secondary-index probes, or a full scan as a last resort. One
+/// scope serves the whole access: each candidate row is bound by
+/// reference, and only rows surviving the WHERE filter are materialized
+/// (counted by `db.stats.rows_cloned`).
 fn exec_core_single_table(
     db: &Database,
     core: &SelectCore,
@@ -507,53 +515,52 @@ fn exec_core_single_table(
     env: &EvalEnv<'_>,
 ) -> SqlResult<(Vec<String>, KeyedRows)> {
     let tref = &core.from[0];
-    let table = db.tables().get(&key(&tref.name)).expect("checked by caller");
-    let binding = tref.binding().to_string();
+    let table = db.tables().get(&*key(&tref.name)).expect("checked by caller");
+    let binding = tref.binding();
     let columns = table.schema.column_names();
 
-    let probed = probe_access_path(db, table, &binding, core.where_clause.as_ref(), env)?;
+    let probed = probe_access_path(db, table, binding, core.where_clause.as_ref(), env)?;
     let candidate_rows: Vec<Cow<'_, [Value]>> = match &probed {
-        Some(ids) => ids.iter().filter_map(|id| table.get(*id)).collect(),
+        Some(ids) => {
+            let mut rows = Vec::with_capacity(ids.len());
+            rows.extend(ids.iter().filter_map(|id| table.get(*id)));
+            rows
+        }
         None => table.iter().map(|(_, r)| r).collect(),
     };
 
-    let mut out = Vec::new();
+    // A probe's candidates bound the output; a full scan's do not.
+    let mut out = Vec::with_capacity(if probed.is_some() { candidate_rows.len() } else { 0 });
     let mut matched_scopes = Vec::new();
     let mut names: Option<Vec<String>> = None;
+    let mut scope = RowScope::single_ref(binding, columns, &[]);
     for row in &candidate_rows {
-        let scope = RowScope::single_ref(&binding, &columns, row);
-        let pass = match &core.where_clause {
-            Some(w) => eval(w, &scope, env)?.truthiness() == Some(true),
-            None => true,
-        };
-        if !pass {
+        scope.set_row(0, row);
+        if !passes(core.where_clause.as_ref(), &scope, env)? {
             continue;
         }
         db.stats.rows_cloned.set(db.stats.rows_cloned.get() + 1);
         if aggregate {
-            matched_scopes.push(scope);
+            matched_scopes.push(scope.clone());
         } else {
-            let (n, out_row) = project(core, &scope, env)?;
-            let keys = sort_keys(order_by, &scope, &out_row, &n, env)?;
+            let out_row = project(core, &scope, env)?;
             if names.is_none() {
-                names = Some(n);
+                names = Some(project_names(core, &scope)?);
             }
+            let out_names = names.as_deref().expect("named by the first projected row");
+            let keys = sort_keys(order_by, &scope, &out_row, out_names, env)?;
             out.push((out_row, keys));
         }
     }
 
     if aggregate {
-        let template =
-            RowScope::single(&binding, columns.clone(), vec![Value::Null; columns.len()]);
+        let nulls = vec![Value::Null; columns.len()];
+        let template = RowScope::single_ref(binding, columns, &nulls);
         return grouped_rows(core, order_by, matched_scopes, &template, env);
     }
     let names = match names {
         Some(n) => n,
-        None => {
-            let scope =
-                RowScope::single(&binding, columns.clone(), vec![Value::Null; columns.len()]);
-            project_names(core, &scope)?
-        }
+        None => project_names(core, &scope)?,
     };
     if core.distinct {
         dedupe_rows(&mut out);
@@ -645,40 +652,36 @@ pub(crate) fn is_const(expr: &Expr) -> bool {
     }
 }
 
-/// Projects one row through the result columns.
-fn project(
-    core: &SelectCore,
-    scope: &RowScope,
-    env: &EvalEnv<'_>,
-) -> SqlResult<(Vec<String>, Vec<Value>)> {
-    let mut names = Vec::new();
-    let mut row = Vec::new();
+/// Projects the row bound in `scope` through the result columns: the one
+/// place a scanned row's values are copied.
+fn project(core: &SelectCore, scope: &RowScope, env: &EvalEnv<'_>) -> SqlResult<Vec<Value>> {
+    let width = core
+        .columns
+        .iter()
+        .map(|rc| match rc {
+            ResultColumn::Expr { .. } => 1,
+            _ => scope.width(),
+        })
+        .sum();
+    let mut row = Vec::with_capacity(width);
     for rc in &core.columns {
         match rc {
-            ResultColumn::Star => {
-                names.extend(scope.all_columns());
-                row.extend(scope.all_values());
-            }
-            ResultColumn::TableStar(t) => {
-                names.extend(scope.binding_columns(t)?);
-                row.extend(scope.binding_values(t)?);
-            }
-            ResultColumn::Expr { expr, alias } => {
-                names.push(output_name(expr, alias.as_deref()));
-                row.push(eval(expr, scope, env)?);
-            }
+            ResultColumn::Star => row.extend(scope.all_values().cloned()),
+            ResultColumn::TableStar(t) => row.extend_from_slice(scope.binding_values(t)?),
+            ResultColumn::Expr { expr, .. } => row.push(eval(expr, scope, env)?),
         }
     }
-    Ok((names, row))
+    Ok(row)
 }
 
-/// Computes just the output column names (for empty results).
+/// Computes the output column names, once per core: they depend on the
+/// bindings, not on the row.
 fn project_names(core: &SelectCore, scope: &RowScope) -> SqlResult<Vec<String>> {
     let mut names = Vec::new();
     for rc in &core.columns {
         match rc {
             ResultColumn::Star => names.extend(scope.all_columns()),
-            ResultColumn::TableStar(t) => names.extend(scope.binding_columns(t)?),
+            ResultColumn::TableStar(t) => names.extend_from_slice(scope.binding_columns(t)?),
             ResultColumn::Expr { expr, alias } => names.push(output_name(expr, alias.as_deref())),
         }
     }
@@ -944,7 +947,7 @@ fn exec_insert(
     source: &InsertSource,
     or_replace: bool,
     params: &[Value],
-    trigger: Option<&TriggerCtx>,
+    trigger: Option<&TriggerCtx<'_>>,
 ) -> SqlResult<ExecOutcome> {
     // Compute the rows to insert first (immutable phase).
     let value_rows: Vec<Vec<Value>> = {
@@ -967,7 +970,7 @@ fn exec_insert(
     };
 
     let tkey = key(table);
-    if db.tables().contains_key(&tkey) {
+    if db.tables().contains_key(&*tkey) {
         // Map provided columns to schema positions.
         let (schema_len, col_map): (usize, Vec<usize>) = {
             let t = db.table(table)?;
@@ -1006,15 +1009,12 @@ fn exec_insert(
         return Ok(ExecOutcome { rows: None, rows_affected: affected, last_insert_id: last_id });
     }
 
-    // INSERT into a view: fire its INSTEAD OF INSERT trigger per row.
-    if db.catalog.views.contains_key(&tkey) {
-        let (view_cols, body) = {
-            let v = db.view(table)?;
-            let trig = db
-                .trigger_for(table, TriggerEvent::Insert)
-                .ok_or_else(|| SqlError::ViewNotWritable(table.to_string()))?;
-            (v.columns.clone(), trig.body.clone())
-        };
+    // INSERT into a view: fire its INSTEAD OF INSERT trigger per row. The
+    // view and trigger are held by `Arc`, so the body and the view's
+    // columns are shared, not copied.
+    if db.catalog.views.contains_key(&*tkey) {
+        let (view, trig) = view_and_trigger(db, table, TriggerEvent::Insert)?;
+        let view_cols = &view.columns;
         let mut affected = 0;
         for vals in value_rows {
             let mut new_row = vec![Value::Null; view_cols.len()];
@@ -1038,8 +1038,8 @@ fn exec_insert(
                     new_row[idx] = v;
                 }
             }
-            let ctx = TriggerCtx { columns: view_cols.clone(), new: Some(new_row), old: None };
-            for stmt in &body {
+            let ctx = TriggerCtx { columns: view_cols, new: Some(new_row), old: None };
+            for stmt in &trig.body {
                 exec_stmt(db, stmt, &[], Some(&ctx))?;
             }
             affected += 1;
@@ -1048,6 +1048,19 @@ fn exec_insert(
     }
 
     Err(SqlError::NoSuchTable(table.to_string()))
+}
+
+/// The view `table` and its INSTEAD OF trigger for `event`, held by `Arc`
+/// so the trigger can run while the database changes.
+fn view_and_trigger(
+    db: &Database,
+    table: &str,
+    event: TriggerEvent,
+) -> SqlResult<(Arc<ViewDef>, Arc<TriggerDef>)> {
+    let view = Arc::clone(db.view_def(table)?);
+    let trig =
+        db.trigger_def(table, event).ok_or_else(|| SqlError::ViewNotWritable(table.to_string()))?;
+    Ok((view, Arc::clone(trig)))
 }
 
 /// Returns the rows UPDATE/DELETE must consider: a rowid point probe or
@@ -1061,7 +1074,9 @@ fn candidate_rows<'a>(
     env: &EvalEnv<'_>,
 ) -> SqlResult<Vec<(i64, Cow<'a, [Value]>)>> {
     if let Some(ids) = probe_access_path(db, t, binding, where_clause, env)? {
-        return Ok(ids.into_iter().filter_map(|id| t.get(id).map(|r| (id, r))).collect());
+        let mut rows = Vec::with_capacity(ids.len());
+        rows.extend(ids.into_iter().filter_map(|id| t.get(id).map(|r| (id, r))));
+        return Ok(rows);
     }
     Ok(t.iter().collect())
 }
@@ -1075,7 +1090,7 @@ fn view_rows_matching(
     view_name: &str,
     where_clause: Option<&Expr>,
     params: &[Value],
-    trigger: Option<&TriggerCtx>,
+    trigger: Option<&TriggerCtx<'_>>,
 ) -> SqlResult<Vec<Vec<Value>>> {
     let filtered = SelectStmt {
         cores: vec![SelectCore {
@@ -1100,10 +1115,10 @@ fn exec_update(
     sets: &[(String, Expr)],
     where_clause: Option<&Expr>,
     params: &[Value],
-    trigger: Option<&TriggerCtx>,
+    trigger: Option<&TriggerCtx<'_>>,
 ) -> SqlResult<ExecOutcome> {
     let tkey = key(table);
-    if db.tables().contains_key(&tkey) {
+    if db.tables().contains_key(&*tkey) {
         // Phase 1 (immutable): find matching rows and compute new values.
         let updates: Vec<(i64, Vec<Value>)> = {
             let cache = SubqueryCache::default();
@@ -1119,20 +1134,17 @@ fn exec_update(
             let set_idx = set_idx?;
             let mut ups = Vec::new();
             let candidates = candidate_rows(db, t, table, where_clause, &env)?;
-            for (rowid, row) in candidates {
-                let scope = RowScope::single_ref(table, &cols, &row);
-                let pass = match where_clause {
-                    Some(w) => eval(w, &scope, &env)?.truthiness() == Some(true),
-                    None => true,
-                };
-                if !pass {
+            let mut scope = RowScope::single_ref(table, cols, &[]);
+            for (rowid, row) in &candidates {
+                scope.set_row(0, row);
+                if !passes(where_clause, &scope, &env)? {
                     continue;
                 }
                 let mut new_row = row.to_vec();
                 for ((_, e), idx) in sets.iter().zip(&set_idx) {
                     new_row[*idx] = eval(e, &scope, &env)?;
                 }
-                ups.push((rowid, new_row));
+                ups.push((*rowid, new_row));
             }
             ups
         };
@@ -1144,37 +1156,34 @@ fn exec_update(
         return Ok(ExecOutcome { rows: None, rows_affected: affected, last_insert_id: None });
     }
 
-    if db.catalog.views.contains_key(&tkey) {
+    if db.catalog.views.contains_key(&*tkey) {
         // INSTEAD OF UPDATE: materialize matching view rows, fire trigger
         // with OLD = row, NEW = row + sets.
-        let (view_cols, body, matches) = {
-            let v = db.view(table)?;
-            let trig = db
-                .trigger_for(table, TriggerEvent::Update)
-                .ok_or_else(|| SqlError::ViewNotWritable(table.to_string()))?;
-            let rows = view_rows_matching(db, table, where_clause, params, trigger)?;
+        let (view, trig) = view_and_trigger(db, table, TriggerEvent::Update)?;
+        let olds = view_rows_matching(db, table, where_clause, params, trigger)?;
+        let mut news = Vec::with_capacity(olds.len());
+        {
             let cache = SubqueryCache::default();
             let env = EvalEnv { db, params, trigger, cache: &cache, depth: 0 };
-            let mut matched = Vec::new();
-            for row in rows {
-                let scope = RowScope::single_ref(table, &v.columns, &row);
+            let mut scope = RowScope::single_ref(table, &view.columns, &[]);
+            for row in &olds {
+                scope.set_row(0, row);
                 let mut new_row = row.clone();
                 for (c, e) in sets {
-                    let idx = v
+                    let idx = view
                         .columns
                         .iter()
                         .position(|vc| vc.eq_ignore_ascii_case(c))
                         .ok_or_else(|| SqlError::NoSuchColumn(c.clone()))?;
                     new_row[idx] = eval(e, &scope, &env)?;
                 }
-                matched.push((row, new_row));
+                news.push(new_row);
             }
-            (v.columns.clone(), trig.body.clone(), matched)
-        };
-        let affected = matches.len();
-        for (old, new) in matches {
-            let ctx = TriggerCtx { columns: view_cols.clone(), new: Some(new), old: Some(old) };
-            for stmt in &body {
+        }
+        let affected = olds.len();
+        for (old, new) in olds.into_iter().zip(news) {
+            let ctx = TriggerCtx { columns: &view.columns, new: Some(new), old: Some(old) };
+            for stmt in &trig.body {
                 exec_stmt(db, stmt, &[], Some(&ctx))?;
             }
         }
@@ -1189,10 +1198,10 @@ fn exec_delete(
     table: &str,
     where_clause: Option<&Expr>,
     params: &[Value],
-    trigger: Option<&TriggerCtx>,
+    trigger: Option<&TriggerCtx<'_>>,
 ) -> SqlResult<ExecOutcome> {
     let tkey = key(table);
-    if db.tables().contains_key(&tkey) {
+    if db.tables().contains_key(&*tkey) {
         let doomed: Vec<i64> = {
             let cache = SubqueryCache::default();
             let env = EvalEnv { db, params, trigger, cache: &cache, depth: 0 };
@@ -1200,14 +1209,11 @@ fn exec_delete(
             let cols = t.schema.column_names();
             let mut ids = Vec::new();
             let candidates = candidate_rows(db, t, table, where_clause, &env)?;
-            for (rowid, row) in candidates {
-                let scope = RowScope::single_ref(table, &cols, &row);
-                let pass = match where_clause {
-                    Some(w) => eval(w, &scope, &env)?.truthiness() == Some(true),
-                    None => true,
-                };
-                if pass {
-                    ids.push(rowid);
+            let mut scope = RowScope::single_ref(table, cols, &[]);
+            for (rowid, row) in &candidates {
+                scope.set_row(0, row);
+                if passes(where_clause, &scope, &env)? {
+                    ids.push(*rowid);
                 }
             }
             ids
@@ -1220,19 +1226,13 @@ fn exec_delete(
         return Ok(ExecOutcome { rows: None, rows_affected: affected, last_insert_id: None });
     }
 
-    if db.catalog.views.contains_key(&tkey) {
-        let (view_cols, body, matches) = {
-            let v = db.view(table)?;
-            let trig = db
-                .trigger_for(table, TriggerEvent::Delete)
-                .ok_or_else(|| SqlError::ViewNotWritable(table.to_string()))?;
-            let matched = view_rows_matching(db, table, where_clause, params, trigger)?;
-            (v.columns.clone(), trig.body.clone(), matched)
-        };
+    if db.catalog.views.contains_key(&*tkey) {
+        let (view, trig) = view_and_trigger(db, table, TriggerEvent::Delete)?;
+        let matches = view_rows_matching(db, table, where_clause, params, trigger)?;
         let affected = matches.len();
         for old in matches {
-            let ctx = TriggerCtx { columns: view_cols.clone(), new: None, old: Some(old) };
-            for stmt in &body {
+            let ctx = TriggerCtx { columns: &view.columns, new: None, old: Some(old) };
+            for stmt in &trig.body {
                 exec_stmt(db, stmt, &[], Some(&ctx))?;
             }
         }

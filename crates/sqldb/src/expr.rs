@@ -49,24 +49,25 @@ pub type SubqueryCache = RefCell<HashMap<usize, std::sync::Arc<MemberSet>>>;
 
 /// NEW/OLD row context inside an INSTEAD OF trigger body.
 #[derive(Debug, Clone)]
-pub struct TriggerCtx {
-    /// Column names shared by NEW and OLD.
-    pub columns: Vec<String>,
+pub struct TriggerCtx<'a> {
+    /// Column names shared by NEW and OLD: the view's, borrowed, so firing
+    /// a trigger once per row copies no names.
+    pub columns: &'a [String],
     /// NEW row (INSERT and UPDATE).
     pub new: Option<Vec<Value>>,
     /// OLD row (UPDATE and DELETE).
     pub old: Option<Vec<Value>>,
 }
 
-impl TriggerCtx {
-    fn lookup(&self, which: &str, name: &str) -> Option<Value> {
+impl TriggerCtx<'_> {
+    fn lookup(&self, which: &str, name: &str) -> Option<&Value> {
         let row = match which {
             _ if which.eq_ignore_ascii_case("new") => self.new.as_ref()?,
             _ if which.eq_ignore_ascii_case("old") => self.old.as_ref()?,
             _ => return None,
         };
         let idx = self.columns.iter().position(|c| c.eq_ignore_ascii_case(name))?;
-        Some(row[idx].clone())
+        Some(&row[idx])
     }
 
     /// Returns true when `which` names NEW or OLD.
@@ -78,12 +79,14 @@ impl TriggerCtx {
 /// The row scope an expression is evaluated against: one or more bound
 /// sources, each contributing named columns.
 ///
-/// Column names and row values are held as [`Cow`] slices so scan loops can
-/// bind rows straight out of table storage without cloning them first; only
-/// rows that survive the WHERE filter are ever materialized.
+/// Binding names, column names and row values are held as [`Cow`]s so a
+/// scan builds one scope per table access, borrowing the names from the
+/// statement and the schema, and rebinds each candidate row straight out
+/// of table storage ([`RowScope::set_row`]); only rows that survive the
+/// WHERE filter are ever materialized.
 #[derive(Debug, Clone, Default)]
 pub struct RowScope<'a> {
-    bindings: Vec<(String, Cow<'a, [String]>)>,
+    bindings: Vec<(Cow<'a, str>, Cow<'a, [String]>)>,
     values: Vec<Cow<'a, [Value]>>,
 }
 
@@ -95,40 +98,46 @@ impl<'a> RowScope<'a> {
 
     /// Creates a scope with a single owned source.
     pub fn single(binding: &str, columns: Vec<String>, row: Vec<Value>) -> Self {
-        RowScope {
-            bindings: vec![(binding.to_string(), Cow::Owned(columns))],
-            values: vec![Cow::Owned(row)],
-        }
+        let mut scope = RowScope::empty();
+        scope.push(binding, columns, row);
+        scope
     }
 
     /// Creates a scope with a single borrowed source (zero-copy scan path).
-    pub fn single_ref(binding: &str, columns: &'a [String], row: &'a [Value]) -> RowScope<'a> {
-        RowScope {
-            bindings: vec![(binding.to_string(), Cow::Borrowed(columns))],
-            values: vec![Cow::Borrowed(row)],
-        }
+    pub fn single_ref(binding: &'a str, columns: &'a [String], row: &'a [Value]) -> RowScope<'a> {
+        let mut scope = RowScope::empty();
+        scope.push_ref(binding, columns, row);
+        scope
     }
 
     /// Adds an owned source to the scope.
     pub fn push(&mut self, binding: &str, columns: Vec<String>, row: Vec<Value>) {
-        self.bindings.push((binding.to_string(), Cow::Owned(columns)));
+        self.bindings.push((Cow::Owned(binding.to_string()), Cow::Owned(columns)));
         self.values.push(Cow::Owned(row));
     }
 
     /// Adds a borrowed source to the scope (zero-copy scan path).
-    pub fn push_ref(&mut self, binding: &str, columns: &'a [String], row: &'a [Value]) {
-        self.bindings.push((binding.to_string(), Cow::Borrowed(columns)));
+    pub fn push_ref(&mut self, binding: &'a str, columns: &'a [String], row: &'a [Value]) {
+        self.bindings.push((Cow::Borrowed(binding), Cow::Borrowed(columns)));
         self.values.push(Cow::Borrowed(row));
     }
 
-    /// Resolves a (possibly qualified) column reference.
-    pub fn resolve(&self, table: Option<&str>, name: &str) -> SqlResult<Value> {
+    /// Binds source `source` (in push order) to another row of its
+    /// relation: a scan binds each candidate row this way instead of
+    /// building a scope per row.
+    pub fn set_row(&mut self, source: usize, row: &'a [Value]) {
+        self.values[source] = Cow::Borrowed(row);
+    }
+
+    /// Resolves a (possibly qualified) column reference to the bound
+    /// value.
+    pub fn lookup(&self, table: Option<&str>, name: &str) -> SqlResult<&Value> {
         match table {
             Some(t) => {
                 for (i, (binding, cols)) in self.bindings.iter().enumerate() {
                     if binding.eq_ignore_ascii_case(t) {
                         if let Some(ci) = cols.iter().position(|c| c.eq_ignore_ascii_case(name)) {
-                            return Ok(self.values[i][ci].clone());
+                            return Ok(&self.values[i][ci]);
                         }
                         return Err(SqlError::NoSuchColumn(format!("{t}.{name}")));
                     }
@@ -136,7 +145,7 @@ impl<'a> RowScope<'a> {
                 Err(SqlError::NoSuchColumn(format!("{t}.{name}")))
             }
             None => {
-                let mut found: Option<Value> = None;
+                let mut found: Option<&Value> = None;
                 for (i, (_, cols)) in self.bindings.iter().enumerate() {
                     if let Some(ci) = cols.iter().position(|c| c.eq_ignore_ascii_case(name)) {
                         if found.is_some() {
@@ -144,7 +153,7 @@ impl<'a> RowScope<'a> {
                                 "ambiguous column name: {name}"
                             )));
                         }
-                        found = Some(self.values[i][ci].clone());
+                        found = Some(&self.values[i][ci]);
                     }
                 }
                 found.ok_or_else(|| SqlError::NoSuchColumn(name.to_string()))
@@ -152,9 +161,20 @@ impl<'a> RowScope<'a> {
         }
     }
 
+    /// Resolves a (possibly qualified) column reference to a copy of the
+    /// bound value.
+    pub fn resolve(&self, table: Option<&str>, name: &str) -> SqlResult<Value> {
+        self.lookup(table, name).cloned()
+    }
+
     /// Returns all column values in binding order (for `*` expansion).
-    pub fn all_values(&self) -> Vec<Value> {
-        self.values.iter().flat_map(|v| v.iter().cloned()).collect()
+    pub fn all_values(&self) -> impl Iterator<Item = &Value> + '_ {
+        self.values.iter().flat_map(|v| v.iter())
+    }
+
+    /// Number of values bound across all sources.
+    pub fn width(&self) -> usize {
+        self.values.iter().map(|v| v.len()).sum()
     }
 
     /// Returns all column names in binding order.
@@ -163,20 +183,20 @@ impl<'a> RowScope<'a> {
     }
 
     /// Returns column names for one binding.
-    pub fn binding_columns(&self, binding: &str) -> SqlResult<Vec<String>> {
+    pub fn binding_columns(&self, binding: &str) -> SqlResult<&[String]> {
         self.bindings
             .iter()
             .find(|(b, _)| b.eq_ignore_ascii_case(binding))
-            .map(|(_, c)| c.to_vec())
+            .map(|(_, c)| &**c)
             .ok_or_else(|| SqlError::NoSuchTable(binding.to_string()))
     }
 
     /// Returns column values for one binding.
-    pub fn binding_values(&self, binding: &str) -> SqlResult<Vec<Value>> {
+    pub fn binding_values(&self, binding: &str) -> SqlResult<&[Value]> {
         self.bindings
             .iter()
             .position(|(b, _)| b.eq_ignore_ascii_case(binding))
-            .map(|i| self.values[i].to_vec())
+            .map(|i| &*self.values[i])
             .ok_or_else(|| SqlError::NoSuchTable(binding.to_string()))
     }
 }
@@ -188,40 +208,59 @@ pub struct EvalEnv<'a> {
     /// Positional parameters (1-based).
     pub params: &'a [Value],
     /// Trigger NEW/OLD context, when inside a trigger body.
-    pub trigger: Option<&'a TriggerCtx>,
+    pub trigger: Option<&'a TriggerCtx<'a>>,
     /// Per-statement subquery cache.
     pub cache: &'a SubqueryCache,
     /// View-expansion recursion depth.
     pub depth: usize,
 }
 
-/// Evaluates an expression against a row scope.
-pub fn eval(expr: &Expr, scope: &RowScope, env: &EvalEnv<'_>) -> SqlResult<Value> {
+/// Evaluates an expression against a row scope, borrowing a column
+/// reference, parameter or literal instead of copying it. Comparisons,
+/// `IN`, `BETWEEN`, `LIKE` and the logical operators read their operands
+/// this way, so a predicate over a scanned row copies no value; owned
+/// values are made only for output rows, SET values and trigger rows.
+pub fn eval_ref<'v>(
+    expr: &'v Expr,
+    scope: &'v RowScope<'_>,
+    env: &'v EvalEnv<'_>,
+) -> SqlResult<Cow<'v, Value>> {
     match expr {
-        Expr::Literal(v) => Ok(v.clone()),
+        Expr::Literal(v) => Ok(Cow::Borrowed(v)),
         Expr::Param(i) => env
             .params
             .get(i.checked_sub(1).ok_or(SqlError::MissingParam(0))?)
-            .cloned()
+            .map(Cow::Borrowed)
             .ok_or(SqlError::MissingParam(*i)),
         Expr::Column { table, name } => {
             if let (Some(t), Some(trig)) = (table.as_deref(), env.trigger) {
                 if TriggerCtx::is_pseudo_table(t) {
                     return trig
                         .lookup(t, name)
+                        .map(Cow::Borrowed)
                         .ok_or_else(|| SqlError::NoSuchColumn(format!("{t}.{name}")));
                 }
             }
-            scope.resolve(table.as_deref(), name)
+            scope.lookup(table.as_deref(), name).map(Cow::Borrowed)
+        }
+        other => eval(other, scope, env).map(Cow::Owned),
+    }
+}
+
+/// Evaluates an expression against a row scope.
+pub fn eval(expr: &Expr, scope: &RowScope, env: &EvalEnv<'_>) -> SqlResult<Value> {
+    match expr {
+        Expr::Literal(_) | Expr::Param(_) | Expr::Column { .. } => {
+            eval_ref(expr, scope, env).map(Cow::into_owned)
         }
         Expr::Unary(op, inner) => {
-            let v = eval(inner, scope, env)?;
+            let v = eval_ref(inner, scope, env)?;
             match op {
-                UnOp::Neg => match v {
+                UnOp::Neg => match &*v {
                     Value::Null => Ok(Value::Null),
                     // -i64::MIN does not fit: it becomes REAL, as in SQLite.
                     Value::Integer(i) => {
-                        Ok(i.checked_neg().map_or(Value::Real(-(i as f64)), Value::Integer))
+                        Ok(i.checked_neg().map_or(Value::Real(-(*i as f64)), Value::Integer))
                     }
                     Value::Real(r) => Ok(Value::Real(-r)),
                     other => other
@@ -237,17 +276,17 @@ pub fn eval(expr: &Expr, scope: &RowScope, env: &EvalEnv<'_>) -> SqlResult<Value
         }
         Expr::Binary(op, l, r) => eval_binary(*op, l, r, scope, env),
         Expr::IsNull { expr, negated } => {
-            let v = eval(expr, scope, env)?;
+            let v = eval_ref(expr, scope, env)?;
             Ok(Value::Integer((v.is_null() != *negated) as i64))
         }
         Expr::InList { expr, list, negated } => {
-            let v = eval(expr, scope, env)?;
+            let v = eval_ref(expr, scope, env)?;
             if v.is_null() {
                 return Ok(Value::Null);
             }
             let mut saw_null = false;
             for item in list {
-                let iv = eval(item, scope, env)?;
+                let iv = eval_ref(item, scope, env)?;
                 match v.sql_eq(&iv) {
                     Some(true) => return Ok(Value::Integer(!*negated as i64)),
                     Some(false) => {}
@@ -261,7 +300,7 @@ pub fn eval(expr: &Expr, scope: &RowScope, env: &EvalEnv<'_>) -> SqlResult<Value
             }
         }
         Expr::InSelect { expr, select, negated } => {
-            let v = eval(expr, scope, env)?;
+            let v = eval_ref(expr, scope, env)?;
             if v.is_null() {
                 return Ok(Value::Null);
             }
@@ -269,7 +308,7 @@ pub fn eval(expr: &Expr, scope: &RowScope, env: &EvalEnv<'_>) -> SqlResult<Value
                 return Ok(Value::Integer((contains != *negated) as i64));
             }
             let set = member_set(select, env)?;
-            if set.values.contains(&OrdValue(v)) {
+            if set.values.contains(&OrdValue(v.into_owned())) {
                 Ok(Value::Integer(!*negated as i64))
             } else if set.has_null {
                 Ok(Value::Null)
@@ -278,20 +317,18 @@ pub fn eval(expr: &Expr, scope: &RowScope, env: &EvalEnv<'_>) -> SqlResult<Value
             }
         }
         Expr::Like { expr, pattern, negated } => {
-            let v = eval(expr, scope, env)?;
-            let p = eval(pattern, scope, env)?;
+            let v = eval_ref(expr, scope, env)?;
+            let p = eval_ref(pattern, scope, env)?;
             if v.is_null() || p.is_null() {
                 return Ok(Value::Null);
             }
-            let text = v.to_string();
-            let pat = p.to_string();
-            let matched = like_match(&pat, &text);
+            let matched = like_match(&text(&p), &text(&v));
             Ok(Value::Integer((matched != *negated) as i64))
         }
         Expr::Between { expr, low, high, negated } => {
-            let v = eval(expr, scope, env)?;
-            let lo = eval(low, scope, env)?;
-            let hi = eval(high, scope, env)?;
+            let v = eval_ref(expr, scope, env)?;
+            let lo = eval_ref(low, scope, env)?;
+            let hi = eval_ref(high, scope, env)?;
             let ge = v.sql_cmp(&lo).map(|o| o != Ordering::Less);
             let le = v.sql_cmp(&hi).map(|o| o != Ordering::Greater);
             match (ge, le) {
@@ -300,6 +337,14 @@ pub fn eval(expr: &Expr, scope: &RowScope, env: &EvalEnv<'_>) -> SqlResult<Value
             }
         }
         Expr::Call { name, args, star } => eval_scalar_fn(name, args, *star, scope, env),
+    }
+}
+
+/// The text of a value: borrowed for TEXT, rendered for anything else.
+fn text(v: &Value) -> Cow<'_, str> {
+    match v {
+        Value::Text(t) => Cow::Borrowed(t),
+        other => Cow::Owned(other.to_string()),
     }
 }
 
@@ -397,11 +442,11 @@ fn eval_binary(
     // Short-circuiting logical operators with three-valued logic.
     match op {
         BinOp::And => {
-            let lv = eval(l, scope, env)?.truthiness();
+            let lv = eval_ref(l, scope, env)?.truthiness();
             if lv == Some(false) {
                 return Ok(Value::Integer(0));
             }
-            let rv = eval(r, scope, env)?.truthiness();
+            let rv = eval_ref(r, scope, env)?.truthiness();
             return Ok(match (lv, rv) {
                 (_, Some(false)) => Value::Integer(0),
                 (Some(true), Some(true)) => Value::Integer(1),
@@ -409,11 +454,11 @@ fn eval_binary(
             });
         }
         BinOp::Or => {
-            let lv = eval(l, scope, env)?.truthiness();
+            let lv = eval_ref(l, scope, env)?.truthiness();
             if lv == Some(true) {
                 return Ok(Value::Integer(1));
             }
-            let rv = eval(r, scope, env)?.truthiness();
+            let rv = eval_ref(r, scope, env)?.truthiness();
             return Ok(match (lv, rv) {
                 (_, Some(true)) => Value::Integer(1),
                 (Some(false), Some(false)) => Value::Integer(0),
@@ -422,8 +467,8 @@ fn eval_binary(
         }
         _ => {}
     }
-    let lv = eval(l, scope, env)?;
-    let rv = eval(r, scope, env)?;
+    let lv = eval_ref(l, scope, env)?;
+    let rv = eval_ref(r, scope, env)?;
     match op {
         BinOp::Eq => Ok(bool3(lv.sql_eq(&rv))),
         BinOp::NotEq => Ok(bool3(lv.sql_eq(&rv).map(|b| !b))),
@@ -520,47 +565,50 @@ fn eval_scalar_fn(
             )));
         }
     }
-    let mut vals = Vec::with_capacity(args.len());
+    let mut vals: Vec<Cow<'_, Value>> = Vec::with_capacity(args.len());
     for a in args {
-        vals.push(eval(a, scope, env)?);
+        vals.push(eval_ref(a, scope, env)?);
     }
+    let first = vals.first().map(|v| &**v);
     match name {
-        "length" => Ok(match vals.first() {
+        "length" => Ok(match first {
             Some(Value::Null) | None => Value::Null,
             Some(Value::Text(t)) => Value::Integer(t.chars().count() as i64),
             Some(Value::Blob(b)) => Value::Integer(b.len() as i64),
             Some(other) => Value::Integer(other.to_string().chars().count() as i64),
         }),
-        "lower" => Ok(str_fn(vals.first(), |s| s.to_lowercase())),
-        "upper" => Ok(str_fn(vals.first(), |s| s.to_uppercase())),
-        "trim" => Ok(str_fn(vals.first(), |s| s.trim().to_string())),
-        "abs" => Ok(match vals.first() {
+        "lower" => Ok(str_fn(first, |s| s.to_lowercase())),
+        "upper" => Ok(str_fn(first, |s| s.to_uppercase())),
+        "trim" => Ok(str_fn(first, |s| s.trim().to_string())),
+        "abs" => Ok(match first {
             Some(Value::Integer(i)) => Value::Integer(
                 i.checked_abs().ok_or_else(|| SqlError::Type("integer overflow".into()))?,
             ),
             Some(Value::Real(r)) => Value::Real(r.abs()),
             _ => Value::Null,
         }),
-        "coalesce" | "ifnull" => Ok(vals.into_iter().find(|v| !v.is_null()).unwrap_or(Value::Null)),
+        "coalesce" | "ifnull" => {
+            Ok(vals.into_iter().find(|v| !v.is_null()).map_or(Value::Null, Cow::into_owned))
+        }
         "nullif" => {
             if vals.len() == 2 && vals[0].sql_eq(&vals[1]) == Some(true) {
                 Ok(Value::Null)
             } else {
-                Ok(vals.into_iter().next().unwrap_or(Value::Null))
+                Ok(vals.into_iter().next().map_or(Value::Null, Cow::into_owned))
             }
         }
         "max" => Ok(vals
             .into_iter()
             .filter(|v| !v.is_null())
             .max_by(|a, b| a.total_cmp(b))
-            .unwrap_or(Value::Null)),
+            .map_or(Value::Null, Cow::into_owned)),
         "min" => Ok(vals
             .into_iter()
             .filter(|v| !v.is_null())
             .min_by(|a, b| a.total_cmp(b))
-            .unwrap_or(Value::Null)),
+            .map_or(Value::Null, Cow::into_owned)),
         "typeof" => Ok(Value::Text(
-            match vals.first() {
+            match first {
                 Some(Value::Null) | None => "null",
                 Some(Value::Integer(_)) => "integer",
                 Some(Value::Real(_)) => "real",
@@ -570,9 +618,9 @@ fn eval_scalar_fn(
             .to_string(),
         )),
         "substr" | "substring" => {
-            let text = match vals.first() {
+            let text = match first {
                 Some(Value::Null) | None => return Ok(Value::Null),
-                Some(v) => v.to_string(),
+                Some(v) => text(v),
             };
             let start = vals.get(1).and_then(|v| v.as_integer()).unwrap_or(1);
             let chars: Vec<char> = text.chars().collect();
@@ -602,7 +650,7 @@ fn is_aggregate_position(name: &str, args: &[Expr]) -> bool {
 fn str_fn(v: Option<&Value>, f: impl Fn(&str) -> String) -> Value {
     match v {
         Some(Value::Null) | None => Value::Null,
-        Some(other) => Value::Text(f(&other.to_string())),
+        Some(other) => Value::Text(f(&text(other))),
     }
 }
 
@@ -713,14 +761,15 @@ mod tests {
 
     #[test]
     fn trigger_ctx_lookup() {
+        let columns = ["_id".to_string(), "data".to_string()];
         let ctx = TriggerCtx {
-            columns: vec!["_id".into(), "data".into()],
+            columns: &columns,
             new: Some(vec![Value::Integer(2), "b".into()]),
             old: None,
         };
-        assert_eq!(ctx.lookup("NEW", "data"), Some(Value::Text("b".into())));
+        assert_eq!(ctx.lookup("NEW", "data"), Some(&Value::Text("b".into())));
         assert_eq!(ctx.lookup("OLD", "data"), None);
-        assert_eq!(ctx.lookup("new", "_ID"), Some(Value::Integer(2)));
+        assert_eq!(ctx.lookup("new", "_ID"), Some(&Value::Integer(2)));
     }
 
     #[test]

@@ -97,11 +97,20 @@ impl ReadSnapshot {
 /// A reader must only ever be bound to snapshots of one logical database
 /// (stamps from different databases are not comparable). One reader per
 /// thread per authority is the intended shape.
+///
+/// A bound reader holds its snapshot's maps, so a write to the live
+/// database copies the map it changes away from them. A reader that runs
+/// one query at a time lets go of them with [`SnapshotReader::release`]
+/// when the query returns; the caches survive, and the next bind costs
+/// three reference counts.
 #[derive(Debug, Default)]
 pub struct SnapshotReader {
     db: Database,
     stamp: Option<u64>,
     catalog_gen: Option<u64>,
+    /// Empty maps the reader holds while released, made once so a release
+    /// allocates nothing.
+    empty: Catalog,
 }
 
 impl SnapshotReader {
@@ -127,7 +136,18 @@ impl SnapshotReader {
         &self.db
     }
 
-    /// The underlying read-only database view (last bound snapshot).
+    /// Lets go of the bound snapshot: the reader holds empty maps until the
+    /// next [`SnapshotReader::bind`], so a write that follows copies no map
+    /// for it. The statement and plan caches and the catalog generation
+    /// are kept, so a rebind to a snapshot of the same generation keeps
+    /// every cached plan.
+    pub fn release(&mut self) {
+        self.db.catalog = self.empty.clone();
+        self.stamp = None;
+    }
+
+    /// The underlying read-only database view (last bound snapshot, or
+    /// empty maps after a release).
     pub fn db(&self) -> &Database {
         &self.db
     }
@@ -136,7 +156,7 @@ impl SnapshotReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::db::tests::same_maps;
+    use crate::db::tests::{same_maps, table_map};
     use crate::value::Value;
 
     fn seeded() -> Database {
@@ -260,6 +280,38 @@ mod tests {
         assert_eq!(same_maps(&reader.bind(&next).catalog, &db.catalog), [true; 3]);
         let rs = reader.db().query("SELECT count(*) FROM tv", &[]).unwrap();
         assert_eq!(rs.scalar(), Some(&Value::Integer(2)));
+    }
+
+    /// A reader that lets go of its snapshot when its query returns
+    /// leaves the live maps unshared: the next write changes the table map
+    /// in place, and the rebound reader keeps its plans. A reader still
+    /// bound makes the same write copy the map away from it.
+    #[test]
+    fn a_write_after_a_released_readers_query_copies_no_map() {
+        let mut db = seeded();
+        let mut reader = SnapshotReader::new();
+        let sql = "SELECT data FROM t WHERE _id = ?1";
+        for (i, release) in [true, true, false].into_iter().enumerate() {
+            let snap = db.begin_read().unwrap();
+            reader.db().stats.reset();
+            let rs = reader.bind(&snap).query(sql, &[Value::Integer(1)]).unwrap();
+            assert_eq!(rs.rows.len(), 1);
+            if i > 0 {
+                let stats = &reader.db().stats;
+                assert_eq!(stats.stmt_cache_hits.get(), 1, "no re-parse after a release");
+                assert_eq!(stats.plan_cache_misses.get(), 0, "no re-plan after a release");
+            }
+            if release {
+                reader.release();
+                assert!(reader.db().table_names().is_empty());
+            }
+            drop(snap);
+            let before = table_map(&db.catalog);
+            db.execute("UPDATE t SET data = ?1 WHERE _id = 1", &[Value::Integer(i as i64)])
+                .unwrap();
+            let copied = !std::ptr::eq(before, table_map(&db.catalog));
+            assert_eq!(copied, !release, "write {i}: release={release}");
+        }
     }
 
     /// Every read of a bound reader sees the bound stamp: its table list

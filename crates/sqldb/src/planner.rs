@@ -426,7 +426,7 @@ pub fn try_flatten(db: &Database, stmt: &SelectStmt) -> Option<SelectStmt> {
     if core.from.len() != 1 || core.distinct || !core.group_by.is_empty() {
         return None;
     }
-    let view = db.catalog.views.get(&key(&core.from[0].name))?;
+    let view = db.catalog.views.get(&*key(&core.from[0].name))?;
     // The view must be a bare (possibly compound) select: no ORDER BY or
     // LIMIT of its own, no grouping or DISTINCT in any core.
     if !view.select.order_by.is_empty()

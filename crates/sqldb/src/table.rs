@@ -57,6 +57,10 @@ pub struct TableSchema {
     pub columns: Vec<ColumnDef>,
     /// Index of the `INTEGER PRIMARY KEY` column, if declared.
     pub pk_column: Option<usize>,
+    /// The column names in order, made once so every table access
+    /// borrows them. Mirrors `columns`, which nothing changes after
+    /// [`TableSchema::new`].
+    names: Vec<String>,
 }
 
 impl TableSchema {
@@ -76,7 +80,8 @@ impl TableSchema {
             }
             seen.push(&c.name);
         }
-        Ok(TableSchema { name, columns, pk_column: pks.first().copied() })
+        let names = columns.iter().map(|c| c.name.clone()).collect();
+        Ok(TableSchema { name, columns, pk_column: pks.first().copied(), names })
     }
 
     /// Returns the position of a column by (case-insensitive) name.
@@ -85,8 +90,8 @@ impl TableSchema {
     }
 
     /// Returns the column names in order.
-    pub fn column_names(&self) -> Vec<String> {
-        self.columns.iter().map(|c| c.name.clone()).collect()
+    pub fn column_names(&self) -> &[String] {
+        &self.names
     }
 }
 

@@ -190,6 +190,31 @@ fn attach_heap_inside_a_transaction_rolls_back_or_commits() {
     }
 }
 
+/// ROLLBACK of a transaction that attached a heap detaches it again: a
+/// table created afterwards stays resident like the restored ones, and
+/// snapshots are published again. A heap that outlived the rollback would
+/// page the new table and leave the old one resident for good.
+#[test]
+fn rollback_detaches_a_heap_attached_inside_the_transaction() {
+    let mut db = Database::new();
+    db.execute_batch("CREATE TABLE t (_id INTEGER PRIMARY KEY, v TEXT)").unwrap();
+    db.begin().unwrap();
+    db.attach_heap(HeapTier::new(Box::new(MemDevice::new()), 2), 0);
+    db.rollback().unwrap();
+    db.execute_batch("CREATE TABLE u (_id INTEGER PRIMARY KEY, v TEXT)").unwrap();
+    for i in 0..50 {
+        for table in ["t", "u"] {
+            db.execute(&format!("INSERT INTO {table} (v) VALUES (?)"), &[Value::Integer(i)])
+                .unwrap();
+        }
+    }
+    for table in ["t", "u"] {
+        assert!(!db.table(table).unwrap().is_paged(), "{table} is paged");
+        assert_eq!(db.table(table).unwrap().len(), 50);
+    }
+    assert!(db.begin_read().is_some(), "a database with no heap publishes snapshots");
+}
+
 /// A paged table stays paged while a transaction changes it and after
 /// COMMIT, and ROLLBACK restores its rows.
 #[test]

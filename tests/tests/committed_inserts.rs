@@ -396,6 +396,37 @@ fn a_deleted_top_row_is_not_given_to_a_committed_insert() {
     }
 }
 
+/// The owner deletes its top public row while Bob's delegate holds a
+/// copy-up of it, then inserts a row of its own; Bob then commits his
+/// update. The owner's insert takes no id of the deleted row, so Bob's
+/// commit replaces nothing, and both rows are there after a cold boot.
+#[test]
+fn an_owner_insert_after_deleting_a_copied_up_row_is_not_replaced() {
+    let (sys, path) = device_boot("owner-insert-floor");
+    let owner = Caller::normal("bystander");
+    let bob = Caller::delegate(DELEGATE, "bob");
+    let mut landed = Vec::new();
+    for t in &TARGETS {
+        let top = insert_as(&sys, t, &owner, "top");
+        let uri = Uri::parse(t.uri).unwrap().with_id(top);
+        let edit = ContentValues::new().put(t.column, "bob-edit");
+        assert_eq!(sys.resolver.update(&bob, &uri, &edit, &QueryArgs::default()).unwrap(), 1);
+        assert_eq!(sys.resolver.delete(&owner, &uri, &QueryArgs::default()).unwrap(), 1);
+        let new = insert_as(&sys, t, &owner, "owner-new");
+        assert_ne!(new, top, "{}: the deleted row's id went to the owner's insert", t.authority);
+        assert_eq!(commit(&sys, t, "bob", top), top, "{}", t.authority);
+        let rows = [(top, "bob-edit".to_string()), (new, "owner-new".to_string())];
+        public_once(&sys, t, &rows);
+        landed.push(rows);
+    }
+    power_off(sys);
+
+    let sys = cold_boot(&path);
+    for (t, rows) in TARGETS.iter().zip(&landed) {
+        public_once(&sys, t, rows);
+    }
+}
+
 /// A child row commits after its parent, not before: committing a
 /// thumbnail whose file is still volatile is refused (the name would
 /// dangle once public) and changes nothing; committing the file alone
