@@ -13,16 +13,14 @@
 //! vs N=1 and scaling efficiency vs `min(N, cores)` (on a single-core
 //! host the workload can only interleave; CI runs this on multi-core
 //! runners where the read-parallel hot paths must actually scale).
-//! Single-thread latency cells for the PR-4 cache workloads are appended
-//! so regressions of the sharing work show up next to BENCH_cache.json.
 //!
 //! Run with: `cargo run --release -p maxoid-bench --bin concurrency`
 //! Writes `BENCH_concurrency.json`; exits non-zero when 4-thread
-//! aggregate throughput regresses below the core-aware floor.
+//! aggregate throughput falls below its core-aware floor (`report::GATES`).
 
 use maxoid::manifest::MaxoidManifest;
 use maxoid::{ContentValues, MaxoidSystem, Pid, QueryArgs, Uri};
-use maxoid_bench::{measure, BenchJson, DictMode, DictWorkload, FsMode, FsWorkload, Unit};
+use maxoid_bench::{cores, BenchJson, Unit};
 use maxoid_vfs::{vpath, Mode, VPath};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
@@ -158,81 +156,11 @@ fn run_once(n: usize) -> (u64, f64) {
 }
 
 fn main() {
-    let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-    let mut json = BenchJson::new();
+    let cores = cores();
+    let mut json = BenchJson::new("concurrency");
     println!("Concurrent multi-app execution — one shared system, N app threads");
     println!("({ITERS} mixed iterations/thread, best of {REPS} reps, {cores} core(s))\n");
-    json.push_scalar("concurrency/cores", cores as f64);
 
-    // Single-thread latency cells mirroring the BENCH_cache cache_on
-    // methodology, so sharing-induced regressions are visible. Measured
-    // first, in the same fresh-process state the cache bench runs in
-    // (after the scaling runs the allocator has churned through dozens
-    // of booted systems and the numbers drift upward).
-    println!("Single-thread latency (cache_on methodology):");
-    let mut dict = DictWorkload::new(DictMode::Delegate, DICT_ROWS);
-    dict.set_caches(true);
-    for _ in 0..50 {
-        dict.update();
-    }
-    // URI formatting and value-map allocation happen in the untimed
-    // setup half (the staged-op split): with them in the timed region,
-    // allocator jitter pushed these cells' stddev past their mean.
-    let mut k = 0usize;
-    let dictq = std::rc::Rc::new(std::cell::RefCell::new(dict));
-    let q = measure(
-        200,
-        {
-            let dictq = dictq.clone();
-            move || {
-                dictq.borrow_mut().stage_query_one((k % DICT_ROWS) as i64 + 1);
-                k += 1;
-            }
-        },
-        move || {
-            std::hint::black_box(dictq.borrow_mut().query_one_staged());
-        },
-    );
-    json.push("lat1/dict/query 1 word/delegate/cache_on", &q);
-    println!("  dict/query 1 word  {:>8.3} us", q.mean_us());
-
-    let mut dict = DictWorkload::new(DictMode::Delegate, DICT_ROWS);
-    dict.set_caches(true);
-    // Warm the stmt/plan/rewrite caches before the timed loop, exactly
-    // as the query cell above (and `--bin cache`) does; without this the
-    // first timed trials pay cold-cache population and the cell's stddev
-    // swamps its mean.
-    for _ in 0..50 {
-        dict.update();
-    }
-    let dictu = std::rc::Rc::new(std::cell::RefCell::new(dict));
-    let u = measure(
-        200,
-        {
-            let dictu = dictu.clone();
-            move || dictu.borrow_mut().stage_update()
-        },
-        move || dictu.borrow_mut().update_staged(),
-    );
-    json.push("lat1/dict/update/delegate/cache_on", &u);
-    println!("  dict/update        {:>8.3} us", u.mean_us());
-
-    let mut fs = FsWorkload::new(FsMode::Delegate, 1, 4 * 1024);
-    fs.set_resolve_caches(true);
-    fs.append(0, 4 * 1024); // pay copy-up untimed
-    let fsa = std::rc::Rc::new(std::cell::RefCell::new(fs));
-    let a = measure(
-        200,
-        {
-            let fsa = fsa.clone();
-            move || fsa.borrow_mut().stage_append(0, 64)
-        },
-        move || fsa.borrow_mut().append_staged(),
-    );
-    json.push("lat1/fs_4KB/append/delegate/cache_on", &a);
-    println!("  fs_4KB/append      {:>8.3} us", a.mean_us());
-
-    println!();
     let mut ops_per_sec = Vec::new();
     for &n in &THREAD_COUNTS {
         let best = (0..REPS)
@@ -246,33 +174,13 @@ fn main() {
         // Parallel hardware can only be exploited up to the core count.
         let ideal = n.min(cores) as f64;
         let efficiency = speedup / ideal;
-        json.push_scalar_unit(
-            &format!("concurrency/threads{n}/ops_per_sec"),
-            best,
-            Unit::OpsPerSec,
-        );
-        json.push_scalar(&format!("concurrency/threads{n}/speedup"), speedup);
-        json.push_scalar(&format!("concurrency/threads{n}/efficiency"), efficiency);
+        json.push_scalar(&format!("concurrency/threads{n}/ops_per_sec"), best, Unit::OpsPerSec);
+        json.push_scalar(&format!("concurrency/threads{n}/speedup"), speedup, Unit::Ratio);
+        json.push_scalar(&format!("concurrency/threads{n}/efficiency"), efficiency, Unit::Ratio);
         println!(
             "  {n} thread(s): {best:>12.0} ops/s | speedup {speedup:>5.2}x | efficiency {:>5.1}% (vs {ideal:.0} ideal)",
             efficiency * 100.0
         );
     }
-
-    json.write("BENCH_concurrency.json").expect("write BENCH_concurrency.json");
-    println!("\n(wrote BENCH_concurrency.json)");
-
-    // Scaling gate. On real parallel hardware 4 threads must beat 1; on
-    // a single core the best we can demand is bounded locking overhead
-    // under timeslicing (the CI runners are multi-core, so the strict
-    // gate is what runs there).
-    let (one, four) = (ops_per_sec[0], ops_per_sec[2]);
-    let floor = if cores >= 2 { one } else { one * 0.7 };
-    if four < floor {
-        eprintln!(
-            "FAIL: 4-thread throughput {four:.0} ops/s below floor {floor:.0} ops/s \
-             (1-thread {one:.0}, {cores} core(s))"
-        );
-        std::process::exit(1);
-    }
+    json.finish();
 }

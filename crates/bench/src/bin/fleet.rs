@@ -8,7 +8,8 @@
 //! volatile public write, sparse COW provider traffic, an occasional
 //! commit gesture — separated by a tiny deterministic think-time spin.
 //! Sessions are driven by 1 and then 8 worker threads over the same
-//! booted fleet; per-session wall latencies feed nearest-rank p95/p99.
+//! booted fleet; per-session wall latencies feed nearest-rank
+//! p50/p95/p99.
 //!
 //! After the drive the per-tenant COW accounting (`tenant_stats`) is
 //! sampled over the hottest tenants, the idle-tenant evictor runs, and
@@ -17,14 +18,14 @@
 //! untouched.
 //!
 //! Run with: `cargo run --release -p maxoid-bench --bin fleet`
-//! Writes `BENCH_fleet.json`; exits non-zero when 8-thread throughput
-//! falls below the core-aware floor or eviction leaves volatile state
-//! behind. `FLEET_TENANTS` / `FLEET_SESSIONS` shrink the run for smoke
-//! testing.
+//! Writes `BENCH_fleet.json`, then exits non-zero when 8-worker
+//! throughput falls below its core-aware floor, eviction leaves volatile
+//! state behind, or the evictor finds no idle tenant (`report::GATES`).
+//! `FLEET_TENANTS` / `FLEET_SESSIONS` shrink the run for smoke testing.
 
 use maxoid::manifest::MaxoidManifest;
 use maxoid::{ContentValues, MaxoidSystem, Pid, QueryArgs, Uri, VolCommitPlan};
-use maxoid_bench::{measure, BenchJson, DictMode, DictWorkload, FsMode, FsWorkload, Unit};
+use maxoid_bench::{cores, BenchJson, Measurement, Unit};
 use maxoid_vfs::{vpath, Mode, VPath};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
@@ -224,14 +225,14 @@ fn run_session(sys: &MaxoidSystem, ctx: &TenantCtx, k: usize) -> u64 {
 }
 
 /// Drives `sessions` Zipf-skewed tenant sessions over `threads` workers.
-/// Returns (total ops, elapsed secs, per-session latencies in µs).
+/// Returns (total ops, elapsed secs, per-session latencies).
 fn drive(
     sys: &Arc<MaxoidSystem>,
     ctxs: &Arc<Vec<TenantCtx>>,
     cdf: &Arc<Vec<f64>>,
     sessions: usize,
     threads: usize,
-) -> (u64, f64, Vec<f64>) {
+) -> (u64, f64, Measurement) {
     let barrier = Arc::new(Barrier::new(threads + 1));
     let per_worker = sessions / threads;
     let mut handles = Vec::with_capacity(threads);
@@ -250,7 +251,7 @@ fn drive(
                 let k = w * per_worker + s;
                 let started = Instant::now();
                 ops += run_session(&sys, &ctxs[t], k);
-                lats.push(started.elapsed().as_secs_f64() * 1e6);
+                lats.push(started.elapsed().as_nanos() as u64);
                 std::thread::yield_now();
             }
             (ops, lats)
@@ -265,98 +266,29 @@ fn drive(
         total += ops;
         lats.append(&mut l);
     }
-    (total, start.elapsed().as_secs_f64(), lats)
-}
-
-/// Nearest-rank percentile over unsorted data.
-fn percentile(lats: &mut [f64], q: f64) -> f64 {
-    lats.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let rank = ((q * lats.len() as f64).ceil() as usize).clamp(1, lats.len());
-    lats[rank - 1]
+    (total, start.elapsed().as_secs_f64(), Measurement { trials_ns: lats })
 }
 
 fn main() {
     let tenants = env_usize("FLEET_TENANTS", DEFAULT_TENANTS);
     let sessions = env_usize("FLEET_SESSIONS", DEFAULT_SESSIONS);
-    let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-    let mut json = BenchJson::new();
-    println!("Fleet simulator — {tenants} tenant pairs, {sessions} Zipf(s={ZIPF_S}) sessions, {cores} core(s)\n");
-    json.push_scalar("fleet/cores", cores as f64);
-    json.push_scalar("fleet/tenants", tenants as f64);
-    json.push_scalar("fleet/sessions", sessions as f64);
-
-    // Single-thread latency cells (cache_on methodology, same keys as
-    // BENCH_concurrency.json) so sharding regressions show up as a
-    // direct cell-to-cell diff. Measured first, in fresh-process state.
-    println!("Single-thread latency (cache_on methodology):");
-    let mut dict = DictWorkload::new(DictMode::Delegate, DICT_ROWS);
-    dict.set_caches(true);
-    for _ in 0..50 {
-        dict.update();
-    }
-    let mut kq = 0usize;
-    let dictq = std::rc::Rc::new(std::cell::RefCell::new(dict));
-    let q = measure(
-        200,
-        {
-            let dictq = dictq.clone();
-            move || {
-                dictq.borrow_mut().stage_query_one((kq % DICT_ROWS) as i64 + 1);
-                kq += 1;
-            }
-        },
-        move || {
-            std::hint::black_box(dictq.borrow_mut().query_one_staged());
-        },
+    let mut json = BenchJson::new("fleet");
+    println!(
+        "Fleet simulator — {tenants} tenant pairs, {sessions} Zipf(s={ZIPF_S}) sessions, {} core(s)\n",
+        cores()
     );
-    json.push("lat1/dict/query 1 word/delegate/cache_on", &q);
-    println!("  dict/query 1 word  {:>8.3} us", q.mean_us());
-
-    let mut dict = DictWorkload::new(DictMode::Delegate, DICT_ROWS);
-    dict.set_caches(true);
-    for _ in 0..50 {
-        dict.update();
-    }
-    let dictu = std::rc::Rc::new(std::cell::RefCell::new(dict));
-    let u = measure(
-        200,
-        {
-            let dictu = dictu.clone();
-            move || dictu.borrow_mut().stage_update()
-        },
-        move || dictu.borrow_mut().update_staged(),
-    );
-    json.push("lat1/dict/update/delegate/cache_on", &u);
-    println!("  dict/update        {:>8.3} us", u.mean_us());
-
-    let mut fs = FsWorkload::new(FsMode::Delegate, 1, 4 * 1024);
-    fs.set_resolve_caches(true);
-    fs.append(0, 4 * 1024);
-    let fsa = std::rc::Rc::new(std::cell::RefCell::new(fs));
-    let a = measure(
-        200,
-        {
-            let fsa = fsa.clone();
-            move || fsa.borrow_mut().stage_append(0, 64)
-        },
-        move || fsa.borrow_mut().append_staged(),
-    );
-    json.push("lat1/fs_4KB/append/delegate/cache_on", &a);
-    println!("  fs_4KB/append      {:>8.3} us", a.mean_us());
+    json.push_scalar("fleet/tenants", tenants as f64, Unit::Count);
+    json.push_scalar("fleet/sessions", sessions as f64, Unit::Count);
 
     // Fleet boot: how fast the sharded substrate absorbs tenant churn.
-    println!("\nBooting {tenants} tenant pairs…");
+    println!("Booting {tenants} tenant pairs…");
     let boot_start = Instant::now();
     let (sys, ctxs) = build(tenants);
     let boot_secs = boot_start.elapsed().as_secs_f64();
     let ctxs = Arc::new(ctxs);
     let cdf = Arc::new(zipf_cdf(tenants));
-    json.push_scalar("fleet/boot/secs", boot_secs);
-    json.push_scalar_unit(
-        "fleet/boot/tenants_per_sec",
-        tenants as f64 / boot_secs,
-        Unit::OpsPerSec,
-    );
+    json.push_scalar("fleet/boot/secs", boot_secs, Unit::Seconds);
+    json.push_scalar("fleet/boot/tenants_per_sec", tenants as f64 / boot_secs, Unit::OpsPerSec);
     println!("  booted in {boot_secs:.2}s ({:.0} tenants/s)\n", tenants as f64 / boot_secs);
 
     if std::env::var("FLEET_OBS").is_ok() {
@@ -382,27 +314,17 @@ fn main() {
     // Session drive at 1 then 8 workers over the same warm fleet. The
     // same-system reuse biases *for* the later run, which only makes the
     // scaling gate harder to cheat on a multi-core host.
-    let mut ops_by_threads = Vec::new();
     for &threads in &[1usize, 8] {
-        let (ops, secs, mut lats) = drive(&sys, &ctxs, &cdf, sessions, threads);
+        let (ops, secs, lats) = drive(&sys, &ctxs, &cdf, sessions, threads);
         let rate = ops as f64 / secs;
-        let p50 = percentile(&mut lats, 0.50);
-        let p95 = percentile(&mut lats, 0.95);
-        let p99 = percentile(&mut lats, 0.99);
-        ops_by_threads.push(rate);
-        json.push_scalar_unit(
-            &format!("fleet/threads{threads}/ops_per_sec"),
-            rate,
-            Unit::OpsPerSec,
-        );
-        json.push_scalar_unit(
-            &format!("fleet/threads{threads}/sessions_per_sec"),
-            lats.len() as f64 / secs,
-            Unit::OpsPerSec,
-        );
-        json.push_scalar(&format!("fleet/threads{threads}/session_p50_us"), p50);
-        json.push_scalar(&format!("fleet/threads{threads}/session_p95_us"), p95);
-        json.push_scalar(&format!("fleet/threads{threads}/session_p99_us"), p99);
+        let [p50, p95, p99] = [0.50, 0.95, 0.99].map(|q| lats.percentile_ns(q) / 1e3);
+        let per_sec = lats.trials_ns.len() as f64 / secs;
+        let cell = |what: &str| format!("fleet/threads{threads}/{what}");
+        json.push_scalar(&cell("ops_per_sec"), rate, Unit::OpsPerSec);
+        json.push_scalar(&cell("sessions_per_sec"), per_sec, Unit::OpsPerSec);
+        json.push_scalar(&cell("session_p50_us"), p50, Unit::Us);
+        json.push_scalar(&cell("session_p95_us"), p95, Unit::Us);
+        json.push_scalar(&cell("session_p99_us"), p99, Unit::Us);
         println!(
             "  {threads} worker(s): {rate:>10.0} ops/s | session p50 {p50:>7.1}us p95 {p95:>7.1}us p99 {p99:>7.1}us"
         );
@@ -431,14 +353,15 @@ fn main() {
         "\nCOW accounting over {sample} hottest tenants (before eviction):\n  \
          volatile {vol_before} B | cow {cow_before} B | delta rows {rows_before} | max tenant {max_before} B"
     );
-    json.push_scalar("fleet/cow/sampled_tenants", sample as f64);
-    json.push_scalar("fleet/cow/volatile_bytes_before", vol_before as f64);
-    json.push_scalar("fleet/cow/cow_bytes_before", cow_before as f64);
-    json.push_scalar("fleet/cow/delta_rows_before", rows_before as f64);
-    json.push_scalar("fleet/cow/max_tenant_bytes_before", max_before as f64);
+    json.push_scalar("fleet/cow/sampled_tenants", sample as f64, Unit::Count);
+    json.push_scalar("fleet/cow/volatile_bytes_before", vol_before as f64, Unit::Bytes);
+    json.push_scalar("fleet/cow/cow_bytes_before", cow_before as f64, Unit::Bytes);
+    json.push_scalar("fleet/cow/delta_rows_before", rows_before as f64, Unit::Count);
+    json.push_scalar("fleet/cow/max_tenant_bytes_before", max_before as f64, Unit::Bytes);
     json.push_scalar(
         "fleet/cow/per_tenant_volatile_bytes_before",
         vol_before as f64 / sample as f64,
+        Unit::Bytes,
     );
 
     let evict_start = Instant::now();
@@ -450,44 +373,17 @@ fn main() {
          delta rows {rows_after} | max tenant {max_after} B",
         report.tenants, report.files_removed
     );
-    json.push_scalar("fleet/evict/tenants", report.tenants as f64);
-    json.push_scalar("fleet/evict/files_removed", report.files_removed as f64);
-    json.push_scalar("fleet/evict/secs", evict_secs);
-    json.push_scalar("fleet/cow/volatile_bytes_after", vol_after as f64);
-    json.push_scalar("fleet/cow/delta_rows_after", rows_after as f64);
-    json.push_scalar("fleet/cow/per_tenant_volatile_bytes_after", vol_after as f64 / sample as f64);
-    json.push_scalar("fleet/init_locks/retained", sys.init_lock_count() as f64);
+    json.push_scalar("fleet/evict/tenants", report.tenants as f64, Unit::Count);
+    json.push_scalar("fleet/evict/files_removed", report.files_removed as f64, Unit::Count);
+    json.push_scalar("fleet/evict/secs", evict_secs, Unit::Seconds);
+    json.push_scalar("fleet/cow/volatile_bytes_after", vol_after as f64, Unit::Bytes);
+    json.push_scalar("fleet/cow/delta_rows_after", rows_after as f64, Unit::Count);
+    json.push_scalar(
+        "fleet/cow/per_tenant_volatile_bytes_after",
+        vol_after as f64 / sample as f64,
+        Unit::Bytes,
+    );
+    json.push_scalar("fleet/init_locks/retained", sys.init_lock_count() as f64, Unit::Count);
 
-    json.write("BENCH_fleet.json").expect("write BENCH_fleet.json");
-    println!("\n(wrote BENCH_fleet.json)");
-
-    // Exit gates. Scaling: with real parallelism 8 workers must not lose
-    // to 1 (the sharded hot paths must actually run in parallel); on a
-    // single core only bounded locking overhead can be demanded.
-    let (one, eight) = (ops_by_threads[0], ops_by_threads[1]);
-    let floor = if cores >= 2 { one } else { one * 0.7 };
-    let mut failed = false;
-    if eight < floor {
-        eprintln!(
-            "FAIL: 8-worker throughput {eight:.0} ops/s below floor {floor:.0} ops/s \
-             (1-worker {one:.0}, {cores} core(s))"
-        );
-        failed = true;
-    }
-    // Eviction: per-tenant COW state must be bounded — all sampled
-    // volatile bytes and delta rows reclaimed once every tenant is idle.
-    if vol_after != 0 || rows_after != 0 {
-        eprintln!(
-            "FAIL: eviction left volatile state behind: {vol_after} volatile bytes, \
-             {rows_after} delta rows across the {sample}-tenant sample"
-        );
-        failed = true;
-    }
-    if report.tenants == 0 && vol_before > 0 {
-        eprintln!("FAIL: evictor found no idle tenants despite sampled volatile state");
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    json.finish();
 }

@@ -10,25 +10,22 @@
 //! Reported:
 //! - `mvcc/readers{N}/ops_per_sec` for N ∈ {1,2,4,8} — aggregate
 //!   point-query throughput, best of 3 reps, plus speedup vs N=1 and
-//!   the fraction of queries served from the snapshot path (asserted
-//!   to dominate; the run aborts if reads fell back to the lock).
+//!   the fraction of queries served from the snapshot path (the run
+//!   aborts if a storm never took the snapshot path).
 //! - `mvcc/contended/readers4_writer1/ops_per_sec` — the same storm
 //!   with one delegate writer mutating the authority, exercising the
 //!   retract/republish discipline.
-//! - `lat1/dict/...` single-thread regression cells with the
-//!   BENCH_cache methodology, so MVCC bookkeeping shows up next to the
-//!   PR-4 numbers if it slows the serial path.
 //!
 //! Run with: `cargo run --release -p maxoid-bench --bin mvcc`
 //! Writes `BENCH_mvcc.json`; exits non-zero when multi-reader
-//! throughput falls below the core-aware floor (on ≥2 cores a 4-reader
-//! storm must at least match one reader; on a single core it must stay
-//! within 0.9× — snapshot reads don't contend, so even interleaved they
-//! should not cost more than a lone reader).
+//! throughput falls below its core-aware floor (`report::GATES`: on ≥2
+//! cores a 4-reader storm must at least match one reader; on a single
+//! core it must stay within 0.9× — snapshot reads don't contend, so even
+//! interleaved they should not cost more than a lone reader).
 
 use maxoid::manifest::MaxoidManifest;
 use maxoid::{ContentValues, MaxoidSystem, Pid, QueryArgs, Uri};
-use maxoid_bench::{measure, BenchJson, DictMode, DictWorkload, Unit};
+use maxoid_bench::{cores, BenchJson, Unit};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
@@ -151,56 +148,11 @@ fn run_contended() -> f64 {
 }
 
 fn main() {
-    let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-    let mut json = BenchJson::new();
+    let mut json = BenchJson::new("mvcc");
     println!("MVCC snapshot reads — N reader threads on one dictionary authority");
-    println!("({ITERS} point queries/thread, best of {REPS} reps, {cores} core(s))\n");
-    json.push_scalar("mvcc/cores", cores as f64);
+    println!("({ITERS} point queries/thread, best of {REPS} reps, {} core(s))\n", cores());
 
-    // Single-thread regression cells first, in fresh-process state (same
-    // reasoning and naming as --bin concurrency / --bin cache).
-    println!("Single-thread latency (cache_on methodology):");
-    let mut dict = DictWorkload::new(DictMode::Delegate, DICT_ROWS);
-    dict.set_caches(true);
-    for _ in 0..50 {
-        dict.update();
-    }
-    let mut k = 0usize;
-    let dictq = std::rc::Rc::new(std::cell::RefCell::new(dict));
-    let q = measure(
-        200,
-        {
-            let dictq = dictq.clone();
-            move || {
-                dictq.borrow_mut().stage_query_one((k % DICT_ROWS) as i64 + 1);
-                k += 1;
-            }
-        },
-        move || {
-            std::hint::black_box(dictq.borrow_mut().query_one_staged());
-        },
-    );
-    json.push("lat1/dict/query 1 word/delegate/cache_on", &q);
-    println!("  dict/query 1 word  {:>8.3} us", q.mean_us());
-
-    let mut dict = DictWorkload::new(DictMode::Delegate, DICT_ROWS);
-    dict.set_caches(true);
-    for _ in 0..50 {
-        dict.update();
-    }
-    let dictu = std::rc::Rc::new(std::cell::RefCell::new(dict));
-    let u = measure(
-        200,
-        {
-            let dictu = dictu.clone();
-            move || dictu.borrow_mut().stage_update()
-        },
-        move || dictu.borrow_mut().update_staged(),
-    );
-    json.push("lat1/dict/update/delegate/cache_on", &u);
-    println!("  dict/update        {:>8.3} us", u.mean_us());
-
-    println!("\nReader scaling:");
+    println!("Reader scaling:");
     let mut ops_per_sec = Vec::new();
     for &n in &READER_COUNTS {
         let mut best = 0.0f64;
@@ -215,9 +167,9 @@ fn main() {
         }
         ops_per_sec.push(best);
         let speedup = best / ops_per_sec[0];
-        json.push_scalar_unit(&format!("mvcc/readers{n}/ops_per_sec"), best, Unit::OpsPerSec);
-        json.push_scalar(&format!("mvcc/readers{n}/speedup"), speedup);
-        json.push_scalar(&format!("mvcc/readers{n}/snapshot_read_fraction"), frac);
+        json.push_scalar(&format!("mvcc/readers{n}/ops_per_sec"), best, Unit::OpsPerSec);
+        json.push_scalar(&format!("mvcc/readers{n}/speedup"), speedup, Unit::Ratio);
+        json.push_scalar(&format!("mvcc/readers{n}/snapshot_read_fraction"), frac, Unit::Ratio);
         println!(
             "  {n} reader(s): {best:>12.0} q/s | speedup {speedup:>5.2}x | snapshot path {:>5.1}%",
             frac * 100.0
@@ -225,27 +177,8 @@ fn main() {
     }
 
     let contended = (0..REPS).map(|_| run_contended()).fold(0.0f64, f64::max);
-    json.push_scalar_unit(
-        "mvcc/contended/readers4_writer1/ops_per_sec",
-        contended,
-        Unit::OpsPerSec,
-    );
-    println!("  4 readers + 1 writer: {contended:>12.0} q/s (reader aggregate)\n");
+    json.push_scalar("mvcc/contended/readers4_writer1/ops_per_sec", contended, Unit::OpsPerSec);
+    println!("  4 readers + 1 writer: {contended:>12.0} q/s (reader aggregate)");
 
-    json.write("BENCH_mvcc.json").expect("write BENCH_mvcc.json");
-    println!("\n(wrote BENCH_mvcc.json)");
-
-    // Scaling gate. Snapshot reads share no lock, so on parallel
-    // hardware a 4-reader storm must at least match one reader. A
-    // single core can only interleave, but since there is no contention
-    // to pay the aggregate must stay within 0.9x of the lone reader.
-    let (one, four) = (ops_per_sec[0], ops_per_sec[2]);
-    let floor = if cores >= 2 { one } else { one * 0.9 };
-    if four < floor {
-        eprintln!(
-            "FAIL: 4-reader throughput {four:.0} q/s below floor {floor:.0} q/s \
-             (1-reader {one:.0}, {cores} core(s))"
-        );
-        std::process::exit(1);
-    }
+    json.finish();
 }

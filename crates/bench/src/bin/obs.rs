@@ -25,7 +25,7 @@ const PROBE_BATCH: usize = 1_000;
 const WORK_BATCH: usize = 50;
 
 fn main() {
-    let mut json = BenchJson::new();
+    let mut json = BenchJson::new("obs");
     println!("maxoid-obs overhead — probe primitives and a traced workload");
     println!("({TRIALS} interleaved trials per cell)\n");
 
@@ -63,14 +63,13 @@ fn main() {
 
     maxoid_obs::disable();
     maxoid_obs::reset();
-    json.write("BENCH_obs.json").expect("write BENCH_obs.json");
-    println!("\n(wrote BENCH_obs.json)");
+    json.finish();
 }
 
 /// A primitive-probe case: the setup pins the global obs state (and
 /// drains the collector so enabled runs don't grow without bound), the
 /// op runs the primitive `PROBE_BATCH` times.
-fn probe_case(enabled: bool, op: impl Fn() + 'static) -> Case {
+fn probe_case(enabled: bool, op: impl Fn() + 'static) -> Case<'static> {
     (
         Box::new(move || {
             maxoid_obs::reset();
@@ -90,7 +89,7 @@ fn probe_case(enabled: bool, op: impl Fn() + 'static) -> Case {
 
 /// The real-workload case: a COW proxy with a delegate view, running
 /// `WORK_BATCH` insert+query statements per trial.
-fn workload_case(enabled: bool) -> Case {
+fn workload_case(enabled: bool) -> Case<'static> {
     let mut p = CowProxy::new();
     p.execute_batch("CREATE TABLE words (_id INTEGER PRIMARY KEY, word TEXT, freq INTEGER);")
         .expect("schema");

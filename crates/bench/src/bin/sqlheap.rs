@@ -6,8 +6,8 @@
 //! - **backend point query** — the same PK point query against a
 //!   resident table and a paged table whose hot set fits the page
 //!   budget. The paged cell pays row decode plus a cache lookup but no
-//!   device I/O on hits, so it must stay within [`MAX_PAGED_RATIO`] of
-//!   resident (the CI gate for the sqldb hot path).
+//!   device I/O on hits, so it must stay within 3x of resident by
+//!   median (the CI gate for the sqldb hot path, in `report::GATES`).
 //! - **backend insert** — append-path cost: paged inserts bump-allocate
 //!   into heap pages (first touch is a no-load `write_padded`), resident
 //!   inserts clone into a BTreeMap.
@@ -15,11 +15,12 @@
 //!   0.5x to 4x the page budget. Under the old second-chance clock a
 //!   cyclic re-scan at any ratio past 1x degenerated to a 0% hit rate;
 //!   the segmented clock must keep a protected core resident, so the
-//!   2x cell is gated on a non-zero steady-state hit rate.
+//!   2x cell is gated on a non-zero steady-state hit rate. Its rows are
+//!   `heap_working_set/*`, apart from `--bin block`'s page-cache sweep.
 //!
 //! Run with: `cargo run --release -p maxoid-bench --bin sqlheap`
 
-use maxoid_bench::{measure_interleaved, BenchJson, Case, Measurement};
+use maxoid_bench::{measure_interleaved, BenchJson, Case, Measurement, Unit};
 use maxoid_block::MemDevice;
 use maxoid_sqldb::{Database, HeapTier, Value};
 use std::cell::RefCell;
@@ -33,10 +34,6 @@ const PAGES: usize = 16;
 /// Rows in the hot set: 64 x ~400 B = ~26 KiB, well under the budget, so
 /// the steady state is all hits.
 const HOT_ROWS: i64 = 64;
-
-/// CI gate: a paged PK point query on a cache-resident hot set may cost
-/// at most this multiple of the resident table, by median.
-const MAX_PAGED_RATIO: f64 = 3.0;
 
 const BACKENDS: [&str; 2] = ["resident", "paged_mem"];
 
@@ -64,7 +61,7 @@ fn hot_db(backend: &str) -> Database {
 }
 
 fn main() {
-    let mut json = BenchJson::new();
+    let mut json = BenchJson::new("sqlheap");
     println!("Row-heap ablations — paged tables, scan sweep");
     println!("({TRIALS} interleaved trials per cell)\n");
 
@@ -127,7 +124,6 @@ fn main() {
 
     // --- working-set sweep: full-scan hit rate vs cache pressure ------
     println!("\nworking-set sweep (page budget {} KiB, sequential re-scan passes):", PAGES * 4);
-    let mut hit_rate_2x = 0.0f64;
     for ratio in [0.5f64, 1.0, 2.0, 4.0] {
         let rows = ((PAGES as f64 * ratio) as i64).max(1);
         let tier = HeapTier::new(Box::new(MemDevice::new()), PAGES);
@@ -152,11 +148,9 @@ fn main() {
         let c = tier.stats();
         let (hits, misses) = (c.hits - seeded.hits, c.misses - seeded.misses);
         let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
-        if ratio == 2.0 {
-            hit_rate_2x = hit_rate;
-        }
-        json.push_scalar(&format!("working_set/ratio{ratio}/hit_rate"), hit_rate);
-        json.push_scalar(&format!("working_set/ratio{ratio}/evictions"), c.evictions as f64);
+        let cell = |what: &str| format!("heap_working_set/ratio{ratio}/{what}");
+        json.push_scalar(&cell("hit_rate"), hit_rate, Unit::Ratio);
+        json.push_scalar(&cell("evictions"), c.evictions as f64, Unit::Count);
         println!(
             "  {:>4.1}x budget ({:>2} rows): hit rate {:>5.1}%  evictions {:>5}",
             ratio,
@@ -166,33 +160,14 @@ fn main() {
         );
     }
 
-    // --- gates ---------------------------------------------------------
+    // --- cached hot-set ratio (gated in `report::GATES`) --------------
     let (resident, paged) = (queries[0].median_us(), queries[1].median_us());
     let ratio = if resident > 0.0 { paged / resident } else { 0.0 };
-    json.push_scalar("backend/point_query/median_ratio_paged_mem_vs_resident", ratio);
+    let name = "backend/point_query/median_ratio_paged_mem_vs_resident";
+    json.push_scalar(name, ratio, Unit::Ratio);
     println!("\npaged_mem vs resident point query: {ratio:.2}x by median");
 
-    json.write("BENCH_sqlheap.json").expect("write BENCH_sqlheap.json");
-    println!("(wrote BENCH_sqlheap.json)");
-
-    let mut failed = false;
-    if ratio > MAX_PAGED_RATIO {
-        eprintln!(
-            "FAIL: cache-resident paged point query is {ratio:.2}x the resident table \
-             (gate: {MAX_PAGED_RATIO}x)"
-        );
-        failed = true;
-    }
-    if hit_rate_2x <= 0.0 {
-        eprintln!(
-            "FAIL: cyclic re-scan at 2x budget hit {:.1}% — the scan cliff is back",
-            hit_rate_2x * 100.0
-        );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    json.finish();
 }
 
 fn print_row(json: &mut BenchJson, section: &str, ms: &[Measurement]) {

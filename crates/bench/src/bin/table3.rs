@@ -17,7 +17,7 @@ const TRIALS: usize = 200;
 const MODES: [&str; 3] = ["android", "initiator", "delegate"];
 
 fn main() {
-    let mut json = BenchJson::new();
+    let mut json = BenchJson::new("table3");
     println!("Table 3 — microbenchmark overheads vs unmodified Android");
     println!("(paper shape: initiator ~0 everywhere; delegate pays only on I/O,");
     println!(" with append the worst case; {TRIALS} interleaved trials per cell)\n");
@@ -134,12 +134,11 @@ fn main() {
     let deletes = dict_cases(rows, 0, move |w, i| w.delete((i % rows) as i64 + 1));
     print_row(&mut json, "dict", "delete", &deletes);
 
-    json.write("BENCH_table3.json").expect("write BENCH_table3.json");
-    println!("\n(wrote BENCH_table3.json)");
     println!("\n(percentages are relative to the android column; the in-memory");
     println!(" baseline is far faster than device SQLite/ext4, which inflates");
     println!(" relative overheads — compare the absolute added microseconds and");
     println!(" their ordering with the paper's percentages; see EXPERIMENTS.md)");
+    json.finish();
 }
 
 /// Builds the three dictionary-mode cases with `warm_updates` pre-applied

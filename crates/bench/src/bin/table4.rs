@@ -16,7 +16,7 @@ const IMAGE_SIZE: usize = 780 * 1024; // 780 KB images.
 const TRIALS: usize = 5;
 
 fn main() {
-    let mut json = BenchJson::new();
+    let mut json = BenchJson::new("table4");
     println!("Table 4 — provider task times ({TRIALS} trials)");
     println!("(paper: ~equal across all three columns)\n");
 
@@ -33,9 +33,7 @@ fn main() {
     let sc_volatile = bench_media_scan(ScanMode::Volatile);
     println!("\nscan 100 x 780KB images (metadata into Media):");
     print_row(&mut json, "media_scan_100x780KB", &sc_android, &sc_public, &sc_volatile);
-
-    json.write("BENCH_table4.json").expect("write BENCH_table4.json");
-    println!("\n(wrote BENCH_table4.json)");
+    json.finish();
 }
 
 fn print_row(

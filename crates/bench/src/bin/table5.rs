@@ -5,11 +5,12 @@
 //! Maxoid does not touch.
 //!
 //! Run with: `cargo run --release -p maxoid-bench --bin table5`
+//! Writes `BENCH_table5.json`, one row per `<app>/<task>/<mode>`.
 
 use maxoid::manifest::MaxoidManifest;
 use maxoid::{MaxoidSystem, Pid};
 use maxoid_apps::{compute, AdobeReader, CamScanner, CameraMx, FileRef};
-use maxoid_bench::{measure, Measurement};
+use maxoid_bench::{measure, BenchJson};
 use maxoid_vfs::{vpath, Mode};
 
 const TRIALS: usize = 5;
@@ -24,9 +25,18 @@ enum Mode3 {
 
 impl Mode3 {
     const ALL: [Mode3; 3] = [Mode3::Android, Mode3::Initiator, Mode3::Delegate];
+
+    fn label(self) -> &'static str {
+        match self {
+            Mode3::Android => "android",
+            Mode3::Initiator => "initiator",
+            Mode3::Delegate => "delegate",
+        }
+    }
 }
 
 fn main() {
+    let mut json = BenchJson::new("table5");
     println!("Table 5 — application task latency ({TRIALS} trials)");
     println!("(paper: all three columns statistically indistinguishable)\n");
     println!(
@@ -39,7 +49,7 @@ fn main() {
     let scanner_pkg = CamScanner::default().pkg;
     let camera_pkg = CameraMx::default().pkg;
 
-    run_task("Adobe Reader", "open a 1.6 MB file", &reader_pkg, |sys, pid| {
+    run_task(&mut json, "Adobe Reader", "open a 1.6 MB file", &reader_pkg, |sys, pid| {
         let reader = AdobeReader::default();
         let doc = vpath("/storage/sdcard/bench.pdf");
         let data = sys.kernel.read(pid, &doc).expect("doc seeded");
@@ -50,24 +60,24 @@ fn main() {
         );
     });
 
-    run_task("Adobe Reader", "in-file search", &reader_pkg, |sys, pid| {
+    run_task(&mut json, "Adobe Reader", "in-file search", &reader_pkg, |sys, pid| {
         let reader = AdobeReader::default();
         let doc = vpath("/storage/sdcard/bench.pdf");
         std::hint::black_box(reader.search(sys, pid, &doc, "needle").expect("search"));
     });
 
-    run_task("CamScanner", "process a scanned page", &scanner_pkg, |sys, pid| {
+    run_task(&mut json, "CamScanner", "process a scanned page", &scanner_pkg, |sys, pid| {
         let scanner = CamScanner::default();
         let pixels = compute::capture_photo(400_000, 3);
         scanner.scan_page(sys, pid, "bench_page", &pixels).expect("scan");
     });
 
-    run_task("CameraMX", "take a photo", &camera_pkg, |sys, pid| {
+    run_task(&mut json, "CameraMX", "take a photo", &camera_pkg, |sys, pid| {
         let cam = CameraMx::default();
         cam.take_photo(sys, pid, "bench_photo", 500_000).expect("photo");
     });
 
-    run_task("CameraMX", "save an edited photo", &camera_pkg, |sys, pid| {
+    run_task(&mut json, "CameraMX", "save an edited photo", &camera_pkg, |sys, pid| {
         let cam = CameraMx::default();
         let p = vpath("/storage/sdcard/DCIM/bench_photo.jpg");
         if !sys.kernel.exists(pid, &p) {
@@ -75,31 +85,32 @@ fn main() {
         }
         cam.save_edited(sys, pid, &p).expect("edit");
     });
+    json.finish();
 }
 
-/// Runs one task in all three modes and prints the row.
-fn run_task(app: &str, task: &str, pkg: &str, op: impl Fn(&mut MaxoidSystem, Pid)) {
-    let results: Vec<Measurement> = Mode3::ALL
-        .iter()
-        .map(|&mode| {
-            measure(
-                TRIALS,
-                || {},
-                || {
-                    let (mut sys, pid) = setup(mode, pkg);
-                    op(&mut sys, pid);
-                },
-            )
-        })
-        .collect();
-    println!(
-        "{:<14} {:<24} {:>9.1} ms {:>9.1} ms {:>9.1} ms",
-        app,
-        task,
-        results[0].mean_ns() / 1e6,
-        results[1].mean_ns() / 1e6,
-        results[2].mean_ns() / 1e6,
-    );
+/// Runs one task in all three modes, records `<app>/<task>/<mode>` and
+/// prints the row.
+fn run_task(
+    json: &mut BenchJson,
+    app: &str,
+    task: &str,
+    pkg: &str,
+    op: impl Fn(&mut MaxoidSystem, Pid),
+) {
+    let mut ms = Vec::new();
+    for mode in Mode3::ALL {
+        let m = measure(
+            TRIALS,
+            || {},
+            || {
+                let (mut sys, pid) = setup(mode, pkg);
+                op(&mut sys, pid);
+            },
+        );
+        json.push(&format!("{app}/{task}/{}", mode.label()), &m);
+        ms.push(m.mean_ns() / 1e6);
+    }
+    println!("{:<14} {:<24} {:>9.1} ms {:>9.1} ms {:>9.1} ms", app, task, ms[0], ms[1], ms[2]);
 }
 
 /// Boots a system with `pkg` running in the requested mode and a 1.6 MB

@@ -116,8 +116,8 @@ impl FsWorkload {
         self.sys.kernel.read(self.pid, &self.seeded(i)).expect("read");
     }
 
-    /// Untimed half of `write_new`: picks the next fresh file name and
-    /// allocates the payload.
+    /// Untimed half of a fresh-file write: picks the next fresh file name
+    /// and allocates the payload.
     pub fn stage_write(&mut self, size: usize) {
         self.counter += 1;
         let p = self.dir.join(&format!("new{}.dat", self.counter)).expect("valid name");
@@ -128,13 +128,6 @@ impl FsWorkload {
     pub fn write_staged(&mut self) {
         let (p, payload) = self.staged.take().expect("stage_write first");
         self.sys.kernel.write(self.pid, &p, &payload, Mode::PRIVATE).expect("write");
-    }
-
-    /// Creates and writes a fresh file of `size` bytes (staging and
-    /// timed op fused; benches wanting clean timings call the halves).
-    pub fn write_new(&mut self, size: usize) {
-        self.stage_write(size);
-        self.write_staged();
     }
 
     /// Untimed half of `append`: formats the path and allocates the
@@ -169,7 +162,7 @@ impl FsWorkload {
             .and_then(|h| h.join("files"))
             .and_then(|h| h.join(&format!("orig{i}.dat")))
             .expect("layout");
-        self.sys.kernel.vfs().with_store_mut(|s| {
+        self.sys.kernel.vfs().with_store(|s| {
             if s.exists(&overlay) {
                 s.unlink(&overlay).expect("drop overlay copy");
             }
@@ -188,7 +181,8 @@ mod tests {
         for mode in FsMode::ALL {
             let mut w = FsWorkload::new(mode, 4, 64);
             w.read(0);
-            w.write_new(64);
+            w.stage_write(64);
+            w.write_staged();
             w.append(1, 64);
             // Read-back sees the appended size through the active view.
             let data = w.sys.kernel.read(w.pid, &w.seeded(1)).unwrap();

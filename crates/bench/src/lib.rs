@@ -1,7 +1,8 @@
 //! Benchmark harness for the Maxoid evaluation (paper §7.2).
 //!
-//! Provides workload builders shared by the Criterion benches and the
-//! table-printing binaries. Every microbenchmark runs in three setups:
+//! Provides the workload builders and the one measurement harness
+//! ([`report`]) that the bench bins share. Every microbenchmark runs in
+//! three setups:
 //!
 //! - **android** — the unmodified-Android baseline: a plain bind
 //!   namespace (no union mounts, no tmp windows) and, for providers, raw
@@ -22,4 +23,4 @@ pub mod report;
 
 pub use fsbench::{FsMode, FsWorkload};
 pub use provider_bench::{cow_point_query, cow_table, DictMode, DictWorkload};
-pub use report::{measure, measure_interleaved, BenchJson, Case, Measurement, Unit};
+pub use report::{cores, measure, measure_interleaved, BenchJson, Case, Measurement, Unit};

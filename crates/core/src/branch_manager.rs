@@ -32,7 +32,7 @@ pub struct BranchManager {
 impl BranchManager {
     /// Creates the branch manager and the shared backing directories.
     pub fn new(vfs: Vfs) -> VfsResult<Self> {
-        vfs.with_store_mut(|s| {
+        vfs.with_store(|s| {
             s.mkdir_all(&layout::back_ext_pub(), Uid::ROOT, Mode::PUBLIC)?;
             s.mkdir_all(&maxoid_vfs::vpath("/backing/internal"), Uid::ROOT, Mode::PUBLIC)?;
             s.mkdir_all(&maxoid_vfs::vpath("/backing/internal_tmp"), Uid::ROOT, Mode::PUBLIC)?;
@@ -53,7 +53,7 @@ impl BranchManager {
     /// private dir (owned by its uid) and its declared private
     /// external-storage branches.
     pub fn prepare_app(&self, pkg: &str, uid: Uid, manifest: &MaxoidManifest) -> VfsResult<()> {
-        self.vfs.with_store_mut(|s| {
+        self.vfs.with_store(|s| {
             s.mkdir_all(&layout::back_internal(pkg)?, uid, Mode::PRIVATE)?;
             for rel in &manifest.private_ext_dirs {
                 s.mkdir_all(&layout::back_ext_app(pkg)?.join(rel)?, uid, Mode::PUBLIC)?;
@@ -63,7 +63,7 @@ impl BranchManager {
     }
 
     fn ensure_dir(&self, path: &VPath) -> VfsResult<()> {
-        self.vfs.with_store_mut(|s| s.mkdir_all(path, Uid::ROOT, Mode::PUBLIC))
+        self.vfs.with_store(|s| s.mkdir_all(path, Uid::ROOT, Mode::PUBLIC))
     }
 
     /// Builds the namespace for app `pkg` running normally (initiator).

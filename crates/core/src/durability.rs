@@ -136,10 +136,10 @@ impl Rebuild {
         let vfs = &self.vfs;
         let result = match rec {
             Record::Vfs(v) => {
-                vfs.with_store_mut(|s| s.apply_journal_record(&v)).map_err(RecoveryError::Vfs)
+                vfs.with_store(|s| s.apply_journal_record(&v)).map_err(RecoveryError::Vfs)
             }
             Record::SnapshotDelta { component, payload } if component == VFS_COMPONENT => {
-                vfs.with_store_mut(|s| s.apply_dirty_image(&payload)).map_err(RecoveryError::Vfs)
+                vfs.with_store(|s| s.apply_dirty_image(&payload)).map_err(RecoveryError::Vfs)
             }
             Record::SnapshotDelta { component, .. } => {
                 Err(RecoveryError::UnknownComponent(component))
@@ -259,7 +259,7 @@ mod tests {
         let j = Journal::in_memory(1);
         let vfs = Vfs::new();
         vfs.attach_journal(j.clone());
-        vfs.with_store_mut(|s| {
+        vfs.with_store(|s| {
             s.mkdir_all(&vpath("/data"), Uid::ROOT, Mode::PUBLIC).unwrap();
             s.write(&vpath("/data/f"), b"hello", Uid(10_001), Mode::PRIVATE).unwrap();
         });
@@ -287,7 +287,7 @@ mod tests {
         let j = Journal::in_memory(1);
         let vfs = Vfs::new();
         vfs.attach_journal(j.clone());
-        vfs.with_store_mut(|s| {
+        vfs.with_store(|s| {
             s.mkdir_all(&vpath("/a/b"), Uid::ROOT, Mode::PUBLIC).unwrap();
             s.write(&vpath("/a/b/f"), b"version 1", Uid(10_001), Mode::PRIVATE).unwrap();
             // Churn: overwrites and a delete, so history != live state.
@@ -366,7 +366,7 @@ mod tests {
         let j = Journal::in_memory(1);
         let vfs = Vfs::new();
         vfs.attach_journal(j.clone());
-        vfs.with_store_mut(|s| {
+        vfs.with_store(|s| {
             s.mkdir_all(&vpath("/a"), Uid::ROOT, Mode::PUBLIC).unwrap();
             s.mkdir_all(&vpath("/b"), Uid::ROOT, Mode::PUBLIC).unwrap();
             s.write(&vpath("/a/f"), b"1", Uid::ROOT, Mode::PUBLIC).unwrap();
@@ -384,7 +384,7 @@ mod tests {
         // Allocation state came through the image: the next allocation
         // reuses the hole in both stores, and the clocks agree.
         let write = |v: &Vfs| {
-            v.with_store_mut(|s| s.write(&vpath("/n"), b"x", Uid::ROOT, Mode::PUBLIC)).unwrap()
+            v.with_store(|s| s.write(&vpath("/n"), b"x", Uid::ROOT, Mode::PUBLIC)).unwrap()
         };
         assert_eq!(write(&booted.vfs), write(&vfs));
         assert_eq!(booted.vfs.with_store(|s| s.now()), vfs.with_store(|s| s.now()));
@@ -395,7 +395,7 @@ mod tests {
         let j = Journal::in_memory(1);
         let vfs = Vfs::new();
         vfs.attach_journal(j.clone());
-        vfs.with_store_mut(|s| {
+        vfs.with_store(|s| {
             s.mkdir_all(&vpath("/data"), Uid::ROOT, Mode::PUBLIC).unwrap();
             s.write(&vpath("/data/a"), b"aaa", Uid(10_001), Mode::PRIVATE).unwrap();
         });
@@ -409,14 +409,14 @@ mod tests {
         };
         // First delta covers everything dirty since boot.
         checkpoint();
-        vfs.with_store_mut(|s| {
+        vfs.with_store(|s| {
             s.write(&vpath("/data/b"), b"bbb", Uid(10_001), Mode::PRIVATE).unwrap();
             s.write(&vpath("/data/a"), b"aaa2", Uid(10_001), Mode::PRIVATE).unwrap();
         });
         // Second delta covers only /data/b, /data/a and their parent.
         checkpoint();
         // Tail records after the last checkpoint replay on top.
-        vfs.with_store_mut(|s| {
+        vfs.with_store(|s| {
             s.write(&vpath("/data/c"), b"ccc", Uid::ROOT, Mode::PUBLIC).unwrap();
         });
         j.flush().unwrap();
@@ -430,11 +430,11 @@ mod tests {
         let j = Journal::in_memory(1);
         let vfs = Vfs::new();
         vfs.attach_journal(j.clone());
-        vfs.with_store_mut(|s| {
+        vfs.with_store(|s| {
             s.write(&vpath("/keep"), b"k", Uid::ROOT, Mode::PUBLIC).unwrap();
         });
         let txn = j.begin_txn().unwrap();
-        vfs.with_store_mut(|s| {
+        vfs.with_store(|s| {
             s.write(&vpath("/lost"), b"l", Uid::ROOT, Mode::PUBLIC).unwrap();
         });
         // Crash before commit_txn: the flush makes TxnBegin + the write

@@ -97,7 +97,7 @@ impl PrivateStateManager {
             Some(f) if f.base_mark == mark => Ok(ForkOutcome::Kept),
             Some(_) => {
                 // Priv(B) diverged: discard the overlay, re-fork.
-                vfs.with_store_mut(|s| {
+                vfs.with_store(|s| {
                     if s.exists(&overlay) {
                         s.remove_all(&overlay)?;
                     }
@@ -118,7 +118,7 @@ impl PrivateStateManager {
             maxoid_vfs::vpath("/backing/npriv").join(init)?,
             maxoid_vfs::vpath("/backing/ppriv").join(init)?,
         ] {
-            vfs.with_store_mut(|s| -> VfsResult<()> {
+            vfs.with_store(|s| -> VfsResult<()> {
                 if s.exists(&root) {
                     s.remove_all(&root)?;
                 }
@@ -144,7 +144,7 @@ mod tests {
 
     fn setup(pkg: &str) -> Vfs {
         let vfs = Vfs::new();
-        vfs.with_store_mut(|s| {
+        vfs.with_store(|s| {
             s.mkdir_all(&layout::back_internal(pkg).unwrap(), Uid(10_001), Mode::PRIVATE).unwrap();
             s.write(
                 &layout::back_internal(pkg).unwrap().join("db").unwrap(),
@@ -167,7 +167,7 @@ mod tests {
         // B^A starts: fresh fork of nPriv.
         assert_eq!(mgr.on_delegate_start(&vfs, "A", "B").unwrap(), ForkOutcome::FreshFork);
         // B^A writes into its overlay.
-        vfs.with_store_mut(|s| {
+        vfs.with_store(|s| {
             s.mkdir_all(&vpath("/backing/npriv/A/B"), Uid::ROOT, Mode::PUBLIC).unwrap();
             s.write(&vpath("/backing/npriv/A/B/recent"), b"att1", Uid(10_001), Mode::PRIVATE)
                 .unwrap();
@@ -178,7 +178,7 @@ mod tests {
         assert!(vfs.with_store(|s| s.exists(&vpath("/backing/npriv/A/B/recent"))));
 
         // B runs normally and updates Priv(B): divergence.
-        vfs.with_store_mut(|s| {
+        vfs.with_store(|s| {
             s.write(&vpath("/backing/internal/B/db"), b"v1", Uid(10_001), Mode::PRIVATE).unwrap();
         });
 
@@ -199,7 +199,7 @@ mod tests {
         assert!(mgr.has_fork("A", "B"));
         assert!(mgr.has_fork("C", "B"));
         // A divergence discards both independently at their next start.
-        vfs.with_store_mut(|s| {
+        vfs.with_store(|s| {
             s.write(&vpath("/backing/internal/B/db"), b"v1", Uid(10_001), Mode::PRIVATE).unwrap();
         });
         assert_eq!(
@@ -217,7 +217,7 @@ mod tests {
         let vfs = setup("B");
         let mut mgr = PrivateStateManager::new();
         mgr.on_delegate_start(&vfs, "A", "B").unwrap();
-        vfs.with_store_mut(|s| {
+        vfs.with_store(|s| {
             s.mkdir_all(&vpath("/backing/ppriv/A/B"), Uid::ROOT, Mode::PUBLIC).unwrap();
             s.write(&vpath("/backing/ppriv/A/B/bookmarks"), b"x", Uid(10_001), Mode::PRIVATE)
                 .unwrap();
@@ -235,7 +235,7 @@ mod tests {
         let vfs = setup("B");
         let mut mgr = PrivateStateManager::new();
         mgr.on_delegate_start(&vfs, "A", "B").unwrap();
-        vfs.with_store_mut(|s| {
+        vfs.with_store(|s| {
             s.mkdir_all(&vpath("/backing/npriv/A/B"), Uid::ROOT, Mode::PUBLIC).unwrap();
             s.write(&vpath("/backing/npriv/A/B/x"), b"1", Uid(10_001), Mode::PRIVATE).unwrap();
         });

@@ -756,17 +756,6 @@ impl MaxoidSystem {
         Ok(self.volatile.list(init)?)
     }
 
-    /// Commits a volatile external file to its non-volatile place (§3.3).
-    pub fn commit_volatile_file(&self, init: &str, rel: &str) -> SystemResult<()> {
-        let manifest = self.manifest_of(&AppId::new(init)).unwrap_or_default();
-        Ok(self.volatile.commit_external(init, &manifest, rel)?)
-    }
-
-    /// Commits a volatile internal file into `Priv(init)`.
-    pub fn commit_volatile_internal(&self, init: &str, rel: &str) -> SystemResult<()> {
-        Ok(self.volatile.commit_internal(init, rel)?)
-    }
-
     /// The launcher's Clear-Vol gesture (§6.3): discards `Vol(init)` —
     /// volatile files, provider delta tables, and the confined clipboard.
     ///

@@ -99,7 +99,7 @@ impl VolatileState {
         } else {
             layout::back_ext_pub().join(rel)?
         };
-        self.vfs.with_store_mut(|s| {
+        self.vfs.with_store(|s| {
             if !s.exists(&src) {
                 return Err(VfsError::NotFound);
             }
@@ -115,7 +115,7 @@ impl VolatileState {
     pub fn commit_internal(&self, init: &str, rel: &str) -> VfsResult<()> {
         let src = layout::back_internal_tmp(init)?.join(rel)?;
         let dst = layout::back_internal(init)?.join(rel)?;
-        self.vfs.with_store_mut(|s| {
+        self.vfs.with_store(|s| {
             if !s.exists(&src) {
                 return Err(VfsError::NotFound);
             }
@@ -133,7 +133,7 @@ impl VolatileState {
     pub fn clear(&self, init: &str) -> VfsResult<usize> {
         let removed = self.list(init)?.len();
         for root in [layout::back_ext_tmp(init)?, layout::back_internal_tmp(init)?] {
-            self.vfs.with_store_mut(|s| -> VfsResult<()> {
+            self.vfs.with_store(|s| -> VfsResult<()> {
                 if s.exists(&root) {
                     s.remove_all(&root)?;
                 }
@@ -151,7 +151,7 @@ mod tests {
 
     fn setup() -> (Vfs, VolatileState) {
         let vfs = Vfs::new();
-        vfs.with_store_mut(|s| {
+        vfs.with_store(|s| {
             for d in [
                 "/backing/ext/pub",
                 "/backing/ext/apps/A/tmp",
@@ -167,7 +167,7 @@ mod tests {
     }
 
     fn seed_volatile(vfs: &Vfs) {
-        vfs.with_store_mut(|s| {
+        vfs.with_store(|s| {
             s.mkdir_all(&vpath("/backing/ext/apps/A/tmp/data/A"), Uid::ROOT, Mode::PUBLIC).unwrap();
             s.write(
                 &vpath("/backing/ext/apps/A/tmp/data/A/edited.txt"),

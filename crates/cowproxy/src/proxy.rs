@@ -243,11 +243,6 @@ impl CowProxy {
         self.read_slot.retract();
     }
 
-    /// Whether the rewrite cache is active.
-    pub fn rewrite_cache_enabled(&self) -> bool {
-        self.rewrite.enabled()
-    }
-
     /// `(hits, misses)` of the rewrite cache since construction.
     pub fn rewrite_cache_stats(&self) -> (u64, u64) {
         self.rewrite.stats()

@@ -134,10 +134,6 @@ pub(crate) struct RewriteCache {
 }
 
 impl RewriteCache {
-    pub(crate) fn enabled(&self) -> bool {
-        !self.disabled.get()
-    }
-
     /// Toggles the cache; disabling drops every entry so re-enabling
     /// starts cold.
     pub(crate) fn set_enabled(&self, on: bool) {

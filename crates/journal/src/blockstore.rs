@@ -204,11 +204,6 @@ impl BlockStorage {
             .expect("an empty mem device always opens")
     }
 
-    /// Page-cache counters (hits/misses/evictions/writeback).
-    pub fn cache_stats(&self) -> maxoid_block::CacheStats {
-        self.cache.stats()
-    }
-
     /// The underlying device (tests corrupt it; benches size it).
     pub fn device(&self) -> &dyn BlockDevice {
         self.cache.device()

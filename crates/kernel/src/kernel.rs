@@ -138,19 +138,9 @@ impl Kernel {
         uid
     }
 
-    /// Returns the uid of an installed app.
-    pub fn uid_of(&self, app: &AppId) -> KernelResult<Uid> {
-        self.apps_snapshot().get(app).copied().ok_or_else(|| KernelError::NoSuchApp(app.0.clone()))
-    }
-
     /// Returns true if the app is installed.
     pub fn is_installed(&self, app: &AppId) -> bool {
         self.apps_snapshot().contains_key(app)
-    }
-
-    /// Lists installed apps.
-    pub fn installed_apps(&self) -> Vec<AppId> {
-        self.apps_snapshot().keys().cloned().collect()
     }
 
     /// Zygote fork: creates a process for `app` with the given execution
@@ -397,8 +387,7 @@ mod tests {
         let k = Kernel::new();
         let app = AppId::new(pkg);
         k.install_app(&app);
-        k.vfs()
-            .with_store_mut(|s| s.mkdir_all(&vpath("/back/pub"), Uid::ROOT, Mode::PUBLIC).unwrap());
+        k.vfs().with_store(|s| s.mkdir_all(&vpath("/back/pub"), Uid::ROOT, Mode::PUBLIC).unwrap());
         let mut ns = MountNamespace::new();
         ns.add(Mount::bind(vpath("/sdcard"), vpath("/back/pub")).with_forced_mode(Mode::PUBLIC));
         let pid = k.spawn(&app, ExecContext::Normal, ns).unwrap();

@@ -49,7 +49,7 @@ impl<L: FileLocator> SystemFiles<L> {
     /// Writes a file into public (initiator `None`) or volatile storage.
     pub fn write(&self, initiator: Option<&str>, path: &VPath, data: &[u8]) -> VfsResult<()> {
         let host = self.host(initiator, path)?;
-        self.vfs.with_store_mut(|s| {
+        self.vfs.with_store(|s| {
             if let Some(parent) = host.parent() {
                 s.mkdir_all(&parent, Uid::SYSTEM, Mode::PUBLIC)?;
             }
@@ -68,7 +68,7 @@ impl<L: FileLocator> SystemFiles<L> {
     /// Deletes a file from the selected storage.
     pub fn delete(&self, initiator: Option<&str>, path: &VPath) -> VfsResult<()> {
         let host = self.host(initiator, path)?;
-        self.vfs.with_store_mut(|s| s.unlink(&host))
+        self.vfs.with_store(|s| s.unlink(&host))
     }
 
     /// Returns true when the file exists in the selected storage.

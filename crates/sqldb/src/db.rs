@@ -414,11 +414,6 @@ impl Database {
         self.journal_name = name.to_string();
     }
 
-    /// Detaches the journal, returning it if one was attached.
-    pub fn take_journal(&mut self) -> Option<maxoid_journal::Journal> {
-        self.journal.take()
-    }
-
     /// Returns the journal component name set by [`Database::set_journal`].
     pub fn journal_name(&self) -> &str {
         &self.journal_name
@@ -888,11 +883,6 @@ impl Database {
     /// Lists base table names (lowercased keys).
     pub fn table_names(&self) -> Vec<String> {
         self.catalog.tables.keys().cloned().collect()
-    }
-
-    /// Lists view names (lowercased keys).
-    pub fn view_names(&self) -> Vec<String> {
-        self.catalog.views.keys().cloned().collect()
     }
 
     /// Dumps every base table's rows as replayable `(sql, params)`

@@ -146,11 +146,6 @@ impl SecondaryIndex {
         self.column
     }
 
-    /// True for `CREATE UNIQUE INDEX`.
-    pub fn is_unique(&self) -> bool {
-        self.unique
-    }
-
     /// Number of distinct keys currently indexed (including NULL).
     pub fn key_count(&self) -> usize {
         self.map.len()

@@ -116,13 +116,6 @@ impl Rows {
         }
     }
 
-    fn bytes(&self) -> usize {
-        match self {
-            Rows::Resident { bytes, .. } => *bytes,
-            Rows::Paged(p) => p.bytes(),
-        }
-    }
-
     fn contains_key(&self, id: i64) -> bool {
         match self {
             Rows::Resident { map, .. } => map.contains_key(&id),
@@ -250,11 +243,6 @@ impl Table {
     /// True when the rows live on the heap tier rather than in memory.
     pub fn is_paged(&self) -> bool {
         matches!(self.rows, Rows::Paged(_))
-    }
-
-    /// Approximate encoded payload size (the spill accounting).
-    pub fn payload_bytes(&self) -> usize {
-        self.rows.bytes()
     }
 
     fn maybe_spill(&mut self) {

@@ -44,14 +44,6 @@ impl Value {
         }
     }
 
-    /// Returns the text content for text values.
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            Value::Text(t) => Some(t),
-            _ => None,
-        }
-    }
-
     /// SQL truthiness: NULL is unknown, numbers are true when non-zero,
     /// text is true when it parses to a non-zero number.
     pub fn truthiness(&self) -> Option<bool> {

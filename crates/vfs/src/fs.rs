@@ -69,12 +69,6 @@ impl Vfs {
         Vfs { store: Arc::new(Store::with_block_device(dev, pages, threshold)) }
     }
 
-    /// Takes an existing store (e.g. a block-backed one mutated during
-    /// recovery) as this facade's backing store.
-    pub fn from_store(store: Store) -> Self {
-        Vfs { store: Arc::new(store) }
-    }
-
     /// Point-in-time storage-tier counters: resident vs spilled files and
     /// the page-cache stats when a block device is attached.
     pub fn store_stats(&self) -> crate::store::StoreStats {
@@ -86,16 +80,6 @@ impl Vfs {
     /// This is the "root" escape hatch used by trusted components (the
     /// branch manager, Zygote, providers' file helpers); apps never get it.
     pub fn with_store<R>(&self, f: impl FnOnce(&Store) -> R) -> R {
-        f(&self.store)
-    }
-
-    /// Runs a closure with access to the raw backing store.
-    ///
-    /// Historically this took `&mut Store` behind a facade-level write
-    /// lock; the sharded store mutates through `&self`, so this is now an
-    /// alias for [`Vfs::with_store`] kept so trusted call sites compile
-    /// unchanged.
-    pub fn with_store_mut<R>(&self, f: impl FnOnce(&Store) -> R) -> R {
         f(&self.store)
     }
 
@@ -416,11 +400,6 @@ impl Vfs {
         }
         self.store.write_inode(handle.inode, data)
     }
-
-    /// Returns metadata via a handle.
-    pub fn stat_handle(&self, handle: FileHandle) -> VfsResult<Metadata> {
-        self.store.stat_inode(handle.inode)
-    }
 }
 
 fn join_host(host: &VPath, rel: &str) -> VfsResult<VPath> {
@@ -444,7 +423,7 @@ mod tests {
 
     fn setup() -> (Vfs, MountNamespace) {
         let vfs = Vfs::new();
-        vfs.with_store_mut(|s| {
+        vfs.with_store(|s| {
             s.mkdir_all(&vpath("/back/pub"), Uid::ROOT, Mode::PUBLIC).unwrap();
             s.mkdir_all(&vpath("/back/privA"), Uid::ROOT, Mode::PUBLIC).unwrap();
         });
@@ -482,7 +461,7 @@ mod tests {
         let (vfs, mut ns) = setup();
         vfs.write(APP_A, &ns, &vpath("/data/data/A/secret"), b"s", Mode::PRIVATE).unwrap();
         // Mount A's private dir for B with maxoid_access, tmp writable branch.
-        vfs.with_store_mut(|s| s.mkdir_all(&vpath("/back/tmpA"), Uid::ROOT, Mode::PUBLIC).unwrap());
+        vfs.with_store(|s| s.mkdir_all(&vpath("/back/tmpA"), Uid::ROOT, Mode::PUBLIC).unwrap());
         let u = Union::new(
             vec![Branch::rw(vpath("/back/tmpA")), Branch::ro(vpath("/back/privA"))],
             true,
@@ -531,7 +510,7 @@ mod tests {
     #[test]
     fn readdir_includes_nested_mount_points() {
         let (vfs, mut ns) = setup();
-        vfs.with_store_mut(|s| s.mkdir_all(&vpath("/back/tmpA"), Uid::ROOT, Mode::PUBLIC).unwrap());
+        vfs.with_store(|s| s.mkdir_all(&vpath("/back/tmpA"), Uid::ROOT, Mode::PUBLIC).unwrap());
         ns.add(Mount::bind(vpath("/sdcard/tmp"), vpath("/back/tmpA")));
         vfs.write(APP_A, &ns, &vpath("/sdcard/f"), b"x", Mode::PUBLIC).unwrap();
         let names: Vec<String> = vfs
@@ -556,7 +535,7 @@ mod tests {
     #[test]
     fn rw_open_on_union_copies_up() {
         let (vfs, mut ns) = setup();
-        vfs.with_store_mut(|s| {
+        vfs.with_store(|s| {
             s.mkdir_all(&vpath("/back/up"), Uid::ROOT, Mode::PUBLIC).unwrap();
             s.mkdir_all(&vpath("/back/low"), Uid::ROOT, Mode::PUBLIC).unwrap();
             s.write(&vpath("/back/low/f"), b"orig", Uid::ROOT, Mode::PUBLIC).unwrap();

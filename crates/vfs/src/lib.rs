@@ -18,7 +18,7 @@
 //! use maxoid_vfs::{vpath, Cred, Mode, Mount, MountNamespace, Uid, Vfs};
 //!
 //! let vfs = Vfs::new();
-//! vfs.with_store_mut(|s| s.mkdir_all(&vpath("/back/pub"), Uid::ROOT, Mode::PUBLIC))
+//! vfs.with_store(|s| s.mkdir_all(&vpath("/back/pub"), Uid::ROOT, Mode::PUBLIC))
 //!     .unwrap();
 //! let mut ns = MountNamespace::new();
 //! ns.add(Mount::bind(vpath("/sdcard"), vpath("/back/pub")));

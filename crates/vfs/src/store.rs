@@ -631,14 +631,6 @@ impl Store {
         st
     }
 
-    /// Writes every dirty cached page back to the block device and issues
-    /// its flush barrier. A no-op for device-less stores.
-    pub fn flush_pages(&self) {
-        if let Some(p) = &self.paged {
-            p.lock().cache.flush().expect("vfs spill device flush failed");
-        }
-    }
-
     // ----- visibility generations -----
 
     fn vis_prefix_shard(path: &VPath, depth: usize) -> usize {
@@ -721,11 +713,6 @@ impl Store {
     /// Attaches a journal; subsequent successful mutations are logged.
     pub fn set_journal(&self, journal: Journal) {
         *self.journal.write() = Some(journal);
-    }
-
-    /// Detaches the journal, returning it if one was attached.
-    pub fn take_journal(&self) -> Option<Journal> {
-        self.journal.write().take()
     }
 
     fn emit(&self, rec: VfsRecord) {

@@ -266,13 +266,6 @@ impl Union {
         (self.cache.hits.load(Ordering::Relaxed), self.cache.misses.load(Ordering::Relaxed))
     }
 
-    /// Drops every memoized resolution. The store's visibility generation
-    /// already invalidates implicitly; coarse events (volatile
-    /// commit/clear, branch surgery) call this for an explicit flush.
-    pub fn invalidate_resolutions(&self) {
-        self.cache.clear();
-    }
-
     /// Host path of the append-delta file for `rel` in the top branch.
     fn delta_host(&self, rel: &str) -> VfsResult<VPath> {
         let top = self.top()?.host.clone();
@@ -305,11 +298,6 @@ impl Union {
     /// Returns the branches, top priority first.
     pub fn branches(&self) -> &[Branch] {
         &self.branches
-    }
-
-    /// Returns true if the union has a writable top branch.
-    pub fn is_writable(&self) -> bool {
-        self.branches[0].writable
     }
 
     fn top(&self) -> VfsResult<&Branch> {

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run -p maxoid-examples --bin email_attachments`
 
-use maxoid::MaxoidSystem;
+use maxoid::{MaxoidSystem, VolCommitPlan};
 use maxoid_apps::{install_observer, install_viewer, EBookDroid, Email};
 use maxoid_vfs::vpath;
 
@@ -58,7 +58,8 @@ fn main() {
     println!("the photo is visible only to email (under EXTDIR/tmp)");
 
     // --- Email commits the photo, making it public by choice ------------
-    sys.commit_volatile_file(&email.pkg, "DCIM/for_email.jpg").expect("commit");
+    let plan = VolCommitPlan { external: vec!["DCIM/for_email.jpg".into()], ..Default::default() };
+    sys.commit_vol(&email.pkg, &plan).expect("commit");
     let opid2 = sys.launch(&observer).expect("observer");
     assert!(sys.kernel.exists(opid2, &vpath("/storage/sdcard/DCIM/for_email.jpg")));
     println!("after commit, the photo is public — an explicit declassification");

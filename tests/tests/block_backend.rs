@@ -201,7 +201,7 @@ fn seed_system(sys: &MaxoidSystem) {
     // A payload big enough to spill on a block-backed store.
     sys.kernel
         .vfs()
-        .with_store_mut(|s| {
+        .with_store(|s| {
             s.mkdir_all(&vpath("/storage/sdcard"), Uid::ROOT, Mode::PUBLIC)?;
             s.write(&vpath("/storage/sdcard/blob"), &pattern(7, 9000), Uid::ROOT, Mode::PUBLIC)
         })
@@ -896,7 +896,7 @@ fn fifty_files(platter: &SharedDev) -> (MaxoidSystem, ReadFaults, usize) {
     let sys = MaxoidSystem::boot_journaled(j.clone()).expect("boot");
     sys.kernel
         .vfs()
-        .with_store_mut(|s| -> Result<(), maxoid_vfs::VfsError> {
+        .with_store(|s| -> Result<(), maxoid_vfs::VfsError> {
             s.mkdir_all(&vpath("/storage/sdcard/probe"), Uid::ROOT, Mode::PUBLIC)?;
             for i in 0..50u8 {
                 let path = vpath("/storage/sdcard/probe").join(&format!("f{i}")).unwrap();
@@ -964,7 +964,7 @@ fn a_cold_boot_reads_its_log_through_one_window() {
     // Files before a checkpoint, whose image frame outgrows the window,
     // and more after it, so the log spans several windows.
     let write = |from: u8, to: u8| {
-        sys.kernel.vfs().with_store_mut(|s| {
+        sys.kernel.vfs().with_store(|s| {
             for i in from..to {
                 let path = vpath("/storage/sdcard").join(&format!("f{i}")).unwrap();
                 s.write(&path, &pattern(i, 20_000), Uid::ROOT, Mode::PUBLIC).unwrap();

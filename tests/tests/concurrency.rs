@@ -20,7 +20,7 @@ fn parallel_writers_in_disjoint_namespaces() {
     let setups: Vec<(Cred, MountNamespace)> = (0..THREADS)
         .map(|i| {
             let host = vpath("/backing").join(&format!("app{i}")).unwrap();
-            vfs.with_store_mut(|s| s.mkdir_all(&host, Uid::ROOT, Mode::PUBLIC)).unwrap();
+            vfs.with_store(|s| s.mkdir_all(&host, Uid::ROOT, Mode::PUBLIC)).unwrap();
             let mut ns = MountNamespace::new();
             ns.add(Mount::bind(vpath("/data"), host));
             (Cred::new(Uid(10_000 + i as u32)), ns)
@@ -58,7 +58,7 @@ fn parallel_writers_in_disjoint_namespaces() {
 #[test]
 fn readers_are_consistent_under_writes() {
     let vfs = Vfs::new();
-    vfs.with_store_mut(|s| s.mkdir_all(&vpath("/pub"), Uid::ROOT, Mode::PUBLIC)).unwrap();
+    vfs.with_store(|s| s.mkdir_all(&vpath("/pub"), Uid::ROOT, Mode::PUBLIC)).unwrap();
     let mut ns = MountNamespace::new();
     ns.add(Mount::bind(vpath("/shared"), vpath("/pub")).with_forced_mode(Mode::PUBLIC));
     let cred = Cred::new(Uid(10_001));

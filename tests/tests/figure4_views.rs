@@ -3,7 +3,7 @@
 //! copy-on-write, the tmp naming pattern, commit and discard.
 
 use maxoid::manifest::MaxoidManifest;
-use maxoid::MaxoidSystem;
+use maxoid::{MaxoidSystem, VolCommitPlan};
 use maxoid_vfs::{vpath, Mode};
 
 fn boot() -> MaxoidSystem {
@@ -62,7 +62,8 @@ fn commit_makes_edit_durable_then_discard_cleans() {
     sys.kernel.write(d, &vpath("/storage/sdcard/junk.log"), b"side effect", Mode::PUBLIC).unwrap();
 
     // A commits the edit it wants: b moves into its private branch.
-    sys.commit_volatile_file("A", "data/A/b").unwrap();
+    let plan = VolCommitPlan { external: vec!["data/A/b".into()], ..Default::default() };
+    sys.commit_vol("A", &plan).unwrap();
     assert_eq!(sys.kernel.read(a, &file_b).unwrap(), b"b1");
 
     // Then discards the rest of Vol(A).
