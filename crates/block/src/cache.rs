@@ -294,7 +294,7 @@ impl PageCache {
     /// probation indefinitely.
     fn pop_prob_candidate(&mut self) -> Option<(usize, u64)> {
         self.prob_pops += 1;
-        if self.prob_pops % 8 == 0 {
+        if self.prob_pops.is_multiple_of(8) {
             self.prob.pop_front()
         } else {
             self.prob.pop_back()

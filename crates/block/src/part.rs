@@ -248,11 +248,6 @@ impl PartitionTable {
         assert_ne!(part, FREE_PART, "0xFFFF is the free marker, not a partition id");
         PartitionHandle { part, inner: Arc::clone(&self.inner) }
     }
-
-    /// Physical chunks assigned so far (capacity diagnostics).
-    pub fn chunks_used(&self) -> u64 {
-        self.inner.lock().unwrap().next_phys
-    }
 }
 
 /// One partition of a [`PartitionTable`], usable anywhere a

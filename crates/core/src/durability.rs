@@ -237,7 +237,7 @@ pub fn compact(journal: &mut JournalState) -> SystemResult<()> {
 /// triggers, rowid floors) rather than row contents. Compaction retains
 /// these verbatim and re-derives everything else from live rows.
 fn is_ddl(sql: &str) -> bool {
-    let first = sql.trim_start().split_whitespace().next().unwrap_or("");
+    let first = sql.split_whitespace().next().unwrap_or("");
     first.eq_ignore_ascii_case("CREATE")
         || first.eq_ignore_ascii_case("DROP")
         || first.eq_ignore_ascii_case("ALTER")

@@ -774,15 +774,20 @@ impl MaxoidSystem {
     /// to non-volatile state and (optionally) discards the rest of
     /// `Vol(init)`.
     ///
+    /// The whole plan is checked before its first change: every listed
+    /// volatile file must exist, and a listed row whose link names a
+    /// volatile row is refused unless a row listed before it commits that
+    /// row (a listed row the initiator does not hold commits nothing). A
+    /// plan that fails the check changes nothing, live or in the journal.
+    ///
     /// On a journaled system the entire plan — external and internal
     /// file copies, provider row commits across authorities, and the
     /// trailing Clear-Vol — is bracketed in one journal transaction. A
     /// crash at *any* record boundary recovers to either the full
     /// post-commit state or the untouched all-volatile state, never
-    /// between. If a step fails, the journal transaction is rolled back:
-    /// the live system may be part-way through (the in-memory mutations
-    /// already happened), but a crash-and-recover lands back at the
-    /// all-volatile side.
+    /// between. A step that fails after the check (an I/O error) rolls
+    /// the journal transaction back, so a crash-and-recover lands at the
+    /// all-volatile side; the steps before it stay applied live.
     ///
     /// The whole gesture holds the initiator's gesture lock: concurrent
     /// commits of *different* initiators proceed in parallel, but a
@@ -793,6 +798,10 @@ impl MaxoidSystem {
         sp.field_with("discard_rest", || plan.discard_rest.to_string());
         let gesture = self.init_lock(init);
         let _g = gesture.lock();
+        if let Err(e) = self.check_commit(init, plan) {
+            sp.field("outcome", "refused");
+            return Err(e);
+        }
         let txn = match &self.journal {
             Some(j) => Some(j.begin_txn()?),
             None => None,
@@ -843,6 +852,21 @@ impl MaxoidSystem {
             }
         }
         result
+    }
+
+    /// Checks `plan` against live state before anything is committed:
+    /// the files exist, and each authority's rows can commit in plan
+    /// order (see `ContentResolver::check_volatile_rows`).
+    fn check_commit(&self, init: &str, plan: &VolCommitPlan) -> SystemResult<()> {
+        self.volatile.check(init, &plan.external, &plan.internal)?;
+        let mut by_authority: BTreeMap<&str, Vec<(&str, i64)>> = BTreeMap::new();
+        for (authority, table, id) in &plan.provider_rows {
+            by_authority.entry(authority).or_default().push((table, *id));
+        }
+        for (authority, rows) in by_authority {
+            self.resolver.check_volatile_rows(authority, init, &rows)?;
+        }
+        Ok(())
     }
 
     fn commit_vol_inner(&self, init: &str, plan: &VolCommitPlan) -> SystemResult<VolCommitOutcome> {

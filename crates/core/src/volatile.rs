@@ -110,6 +110,24 @@ impl VolatileState {
         })
     }
 
+    /// Checks that every listed volatile file of `init` exists: `external`
+    /// relative to EXTDIR, `internal` to its internal dir.
+    pub fn check(&self, init: &str, external: &[String], internal: &[String]) -> VfsResult<()> {
+        let (ext, int) = (layout::back_ext_tmp(init)?, layout::back_internal_tmp(init)?);
+        let mut srcs = Vec::with_capacity(external.len() + internal.len());
+        for rel in external {
+            srcs.push(ext.join(rel)?);
+        }
+        for rel in internal {
+            srcs.push(int.join(rel)?);
+        }
+        let missing = self.vfs.with_store(|s| srcs.iter().any(|src| !s.exists(src)));
+        if missing {
+            return Err(VfsError::NotFound);
+        }
+        Ok(())
+    }
+
     /// Commits one internal volatile file into the initiator's private
     /// internal storage.
     pub fn commit_internal(&self, init: &str, rel: &str) -> VfsResult<()> {

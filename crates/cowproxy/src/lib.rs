@@ -55,6 +55,6 @@ pub mod reader;
 pub(crate) mod rewrite;
 pub mod sqlgen;
 
-pub use names::{cow_view, delta_table, NameInterner, DELTA_PK_START, WHITEOUT_COL};
+pub use names::{cow_view, delta_table, DELTA_PK_START, WHITEOUT_COL};
 pub use proxy::{CowProxy, DbView, QueryOpts, ADMIN_INITIATOR_COL, ADMIN_STATE_COL};
 pub use reader::ReadSlot;

@@ -131,92 +131,6 @@ pub(crate) fn shared_derived_name(
     })
 }
 
-/// Names an interner holds at most; reaching the cap clears it (the
-/// policy of the statement, plan and rewrite caches). A tenant's names are
-/// resolved again on its next call, so the cap bounds memory by the
-/// tenants seen since the last clear, not by every tenant ever seen.
-pub(crate) const NAME_INTERNER_CAP: usize = 4096;
-
-/// An interner for proxy-managed object names.
-///
-/// The free functions above allocate a fresh `String` on every call; on
-/// the proxy's hot paths the same `(table, initiator)` pair is resolved
-/// over and over. The interner memoizes each derived name as an
-/// `Arc<str>` so steady-state resolution is a hash lookup plus a
-/// refcount bump. Interior-mutable because reads go through `&CowProxy`.
-/// Holds at most `NAME_INTERNER_CAP` (4,096) names.
-#[derive(Debug, Default)]
-pub struct NameInterner {
-    map: std::cell::RefCell<
-        std::collections::HashMap<u64, Vec<(u8, String, String, std::sync::Arc<str>)>>,
-    >,
-    len: std::cell::Cell<usize>,
-}
-
-const K_DELTA: u8 = 0;
-const K_VIEW: u8 = 1;
-const K_TRIG_INSERT: u8 = 2;
-const K_TRIG_UPDATE: u8 = 3;
-const K_TRIG_DELETE: u8 = 4;
-const K_DELTA_INDEX: u8 = 5;
-
-impl NameInterner {
-    fn intern(
-        &self,
-        kind: u8,
-        a: &str,
-        b: &str,
-        make: impl FnOnce() -> String,
-    ) -> std::sync::Arc<str> {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        kind.hash(&mut h);
-        a.hash(&mut h);
-        b.hash(&mut h);
-        let fp = h.finish();
-        let mut map = self.map.borrow_mut();
-        if let Some((_, _, _, name)) = map.get(&fp).and_then(|bucket| {
-            bucket.iter().find(|(k, ka, kb, _)| *k == kind && ka == a && kb == b)
-        }) {
-            return name.clone();
-        }
-        if self.len.get() >= NAME_INTERNER_CAP {
-            map.clear();
-            self.len.set(0);
-        }
-        let name: std::sync::Arc<str> = make().into();
-        map.entry(fp).or_default().push((kind, a.to_string(), b.to_string(), name.clone()));
-        self.len.set(self.len.get() + 1);
-        name
-    }
-
-    /// Interned [`delta_table`].
-    pub fn delta_table(&self, table: &str, initiator: &str) -> std::sync::Arc<str> {
-        self.intern(K_DELTA, table, initiator, || delta_table(table, initiator))
-    }
-
-    /// Interned [`cow_view`].
-    pub fn cow_view(&self, table: &str, initiator: &str) -> std::sync::Arc<str> {
-        self.intern(K_VIEW, table, initiator, || cow_view(table, initiator))
-    }
-
-    /// Interned [`trigger`]; `event` must be one of `insert`, `update`,
-    /// `delete`.
-    pub fn trigger(&self, table: &str, initiator: &str, event: &str) -> std::sync::Arc<str> {
-        let kind = match event {
-            "insert" => K_TRIG_INSERT,
-            "update" => K_TRIG_UPDATE,
-            _ => K_TRIG_DELETE,
-        };
-        self.intern(kind, table, initiator, || trigger(table, initiator, event))
-    }
-
-    /// Interned [`delta_index`].
-    pub fn delta_index(&self, index: &str, initiator: &str) -> std::sync::Arc<str> {
-        self.intern(K_DELTA_INDEX, index, initiator, || delta_index(index, initiator))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,43 +149,6 @@ mod tests {
             delta_index("idx_status", "com.android.browser"),
             "idx_status_delta_com_2eandroid_2ebrowser"
         );
-    }
-
-    #[test]
-    fn interner_matches_free_functions() {
-        let i = NameInterner::default();
-        assert_eq!(&*i.delta_table("tab1", "A"), delta_table("tab1", "A"));
-        assert_eq!(&*i.cow_view("tab1", "A"), cow_view("tab1", "A"));
-        assert_eq!(&*i.trigger("tab1", "A", "update"), trigger("tab1", "A", "update"));
-        assert_eq!(&*i.delta_index("idx_word", "A"), delta_index("idx_word", "A"));
-        // Repeated resolution returns the same allocation.
-        let first = i.delta_table("tab1", "A");
-        let second = i.delta_table("tab1", "A");
-        assert!(std::sync::Arc::ptr_eq(&first, &second));
-        // Different kinds with equal inputs stay distinct.
-        assert_ne!(&*i.trigger("tab1", "A", "insert"), &*i.trigger("tab1", "A", "delete"));
-    }
-
-    #[test]
-    fn interner_stays_bounded_past_its_cap() {
-        let i = NameInterner::default();
-        let oracle = |n: usize| {
-            (
-                delta_table("words", &format!("pc.init{n}")),
-                cow_view("words", &format!("pc.init{n}")),
-            )
-        };
-        for round in 0..2 {
-            for n in 0..NAME_INTERNER_CAP {
-                let init = format!("pc.init{n}");
-                let got = (i.delta_table("words", &init), i.cow_view("words", &init));
-                assert_eq!((got.0.to_string(), got.1.to_string()), oracle(n), "round {round}");
-                assert!(i.len.get() <= NAME_INTERNER_CAP);
-            }
-        }
-        let held: usize = i.map.borrow().values().map(Vec::len).sum();
-        assert_eq!(held, i.len.get());
-        assert!(held <= NAME_INTERNER_CAP);
     }
 
     #[test]

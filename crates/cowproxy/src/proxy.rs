@@ -10,8 +10,8 @@
 
 use crate::hierarchy::ViewHierarchy;
 use crate::names::{
-    cow_view, decode_initiator, delta_table, shared_derived_name, trigger, NameInterner,
-    DELTA_PK_START, WHITEOUT_COL,
+    cow_view, decode_initiator, delta_table, shared_derived_name, trigger, DELTA_PK_START,
+    WHITEOUT_COL,
 };
 use crate::reader::{CowPublished, ReadSlot};
 use crate::rewrite::{op, Key, Rewrite, RewriteCache};
@@ -72,8 +72,6 @@ pub struct CowProxy {
     /// has a delta table, COW view and triggers for. Clear and retire
     /// walk this list instead of the catalog.
     forks: BTreeMap<String, Vec<String>>,
-    /// Interned delta/view/trigger names (hot-path allocation killer).
-    names: NameInterner,
     /// Per-fork-epoch memo of generated SQL keyed by call shape.
     rewrite: RewriteCache,
     /// The published-snapshot slot served to lock-free readers.
@@ -111,7 +109,6 @@ impl CowProxy {
             db: Database::with_policy(policy),
             hierarchy: ViewHierarchy::default(),
             forks: BTreeMap::new(),
-            names: NameInterner::default(),
             rewrite: RewriteCache::default(),
             read_slot: ReadSlot::new(),
         }
@@ -302,7 +299,6 @@ impl CowProxy {
             db,
             hierarchy: ViewHierarchy::default(),
             forks,
-            names: NameInterner::default(),
             rewrite: RewriteCache::default(),
             read_slot: ReadSlot::new(),
         }
@@ -329,7 +325,7 @@ impl CowProxy {
 
     /// Returns true if `initiator` has a delta table for `table`.
     pub fn has_delta(&self, table: &str, initiator: &str) -> bool {
-        self.db.has_table(&self.names.delta_table(table, initiator))
+        self.db.has_table(&delta_table(table, initiator))
     }
 
     /// Total rows currently held in `initiator`'s delta tables across
@@ -338,7 +334,7 @@ impl CowProxy {
     pub fn delta_row_count(&self, initiator: &str) -> usize {
         self.forked_tables(initiator)
             .iter()
-            .map(|t| self.db.table(&self.names.delta_table(t, initiator)).map_or(0, |d| d.len()))
+            .map(|t| self.db.table(&delta_table(t, initiator)).map_or(0, |d| d.len()))
             .sum()
     }
 
@@ -453,7 +449,7 @@ impl CowProxy {
     /// write, not on delegate start). `None` is a volatile read of a
     /// table the initiator never forked: there are no rows to read.
     pub fn read_relation(&self, table: &str, view: &DbView) -> SqlResult<Option<String>> {
-        let relation = relation_for_read(&self.names, &self.db, table, view)?;
+        let relation = relation_for_read(&self.db, table, view)?;
         Ok(relation.map(|r| r.to_string()))
     }
 
@@ -513,55 +509,52 @@ impl CowProxy {
             DbView::Delegate { initiator } => {
                 // A cache hit proves the COW structure existed at this
                 // epoch (the fork itself bumps it), so ensure_cow's
-                // existence probes can be skipped entirely.
-                let hit = self.rewrite.lookup(&key);
-                if hit.is_none() {
-                    self.ensure_cow(table, initiator)?;
-                }
-                let delta = self.names.delta_table(table, initiator);
-                let before = self.db.table(&delta)?.next_rowid();
-                let sql = match hit {
-                    Some(rw) => rw.sql,
+                // existence probes can be skipped entirely. The entry's
+                // target is the delta table the trigger inserts into, so
+                // a hit builds no name.
+                let rw = match self.rewrite.lookup(&key) {
+                    Some(rw) => rw,
                     None => {
-                        let target = self.names.cow_view(table, initiator);
-                        let sql: Arc<str> = insert_sql(&target, &cols).into();
-                        let rw = Rewrite { target, sql: sql.clone(), appended: 0, rewrote: false };
-                        self.rewrite.insert(&key, rw);
-                        sql
-                    }
-                };
-                self.db.execute(&sql, &params)?;
-                // The trigger inserted into the delta table; recover the id.
-                let after = self.db.table(&delta)?.next_rowid();
-                Ok(if after > before { after - 1 } else { before })
-            }
-            DbView::Volatile { initiator } => {
-                let hit = self.rewrite.lookup(&key);
-                if hit.is_none() {
-                    self.ensure_cow(table, initiator)?;
-                }
-                let delta = self.names.delta_table(table, initiator);
-                let mut params = params;
-                params.push(Value::Integer(0));
-                let sql = match hit {
-                    Some(rw) => rw.sql,
-                    None => {
-                        let mut wcols = cols.clone();
-                        wcols.push(WHITEOUT_COL);
-                        let sql: Arc<str> = insert_sql(&delta, &wcols).into();
+                        self.ensure_cow(table, initiator)?;
                         let rw = Rewrite {
-                            target: delta.clone(),
-                            sql: sql.clone(),
+                            target: delta_table(table, initiator).into(),
+                            sql: insert_sql(&cow_view(table, initiator), &cols).into(),
                             appended: 0,
                             rewrote: false,
                         };
-                        self.rewrite.insert(&key, rw);
-                        sql
+                        self.rewrite.insert(&key, rw.clone());
+                        rw
                     }
                 };
-                let out = self.db.execute(&sql, &params)?;
+                let before = self.db.table(&rw.target)?.next_rowid();
+                self.db.execute(&rw.sql, &params)?;
+                // The trigger inserted into the delta table; recover the id.
+                let after = self.db.table(&rw.target)?.next_rowid();
+                Ok(if after > before { after - 1 } else { before })
+            }
+            DbView::Volatile { initiator } => {
+                let rw = match self.rewrite.lookup(&key) {
+                    Some(rw) => rw,
+                    None => {
+                        self.ensure_cow(table, initiator)?;
+                        let delta = delta_table(table, initiator);
+                        let mut wcols = cols.clone();
+                        wcols.push(WHITEOUT_COL);
+                        let rw = Rewrite {
+                            sql: insert_sql(&delta, &wcols).into(),
+                            target: delta.into(),
+                            appended: 0,
+                            rewrote: false,
+                        };
+                        self.rewrite.insert(&key, rw.clone());
+                        rw
+                    }
+                };
+                let mut params = params;
+                params.push(Value::Integer(0));
+                let out = self.db.execute(&rw.sql, &params)?;
                 out.last_insert_id.ok_or_else(|| {
-                    SqlError::Unsupported(format!("insert into {delta} produced no rowid"))
+                    SqlError::Unsupported(format!("insert into {} produced no rowid", rw.target))
                 })
             }
         }
@@ -600,9 +593,9 @@ impl CowProxy {
                     DbView::Primary | DbView::Admin => Arc::from(table),
                     DbView::Delegate { initiator } => {
                         self.ensure_cow(table, initiator)?;
-                        self.names.cow_view(table, initiator)
+                        cow_view(table, initiator).into()
                     }
-                    DbView::Volatile { initiator } => self.names.delta_table(table, initiator),
+                    DbView::Volatile { initiator } => delta_table(table, initiator).into(),
                 };
                 if matches!(view, DbView::Volatile { .. }) && !self.db.has_table(&target) {
                     return Ok(0);
@@ -667,9 +660,9 @@ impl CowProxy {
                     DbView::Primary | DbView::Admin => Arc::from(table),
                     DbView::Delegate { initiator } => {
                         self.ensure_cow(table, initiator)?;
-                        self.names.cow_view(table, initiator)
+                        cow_view(table, initiator).into()
                     }
-                    DbView::Volatile { initiator } => self.names.delta_table(table, initiator),
+                    DbView::Volatile { initiator } => delta_table(table, initiator).into(),
                 };
                 if matches!(view, DbView::Volatile { .. }) && !self.db.has_table(&target) {
                     return Ok(0);
@@ -701,7 +694,7 @@ impl CowProxy {
         opts: &QueryOpts,
         params: &[Value],
     ) -> SqlResult<ResultSet> {
-        cached_query(&self.rewrite, &self.names, &self.db, view, table, opts, params)
+        cached_query(&self.rewrite, &self.db, view, table, opts, params)
     }
 
     /// The administrative view (paper §5.2): every public and volatile
@@ -761,7 +754,7 @@ impl CowProxy {
         self.retract_read();
         let mut cleared = 0;
         for table in self.forks.get(initiator).into_iter().flatten() {
-            let delta = self.names.delta_table(table, initiator);
+            let delta = delta_table(table, initiator);
             if self.db.table(&delta)?.is_empty() {
                 continue;
             }
@@ -945,7 +938,6 @@ impl CowProxy {
 /// `None` is a volatile read of a table the initiator never forked: it
 /// holds none of that table's rows, so there is no relation to read.
 pub(crate) fn relation_for_read(
-    names: &NameInterner,
     db: &Database,
     table: &str,
     view: &DbView,
@@ -953,19 +945,20 @@ pub(crate) fn relation_for_read(
     match view {
         DbView::Primary | DbView::Admin => Ok(Some(Arc::from(table))),
         DbView::Delegate { initiator } => {
-            if db.has_table(&names.delta_table(table, initiator))
-                || (db.has_view(table) && db.has_view(&names.cow_view(table, initiator)))
+            let cow = cow_view(table, initiator);
+            if db.has_table(&delta_table(table, initiator))
+                || (db.has_view(table) && db.has_view(&cow))
             {
                 maxoid_obs::counter_add("cowproxy.view_rewrites", 1);
-                Ok(Some(names.cow_view(table, initiator)))
+                Ok(Some(cow.into()))
             } else {
                 Ok(Some(Arc::from(table)))
             }
         }
         DbView::Volatile { initiator } => {
-            let delta = names.delta_table(table, initiator);
+            let delta = delta_table(table, initiator);
             if db.has_table(&delta) {
-                Ok(Some(delta))
+                Ok(Some(delta.into()))
             } else if db.has_table(table) {
                 Ok(None)
             } else {
@@ -975,15 +968,14 @@ pub(crate) fn relation_for_read(
     }
 }
 
-/// The proxy query pipeline over an explicit `(rewrite, names, db)`
-/// triple: builds (or replays from the rewrite cache) the rewritten SQL
-/// for one view-routed query, executes it, and strips any footnote-5
-/// appended ORDER BY columns. [`CowProxy::query`] calls it with the
-/// proxy's own state; [`crate::reader::ReadSlot::try_query`] calls it
-/// with a thread-local cache pair and a snapshot-bound database.
+/// The proxy query pipeline over an explicit `(rewrite, db)` pair: builds
+/// (or replays from the rewrite cache) the rewritten SQL for one
+/// view-routed query, executes it, and strips any footnote-5 appended
+/// ORDER BY columns. [`CowProxy::query`] calls it with the proxy's own
+/// state; [`crate::reader::ReadSlot::try_query`] calls it with a
+/// thread-local rewrite cache and a snapshot-bound database.
 pub(crate) fn cached_query(
     rewrite: &RewriteCache,
-    names: &NameInterner,
     db: &Database,
     view: &DbView,
     table: &str,
@@ -1018,7 +1010,7 @@ pub(crate) fn cached_query(
             (rw.target, rw.sql, rw.appended)
         }
         None => {
-            let Some(target) = relation_for_read(names, db, table, view)? else {
+            let Some(target) = relation_for_read(db, table, view)? else {
                 // No volatile rows to read; the columns are a delta
                 // table's.
                 let mut columns = opts.columns.clone();
@@ -1318,6 +1310,46 @@ mod tests {
         assert!(p.has_delta("words", "A"));
         assert!(p.db().table("words_delta__41").unwrap().has_index("idx_words_word_delta__41"));
         assert_eq!(p.delta_row_count("A"), 1);
+    }
+
+    /// A retired tenant that forks again writes through its new objects:
+    /// the same UPDATE text is planned again, fires the new trigger, and
+    /// lands its row in the new delta table.
+    #[test]
+    fn a_tenant_that_forks_again_after_a_retire_updates_through_its_new_trigger() {
+        let mut p = proxy_with_words();
+        let set = |p: &mut CowProxy, word: &str| {
+            let stats = &p.db().stats;
+            let before = (stats.plan_cache_hits.get(), stats.plan_cache_misses.get());
+            let n = p
+                .update(
+                    &delegate(),
+                    "words",
+                    &[("word", word.into())],
+                    Some("_id = ?"),
+                    &[1.into()],
+                )
+                .unwrap();
+            assert_eq!(n, 1, "{word}");
+            let stats = &p.db().stats;
+            (stats.plan_cache_hits.get() - before.0, stats.plan_cache_misses.get() - before.1)
+        };
+        let word = |p: &CowProxy, view: &DbView| {
+            let q = QueryOpts { where_clause: Some("_id = 1".into()), ..Default::default() };
+            p.query(view, "words", &q, &[]).unwrap().rows[0][1].clone()
+        };
+        assert_eq!(set(&mut p, "first"), (0, 1), "the first run plans");
+        assert_eq!(set(&mut p, "second"), (1, 0), "the next reuses the plan");
+        p.retire("A").unwrap();
+        assert_eq!(word(&p, &delegate()), Value::Text("alpha".into()));
+        assert_eq!(set(&mut p, "again"), (0, 1), "the new objects are planned afresh");
+        assert_eq!(p.delta_row_count("A"), 1);
+        let delta = p.db().query("SELECT word FROM words_delta__41", &[]).unwrap();
+        assert_eq!(delta.rows, vec![vec![Value::Text("again".into())]]);
+        assert_eq!(word(&p, &delegate()), Value::Text("again".into()));
+        assert_eq!(word(&p, &DbView::Primary), Value::Text("alpha".into()));
+        assert_eq!(set(&mut p, "last"), (1, 0));
+        assert_eq!(word(&p, &delegate()), Value::Text("last".into()));
     }
 
     #[test]

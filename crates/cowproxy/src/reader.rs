@@ -29,7 +29,7 @@
 //!    locked path's cache does.
 //!
 //! Per-thread state (a [`maxoid_sqldb::SnapshotReader`] with its prepared
-//! statements, a [`NameInterner`], a rewrite cache) lives in a
+//! statements and their plans, and a rewrite cache) lives in a
 //! `thread_local!` registry keyed by slot id, so repeated reads on one
 //! thread reuse plans across snapshot retargets and share nothing across
 //! threads. An entry holds its slot weakly, and entries whose slot is gone
@@ -37,7 +37,6 @@
 //! first reads another slot, so the registry stays bounded by the live
 //! slots the thread reads plus one.
 
-use crate::names::NameInterner;
 use crate::proxy::{cached_query, DbView, QueryOpts};
 use crate::rewrite::RewriteCache;
 use maxoid_sqldb::{ReadSnapshot, ResultSet, SnapshotReader, SqlResult, Value};
@@ -87,7 +86,6 @@ struct CowReader {
     /// The slot this reader serves; dead once its proxy is dropped.
     slot: Weak<Slot>,
     reader: SnapshotReader,
-    names: NameInterner,
     rewrite: RewriteCache,
     fork_epoch: u64,
 }
@@ -158,7 +156,6 @@ impl ReadSlot {
             let r = map.entry(self.id).or_insert_with(|| CowReader {
                 slot: Arc::downgrade(&self.slot),
                 reader: SnapshotReader::new(),
-                names: NameInterner::default(),
                 rewrite: RewriteCache::default(),
                 fork_epoch: published.fork_epoch,
             });
@@ -170,7 +167,7 @@ impl ReadSlot {
             }
             let db = r.reader.bind(&published.snap);
             maxoid_obs::counter_add("cowproxy.snapshot_queries", 1);
-            let rs = cached_query(&r.rewrite, &r.names, db, view, table, opts, params);
+            let rs = cached_query(&r.rewrite, db, view, table, opts, params);
             // Hold the snapshot only while the query runs: a write that
             // follows then finds the live maps unshared and copies none.
             r.reader.release();

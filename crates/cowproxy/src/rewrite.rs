@@ -17,7 +17,7 @@
 //! statement handle. Execution still flows through
 //! [`maxoid_sqldb::Database::execute`] / `query` with SQL text so the
 //! logical journal records exactly what an uncached proxy would record;
-//! statement-level caching happens inside the database's own plan cache.
+//! the database's statement cache parses and plans each text once.
 
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::DefaultHasher;

@@ -204,12 +204,12 @@ fn crc_tables() -> &'static [[u32; 256]; 8] {
     static TABLES: OnceLock<[[u32; 256]; 8]> = OnceLock::new();
     TABLES.get_or_init(|| {
         let mut t = [[0u32; 256]; 8];
-        for i in 0..256usize {
+        for (i, entry) in t[0].iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
                 c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             }
-            t[0][i] = c;
+            *entry = c;
         }
         for k in 1..8 {
             for i in 0..256usize {

@@ -31,10 +31,13 @@ fn host_shard(host: &str) -> usize {
     (h as usize) % NET_SHARDS
 }
 
+/// One shard of the network: host -> resource path -> bytes.
+type Hosts = BTreeMap<String, BTreeMap<String, Vec<u8>>>;
+
 /// An in-process network of named hosts serving static resources.
 #[derive(Debug)]
 pub struct Network {
-    shards: Vec<RwLock<BTreeMap<String, BTreeMap<String, Vec<u8>>>>>,
+    shards: Vec<RwLock<Hosts>>,
     /// Count of successful fetches (for tests asserting traffic).
     fetch_count: AtomicU64,
 }

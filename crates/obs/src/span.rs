@@ -28,9 +28,12 @@ fn collector() -> &'static Mutex<Vec<SpanRecord>> {
     SPANS.get_or_init(|| Mutex::new(Vec::new()))
 }
 
+/// An active span: its id and the fields accumulated so far.
+type Frame = (u64, Vec<(&'static str, String)>);
+
 thread_local! {
-    /// Stack of active spans on this thread: (id, fields accumulated so far).
-    static STACK: RefCell<Vec<(u64, Vec<(&'static str, String)>)>> = RefCell::new(Vec::new());
+    /// Stack of active spans on this thread.
+    static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Turns tracing on. Spans, counters and histograms start recording.

@@ -74,7 +74,7 @@ impl Schema {
     ) -> ProviderResult<(&'static str, DbView, QueryOpts, Vec<Value>)> {
         let relation = self.route(uri)?;
         let view = caller.db_view(uri)?;
-        let sort_ok = args.sort_order.as_deref().map_or(true, |o| o.split(',').all(is_sort_term));
+        let sort_ok = args.sort_order.as_deref().is_none_or(|o| o.split(',').all(is_sort_term));
         if !sort_ok || !args.projection.iter().all(|c| is_column(c)) {
             return Err(ProviderError::Denied(
                 "projection items and sort terms must be column names".into(),
@@ -103,7 +103,7 @@ fn is_sort_term(term: &str) -> bool {
     words.next().is_some_and(is_column)
         && words
             .next()
-            .map_or(true, |d| d.eq_ignore_ascii_case("asc") || d.eq_ignore_ascii_case("desc"))
+            .is_none_or(|d| d.eq_ignore_ascii_case("asc") || d.eq_ignore_ascii_case("desc"))
         && words.next().is_none()
 }
 
@@ -187,6 +187,37 @@ impl<S> CowProvider<S> {
     pub fn delta_row_count(&self, initiator: &str) -> usize {
         self.proxy.delta_row_count(initiator)
     }
+
+    /// The volatile rows `initiator`'s row `id` of `table` names through
+    /// the schema's links, as `(parent table, id)`; `None` when the
+    /// initiator holds no such row. A table no link touches is not read:
+    /// it names no row, and no row names it.
+    fn volatile_parents(
+        &self,
+        initiator: &str,
+        table: &str,
+        id: i64,
+    ) -> ProviderResult<Option<Vec<(&'static str, i64)>>> {
+        let links: Vec<_> = self.schema.links.iter().filter(|(t, ..)| *t == table).collect();
+        if links.is_empty() && !self.schema.links.iter().any(|(.., parent)| *parent == table) {
+            return Ok(Some(Vec::new()));
+        }
+        let delta = delta_table(table, initiator);
+        if !self.proxy.db().has_table(&delta) {
+            return Ok(None);
+        }
+        let mut cols = vec!["_id"];
+        cols.extend(links.iter().map(|(_, column, _)| *column));
+        let sql =
+            format!("SELECT {} FROM {delta} WHERE _id = ? AND {WHITEOUT_COL} = 0", cols.join(", "));
+        let rs = self.proxy.db().query(&sql, &[Value::Integer(id)])?;
+        let Some(row) = rs.rows.first() else { return Ok(None) };
+        let named = links.iter().zip(&row[1..]).filter_map(|((.., parent), v)| match v {
+            Value::Integer(n) if *n >= DELTA_PK_START => Some((*parent, *n)),
+            _ => None,
+        });
+        Ok(Some(named.collect()))
+    }
 }
 
 impl<S: Send> ContentProvider for CowProvider<S> {
@@ -250,6 +281,22 @@ impl<S: Send> ContentProvider for CowProvider<S> {
         Ok(())
     }
 
+    /// Refuses the plan if a row it lists names a volatile row that no
+    /// row listed before it commits: the name would dangle once public.
+    /// A listed row the initiator does not hold commits nothing, so it
+    /// lets no later row through.
+    fn check_volatile_rows(&self, initiator: &str, rows: &[(&str, i64)]) -> ProviderResult<()> {
+        let mut committed: Vec<(&str, i64)> = Vec::new();
+        for &(table, id) in rows {
+            let Some(parents) = self.volatile_parents(initiator, table, id)? else { continue };
+            if let Some((parent, named)) = parents.into_iter().find(|p| !committed.contains(p)) {
+                return Err(refused(table, id, parent, named));
+            }
+            committed.push((table, id));
+        }
+        Ok(())
+    }
+
     /// Commits the row, keeping its links: a row that names a volatile
     /// row (one at or above `DELTA_PK_START`) is refused, since the name
     /// would dangle once public, so a parent is committed before its
@@ -262,18 +309,9 @@ impl<S: Send> ContentProvider for CowProvider<S> {
         table: &str,
         id: i64,
     ) -> ProviderResult<Option<i64>> {
-        let delta = delta_table(table, initiator);
-        let links = self.schema.links.iter().filter(|(t, ..)| *t == table);
-        for (_, column, parent) in links.filter(|_| self.proxy.db().has_table(&delta)) {
-            let sql = format!("SELECT {column} FROM {delta} WHERE _id = ? AND {WHITEOUT_COL} = 0");
-            let rs = self.proxy.db().query(&sql, &[Value::Integer(id)])?;
-            if let Some(Value::Integer(named)) = rs.rows.first().and_then(|r| r.first()) {
-                if *named >= DELTA_PK_START {
-                    return Err(ProviderError::Denied(format!(
-                        "{table} row {id} names volatile {parent} row {named}: commit that first"
-                    )));
-                }
-            }
+        let parents = self.volatile_parents(initiator, table, id)?;
+        if let Some((parent, named)) = parents.into_iter().flatten().next() {
+            return Err(refused(table, id, parent, named));
         }
         let public = self.proxy.commit_volatile_row(initiator, table, id)?;
         if let Some(public) = public.filter(|&public| public != id) {
@@ -294,6 +332,14 @@ impl<S: Send> ContentProvider for CowProvider<S> {
     fn read_handle(&self) -> Option<Arc<dyn ReadHandle>> {
         Some(Arc::new(CowReadHandle { schema: self.schema, slot: self.proxy.read_slot() }))
     }
+}
+
+/// The refusal of a commit of `table` row `id`, which names the volatile
+/// `parent` row `named`.
+fn refused(table: &str, id: i64, parent: &str, named: i64) -> ProviderError {
+    ProviderError::Denied(format!(
+        "{table} row {id} names volatile {parent} row {named}: commit that first"
+    ))
 }
 
 /// The snapshot read path: the locked path's routing and checks, run

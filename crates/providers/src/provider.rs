@@ -195,6 +195,16 @@ pub trait ContentProvider {
         self.clear_volatile(initiator)
     }
 
+    /// Maxoid administrative hook: checks a commit of `initiator`'s
+    /// volatile rows `(table, delta-table row id)`, listed in the order
+    /// they will be committed, before any of them is, and refuses it
+    /// ([`ProviderError::Denied`]) if one of them could not commit.
+    /// Changes nothing. Providers without proxy-managed row state accept
+    /// every plan.
+    fn check_volatile_rows(&self, _initiator: &str, _rows: &[(&str, i64)]) -> ProviderResult<()> {
+        Ok(())
+    }
+
     /// Maxoid administrative hook: selectively commits one volatile row
     /// of `initiator` (identified by delta-table row id) into the
     /// provider's public state (§3.3). Returns the public id the row

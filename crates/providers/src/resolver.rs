@@ -280,6 +280,18 @@ impl ContentResolver {
         Ok(())
     }
 
+    /// Checks a commit of `initiator`'s volatile rows `(table, id)` held
+    /// by the provider serving `authority`, in commit order, before any
+    /// of them is committed (see [`ContentProvider::check_volatile_rows`]).
+    pub fn check_volatile_rows(
+        &self,
+        authority: &str,
+        initiator: &str,
+        rows: &[(&str, i64)],
+    ) -> ProviderResult<()> {
+        self.entry(authority)?.provider.lock().check_volatile_rows(initiator, rows)
+    }
+
     /// Selectively commits one volatile row of `initiator` held by the
     /// provider serving `authority` (the resolver half of the
     /// initiator's Commit gesture, §3.3). Returns the public id the row

@@ -1,25 +1,18 @@
 //! The database: schema registry and public execution API.
 
-use crate::ast::{Expr, SelectStmt, Stmt, TriggerEvent};
+use crate::ast::{SelectStmt, Stmt, TriggerEvent};
 use crate::error::{SqlError, SqlResult};
+use crate::exec::{plan_stmt, Plan};
 use crate::expr::{SubqueryCache, TriggerCtx};
 use crate::mvcc::{DbSnapshot, MvccStats, ReadSnapshot};
 use crate::parser::{parse_statement, parse_statements};
-use crate::plancache::{PlanCache, SelectLookup};
-use crate::planner::{plan_access, try_flatten, AccessPlan, FlattenPolicy};
+use crate::planner::FlattenPolicy;
 use crate::table::Table;
 use crate::value::Value;
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-
-/// Memoized `view -> event -> trigger name` index keyed by catalog
-/// generation, replacing the O(#triggers) linear scan in
-/// [`Database::trigger_for`]. At fleet scale one system database holds
-/// thousands of per-tenant COW triggers, and every view write performs a
-/// trigger lookup. Keyed by view first so a lookup borrows the view name.
-type TriggerMemo = (u64, BTreeMap<String, BTreeMap<TriggerEvent, String>>);
 
 /// A stored view definition.
 #[derive(Debug, Clone)]
@@ -90,31 +83,39 @@ pub struct Stats {
     pub stmt_cache_hits: Cell<u64>,
     /// Prepared-statement cache misses (SQL text parsed afresh).
     pub stmt_cache_misses: Cell<u64>,
-    /// Plan-cache hits: a flatten decision or access plan was reused.
+    /// Plan hits: a prepared statement ran with the plan its
+    /// statement-cache entry already held.
     pub plan_cache_hits: Cell<u64>,
-    /// Plan-cache misses: a flatten decision or access plan was computed.
+    /// Plan misses: a prepared statement built its plan (its first run,
+    /// or its first after a catalog or flatten-policy change).
     pub plan_cache_misses: Cell<u64>,
-    /// Catalog-generation bumps (DDL, rollback) that dropped live cached
-    /// plans.
+    /// Catalog-generation bumps (DDL, rollback) that made at least one
+    /// built plan stale.
     pub plan_cache_invalidations: Cell<u64>,
     /// EXPLAIN-style access-path notes, one per table access, capped at
-    /// [`Stats::access_path_cap`] entries (default
-    /// [`ACCESS_PATH_LOG_CAP`]).
+    /// [`ACCESS_PATH_LOG_CAP`] entries.
     pub access_paths: RefCell<Vec<String>>,
-    /// Retention cap for [`Stats::access_paths`]; configurable so long
-    /// journaled replays can keep their full EXPLAIN output.
-    pub access_path_cap: Cell<usize>,
     /// Access-path lines dropped because the cap was reached. Non-zero
     /// means [`Stats::access_paths`] is an incomplete record.
     pub access_paths_dropped: Cell<u64>,
 }
 
-/// Default retention cap for [`Stats::access_paths`].
+/// Retention cap for [`Stats::access_paths`].
 pub const ACCESS_PATH_LOG_CAP: usize = 64;
 
-/// Statements the prepared-statement cache holds; reaching the cap clears
-/// it (the plan cache's policy too).
+/// Statements, and so plans, the statement cache holds; reaching the cap
+/// clears it.
 const STMT_CACHE_CAP: usize = 512;
+
+/// A statement-cache entry: the parsed statement and, once it has run,
+/// its plan with the catalog generation and flatten policy it was built
+/// under. Both are `Arc`s, so a run clones them out and holds no borrow
+/// of the cache while it changes the database.
+#[derive(Debug)]
+struct Prepared {
+    stmt: Arc<Stmt>,
+    plan: Option<(u64, FlattenPolicy, Arc<Plan>)>,
+}
 
 impl Default for Stats {
     fn default() -> Self {
@@ -131,14 +132,13 @@ impl Default for Stats {
             plan_cache_misses: Cell::new(0),
             plan_cache_invalidations: Cell::new(0),
             access_paths: RefCell::new(Vec::new()),
-            access_path_cap: Cell::new(ACCESS_PATH_LOG_CAP),
             access_paths_dropped: Cell::new(0),
         }
     }
 }
 
 impl Stats {
-    /// Resets all counters. The configured cap is preserved.
+    /// Resets all counters.
     pub fn reset(&self) {
         self.rows_scanned.set(0);
         self.point_lookups.set(0);
@@ -155,25 +155,14 @@ impl Stats {
         self.access_paths_dropped.set(0);
     }
 
-    /// Sets the access-path retention cap. Does not truncate lines already
-    /// retained.
-    pub fn set_access_path_cap(&self, cap: usize) {
-        self.access_path_cap.set(cap);
-    }
-
-    /// Records one EXPLAIN-style access-path line. Past the cap the line
-    /// is dropped and [`Stats::access_paths_dropped`] is incremented, so
-    /// truncation is always detectable.
-    pub fn note_access_path(&self, line: String) {
-        self.note_access_path_with(|| line);
-    }
-
-    /// Like [`Stats::note_access_path`], but the line is only rendered
-    /// when it will actually be retained — steady-state workloads past
-    /// the cap skip the formatting allocation entirely.
+    /// Records one EXPLAIN-style access-path line, rendered only when it
+    /// will be retained, so steady-state workloads past the cap skip the
+    /// formatting allocation. Past the cap the line is dropped and
+    /// [`Stats::access_paths_dropped`] is incremented, so truncation is
+    /// always detectable.
     pub fn note_access_path_with(&self, line: impl FnOnce() -> String) {
         let mut log = self.access_paths.borrow_mut();
-        if log.len() < self.access_path_cap.get() {
+        if log.len() < ACCESS_PATH_LOG_CAP {
             log.push(line());
         } else {
             self.access_paths_dropped.set(self.access_paths_dropped.get() + 1);
@@ -259,18 +248,25 @@ pub struct Database {
     /// Tables, views and triggers (see `Catalog`); other modules read
     /// the tables through [`Database::tables`].
     pub(crate) catalog: Catalog,
-    /// Planner policy for UNION ALL view flattening.
+    /// Planner policy for UNION ALL view flattening. A prepared statement
+    /// plans again on its first run after a change.
     pub flatten_policy: FlattenPolicy,
     /// Execution counters.
     pub stats: Stats,
-    /// Prepared-statement cache: SQL text -> parsed AST. Providers issue
-    /// the same statement shapes repeatedly; SQLite's compiled-statement
-    /// cache plays the same role on Android. Entries are `Arc` so a hit
-    /// is a refcount bump, not a deep clone of the statement tree.
-    stmt_cache: RefCell<HashMap<String, Arc<Stmt>>>,
-    /// Flatten-rewrite and access-plan cache, invalidated by the catalog
-    /// generation counter (bumped on any DDL and on rollback).
-    pub(crate) plan_cache: PlanCache,
+    /// Statement cache: SQL text -> the parsed statement and its plan.
+    /// Providers issue the same statement shapes repeatedly; SQLite's
+    /// compiled-statement cache plays the same role on Android. A hit is
+    /// two refcount bumps, not a re-parse or a re-plan.
+    stmt_cache: RefCell<HashMap<String, Prepared>>,
+    /// True while the statement cache is off: every statement is parsed
+    /// afresh and plans itself as it runs.
+    caches_off: Cell<bool>,
+    /// Catalog generation: bumped by every DDL statement and by rollback;
+    /// a plan built under another generation is built again.
+    generation: Cell<u64>,
+    /// True once a plan was built under the current generation, so the
+    /// next bump counts as an invalidation.
+    planned: Cell<bool>,
     /// The catalog at BEGIN, which ROLLBACK puts back and COMMIT drops.
     /// `None` = autocommit.
     begin: Option<Catalog>,
@@ -292,12 +288,10 @@ pub struct Database {
     /// [`Database::begin_read`], reused until the next mutation so a read
     /// storm between two writes shares one snapshot.
     published: RefCell<Option<Arc<DbSnapshot>>>,
-    /// See [`TriggerMemo`].
-    trigger_memo: RefCell<Option<TriggerMemo>>,
 }
 
 // Threading contract: a live `Database` is `Send` but deliberately *not*
-// `Sync` — the statement/plan caches use `RefCell`/`Cell` for zero-cost
+// `Sync` — the statement cache uses `RefCell`/`Cell` for zero-cost
 // single-threaded interior mutability, so all *mutation* goes through
 // its single owner (one write lock per authority). Concurrent readers do
 // NOT share this object: they call [`Database::begin_read`] (through the
@@ -441,8 +435,8 @@ impl Database {
         let mut sp = maxoid_obs::span("sqldb.execute");
         sp.field_with("sql", || sql.to_string());
         let mark = StatsMark::take(&self.stats);
-        let stmt = self.prepare(sql)?;
-        let out = self.exec_stmt(&stmt, params, None)?;
+        let (stmt, plan) = self.prepare(sql)?;
+        let out = self.run(&stmt, plan.as_deref(), params, None)?;
         if let Some(mark) = mark {
             mark.mirror(&self.stats, &mut sp);
         }
@@ -452,104 +446,90 @@ impl Database {
         Ok(out)
     }
 
-    /// Parses a statement through the prepared-statement cache. Hit and
-    /// miss counts land in `db.stats` unconditionally and are mirrored
-    /// into the obs registry by the caller's [`StatsMark`].
-    fn prepare(&self, sql: &str) -> SqlResult<Arc<Stmt>> {
-        if !self.plan_cache.enabled() {
-            return Ok(Arc::new(parse_statement(sql)?));
+    /// Parses a statement through the statement cache and returns it with
+    /// its entry's plan, built first if the entry has none, or one made
+    /// under another catalog generation or flatten policy. A statement
+    /// with nothing to plan gets none. With caches off the statement is
+    /// parsed afresh and plans itself as it runs. Hit and miss counts land
+    /// in `db.stats` unconditionally and are mirrored into the obs
+    /// registry by the caller's [`StatsMark`].
+    fn prepare(&self, sql: &str) -> SqlResult<(Arc<Stmt>, Option<Arc<Plan>>)> {
+        if self.caches_off.get() {
+            return Ok((Arc::new(parse_statement(sql)?), None));
         }
-        if let Some(stmt) = self.stmt_cache.borrow().get(sql) {
-            self.stats.stmt_cache_hits.set(self.stats.stmt_cache_hits.get() + 1);
-            return Ok(Arc::clone(stmt));
+        let now = (self.generation.get(), self.flatten_policy);
+        let cached = self.stmt_cache.borrow().get(sql).map(|e| {
+            let fresh = e.plan.as_ref().filter(|(g, p, _)| (*g, *p) == now);
+            (Arc::clone(&e.stmt), fresh.map(|(.., plan)| Arc::clone(plan)))
+        });
+        let stmt = match cached {
+            Some((stmt, Some(plan))) => {
+                self.stats.stmt_cache_hits.set(self.stats.stmt_cache_hits.get() + 1);
+                self.stats.plan_cache_hits.set(self.stats.plan_cache_hits.get() + 1);
+                return Ok((stmt, Some(plan)));
+            }
+            Some((stmt, None)) => {
+                self.stats.stmt_cache_hits.set(self.stats.stmt_cache_hits.get() + 1);
+                stmt
+            }
+            None => {
+                let mut sp = maxoid_obs::span("sqldb.parse");
+                sp.field_with("sql", || sql.to_string());
+                self.stats.stmt_cache_misses.set(self.stats.stmt_cache_misses.get() + 1);
+                let stmt = Arc::new(parse_statement(sql)?);
+                let mut cache = self.stmt_cache.borrow_mut();
+                if cache.len() >= STMT_CACHE_CAP {
+                    cache.clear();
+                }
+                cache.insert(sql.to_string(), Prepared { stmt: Arc::clone(&stmt), plan: None });
+                stmt
+            }
+        };
+        let Some(plan) = plan_stmt(self, &stmt).map(Arc::new) else {
+            return Ok((stmt, None));
+        };
+        self.stats.plan_cache_misses.set(self.stats.plan_cache_misses.get() + 1);
+        self.planned.set(true);
+        if let Some(e) = self.stmt_cache.borrow_mut().get_mut(sql) {
+            e.plan = Some((now.0, now.1, Arc::clone(&plan)));
         }
-        let mut sp = maxoid_obs::span("sqldb.parse");
-        sp.field_with("sql", || sql.to_string());
-        self.stats.stmt_cache_misses.set(self.stats.stmt_cache_misses.get() + 1);
-        let stmt = Arc::new(parse_statement(sql)?);
-        let mut cache = self.stmt_cache.borrow_mut();
-        if cache.len() >= STMT_CACHE_CAP {
-            cache.clear();
-        }
-        cache.insert(sql.to_string(), Arc::clone(&stmt));
-        Ok(stmt)
+        Ok((stmt, Some(plan)))
     }
 
-    /// Enables or disables the statement and plan caches together.
+    /// Enables or disables the statement cache, and with it the plans its
+    /// entries hold.
     ///
-    /// With caches off, every statement is re-parsed and re-planned —
-    /// the equivalence proptests and the `cache` bench's "before" cells
-    /// run in this mode. Turning caches off drops all cached entries.
+    /// With caches off, every statement is re-parsed and plans itself as
+    /// it runs — the equivalence proptests and the `cache` bench's
+    /// "before" cells run in this mode. Turning caches off drops all
+    /// cached entries.
     pub fn set_statement_caches(&self, on: bool) {
-        self.plan_cache.set_enabled(on);
+        self.caches_off.set(!on);
         if !on {
             self.stmt_cache.borrow_mut().clear();
         }
     }
 
-    /// True while the statement and plan caches are enabled (the default).
+    /// True while the statement cache is enabled (the default).
     pub fn statement_caches_enabled(&self) -> bool {
-        self.plan_cache.enabled()
+        !self.caches_off.get()
     }
 
     /// Current catalog generation. Bumped by every DDL statement and by
-    /// rollback (which restores an older catalog); cached plans from
-    /// earlier generations are never served.
+    /// rollback (which restores an older catalog); a plan built under an
+    /// earlier generation is never run.
     pub fn catalog_generation(&self) -> u64 {
-        self.plan_cache.generation()
+        self.generation.get()
     }
 
-    /// Bumps the catalog generation, dropping all cached plans. Counted
-    /// in `stats.plan_cache_invalidations` when live entries were
-    /// dropped.
+    /// Bumps the catalog generation, making every built plan stale.
+    /// Counted in `stats.plan_cache_invalidations` when a plan was built
+    /// under the generation it ends.
     pub(crate) fn bump_catalog_generation(&self) {
-        if self.plan_cache.bump_generation() {
+        self.generation.set(self.generation.get().wrapping_add(1));
+        if self.planned.replace(false) {
             self.stats.plan_cache_invalidations.set(self.stats.plan_cache_invalidations.get() + 1);
         }
-    }
-
-    /// Runs `stmt` through the flatten cache: returns the memoized (or
-    /// freshly computed) UNION ALL view rewrite, or `None` when flattening
-    /// does not apply.
-    pub(crate) fn cached_flatten(&self, stmt: &SelectStmt) -> Option<Arc<SelectStmt>> {
-        match self.plan_cache.lookup_select(stmt, self.flatten_policy) {
-            SelectLookup::Hit(flattened) => {
-                self.stats.plan_cache_hits.set(self.stats.plan_cache_hits.get() + 1);
-                flattened
-            }
-            SelectLookup::Miss => {
-                self.stats.plan_cache_misses.set(self.stats.plan_cache_misses.get() + 1);
-                let flattened = try_flatten(self, stmt).map(Arc::new);
-                self.plan_cache.insert_select(stmt, self.flatten_policy, flattened.clone());
-                flattened
-            }
-            SelectLookup::Bypass => try_flatten(self, stmt).map(Arc::new),
-        }
-    }
-
-    /// Returns the (cached) value-free access plan for one table access.
-    pub(crate) fn cached_access_plan(
-        &self,
-        table: &Table,
-        binding: &str,
-        where_clause: Option<&Expr>,
-    ) -> Arc<AccessPlan> {
-        let is_const = crate::exec::is_const;
-        let Some(w) = where_clause else {
-            // No WHERE clause always plans a full scan; not worth caching.
-            return Arc::new(plan_access(table, binding, None, &is_const));
-        };
-        if !self.plan_cache.enabled() {
-            return Arc::new(plan_access(table, binding, Some(w), &is_const));
-        }
-        if let Some(plan) = self.plan_cache.lookup_access(&table.schema.name, binding, w) {
-            self.stats.plan_cache_hits.set(self.stats.plan_cache_hits.get() + 1);
-            return plan;
-        }
-        self.stats.plan_cache_misses.set(self.stats.plan_cache_misses.get() + 1);
-        let plan = Arc::new(plan_access(table, binding, Some(w), &is_const));
-        self.plan_cache.insert_access(&table.schema.name, binding, w, plan.clone());
-        plan
     }
 
     /// Executes multiple `;`-separated statements without parameters.
@@ -566,7 +546,7 @@ impl Database {
         let stmts = parse_statements(sql)?;
         sp.field_with("statements", || stmts.len().to_string());
         for stmt in &stmts {
-            self.exec_stmt(stmt, &[], None)?;
+            self.run(stmt, None, &[], None)?;
         }
         if let Some(mark) = mark {
             mark.mirror(&self.stats, &mut sp);
@@ -585,11 +565,15 @@ impl Database {
         let mut sp = maxoid_obs::span("sqldb.query");
         sp.field_with("sql", || sql.to_string());
         let mark = StatsMark::take(&self.stats);
-        let stmt = self.prepare(sql)?;
+        let (stmt, plan) = self.prepare(sql)?;
         match &*stmt {
             Stmt::Select(s) => {
+                let plan = match plan.as_deref() {
+                    Some(Plan::Select(p)) => Some(p),
+                    _ => None,
+                };
                 let cache: SubqueryCache = SubqueryCache::default();
-                let rs = self.exec_select(&s, params, None, &cache, 0)?;
+                let rs = crate::exec::exec_select(self, s, plan, params, None, &cache, 0)?;
                 if let Some(mark) = mark {
                     sp.field_with("rows", || rs.rows.len().to_string());
                     mark.mirror(&self.stats, &mut sp);
@@ -600,11 +584,22 @@ impl Database {
         }
     }
 
-    /// Executes a pre-parsed statement (used by the COW proxy and trigger
-    /// bodies).
+    /// Executes a pre-parsed statement, which plans itself as it runs
+    /// (used by the COW proxy's view hierarchy).
     pub fn exec_stmt(
         &mut self,
         stmt: &Stmt,
+        params: &[Value],
+        trigger: Option<&TriggerCtx<'_>>,
+    ) -> SqlResult<ExecOutcome> {
+        self.run(stmt, None, params, trigger)
+    }
+
+    /// Executes `stmt` with `plan`, or planning as it runs.
+    fn run(
+        &mut self,
+        stmt: &Stmt,
+        plan: Option<&Plan>,
         params: &[Value],
         trigger: Option<&TriggerCtx<'_>>,
     ) -> SqlResult<ExecOutcome> {
@@ -613,7 +608,7 @@ impl Database {
             // a map only while a reader or the BEGIN image still holds it.
             self.published.borrow_mut().take();
         }
-        let out = crate::exec::exec_stmt(self, stmt, params, trigger);
+        let out = crate::exec::exec_stmt(self, stmt, plan, params, trigger);
         if Self::loggable(stmt) {
             // Conservatively also on error: a failed multi-row statement
             // may have mutated before failing. Over-invalidation only
@@ -676,18 +671,6 @@ impl Database {
     /// published.
     pub fn mvcc_stats(&self) -> MvccStats {
         MvccStats { stamp: self.stamp, snapshots_published: self.snapshots_published.get() }
-    }
-
-    /// Executes a pre-parsed SELECT.
-    pub(crate) fn exec_select(
-        &self,
-        stmt: &SelectStmt,
-        params: &[Value],
-        trigger: Option<&TriggerCtx<'_>>,
-        cache: &SubqueryCache,
-        depth: usize,
-    ) -> SqlResult<ResultSet> {
-        crate::exec::exec_select(self, stmt, params, trigger, cache, depth)
     }
 
     /// Starts a transaction. BEGIN captures the catalog's three map
@@ -839,45 +822,8 @@ impl Database {
 
     /// Returns a view definition by name.
     pub fn view(&self, name: &str) -> SqlResult<&ViewDef> {
-        self.view_def(name).map(|v| v.as_ref())
-    }
-
-    /// Returns a view definition by name as the catalog holds it, so a
-    /// caller that goes on to change the database can keep it by `Arc`.
-    pub(crate) fn view_def(&self, name: &str) -> SqlResult<&Arc<ViewDef>> {
-        self.catalog.views.get(&*key(name)).ok_or_else(|| SqlError::NoSuchTable(name.to_string()))
-    }
-
-    /// Returns the trigger attached to `view_name` for `event`, if any.
-    /// Served from a `(view, event)` index memoized per catalog
-    /// generation (every trigger create/drop and rollback bumps the
-    /// generation), so the lookup does not scan the trigger catalog.
-    pub fn trigger_for(&self, view_name: &str, event: TriggerEvent) -> Option<&TriggerDef> {
-        self.trigger_def(view_name, event).map(|t| t.as_ref())
-    }
-
-    /// [`Database::trigger_for`], returning the trigger as the catalog
-    /// holds it, so a caller that goes on to change the database can keep
-    /// it (and run its body) by `Arc`.
-    pub(crate) fn trigger_def(
-        &self,
-        view_name: &str,
-        event: TriggerEvent,
-    ) -> Option<&Arc<TriggerDef>> {
-        let gen = self.catalog_generation();
-        let mut memo = self.trigger_memo.borrow_mut();
-        if !matches!(memo.as_ref(), Some((g, _)) if *g == gen) {
-            let mut ix: BTreeMap<String, BTreeMap<TriggerEvent, String>> = BTreeMap::new();
-            for (name, t) in self.catalog.triggers.iter() {
-                // entry(): first trigger in name order wins, matching the
-                // previous linear scan.
-                ix.entry(t.on.clone()).or_default().entry(t.event).or_insert_with(|| name.clone());
-            }
-            *memo = Some((gen, ix));
-        }
-        let (_, ix) = memo.as_ref().expect("just populated");
-        let name = ix.get(&*key(view_name))?.get(&event)?;
-        self.catalog.triggers.get(name)
+        let view = self.catalog.views.get(&*key(name));
+        view.map(|v| &**v).ok_or_else(|| SqlError::NoSuchTable(name.to_string()))
     }
 
     /// Lists base table names (lowercased keys).
@@ -1001,9 +947,11 @@ pub(crate) mod tests {
         assert_eq!(rs.rows[2], vec![Value::Integer(3), Value::Text("c".into())]);
     }
 
+    /// Past the 512-entry cap the statement cache clears, and the plans
+    /// its entries hold go with it: every statement below is a new text
+    /// and a new plan, and each answers as the caches-off oracle does.
     #[test]
     fn statement_and_plan_caches_stay_bounded_past_their_caps() {
-        use crate::plancache::PLAN_CACHE_CAP;
         let build = || {
             let mut db = Database::new();
             db.execute_batch(
@@ -1019,24 +967,96 @@ pub(crate) mod tests {
         };
         let (cached, oracle) = (build(), build());
         oracle.set_statement_caches(false);
-        let mut peak = (0, 0, 0);
+        let mut peak = (0, 0);
         for round in 0..2 {
-            for i in 0..STMT_CACHE_CAP.max(PLAN_CACHE_CAP) * 2 + 7 {
-                // Every statement is a new shape for all three caches.
+            for i in 0..STMT_CACHE_CAP * 2 + 7 {
                 let sql =
                     format!("SELECT _id, data FROM t WHERE _id = {} OR data = 'd{i}'", i % 50);
                 let got = cached.query(&sql, &[]).unwrap();
                 assert_eq!(got.rows, oracle.query(&sql, &[]).unwrap().rows, "round {round}: {sql}");
-                let (selects, accesses) = cached.plan_cache.sizes();
-                let stmts = cached.stmt_cache.borrow().len();
-                assert!(stmts <= STMT_CACHE_CAP && selects <= PLAN_CACHE_CAP);
-                assert!(accesses <= PLAN_CACHE_CAP);
-                peak = (peak.0.max(stmts), peak.1.max(selects), peak.2.max(accesses));
+                let cache = cached.stmt_cache.borrow();
+                let plans = cache.values().filter(|e| e.plan.is_some()).count();
+                assert!(cache.len() <= STMT_CACHE_CAP && plans <= cache.len());
+                peak = (peak.0.max(cache.len()), peak.1.max(plans));
             }
         }
-        assert_eq!(peak, (STMT_CACHE_CAP, PLAN_CACHE_CAP, PLAN_CACHE_CAP), "each cap was reached");
+        assert_eq!(
+            peak,
+            (STMT_CACHE_CAP, STMT_CACHE_CAP),
+            "the cap was reached, every entry planned"
+        );
+        let runs = 2 * (STMT_CACHE_CAP as u64 * 2 + 7);
+        assert_eq!(cached.stats.plan_cache_misses.get(), runs, "every new text built its plan");
         assert_eq!(oracle.stmt_cache.borrow().len(), 0);
-        assert_eq!(oracle.plan_cache.sizes(), (0, 0));
+        assert_eq!(oracle.stats.plan_cache_misses.get(), 0, "the oracle plans as it runs");
+    }
+
+    /// `(access paths, plan hits, plan misses)` of one run of `sql` with
+    /// `w` bound.
+    fn planned_run(db: &Database, sql: &str, w: &str) -> (Vec<String>, u64, u64) {
+        db.stats.reset();
+        let rs = db.query(sql, &[w.into()]).unwrap();
+        assert_eq!(rs.rows, vec![vec![Value::Integer(2)]], "{sql}");
+        let stats = &db.stats;
+        (stats.take_access_paths(), stats.plan_cache_hits.get(), stats.plan_cache_misses.get())
+    }
+
+    /// DDL makes a prepared statement plan again under the same text:
+    /// `CREATE INDEX` turns its full scan into an index probe, and
+    /// `DROP INDEX` turns it back.
+    #[test]
+    fn a_prepared_statement_is_planned_again_after_ddl() {
+        let mut db = Database::new();
+        db.execute_batch(
+            "CREATE TABLE t (_id INTEGER PRIMARY KEY, w TEXT);
+             INSERT INTO t (w) VALUES ('a'), ('b');",
+        )
+        .unwrap();
+        let sql = "SELECT _id FROM t WHERE w = ?1";
+        let scan = vec!["t: SCAN".to_string()];
+        let probe = vec!["t: INDEX ix_w EQ (1 keys)".to_string()];
+        assert_eq!(planned_run(&db, sql, "b"), (scan.clone(), 0, 1));
+        assert_eq!(planned_run(&db, sql, "b"), (scan.clone(), 1, 0));
+        db.execute_batch("CREATE INDEX ix_w ON t (w)").unwrap();
+        assert_eq!(db.stats.plan_cache_invalidations.get(), 1);
+        assert_eq!(planned_run(&db, sql, "b"), (probe.clone(), 0, 1));
+        assert_eq!(planned_run(&db, sql, "b"), (probe, 1, 0));
+        db.execute_batch("DROP INDEX ix_w").unwrap();
+        assert_eq!(db.stats.plan_cache_invalidations.get(), 1);
+        assert_eq!(planned_run(&db, sql, "b"), (scan, 0, 1));
+        assert_eq!(db.stmt_cache.borrow().len(), 1, "one text, one entry throughout");
+        // A bump with no plan built since the last one invalidates nothing.
+        db.stats.reset();
+        db.execute_batch("CREATE INDEX ix_w ON t (w); DROP INDEX ix_w").unwrap();
+        assert_eq!(db.stats.plan_cache_invalidations.get(), 1);
+    }
+
+    /// A prepared statement runs with the flatten policy the database has
+    /// now: changing the policy makes its next run plan again.
+    #[test]
+    fn a_flatten_policy_change_plans_a_prepared_statement_again() {
+        let mut db = Database::new();
+        db.execute_batch(
+            "CREATE TABLE a (_id INTEGER PRIMARY KEY, w TEXT);
+             CREATE TABLE b (_id INTEGER PRIMARY KEY, w TEXT);
+             INSERT INTO a VALUES (1, 'x'), (2, 'y');
+             INSERT INTO b VALUES (3, 'z');
+             CREATE VIEW v AS SELECT _id, w FROM a UNION ALL SELECT _id, w FROM b;",
+        )
+        .unwrap();
+        let sql = "SELECT _id FROM v WHERE w = ?1";
+        let run = |db: &Database| {
+            let (_, hits, misses) = planned_run(db, sql, "y");
+            let stats = &db.stats;
+            (stats.flattened_queries.get(), stats.materialized_views.get(), hits, misses)
+        };
+        assert_eq!(run(&db), (1, 0, 0, 1));
+        assert_eq!(run(&db), (1, 0, 1, 0));
+        db.flatten_policy = FlattenPolicy::Off;
+        assert_eq!(run(&db), (0, 1, 0, 1));
+        assert_eq!(run(&db), (0, 1, 1, 0));
+        db.flatten_policy = FlattenPolicy::Sqlite386;
+        assert_eq!(run(&db), (1, 0, 0, 1));
     }
 
     #[test]
@@ -1098,6 +1118,8 @@ pub(crate) mod tests {
         assert!(replayed.stats.index_probes.get() > 0);
     }
 
+    /// The access-path log keeps [`ACCESS_PATH_LOG_CAP`] lines and counts
+    /// every line it drops past them.
     #[test]
     fn access_path_cap_is_configurable_and_drops_are_counted() {
         let mut db = Database::new();
@@ -1107,16 +1129,15 @@ pub(crate) mod tests {
         )
         .unwrap();
         db.stats.reset();
-        db.stats.set_access_path_cap(3);
-        for _ in 0..10 {
+        for _ in 0..ACCESS_PATH_LOG_CAP + 7 {
             db.query("SELECT v FROM t", &[]).unwrap();
         }
-        assert_eq!(db.stats.access_paths.borrow().len(), 3);
+        assert_eq!(db.stats.access_paths.borrow().len(), ACCESS_PATH_LOG_CAP);
         assert_eq!(db.stats.access_paths_dropped.get(), 7);
-        // reset clears the drop counter but keeps the configured cap.
+        // reset clears the log and the drop counter.
         db.stats.reset();
         assert_eq!(db.stats.access_paths_dropped.get(), 0);
-        assert_eq!(db.stats.access_path_cap.get(), 3);
+        assert!(db.stats.access_paths.borrow().is_empty());
     }
 
     /// With the whole catalog captured at BEGIN there is no per-table log

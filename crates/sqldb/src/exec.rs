@@ -1,12 +1,14 @@
-//! Statement execution: SELECT pipeline, mutations, DDL and triggers.
+//! Statement execution: planning, the SELECT pipeline, mutations, DDL and
+//! triggers.
 
 use crate::ast::{
-    Expr, InsertSource, OrderTerm, ResultColumn, SelectCore, SelectStmt, Stmt, TriggerEvent,
+    Expr, InsertSource, OrderTerm, ResultColumn, SelectCore, SelectStmt, Stmt, TableRef,
+    TriggerEvent,
 };
 use crate::db::{key, Database, ExecOutcome, ResultSet, TriggerDef, ViewDef, MAX_DEPTH};
 use crate::error::{SqlError, SqlResult};
 use crate::expr::{eval, eval_ref, EvalEnv, RowScope, SubqueryCache, TriggerCtx};
-use crate::planner::{bind_access_plan, AccessPath};
+use crate::planner::{bind_access_plan, plan_access, try_flatten, AccessPath, AccessPlan};
 use crate::table::{Table, TableSchema};
 use crate::value::Value;
 use std::borrow::Cow;
@@ -15,10 +17,123 @@ use std::sync::Arc;
 /// Output rows paired with optional pre-computed sort keys.
 type KeyedRows = Vec<(Vec<Value>, Option<Vec<Value>>)>;
 
-/// Executes one statement against the database.
-pub fn exec_stmt(
+/// What a statement runs with: the planner's choices, made against one
+/// catalog generation and flatten policy. A prepared statement keeps its
+/// plan in its statement-cache entry; a statement run without one plans
+/// itself as it runs.
+#[derive(Debug)]
+pub(crate) enum Plan {
+    /// A SELECT.
+    Select(SelectPlan),
+    /// An UPDATE or DELETE on a base table: its access plan.
+    Table(AccessPlan),
+    /// An INSERT, UPDATE or DELETE through a view.
+    View(ViewPlan),
+}
+
+/// A SELECT's plan: the UNION ALL view flattening rewrite, when it
+/// applies, and the access plan of each core of the statement that runs
+/// (the rewrite, or the statement as written) that reads one base table.
+#[derive(Debug, Clone)]
+pub(crate) struct SelectPlan {
+    flat: Option<SelectStmt>,
+    access: Vec<Option<AccessPlan>>,
+}
+
+/// A write through a view: the view and its INSTEAD OF trigger, held by
+/// `Arc` so the trigger body runs while the database changes, and for an
+/// UPDATE or DELETE the `SELECT * FROM view WHERE …` that finds the rows,
+/// with its own plan.
+#[derive(Debug, Clone)]
+pub(crate) struct ViewPlan {
+    view: Arc<ViewDef>,
+    trigger: Arc<TriggerDef>,
+    matching: Option<(SelectStmt, SelectPlan)>,
+}
+
+/// Plans `stmt` against the current catalog. `None` for a statement with
+/// nothing to plan (DDL, transaction control, an INSERT into a table) and
+/// for a write through a view without its trigger, which the run refuses.
+pub(crate) fn plan_stmt(db: &Database, stmt: &Stmt) -> Option<Plan> {
+    match stmt {
+        Stmt::Select(s) => Some(Plan::Select(plan_select(db, s))),
+        Stmt::Update { table, where_clause, .. } | Stmt::Delete { table, where_clause } => {
+            if let Some(t) = db.tables().get(&*key(table)) {
+                return Some(Plan::Table(plan_access(t, table, where_clause.as_ref(), &is_const)));
+            }
+            let event = match stmt {
+                Stmt::Update { .. } => TriggerEvent::Update,
+                _ => TriggerEvent::Delete,
+            };
+            plan_view(db, table, event, Some(where_clause.as_ref())).map(Plan::View)
+        }
+        Stmt::Insert { table, .. } => {
+            plan_view(db, table, TriggerEvent::Insert, None).map(Plan::View)
+        }
+        _ => None,
+    }
+}
+
+/// Plans a SELECT: tries the flattening rewrite, then plans the access of
+/// every single-table core of the statement that will run.
+fn plan_select(db: &Database, stmt: &SelectStmt) -> SelectPlan {
+    let flat = try_flatten(db, stmt);
+    let runs = flat.as_ref().unwrap_or(stmt);
+    let access = runs
+        .cores
+        .iter()
+        .map(|core| match core.from.as_slice() {
+            [tref] => db
+                .tables()
+                .get(&*key(&tref.name))
+                .map(|t| plan_access(t, tref.binding(), core.where_clause.as_ref(), &is_const)),
+            _ => None,
+        })
+        .collect();
+    SelectPlan { flat, access }
+}
+
+/// Plans a write through view `name` for `event`: `None` when `name` is no
+/// view or has no trigger for `event`. The trigger is found by scanning
+/// the trigger map; the first in name order wins. `matching` is the
+/// statement's WHERE clause for an UPDATE or DELETE, `None` for an INSERT.
+fn plan_view(
+    db: &Database,
+    name: &str,
+    event: TriggerEvent,
+    matching: Option<Option<&Expr>>,
+) -> Option<ViewPlan> {
+    let k = key(name);
+    let view = Arc::clone(db.catalog.views.get(&*k)?);
+    let trigger = db.catalog.triggers.values().find(|t| t.event == event && t.on == *k)?;
+    let matching = matching.map(|where_clause| {
+        // The planner flattens this through UNION ALL views and probes
+        // keys, as SQLite's INSTEAD OF trigger path does.
+        let select = SelectStmt {
+            cores: vec![SelectCore {
+                distinct: false,
+                columns: vec![ResultColumn::Star],
+                from: vec![TableRef { name: name.to_string(), alias: None }],
+                where_clause: where_clause.cloned(),
+                group_by: Vec::new(),
+                having: None,
+            }],
+            order_by: Vec::new(),
+            limit: None,
+            offset: None,
+        };
+        let plan = plan_select(db, &select);
+        (select, plan)
+    });
+    Some(ViewPlan { view, trigger: Arc::clone(trigger), matching })
+}
+
+/// Executes one statement against the database with `plan`, or planning
+/// as it runs when there is none.
+pub(crate) fn exec_stmt(
     db: &mut Database,
     stmt: &Stmt,
+    plan: Option<&Plan>,
     params: &[Value],
     trigger: Option<&TriggerCtx<'_>>,
 ) -> SqlResult<ExecOutcome> {
@@ -145,17 +260,22 @@ pub fn exec_stmt(
             Ok(ExecOutcome::ddl())
         }
         Stmt::Insert { table, columns, source, or_replace } => {
-            exec_insert(db, table, columns, source, *or_replace, params, trigger)
+            let rows = insert_values(db, source, params, trigger)?;
+            exec_insert(db, table, columns, rows, *or_replace, plan)
         }
         Stmt::Update { table, sets, where_clause } => {
-            exec_update(db, table, sets, where_clause.as_ref(), params, trigger)
+            exec_update(db, table, sets, where_clause.as_ref(), plan, params, trigger)
         }
         Stmt::Delete { table, where_clause } => {
-            exec_delete(db, table, where_clause.as_ref(), params, trigger)
+            exec_delete(db, table, where_clause.as_ref(), plan, params, trigger)
         }
         Stmt::Select(select) => {
+            let plan = match plan {
+                Some(Plan::Select(p)) => Some(p),
+                _ => None,
+            };
             let cache = SubqueryCache::default();
-            let rs = exec_select(db, select, params, trigger, &cache, 0)?;
+            let rs = exec_select(db, select, plan, params, trigger, &cache, 0)?;
             Ok(ExecOutcome { rows: Some(rs), rows_affected: 0, last_insert_id: None })
         }
         Stmt::Begin => {
@@ -214,10 +334,12 @@ pub(crate) fn output_name(expr: &Expr, alias: Option<&str>) -> String {
     }
 }
 
-/// Executes a SELECT, returning its result set.
-pub fn exec_select(
+/// Executes a SELECT with `plan`, or planning as it runs when there is
+/// none, and returns its result set.
+pub(crate) fn exec_select(
     db: &Database,
     stmt: &SelectStmt,
+    plan: Option<&SelectPlan>,
     params: &[Value],
     trigger: Option<&TriggerCtx<'_>>,
     cache: &SubqueryCache,
@@ -228,24 +350,15 @@ pub fn exec_select(
             "view nesting too deep (cyclic view definition?)".into(),
         ));
     }
-    // Planner: try UNION ALL view flattening first. The rewrite (or the
-    // decision not to rewrite) is memoized per statement shape and
-    // catalog generation.
-    if let Some(flat) = db.cached_flatten(stmt) {
-        db.stats.flattened_queries.set(db.stats.flattened_queries.get() + 1);
-        return exec_select_plain(db, &flat, params, trigger, cache, depth);
-    }
-    exec_select_plain(db, stmt, params, trigger, cache, depth)
-}
-
-fn exec_select_plain(
-    db: &Database,
-    stmt: &SelectStmt,
-    params: &[Value],
-    trigger: Option<&TriggerCtx<'_>>,
-    cache: &SubqueryCache,
-    depth: usize,
-) -> SqlResult<ResultSet> {
+    let plan = plan.map_or_else(|| Cow::Owned(plan_select(db, stmt)), Cow::Borrowed);
+    // The statement that runs: the flattened rewrite, or the original.
+    let stmt = match &plan.flat {
+        Some(flat) => {
+            db.stats.flattened_queries.set(db.stats.flattened_queries.get() + 1);
+            flat
+        }
+        None => stmt,
+    };
     let env = EvalEnv { db, params, trigger, cache, depth };
     let compound = stmt.cores.len() > 1;
     let mut columns: Vec<String> = Vec::new();
@@ -256,7 +369,8 @@ fn exec_select_plain(
         // source scope so ORDER BY can reference unprojected columns. For
         // compounds, keys come from the output row (SQL rule).
         let order = if compound { &[][..] } else { &stmt.order_by[..] };
-        let (cols, mut core_rows) = exec_core(db, core, order, &env)?;
+        let access = plan.access.get(i).and_then(Option::as_ref);
+        let (cols, mut core_rows) = exec_core(db, core, access, order, &env)?;
         if i == 0 {
             columns = cols;
         } else if cols.len() != columns.len() {
@@ -371,6 +485,7 @@ struct Source<'a> {
 fn exec_core(
     db: &Database,
     core: &SelectCore,
+    access: Option<&AccessPlan>,
     order_by: &[OrderTerm],
     env: &EvalEnv<'_>,
 ) -> SqlResult<(Vec<String>, KeyedRows)> {
@@ -395,7 +510,7 @@ fn exec_core(
     // Fast path: single base table, no aggregate — stream rows without
     // materializing the whole table, using pk point lookups when possible.
     if core.from.len() == 1 && db.tables().contains_key(&*key(&core.from[0].name)) {
-        return exec_core_single_table(db, core, order_by, aggregate, env);
+        return exec_core_single_table(db, core, access, order_by, aggregate, env);
     }
 
     // General path: materialize every source (tables and views), then
@@ -415,7 +530,15 @@ fn exec_core(
             });
         } else if let Some(v) = db.catalog.views.get(&*k) {
             db.stats.materialized_views.set(db.stats.materialized_views.get() + 1);
-            let rs = exec_select(db, &v.select, env.params, env.trigger, env.cache, env.depth + 1)?;
+            let rs = exec_select(
+                db,
+                &v.select,
+                None,
+                env.params,
+                env.trigger,
+                env.cache,
+                env.depth + 1,
+            )?;
             sources.push(Source {
                 binding: tref.binding(),
                 columns: &v.columns,
@@ -510,6 +633,7 @@ fn passes(where_clause: Option<&Expr>, scope: &RowScope, env: &EvalEnv<'_>) -> S
 fn exec_core_single_table(
     db: &Database,
     core: &SelectCore,
+    access: Option<&AccessPlan>,
     order_by: &[OrderTerm],
     aggregate: bool,
     env: &EvalEnv<'_>,
@@ -519,7 +643,7 @@ fn exec_core_single_table(
     let binding = tref.binding();
     let columns = table.schema.column_names();
 
-    let probed = probe_access_path(db, table, binding, core.where_clause.as_ref(), env)?;
+    let probed = probe_access_path(db, table, binding, core.where_clause.as_ref(), access, env)?;
     let candidate_rows: Vec<Cow<'_, [Value]>> = match &probed {
         Some(ids) => {
             let mut rows = Vec::with_capacity(ids.len());
@@ -568,22 +692,26 @@ fn exec_core_single_table(
     Ok((names, out))
 }
 
-/// Chooses and executes an access path for one table scan: returns
+/// Binds and executes an access path for one table scan: returns
 /// `Some(rowids)` for point/index probes (stats and the EXPLAIN log are
 /// updated), or `None` to signal a full scan (`rows_scanned` is charged
-/// here so callers just iterate).
+/// here so callers just iterate). `plan` is the access's value-free plan;
+/// without one the access is planned here.
 fn probe_access_path(
     db: &Database,
     t: &Table,
     binding: &str,
     where_clause: Option<&Expr>,
+    plan: Option<&AccessPlan>,
     env: &EvalEnv<'_>,
 ) -> SqlResult<Option<Vec<i64>>> {
-    // The value-free plan comes from the plan cache (or a fresh planner
-    // walk); binding probes its captured constants through this closure.
+    let plan = plan.map_or_else(
+        || Cow::Owned(plan_access(t, binding, where_clause, &is_const)),
+        Cow::Borrowed,
+    );
+    // Binding probes the plan's captured constants through this closure.
     // An evaluation error (e.g. a missing parameter) is deferred so it
     // still surfaces instead of silently degrading to a full scan.
-    let plan = db.cached_access_plan(t, binding, where_clause);
     let deferred: std::cell::RefCell<Option<SqlError>> = std::cell::RefCell::new(None);
     let eval_const = |e: &Expr| -> Option<Value> {
         if !is_const(e) {
@@ -940,35 +1068,41 @@ fn is_agg_name(name: &str, nargs: usize) -> bool {
 // Mutations.
 // ---------------------------------------------------------------------
 
+/// The rows an INSERT inserts, computed before anything changes.
+fn insert_values(
+    db: &Database,
+    source: &InsertSource,
+    params: &[Value],
+    trigger: Option<&TriggerCtx<'_>>,
+) -> SqlResult<Vec<Vec<Value>>> {
+    let cache = SubqueryCache::default();
+    let env = EvalEnv { db, params, trigger, cache: &cache, depth: 0 };
+    match source {
+        InsertSource::Values(rows) => {
+            let mut out = Vec::with_capacity(rows.len());
+            for row in rows {
+                let mut vals = Vec::with_capacity(row.len());
+                for e in row {
+                    vals.push(eval(e, &RowScope::empty(), &env)?);
+                }
+                out.push(vals);
+            }
+            Ok(out)
+        }
+        InsertSource::Select(sel) => {
+            Ok(exec_select(db, sel, None, params, trigger, &cache, 0)?.rows)
+        }
+    }
+}
+
 fn exec_insert(
     db: &mut Database,
     table: &str,
     columns: &[String],
-    source: &InsertSource,
+    value_rows: Vec<Vec<Value>>,
     or_replace: bool,
-    params: &[Value],
-    trigger: Option<&TriggerCtx<'_>>,
+    plan: Option<&Plan>,
 ) -> SqlResult<ExecOutcome> {
-    // Compute the rows to insert first (immutable phase).
-    let value_rows: Vec<Vec<Value>> = {
-        let cache = SubqueryCache::default();
-        let env = EvalEnv { db, params, trigger, cache: &cache, depth: 0 };
-        match source {
-            InsertSource::Values(rows) => {
-                let mut out = Vec::with_capacity(rows.len());
-                for row in rows {
-                    let mut vals = Vec::with_capacity(row.len());
-                    for e in row {
-                        vals.push(eval(e, &RowScope::empty(), &env)?);
-                    }
-                    out.push(vals);
-                }
-                out
-            }
-            InsertSource::Select(sel) => exec_select(db, sel, params, trigger, &cache, 0)?.rows,
-        }
-    };
-
     let tkey = key(table);
     if db.tables().contains_key(&*tkey) {
         // Map provided columns to schema positions.
@@ -1013,8 +1147,8 @@ fn exec_insert(
     // view and trigger are held by `Arc`, so the body and the view's
     // columns are shared, not copied.
     if db.catalog.views.contains_key(&*tkey) {
-        let (view, trig) = view_and_trigger(db, table, TriggerEvent::Insert)?;
-        let view_cols = &view.columns;
+        let vp = view_plan(db, plan, table, TriggerEvent::Insert, None)?;
+        let view_cols = &vp.view.columns;
         let mut affected = 0;
         for vals in value_rows {
             let mut new_row = vec![Value::Null; view_cols.len()];
@@ -1039,9 +1173,7 @@ fn exec_insert(
                 }
             }
             let ctx = TriggerCtx { columns: view_cols, new: Some(new_row), old: None };
-            for stmt in &trig.body {
-                exec_stmt(db, stmt, &[], Some(&ctx))?;
-            }
+            fire(db, &vp.trigger, &ctx)?;
             affected += 1;
         }
         return Ok(ExecOutcome { rows: None, rows_affected: affected, last_insert_id: None });
@@ -1050,17 +1182,49 @@ fn exec_insert(
     Err(SqlError::NoSuchTable(table.to_string()))
 }
 
-/// The view `table` and its INSTEAD OF trigger for `event`, held by `Arc`
-/// so the trigger can run while the database changes.
-fn view_and_trigger(
+/// The view plan `plan` holds, or for a write run without one a plan made
+/// now by [`plan_view`]: the view must have a trigger for `event`.
+fn view_plan<'p>(
     db: &Database,
+    plan: Option<&'p Plan>,
     table: &str,
     event: TriggerEvent,
-) -> SqlResult<(Arc<ViewDef>, Arc<TriggerDef>)> {
-    let view = Arc::clone(db.view_def(table)?);
-    let trig =
-        db.trigger_def(table, event).ok_or_else(|| SqlError::ViewNotWritable(table.to_string()))?;
-    Ok((view, Arc::clone(trig)))
+    matching: Option<Option<&Expr>>,
+) -> SqlResult<Cow<'p, ViewPlan>> {
+    if let Some(Plan::View(vp)) = plan {
+        return Ok(Cow::Borrowed(vp));
+    }
+    let planned = plan_view(db, table, event, matching);
+    planned.map(Cow::Owned).ok_or_else(|| SqlError::ViewNotWritable(table.into()))
+}
+
+/// Runs a trigger's body once, for the row in `ctx`.
+fn fire(db: &mut Database, trigger: &TriggerDef, ctx: &TriggerCtx<'_>) -> SqlResult<()> {
+    for stmt in &trigger.body {
+        exec_stmt(db, stmt, None, &[], Some(ctx))?;
+    }
+    Ok(())
+}
+
+/// The view rows an UPDATE or DELETE through a view acts on, in
+/// view-column order.
+fn view_rows_matching(
+    db: &Database,
+    vp: &ViewPlan,
+    params: &[Value],
+    trigger: Option<&TriggerCtx<'_>>,
+) -> SqlResult<Vec<Vec<Value>>> {
+    let (select, plan) = vp.matching.as_ref().expect("UPDATE and DELETE plans match rows");
+    let cache = SubqueryCache::default();
+    Ok(exec_select(db, select, Some(plan), params, trigger, &cache, 0)?.rows)
+}
+
+/// The access plan `plan` holds for an UPDATE or DELETE on a table.
+fn table_access(plan: Option<&Plan>) -> Option<&AccessPlan> {
+    match plan {
+        Some(Plan::Table(access)) => Some(access),
+        _ => None,
+    }
 }
 
 /// Returns the rows UPDATE/DELETE must consider: a rowid point probe or
@@ -1071,9 +1235,10 @@ fn candidate_rows<'a>(
     t: &'a crate::table::Table,
     binding: &str,
     where_clause: Option<&Expr>,
+    plan: Option<&AccessPlan>,
     env: &EvalEnv<'_>,
 ) -> SqlResult<Vec<(i64, Cow<'a, [Value]>)>> {
-    if let Some(ids) = probe_access_path(db, t, binding, where_clause, env)? {
+    if let Some(ids) = probe_access_path(db, t, binding, where_clause, plan, env)? {
         let mut rows = Vec::with_capacity(ids.len());
         rows.extend(ids.into_iter().filter_map(|id| t.get(id).map(|r| (id, r))));
         return Ok(rows);
@@ -1081,39 +1246,12 @@ fn candidate_rows<'a>(
     Ok(t.iter().collect())
 }
 
-/// Materializes the view rows matching `where_clause` by running a
-/// filtered `SELECT * FROM view WHERE ...` — this lets the planner flatten
-/// UNION ALL views and use pk probes, exactly like SQLite's INSTEAD OF
-/// trigger path. Returns the matching rows in view-column order.
-fn view_rows_matching(
-    db: &Database,
-    view_name: &str,
-    where_clause: Option<&Expr>,
-    params: &[Value],
-    trigger: Option<&TriggerCtx<'_>>,
-) -> SqlResult<Vec<Vec<Value>>> {
-    let filtered = SelectStmt {
-        cores: vec![SelectCore {
-            distinct: false,
-            columns: vec![ResultColumn::Star],
-            from: vec![crate::ast::TableRef { name: view_name.to_string(), alias: None }],
-            where_clause: where_clause.cloned(),
-            group_by: Vec::new(),
-            having: None,
-        }],
-        order_by: Vec::new(),
-        limit: None,
-        offset: None,
-    };
-    let cache = SubqueryCache::default();
-    Ok(exec_select(db, &filtered, params, trigger, &cache, 0)?.rows)
-}
-
 fn exec_update(
     db: &mut Database,
     table: &str,
     sets: &[(String, Expr)],
     where_clause: Option<&Expr>,
+    plan: Option<&Plan>,
     params: &[Value],
     trigger: Option<&TriggerCtx<'_>>,
 ) -> SqlResult<ExecOutcome> {
@@ -1133,7 +1271,8 @@ fn exec_update(
                 .collect();
             let set_idx = set_idx?;
             let mut ups = Vec::new();
-            let candidates = candidate_rows(db, t, table, where_clause, &env)?;
+            let access = table_access(plan);
+            let candidates = candidate_rows(db, t, table, where_clause, access, &env)?;
             let mut scope = RowScope::single_ref(table, cols, &[]);
             for (rowid, row) in &candidates {
                 scope.set_row(0, row);
@@ -1159,19 +1298,19 @@ fn exec_update(
     if db.catalog.views.contains_key(&*tkey) {
         // INSTEAD OF UPDATE: materialize matching view rows, fire trigger
         // with OLD = row, NEW = row + sets.
-        let (view, trig) = view_and_trigger(db, table, TriggerEvent::Update)?;
-        let olds = view_rows_matching(db, table, where_clause, params, trigger)?;
+        let vp = view_plan(db, plan, table, TriggerEvent::Update, Some(where_clause))?;
+        let columns = &vp.view.columns;
+        let olds = view_rows_matching(db, &vp, params, trigger)?;
         let mut news = Vec::with_capacity(olds.len());
         {
             let cache = SubqueryCache::default();
             let env = EvalEnv { db, params, trigger, cache: &cache, depth: 0 };
-            let mut scope = RowScope::single_ref(table, &view.columns, &[]);
+            let mut scope = RowScope::single_ref(table, columns, &[]);
             for row in &olds {
                 scope.set_row(0, row);
                 let mut new_row = row.clone();
                 for (c, e) in sets {
-                    let idx = view
-                        .columns
+                    let idx = columns
                         .iter()
                         .position(|vc| vc.eq_ignore_ascii_case(c))
                         .ok_or_else(|| SqlError::NoSuchColumn(c.clone()))?;
@@ -1182,10 +1321,8 @@ fn exec_update(
         }
         let affected = olds.len();
         for (old, new) in olds.into_iter().zip(news) {
-            let ctx = TriggerCtx { columns: &view.columns, new: Some(new), old: Some(old) };
-            for stmt in &trig.body {
-                exec_stmt(db, stmt, &[], Some(&ctx))?;
-            }
+            let ctx = TriggerCtx { columns, new: Some(new), old: Some(old) };
+            fire(db, &vp.trigger, &ctx)?;
         }
         return Ok(ExecOutcome { rows: None, rows_affected: affected, last_insert_id: None });
     }
@@ -1197,6 +1334,7 @@ fn exec_delete(
     db: &mut Database,
     table: &str,
     where_clause: Option<&Expr>,
+    plan: Option<&Plan>,
     params: &[Value],
     trigger: Option<&TriggerCtx<'_>>,
 ) -> SqlResult<ExecOutcome> {
@@ -1208,7 +1346,8 @@ fn exec_delete(
             let t = db.table(table)?;
             let cols = t.schema.column_names();
             let mut ids = Vec::new();
-            let candidates = candidate_rows(db, t, table, where_clause, &env)?;
+            let access = table_access(plan);
+            let candidates = candidate_rows(db, t, table, where_clause, access, &env)?;
             let mut scope = RowScope::single_ref(table, cols, &[]);
             for (rowid, row) in &candidates {
                 scope.set_row(0, row);
@@ -1227,14 +1366,12 @@ fn exec_delete(
     }
 
     if db.catalog.views.contains_key(&*tkey) {
-        let (view, trig) = view_and_trigger(db, table, TriggerEvent::Delete)?;
-        let matches = view_rows_matching(db, table, where_clause, params, trigger)?;
+        let vp = view_plan(db, plan, table, TriggerEvent::Delete, Some(where_clause))?;
+        let matches = view_rows_matching(db, &vp, params, trigger)?;
         let affected = matches.len();
         for old in matches {
-            let ctx = TriggerCtx { columns: &view.columns, new: None, old: Some(old) };
-            for stmt in &trig.body {
-                exec_stmt(db, stmt, &[], Some(&ctx))?;
-            }
+            let ctx = TriggerCtx { columns: &vp.view.columns, new: None, old: Some(old) };
+            fire(db, &vp.trigger, &ctx)?;
         }
         return Ok(ExecOutcome { rows: None, rows_affected: affected, last_insert_id: None });
     }

@@ -417,7 +417,15 @@ fn member_set(select: &SelectStmt, env: &EvalEnv<'_>) -> SqlResult<std::sync::Ar
     if let Some(cached) = env.cache.borrow().get(&key) {
         return Ok(std::sync::Arc::clone(cached));
     }
-    let rs = env.db.exec_select(select, env.params, env.trigger, env.cache, env.depth + 1)?;
+    let rs = crate::exec::exec_select(
+        env.db,
+        select,
+        None,
+        env.params,
+        env.trigger,
+        env.cache,
+        env.depth + 1,
+    )?;
     let mut set = MemberSet::default();
     for row in rs.rows {
         let v = row.into_iter().next().unwrap_or(Value::Null);

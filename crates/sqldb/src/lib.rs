@@ -49,7 +49,6 @@ pub mod index;
 pub mod lexer;
 pub mod mvcc;
 pub mod parser;
-pub(crate) mod plancache;
 pub mod planner;
 pub mod table;
 pub mod value;

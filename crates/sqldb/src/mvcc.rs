@@ -89,10 +89,10 @@ impl ReadSnapshot {
 /// bound snapshot's: a rebind takes the snapshot's three map `Arc`s as
 /// its own, so it is O(1) however many tables, views and triggers the
 /// database holds, and every read (`table_names`, `dump_sql` included)
-/// sees the bound stamp. Its prepared-statement and plan caches persist
-/// across rebinds and are invalidated only when the snapshot's catalog
-/// generation changed, so steady-state snapshot reads pay no re-parse or
-/// re-plan cost.
+/// sees the bound stamp. Its statement cache, with the plan each entry
+/// holds, persists across rebinds; a rebind to another catalog generation
+/// makes the plans stale, so steady-state snapshot reads pay no re-parse
+/// or re-plan cost.
 ///
 /// A reader must only ever be bound to snapshots of one logical database
 /// (stamps from different databases are not comparable). One reader per
@@ -127,7 +127,7 @@ impl SnapshotReader {
             self.db.catalog = s.catalog.clone();
             self.db.flatten_policy = s.flatten_policy;
             if self.catalog_gen != Some(s.catalog_gen) {
-                // Cached plans were made against another catalog.
+                // Built plans were made against another catalog.
                 self.db.bump_catalog_generation();
             }
             self.stamp = Some(s.stamp);
@@ -138,9 +138,9 @@ impl SnapshotReader {
 
     /// Lets go of the bound snapshot: the reader holds empty maps until the
     /// next [`SnapshotReader::bind`], so a write that follows copies no map
-    /// for it. The statement and plan caches and the catalog generation
+    /// for it. The statement cache, its plans and the catalog generation
     /// are kept, so a rebind to a snapshot of the same generation keeps
-    /// every cached plan.
+    /// every plan.
     pub fn release(&mut self) {
         self.db.catalog = self.empty.clone();
         self.stamp = None;

@@ -110,14 +110,14 @@ impl Vfs {
                 store.read(&hp)
             }
             MountKind::Union(u) => {
-                let meta = u.stat(&store, &rel)?;
+                let meta = u.stat(store, &rel)?;
                 if meta.is_dir {
                     return Err(VfsError::IsADirectory);
                 }
                 if !u.maxoid_access && !meta.mode.allows_read(meta.owner, cred.uid) {
                     return Err(VfsError::PermissionDenied);
                 }
-                u.read(&store, &rel)
+                u.read(store, &rel)
             }
         }
     }
@@ -152,7 +152,7 @@ impl Vfs {
                 Ok(())
             }
             MountKind::Union(u) => {
-                if let Some(meta) = u.effective(&store, &rel).map(|l| store.stat(&l.host)) {
+                if let Some(meta) = u.effective(store, &rel).map(|l| store.stat(&l.host)) {
                     let meta = meta?;
                     if meta.is_dir {
                         return Err(VfsError::IsADirectory);
@@ -189,7 +189,7 @@ impl Vfs {
                 store.append(&hp, data)
             }
             MountKind::Union(u) => {
-                let meta = u.stat(&store, &rel)?;
+                let meta = u.stat(store, &rel)?;
                 if !u.maxoid_access && !meta.mode.allows_write(meta.owner, cred.uid) {
                     return Err(VfsError::PermissionDenied);
                 }
@@ -215,7 +215,7 @@ impl Vfs {
                 store.unlink(&hp)
             }
             MountKind::Union(u) => {
-                let meta = u.stat(&store, &rel)?;
+                let meta = u.stat(store, &rel)?;
                 if !u.maxoid_access && !meta.mode.allows_write(meta.owner, cred.uid) {
                     return Err(VfsError::PermissionDenied);
                 }
@@ -280,7 +280,7 @@ impl Vfs {
                 }
                 store.read_dir(&hp)?
             }
-            MountKind::Union(u) => u.read_dir(&store, &rel)?,
+            MountKind::Union(u) => u.read_dir(store, &rel)?,
         };
         // Surface nested mount points (e.g. EXTDIR/tmp) that live in other
         // mounts rather than in this mount's backing dirs.
@@ -299,7 +299,7 @@ impl Vfs {
         let store = &*self.store;
         match &mount.kind {
             MountKind::Bind { host, .. } => store.stat(&join_host(host, &rel)?),
-            MountKind::Union(u) => u.stat(&store, &rel),
+            MountKind::Union(u) => u.stat(store, &rel),
         }
     }
 
@@ -330,7 +330,7 @@ impl Vfs {
                 store.rename(&join_host(host, &frel)?, &join_host(host, &trel)?)
             }
             MountKind::Union(u) => {
-                let meta = u.stat(&store, &frel)?;
+                let meta = u.stat(store, &frel)?;
                 if !u.maxoid_access && !meta.mode.allows_write(meta.owner, cred.uid) {
                     return Err(VfsError::PermissionDenied);
                 }
@@ -360,13 +360,13 @@ impl Vfs {
             MountKind::Union(u) => {
                 if mode == OpenMode::ReadWrite {
                     // Copy-up at open, so the handle pins the writable copy.
-                    let meta = u.stat(&store, &rel)?;
+                    let meta = u.stat(store, &rel)?;
                     if !u.maxoid_access && !meta.mode.allows_write(meta.owner, cred.uid) {
                         return Err(VfsError::PermissionDenied);
                     }
                     u.copy_up(store, &rel)?
                 } else {
-                    u.effective(&store, &rel).ok_or(VfsError::NotFound)?.host
+                    u.effective(store, &rel).ok_or(VfsError::NotFound)?.host
                 }
             }
         };

@@ -683,27 +683,13 @@ impl Store {
         }
     }
 
-    /// The current global visibility generation: the wrapping sum of every
-    /// per-prefix counter. Changes whenever *any* namespace-visible
-    /// mutation lands; kept for callers that do not track a branch set.
-    pub fn visibility_gen(&self) -> u64 {
-        self.vis.iter().map(|v| v.load(Ordering::Acquire)).fold(0u64, u64::wrapping_add)
-    }
-
-    /// Explicitly advances every visibility counter, invalidating every
-    /// union resolution cache validated against this store. The leaf
-    /// mutations below bump their path prefixes automatically; this hook
-    /// exists for coarse-grained events (volatile commit/clear) that want
-    /// a belt-and-braces invalidation on top.
-    pub fn bump_visibility(&self) {
-        self.bump_all();
-    }
-
-    /// Advances only the visibility counters covering `path` (every
-    /// prefix up to [`VIS_PREFIX_COMPONENTS`] components): the targeted
-    /// form of [`Store::bump_visibility`] for coarse events whose blast
-    /// radius is one subtree — unions whose branch hosts share no prefix
-    /// with `path` keep their resolution caches.
+    /// Advances the visibility counters covering `path` (every prefix up
+    /// to [`VIS_PREFIX_COMPONENTS`] components), invalidating the union
+    /// resolution caches that can see that subtree: the leaf mutations
+    /// below bump their path prefixes automatically, and coarse events
+    /// whose blast radius is one subtree (volatile commit/clear) call
+    /// this on top. Unions whose branch hosts share no prefix with `path`
+    /// keep their resolution caches.
     pub fn bump_visibility_under(&self, path: &VPath) {
         self.bump_path(path);
     }
@@ -783,11 +769,6 @@ impl Store {
     /// Returns metadata for a host path.
     pub fn stat(&self, path: &VPath) -> VfsResult<Metadata> {
         let id = self.resolve(path)?;
-        self.with_inode(id, |ino| ino.meta())
-    }
-
-    /// Returns metadata for an inode id (used by open file handles).
-    pub fn stat_inode(&self, id: InodeId) -> VfsResult<Metadata> {
         self.with_inode(id, |ino| ino.meta())
     }
 

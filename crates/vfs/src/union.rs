@@ -99,7 +99,7 @@ const RESOLVE_CACHE_CAP: usize = 1024;
 /// Per-union memo of [`Union::effective`] results.
 ///
 /// Maps a mount-relative path to the branch resolution (`Some(Located)`
-/// or a cached negative) stamped with the [`Store::visibility_gen`] it
+/// or a cached negative) stamped with the [`Store::vis_stamp`] it
 /// was computed under; a stale stamp is a miss. Namespaces holding the
 /// union are shared across threads during concurrent reads, so the map
 /// sits behind a `Mutex` and the counters are atomics. The cache is
@@ -333,7 +333,7 @@ impl Union {
     /// Finds the highest-priority branch where `rel` is visible.
     ///
     /// Resolutions (positive and negative) are memoized per path and
-    /// validated against [`Store::visibility_gen`], so steady-state
+    /// validated against [`Store::vis_stamp`], so steady-state
     /// lookups — including appends to an already-copied-up file — skip
     /// the branch walk and its whiteout probes entirely.
     pub fn effective(&self, store: &Store, rel: &str) -> Option<Located> {

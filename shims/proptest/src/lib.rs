@@ -99,7 +99,7 @@ pub mod option {
     impl<S: Strategy> Strategy for OptionStrategy<S> {
         type Value = Option<S::Value>;
         fn generate(&self, rng: &mut TestRng) -> Self::Value {
-            if rng.next_u64() % 4 == 0 {
+            if rng.next_u64().is_multiple_of(4) {
                 None
             } else {
                 Some(self.0.generate(rng))

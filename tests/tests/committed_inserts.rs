@@ -17,7 +17,7 @@ use maxoid::{
 use maxoid_block::FileDevice;
 use maxoid_cowproxy::DELTA_PK_START;
 use maxoid_sqldb::Value;
-use maxoid_vfs::vpath;
+use maxoid_vfs::{vpath, Mode};
 
 const DELEGATE: &str = "viewer";
 
@@ -266,9 +266,10 @@ struct Family {
     children: Vec<String>,
 }
 
-/// `initiator`'s delegate scans a media file: a `files` row and a
-/// `thumbnails` row naming it, both volatile. Commits both.
-fn scan_and_commit(sys: &MaxoidSystem, initiator: &'static str) -> Family {
+/// `initiator`'s delegate scans a photo titled `<initiator>-photo`: a
+/// `files` row and a `thumbnails` row naming it, both volatile. Returns
+/// their ids.
+fn scan_photo(sys: &MaxoidSystem, initiator: &str) -> (i64, i64) {
     let pid = sys.launch_as_delegate(DELEGATE, initiator).expect("delegate");
     let path = vpath(&format!("/storage/sdcard/DCIM/{initiator}.jpg"));
     let title = format!("{initiator}-photo");
@@ -276,9 +277,16 @@ fn scan_and_commit(sys: &MaxoidSystem, initiator: &'static str) -> Family {
     let uri = "content://media/tmp/thumbnails";
     let thumbs = volatile_children(sys, initiator, uri, ("file_id", "_data"), file);
     assert_eq!(thumbs.len(), 1, "{initiator}: {thumbs:?}");
-    let mut rows = vec![("media", "files", file)];
-    rows.extend(thumbs.iter().map(|&id| ("media", "thumbnails", id)));
-    let file = commit_rows(sys, initiator, &rows)[0];
+    (file, thumbs[0])
+}
+
+/// `initiator`'s delegate scans a photo (see [`scan_photo`]), and
+/// `initiator` commits its file and thumbnail.
+fn scan_and_commit(sys: &MaxoidSystem, initiator: &'static str) -> Family {
+    let (file, thumb) = scan_photo(sys, initiator);
+    let file =
+        commit_rows(sys, initiator, &[("media", "files", file), ("media", "thumbnails", thumb)])[0];
+    let title = format!("{initiator}-photo");
     let thumb = format!("/storage/sdcard/DCIM/.thumbnails/{initiator}.jpg.thumb");
     Family { initiator, authority: "media", parent: (file, title), children: vec![thumb] }
 }
@@ -436,11 +444,8 @@ fn an_owner_insert_after_deleting_a_copied_up_row_is_not_replaced() {
 fn a_child_commits_after_its_parent() {
     let sys = MaxoidSystem::boot().expect("boot");
     install_cast(&sys);
-    let pid = sys.launch_as_delegate(DELEGATE, "alice").expect("delegate");
-    let path = vpath("/storage/sdcard/DCIM/alice.jpg");
-    let file = sys.scan_media(pid, &path, MediaKind::Image, "alice-photo", 64).expect("scan");
+    let (file, thumb) = scan_photo(&sys, "alice");
     let uri = "content://media/tmp/thumbnails";
-    let thumb = volatile_children(&sys, "alice", uri, ("file_id", "_data"), file)[0];
     let early = try_commit(&sys, "alice", &[("media", "thumbnails", thumb)]);
     assert!(early.is_err(), "a thumbnail of a volatile file was committed: {early:?}");
     let public = commit_rows(&sys, "alice", &[("media", "files", file)])[0];
@@ -454,4 +459,57 @@ fn a_child_commits_after_its_parent() {
         children: vec![thumb],
     };
     linked(&sys, &family);
+}
+
+/// A refused plan commits none of its rows: Alice's delegate inserts a
+/// word and scans a photo, and Alice commits the word with the photo's
+/// thumbnail but not its file. The thumbnail would name a volatile file,
+/// so the plan is refused, and the word stays volatile: a bystander sees
+/// it neither live nor after a cold boot, and Alice's delegate sees it
+/// once in both.
+#[test]
+fn a_refused_plan_commits_none_of_its_rows() {
+    let (sys, path) = device_boot("refused-plan-rows");
+    let dict = &TARGETS[0];
+    let word = delegate_insert(&sys, dict, "alice", "alice-word");
+    let (_, thumb) = scan_photo(&sys, "alice");
+    let plan = [(dict.authority, dict.table, word), ("media", "thumbnails", thumb)];
+    let refused = try_commit(&sys, "alice", &plan);
+    assert!(refused.is_err(), "a thumbnail of a volatile file was committed: {refused:?}");
+    let volatile = |sys: &MaxoidSystem| {
+        assert_eq!(seen(sys, dict, &Caller::normal("bystander"), "alice-word"), 0);
+        assert_eq!(seen(sys, dict, &Caller::delegate(DELEGATE, "alice"), "alice-word"), 1);
+    };
+    volatile(&sys);
+    power_off(sys);
+    volatile(&cold_boot(&path));
+}
+
+/// A refused plan commits none of its files: Alice commits a file her
+/// delegate wrote together with a thumbnail of a volatile photo. The
+/// thumbnail is refused, so the file stays volatile, live and after a
+/// cold boot.
+#[test]
+fn a_refused_plan_commits_none_of_its_files() {
+    let (sys, path) = device_boot("refused-plan-files");
+    let pid = sys.launch_as_delegate(DELEGATE, "alice").expect("delegate");
+    let notes = vpath("/storage/sdcard/notes.txt");
+    sys.kernel.write(pid, &notes, b"draft", Mode::PUBLIC).expect("write");
+    let (_, thumb) = scan_photo(&sys, "alice");
+    let plan = VolCommitPlan {
+        external: vec!["notes.txt".into()],
+        provider_rows: vec![("media".into(), "thumbnails".into(), thumb)],
+        ..VolCommitPlan::default()
+    };
+    let refused = sys.commit_vol("alice", &plan);
+    assert!(refused.is_err(), "a thumbnail of a volatile file was committed: {refused:?}");
+    let volatile = |sys: &MaxoidSystem| {
+        let files = sys.volatile_files("alice").expect("volatile files");
+        assert!(files.iter().any(|e| e.rel == "notes.txt" && !e.internal), "{files:?}");
+        let bystander = sys.launch("bystander").expect("launch");
+        assert!(!sys.kernel.exists(bystander, &notes), "the file went public");
+    };
+    volatile(&sys);
+    power_off(sys);
+    volatile(&cold_boot(&path));
 }
