@@ -21,8 +21,8 @@
 //! Run with: `cargo run --release -p maxoid-bench --bin sqlheap`
 
 use maxoid_bench::{measure_interleaved, BenchJson, Case, Measurement, Unit};
-use maxoid_block::MemDevice;
-use maxoid_sqldb::{Database, HeapTier, Value};
+use maxoid_block::{MemDevice, SpillTier};
+use maxoid_sqldb::{Database, Value};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -47,7 +47,7 @@ fn body(seed: i64, len: usize) -> String {
 fn hot_db(backend: &str) -> Database {
     let mut db = Database::new();
     if backend == "paged_mem" {
-        db.attach_heap(HeapTier::new(Box::new(MemDevice::new()), PAGES), 0);
+        db.attach_heap(SpillTier::new(Box::new(MemDevice::new()), PAGES), 0);
     }
     db.execute_batch("CREATE TABLE t (_id INTEGER PRIMARY KEY, k INTEGER, body TEXT);").unwrap();
     for i in 0..HOT_ROWS {
@@ -126,7 +126,7 @@ fn main() {
     println!("\nworking-set sweep (page budget {} KiB, sequential re-scan passes):", PAGES * 4);
     for ratio in [0.5f64, 1.0, 2.0, 4.0] {
         let rows = ((PAGES as f64 * ratio) as i64).max(1);
-        let tier = HeapTier::new(Box::new(MemDevice::new()), PAGES);
+        let tier = SpillTier::new(Box::new(MemDevice::new()), PAGES);
         let mut db = Database::new();
         db.attach_heap(tier.clone(), 0);
         db.execute_batch("CREATE TABLE t (_id INTEGER PRIMARY KEY, k INTEGER, body TEXT);")

@@ -1,13 +1,11 @@
 //! Extent-based sector allocation: a free list kept as sorted,
-//! coalesced runs, handing out ascending contiguous extents.
+//! coalesced runs, handing out contiguous extents.
 //!
-//! The old VFS allocator reused freed sectors LIFO one at a time, which
-//! scattered a large file's sectors across the device after any churn.
 //! Keeping the free list as `start → length` runs lets an allocation take
 //! a single contiguous extent whenever one is big enough, and frees
 //! coalesce with both neighbors so churn rebuilds big runs instead of
-//! fragmenting forever. Shared by the VFS spill tier and the sqldb row
-//! heap.
+//! fragmenting forever. The [`crate::SpillTier`] carves every extent it
+//! hands out from one.
 
 use std::collections::BTreeMap;
 
@@ -38,39 +36,6 @@ impl ExtentAllocator {
     /// allocation picked the run it should have).
     pub fn free_runs(&self) -> Vec<(u64, u64)> {
         self.free.iter().map(|(&s, &l)| (s, l)).collect()
-    }
-
-    /// Allocates `n` sectors, ascending. A single free run that fits
-    /// serves the whole request contiguously (lowest-addressed first
-    /// fit); otherwise free runs are consumed in address order and the
-    /// remainder is carved off the high-water mark — still sorted, so a
-    /// multi-run allocation is as sequential as the free list allows.
-    pub fn alloc(&mut self, n: usize) -> Vec<u64> {
-        let want = n as u64;
-        if want == 0 {
-            return Vec::new();
-        }
-        if let Some((&start, &len)) = self.free.iter().find(|(_, &len)| len >= want) {
-            self.take_prefix(start, len, want);
-            return (start..start + want).collect();
-        }
-        let mut out = Vec::with_capacity(n);
-        while (out.len() as u64) < want {
-            let need = want - out.len() as u64;
-            match self.free.iter().next() {
-                Some((&start, &len)) => {
-                    let take = len.min(need);
-                    self.take_prefix(start, len, take);
-                    out.extend(start..start + take);
-                }
-                None => {
-                    let start = self.next;
-                    self.next += need;
-                    out.extend(start..start + need);
-                }
-            }
-        }
-        out
     }
 
     /// Allocates a single contiguous run of `n` sectors and returns its
@@ -118,24 +83,6 @@ impl ExtentAllocator {
         }
         self.free.insert(start, len);
     }
-
-    /// Frees an arbitrary set of sectors (sorted internally into runs).
-    pub fn free_sectors(&mut self, sectors: &[u64]) {
-        let mut sorted = sectors.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        let mut i = 0;
-        while i < sorted.len() {
-            let start = sorted[i];
-            let mut end = start + 1;
-            i += 1;
-            while i < sorted.len() && sorted[i] == end {
-                end += 1;
-                i += 1;
-            }
-            self.free_run(start, end - start);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -145,44 +92,33 @@ mod tests {
     #[test]
     fn fresh_allocations_are_sequential() {
         let mut a = ExtentAllocator::new();
-        assert_eq!(a.alloc(3), vec![0, 1, 2]);
-        assert_eq!(a.alloc(2), vec![3, 4]);
+        assert_eq!(a.alloc_contiguous(3), 0);
+        assert_eq!(a.alloc_contiguous(2), 3);
         assert_eq!(a.next_sector(), 5);
     }
 
     #[test]
     fn free_runs_coalesce_and_serve_contiguous_extents() {
         let mut a = ExtentAllocator::new();
-        let first = a.alloc(6); // 0..6
-                                // Free 1, 4, then 2 and 3: the middle frees must merge into one
-                                // run 1..5.
-        a.free_sectors(&[first[1], first[4]]);
-        a.free_sectors(&[first[2], first[3]]);
+        a.alloc_contiguous(6);
+        // Free 1, 4, then 2 and 3: the middle frees must merge into one
+        // run 1..5.
+        for s in [1, 4, 2, 3] {
+            a.free_run(s, 1);
+        }
         assert_eq!(a.free_runs(), vec![(1, 4)]);
-        // A 3-sector allocation takes the run's prefix contiguously
-        // instead of scattering, and leaves the tail free.
-        assert_eq!(a.alloc(3), vec![1, 2, 3]);
+        // A 3-sector allocation takes the run's prefix and leaves the
+        // tail free.
+        assert_eq!(a.alloc_contiguous(3), 1);
         assert_eq!(a.free_runs(), vec![(4, 1)]);
         assert_eq!(a.next_sector(), 6, "reuse must not grow the device");
     }
 
     #[test]
-    fn too_small_runs_are_consumed_in_address_order() {
-        let mut a = ExtentAllocator::new();
-        a.alloc(8); // 0..8
-        a.free_sectors(&[6, 1, 3]);
-        // No single run fits 4; the allocator drains runs ascending and
-        // extends from the high-water mark.
-        assert_eq!(a.alloc(4), vec![1, 3, 6, 8]);
-        assert!(a.free_runs().is_empty());
-        assert_eq!(a.next_sector(), 9);
-    }
-
-    #[test]
     fn contiguous_allocation_never_fragments() {
         let mut a = ExtentAllocator::new();
-        a.alloc(4);
-        a.free_sectors(&[1, 2]);
+        a.alloc_contiguous(4);
+        a.free_run(1, 2);
         // Needs 3 contiguous: the 2-run can't serve it, so fresh space.
         assert_eq!(a.alloc_contiguous(3), 4);
         // The 2-run is still intact for a smaller request.

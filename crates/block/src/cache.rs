@@ -433,28 +433,18 @@ impl PageCache {
         Ok(())
     }
 
-    /// Replaces `sector` wholesale. A miss skips the device read (the old
-    /// contents are dead), which is the fast path for log appends and
-    /// full-page spills.
-    pub fn write_full(&mut self, sector: u64, data: &[u8]) -> BlockResult<()> {
-        assert_eq!(data.len(), self.page_size, "write_full takes exactly one page");
-        let i = self.fault_in(sector, false)?;
-        self.frames[i].buf.copy_from_slice(data);
-        self.frames[i].dirty = true;
-        Ok(())
-    }
-
-    /// Replaces `sector` with `data` zero-padded to a full page, without
-    /// reading the device first — the partial-write analogue of
-    /// [`PageCache::write_full`] for ragged tail chunks whose old device
-    /// bytes are dead. Everything past `data.len()` reads back as zero.
+    /// Replaces `sector` wholesale with `data` zero-padded to a full page.
+    /// A miss skips the device read (the old contents are dead), which is
+    /// the fast path for log appends, spills and ragged tail chunks.
+    /// Everything past `data.len()` reads back as zero.
     pub fn write_padded(&mut self, sector: u64, data: &[u8]) -> BlockResult<()> {
         assert!(data.len() <= self.page_size, "write_padded takes at most one page");
         let i = self.fault_in(sector, false)?;
-        // An explicit fill: fault_in only zeroes the frame on a miss, and
-        // a hit may hold live bytes past the new length.
-        self.frames[i].buf.fill(0);
-        self.frames[i].buf[..data.len()].copy_from_slice(data);
+        // An explicit fill of the tail: fault_in only zeroes the frame on
+        // a miss, and a hit may hold live bytes past the new length.
+        let buf = &mut self.frames[i].buf;
+        buf[..data.len()].copy_from_slice(data);
+        buf[data.len()..].fill(0);
         self.frames[i].dirty = true;
         Ok(())
     }
@@ -485,7 +475,7 @@ impl PageCache {
     }
 
     /// Writes an arbitrary byte range spanning pages. Aligned full pages
-    /// take the no-read [`PageCache::write_full`] path; ragged head and
+    /// take the no-read [`PageCache::write_padded`] path; ragged head and
     /// tail pages read-modify-write.
     pub fn write_bytes(&mut self, offset: u64, data: &[u8]) -> BlockResult<()> {
         let ps = self.page_size as u64;
@@ -496,7 +486,7 @@ impl PageCache {
             let within = (abs % ps) as usize;
             let n = (self.page_size - within).min(data.len() - done);
             if within == 0 && n == self.page_size {
-                self.write_full(sector, &data[done..done + n])?;
+                self.write_padded(sector, &data[done..done + n])?;
             } else {
                 self.write(sector, |page| {
                     page[within..within + n].copy_from_slice(&data[done..done + n]);
@@ -670,7 +660,7 @@ mod tests {
         let mut c = cache(2, 16);
         // Put stale bytes on the device at sector 0, then drop them from
         // the cache so a naive partial write would have to fault them in.
-        c.write_full(0, &[0x55u8; 16]).unwrap();
+        c.write_padded(0, &[0x55u8; 16]).unwrap();
         c.flush().unwrap();
         c.drop_clean();
         let misses_before = c.stats().misses;

@@ -6,11 +6,11 @@
 //! fixed-size sectors (read/write/flush/len), and a [`PageCache`] keeps a
 //! bounded number of them resident with scan-resistant segmented-clock
 //! eviction (probation + protected segments, promotion on re-reference),
-//! dirty-page write-back, and an explicit flush barrier. An
-//! [`ExtentAllocator`] keeps free sector runs sorted and coalesced so
-//! consumers allocate contiguous extents, and a [`PartitionTable`]
-//! multiplexes several logical devices onto one image for single-file
-//! cold boot.
+//! dirty-page write-back, and an explicit flush barrier. A [`SpillTier`]
+//! puts a cache and a sector allocator (free runs kept sorted and
+//! coalesced) behind one mutex and hands out refcounted [`Extent`]s, and a
+//! [`PartitionTable`] multiplexes several logical devices onto one image
+//! for single-file cold boot.
 //!
 //! Two devices ship with the crate:
 //!
@@ -26,23 +26,26 @@
 //! generation stamp ([`PageToken`]) so a reader that dropped its guard can
 //! later revalidate in O(1) instead of re-faulting.
 //!
-//! Consumers in the workspace: the VFS store spills large file payloads to
-//! pages (`maxoid-vfs`), and the journal's `BlockStorage` keeps the WAL on
-//! a device (`maxoid-journal`). Lock order: this crate takes no locks of
-//! its own — callers serialize access (the VFS store wraps its cache in a
-//! leaf mutex; the journal's storage mutex already owns its cache).
+//! Consumers in the workspace: the VFS store spills large file payloads
+//! (`maxoid-vfs`) and sqldb pages large tables' rows (`maxoid-sqldb`) to
+//! extents of a spill tier, and the journal's `BlockStorage` keeps the WAL
+//! on a device (`maxoid-journal`). Lock order: the spill tier's mutex is a
+//! leaf (see [`SpillTier`]); the cache takes no locks of its own, so the
+//! journal's storage mutex owns its cache.
 
 mod alloc;
 mod cache;
 mod device;
 mod fault;
 mod part;
+mod spill;
 
-pub use alloc::ExtentAllocator;
+use alloc::ExtentAllocator;
 pub use cache::{CacheStats, PageCache, PageRef, PageToken};
 pub use device::{BlockDevice, FileDevice, MemDevice, SECTOR_SIZE};
 pub use fault::{FaultDevice, ReadFaults};
 pub use part::{PartitionHandle, PartitionTable, PART_HEAP, PART_VFS, PART_WAL};
+pub use spill::{Extent, SpillTier};
 
 /// Errors raised by devices and the page cache.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -180,7 +180,7 @@ pub struct MaxoidSystem {
     journal: Option<Journal>,
     /// Heap tier provider row payloads page to, when booted from a
     /// device (or attached explicitly).
-    heap: Option<maxoid_sqldb::HeapTier>,
+    heap: Option<maxoid_block::SpillTier>,
     /// Per-initiator gesture locks: COW-fork of a delegate, `commit_vol`,
     /// `clear_vol` and `clear_priv` for one initiator are mutually
     /// exclusive; different initiators run their gestures in parallel.
@@ -279,7 +279,7 @@ impl MaxoidSystem {
             cfg.vfs_threshold,
         );
         let mut sys = Self::boot_inner(Some(journal), vfs)?;
-        let tier = maxoid_sqldb::HeapTier::new(
+        let tier = maxoid_block::SpillTier::new(
             Box::new(table.handle(maxoid_block::PART_HEAP)),
             cfg.heap_pages,
         );
@@ -290,14 +290,14 @@ impl MaxoidSystem {
 
     /// Attaches `tier` to every system provider database: tables past
     /// `threshold` encoded bytes (now or later) page their rows to it.
-    fn attach_heap_tier(&self, tier: &maxoid_sqldb::HeapTier, threshold: usize) {
+    fn attach_heap_tier(&self, tier: &maxoid_block::SpillTier, threshold: usize) {
         self.userdict.lock().proxy_mut().db_mut().attach_heap(tier.clone(), threshold);
         self.downloads.lock().proxy_mut().db_mut().attach_heap(tier.clone(), threshold);
         self.media.lock().proxy_mut().db_mut().attach_heap(tier.clone(), threshold);
     }
 
     /// The sqldb heap tier, when booted from a device.
-    pub fn heap(&self) -> Option<&maxoid_sqldb::HeapTier> {
+    pub fn heap(&self) -> Option<&maxoid_block::SpillTier> {
         self.heap.as_ref()
     }
 

@@ -218,9 +218,8 @@ impl CowProxy {
     /// resolver does so after every locked provider call. Publication is
     /// memoized end to end: an unchanged `(commit stamp, fork epoch)`
     /// pair costs two atomic loads and a read-lock probe. When the
-    /// database cannot snapshot (a transaction is open, or a table is
-    /// paged onto the block tier) the slot is retracted instead, sending
-    /// readers down the locked path.
+    /// database cannot snapshot (a transaction is open) the slot is
+    /// retracted instead, sending readers down the locked path.
     pub fn publish_read(&mut self) {
         let _sp = maxoid_obs::span("cowproxy.publish");
         match self.db.begin_read() {

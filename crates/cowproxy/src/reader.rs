@@ -63,7 +63,7 @@ pub(crate) struct CowPublished {
 /// Obtained from [`crate::CowProxy::read_slot`]; typically held by a
 /// resolver-side read handle so queries can be served without taking the
 /// authority's write lock. When the slot is empty (a mutation retracted
-/// it, a transaction is open, or a table is paged to the block tier),
+/// it, or a transaction is open),
 /// [`ReadSlot::try_query`] returns `None` and the caller falls back to
 /// the locked path.
 #[derive(Debug, Clone)]

@@ -239,7 +239,7 @@ pub trait ContentProvider {
 /// provider itself — so [`ReadHandle::try_query`] runs without the
 /// per-authority write lock. Returning `None` sends the resolver down the
 /// locked path: no snapshot is published (a mutation just retracted it,
-/// a transaction is open, tables are paged to the block tier). Access
+/// or a transaction is open). Access
 /// control stays in the resolver; handles only plan and execute the
 /// query.
 pub trait ReadHandle: Send + Sync {

@@ -65,7 +65,9 @@ struct ProviderEntry {
 /// ([`ContentProvider::publish_read`]). Queries first try the
 /// provider's registered [`ReadHandle`], which serves them from the
 /// published snapshot without the write lock; only when no snapshot is
-/// available do they fall back to the locked path. When a caller must
+/// available (a mutation retracted it, or a transaction is open; paged
+/// tables publish like resident ones) do they fall back to the locked
+/// path. When a caller must
 /// lock several providers (the Clear-Vol sweep), it does so one at a time
 /// in ascending authority order — the documented provider-lock order
 /// (DESIGN.md §4.10).

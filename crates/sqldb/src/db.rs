@@ -52,8 +52,8 @@ type Map<T> = Arc<BTreeMap<String, Arc<T>>>;
 /// puts the BEGIN image back, heap setting included.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Catalog {
-    /// Private to this module, so a table changes in place only through
-    /// `own_table`, which keeps a paged table's heap pages single-owner.
+    /// Private to this module: changes go through `table_mut`,
+    /// `create_table`, `drop_table` and `attach_heap`.
     tables: Map<Table>,
     pub(crate) views: Map<ViewDef>,
     pub(crate) triggers: Map<TriggerDef>,
@@ -628,10 +628,8 @@ impl Database {
     }
 
     /// Captures an immutable snapshot of the current committed state for
-    /// lock-free readers, or `None` when one cannot be published — inside
-    /// an open transaction (uncommitted state must stay private) or when
-    /// any table has paged its rows to the heap tier (heap pages have one
-    /// owner, and readers must not fault them lock-free).
+    /// lock-free readers, or `None` inside an open transaction
+    /// (uncommitted state must stay private).
     ///
     /// A snapshot is the live catalog's three map `Arc`s (see `Catalog`),
     /// so publication copies no map and no table, whatever the catalog's
@@ -650,10 +648,6 @@ impl Database {
             if snap.stamp == self.stamp {
                 return Some(ReadSnapshot { snap: Arc::clone(snap) });
             }
-        }
-        // Only a database with a heap attached can hold a paged table.
-        if self.catalog.heap.is_some() && self.catalog.tables.values().any(|t| t.is_paged()) {
-            return None;
         }
         let snap = Arc::new(DbSnapshot {
             stamp: self.stamp,
@@ -675,8 +669,7 @@ impl Database {
 
     /// Starts a transaction. BEGIN captures the catalog's three map
     /// `Arc`s and copies nothing, so it costs the same for resident and
-    /// paged tables, and a DDL-only transaction never reads a paged
-    /// table's rows.
+    /// paged tables, and no transaction reads a row it does not touch.
     pub fn begin(&mut self) -> SqlResult<()> {
         if self.begin.is_some() {
             return Err(SqlError::Unsupported(
@@ -773,14 +766,14 @@ impl Database {
     /// Returns a mutable base table by name. Conservatively retracts the
     /// published snapshot: the caller may mutate through the handle. A
     /// table a snapshot or the BEGIN image shares is copied away from it
-    /// first (see `own_table`).
+    /// first: a shallow copy, whose rows and indexes stay shared until
+    /// they change.
     pub fn table_mut(&mut self, name: &str) -> SqlResult<&mut Table> {
         self.note_mutation();
-        let k = key(name);
         let live = Arc::make_mut(&mut self.catalog.tables)
-            .get_mut(&*k)
+            .get_mut(&*key(name))
             .ok_or_else(|| SqlError::NoSuchTable(name.to_string()))?;
-        Ok(own_table(&k, live, self.begin.as_mut()))
+        Ok(Arc::make_mut(live))
     }
 
     /// Read access to the base tables; changes go through `table_mut`,
@@ -811,11 +804,11 @@ impl Database {
     /// immediately — this is how a cold boot re-adopts a dataset that was
     /// paged in the previous run. Inside a transaction the BEGIN image
     /// keeps every table as it was, so a ROLLBACK restores them.
-    pub fn attach_heap(&mut self, tier: crate::heap::HeapTier, threshold: usize) {
+    pub fn attach_heap(&mut self, tier: maxoid_block::SpillTier, threshold: usize) {
         self.note_mutation();
         let cfg = crate::heap::HeapCfg { tier, threshold };
-        for (k, live) in Arc::make_mut(&mut self.catalog.tables).iter_mut() {
-            own_table(k, live, self.begin.as_mut()).attach_heap(cfg.clone());
+        for live in Arc::make_mut(&mut self.catalog.tables).values_mut() {
+            Arc::make_mut(live).attach_heap(cfg.clone());
         }
         self.catalog.heap = Some(cfg);
     }
@@ -876,22 +869,6 @@ impl Database {
         }
         Err(SqlError::NoSuchTable(name.to_string()))
     }
-}
-
-/// Makes the live table `live` (key `k`) private and returns it. Inside a
-/// transaction, a paged table the BEGIN image shares first gives the image
-/// a materialized copy (`Clone for Table`), so the live table stays paged
-/// and no heap page has two owners. Any other shared table is copied for
-/// the live side by `Arc::make_mut`: a shallow copy, whose rows and
-/// indexes stay shared until they change.
-fn own_table<'a>(k: &str, live: &'a mut Arc<Table>, begin: Option<&mut Catalog>) -> &'a mut Table {
-    if let Some(image) = begin {
-        if live.is_paged() && image.tables.get(k).is_some_and(|t| Arc::ptr_eq(t, live)) {
-            let copy = Arc::new(Table::clone(live));
-            Arc::make_mut(&mut image.tables).insert(k.to_string(), copy);
-        }
-    }
-    Arc::make_mut(live)
 }
 
 /// Normalizes an object name to its registry key, borrowing a name that
@@ -1211,6 +1188,35 @@ pub(crate) mod tests {
         db.rollback().unwrap();
         assert_eq!(db.table("t").unwrap().len(), 1);
         assert!(!db.has_view("tv2"));
+    }
+
+    /// BEGIN shares a paged table as it shares a resident one: the image
+    /// holds the live row map until the first change copies the map, and
+    /// ROLLBACK puts the image's rows back.
+    #[test]
+    fn begin_shares_a_paged_table_until_the_first_change() {
+        use crate::table::tests::same_rows;
+        use maxoid_block::{MemDevice, SpillTier};
+        let mut db = Database::new();
+        db.attach_heap(SpillTier::new(Box::new(MemDevice::with_sector_size(64)), 2), 0);
+        db.execute_batch(
+            "CREATE TABLE t (_id INTEGER PRIMARY KEY, v TEXT);
+             INSERT INTO t (v) VALUES ('a'), ('b');",
+        )
+        .unwrap();
+        fn live(db: &Database) -> &Table {
+            db.table("t").unwrap()
+        }
+        db.begin().unwrap();
+        let image = db.begin.clone().unwrap();
+        assert!(live(&db).is_paged() && same_rows(&image.tables["t"], live(&db)));
+        db.execute("UPDATE t SET v = 'z' WHERE _id = 1", &[]).unwrap();
+        assert!(live(&db).is_paged() && !same_rows(&image.tables["t"], live(&db)));
+        assert_eq!(image.tables["t"].get(1).unwrap()[1], Value::from("a"));
+        drop(image);
+        db.rollback().unwrap();
+        assert!(live(&db).is_paged());
+        assert_eq!(live(&db).get(1).unwrap()[1], Value::from("a"));
     }
 
     #[test]

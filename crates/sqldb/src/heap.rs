@@ -1,90 +1,41 @@
-//! Device-backed row heap: paged table storage behind the block tier.
+//! Device-backed row heap: paged table storage on the block tier.
 //!
 //! Large tables spill their row payloads out of process memory onto a
-//! [`PageCache`] over any [`BlockDevice`] — the same machinery the VFS
-//! uses for file data. Rows are encoded with a tiny tagged codec and
-//! bump-allocated into page-sized arenas; a page is reclaimed (cache
-//! frame discarded, sector returned to the [`ExtentAllocator`]) as soon
-//! as its last live row is deleted. Rows bigger than one page get a
-//! contiguous multi-sector extent of their own.
+//! [`SpillTier`], the tier the VFS spills file data to. Rows are encoded
+//! with a tiny tagged codec and appended to page-sized extents; a row
+//! bigger than one page gets an extent of its own. Each row's location
+//! holds its page's extent by `Arc`, so a page is freed (cache frame
+//! discarded, sector returned) with the last row in it that any copy of
+//! the table still holds.
+//!
+//! Paged rows clone like resident ones: the rowid → location map sits
+//! behind an `Arc`, so a snapshot, a snapshot reader and a BEGIN image
+//! share it until the live table changes, and a change copies the map
+//! (`Arc::make_mut`), never a row. An extent's written bytes never change
+//! while anyone holds it (appends write past them), so every copy reads
+//! exactly the rows it saw.
 //!
 //! Decoding happens under the tier's mutex while the page frame is
-//! pinned by a `PageRef`, so bytes are never copied out of the cache
-//! before they are parsed — the `RowScope` zero-copy discipline extended
-//! down one tier.
+//! pinned, so bytes are never copied out of the cache before they are
+//! parsed — the `RowScope` zero-copy discipline extended down one tier.
 //!
 //! Secondary indexes and the rowid map stay resident: they are derived
 //! metadata, small next to the payloads, and every access path depends
 //! on their latency.
 
 use crate::value::Value;
-use maxoid_block::{BlockDevice, BlockResult, CacheStats, ExtentAllocator, PageCache};
-use parking_lot::Mutex;
+use maxoid_block::{Extent, SpillTier};
 use std::collections::BTreeMap;
-use std::sync::Arc;
-
-/// A shared heap tier: one page cache + extent allocator that any number
-/// of paged tables (across databases) carve their row pages from.
-///
-/// Cloning is a handle copy. The mutex is a leaf lock: nothing is called
-/// back out of the closure while it is held.
-#[derive(Clone)]
-pub struct HeapTier {
-    inner: Arc<Mutex<HeapInner>>,
-    page_size: usize,
-}
-
-pub(crate) struct HeapInner {
-    pub(crate) cache: PageCache,
-    pub(crate) alloc: ExtentAllocator,
-}
-
-impl std::fmt::Debug for HeapTier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HeapTier").field("page_size", &self.page_size).finish_non_exhaustive()
-    }
-}
-
-impl HeapTier {
-    /// Builds a tier over `dev`, keeping at most `capacity_pages` pages
-    /// resident.
-    pub fn new(dev: Box<dyn BlockDevice>, capacity_pages: usize) -> Self {
-        let cache = PageCache::new(dev, capacity_pages);
-        let page_size = cache.page_size();
-        HeapTier {
-            inner: Arc::new(Mutex::new(HeapInner { cache, alloc: ExtentAllocator::new() })),
-            page_size,
-        }
-    }
-
-    /// The page (= device sector) size in bytes.
-    pub fn page_size(&self) -> usize {
-        self.page_size
-    }
-
-    /// Cache counters (hits, misses, evictions, promotions, ...).
-    pub fn stats(&self) -> CacheStats {
-        self.inner.lock().cache.stats()
-    }
-
-    /// Writes dirty pages back and flushes the device.
-    pub fn flush(&self) -> BlockResult<()> {
-        self.inner.lock().cache.flush()
-    }
-
-    pub(crate) fn with<R>(&self, f: impl FnOnce(&mut HeapInner) -> R) -> R {
-        f(&mut self.inner.lock())
-    }
-}
+use std::sync::{Arc, Weak};
 
 /// Paging configuration a database hands to its tables: where to spill
 /// and how big (approximate encoded bytes) a table may grow resident.
 #[derive(Clone, Debug)]
-pub struct HeapCfg {
+pub(crate) struct HeapCfg {
     /// The shared device-backed tier.
-    pub tier: HeapTier,
+    pub(crate) tier: SpillTier,
     /// Tables above this many encoded bytes migrate to the tier.
-    pub threshold: usize,
+    pub(crate) threshold: usize,
 }
 
 // --- row codec ------------------------------------------------------------
@@ -179,55 +130,40 @@ pub(crate) fn decode_row(bytes: &[u8]) -> Vec<Value> {
 
 // --- paged row storage ----------------------------------------------------
 
-/// Where one row's encoding lives on the device.
-#[derive(Clone, Copy, Debug)]
+/// Where one row's encoding lives: a byte range of its page's extent,
+/// which the location keeps alive.
+#[derive(Clone, Debug)]
 struct RowLoc {
-    /// First sector of the encoding.
-    sector: u64,
-    /// Byte offset within that sector (always 0 for jumbo rows).
+    page: Arc<Extent>,
     off: u32,
-    /// Encoded length in bytes.
     len: u32,
-    /// True when the row owns a contiguous multi-sector extent.
-    jumbo: bool,
 }
 
-/// Per-page fill bookkeeping for the bump allocator.
-#[derive(Debug)]
-struct PageInfo {
-    /// Bytes bump-allocated so far.
-    used: u32,
-    /// Live rows still pointing into this page. At zero the page is
-    /// discarded from the cache and its sector freed — deletes reclaim
-    /// space page-at-a-time with no intra-page compaction.
-    live: u32,
+impl RowLoc {
+    fn read(&self) -> Vec<Value> {
+        self.page.decode(self.off as u64, self.len as usize, decode_row).expect("sqldb heap read")
+    }
 }
 
 /// Rows of one table, spilled to the heap tier. The rowid → location map
 /// stays resident (it is the pk index); only payload bytes live on the
 /// device.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub(crate) struct PagedRows {
-    tier: HeapTier,
-    locs: BTreeMap<i64, RowLoc>,
-    pages: BTreeMap<u64, PageInfo>,
-    /// The page new rows bump-allocate into, if it still has room.
-    cur: Option<u64>,
-    /// Live encoded bytes (mirrors the resident-side spill accounting).
-    bytes: usize,
+    tier: SpillTier,
+    locs: Arc<BTreeMap<i64, RowLoc>>,
+    /// The page new rows append to while it has room. Held weakly, so
+    /// it is freed with its last row like any other page.
+    cur: Weak<Extent>,
 }
 
 impl PagedRows {
-    pub(crate) fn new(tier: HeapTier) -> Self {
-        PagedRows { tier, locs: BTreeMap::new(), pages: BTreeMap::new(), cur: None, bytes: 0 }
+    pub(crate) fn new(tier: SpillTier) -> Self {
+        PagedRows { tier, locs: Arc::new(BTreeMap::new()), cur: Weak::new() }
     }
 
     pub(crate) fn len(&self) -> usize {
         self.locs.len()
-    }
-
-    pub(crate) fn bytes(&self) -> usize {
-        self.bytes
     }
 
     pub(crate) fn contains_key(&self, id: i64) -> bool {
@@ -239,172 +175,63 @@ impl PagedRows {
     }
 
     pub(crate) fn get(&self, id: i64) -> Option<Vec<Value>> {
-        self.locs.get(&id).map(|&loc| self.read_row(loc))
+        self.locs.get(&id).map(RowLoc::read)
     }
 
     pub(crate) fn iter(&self) -> impl Iterator<Item = (i64, Vec<Value>)> + '_ {
-        self.locs.iter().map(move |(&id, &loc)| (id, self.read_row(loc)))
+        self.locs.iter().map(|(&id, loc)| (id, loc.read()))
     }
 
     /// Inserts (or replaces) a row. The displaced encoding, if any, is
-    /// freed without being decoded.
+    /// dropped without being decoded.
     pub(crate) fn insert(&mut self, id: i64, values: &[Value]) {
-        if let Some(loc) = self.locs.remove(&id) {
-            self.bytes -= loc.len as usize;
-            self.free_loc(loc);
-        }
-        let enc = encode_row(values);
-        let loc = self.append(&enc);
-        self.bytes += enc.len();
-        self.locs.insert(id, loc);
+        let loc = self.append(&encode_row(values));
+        Arc::make_mut(&mut self.locs).insert(id, loc);
     }
 
     /// Removes a row, returning its decoded values (callers need the old
     /// row to unwind index entries).
     pub(crate) fn remove(&mut self, id: i64) -> Option<Vec<Value>> {
-        let loc = self.locs.remove(&id)?;
-        let row = self.read_row(loc);
-        self.bytes -= loc.len as usize;
-        self.free_loc(loc);
-        Some(row)
+        Arc::make_mut(&mut self.locs).remove(&id).map(|loc| loc.read())
     }
 
-    /// Drops every row and returns all pages to the tier.
+    /// Drops every row; a page goes back to the tier once no copy of the
+    /// table holds a row in it.
     pub(crate) fn clear(&mut self) {
-        let jumbos: Vec<RowLoc> = self.locs.values().filter(|l| l.jumbo).copied().collect();
-        let pages: Vec<u64> = self.pages.keys().copied().collect();
-        let ps = self.tier.page_size();
-        self.tier.with(|h| {
-            for &p in &pages {
-                h.cache.discard(p);
-                h.alloc.free_run(p, 1);
-            }
-            for l in &jumbos {
-                let k = (l.len as usize).div_ceil(ps) as u64;
-                for s in l.sector..l.sector + k {
-                    h.cache.discard(s);
-                }
-                h.alloc.free_run(l.sector, k);
-            }
-        });
-        self.locs.clear();
-        self.pages.clear();
-        self.cur = None;
-        self.bytes = 0;
-    }
-
-    fn read_row(&self, loc: RowLoc) -> Vec<Value> {
-        if loc.jumbo {
-            let ps = self.tier.page_size() as u64;
-            let mut buf = vec![0u8; loc.len as usize];
-            self.tier
-                .with(|h| h.cache.read_bytes(loc.sector * ps, &mut buf))
-                .expect("sqldb heap read");
-            decode_row(&buf)
-        } else {
-            // Decode while the frame is pinned — no staging copy.
-            self.tier.with(|h| {
-                let page = h.cache.read(loc.sector).expect("sqldb heap read");
-                let (a, b) = (loc.off as usize, (loc.off + loc.len) as usize);
-                decode_row(&page.data()[a..b])
-            })
-        }
+        // Swap rather than clear in place: a snapshot may still share the
+        // old map.
+        self.locs = Arc::new(BTreeMap::new());
     }
 
     fn append(&mut self, enc: &[u8]) -> RowLoc {
-        let ps = self.tier.page_size();
-        if enc.len() > ps {
-            // Jumbo row: a private contiguous extent.
-            let k = enc.len().div_ceil(ps) as u64;
-            let start = self
-                .tier
-                .with(|h| -> BlockResult<u64> {
-                    let start = h.alloc.alloc_contiguous(k);
-                    for (i, chunk) in enc.chunks(ps).enumerate() {
-                        let s = start + i as u64;
-                        if chunk.len() == ps {
-                            h.cache.write_full(s, chunk)?;
-                        } else {
-                            h.cache.write_padded(s, chunk)?;
-                        }
-                    }
-                    Ok(start)
-                })
-                .expect("sqldb heap write");
-            return RowLoc { sector: start, off: 0, len: enc.len() as u32, jumbo: true };
-        }
-        let sector = match self.cur {
-            Some(s) if ps - self.pages[&s].used as usize >= enc.len() => s,
-            _ => {
-                let s = self.tier.with(|h| h.alloc.alloc_contiguous(1));
-                self.pages.insert(s, PageInfo { used: 0, live: 0 });
-                self.cur = Some(s);
-                s
+        let len = enc.len() as u32;
+        if let Some(page) = self.cur.upgrade() {
+            if let Some(off) = page.append(enc).expect("sqldb heap write") {
+                return RowLoc { page, off: off as u32, len };
             }
-        };
-        let info = self.pages.get_mut(&sector).expect("bump page bookkeeping");
-        let off = info.used as usize;
-        self.tier
-            .with(|h| {
-                if off == 0 {
-                    // Fresh page: nothing on the device is live, so skip
-                    // the read-modify-write and zero-pad instead.
-                    h.cache.write_padded(sector, enc)
-                } else {
-                    h.cache.write(sector, |buf| buf[off..off + enc.len()].copy_from_slice(enc))
-                }
-            })
-            .expect("sqldb heap write");
-        info.used += enc.len() as u32;
-        info.live += 1;
-        RowLoc { sector, off: off as u32, len: enc.len() as u32, jumbo: false }
-    }
-
-    fn free_loc(&mut self, loc: RowLoc) {
-        if loc.jumbo {
-            let ps = self.tier.page_size();
-            let k = (loc.len as usize).div_ceil(ps) as u64;
-            self.tier.with(|h| {
-                for s in loc.sector..loc.sector + k {
-                    h.cache.discard(s);
-                }
-                h.alloc.free_run(loc.sector, k);
-            });
-            return;
         }
-        let dead = {
-            let info = self.pages.get_mut(&loc.sector).expect("row page bookkeeping");
-            info.live -= 1;
-            info.live == 0
-        };
-        if dead {
-            self.pages.remove(&loc.sector);
-            if self.cur == Some(loc.sector) {
-                self.cur = None;
-            }
-            self.tier.with(|h| {
-                h.cache.discard(loc.sector);
-                h.alloc.free_run(loc.sector, 1);
-            });
+        let page = self.tier.store(enc).expect("sqldb heap write");
+        if page.sectors() == 1 {
+            // A one-page extent takes the rows after this one; a bigger
+            // row's extent stays its own.
+            self.cur = Arc::downgrade(&page);
         }
-    }
-}
-
-impl Drop for PagedRows {
-    fn drop(&mut self) {
-        // DROP TABLE, rollback replacement, or database teardown: give
-        // the sectors back so long-lived tiers don't leak space.
-        self.clear();
+        RowLoc { page, off: 0, len }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// True when both hold the same row map.
+    pub(crate) fn same_rows(a: &PagedRows, b: &PagedRows) -> bool {
+        Arc::ptr_eq(&a.locs, &b.locs)
+    }
     use maxoid_block::MemDevice;
 
-    fn tier(pages: usize) -> HeapTier {
-        HeapTier::new(Box::new(MemDevice::with_sector_size(64)), pages)
+    fn tier(pages: usize) -> SpillTier {
+        SpillTier::new(Box::new(MemDevice::with_sector_size(64)), pages)
     }
 
     fn row(id: i64, data: &str) -> Vec<Value> {
@@ -447,13 +274,12 @@ mod tests {
         for id in 0..20 {
             p.insert(id, &row(id, "xxxxxxxxxx"));
         }
-        let high = t.with(|h| h.alloc.next_sector());
+        let high = t.next_sector();
         for id in 0..20 {
             p.remove(id);
         }
-        assert!(p.pages.is_empty(), "empty table must hold no pages");
         assert_eq!(
-            t.with(|h| h.alloc.free_runs()),
+            t.free_runs(),
             vec![(0, high)],
             "all sectors must coalesce back into one free run"
         );
@@ -461,7 +287,7 @@ mod tests {
         for id in 0..20 {
             p.insert(id, &row(id, "yyyyyyyyyy"));
         }
-        assert_eq!(t.with(|h| h.alloc.next_sector()), high);
+        assert_eq!(t.next_sector(), high);
     }
 
     #[test]
@@ -473,10 +299,10 @@ mod tests {
         p.insert(2, &row(2, "small"));
         assert_eq!(p.get(1).unwrap(), big);
         assert_eq!(p.get(2).unwrap(), row(2, "small"));
-        let before = t.with(|h| h.alloc.next_sector());
+        let before = t.next_sector();
         p.remove(1);
         p.insert(3, &big);
-        assert_eq!(t.with(|h| h.alloc.next_sector()), before, "extent must be reused");
+        assert_eq!(t.next_sector(), before, "extent must be reused");
         assert_eq!(p.get(3).unwrap(), big);
     }
 
@@ -489,8 +315,8 @@ mod tests {
         assert_eq!(p.len(), 1);
         assert_eq!(p.get(1).unwrap(), row(1, "second"));
         // Dropping the storage returns every sector.
-        let high = t.with(|h| h.alloc.next_sector());
+        let high = t.next_sector();
         drop(p);
-        assert_eq!(t.with(|h| h.alloc.free_runs()), vec![(0, high)]);
+        assert_eq!(t.free_runs(), vec![(0, high)]);
     }
 }

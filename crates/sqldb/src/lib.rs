@@ -44,7 +44,7 @@ pub mod db;
 pub mod error;
 pub mod exec;
 pub mod expr;
-pub mod heap;
+mod heap;
 pub mod index;
 pub mod lexer;
 pub mod mvcc;
@@ -60,7 +60,6 @@ pub use db::{
 };
 pub use error::{SqlError, SqlResult};
 pub use expr::{like_match, MemberSet, OrdValue, RowScope, TriggerCtx};
-pub use heap::{HeapCfg, HeapTier};
 pub use index::{RowIdSet, SecondaryIndex};
 pub use mvcc::{MvccStats, ReadSnapshot, SnapshotReader};
 pub use planner::{AccessPath, AccessPlan, FlattenPolicy, PlanChoice};

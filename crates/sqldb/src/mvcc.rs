@@ -14,7 +14,9 @@
 //! Writes stay cheap in the presence of live snapshots without version
 //! chains: a write privatizes the table map, then the table, then its
 //! rowid map (`Arc::make_mut`, each copying entries, never rows), and
-//! replaces the row's `Arc`. Old maps, tables and rows are reclaimed by
+//! replaces the row's entry. Paged tables are no exception: their rowid
+//! map holds each row's heap page by `Arc`, and a page's bytes never
+//! change while a snapshot holds it. Old maps, tables and rows are reclaimed by
 //! reference counting when the last snapshot that sees them drops;
 //! nothing tracks which snapshots are live, and no background thread is
 //! involved.
@@ -157,6 +159,7 @@ impl SnapshotReader {
 mod tests {
     use super::*;
     use crate::db::tests::{same_maps, table_map};
+    use crate::table::tests::same_rows;
     use crate::value::Value;
 
     fn seeded() -> Database {
@@ -330,14 +333,26 @@ mod tests {
         assert_eq!(bound.dump_sql(), dump);
     }
 
+    /// A database with a paged table publishes snapshots like any other:
+    /// the snapshot shares the live paged rows, and keeps reading the rows
+    /// of its stamp while the writer changes them.
     #[test]
-    fn paged_tables_suppress_snapshots() {
-        use maxoid_block::MemDevice;
+    fn paged_tables_publish_snapshots() {
+        use maxoid_block::{MemDevice, SpillTier};
         let mut db = seeded();
-        assert!(db.begin_read().is_some());
-        let tier = crate::heap::HeapTier::new(Box::new(MemDevice::with_sector_size(64)), 2);
-        db.attach_heap(tier, 0);
+        db.attach_heap(SpillTier::new(Box::new(MemDevice::with_sector_size(64)), 2), 0);
         assert!(db.table("t").unwrap().is_paged());
-        assert!(db.begin_read().is_none(), "paged rows cannot be aliased lock-free");
+        let snap = db.begin_read().expect("a paged database publishes snapshots");
+        let mut reader = SnapshotReader::new();
+        let t = reader.bind(&snap).table("t").unwrap();
+        assert!(t.is_paged() && same_rows(t, db.table("t").unwrap()));
+        db.execute("UPDATE t SET data = 'X' WHERE _id = 1", &[]).unwrap();
+        db.execute("DELETE FROM t WHERE _id = 2", &[]).unwrap();
+        let sql = "SELECT data FROM t ORDER BY _id";
+        let rs = reader.bind(&snap).query(sql, &[]).unwrap();
+        let got: Vec<&Value> = rs.rows.iter().map(|r| &r[0]).collect();
+        assert_eq!(got, [&Value::from("a"), &Value::from("b"), &Value::from("c")]);
+        let live = db.query(sql, &[]).unwrap();
+        assert_eq!(live.rows, vec![vec![Value::from("X")], vec![Value::from("c")]]);
     }
 }

@@ -6,11 +6,11 @@
 //! without one get a hidden rowid that auto-assigns on insert.
 //!
 //! Row payloads live in one of two places. Small tables keep their
-//! `Vec<Value>` rows resident, exactly as before. Once a table's
-//! (approximate) encoded size crosses the threshold of an attached
-//! [`HeapCfg`], its payloads migrate to the device-backed heap tier and
-//! are faulted through the block page cache on access — the rowid map and
-//! all secondary indexes stay resident, mirroring the VFS split between
+//! `Vec<Value>` rows resident. Once a table's (approximate) encoded size
+//! crosses the threshold of an attached heap (`Database::attach_heap`),
+//! its payloads migrate to the device-backed heap tier and are faulted
+//! through the block page cache on access — the rowid map and all
+//! secondary indexes stay resident, mirroring the VFS split between
 //! inline and spilled file data. Reads hand out `Cow` rows so the
 //! resident path stays zero-copy while the paged path decodes from a
 //! pinned cache frame.
@@ -21,23 +21,18 @@
 //!
 //! # Multiversion storage
 //!
-//! Resident rows are shared, not copied: the rowid map is an
-//! `Arc<BTreeMap<i64, Arc<Vec<Value>>>>`, and a database's catalog holds
-//! each table behind an `Arc` too (`db::Catalog`). Cloning a resident
-//! table copies those `Arc`s, so a published snapshot, a snapshot reader
-//! and a transaction's BEGIN image share the live table until it changes,
-//! and snapshot readers see exactly the committed rows of their stamp.
-//! Mutations privatize the map with `Arc::make_mut` and replace a row's
-//! `Arc`; an older copy keeps every row it saw alive with its own `Arc`
-//! until it drops, and no other version of a row is kept.
-//!
-//! Paged rows are never shared: cloning a paged table materializes its
-//! rows, because a copy must not alias heap pages the live table keeps
-//! mutating. So snapshots leave paged tables out (`Database::begin_read`
-//! refuses), and the first change to a paged table inside a transaction
-//! puts a materialized copy into the BEGIN image while the live table
-//! stays paged. Creating or dropping a table clones nothing, so a
-//! DDL-only transaction never reads a paged row.
+//! Rows are shared, not copied: the rowid map is an
+//! `Arc<BTreeMap<i64, Arc<Vec<Value>>>>` for resident rows and an
+//! `Arc<BTreeMap<i64, RowLoc>>` for paged ones (each location holding its
+//! heap page by `Arc`), and a database's catalog holds each table behind
+//! an `Arc` too (`db::Catalog`). Cloning a table copies those `Arc`s, so
+//! a published snapshot, a snapshot reader and a transaction's BEGIN
+//! image share the live table until it changes, and snapshot readers see
+//! exactly the committed rows of their stamp. Mutations privatize the map
+//! with `Arc::make_mut` and replace a row's entry; an older copy keeps
+//! every row it saw alive with its own `Arc` until it drops, and no other
+//! version of a row is kept. A heap page's bytes never change while a
+//! copy holds it, so resident and paged tables share alike.
 
 use crate::ast::ColumnDef;
 use crate::error::{SqlError, SqlResult};
@@ -96,9 +91,9 @@ impl TableSchema {
 }
 
 /// The two payload homes: resident shared rows or the device-backed heap.
-/// `bytes` tracks live encoded size in both modes so the spill decision
-/// and stats cost nothing extra.
-#[derive(Debug)]
+/// `bytes` tracks a resident table's live encoded size, so the spill
+/// decision costs nothing extra.
+#[derive(Debug, Clone)]
 enum Rows {
     Resident { map: Arc<BTreeMap<i64, Arc<Vec<Value>>>>, bytes: usize },
     Paged(PagedRows),
@@ -179,22 +174,6 @@ impl Rows {
                 *bytes = 0;
             }
             Rows::Paged(p) => p.clear(),
-        }
-    }
-}
-
-impl Clone for Rows {
-    /// A logically private copy. Resident rows share the rowid map
-    /// structurally (`Arc`) and privatize copy-on-write at the next
-    /// mutation; paged rows are materialized, never aliased (a copy must
-    /// not share heap pages with the live table).
-    fn clone(&self) -> Rows {
-        match self {
-            Rows::Resident { map, bytes } => Rows::Resident { map: map.clone(), bytes: *bytes },
-            Rows::Paged(p) => Rows::Resident {
-                map: Arc::new(p.iter().map(|(id, row)| (id, Arc::new(row))).collect()),
-                bytes: p.bytes(),
-            },
         }
     }
 }
@@ -447,33 +426,40 @@ impl Table {
                 key: new_rowid,
             });
         }
-        // Drop the old row's index entries, then check uniqueness of the
-        // new values; restore on failure so a rejected UPDATE leaves the
-        // indexes untouched.
         let old = if self.indexes.is_empty() {
             None
         } else {
             self.rows.get(rowid).map(|r| r.into_owned())
         };
-        if let Some(old) = &old {
-            for ix in Arc::make_mut(&mut self.indexes) {
-                ix.remove_entry(old, rowid);
-            }
-        }
-        let conflict = self
-            .indexes
-            .iter()
-            .find_map(|ix| ix.check_unique(&values[ix.column()], new_rowid).err());
-        if let Some(e) = conflict {
+        // An index moves its entry when the key or the rowid changes; the
+        // others are left alone, so indexes a snapshot shares stay shared.
+        let moves = |ix: &SecondaryIndex| {
+            new_rowid != rowid
+                || old.as_ref().is_none_or(|old| old[ix.column()] != values[ix.column()])
+        };
+        if self.indexes.iter().any(moves) {
+            // Drop the moving entries, then check uniqueness of the new
+            // values; restore on failure so a rejected UPDATE leaves the
+            // indexes untouched.
+            let indexes = Arc::make_mut(&mut self.indexes);
             if let Some(old) = &old {
-                for ix in Arc::make_mut(&mut self.indexes) {
-                    ix.insert_entry(old, rowid);
+                for ix in indexes.iter_mut().filter(|ix| moves(ix)) {
+                    ix.remove_entry(old, rowid);
                 }
             }
-            return Err(e);
-        }
-        if !self.indexes.is_empty() {
-            for ix in Arc::make_mut(&mut self.indexes) {
+            let conflict = indexes
+                .iter()
+                .filter(|ix| moves(ix))
+                .find_map(|ix| ix.check_unique(&values[ix.column()], new_rowid).err());
+            if let Some(e) = conflict {
+                if let Some(old) = &old {
+                    for ix in indexes.iter_mut().filter(|ix| moves(ix)) {
+                        ix.insert_entry(old, rowid);
+                    }
+                }
+                return Err(e);
+            }
+            for ix in indexes.iter_mut().filter(|ix| moves(ix)) {
                 ix.insert_entry(&values, new_rowid);
             }
         }
@@ -512,11 +498,20 @@ impl Table {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// True when both tables hold the same row map.
+    pub(crate) fn same_rows(a: &Table, b: &Table) -> bool {
+        match (&a.rows, &b.rows) {
+            (Rows::Resident { map: a, .. }, Rows::Resident { map: b, .. }) => Arc::ptr_eq(a, b),
+            (Rows::Paged(a), Rows::Paged(b)) => crate::heap::tests::same_rows(a, b),
+            _ => false,
+        }
+    }
     use crate::ast::Affinity;
-    use crate::heap::HeapTier;
     use maxoid_block::MemDevice;
+    use maxoid_block::SpillTier;
 
     fn schema() -> TableSchema {
         TableSchema::new(
@@ -542,7 +537,7 @@ mod tests {
     fn tiny_heap() -> HeapCfg {
         // 64-byte pages, 2 resident frames, spill after ~128 bytes: a few
         // rows are enough to both migrate and evict.
-        let tier = HeapTier::new(Box::new(MemDevice::with_sector_size(64)), 2);
+        let tier = SpillTier::new(Box::new(MemDevice::with_sector_size(64)), 2);
         HeapCfg { tier, threshold: 128 }
     }
 
@@ -827,18 +822,50 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// A copy of a paged table shares its row map and heap pages, as a
+    /// resident copy shares its rows: the live table's changes copy the
+    /// map away from the copy, which keeps reading the rows it saw, and
+    /// the pages go back to the tier once neither holds them.
     #[test]
-    fn cloning_a_paged_table_materializes_a_private_copy() {
+    fn cloning_a_paged_table_shares_its_pages() {
+        let cfg = HeapCfg { tier: tiny_heap().tier, threshold: 0 };
+        let tier = cfg.tier.clone();
         let mut t = Table::new(schema());
-        t.attach_heap(HeapCfg { tier: tiny_heap().tier, threshold: 0 });
-        t.insert(vec![Value::Integer(1), "a".into()], false).unwrap();
+        t.attach_heap(cfg);
+        for (id, data) in [(1, "a"), (2, "b")] {
+            t.insert(vec![Value::Integer(id), data.into()], false).unwrap();
+        }
         assert!(t.is_paged());
         let snap = t.clone();
-        assert!(!snap.is_paged(), "snapshots are resident copies");
+        assert!(snap.is_paged() && same_rows(&snap, &t), "the copy shares the paged map");
         // Mutating the original never leaks into the snapshot.
         t.update_row(1, vec![Value::Integer(1), "z".into()]).unwrap();
+        assert!(t.delete_row(2));
+        assert!(!same_rows(&snap, &t));
         assert_eq!(snap.get(1).unwrap()[1], Value::Text("a".into()));
+        assert_eq!(snap.get(2).unwrap()[1], Value::Text("b".into()));
         assert_eq!(t.get(1).unwrap()[1], Value::Text("z".into()));
+        assert!(t.get(2).is_none());
+        drop(t);
+        assert_eq!(snap.iter().count(), 2, "the copy keeps the pages it reads");
+        drop(snap);
+        assert_eq!(tier.free_runs(), vec![(0, tier.next_sector())]);
+    }
+
+    /// An UPDATE that changes no indexed value and no rowid leaves every
+    /// index where it is: a copy holding the indexes keeps sharing them.
+    #[test]
+    fn an_update_that_keeps_every_key_leaves_shared_indexes_shared() {
+        let mut t = Table::new(schema());
+        t.create_index("ix_data", "data", true).unwrap();
+        t.insert(vec![Value::Integer(1), "a".into()], false).unwrap();
+        let held = t.clone();
+        t.update_row(1, vec![Value::Integer(1), "a".into()]).unwrap();
+        assert!(Arc::ptr_eq(&held.indexes, &t.indexes), "an unchanged key copied the indexes");
+        t.update_row(1, vec![Value::Integer(1), "b".into()]).unwrap();
+        assert!(!Arc::ptr_eq(&held.indexes, &t.indexes));
+        assert_eq!(t.index_on(1).unwrap().probe_eq(&"b".into()), vec![1]);
+        assert_eq!(held.index_on(1).unwrap().probe_eq(&"a".into()), vec![1]);
     }
 
     #[test]
@@ -850,10 +877,10 @@ mod tests {
         for i in 0..20 {
             t.insert(vec![Value::Integer(i), "payload".into()], false).unwrap();
         }
-        let high = tier.with(|h| h.alloc.next_sector());
+        let high = tier.next_sector();
         assert!(high > 0);
         t.clear();
-        assert_eq!(tier.with(|h| h.alloc.free_runs()), vec![(0, high)]);
+        assert_eq!(tier.free_runs(), vec![(0, high)]);
         assert!(t.is_empty());
     }
 }

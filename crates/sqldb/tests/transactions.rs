@@ -1,7 +1,7 @@
 //! Transaction tests: BEGIN/COMMIT/ROLLBACK through SQL and the API.
 
-use maxoid_block::MemDevice;
-use maxoid_sqldb::{Database, HeapTier, SqlError, Value};
+use maxoid_block::{MemDevice, SpillTier};
+use maxoid_sqldb::{Database, SqlError, Value};
 
 fn seeded() -> Database {
     let mut db = Database::new();
@@ -43,7 +43,7 @@ fn rollback_restores_data_and_schema() {
     for paged in [false, true] {
         let mut db = Database::new();
         if paged {
-            db.attach_heap(HeapTier::new(Box::new(MemDevice::new()), 2), 0);
+            db.attach_heap(SpillTier::new(Box::new(MemDevice::new()), 2), 0);
         }
         db.execute_batch(
             "CREATE TABLE t (_id INTEGER PRIMARY KEY, v TEXT, n INTEGER);
@@ -175,7 +175,7 @@ fn attach_heap_inside_a_transaction_rolls_back_or_commits() {
         .unwrap();
         let (dump, indexes) = (db.dump_sql(), index_names(&db));
         db.begin().unwrap();
-        db.attach_heap(HeapTier::new(Box::new(MemDevice::new()), 2), 0);
+        db.attach_heap(SpillTier::new(Box::new(MemDevice::new()), 2), 0);
         assert!(db.table_names().iter().all(|n| db.table(n).unwrap().is_paged()));
         if commit { db.commit() } else { db.rollback() }.unwrap();
         assert_eq!(db.dump_sql(), dump, "commit={commit}");
@@ -199,7 +199,7 @@ fn rollback_detaches_a_heap_attached_inside_the_transaction() {
     let mut db = Database::new();
     db.execute_batch("CREATE TABLE t (_id INTEGER PRIMARY KEY, v TEXT)").unwrap();
     db.begin().unwrap();
-    db.attach_heap(HeapTier::new(Box::new(MemDevice::new()), 2), 0);
+    db.attach_heap(SpillTier::new(Box::new(MemDevice::new()), 2), 0);
     db.rollback().unwrap();
     db.execute_batch("CREATE TABLE u (_id INTEGER PRIMARY KEY, v TEXT)").unwrap();
     for i in 0..50 {
@@ -220,7 +220,7 @@ fn rollback_detaches_a_heap_attached_inside_the_transaction() {
 #[test]
 fn a_paged_table_stays_paged_through_a_transaction() {
     let mut db = Database::new();
-    db.attach_heap(HeapTier::new(Box::new(MemDevice::new()), 2), 0);
+    db.attach_heap(SpillTier::new(Box::new(MemDevice::new()), 2), 0);
     db.execute_batch(
         "CREATE TABLE t (_id INTEGER PRIMARY KEY, v TEXT);
          INSERT INTO t (v) VALUES ('a'), ('b');",

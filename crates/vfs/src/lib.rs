@@ -43,7 +43,7 @@ pub use fs::{FileHandle, OpenMode, Vfs};
 pub use mount::{Mount, MountKind, MountNamespace};
 pub use path::{vpath, VPath};
 pub use store::{
-    shard_of, shard_of_path, DirEntry, DirtyImage, FileData, InodeId, Metadata, Store, StoreStats,
+    shard_of, shard_of_path, DirEntry, DirtyImage, InodeId, Metadata, Store, StoreStats,
     DEFAULT_SPILL_THRESHOLD, STORE_SHARDS, VIS_SHARDS,
 };
 pub use union::{Branch, CopyUpGranularity, Located, Union, APPEND_DELTA_PREFIX, WHITEOUT_PREFIX};

@@ -49,12 +49,13 @@
 use crate::cred::{Mode, Uid};
 use crate::error::{VfsError, VfsResult};
 use crate::path::VPath;
-use maxoid_block::{BlockDevice, CacheStats, ExtentAllocator, PageCache};
+use maxoid_block::{BlockDevice, CacheStats, Extent, SpillTier};
 use maxoid_journal::codec::{ByteReader, Put};
 use maxoid_journal::{Delta, Journal, Record, VfsRecord};
-use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
+use parking_lot::{RwLock, RwLockWriteGuard};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Number of inode-table shards. A power of two so `id % STORE_SHARDS`
 /// compiles to a mask; 16 keeps per-shard contention negligible for the
@@ -119,49 +120,51 @@ pub struct Metadata {
     pub is_dir: bool,
 }
 
-/// Where a file's bytes live: inline in the inode, or spilled to sectors
-/// of the store's block device.
+/// Where a file's bytes live: inline in the inode, or spilled to an
+/// extent of the store's spill tier.
 ///
 /// Small payloads (at or below the store's spill threshold) and every
 /// payload of a device-less store stay [`FileData::Resident`]. Larger
-/// payloads on a block-backed store are written to an extent of device
-/// sectors behind the page cache, keeping the inode table itself small
-/// while content competes for the fixed page budget.
-///
-/// Cloning a `Paged` value aliases its sectors; the clone is only for
-/// read-side materialization and must never be handed back to a store
-/// that will later free both copies.
+/// payloads on a block-backed store are written to an extent behind the
+/// page cache, keeping the inode table itself small while content
+/// competes for the fixed page budget. A clone shares the extent, and the
+/// last one dropped frees its sectors.
 #[derive(Debug, Clone)]
-pub enum FileData {
+pub(crate) enum FileData {
     /// Bytes held inline.
     Resident(Vec<u8>),
-    /// Bytes spilled to device sectors (one page each, last one partial).
-    Paged {
-        /// The sectors holding the content, in order.
-        sectors: Vec<u64>,
-        /// Content length in bytes.
-        len: u64,
-    },
+    /// Bytes spilled to an extent (the file is its written bytes).
+    Paged(Arc<Extent>),
 }
 
 impl FileData {
     /// Content length in bytes, without touching the device.
-    pub fn len(&self) -> u64 {
+    fn len(&self) -> u64 {
         match self {
             FileData::Resident(d) => d.len() as u64,
-            FileData::Paged { len, .. } => *len,
+            FileData::Paged(e) => e.written(),
         }
     }
 
-    /// True when the content is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Materializes the content regardless of representation. Device I/O
+    /// failure on the spill tier is fatal: the device is process-lifetime
+    /// scratch (content is rebuilt from the WAL on recovery), so losing it
+    /// mid-run is equivalent to losing RAM.
+    fn load(&self) -> Vec<u8> {
+        match self {
+            FileData::Resident(d) => d.clone(),
+            FileData::Paged(e) => {
+                let mut out = vec![0u8; e.written() as usize];
+                e.read(0, &mut out).expect("vfs spill device read failed");
+                out
+            }
+        }
     }
 }
 
 /// A node in the backing store.
 #[derive(Debug, Clone)]
-pub enum Inode {
+pub(crate) enum Inode {
     /// A regular file with its contents.
     File {
         /// File bytes (inline or spilled to the block device).
@@ -212,21 +215,6 @@ pub struct DirEntry {
     pub is_dir: bool,
 }
 
-/// The block-device tier behind a paged store: a page cache plus a simple
-/// sector allocator (free list + high-water mark).
-///
-/// Lives behind a [`Mutex`] because content reads come through `&Store`
-/// while faulting a page in needs `&mut` access to the cache. The mutex is
-/// a leaf in the global lock order: it is only taken while a shard lock is
-/// already held, and nothing else is acquired under it.
-struct PagedBacking {
-    cache: PageCache,
-    /// Sector allocator: free runs kept sorted and coalesced, so a spill
-    /// gets an ascending contiguous extent whenever one exists instead
-    /// of LIFO-scattered singles.
-    alloc: ExtentAllocator,
-}
-
 /// Point-in-time store composition counters (see [`Store::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
@@ -242,67 +230,6 @@ pub struct StoreStats {
     pub cache: Option<CacheStats>,
     /// Fixed page-cache budget in bytes (memory bound for spilled content).
     pub cache_budget_bytes: u64,
-}
-
-/// Materializes file content regardless of representation. Device I/O
-/// failure on the spill tier is fatal: the device is process-lifetime
-/// scratch (content is rebuilt from the WAL on recovery), so losing it
-/// mid-run is equivalent to losing RAM.
-fn fd_load(paged: &Option<Mutex<PagedBacking>>, data: &FileData) -> Vec<u8> {
-    match data {
-        FileData::Resident(d) => d.clone(),
-        FileData::Paged { sectors, len } => {
-            let p = paged.as_ref().expect("paged file data in a store with no block device");
-            let mut p = p.lock();
-            let ps = p.cache.page_size();
-            let mut out = vec![0u8; *len as usize];
-            for (i, &sec) in sectors.iter().enumerate() {
-                let start = i * ps;
-                let end = ((i + 1) * ps).min(out.len());
-                let page = p.cache.read(sec).expect("vfs spill device read failed");
-                out[start..end].copy_from_slice(&page.data()[..end - start]);
-            }
-            out
-        }
-    }
-}
-
-/// Chooses a representation for `bytes` and stores it: inline when small
-/// (or when the store has no device), spilled to freshly allocated sectors
-/// otherwise.
-fn fd_store(paged: &Option<Mutex<PagedBacking>>, threshold: usize, bytes: &[u8]) -> FileData {
-    let Some(p) = paged else { return FileData::Resident(bytes.to_vec()) };
-    if bytes.len() <= threshold {
-        return FileData::Resident(bytes.to_vec());
-    }
-    let mut p = p.lock();
-    let ps = p.cache.page_size();
-    let sectors = p.alloc.alloc(bytes.len().div_ceil(ps));
-    for (i, &sec) in sectors.iter().enumerate() {
-        let chunk = &bytes[i * ps..((i + 1) * ps).min(bytes.len())];
-        if chunk.len() == ps {
-            p.cache.write_full(sec, chunk).expect("vfs spill device write failed");
-        } else {
-            // Ragged tail: the freshly allocated sector's old bytes are
-            // dead, so skip the load and zero-pad past `len` instead of
-            // leaving stale prior-file bytes in the frame.
-            p.cache.write_padded(sec, chunk).expect("vfs spill device write failed");
-        }
-    }
-    FileData::Paged { sectors, len: bytes.len() as u64 }
-}
-
-/// Releases a value's sectors (if any) back to the allocator, discarding
-/// their cached pages without write-back.
-fn fd_free(paged: &Option<Mutex<PagedBacking>>, data: &FileData) {
-    if let FileData::Paged { sectors, .. } = data {
-        let p = paged.as_ref().expect("paged file data in a store with no block device");
-        let mut p = p.lock();
-        for &sec in sectors {
-            p.cache.discard(sec);
-        }
-        p.alloc.free_sectors(sectors);
-    }
 }
 
 /// One shard of the inode table: the slots whose global ids are congruent
@@ -345,11 +272,9 @@ impl Shard {
         id
     }
 
-    fn dealloc(&mut self, paged: &Option<Mutex<PagedBacking>>, id: InodeId) {
+    fn dealloc(&mut self, id: InodeId) {
         if let Some(slot) = self.slots.get_mut(local_of(id)) {
-            if let Some(Inode::File { data, .. }) = slot.take() {
-                fd_free(paged, &data);
-            }
+            *slot = None;
             self.free.push(id);
             self.dirty.insert(id.0);
         }
@@ -423,7 +348,7 @@ impl Delta for DirtyImage<'_> {
             for &id in &sh.dirty {
                 w.put_u64(id);
                 let slot = sh.slots.get(local_of(InodeId(id))).and_then(|s| s.as_ref());
-                write_slot(w, &store.paged, slot);
+                write_slot(w, slot);
             }
             w.put_u32(sh.free.len() as u32);
             for id in &sh.free {
@@ -462,8 +387,8 @@ impl Locked<'_> {
         self.shard_mut(idx).alloc(idx, inode)
     }
 
-    fn dealloc(&mut self, paged: &Option<Mutex<PagedBacking>>, id: InodeId) {
-        self.shard_mut(shard_of(id)).dealloc(paged, id);
+    fn dealloc(&mut self, id: InodeId) {
+        self.shard_mut(shard_of(id)).dealloc(id);
     }
 
     fn touch(&mut self, id: InodeId) {
@@ -530,11 +455,12 @@ pub struct Store {
     /// the counters for their branch hosts' prefixes, so one tenant's
     /// namespace changes no longer invalidate every other tenant's cache.
     vis: Vec<AtomicU64>,
-    /// Optional block-device tier for large file payloads. See
-    /// [`PagedBacking`] for why it sits behind its own (leaf) mutex.
-    paged: Option<Mutex<PagedBacking>>,
+    /// Optional block-device tier for large file payloads. Its mutex is a
+    /// leaf: taken under shard guards (a read, a store, a dropped extent),
+    /// with nothing taken under it.
+    spill: Option<SpillTier>,
     /// Payloads strictly larger than this spill to the device. Irrelevant
-    /// when `paged` is `None` (everything stays resident).
+    /// when `spill` is `None` (everything stays resident).
     spill_threshold: usize,
 }
 
@@ -544,7 +470,7 @@ impl std::fmt::Debug for Store {
             .field("shards", &self.shards.len())
             .field("inodes", &self.inode_count())
             .field("clock", &self.clock.load(Ordering::Relaxed))
-            .field("paged", &self.paged.is_some())
+            .field("paged", &self.spill.is_some())
             .field("spill_threshold", &self.spill_threshold)
             .finish()
     }
@@ -581,7 +507,7 @@ impl Store {
             clock: AtomicU64::new(0),
             journal: RwLock::new(None),
             vis: (0..VIS_SHARDS).map(|_| AtomicU64::new(0)).collect(),
-            paged: None,
+            spill: None,
             spill_threshold: usize::MAX,
         }
     }
@@ -593,12 +519,21 @@ impl Store {
     /// budget no matter how large the working set grows.
     pub fn with_block_device(dev: Box<dyn BlockDevice>, pages: usize, threshold: usize) -> Self {
         let mut s = Store::new();
-        s.paged = Some(Mutex::new(PagedBacking {
-            cache: PageCache::new(dev, pages),
-            alloc: ExtentAllocator::new(),
-        }));
+        s.spill = Some(SpillTier::new(dev, pages));
         s.spill_threshold = threshold;
         s
+    }
+
+    /// Chooses a representation for `bytes` and stores it: inline when
+    /// small (or when the store has no device), spilled to a fresh extent
+    /// otherwise.
+    fn file_data(&self, bytes: &[u8]) -> FileData {
+        match &self.spill {
+            Some(tier) if bytes.len() > self.spill_threshold => {
+                FileData::Paged(tier.store(bytes).expect("vfs spill device write failed"))
+            }
+            _ => FileData::Resident(bytes.to_vec()),
+        }
     }
 
     /// Point-in-time composition counters: how many files (and bytes) are
@@ -615,18 +550,17 @@ impl Store {
                             st.resident_files += 1;
                             st.resident_bytes += d.len() as u64;
                         }
-                        FileData::Paged { len, .. } => {
+                        FileData::Paged(e) => {
                             st.spilled_files += 1;
-                            st.spilled_bytes += len;
+                            st.spilled_bytes += e.written();
                         }
                     }
                 }
             }
         }
-        if let Some(p) = &self.paged {
-            let p = p.lock();
-            st.cache = Some(p.cache.stats());
-            st.cache_budget_bytes = p.cache.budget_bytes() as u64;
+        if let Some(tier) = &self.spill {
+            st.cache = Some(tier.stats());
+            st.cache_budget_bytes = tier.budget_bytes() as u64;
         }
         st
     }
@@ -783,7 +717,7 @@ impl Store {
     /// cannot be freed out from under the load).
     pub fn read_inode(&self, id: InodeId) -> VfsResult<Vec<u8>> {
         self.with_inode(id, |ino| match ino {
-            Inode::File { data, .. } => Ok(fd_load(&self.paged, data)),
+            Inode::File { data, .. } => Ok(data.load()),
             Inode::Dir { .. } => Err(VfsError::IsADirectory),
         })?
     }
@@ -926,10 +860,9 @@ impl Store {
                 if let Inode::Dir { .. } = locked.get(id)? {
                     return Err(VfsError::IsADirectory);
                 }
-                let new_fd = fd_store(&self.paged, self.spill_threshold, data);
+                let new_fd = self.file_data(data);
                 match locked.get_mut(id)? {
                     Inode::File { data: d, mtime: m, .. } => {
-                        fd_free(&self.paged, d);
                         *d = new_fd;
                         *m = mtime;
                     }
@@ -937,7 +870,7 @@ impl Store {
                 }
                 id
             } else {
-                let new_fd = fd_store(&self.paged, self.spill_threshold, data);
+                let new_fd = self.file_data(data);
                 let id =
                     locked.alloc_in(alloc_shard, Inode::File { data: new_fd, owner, mode, mtime });
                 locked.link(parent, name, id, mtime);
@@ -975,7 +908,7 @@ impl Store {
             let mtime = self.tick();
             let in_place = match locked.get(id)? {
                 Inode::File { data: FileData::Resident(d), .. } => {
-                    self.paged.is_none() || d.len() + data.len() <= self.spill_threshold
+                    self.spill.is_none() || d.len() + data.len() <= self.spill_threshold
                 }
                 Inode::File { .. } => false,
                 Inode::Dir { .. } => return Err(VfsError::IsADirectory),
@@ -990,14 +923,13 @@ impl Store {
                 }
             } else {
                 let mut content = match locked.get(id)? {
-                    Inode::File { data: d, .. } => fd_load(&self.paged, d),
+                    Inode::File { data: d, .. } => d.load(),
                     Inode::Dir { .. } => unreachable!("checked to be a file above"),
                 };
                 content.extend_from_slice(data);
-                let new_fd = fd_store(&self.paged, self.spill_threshold, &content);
+                let new_fd = self.file_data(&content);
                 match locked.get_mut(id)? {
                     Inode::File { data: d, mtime: m, .. } => {
-                        fd_free(&self.paged, d);
                         *d = new_fd;
                         *m = mtime;
                     }
@@ -1017,10 +949,9 @@ impl Store {
         if let Inode::Dir { .. } = locked.get(id)? {
             return Err(VfsError::IsADirectory);
         }
-        let new_fd = fd_store(&self.paged, self.spill_threshold, data);
+        let new_fd = self.file_data(data);
         match locked.get_mut(id)? {
             Inode::File { data: d, mtime: m, .. } => {
-                fd_free(&self.paged, d);
                 *d = new_fd;
                 *m = mtime;
             }
@@ -1063,7 +994,7 @@ impl Store {
             }
             let mtime = self.tick();
             locked.unlink_entry(parent, &name, mtime);
-            locked.dealloc(&self.paged, child);
+            locked.dealloc(child);
             self.bump_path(path);
             self.emit(VfsRecord::Unlink { path: path.as_str().to_string() });
             return Ok(());
@@ -1105,7 +1036,7 @@ impl Store {
             }
             let mtime = self.tick();
             locked.unlink_entry(parent, &name, mtime);
-            locked.dealloc(&self.paged, child);
+            locked.dealloc(child);
             self.bump_path(path);
             self.emit(VfsRecord::Rmdir { path: path.as_str().to_string() });
             return Ok(());
@@ -1199,7 +1130,7 @@ impl Store {
                 // the pre-sharded store produced.
                 let t = self.tick();
                 locked.unlink_entry(to_parent, &to_name, t);
-                locked.dealloc(&self.paged, rep);
+                locked.dealloc(rep);
                 self.emit(VfsRecord::Unlink { path: to.as_str().to_string() });
             }
             let mtime = self.tick();
@@ -1351,14 +1282,10 @@ impl Store {
             }
             for _ in 0..dirty_len {
                 let id = r.get_u64().map_err(bad)?;
-                let slot = read_slot(&mut r, &self.paged, self.spill_threshold)?;
+                let slot = read_slot(&mut r, self)?;
                 let local = local_of(InodeId(id));
                 if local >= sh.slots.len() {
                     sh.slots.resize(local + 1, None);
-                }
-                // Release any extents the replaced slot held.
-                if let Some(Inode::File { data, .. }) = &sh.slots[local] {
-                    fd_free(&self.paged, data);
                 }
                 sh.slots[local] = slot;
                 sh.dirty.insert(id);
@@ -1399,7 +1326,7 @@ impl Store {
         }
         let node = match self.with_inode(id, |ino| match ino {
             Inode::File { data, owner, mode, .. } => {
-                Node::File(fd_load(&self.paged, data), owner.0, mode.to_bits())
+                Node::File(data.load(), owner.0, mode.to_bits())
             }
             Inode::Dir { entries, owner, mode, .. } => Node::Dir(
                 entries.iter().map(|(n, i)| (n.clone(), *i)).collect(),
@@ -1431,29 +1358,23 @@ impl Store {
 /// bytes are identical whether payloads were resident or spilled — backend
 /// equivalence at the serialization boundary. Spilled content reaches `w`
 /// one page at a time, each copied out of the cache before `w` sees it,
-/// so the paged mutex stays a leaf.
-fn write_slot(w: &mut dyn Put, paged: &Option<Mutex<PagedBacking>>, slot: Option<&Inode>) {
+/// so the tier mutex stays a leaf.
+fn write_slot(w: &mut dyn Put, slot: Option<&Inode>) {
     match slot {
         None => w.put_u8(0),
         Some(Inode::File { data, owner, mode, mtime }) => {
             w.put_u8(1);
             match data {
                 FileData::Resident(d) => w.put_bytes(d),
-                FileData::Paged { sectors, len } => {
-                    w.put_u32(*len as u32);
-                    let p =
-                        paged.as_ref().expect("paged file data in a store with no block device");
-                    let mut page = Vec::new();
-                    let mut left = *len as usize;
-                    for &sec in sectors {
-                        let mut p = p.lock();
-                        let n = left.min(p.cache.page_size());
-                        let cached = p.cache.read(sec).expect("vfs spill device read failed");
-                        page.clear();
-                        page.extend_from_slice(&cached.data()[..n]);
-                        drop(p);
-                        w.put_raw(&page);
-                        left -= n;
+                FileData::Paged(e) => {
+                    let len = e.written();
+                    w.put_u32(len as u32);
+                    let ps = e.page_size() as u64;
+                    let mut page = vec![0u8; ps.min(len) as usize];
+                    for off in (0..len).step_by(ps as usize) {
+                        let n = ps.min(len - off) as usize;
+                        e.read(off, &mut page[..n]).expect("vfs spill device read failed");
+                        w.put_raw(&page[..n]);
                     }
                 }
             }
@@ -1487,11 +1408,7 @@ fn slot_len(slot: Option<&Inode>) -> usize {
     }
 }
 
-fn read_slot(
-    r: &mut ByteReader<'_>,
-    paged: &Option<Mutex<PagedBacking>>,
-    threshold: usize,
-) -> VfsResult<Option<Inode>> {
+fn read_slot(r: &mut ByteReader<'_>, store: &Store) -> VfsResult<Option<Inode>> {
     let bad = |_| VfsError::InvalidArgument;
     match r.get_u8().map_err(bad)? {
         0 => Ok(None),
@@ -1500,7 +1417,7 @@ fn read_slot(
             let owner = Uid(r.get_u32().map_err(bad)?);
             let mode = Mode::from_bits(r.get_u8().map_err(bad)?);
             let mtime = r.get_u64().map_err(bad)?;
-            let data = fd_store(paged, threshold, &data);
+            let data = store.file_data(&data);
             Ok(Some(Inode::File { data, owner, mode, mtime }))
         }
         2 => {
@@ -1917,8 +1834,7 @@ mod tests {
         s.write(&vpath("/b"), &payload, Uid::ROOT, Mode::PUBLIC).unwrap();
         // The second file reuses the first one's sectors: the device never
         // grew past one extent (3 data sectors).
-        let p = s.paged.as_ref().unwrap().lock();
-        assert_eq!(p.alloc.next_sector(), 3);
+        assert_eq!(s.spill.as_ref().unwrap().next_sector(), 3);
     }
 
     #[test]
@@ -1932,17 +1848,13 @@ mod tests {
         for i in [1u8, 2, 4] {
             s.unlink(&vpath(&format!("/f{i}"))).unwrap();
         }
-        {
-            let p = s.paged.as_ref().unwrap().lock();
-            assert_eq!(p.alloc.free_runs(), vec![(1, 2), (4, 1)]);
-        }
+        let tier = s.spill.as_ref().unwrap();
+        assert_eq!(tier.free_runs(), vec![(1, 2), (4, 1)]);
         // A two-page spill must take the contiguous [1, 2] run — not
         // scatter LIFO across the fragments — and not grow the device.
         s.write(&vpath("/big"), &vec![9u8; 8192], Uid::ROOT, Mode::PUBLIC).unwrap();
-        let p = s.paged.as_ref().unwrap().lock();
-        assert_eq!(p.alloc.free_runs(), vec![(4, 1)]);
-        assert_eq!(p.alloc.next_sector(), 6);
-        drop(p);
+        assert_eq!(tier.free_runs(), vec![(4, 1)]);
+        assert_eq!(tier.next_sector(), 6);
         assert_eq!(s.read(&vpath("/big")).unwrap(), vec![9u8; 8192]);
     }
 

@@ -21,9 +21,20 @@
 //! | delegate point query (resolver)        | `POINT_QUERY`     |
 //! | delegate point update (resolver)       | `POINT_UPDATE`    |
 //! | that query, then that update           | `QUERY_THEN_UPDATE` |
+//! | owner point update, paged dictionary   | `PAGED_OWNER_UPDATE` |
+//! | delegate point update, paged dictionary | `PAGED_POINT_UPDATE` |
+//!
+//! The paged probes boot from one in-memory device with the default
+//! configuration, as `device_lifecycle` does, so the dictionary's rows sit
+//! on the heap. Their ceilings are the counts of the same calls before a
+//! database with a paged table published snapshots, plus one allocation
+//! per call: the snapshot each write now publishes. A write that copied
+//! the shared rowid map of the 20,000-word table would make one allocation
+//! per node of that map on top.
 
 use maxoid::manifest::MaxoidManifest;
-use maxoid::{Caller, ContentValues, MaxoidSystem, QueryArgs, Uri};
+use maxoid::{Caller, ContentValues, DeviceBootConfig, MaxoidSystem, QueryArgs, Uri};
+use maxoid_block::MemDevice;
 use maxoid_cowproxy::{CowProxy, DbView, QueryOpts};
 use maxoid_sqldb::{Database, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -169,15 +180,28 @@ fn a_range_copies_only_the_rows_it_returns() {
 
 /// A system with `WORDS` seeded words and `tenants` forked delegates.
 fn dictionary(tenants: usize) -> (MaxoidSystem, Uri, Vec<Caller>) {
-    let sys = MaxoidSystem::boot().unwrap();
+    let (sys, words, _) = seeded(MaxoidSystem::boot().unwrap(), WORDS);
+    let callers = forked(&sys, &words, tenants);
+    (sys, words, callers)
+}
+
+/// `sys` with `count` seeded words, and the seeder as a caller.
+fn seeded(sys: MaxoidSystem, count: i64) -> (MaxoidSystem, Uri, Caller) {
     let words = Uri::parse("content://user_dictionary/words").unwrap();
     sys.install("seeder", vec![], MaxoidManifest::new()).unwrap();
     let seeder = sys.launch("seeder").unwrap();
-    for id in 1..=WORDS {
+    for id in 1..=count {
         let vals = ContentValues::new().put("word", word(id)).put("frequency", id);
         sys.cp_insert(seeder, &words, &vals).unwrap();
     }
-    let callers = (0..tenants)
+    let owner = sys.caller(seeder).unwrap();
+    (sys, words, owner)
+}
+
+/// `tenants` delegates of their own initiators, each forked by an update
+/// of word `WORDS`.
+fn forked(sys: &MaxoidSystem, words: &Uri, tenants: usize) -> Vec<Caller> {
+    (0..tenants)
         .map(|t| {
             let (app, init) = (format!("app{t}"), format!("init{t}"));
             sys.install(&app, vec![], MaxoidManifest::new()).unwrap();
@@ -191,8 +215,14 @@ fn dictionary(tenants: usize) -> (MaxoidSystem, Uri, Vec<Caller>) {
                 .unwrap();
             caller
         })
-        .collect();
-    (sys, words, callers)
+        .collect()
+}
+
+/// A point update of word `id` by `caller`.
+fn update(sys: &MaxoidSystem, words: &Uri, caller: &Caller, id: i64) {
+    let vals = ContentValues::new().put("frequency", -id);
+    let n = sys.resolver.update(caller, &words.with_id(id), &vals, &QueryArgs::default()).unwrap();
+    assert_eq!(n, 1);
 }
 
 #[test]
@@ -203,12 +233,7 @@ fn a_write_after_a_snapshot_read_copies_no_catalog() {
         let rs = sys.resolver.query(caller, &words.with_id(id), &args).unwrap();
         assert_eq!(rs.rows.len(), 1);
     };
-    let update = |caller: &Caller, id: i64| {
-        let vals = ContentValues::new().put("frequency", -id);
-        let n =
-            sys.resolver.update(caller, &words.with_id(id), &vals, &QueryArgs::default()).unwrap();
-        assert_eq!(n, 1);
-    };
+    let update = |caller: &Caller, id: i64| update(&sys, &words, caller, id);
     // Each tenant's probe copies up the same ids, so the update alone and
     // the pair's update find the same delta table.
     let id = |i: u64| i as i64 + 1;
@@ -232,6 +257,40 @@ fn a_write_after_a_snapshot_read_copies_no_catalog() {
         ("point query", point_query, POINT_QUERY),
         ("point update", point_update, POINT_UPDATE),
         ("query then update", pair, QUERY_THEN_UPDATE),
+    ] {
+        assert!(now <= ceiling, "{what}: {now} against a ceiling of {ceiling}");
+    }
+}
+
+/// Words in the paged dictionary, as in `device_lifecycle`: past the
+/// default heap threshold, so `words` pages its rows.
+const PAGED_WORDS: i64 = 20_000;
+
+/// The paged probes' ceilings (see the table above): 34,516 and 60,708
+/// before, plus `CALLS` publications.
+const PAGED_OWNER_UPDATE: u64 = 34_516 + CALLS;
+const PAGED_POINT_UPDATE: u64 = 60_708 + CALLS;
+
+#[test]
+fn a_write_to_a_paged_table_copies_no_row_map() {
+    let dev = Box::new(MemDevice::new());
+    let sys = MaxoidSystem::boot_from_device(dev, &DeviceBootConfig::default()).unwrap();
+    let (sys, words, owner) = seeded(sys, PAGED_WORDS);
+    let delegate = forked(&sys, &words, 1).remove(0);
+    let heap = sys.heap().expect("a device boot attaches a heap");
+    let pages = |st: maxoid_block::CacheStats| st.hits + st.misses;
+    let id = |i: u64| i as i64 * 7 + 1;
+    let before = pages(heap.stats());
+    let owner_update = allocations(|i| update(&sys, &words, &owner, id(i)));
+    assert!(pages(heap.stats()) > before, "the owner's updates wrote to paged rows");
+    let point_update = allocations(|i| update(&sys, &words, &delegate, id(i)));
+    eprintln!(
+        "per {CALLS} calls on {PAGED_WORDS} paged words: owner point update {owner_update}, \
+         delegate point update {point_update}"
+    );
+    for (what, now, ceiling) in [
+        ("paged owner point update", owner_update, PAGED_OWNER_UPDATE),
+        ("paged delegate point update", point_update, PAGED_POINT_UPDATE),
     ] {
         assert!(now <= ceiling, "{what}: {now} against a ceiling of {ceiling}");
     }

@@ -10,6 +10,7 @@
 //!   bumps in the proxy),
 //! - adoption of a recovered database into a fresh proxy.
 
+use maxoid_block::{MemDevice, SpillTier};
 use maxoid_cowproxy::{sqlgen, CowProxy, DbView, QueryOpts};
 use maxoid_sqldb::{Database, Value};
 use proptest::prelude::*;
@@ -155,9 +156,11 @@ fn run_trace(ops: &[Op], caches: bool) -> Vec<String> {
 /// Runs `ops` like [`run_trace`] but serves every read-only statement
 /// from the proxy's published MVCC snapshot ([`CowProxy::read_slot`])
 /// instead of the live database, publishing a fresh snapshot at each
-/// quiescent point the way the resolver does after a locked call. The
-/// trace must be byte-identical to the serialized cache-off run.
-fn run_trace_snapshot(ops: &[Op]) -> Vec<String> {
+/// quiescent point the way the resolver does after a locked call. With
+/// `paged`, a heap with threshold 0 is attached first, so every table
+/// pages its rows. The trace must be byte-identical to the serialized
+/// cache-off run.
+fn run_trace_snapshot(ops: &[Op], paged: bool) -> Vec<String> {
     fn snap_query(
         p: &mut CowProxy,
         view: &DbView,
@@ -171,6 +174,9 @@ fn run_trace_snapshot(ops: &[Op]) -> Vec<String> {
     }
 
     let mut p = CowProxy::new();
+    if paged {
+        p.db_mut().attach_heap(SpillTier::new(Box::new(MemDevice::new()), 2), 0);
+    }
     p.execute_batch("CREATE TABLE words (_id INTEGER PRIMARY KEY, word TEXT, frequency INTEGER);")
         .unwrap();
     for (i, w) in ["alpha", "beta", "gamma", "delta"].iter().enumerate() {
@@ -181,6 +187,7 @@ fn run_trace_snapshot(ops: &[Op]) -> Vec<String> {
         )
         .unwrap();
     }
+    assert_eq!(p.db().table("words").unwrap().is_paged(), paged);
     let delegate = DbView::Delegate { initiator: "A".into() };
     let mut trace = Vec::new();
     for o in ops {
@@ -257,10 +264,13 @@ proptest! {
     /// MVCC snapshot reads are pure: serving every query from a snapshot
     /// published at the preceding quiescent point is byte-identical to
     /// the serialized cache-off oracle, across the same random
-    /// query/DDL/fork/volatile-clear interleavings.
+    /// query/DDL/fork/volatile-clear interleavings, whether the tables
+    /// are resident or paged.
     #[test]
     fn snapshot_reads_match_serialized_oracle(ops in proptest::collection::vec(op(), 1..24)) {
-        prop_assert_eq!(run_trace_snapshot(&ops), run_trace(&ops, false));
+        let oracle = run_trace(&ops, false);
+        prop_assert_eq!(&run_trace_snapshot(&ops, false), &oracle);
+        prop_assert_eq!(&run_trace_snapshot(&ops, true), &oracle);
     }
 }
 

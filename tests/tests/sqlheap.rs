@@ -11,13 +11,16 @@
 //!   BEGIN/ROLLBACK/COMMIT and DDL inside transactions — applied to a
 //!   resident database and a paged one (threshold 0, two-frame cache:
 //!   maximal eviction pressure) produces identical results, errors,
-//!   `dump_sql()` images and planner counters. A replay leg re-executes
+//!   `dump_sql()` images and planner counters. Snapshots taken with
+//!   `begin_read` keep reading their stamp's rows through a
+//!   `SnapshotReader` while the writer goes on. A replay leg re-executes
 //!   the paged database's journal image into a fresh resident database
 //!   and must converge to the same rows.
 //! - **COW transparency**: a `CowProxy` adopted over a paged database
 //!   forks delta tables that inherit the heap tier, and delegates see
 //!   exactly what they would see over a resident base. The fork itself
-//!   is DDL only and does no heap I/O, however large the base table.
+//!   is DDL only and does no heap I/O, however large the base table, and
+//!   a transaction's first write reads only the row it changes.
 //! - **Single-device cold boot**: `MaxoidSystem::boot_from_device`
 //!   partitions one block image for WAL + VFS spill + row heap; a system
 //!   is seeded, dropped, and rebooted from the device alone, with
@@ -25,15 +28,15 @@
 
 use maxoid::manifest::MaxoidManifest;
 use maxoid::{Caller, ContentValues, DeviceBootConfig, MaxoidSystem, QueryArgs, Uri};
-use maxoid_block::{FileDevice, MemDevice};
+use maxoid_block::{FileDevice, MemDevice, SpillTier};
 use maxoid_cowproxy::{delta_table, CowProxy, DbView, QueryOpts};
-use maxoid_sqldb::{Database, HeapTier, Value};
+use maxoid_sqldb::{Database, SnapshotReader, Value};
 use proptest::prelude::*;
 
 /// A heap tier over a fresh in-memory device with a tiny frame budget, so
 /// any non-trivial working set thrashes the cache.
-fn tiny_tier(pages: usize) -> HeapTier {
-    HeapTier::new(Box::new(MemDevice::new()), pages)
+fn tiny_tier(pages: usize) -> SpillTier {
+    SpillTier::new(Box::new(MemDevice::new()), pages)
 }
 
 /// Deterministic text payload; contents depend on (seed, len) only.
@@ -64,6 +67,7 @@ enum Op {
     TxnRollback(u8, u16),
     TxnCommit(u8, u16),
     TxnDdl(u8, bool),
+    Snapshot(u8, u16),
 }
 
 fn op() -> impl Strategy<Value = Op> {
@@ -78,6 +82,7 @@ fn op() -> impl Strategy<Value = Op> {
         (any::<u8>(), 0..1500u16).prop_map(|(k, n)| Op::TxnRollback(k, n)),
         (any::<u8>(), 0..1500u16).prop_map(|(k, n)| Op::TxnCommit(k, n)),
         (any::<u8>(), any::<bool>()).prop_map(|(k, commit)| Op::TxnDdl(k, commit)),
+        (any::<u8>(), 0..1500u16).prop_map(|(k, n)| Op::Snapshot(k, n)),
     ]
 }
 
@@ -151,6 +156,18 @@ fn apply(db: &mut Database, op: &Op) -> String {
             let d = apply(db, &Op::Probe(*k));
             let e = apply(db, &Op::Insert(*k, 40));
             format!("{a}/{b}/{c}/{d}/{e}")
+        }
+        Op::Snapshot(k, n) => {
+            // A snapshot taken here keeps reading this stamp's rows while
+            // the writer inserts, updates and deletes; it is read after
+            // the writes, through a reader bound to it.
+            let Some(snap) = db.begin_read() else { return "no snapshot".into() };
+            let b = apply(db, &Op::Insert(*k, *n));
+            let c = apply(db, &Op::Update(k.wrapping_add(1), *n));
+            let d = apply(db, &Op::Delete(k.wrapping_add(2)));
+            let mut reader = SnapshotReader::new();
+            let e = reader.bind(&snap).query("SELECT _id, k, body FROM t ORDER BY _id", &[]);
+            format!("{b}/{c}/{d}/{e:?}")
         }
     }
 }
@@ -331,7 +348,7 @@ fn cow_fork_over_a_paged_base_does_no_heap_io() {
     }
     assert!(db.table("words").unwrap().is_paged());
     assert!(tier.stats().evictions > 0, "200 x 300B words must overflow 4 frames");
-    let page_reads = |t: &HeapTier| {
+    let page_reads = |t: &SpillTier| {
         let st = t.stats();
         st.hits + st.misses
     };
@@ -354,6 +371,44 @@ fn cow_fork_over_a_paged_base_does_no_heap_io() {
     db.commit().unwrap();
     assert!(db.has_view("frequent"));
     assert_eq!(page_reads(&tier), before, "a DDL-only transaction read the paged base table");
+}
+
+/// A transaction's first write to a paged table copies the table's rowid
+/// map but reads no row except the one it changes, so the heap pages it
+/// touches do not grow with the table.
+#[test]
+fn a_transactions_first_write_reads_only_the_row_it_changes() {
+    let tier = tiny_tier(4);
+    let mut db = Database::new();
+    db.attach_heap(tier.clone(), 0);
+    db.execute_batch("CREATE TABLE words (_id INTEGER PRIMARY KEY, word TEXT, frequency INTEGER);")
+        .unwrap();
+    for i in 0..2000i64 {
+        db.execute(
+            "INSERT INTO words (word, frequency) VALUES (?, ?)",
+            &[Value::Text(body(i as u8, 100)), Value::Integer(i)],
+        )
+        .unwrap();
+    }
+    let page_reads = || {
+        let st = tier.stats();
+        st.hits + st.misses
+    };
+    let update = "UPDATE words SET frequency = ? WHERE _id = 7";
+    for (commit, freq) in [(true, -7), (false, -8)] {
+        db.begin().unwrap();
+        let before = page_reads();
+        db.execute(update, &[Value::Integer(freq)]).unwrap();
+        let touched = page_reads() - before;
+        assert!(touched <= 4, "the first write touched {touched} pages of a 2,000-row table");
+        if commit {
+            db.commit().unwrap();
+        } else {
+            db.rollback().unwrap();
+        }
+        let rs = db.query("SELECT frequency FROM words WHERE _id = 7", &[]).unwrap();
+        assert_eq!(rs.scalar(), Some(&Value::Integer(-7)));
+    }
 }
 
 const INITIATOR: &str = "initiator";
