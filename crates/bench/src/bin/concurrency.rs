@@ -20,7 +20,7 @@
 
 use maxoid::manifest::MaxoidManifest;
 use maxoid::{ContentValues, MaxoidSystem, Pid, QueryArgs, Uri};
-use maxoid_bench::{cores, BenchJson, Unit};
+use maxoid_bench::{best_of_alternated, cores, BenchJson, Unit};
 use maxoid_vfs::{vpath, Mode, VPath};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
@@ -28,8 +28,9 @@ use std::time::Instant;
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// Iterations of the mixed loop per thread per repetition.
 const ITERS: usize = 20_000;
-/// Repetitions per thread count; the best (highest-throughput) rep is
-/// reported, discarding scheduler noise.
+/// Repetitions; each runs every thread count once, in reverse order on
+/// alternate repetitions, and each count's best (highest-throughput) rep
+/// is reported, discarding scheduler noise.
 const REPS: usize = 3;
 const DICT_ROWS: usize = 1000;
 const FILE_KB: usize = 4;
@@ -161,15 +162,12 @@ fn main() {
     println!("Concurrent multi-app execution — one shared system, N app threads");
     println!("({ITERS} mixed iterations/thread, best of {REPS} reps, {cores} core(s))\n");
 
-    let mut ops_per_sec = Vec::new();
-    for &n in &THREAD_COUNTS {
-        let best = (0..REPS)
-            .map(|_| {
-                let (ops, secs) = run_once(n);
-                ops as f64 / secs
-            })
-            .fold(0.0f64, f64::max);
-        ops_per_sec.push(best);
+    let rate = |n| {
+        let (ops, secs) = run_once(n);
+        ops as f64 / secs
+    };
+    let ops_per_sec = best_of_alternated(REPS, &THREAD_COUNTS, rate, |&r| r);
+    for (&n, &best) in THREAD_COUNTS.iter().zip(&ops_per_sec) {
         let speedup = best / ops_per_sec[0];
         // Parallel hardware can only be exploited up to the core count.
         let ideal = n.min(cores) as f64;

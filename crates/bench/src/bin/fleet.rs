@@ -7,9 +7,10 @@
 //! burst through that tenant's delegate — union-mounted private reads, a
 //! volatile public write, sparse COW provider traffic, an occasional
 //! commit gesture — separated by a tiny deterministic think-time spin.
-//! Sessions are driven by 1 and then 8 worker threads over the same
-//! booted fleet; per-session wall latencies feed nearest-rank
-//! p50/p95/p99.
+//! Sessions are driven by 1 and 8 worker threads over the same booted
+//! fleet, the two legs alternating over three repetitions; each leg's
+//! best repetition is reported, its per-session wall latencies feeding
+//! nearest-rank p50/p95/p99.
 //!
 //! After the drive the per-tenant COW accounting (`tenant_stats`) is
 //! sampled over the hottest tenants, the idle-tenant evictor runs, and
@@ -25,7 +26,7 @@
 
 use maxoid::manifest::MaxoidManifest;
 use maxoid::{ContentValues, MaxoidSystem, Pid, QueryArgs, Uri, VolCommitPlan};
-use maxoid_bench::{cores, BenchJson, Measurement, Unit};
+use maxoid_bench::{best_of_alternated, cores, BenchJson, Measurement, Unit};
 use maxoid_vfs::{vpath, Mode, VPath};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
@@ -45,6 +46,11 @@ const COW_SAMPLE: usize = 32;
 /// natural gaps, which also keeps an oversubscribed single-core run from
 /// stranding locks mid-critical-section when the quantum expires.
 const THINK_SPINS: u64 = 64;
+/// Worker counts of the session drive.
+const WORKERS: [usize; 2] = [1, 8];
+/// Repetitions of the drive; each runs both worker counts, in reverse
+/// order on alternate repetitions.
+const REPS: usize = 3;
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
@@ -311,12 +317,17 @@ fn main() {
         return;
     }
 
-    // Session drive at 1 then 8 workers over the same warm fleet. The
-    // same-system reuse biases *for* the later run, which only makes the
-    // scaling gate harder to cheat on a multi-core host.
-    for &threads in &[1usize, 8] {
-        let (ops, secs, lats) = drive(&sys, &ctxs, &cdf, sessions, threads);
-        let rate = ops as f64 / secs;
+    // Session drive at 1 and 8 workers over the same fleet, alternating
+    // which leg runs first, so neither always runs on the warmer system
+    // or the faster stretch of a host whose speed drifts.
+    let drives = best_of_alternated(
+        REPS,
+        &WORKERS,
+        |threads| drive(&sys, &ctxs, &cdf, sessions, threads),
+        |(ops, secs, _)| *ops as f64 / secs,
+    );
+    for (&threads, (ops, secs, lats)) in WORKERS.iter().zip(&drives) {
+        let rate = *ops as f64 / secs;
         let [p50, p95, p99] = [0.50, 0.95, 0.99].map(|q| lats.percentile_ns(q) / 1e3);
         let per_sec = lats.trials_ns.len() as f64 / secs;
         let cell = |what: &str| format!("fleet/threads{threads}/{what}");

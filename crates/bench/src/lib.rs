@@ -23,4 +23,6 @@ pub mod report;
 
 pub use fsbench::{FsMode, FsWorkload};
 pub use provider_bench::{cow_point_query, cow_table, DictMode, DictWorkload};
-pub use report::{cores, measure, measure_interleaved, BenchJson, Case, Measurement, Unit};
+pub use report::{
+    best_of_alternated, cores, measure, measure_interleaved, BenchJson, Case, Measurement, Unit,
+};

@@ -22,13 +22,15 @@
 //!   [`maxoid_vfs::Store`]; ops lock only the shards they touch, in
 //!   ascending index order (§4.14);
 //! * provider table — `RwLock` over per-authority entries. Each entry
-//!   holds the provider's **write lock** (`Arc<Mutex<provider>>`) plus a
-//!   lock-free read handle: routed queries are served from the
-//!   provider's published MVCC snapshot (`maxoid_cowproxy::ReadSlot`)
-//!   without the write lock, so reads on *one* authority run in
-//!   parallel with each other; mutations serialize on the write lock
-//!   and republish a snapshot before releasing it. Different
-//!   authorities dispatch in parallel as before;
+//!   holds the provider behind its own `RwLock` (`Arc<RwLock<provider>>`),
+//!   shared the way SQLite shares a database: a routed query takes it
+//!   shared and runs on its thread's own reader, bound to the live
+//!   catalog only while the query runs, so reads on *one* authority run
+//!   in parallel with each other; every change (resolver writes,
+//!   `commit_vol` steps, the download pump, media scans, `attach_heap`)
+//!   takes it exclusively and waits for the readers, so it never finds a
+//!   map a reader holds. Different authorities dispatch in parallel as
+//!   before;
 //! * journal — one [`maxoid_journal::Journal`] handle, shared by every
 //!   emitter: a state mutex plus a storage mutex with leader/follower
 //!   group commit;
@@ -43,15 +45,18 @@
 //!   → AMS registry / private-state manager
 //!     → kernel process-table shard (at most one at a time)
 //!       → VFS store shards (ascending shard order)
-//!         → provider mutexes (ascending authority order)
+//!         → provider locks (ascending authority order; shared or exclusive)
 //!           → journal state → journal storage
 //! ```
 //!
 //! Service mutexes (clipboard, bluetooth, sms) and the obs registry are
-//! leaves: nothing is acquired while they are held. The per-initiator
-//! lock serializes delegate COW-forks, `commit_vol`, `clear_vol` and
-//! `clear_priv` for one initiator while other initiators proceed in
-//! parallel. An incremental checkpoint holds every store shard across
+//! leaves: nothing is acquired while they are held. A thread never takes
+//! an authority's provider lock again while it holds it, shared or not:
+//! the lock queues a writer ahead of later readers, so with a writer
+//! waiting, a nested shared acquire waits for the writer, which waits for
+//! the outer guard. The per-initiator lock serializes delegate COW-forks,
+//! `commit_vol`, `clear_vol` and `clear_priv` for one initiator while
+//! other initiators proceed in parallel. An incremental checkpoint holds every store shard across
 //! its journal rewrite (store shards → journal state → storage), so
 //! store readers wait out the rewrite. A compaction holds the journal
 //! state from its replay through its rewrite (journal state → storage,
@@ -173,9 +178,9 @@ pub struct MaxoidSystem {
     branch_mgr: BranchManager,
     priv_mgr: Mutex<PrivateStateManager>,
     volatile: VolatileState,
-    downloads: Arc<Mutex<DownloadsProvider<BranchLocator>>>,
-    media: Arc<Mutex<MediaProvider<BranchLocator>>>,
-    userdict: Arc<Mutex<UserDictionaryProvider>>,
+    downloads: Arc<RwLock<DownloadsProvider<BranchLocator>>>,
+    media: Arc<RwLock<MediaProvider<BranchLocator>>>,
+    userdict: Arc<RwLock<UserDictionaryProvider>>,
     downloads_pid: Pid,
     journal: Option<Journal>,
     /// Heap tier provider row payloads page to, when booted from a
@@ -291,9 +296,9 @@ impl MaxoidSystem {
     /// Attaches `tier` to every system provider database: tables past
     /// `threshold` encoded bytes (now or later) page their rows to it.
     fn attach_heap_tier(&self, tier: &maxoid_block::SpillTier, threshold: usize) {
-        self.userdict.lock().proxy_mut().db_mut().attach_heap(tier.clone(), threshold);
-        self.downloads.lock().proxy_mut().db_mut().attach_heap(tier.clone(), threshold);
-        self.media.lock().proxy_mut().db_mut().attach_heap(tier.clone(), threshold);
+        self.userdict.write().proxy_mut().db_mut().attach_heap(tier.clone(), threshold);
+        self.downloads.write().proxy_mut().db_mut().attach_heap(tier.clone(), threshold);
+        self.media.write().proxy_mut().db_mut().attach_heap(tier.clone(), threshold);
     }
 
     /// The sqldb heap tier, when booted from a device.
@@ -335,9 +340,9 @@ impl MaxoidSystem {
 
         // Each system provider is built by its one constructor (journaled
         // when booted with a journal, adopting its recovered database on a
-        // cold boot) and registered with its lock-free read handle: the
-        // resolver keeps the provider's mutex, and so does the system, for
-        // the service APIs (download pump, media scans).
+        // cold boot) and registered: the resolver keeps the provider's
+        // lock, and so does the system, for the service APIs (download
+        // pump, media scans).
         let mut db = |authority| recovered.as_mut().map(|sub| sub.take_db(authority));
         let resolver = ContentResolver::new();
         let downloads =
@@ -702,18 +707,18 @@ impl MaxoidSystem {
     /// `DownloadManager.enqueue` on behalf of `pid`.
     pub fn enqueue_download(&self, pid: Pid, req: &DownloadRequest) -> SystemResult<i64> {
         let caller = self.caller(pid)?;
-        Ok(self.downloads.lock().enqueue(&caller, req)?)
+        Ok(self.downloads.write().enqueue(&caller, req)?)
     }
 
     /// Pumps the Downloads background worker once.
     pub fn pump_downloads(&self) -> SystemResult<usize> {
         let pid = self.downloads_pid;
-        Ok(self.downloads.lock().process_pending(&self.kernel, pid)?)
+        Ok(self.downloads.write().process_pending(&self.kernel, pid)?)
     }
 
     /// Drains download notifications.
     pub fn download_notifications(&self) -> Vec<maxoid_providers::DownloadNotification> {
-        self.downloads.lock().take_notifications()
+        self.downloads.write().take_notifications()
     }
 
     /// Opens a completed download's bytes (provenance-aware).
@@ -722,7 +727,7 @@ impl MaxoidSystem {
         initiator: Option<&str>,
         dest: &maxoid_vfs::VPath,
     ) -> SystemResult<Vec<u8>> {
-        Ok(self.downloads.lock().open_download(initiator, dest)?)
+        Ok(self.downloads.read().open_download(initiator, dest)?)
     }
 
     /// Media scanner service: scan a file on behalf of `pid`.
@@ -735,7 +740,7 @@ impl MaxoidSystem {
         size: usize,
     ) -> SystemResult<i64> {
         let caller = self.caller(pid)?;
-        Ok(self.media.lock().scan_file(&caller, path, kind, title, size)?)
+        Ok(self.media.write().scan_file(&caller, path, kind, title, size)?)
     }
 
     /// Opens a thumbnail generated by the media scanner.
@@ -744,7 +749,7 @@ impl MaxoidSystem {
         initiator: Option<&str>,
         media_path: &maxoid_vfs::VPath,
     ) -> SystemResult<Vec<u8>> {
-        Ok(self.media.lock().open_thumbnail(initiator, media_path)?)
+        Ok(self.media.read().open_thumbnail(initiator, media_path)?)
     }
 
     // -----------------------------------------------------------------
@@ -971,9 +976,9 @@ impl MaxoidSystem {
             volatile_bytes += entry.size;
         }
 
-        let delta_rows = self.downloads.lock().delta_row_count(init)
-            + self.media.lock().delta_row_count(init)
-            + self.userdict.lock().delta_row_count(init);
+        let delta_rows = self.downloads.read().delta_row_count(init)
+            + self.media.read().delta_row_count(init)
+            + self.userdict.read().delta_row_count(init);
 
         Ok(TenantStats { cow_files, cow_bytes, delta_rows, volatile_files, volatile_bytes })
     }
@@ -1033,9 +1038,9 @@ impl MaxoidSystem {
                 }
             }
             // One provider lock at a time.
-            swept.extend(self.downloads.lock().proxy().forked_initiators().map(str::to_string));
-            swept.extend(self.media.lock().proxy().forked_initiators().map(str::to_string));
-            swept.extend(self.userdict.lock().proxy().forked_initiators().map(str::to_string));
+            swept.extend(self.downloads.read().proxy().forked_initiators().map(str::to_string));
+            swept.extend(self.media.read().proxy().forked_initiators().map(str::to_string));
+            swept.extend(self.userdict.read().proxy().forked_initiators().map(str::to_string));
             candidates.extend(
                 swept.into_iter().filter(|init| !known.contains(init)).map(|init| (init, None)),
             );

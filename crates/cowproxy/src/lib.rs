@@ -51,10 +51,9 @@
 pub mod hierarchy;
 pub mod names;
 pub mod proxy;
-pub mod reader;
+mod reader;
 pub(crate) mod rewrite;
 pub mod sqlgen;
 
 pub use names::{cow_view, delta_table, DELTA_PK_START, WHITEOUT_COL};
 pub use proxy::{CowProxy, DbView, QueryOpts, ADMIN_INITIATOR_COL, ADMIN_STATE_COL};
-pub use reader::ReadSlot;

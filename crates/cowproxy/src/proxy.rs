@@ -13,7 +13,7 @@ use crate::names::{
     cow_view, decode_initiator, delta_table, shared_derived_name, trigger, DELTA_PK_START,
     WHITEOUT_COL,
 };
-use crate::reader::{CowPublished, ReadSlot};
+use crate::reader::ReaderKey;
 use crate::rewrite::{op, Key, Rewrite, RewriteCache};
 use crate::sqlgen;
 use maxoid_sqldb::ast::Stmt;
@@ -74,20 +74,21 @@ pub struct CowProxy {
     forks: BTreeMap<String, Vec<String>>,
     /// Per-fork-epoch memo of generated SQL keyed by call shape.
     rewrite: RewriteCache,
-    /// The published-snapshot slot served to lock-free readers.
-    read_slot: ReadSlot,
+    /// This proxy's key in the per-thread reader registry.
+    readers: ReaderKey,
 }
 
-// Threading contract: like the `Database` it wraps, a live `CowProxy` is
-// `Send`-not-`Sync`. Each provider authority owns one proxy behind its
-// per-authority write lock in the resolver table; *mutations* are
-// per-authority serialized, never parallel within one proxy. Reads are
-// different since MVCC: the proxy publishes immutable snapshots into a
-// shared [`ReadSlot`] (see [`CowProxy::publish_read`]) and any number of
-// threads query them concurrently without the write lock.
+// Threading contract: like the `Database` it wraps, a `CowProxy` is
+// `Send + Sync`. Each provider authority owns one proxy behind its
+// per-authority `RwLock` in the resolver table: every change takes
+// `&mut self` under the exclusive lock, and routed queries run under the
+// shared lock through [`CowProxy::reader_query`], on the calling thread's
+// own reader and rewrite cache, letting go of the live maps before the
+// guard drops. The proxy's own caches sit behind a mutex and relaxed
+// atomics for `Sync`; nothing contends on them on the write path.
 const _: fn() = || {
-    fn assert_send<T: Send>() {}
-    assert_send::<CowProxy>();
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<CowProxy>();
 };
 
 impl Default for CowProxy {
@@ -110,7 +111,7 @@ impl CowProxy {
             hierarchy: ViewHierarchy::default(),
             forks: BTreeMap::new(),
             rewrite: RewriteCache::default(),
-            read_slot: ReadSlot::new(),
+            readers: ReaderKey::default(),
         }
     }
 
@@ -125,7 +126,6 @@ impl CowProxy {
     /// The borrower may run arbitrary DDL, so the rewrite cache is
     /// conservatively invalidated.
     pub fn db_mut(&mut self) -> &mut Database {
-        self.retract_read();
         self.rewrite.bump_epoch();
         &mut self.db
     }
@@ -136,7 +136,6 @@ impl CowProxy {
     /// refused: it leaves nothing in the catalog, and replaying the
     /// journal drops it.
     pub fn execute_batch(&mut self, sql: &str) -> SqlResult<()> {
-        self.retract_read();
         self.rewrite.bump_epoch();
         self.db.begin()?;
         match self.db.execute_batch(sql).and_then(|()| self.check_derived_names(None)) {
@@ -154,7 +153,6 @@ impl CowProxy {
     /// whose COW views could share a name with another object is refused
     /// before anything is created or recorded.
     pub fn register_user_view(&mut self, sql: &str) -> SqlResult<()> {
-        self.retract_read();
         self.rewrite.bump_epoch();
         let Stmt::CreateView { name, .. } = parse_statement(sql)? else {
             return Err(SqlError::Unsupported("register_user_view requires CREATE VIEW".into()));
@@ -195,49 +193,13 @@ impl CowProxy {
     /// Enables or disables the rewrite cache (on by default). Used by the
     /// cache-equivalence tests and the ablation benchmarks.
     pub fn set_rewrite_cache(&mut self, on: bool) {
-        self.retract_read();
         self.rewrite.set_enabled(on);
     }
 
-    // -----------------------------------------------------------------
-    // Snapshot publication (the MVCC read path).
-    // -----------------------------------------------------------------
-
-    /// A cloneable handle to this proxy's published-snapshot slot.
-    ///
-    /// The slot is how lock-free readers reach the proxy: the resolver's
-    /// read handles hold one and serve queries from it without the
-    /// authority's write lock (see [`ReadSlot::try_query`]).
-    pub fn read_slot(&self) -> ReadSlot {
-        self.read_slot.clone()
-    }
-
-    /// Publishes the current committed database state into the read slot.
-    ///
-    /// Call at quiescent points — after a mutation has fully settled; the
-    /// resolver does so after every locked provider call. Publication is
-    /// memoized end to end: an unchanged `(commit stamp, fork epoch)`
-    /// pair costs two atomic loads and a read-lock probe. When the
-    /// database cannot snapshot (a transaction is open) the slot is
-    /// retracted instead, sending readers down the locked path.
-    pub fn publish_read(&mut self) {
-        let _sp = maxoid_obs::span("cowproxy.publish");
-        match self.db.begin_read() {
-            Some(snap) => {
-                self.read_slot.publish(CowPublished { snap, fork_epoch: self.rewrite.epoch() })
-            }
-            None => self.read_slot.retract(),
-        }
-    }
-
-    /// Retracts the published snapshot. Every `&mut self` entry point
-    /// calls this *before* touching state, so readers never race a
-    /// mutation in flight: they see the prior committed snapshot or fall
-    /// back to the locked path.
-    fn retract_read(&self) {
-        let _sp = maxoid_obs::span("cowproxy.retract");
-        self.read_slot.retract();
-    }
+    /// Does nothing: readers bind the live catalog under the authority's
+    /// shared lock, so there is no snapshot to publish. It stays because
+    /// the repository benchmark (`perfbench/`) calls it.
+    pub fn publish_read(&mut self) {}
 
     /// `(hits, misses)` of the rewrite cache since construction.
     pub fn rewrite_cache_stats(&self) -> (u64, u64) {
@@ -256,7 +218,6 @@ impl CowProxy {
     /// database is recorded as a logical SQL record attributed to
     /// component `name` (conventionally `db.<authority>`).
     pub fn attach_journal(&mut self, journal: maxoid_journal::Journal, name: &str) {
-        self.retract_read();
         self.db.set_journal(journal, name);
     }
 
@@ -299,7 +260,7 @@ impl CowProxy {
             hierarchy: ViewHierarchy::default(),
             forks,
             rewrite: RewriteCache::default(),
-            read_slot: ReadSlot::new(),
+            readers: ReaderKey::default(),
         }
     }
 
@@ -310,7 +271,6 @@ impl CowProxy {
     /// missing and `read_relation` would fall back to the plain user
     /// view, hiding an initiator's delta rows.
     pub fn rebuild_cow_views(&mut self) -> SqlResult<()> {
-        self.retract_read();
         self.rewrite.bump_epoch();
         for initiator in self.forks.keys() {
             self.hierarchy.build_cow_views(&mut self.db, initiator)?;
@@ -358,7 +318,6 @@ impl CowProxy {
         if self.has_delta(table, initiator) {
             return Ok(());
         }
-        self.retract_read();
         let mut sp = maxoid_obs::span("cowproxy.cow_fork");
         sp.field_with("table", || table.to_string());
         sp.field_with("initiator", || initiator.to_string());
@@ -471,7 +430,6 @@ impl CowProxy {
         let mut sp = maxoid_obs::span("cowproxy.insert");
         sp.field_with("table", || table.to_string());
         sp.field_with("view", || format!("{view:?}"));
-        self.retract_read();
         let (cols, params) = split_values(values);
         let (view_tag, vinit) = view_key(view);
         let key = Key {
@@ -571,7 +529,6 @@ impl CowProxy {
         let mut sp = maxoid_obs::span("cowproxy.update");
         sp.field_with("table", || table.to_string());
         sp.field_with("view", || format!("{view:?}"));
-        self.retract_read();
         let mut parts: Vec<&str> = sets.iter().map(|(c, _)| *c).collect();
         parts.push(if where_clause.is_some() { "1" } else { "0" });
         parts.push(where_clause.unwrap_or(""));
@@ -640,7 +597,6 @@ impl CowProxy {
         let mut sp = maxoid_obs::span("cowproxy.delete");
         sp.field_with("table", || table.to_string());
         sp.field_with("view", || format!("{view:?}"));
-        self.retract_read();
         let parts = [if where_clause.is_some() { "1" } else { "0" }, where_clause.unwrap_or("")];
         let (view_tag, vinit) = view_key(view);
         let key = Key {
@@ -694,6 +650,25 @@ impl CowProxy {
         params: &[Value],
     ) -> SqlResult<ResultSet> {
         cached_query(&self.rewrite, &self.db, view, table, opts, params)
+    }
+
+    /// Runs [`CowProxy::query`] through the calling thread's reader for
+    /// this proxy instead of the proxy's own caches: the reader binds the
+    /// live catalog (three `Arc` clones), runs the query on its private
+    /// statement and rewrite caches, and lets go of the maps before this
+    /// returns, whether the query succeeded or not. This is how routed
+    /// queries run under the authority's shared lock, so threads reading
+    /// one authority share no cache, and a writer that waited for their
+    /// guards finds no map a reader holds.
+    pub fn reader_query(
+        &self,
+        view: &DbView,
+        table: &str,
+        opts: &QueryOpts,
+        params: &[Value],
+    ) -> SqlResult<ResultSet> {
+        let epoch = self.rewrite.epoch();
+        crate::reader::query(&self.readers, &self.db, epoch, view, table, opts, params)
     }
 
     /// The administrative view (paper §5.2): every public and volatile
@@ -750,7 +725,6 @@ impl CowProxy {
     pub fn clear_volatile(&mut self, initiator: &str) -> SqlResult<usize> {
         let mut sp = maxoid_obs::span("cowproxy.clear_volatile");
         sp.field_with("initiator", || initiator.to_string());
-        self.retract_read();
         let mut cleared = 0;
         for table in self.forks.get(initiator).into_iter().flatten() {
             let delta = delta_table(table, initiator);
@@ -771,7 +745,6 @@ impl CowProxy {
     pub fn retire(&mut self, initiator: &str) -> SqlResult<usize> {
         let mut sp = maxoid_obs::span("cowproxy.retire");
         sp.field_with("initiator", || initiator.to_string());
-        self.retract_read();
         let tables = self.forked_tables(initiator).to_vec();
         if tables.is_empty() {
             return Ok(0);
@@ -837,7 +810,6 @@ impl CowProxy {
         let mut sp = maxoid_obs::span("cowproxy.commit_volatile_row");
         sp.field_with("table", || table.to_string());
         sp.field_with("id", || id.to_string());
-        self.retract_read();
         let delta = delta_table(table, initiator);
         if !self.db.has_table(&delta) {
             return Ok(None);
@@ -927,12 +899,11 @@ impl CowProxy {
     }
 }
 
-/// Resolves the relation a read should target, given any database — the
-/// live one under the authority lock or a frozen snapshot. Shared by
-/// [`CowProxy::read_relation`] and the snapshot path in [`crate::reader`];
-/// because the existence probes run against the passed database, a
-/// snapshot read decides delta/COW-view routing *within* the snapshot
-/// ("snapshot-to-snapshot"), never against newer live state.
+/// Resolves the relation a read should target, given the database the
+/// read runs on: the proxy's own, or a reader bound to its catalog.
+/// Shared by [`CowProxy::read_relation`] and [`crate::reader`]; the
+/// existence probes run against the passed database, so a read decides
+/// delta/COW-view routing on the catalog it will run on.
 ///
 /// `None` is a volatile read of a table the initiator never forked: it
 /// holds none of that table's rows, so there is no relation to read.
@@ -971,8 +942,8 @@ pub(crate) fn relation_for_read(
 /// (or replays from the rewrite cache) the rewritten SQL for one
 /// view-routed query, executes it, and strips any footnote-5 appended
 /// ORDER BY columns. [`CowProxy::query`] calls it with the proxy's own
-/// state; [`crate::reader::ReadSlot::try_query`] calls it with a
-/// thread-local rewrite cache and a snapshot-bound database.
+/// state; [`CowProxy::reader_query`] with a thread-local rewrite cache and
+/// a reader bound to the proxy's catalog.
 pub(crate) fn cached_query(
     rewrite: &RewriteCache,
     db: &Database,

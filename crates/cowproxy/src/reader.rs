@@ -1,185 +1,104 @@
-//! The lock-free snapshot read path for the COW proxy.
+//! The shared-lock read path: per-thread readers over a live proxy.
 //!
-//! A [`crate::CowProxy`] lives behind its authority's write lock; every
-//! operation routed through that lock serializes against every other. MVCC
-//! snapshot reads (see `maxoid_sqldb::Database::begin_read`) break read
-//! traffic out of that queue: after each mutation settles, the lock holder
-//! calls [`crate::CowProxy::publish_read`], which captures an immutable
-//! [`maxoid_sqldb::ReadSnapshot`] of the committed database and stores it
-//! in a shared **read slot**. Reader threads clone the slot's contents
-//! under a short `RwLock` read guard — never the authority lock — and run
-//! ordinary proxy queries against the snapshot.
+//! A [`crate::CowProxy`] lives behind its authority's `RwLock`. A change
+//! takes it exclusively (every mutating entry point takes `&mut self`); a
+//! routed query takes it shared and runs through
+//! [`crate::CowProxy::reader_query`], which lands here. The calling
+//! thread's reader for the proxy binds the live catalog (three `Arc`
+//! clones), runs the query on the thread's own statement and rewrite
+//! caches, and lets go of the maps before it returns, so before the shared
+//! guard drops. A writer, which waits for every shared guard, therefore
+//! never finds a map a reader holds and copies nothing for one.
 //!
-//! Three invariants make this safe:
+//! Two invariants keep this exact:
 //!
-//! 1. **Publication only at quiescent points.** Every `&mut self` proxy
-//!    entry point retracts the slot *before* mutating, so a reader can
-//!    never observe a half-applied statement; it either sees the previous
-//!    committed snapshot or finds the slot empty and falls back to the
-//!    locked path. Writers that bypass the proxy (e.g. the system core
-//!    holding its own provider `Arc<Mutex<..>>`) still flow through the
-//!    proxy's mutating methods, so the retraction discipline holds.
-//! 2. **Snapshot-to-snapshot reads.** A snapshot freezes base tables,
-//!    delta tables, COW views and triggers at one commit stamp, so a
+//! 1. **One catalog per query.** A reader binds base tables, delta tables,
+//!    COW views and triggers together, under one shared guard, so a
 //!    flattened COW-view query evaluates both `UNION ALL` arms against
-//!    the same instant — no torn read between a delta and its base.
-//! 3. **Fork-epoch stamping.** The published snapshot carries the proxy's
-//!    fork epoch. Thread-local rewrite caches compare it on every bind
-//!    and drop their entries when COW topology changed, exactly as the
-//!    locked path's cache does.
+//!    the same state: no torn read between a delta and its base.
+//! 2. **Fork-epoch stamping.** Each bind compares the proxy's fork epoch
+//!    with the one the thread's rewrite cache was filled under, and drops
+//!    the cache's entries when COW topology changed, exactly as the
+//!    proxy's own cache does.
 //!
 //! Per-thread state (a [`maxoid_sqldb::SnapshotReader`] with its prepared
 //! statements and their plans, and a rewrite cache) lives in a
-//! `thread_local!` registry keyed by slot id, so repeated reads on one
-//! thread reuse plans across snapshot retargets and share nothing across
-//! threads. An entry holds its slot weakly, and entries whose slot is gone
-//! (the proxy and every handle dropped) are pruned whenever the thread
-//! first reads another slot, so the registry stays bounded by the live
-//! slots the thread reads plus one.
+//! `thread_local!` registry keyed by proxy, so repeated reads on one thread
+//! reuse plans across binds and share no cache across threads. An entry
+//! holds its proxy's key weakly, and entries whose proxy is gone are
+//! pruned whenever the thread first reads another proxy, so the registry
+//! stays bounded by the live proxies the thread reads plus one.
 
 use crate::proxy::{cached_query, DbView, QueryOpts};
 use crate::rewrite::RewriteCache;
-use maxoid_sqldb::{ReadSnapshot, ResultSet, SnapshotReader, SqlResult, Value};
-use parking_lot::RwLock;
+use maxoid_sqldb::{Database, ResultSet, SnapshotReader, SqlResult, Value};
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
-/// Slot ids are process-unique so thread-local readers never mix
-/// snapshots of different logical databases.
-static NEXT_SLOT_ID: AtomicU64 = AtomicU64::new(1);
+/// A proxy's key in the per-thread reader registry: an allocation the
+/// proxy owns. Registry entries hold it weakly, which keeps the
+/// allocation, so its address names one proxy for as long as any entry
+/// can be looked up by it.
+#[derive(Debug, Default)]
+pub(crate) struct ReaderKey(Arc<()>);
 
-/// What the write side publishes: a committed snapshot plus the fork
-/// epoch it was taken at.
-#[derive(Debug, Clone)]
-pub(crate) struct CowPublished {
-    pub snap: ReadSnapshot,
-    pub fork_epoch: u64,
-}
-
-/// A cloneable, `Send + Sync` handle to one proxy's published snapshot.
-///
-/// Obtained from [`crate::CowProxy::read_slot`]; typically held by a
-/// resolver-side read handle so queries can be served without taking the
-/// authority's write lock. When the slot is empty (a mutation retracted
-/// it, or a transaction is open),
-/// [`ReadSlot::try_query`] returns `None` and the caller falls back to
-/// the locked path.
-#[derive(Debug, Clone)]
-pub struct ReadSlot {
-    id: u64,
-    slot: Arc<Slot>,
-}
-
-// The slot handle crosses threads by design.
-const _: fn() = || {
-    fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<ReadSlot>();
-};
-
-/// What the write side publishes into, and readers clone out of.
-type Slot = RwLock<Option<CowPublished>>;
-
-/// One thread's cached machinery for reading a particular slot.
+/// One thread's cached machinery for reading a particular proxy.
 struct CowReader {
-    /// The slot this reader serves; dead once its proxy is dropped.
-    slot: Weak<Slot>,
+    /// The proxy this reader serves; dead once the proxy is dropped.
+    proxy: Weak<()>,
     reader: SnapshotReader,
     rewrite: RewriteCache,
     fork_epoch: u64,
 }
 
 thread_local! {
-    /// Per-thread snapshot readers, keyed by slot id.
-    static READERS: RefCell<HashMap<u64, CowReader>> = RefCell::new(HashMap::new());
+    /// Per-thread readers, keyed by the address of their proxy's key.
+    static READERS: RefCell<HashMap<usize, CowReader>> = RefCell::new(HashMap::new());
 }
 
-impl ReadSlot {
-    pub(crate) fn new() -> Self {
-        ReadSlot {
-            id: NEXT_SLOT_ID.fetch_add(1, Ordering::Relaxed),
-            slot: Arc::new(RwLock::new(None)),
+/// Runs a proxy query on the calling thread's reader for the proxy whose
+/// key is `key`, database `db` and fork epoch `fork_epoch`, holding the
+/// live maps only while the query runs.
+pub(crate) fn query(
+    key: &ReaderKey,
+    db: &Database,
+    fork_epoch: u64,
+    view: &DbView,
+    table: &str,
+    opts: &QueryOpts,
+    params: &[Value],
+) -> SqlResult<ResultSet> {
+    READERS.with(|cell| {
+        let mut map = cell.borrow_mut();
+        let id = Arc::as_ptr(&key.0) as usize;
+        if !map.contains_key(&id) {
+            map.retain(|_, r| r.proxy.strong_count() > 0);
         }
-    }
-
-    /// Installs a published snapshot. Skips the write lock when the
-    /// incumbent is already the same `(stamp, fork_epoch)` pair.
-    pub(crate) fn publish(&self, p: CowPublished) {
-        if let Some(cur) = &*self.slot.read() {
-            if cur.fork_epoch == p.fork_epoch && cur.snap.stamp() == p.snap.stamp() {
-                return;
-            }
+        let r = map.entry(id).or_insert_with(|| CowReader {
+            proxy: Arc::downgrade(&key.0),
+            reader: SnapshotReader::new(),
+            rewrite: RewriteCache::default(),
+            fork_epoch,
+        });
+        if r.fork_epoch != fork_epoch {
+            // COW topology changed since this thread last read the proxy:
+            // cached rewrites may target dropped relations.
+            r.rewrite.bump_epoch();
+            r.fork_epoch = fork_epoch;
         }
-        *self.slot.write() = Some(p);
-    }
-
-    /// Empties the slot; readers fall back to the locked path until the
-    /// next [`ReadSlot::publish`].
-    pub(crate) fn retract(&self) {
-        // Cheap read-guard probe first: retraction runs on every proxy
-        // mutation and is usually a no-op between publishes.
-        if self.slot.read().is_some() {
-            *self.slot.write() = None;
-        }
-    }
-
-    /// Whether a snapshot is currently published.
-    pub fn is_published(&self) -> bool {
-        self.slot.read().is_some()
-    }
-
-    /// The commit stamp of the published snapshot, if any.
-    pub fn stamp(&self) -> Option<u64> {
-        self.slot.read().as_ref().map(|p| p.snap.stamp())
-    }
-
-    /// Runs a proxy query against the published snapshot, if one exists.
-    ///
-    /// Returns `None` when the slot is empty — the caller must then take
-    /// the authority lock and query the live proxy. `Some(result)` is a
-    /// full COW-aware query: delegate views resolve to COW views, volatile
-    /// views to delta tables, exactly as [`crate::CowProxy::query`] would.
-    pub fn try_query(
-        &self,
-        view: &DbView,
-        table: &str,
-        opts: &QueryOpts,
-        params: &[Value],
-    ) -> Option<SqlResult<ResultSet>> {
-        let published = self.slot.read().clone()?;
-        READERS.with(|cell| {
-            let mut map = cell.borrow_mut();
-            if !map.contains_key(&self.id) {
-                map.retain(|_, r| r.slot.strong_count() > 0);
-            }
-            let r = map.entry(self.id).or_insert_with(|| CowReader {
-                slot: Arc::downgrade(&self.slot),
-                reader: SnapshotReader::new(),
-                rewrite: RewriteCache::default(),
-                fork_epoch: published.fork_epoch,
-            });
-            if r.fork_epoch != published.fork_epoch {
-                // COW topology changed since this thread last read the
-                // slot: cached rewrites may target dropped relations.
-                r.rewrite.bump_epoch();
-                r.fork_epoch = published.fork_epoch;
-            }
-            let db = r.reader.bind(&published.snap);
-            maxoid_obs::counter_add("cowproxy.snapshot_queries", 1);
-            let rs = cached_query(&r.rewrite, db, view, table, opts, params);
-            // Hold the snapshot only while the query runs: a write that
-            // follows then finds the live maps unshared and copies none.
-            r.reader.release();
-            Some(rs)
-        })
-    }
+        let bound = r.reader.bind(db);
+        let rs = cached_query(&r.rewrite, bound, view, table, opts, params);
+        r.reader.release();
+        rs
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::CowProxy;
+    use parking_lot::RwLock;
 
     fn seeded() -> CowProxy {
         let mut p = CowProxy::new();
@@ -194,34 +113,12 @@ mod tests {
         p
     }
 
-    #[test]
-    fn slot_starts_empty_and_publishes_on_demand() {
-        let mut p = seeded();
-        let slot = p.read_slot();
-        assert!(!slot.is_published());
-        assert!(slot.try_query(&DbView::Primary, "words", &QueryOpts::default(), &[]).is_none());
-        p.publish_read();
-        assert!(slot.is_published());
-        let rs = slot
-            .try_query(&DbView::Primary, "words", &QueryOpts::default(), &[])
-            .expect("published")
-            .unwrap();
-        assert_eq!(rs.rows.len(), 3);
-    }
-
-    #[test]
-    fn mutation_retracts_until_republished() {
-        let mut p = seeded();
-        let slot = p.read_slot();
-        p.publish_read();
-        assert!(slot.is_published());
-        p.insert(&DbView::Primary, "words", &[("word", "delta".into())]).unwrap();
-        assert!(!slot.is_published(), "a write must retract the published snapshot");
-        assert!(slot.try_query(&DbView::Primary, "words", &QueryOpts::default(), &[]).is_none());
-        p.publish_read();
-        let rs =
-            slot.try_query(&DbView::Primary, "words", &QueryOpts::default(), &[]).unwrap().unwrap();
-        assert_eq!(rs.rows.len(), 4);
+    fn word(id: i64) -> QueryOpts {
+        QueryOpts {
+            columns: vec!["word".into()],
+            where_clause: Some(format!("_id = {id}")),
+            ..Default::default()
+        }
     }
 
     #[test]
@@ -229,128 +126,74 @@ mod tests {
         let mut p = seeded();
         let delegate = DbView::Delegate { initiator: "A".into() };
         p.update(&delegate, "words", &[("word", "ALPHA".into())], Some("_id = 1"), &[]).unwrap();
-        p.publish_read();
-        let slot = p.read_slot();
-        // Delegate read resolves onto the COW view inside the snapshot.
-        let rs = slot
-            .try_query(
-                &delegate,
-                "words",
-                &QueryOpts {
-                    columns: vec!["word".into()],
-                    where_clause: Some("_id = 1".into()),
-                    ..Default::default()
-                },
-                &[],
-            )
-            .unwrap()
-            .unwrap();
+        // A delegate read resolves onto the COW view.
+        let rs = p.reader_query(&delegate, "words", &word(1), &[]).unwrap();
         assert_eq!(rs.rows, vec![vec![Value::Text("ALPHA".into())]]);
-        // Primary view through the same snapshot is untouched.
-        let rs = slot
-            .try_query(
-                &DbView::Primary,
-                "words",
-                &QueryOpts {
-                    columns: vec!["word".into()],
-                    where_clause: Some("_id = 1".into()),
-                    ..Default::default()
-                },
-                &[],
-            )
-            .unwrap()
-            .unwrap();
+        // The primary view is untouched.
+        let rs = p.reader_query(&DbView::Primary, "words", &word(1), &[]).unwrap();
         assert_eq!(rs.rows, vec![vec![Value::Text("alpha".into())]]);
-        // Volatile view sees the delta row, whiteouts excluded.
-        let rs = slot
-            .try_query(
-                &DbView::Volatile { initiator: "A".into() },
-                "words",
-                &QueryOpts::default(),
-                &[],
-            )
-            .unwrap()
-            .unwrap();
+        // The volatile view sees the delta row, whiteouts excluded.
+        let volatile = DbView::Volatile { initiator: "A".into() };
+        let rs = p.reader_query(&volatile, "words", &QueryOpts::default(), &[]).unwrap();
         assert_eq!(rs.rows.len(), 1);
     }
 
     #[test]
-    fn published_snapshot_is_immutable_under_later_writes() {
-        let mut p = seeded();
-        p.publish_read();
-        let slot = p.read_slot();
-        // Clone the published state by querying, then mutate and check the
-        // reader bound to the old snapshot still sees three rows.
-        let published = slot.slot.read().clone().unwrap();
-        p.insert(&DbView::Primary, "words", &[("word", "delta".into())]).unwrap();
-        let mut reader = SnapshotReader::new();
-        let db = reader.bind(&published.snap);
-        let rs = db.query("SELECT * FROM words", &[]).unwrap();
-        assert_eq!(rs.rows.len(), 3);
-        assert_eq!(p.db().query("SELECT * FROM words", &[]).unwrap().rows.len(), 4);
-    }
-
-    #[test]
-    fn thread_readers_are_bounded_by_live_slots() {
-        let mut live = seeded();
-        live.publish_read();
-        let slot = live.read_slot();
-        slot.try_query(&DbView::Primary, "words", &QueryOpts::default(), &[]).unwrap().unwrap();
+    fn thread_readers_are_bounded_by_live_proxies() {
+        let live = seeded();
+        live.reader_query(&DbView::Primary, "words", &QueryOpts::default(), &[]).unwrap();
         for _ in 0..1000 {
-            let mut p = seeded();
-            p.publish_read();
-            let rs = p.read_slot().try_query(&DbView::Primary, "words", &QueryOpts::default(), &[]);
-            assert_eq!(rs.unwrap().unwrap().rows.len(), 3);
+            let p = seeded();
+            let rs = p.reader_query(&DbView::Primary, "words", &QueryOpts::default(), &[]);
+            assert_eq!(rs.unwrap().rows.len(), 3);
             drop(p);
             let readers = READERS.with(|cell| cell.borrow().len());
-            // The live slot, plus the one just dropped: its entry goes
-            // when this thread first reads the next slot.
-            assert!(readers <= 2, "{readers} thread-local readers for 1 live slot");
+            // The live proxy, plus the one just dropped: its entry goes
+            // when this thread first reads the next proxy.
+            assert!(readers <= 2, "{readers} thread-local readers for 1 live proxy");
         }
-        let rs = slot.try_query(&DbView::Primary, "words", &QueryOpts::default(), &[]);
-        assert_eq!(rs.unwrap().unwrap().rows.len(), 3, "the live slot's reader survives pruning");
+        let rs = live.reader_query(&DbView::Primary, "words", &QueryOpts::default(), &[]);
+        assert_eq!(rs.unwrap().rows.len(), 3, "the live proxy's reader survives pruning");
     }
 
+    /// Threads read one proxy under a shared lock while a writer takes it
+    /// exclusively: every read sees a whole state, before or after a write.
     #[test]
     fn snapshot_reads_work_from_other_threads() {
-        let mut p = seeded();
-        p.publish_read();
-        let slot = p.read_slot();
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let slot = slot.clone();
-                std::thread::spawn(move || {
+        let p = RwLock::new(seeded());
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
                     for _ in 0..50 {
-                        let rs = slot
-                            .try_query(&DbView::Primary, "words", &QueryOpts::default(), &[])
-                            .expect("published")
+                        let rs = p
+                            .read()
+                            .reader_query(&DbView::Primary, "words", &QueryOpts::default(), &[])
                             .unwrap();
-                        assert_eq!(rs.rows.len(), 3);
+                        assert!(rs.rows.len() == 3 || rs.rows.len() == 4, "{rs:?}");
                     }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+                });
+            }
+            s.spawn(|| {
+                p.write().insert(&DbView::Primary, "words", &[("word", "delta".into())]).unwrap();
+            });
+        });
+        let rs = p.read().reader_query(&DbView::Primary, "words", &QueryOpts::default(), &[]);
+        assert_eq!(rs.unwrap().rows.len(), 4);
     }
 
     #[test]
     fn fork_epoch_change_invalidates_thread_local_rewrites() {
         let mut p = seeded();
         let delegate = DbView::Delegate { initiator: "A".into() };
-        p.publish_read();
-        let slot = p.read_slot();
-        // Warm the thread-local cache: delegate read before any fork
+        // Warm the thread-local cache: a delegate read before any fork
         // resolves to the primary table.
-        let rs = slot.try_query(&delegate, "words", &QueryOpts::default(), &[]).unwrap().unwrap();
+        let rs = p.reader_query(&delegate, "words", &QueryOpts::default(), &[]).unwrap();
         assert_eq!(rs.rows.len(), 3);
         // Fork: the delegate deletes a row (whiteout). The epoch bump must
         // reach the thread-local cache or the stale rewrite would keep
         // reading the primary table.
         p.delete(&delegate, "words", Some("_id = 1"), &[]).unwrap();
-        p.publish_read();
-        let rs = slot.try_query(&delegate, "words", &QueryOpts::default(), &[]).unwrap().unwrap();
-        assert_eq!(rs.rows.len(), 2, "post-fork snapshot read must see the whiteout");
+        let rs = p.reader_query(&delegate, "words", &QueryOpts::default(), &[]).unwrap();
+        assert_eq!(rs.rows.len(), 2, "a read after the fork must see the whiteout");
     }
 }

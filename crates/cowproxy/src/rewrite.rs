@@ -19,10 +19,11 @@
 //! logical journal records exactly what an uncached proxy would record;
 //! the database's statement cache parses and plans each text once.
 
-use std::cell::{Cell, RefCell};
+use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 /// Entry cap; the cache is cleared wholesale when it fills. A shape is
@@ -122,78 +123,80 @@ struct Entry {
     rewrite: Rewrite,
 }
 
-/// The per-proxy rewrite cache. Interior-mutable because queries take
-/// `&CowProxy`.
+/// The rewrite cache: one per proxy, and one per reader thread. Interior-
+/// mutable because queries take `&CowProxy`; a mutex and relaxed atomics
+/// so a proxy shared by readers stays `Sync` (each reader thread runs on
+/// its own cache, so nothing contends on them).
 #[derive(Debug, Default)]
 pub(crate) struct RewriteCache {
-    disabled: Cell<bool>,
-    epoch: Cell<u64>,
-    entries: RefCell<HashMap<u64, Entry>>,
-    hits: Cell<u64>,
-    misses: Cell<u64>,
+    disabled: AtomicBool,
+    epoch: AtomicU64,
+    entries: Mutex<HashMap<u64, Entry>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 impl RewriteCache {
     /// Toggles the cache; disabling drops every entry so re-enabling
     /// starts cold.
     pub(crate) fn set_enabled(&self, on: bool) {
-        self.disabled.set(!on);
+        self.disabled.store(!on, Relaxed);
         if !on {
-            self.entries.borrow_mut().clear();
+            self.entries.lock().clear();
         }
     }
 
     pub(crate) fn epoch(&self) -> u64 {
-        self.epoch.get()
+        self.epoch.load(Relaxed)
     }
 
     /// Advances the fork epoch, logically invalidating every cached
     /// rewrite. Entries are dropped eagerly; the per-entry epoch stamp is
     /// belt and braces against reuse across a bump.
     pub(crate) fn bump_epoch(&self) {
-        self.epoch.set(self.epoch.get().wrapping_add(1));
-        self.entries.borrow_mut().clear();
+        self.epoch.fetch_add(1, Relaxed);
+        self.entries.lock().clear();
     }
 
     pub(crate) fn stats(&self) -> (u64, u64) {
-        (self.hits.get(), self.misses.get())
+        (self.hits.load(Relaxed), self.misses.load(Relaxed))
     }
 
     /// Entries held.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.entries.borrow().len()
+        self.entries.lock().len()
     }
 
     pub(crate) fn lookup(&self, key: &Key<'_>) -> Option<Rewrite> {
-        if self.disabled.get() {
+        if self.disabled.load(Relaxed) {
             return None;
         }
-        let entries = self.entries.borrow();
+        let entries = self.entries.lock();
         if let Some(e) = entries.get(&key.fingerprint()) {
-            if e.epoch == self.epoch.get() && key.matches(e) {
-                self.hits.set(self.hits.get() + 1);
+            if e.epoch == self.epoch() && key.matches(e) {
+                self.hits.fetch_add(1, Relaxed);
                 maxoid_obs::counter_add("cowproxy.rewrite_cache_hits", 1);
                 return Some(e.rewrite.clone());
             }
         }
-        self.misses.set(self.misses.get() + 1);
+        self.misses.fetch_add(1, Relaxed);
         maxoid_obs::counter_add("cowproxy.rewrite_cache_misses", 1);
         None
     }
 
     pub(crate) fn insert(&self, key: &Key<'_>, rewrite: Rewrite) {
-        if self.disabled.get() {
+        if self.disabled.load(Relaxed) {
             return;
         }
-        let mut entries = self.entries.borrow_mut();
+        let mut entries = self.entries.lock();
         if entries.len() >= REWRITE_CACHE_CAP {
             entries.clear();
         }
         entries.insert(
             key.fingerprint(),
             Entry {
-                epoch: self.epoch.get(),
+                epoch: self.epoch(),
                 op: key.op,
                 view_tag: key.view_tag,
                 initiator: key.initiator.to_string(),

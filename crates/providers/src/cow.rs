@@ -5,8 +5,8 @@
 //! for the latter two, their own services. Everything else — routing a
 //! URI to its relation, mapping the caller to its [`DbView`], assembling
 //! the WHERE clause from the URI's item id and the caller's selection,
-//! refusing writes through user views, the routed data calls and the
-//! snapshot read handle — lives here, once, in [`CowProvider`].
+//! refusing writes through user views and the routed data calls — lives
+//! here, once, in [`CowProvider`].
 //!
 //! A provider runs the caller's fragments with its own authority over
 //! every tenant's state, so this is also where they are checked (the
@@ -16,14 +16,11 @@
 //! Anything else is [`ProviderError::Denied`] before any SQL runs.
 
 use crate::provider::{
-    Caller, ContentProvider, ContentValues, ProviderError, ProviderResult, QueryArgs, ReadHandle,
+    Caller, ContentProvider, ContentValues, ProviderError, ProviderResult, QueryArgs,
 };
 use crate::uri::Uri;
-use maxoid_cowproxy::{
-    delta_table, CowProxy, DbView, QueryOpts, ReadSlot, DELTA_PK_START, WHITEOUT_COL,
-};
+use maxoid_cowproxy::{delta_table, CowProxy, DbView, QueryOpts, DELTA_PK_START, WHITEOUT_COL};
 use maxoid_sqldb::{Database, ResultSet, Value};
-use std::sync::Arc;
 
 /// What one proxy-backed provider declares: its authority, its schema
 /// and the URI collections it serves.
@@ -220,7 +217,7 @@ impl<S> CowProvider<S> {
     }
 }
 
-impl<S: Send> ContentProvider for CowProvider<S> {
+impl<S: Send + Sync> ContentProvider for CowProvider<S> {
     fn authority(&self) -> &str {
         self.schema.authority
     }
@@ -259,9 +256,11 @@ impl<S: Send> ContentProvider for CowProvider<S> {
         Ok(self.proxy.update(&view, relation, &sets, where_clause.as_deref(), &params)?)
     }
 
-    fn query(&mut self, caller: &Caller, uri: &Uri, args: &QueryArgs) -> ProviderResult<ResultSet> {
+    /// Runs on the calling thread's reader (see
+    /// [`CowProxy::reader_query`]).
+    fn query(&self, caller: &Caller, uri: &Uri, args: &QueryArgs) -> ProviderResult<ResultSet> {
         let (relation, view, opts, params) = self.schema.route_query(caller, uri, args)?;
-        Ok(self.proxy.query(&view, relation, &opts, &params)?)
+        Ok(self.proxy.reader_query(&view, relation, &opts, &params)?)
     }
 
     fn delete(&mut self, caller: &Caller, uri: &Uri, args: &QueryArgs) -> ProviderResult<usize> {
@@ -324,14 +323,6 @@ impl<S: Send> ContentProvider for CowProvider<S> {
         }
         Ok(public)
     }
-
-    fn publish_read(&mut self) {
-        self.proxy.publish_read();
-    }
-
-    fn read_handle(&self) -> Option<Arc<dyn ReadHandle>> {
-        Some(Arc::new(CowReadHandle { schema: self.schema, slot: self.proxy.read_slot() }))
-    }
 }
 
 /// The refusal of a commit of `table` row `id`, which names the volatile
@@ -340,28 +331,4 @@ fn refused(table: &str, id: i64, parent: &str, named: i64) -> ProviderError {
     ProviderError::Denied(format!(
         "{table} row {id} names volatile {parent} row {named}: commit that first"
     ))
-}
-
-/// The snapshot read path: the locked path's routing and checks, run
-/// against the proxy's published snapshot.
-#[derive(Debug)]
-struct CowReadHandle {
-    schema: &'static Schema,
-    slot: ReadSlot,
-}
-
-impl ReadHandle for CowReadHandle {
-    fn try_query(
-        &self,
-        caller: &Caller,
-        uri: &Uri,
-        args: &QueryArgs,
-    ) -> Option<ProviderResult<ResultSet>> {
-        let (relation, view, opts, params) = match self.schema.route_query(caller, uri, args) {
-            Ok(routed) => routed,
-            Err(e) => return Some(Err(e)),
-        };
-        let rs = self.slot.try_query(&view, relation, &opts, &params)?;
-        Some(rs.map_err(ProviderError::from))
-    }
 }

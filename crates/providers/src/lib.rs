@@ -49,7 +49,7 @@ pub use cow::CowProvider;
 pub use downloads::{DownloadNotification, DownloadRequest, DownloadService, DownloadsProvider};
 pub use locator::{FileLocator, SimpleLocator, SystemFiles};
 pub use media::{MediaKind, MediaProvider};
-pub use provider::{Caller, ContentValues, ProviderError, ProviderResult, QueryArgs, ReadHandle};
+pub use provider::{Caller, ContentValues, ProviderError, ProviderResult, QueryArgs};
 pub use resolver::{ContentResolver, ProviderScope};
 pub use uri::{Uri, UriError};
 pub use userdict::UserDictionaryProvider;

@@ -1,11 +1,15 @@
 //! The content-provider interface and caller identity.
+//!
+//! [`ContentProvider::query`] takes `&self` and every change `&mut self`:
+//! the resolver holds each provider behind one `RwLock`, taken shared for
+//! a query and exclusively for a change, so a provider needs no read path
+//! of its own to serve queries in parallel.
 
 use crate::uri::Uri;
 use maxoid_cowproxy::DbView;
 use maxoid_kernel::{AppId, ExecContext};
 use maxoid_sqldb::{ResultSet, Value};
 use std::fmt;
-use std::sync::Arc;
 
 /// Identity of the process calling into a provider.
 ///
@@ -177,8 +181,10 @@ pub trait ContentProvider {
         args: &QueryArgs,
     ) -> ProviderResult<usize>;
 
-    /// Queries rows.
-    fn query(&mut self, caller: &Caller, uri: &Uri, args: &QueryArgs) -> ProviderResult<ResultSet>;
+    /// Queries rows. Takes `&self`: the resolver runs queries under the
+    /// authority's shared lock, so queries on one authority run in
+    /// parallel with each other, and changes wait for them.
+    fn query(&self, caller: &Caller, uri: &Uri, args: &QueryArgs) -> ProviderResult<ResultSet>;
 
     /// Deletes matching rows; returns the affected count.
     fn delete(&mut self, caller: &Caller, uri: &Uri, args: &QueryArgs) -> ProviderResult<usize>;
@@ -218,38 +224,6 @@ pub trait ContentProvider {
     ) -> ProviderResult<Option<i64>> {
         Ok(None)
     }
-
-    /// MVCC hook: publishes a fresh committed snapshot for lock-free
-    /// readers (see [`ReadHandle`]). The resolver calls this after every
-    /// locked provider call, i.e. at a quiescent point while it still
-    /// holds the authority lock. Providers without a snapshot read path
-    /// ignore it.
-    fn publish_read(&mut self) {}
-
-    /// The provider's lock-free read path, which the resolver takes at
-    /// registration. Providers without one return `None`.
-    fn read_handle(&self) -> Option<Arc<dyn ReadHandle>> {
-        None
-    }
-}
-
-/// The lock-free read path of a provider (MVCC snapshot reads).
-///
-/// A read handle holds a [`maxoid_cowproxy::ReadSlot`] — never the
-/// provider itself — so [`ReadHandle::try_query`] runs without the
-/// per-authority write lock. Returning `None` sends the resolver down the
-/// locked path: no snapshot is published (a mutation just retracted it,
-/// or a transaction is open). Access
-/// control stays in the resolver; handles only plan and execute the
-/// query.
-pub trait ReadHandle: Send + Sync {
-    /// Attempts to serve a routed query from the published snapshot.
-    fn try_query(
-        &self,
-        caller: &Caller,
-        uri: &Uri,
-        args: &QueryArgs,
-    ) -> Option<ProviderResult<ResultSet>>;
 }
 
 #[cfg(test)]

@@ -6,9 +6,14 @@
 //! private to their owner unless the owner issues a per-URI grant
 //! (`FLAG_GRANT_READ_URI_PERMISSION`), the mechanism Email uses to let a
 //! viewer open one attachment (§2.2).
+//!
+//! Each provider sits behind one `RwLock` per authority. A routed query
+//! takes it shared, so queries on one authority run in parallel; an
+//! insert, update, delete, Clear-Vol or commit step takes it exclusively
+//! and waits for them (see [`ContentResolver`]'s concurrency notes).
 
 use crate::provider::{
-    Caller, ContentProvider, ContentValues, ProviderError, ProviderResult, QueryArgs, ReadHandle,
+    Caller, ContentProvider, ContentValues, ProviderError, ProviderResult, QueryArgs,
 };
 use crate::uri::Uri;
 use maxoid_sqldb::ResultSet;
@@ -40,17 +45,16 @@ struct UriGrant {
     one_shot: bool,
 }
 
-/// A registered provider: its reachability scope, the per-authority
-/// **write lock** that serializes mutations into it, and the optional
-/// lock-free read handle. The `Arc` lets routing clone the entry out of
-/// the table and release the table lock before dispatching, so calls to
-/// *different* authorities run fully in parallel; the read handle lets
-/// queries on the *same* authority run in parallel too.
+/// A registered provider: its reachability scope and the per-authority
+/// lock, which queries take shared and changes take exclusively. The
+/// `Arc` lets routing clone the entry out of the table and release the
+/// table lock before dispatching, so calls to *different* authorities run
+/// fully in parallel, and queries on the *same* authority run in parallel
+/// with each other.
 #[derive(Clone)]
 struct ProviderEntry {
     scope: ProviderScope,
-    provider: Arc<Mutex<dyn ContentProvider + Send>>,
-    read: Option<Arc<dyn ReadHandle>>,
+    provider: Arc<RwLock<dyn ContentProvider + Send + Sync>>,
 }
 
 /// Routes content URIs to registered providers and enforces reachability.
@@ -60,25 +64,20 @@ struct ProviderEntry {
 /// The authority table is an `RwLock` (registration is rare; routing
 /// takes read locks), the grant list has its own mutex (one-shot grants
 /// are consumed atomically), and each provider sits behind its own
-/// per-authority **write lock**. Mutations take that lock; after each
-/// one the resolver asks the provider to publish a fresh MVCC snapshot
-/// ([`ContentProvider::publish_read`]). Queries first try the
-/// provider's registered [`ReadHandle`], which serves them from the
-/// published snapshot without the write lock; only when no snapshot is
-/// available (a mutation retracted it, or a transaction is open; paged
-/// tables publish like resident ones) do they fall back to the locked
-/// path. When a caller must
-/// lock several providers (the Clear-Vol sweep), it does so one at a time
-/// in ascending authority order — the documented provider-lock order
-/// (DESIGN.md §4.10).
+/// per-authority `RwLock`, the way SQLite shares a database: a query
+/// takes it shared ([`ContentProvider::query`] takes `&self`), every
+/// change takes it exclusively. When a caller must lock several providers
+/// (the Clear-Vol sweep), it does so one at a time in ascending authority
+/// order — the documented provider-lock order (DESIGN.md §4.10). No
+/// provider call takes its own authority's lock again: with a writer
+/// queued, a nested shared acquire would wait for that writer, which
+/// waits for the outer guard.
 #[derive(Default)]
 pub struct ContentResolver {
     providers: RwLock<BTreeMap<String, ProviderEntry>>,
     grants: Mutex<Vec<UriGrant>>,
-    /// Queries served lock-free from a published snapshot.
-    snapshot_reads: AtomicU64,
-    /// Queries that fell back to the per-authority write lock.
-    locked_reads: AtomicU64,
+    /// Queries routed to a provider (access checks passed).
+    queries: AtomicU64,
 }
 
 impl std::fmt::Debug for ContentResolver {
@@ -96,29 +95,27 @@ impl ContentResolver {
         ContentResolver::default()
     }
 
-    /// Registers a provider under its authority, together with its
-    /// lock-free read handle if it has one, and returns the provider's
-    /// mutex: the authority's one lock, which service APIs outside the
-    /// resolver (the download pump, media scans) take too.
-    pub fn register<P: ContentProvider + Send + 'static>(
+    /// Registers a provider under its authority and returns its lock: the
+    /// authority's one lock, which service APIs outside the resolver (the
+    /// download pump, media scans) take too.
+    pub fn register<P: ContentProvider + Send + Sync + 'static>(
         &self,
         scope: ProviderScope,
         provider: P,
-    ) -> Arc<Mutex<P>> {
+    ) -> Arc<RwLock<P>> {
         let authority = provider.authority().to_string();
-        let read = provider.read_handle();
-        let shared = Arc::new(Mutex::new(provider));
-        self.providers
-            .write()
-            .insert(authority, ProviderEntry { scope, provider: shared.clone(), read });
+        let shared = Arc::new(RwLock::new(provider));
+        self.providers.write().insert(authority, ProviderEntry { scope, provider: shared.clone() });
         shared
     }
 
-    /// `(snapshot_reads, locked_reads)` since construction: how many
-    /// routed queries were served lock-free from a published snapshot
-    /// versus under a per-authority write lock.
+    /// `(routed queries, 0)` since construction. Every routed query runs
+    /// under its authority's shared lock, so the second count, once the
+    /// queries that fell back to an exclusive lock, is always 0; the
+    /// method stays because the repository benchmark (`perfbench/`) reads
+    /// it.
     pub fn read_path_stats(&self) -> (u64, u64) {
-        (self.snapshot_reads.load(Ordering::Relaxed), self.locked_reads.load(Ordering::Relaxed))
+        (self.queries.load(Ordering::Relaxed), 0)
     }
 
     /// Returns the registered authorities.
@@ -196,10 +193,8 @@ impl ContentResolver {
     ) -> ProviderResult<Uri> {
         let entry = self.entry(&uri.authority)?;
         self.check_access(&entry.scope, caller, uri, true)?;
-        let mut p = entry.provider.lock();
-        let res = p.insert(caller, uri, values);
-        p.publish_read();
-        res
+        let mut p = entry.provider.write();
+        p.insert(caller, uri, values)
     }
 
     /// Routed update.
@@ -212,45 +207,27 @@ impl ContentResolver {
     ) -> ProviderResult<usize> {
         let entry = self.entry(&uri.authority)?;
         self.check_access(&entry.scope, caller, uri, true)?;
-        let mut p = entry.provider.lock();
-        let res = p.update(caller, uri, values, args);
-        p.publish_read();
-        res
+        let mut p = entry.provider.write();
+        p.update(caller, uri, values, args)
     }
 
-    /// Routed query.
-    ///
-    /// Tries the provider's lock-free read handle first: if a committed
-    /// snapshot is published, the query runs against it without the
-    /// authority's write lock (and in parallel with other readers).
-    /// Otherwise the query takes the write lock, runs against live
-    /// state, and republishes a snapshot for subsequent readers.
+    /// Routed query, under the authority's shared lock: queries on one
+    /// authority run in parallel with each other.
     pub fn query(&self, caller: &Caller, uri: &Uri, args: &QueryArgs) -> ProviderResult<ResultSet> {
         let entry = self.entry(&uri.authority)?;
         self.check_access(&entry.scope, caller, uri, false)?;
-        if let Some(read) = &entry.read {
-            if let Some(res) = read.try_query(caller, uri, args) {
-                self.snapshot_reads.fetch_add(1, Ordering::Relaxed);
-                maxoid_obs::counter_add("resolver.snapshot_reads", 1);
-                return res;
-            }
-        }
-        let mut p = entry.provider.lock();
-        let res = p.query(caller, uri, args);
-        p.publish_read();
-        self.locked_reads.fetch_add(1, Ordering::Relaxed);
-        maxoid_obs::counter_add("resolver.locked_reads", 1);
-        res
+        self.queries.fetch_add(1, Ordering::Relaxed);
+        maxoid_obs::counter_add("resolver.queries", 1);
+        let p = entry.provider.read();
+        p.query(caller, uri, args)
     }
 
     /// Routed delete.
     pub fn delete(&self, caller: &Caller, uri: &Uri, args: &QueryArgs) -> ProviderResult<usize> {
         let entry = self.entry(&uri.authority)?;
         self.check_access(&entry.scope, caller, uri, true)?;
-        let mut p = entry.provider.lock();
-        let res = p.delete(caller, uri, args);
-        p.publish_read();
-        res
+        let mut p = entry.provider.write();
+        p.delete(caller, uri, args)
     }
 
     /// Clears the volatile state every registered provider holds for
@@ -266,18 +243,14 @@ impl ContentResolver {
     }
 
     /// Runs `f` on every registered provider, locking them one at a time
-    /// in ascending authority order (the documented provider-lock order)
-    /// and republishing each one's snapshot.
+    /// in ascending authority order (the documented provider-lock order).
     fn each_provider(
         &self,
         mut f: impl FnMut(&mut dyn ContentProvider) -> ProviderResult<()>,
     ) -> ProviderResult<()> {
         let entries: Vec<ProviderEntry> = self.providers.read().values().cloned().collect();
         for e in entries {
-            let mut p = e.provider.lock();
-            let res = f(&mut *p);
-            p.publish_read();
-            res?;
+            f(&mut *e.provider.write())?;
         }
         Ok(())
     }
@@ -291,7 +264,7 @@ impl ContentResolver {
         initiator: &str,
         rows: &[(&str, i64)],
     ) -> ProviderResult<()> {
-        self.entry(authority)?.provider.lock().check_volatile_rows(initiator, rows)
+        self.entry(authority)?.provider.read().check_volatile_rows(initiator, rows)
     }
 
     /// Selectively commits one volatile row of `initiator` held by the
@@ -306,10 +279,8 @@ impl ContentResolver {
         id: i64,
     ) -> ProviderResult<Option<i64>> {
         let entry = self.entry(authority)?;
-        let mut p = entry.provider.lock();
-        let res = p.commit_volatile_row(initiator, table, id);
-        p.publish_read();
-        res
+        let mut p = entry.provider.write();
+        p.commit_volatile_row(initiator, table, id)
     }
 }
 
@@ -351,7 +322,7 @@ mod tests {
             Ok(0)
         }
 
-        fn query(&mut self, _: &Caller, uri: &Uri, _: &QueryArgs) -> ProviderResult<ResultSet> {
+        fn query(&self, _: &Caller, uri: &Uri, _: &QueryArgs) -> ProviderResult<ResultSet> {
             let id = uri.id().unwrap_or(0) as usize;
             let rows: SqlResult<Vec<Vec<maxoid_sqldb::Value>>> = Ok(self
                 .rows

@@ -80,7 +80,7 @@ mod tests {
 
     #[test]
     fn item_uri_addresses_single_row() {
-        let mut p = seeded();
+        let p = seeded();
         let kb = Caller::normal("com.keyboard");
         let rs = p.query(&kb, &words_uri().with_id(2), &QueryArgs::default()).unwrap();
         assert_eq!(rs.rows.len(), 1);
@@ -155,7 +155,7 @@ mod tests {
 
     #[test]
     fn selection_and_sort() {
-        let mut p = seeded();
+        let p = seeded();
         let kb = Caller::normal("com.keyboard");
         let rs = p
             .query(
@@ -191,7 +191,7 @@ mod tests {
 
     #[test]
     fn unknown_collection_rejected() {
-        let mut p = UserDictionaryProvider::new();
+        let p = UserDictionaryProvider::new();
         let bad = Uri::parse("content://user_dictionary/nope").unwrap();
         assert!(matches!(
             p.query(&Caller::normal("x"), &bad, &QueryArgs::default()),

@@ -4,14 +4,15 @@ use crate::ast::{SelectStmt, Stmt, TriggerEvent};
 use crate::error::{SqlError, SqlResult};
 use crate::exec::{plan_stmt, Plan};
 use crate::expr::{SubqueryCache, TriggerCtx};
-use crate::mvcc::{DbSnapshot, MvccStats, ReadSnapshot};
+use crate::mvcc::MvccStats;
 use crate::parser::{parse_statement, parse_statements};
 use crate::planner::FlattenPolicy;
 use crate::table::Table;
 use crate::value::Value;
+use parking_lot::Mutex;
 use std::borrow::Cow;
-use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 /// A stored view definition.
@@ -44,12 +45,11 @@ type Map<T> = Arc<BTreeMap<String, Arc<T>>>;
 
 /// The catalog: base tables, views and triggers, copy-on-write at the map
 /// level, and the heap setting new tables are created under. The live
-/// database, each published snapshot, each snapshot reader and an open
-/// transaction's BEGIN image hold the same three maps. A change privatizes
-/// the map it changes (`Arc::make_mut`, a copy of the map only while
-/// someone else holds it) and then the one entry it changes, so
-/// publishing, rebinding a reader and BEGIN copy nothing, and ROLLBACK
-/// puts the BEGIN image back, heap setting included.
+/// database, each bound reader and an open transaction's BEGIN image hold
+/// the same three maps. A change privatizes the map it changes
+/// (`Arc::make_mut`, a copy of the map only while someone else holds it)
+/// and then the one entry it changes, so binding a reader and BEGIN copy
+/// nothing, and ROLLBACK puts the BEGIN image back, heap setting included.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Catalog {
     /// Private to this module: changes go through `table_mut`,
@@ -62,42 +62,59 @@ pub(crate) struct Catalog {
     pub(crate) heap: Option<crate::heap::HeapCfg>,
 }
 
+/// One execution counter: a relaxed atomic, so a [`Database`] shared by
+/// readers under a shared lock stays `Sync`.
+#[derive(Debug, Default)]
+pub struct Counter(AtomicU64);
+
+impl Counter {
+    /// The current count.
+    pub fn get(&self) -> u64 {
+        self.0.load(Relaxed)
+    }
+
+    /// Adds `n`.
+    pub(crate) fn add(&self, n: u64) {
+        self.0.fetch_add(n, Relaxed);
+    }
+}
+
 /// Execution counters, used by tests and the flattening ablation bench.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Stats {
     /// Rows visited by table scans.
-    pub rows_scanned: Cell<u64>,
+    pub rows_scanned: Counter,
     /// Primary-key point lookups taken instead of scans.
-    pub point_lookups: Cell<u64>,
+    pub point_lookups: Counter,
     /// Secondary-index probes (equality or range) taken instead of scans.
-    pub index_probes: Cell<u64>,
+    pub index_probes: Counter,
     /// Rows materialized (cloned) out of storage by scans — rows that
     /// passed the filter. Filtered-out rows are visited borrowed and never
     /// counted here.
-    pub rows_cloned: Cell<u64>,
+    pub rows_cloned: Counter,
     /// Queries rewritten by UNION ALL subquery flattening.
-    pub flattened_queries: Cell<u64>,
+    pub flattened_queries: Counter,
     /// Queries that materialized a view (no flattening).
-    pub materialized_views: Cell<u64>,
+    pub materialized_views: Counter,
     /// Prepared-statement cache hits (SQL text found already parsed).
-    pub stmt_cache_hits: Cell<u64>,
+    pub stmt_cache_hits: Counter,
     /// Prepared-statement cache misses (SQL text parsed afresh).
-    pub stmt_cache_misses: Cell<u64>,
+    pub stmt_cache_misses: Counter,
     /// Plan hits: a prepared statement ran with the plan its
     /// statement-cache entry already held.
-    pub plan_cache_hits: Cell<u64>,
+    pub plan_cache_hits: Counter,
     /// Plan misses: a prepared statement built its plan (its first run,
     /// or its first after a catalog or flatten-policy change).
-    pub plan_cache_misses: Cell<u64>,
+    pub plan_cache_misses: Counter,
     /// Catalog-generation bumps (DDL, rollback) that made at least one
     /// built plan stale.
-    pub plan_cache_invalidations: Cell<u64>,
+    pub plan_cache_invalidations: Counter,
     /// EXPLAIN-style access-path notes, one per table access, capped at
     /// [`ACCESS_PATH_LOG_CAP`] entries.
-    pub access_paths: RefCell<Vec<String>>,
+    pub access_paths: Mutex<Vec<String>>,
     /// Access-path lines dropped because the cap was reached. Non-zero
     /// means [`Stats::access_paths`] is an incomplete record.
-    pub access_paths_dropped: Cell<u64>,
+    pub access_paths_dropped: Counter,
 }
 
 /// Retention cap for [`Stats::access_paths`].
@@ -117,42 +134,26 @@ struct Prepared {
     plan: Option<(u64, FlattenPolicy, Arc<Plan>)>,
 }
 
-impl Default for Stats {
-    fn default() -> Self {
-        Stats {
-            rows_scanned: Cell::new(0),
-            point_lookups: Cell::new(0),
-            index_probes: Cell::new(0),
-            rows_cloned: Cell::new(0),
-            flattened_queries: Cell::new(0),
-            materialized_views: Cell::new(0),
-            stmt_cache_hits: Cell::new(0),
-            stmt_cache_misses: Cell::new(0),
-            plan_cache_hits: Cell::new(0),
-            plan_cache_misses: Cell::new(0),
-            plan_cache_invalidations: Cell::new(0),
-            access_paths: RefCell::new(Vec::new()),
-            access_paths_dropped: Cell::new(0),
-        }
-    }
-}
-
 impl Stats {
     /// Resets all counters.
     pub fn reset(&self) {
-        self.rows_scanned.set(0);
-        self.point_lookups.set(0);
-        self.index_probes.set(0);
-        self.rows_cloned.set(0);
-        self.flattened_queries.set(0);
-        self.materialized_views.set(0);
-        self.stmt_cache_hits.set(0);
-        self.stmt_cache_misses.set(0);
-        self.plan_cache_hits.set(0);
-        self.plan_cache_misses.set(0);
-        self.plan_cache_invalidations.set(0);
-        self.access_paths.borrow_mut().clear();
-        self.access_paths_dropped.set(0);
+        for c in [
+            &self.rows_scanned,
+            &self.point_lookups,
+            &self.index_probes,
+            &self.rows_cloned,
+            &self.flattened_queries,
+            &self.materialized_views,
+            &self.stmt_cache_hits,
+            &self.stmt_cache_misses,
+            &self.plan_cache_hits,
+            &self.plan_cache_misses,
+            &self.plan_cache_invalidations,
+            &self.access_paths_dropped,
+        ] {
+            c.0.store(0, Relaxed);
+        }
+        self.access_paths.lock().clear();
     }
 
     /// Records one EXPLAIN-style access-path line, rendered only when it
@@ -161,17 +162,17 @@ impl Stats {
     /// [`Stats::access_paths_dropped`] is incremented, so truncation is
     /// always detectable.
     pub fn note_access_path_with(&self, line: impl FnOnce() -> String) {
-        let mut log = self.access_paths.borrow_mut();
+        let mut log = self.access_paths.lock();
         if log.len() < ACCESS_PATH_LOG_CAP {
             log.push(line());
         } else {
-            self.access_paths_dropped.set(self.access_paths_dropped.get() + 1);
+            self.access_paths_dropped.add(1);
         }
     }
 
     /// Drains and returns the recorded access-path lines.
     pub fn take_access_paths(&self) -> Vec<String> {
-        std::mem::take(&mut *self.access_paths.borrow_mut())
+        std::mem::take(&mut *self.access_paths.lock())
     }
 }
 
@@ -257,16 +258,16 @@ pub struct Database {
     /// Providers issue the same statement shapes repeatedly; SQLite's
     /// compiled-statement cache plays the same role on Android. A hit is
     /// two refcount bumps, not a re-parse or a re-plan.
-    stmt_cache: RefCell<HashMap<String, Prepared>>,
+    stmt_cache: Mutex<HashMap<String, Prepared>>,
     /// True while the statement cache is off: every statement is parsed
     /// afresh and plans itself as it runs.
-    caches_off: Cell<bool>,
+    caches_off: AtomicBool,
     /// Catalog generation: bumped by every DDL statement and by rollback;
     /// a plan built under another generation is built again.
-    generation: Cell<u64>,
+    generation: AtomicU64,
     /// True once a plan was built under the current generation, so the
     /// next bump counts as an invalidation.
-    planned: Cell<bool>,
+    planned: AtomicBool,
     /// The catalog at BEGIN, which ROLLBACK puts back and COMMIT drops.
     /// `None` = autocommit.
     begin: Option<Catalog>,
@@ -279,30 +280,19 @@ pub struct Database {
     journal_name: String,
     /// Open journal transaction id mirroring `begin`.
     journal_txn: Option<u64>,
-    /// Commit stamp: bumped once per completed mutating statement. A
-    /// published snapshot is current exactly while its stamp equals this.
-    stamp: u64,
-    /// Snapshots published (memoized republications excluded).
-    snapshots_published: Cell<u64>,
-    /// Memoized publication: the snapshot handed out by the last
-    /// [`Database::begin_read`], reused until the next mutation so a read
-    /// storm between two writes shares one snapshot.
-    published: RefCell<Option<Arc<DbSnapshot>>>,
 }
 
-// Threading contract: a live `Database` is `Send` but deliberately *not*
-// `Sync` — the statement cache uses `RefCell`/`Cell` for zero-cost
-// single-threaded interior mutability, so all *mutation* goes through
-// its single owner (one write lock per authority). Concurrent readers do
-// NOT share this object: they call [`Database::begin_read`] (through the
-// write-lock holder) and execute against the immutable `Send + Sync`
-// snapshot it publishes, via their own thread-local
-// [`crate::SnapshotReader`]. Cross-authority parallelism still comes
-// from having many databases; intra-authority read parallelism comes
-// from snapshots.
+// Threading contract: a `Database` is `Send + Sync`, shared the way
+// SQLite shares one: writers take its authority's lock exclusively
+// (every change takes `&mut self`), readers take it shared. A reader
+// thread does not run on the shared statement cache: it binds its own
+// [`crate::SnapshotReader`] to the live catalog (three `Arc` clones) and
+// lets go before its shared guard drops, so a writer never finds a map a
+// reader holds. The cache's mutex and the relaxed counters are there for
+// `Sync`; nothing contends on them on the write path.
 const _: fn() = || {
-    fn assert_send<T: Send>() {}
-    assert_send::<Database>();
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Database>();
 };
 
 /// Point-in-time copy of the [`Stats`] counters, taken before a statement
@@ -341,7 +331,7 @@ impl StatsMark {
             plan_cache_hits: stats.plan_cache_hits.get(),
             plan_cache_misses: stats.plan_cache_misses.get(),
             plan_cache_invalidations: stats.plan_cache_invalidations.get(),
-            access_paths_len: stats.access_paths.borrow().len(),
+            access_paths_len: stats.access_paths.lock().len(),
         })
     }
 
@@ -383,7 +373,7 @@ impl StatsMark {
             "sqldb.plan_cache_invalidations",
             stats.plan_cache_invalidations.get() - self.plan_cache_invalidations,
         );
-        let paths = stats.access_paths.borrow();
+        let paths = stats.access_paths.lock();
         for line in paths.iter().skip(self.access_paths_len) {
             sp.field("access_path", line.clone());
         }
@@ -436,7 +426,7 @@ impl Database {
         sp.field_with("sql", || sql.to_string());
         let mark = StatsMark::take(&self.stats);
         let (stmt, plan) = self.prepare(sql)?;
-        let out = self.run(&stmt, plan.as_deref(), params, None)?;
+        let out = crate::exec::exec_stmt(self, &stmt, plan.as_deref(), params, None)?;
         if let Some(mark) = mark {
             mark.mirror(&self.stats, &mut sp);
         }
@@ -454,30 +444,30 @@ impl Database {
     /// in `db.stats` unconditionally and are mirrored into the obs
     /// registry by the caller's [`StatsMark`].
     fn prepare(&self, sql: &str) -> SqlResult<(Arc<Stmt>, Option<Arc<Plan>>)> {
-        if self.caches_off.get() {
+        if self.caches_off.load(Relaxed) {
             return Ok((Arc::new(parse_statement(sql)?), None));
         }
-        let now = (self.generation.get(), self.flatten_policy);
-        let cached = self.stmt_cache.borrow().get(sql).map(|e| {
+        let now = (self.catalog_generation(), self.flatten_policy);
+        let cached = self.stmt_cache.lock().get(sql).map(|e| {
             let fresh = e.plan.as_ref().filter(|(g, p, _)| (*g, *p) == now);
             (Arc::clone(&e.stmt), fresh.map(|(.., plan)| Arc::clone(plan)))
         });
         let stmt = match cached {
             Some((stmt, Some(plan))) => {
-                self.stats.stmt_cache_hits.set(self.stats.stmt_cache_hits.get() + 1);
-                self.stats.plan_cache_hits.set(self.stats.plan_cache_hits.get() + 1);
+                self.stats.stmt_cache_hits.add(1);
+                self.stats.plan_cache_hits.add(1);
                 return Ok((stmt, Some(plan)));
             }
             Some((stmt, None)) => {
-                self.stats.stmt_cache_hits.set(self.stats.stmt_cache_hits.get() + 1);
+                self.stats.stmt_cache_hits.add(1);
                 stmt
             }
             None => {
                 let mut sp = maxoid_obs::span("sqldb.parse");
                 sp.field_with("sql", || sql.to_string());
-                self.stats.stmt_cache_misses.set(self.stats.stmt_cache_misses.get() + 1);
+                self.stats.stmt_cache_misses.add(1);
                 let stmt = Arc::new(parse_statement(sql)?);
-                let mut cache = self.stmt_cache.borrow_mut();
+                let mut cache = self.stmt_cache.lock();
                 if cache.len() >= STMT_CACHE_CAP {
                     cache.clear();
                 }
@@ -488,9 +478,9 @@ impl Database {
         let Some(plan) = plan_stmt(self, &stmt).map(Arc::new) else {
             return Ok((stmt, None));
         };
-        self.stats.plan_cache_misses.set(self.stats.plan_cache_misses.get() + 1);
-        self.planned.set(true);
-        if let Some(e) = self.stmt_cache.borrow_mut().get_mut(sql) {
+        self.stats.plan_cache_misses.add(1);
+        self.planned.store(true, Relaxed);
+        if let Some(e) = self.stmt_cache.lock().get_mut(sql) {
             e.plan = Some((now.0, now.1, Arc::clone(&plan)));
         }
         Ok((stmt, Some(plan)))
@@ -504,31 +494,31 @@ impl Database {
     /// "before" cells run in this mode. Turning caches off drops all
     /// cached entries.
     pub fn set_statement_caches(&self, on: bool) {
-        self.caches_off.set(!on);
+        self.caches_off.store(!on, Relaxed);
         if !on {
-            self.stmt_cache.borrow_mut().clear();
+            self.stmt_cache.lock().clear();
         }
     }
 
     /// True while the statement cache is enabled (the default).
     pub fn statement_caches_enabled(&self) -> bool {
-        !self.caches_off.get()
+        !self.caches_off.load(Relaxed)
     }
 
     /// Current catalog generation. Bumped by every DDL statement and by
     /// rollback (which restores an older catalog); a plan built under an
     /// earlier generation is never run.
     pub fn catalog_generation(&self) -> u64 {
-        self.generation.get()
+        self.generation.load(Relaxed)
     }
 
     /// Bumps the catalog generation, making every built plan stale.
     /// Counted in `stats.plan_cache_invalidations` when a plan was built
     /// under the generation it ends.
     pub(crate) fn bump_catalog_generation(&self) {
-        self.generation.set(self.generation.get().wrapping_add(1));
-        if self.planned.replace(false) {
-            self.stats.plan_cache_invalidations.set(self.stats.plan_cache_invalidations.get() + 1);
+        self.generation.fetch_add(1, Relaxed);
+        if self.planned.swap(false, Relaxed) {
+            self.stats.plan_cache_invalidations.add(1);
         }
     }
 
@@ -546,7 +536,7 @@ impl Database {
         let stmts = parse_statements(sql)?;
         sp.field_with("statements", || stmts.len().to_string());
         for stmt in &stmts {
-            self.run(stmt, None, &[], None)?;
+            crate::exec::exec_stmt(self, stmt, None, &[], None)?;
         }
         if let Some(mark) = mark {
             mark.mirror(&self.stats, &mut sp);
@@ -592,79 +582,15 @@ impl Database {
         params: &[Value],
         trigger: Option<&TriggerCtx<'_>>,
     ) -> SqlResult<ExecOutcome> {
-        self.run(stmt, None, params, trigger)
+        crate::exec::exec_stmt(self, stmt, None, params, trigger)
     }
 
-    /// Executes `stmt` with `plan`, or planning as it runs.
-    fn run(
-        &mut self,
-        stmt: &Stmt,
-        plan: Option<&Plan>,
-        params: &[Value],
-        trigger: Option<&TriggerCtx<'_>>,
-    ) -> SqlResult<ExecOutcome> {
-        if Self::loggable(stmt) {
-            // Let go of the memoized snapshot first: a change then copies
-            // a map only while a reader or the BEGIN image still holds it.
-            self.published.borrow_mut().take();
-        }
-        let out = crate::exec::exec_stmt(self, stmt, plan, params, trigger);
-        if Self::loggable(stmt) {
-            // Conservatively also on error: a failed multi-row statement
-            // may have mutated before failing. Over-invalidation only
-            // costs the next `begin_read` a fresh publication.
-            self.note_mutation();
-        }
-        out
-    }
-
-    /// Retracts the memoized published snapshot and advances the commit
-    /// stamp. Must run after anything that can change table data, the
-    /// catalog, or row storage; missing a call here is a snapshot
-    /// staleness bug, an extra call just costs a fresh publication.
-    pub(crate) fn note_mutation(&mut self) {
-        self.published.borrow_mut().take();
-        self.stamp += 1;
-    }
-
-    /// Captures an immutable snapshot of the current committed state for
-    /// lock-free readers, or `None` inside an open transaction
-    /// (uncommitted state must stay private).
-    ///
-    /// A snapshot is the live catalog's three map `Arc`s (see `Catalog`),
-    /// so publication copies no map and no table, whatever the catalog's
-    /// size. The result is memoized until the next mutation, so a read
-    /// storm between two writes shares one snapshot. Statements run
-    /// against the snapshot through a [`crate::SnapshotReader`] and see
-    /// exactly this commit stamp's state, while the owner keeps executing
-    /// writes concurrently: a write copies away from the snapshot what it
-    /// changes.
-    pub fn begin_read(&self) -> Option<ReadSnapshot> {
-        let _sp = maxoid_obs::span("sqldb.begin_read");
-        if self.begin.is_some() {
-            return None;
-        }
-        if let Some(snap) = self.published.borrow().as_ref() {
-            if snap.stamp == self.stamp {
-                return Some(ReadSnapshot { snap: Arc::clone(snap) });
-            }
-        }
-        let snap = Arc::new(DbSnapshot {
-            stamp: self.stamp,
-            catalog_gen: self.catalog_generation(),
-            flatten_policy: self.flatten_policy,
-            catalog: self.catalog.clone(),
-        });
-        self.snapshots_published.set(self.snapshots_published.get() + 1);
-        maxoid_obs::counter_add("sqldb.snapshots_published", 1);
-        *self.published.borrow_mut() = Some(Arc::clone(&snap));
-        Some(ReadSnapshot { snap })
-    }
-
-    /// Point-in-time MVCC counters: the commit stamp and the snapshots
-    /// published.
+    /// Point-in-time MVCC counters. Nothing publishes snapshots any more
+    /// (readers bind the live catalog under a shared lock), so
+    /// `snapshots_published` reads 0; the method stays because the
+    /// repository benchmark (`perfbench/`) reads it.
     pub fn mvcc_stats(&self) -> MvccStats {
-        MvccStats { stamp: self.stamp, snapshots_published: self.snapshots_published.get() }
+        MvccStats { snapshots_published: 0 }
     }
 
     /// Starts a transaction. BEGIN captures the catalog's three map
@@ -710,7 +636,6 @@ impl Database {
         // The restored catalog may differ from the one cached plans were
         // computed against.
         self.bump_catalog_generation();
-        self.note_mutation();
         if let (Some(j), Some(txn)) = (&self.journal, self.journal_txn.take()) {
             j.emit(maxoid_journal::Record::TxnRollback { txn });
         }
@@ -763,13 +688,10 @@ impl Database {
             .ok_or_else(|| SqlError::NoSuchTable(name.to_string()))
     }
 
-    /// Returns a mutable base table by name. Conservatively retracts the
-    /// published snapshot: the caller may mutate through the handle. A
-    /// table a snapshot or the BEGIN image shares is copied away from it
-    /// first: a shallow copy, whose rows and indexes stay shared until
-    /// they change.
+    /// Returns a mutable base table by name. A table the BEGIN image
+    /// shares is copied away from it first: a shallow copy, whose rows and
+    /// indexes stay shared until they change.
     pub fn table_mut(&mut self, name: &str) -> SqlResult<&mut Table> {
-        self.note_mutation();
         let live = Arc::make_mut(&mut self.catalog.tables)
             .get_mut(&*key(name))
             .ok_or_else(|| SqlError::NoSuchTable(name.to_string()))?;
@@ -805,7 +727,6 @@ impl Database {
     /// paged in the previous run. Inside a transaction the BEGIN image
     /// keeps every table as it was, so a ROLLBACK restores them.
     pub fn attach_heap(&mut self, tier: maxoid_block::SpillTier, threshold: usize) {
-        self.note_mutation();
         let cfg = crate::heap::HeapCfg { tier, threshold };
         for live in Arc::make_mut(&mut self.catalog.tables).values_mut() {
             Arc::make_mut(live).attach_heap(cfg.clone());
@@ -951,7 +872,7 @@ pub(crate) mod tests {
                     format!("SELECT _id, data FROM t WHERE _id = {} OR data = 'd{i}'", i % 50);
                 let got = cached.query(&sql, &[]).unwrap();
                 assert_eq!(got.rows, oracle.query(&sql, &[]).unwrap().rows, "round {round}: {sql}");
-                let cache = cached.stmt_cache.borrow();
+                let cache = cached.stmt_cache.lock();
                 let plans = cache.values().filter(|e| e.plan.is_some()).count();
                 assert!(cache.len() <= STMT_CACHE_CAP && plans <= cache.len());
                 peak = (peak.0.max(cache.len()), peak.1.max(plans));
@@ -964,7 +885,7 @@ pub(crate) mod tests {
         );
         let runs = 2 * (STMT_CACHE_CAP as u64 * 2 + 7);
         assert_eq!(cached.stats.plan_cache_misses.get(), runs, "every new text built its plan");
-        assert_eq!(oracle.stmt_cache.borrow().len(), 0);
+        assert_eq!(oracle.stmt_cache.lock().len(), 0);
         assert_eq!(oracle.stats.plan_cache_misses.get(), 0, "the oracle plans as it runs");
     }
 
@@ -1001,7 +922,7 @@ pub(crate) mod tests {
         db.execute_batch("DROP INDEX ix_w").unwrap();
         assert_eq!(db.stats.plan_cache_invalidations.get(), 1);
         assert_eq!(planned_run(&db, sql, "b"), (scan, 0, 1));
-        assert_eq!(db.stmt_cache.borrow().len(), 1, "one text, one entry throughout");
+        assert_eq!(db.stmt_cache.lock().len(), 1, "one text, one entry throughout");
         // A bump with no plan built since the last one invalidates nothing.
         db.stats.reset();
         db.execute_batch("CREATE INDEX ix_w ON t (w); DROP INDEX ix_w").unwrap();
@@ -1109,12 +1030,12 @@ pub(crate) mod tests {
         for _ in 0..ACCESS_PATH_LOG_CAP + 7 {
             db.query("SELECT v FROM t", &[]).unwrap();
         }
-        assert_eq!(db.stats.access_paths.borrow().len(), ACCESS_PATH_LOG_CAP);
+        assert_eq!(db.stats.access_paths.lock().len(), ACCESS_PATH_LOG_CAP);
         assert_eq!(db.stats.access_paths_dropped.get(), 7);
         // reset clears the log and the drop counter.
         db.stats.reset();
         assert_eq!(db.stats.access_paths_dropped.get(), 0);
-        assert!(db.stats.access_paths.borrow().is_empty());
+        assert!(db.stats.access_paths.lock().is_empty());
     }
 
     /// With the whole catalog captured at BEGIN there is no per-table log

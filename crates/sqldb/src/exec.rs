@@ -210,8 +210,8 @@ pub(crate) fn exec_stmt(
         }
         Stmt::DropIndex { name, if_exists } => {
             // Resolve the owning table first so the drop goes through
-            // `table_mut` (snapshot retraction, and a private copy of a
-            // table a snapshot or the BEGIN image shares).
+            // `table_mut` (a private copy of a table the BEGIN image
+            // shares).
             let owner = db.tables().iter().find(|(_, t)| t.has_index(name)).map(|(n, _)| n.clone());
             if let Some(owner) = owner {
                 db.table_mut(&owner)?.drop_index(name);
@@ -354,7 +354,7 @@ pub(crate) fn exec_select(
     // The statement that runs: the flattened rewrite, or the original.
     let stmt = match &plan.flat {
         Some(flat) => {
-            db.stats.flattened_queries.set(db.stats.flattened_queries.get() + 1);
+            db.stats.flattened_queries.add(1);
             flat
         }
         None => stmt,
@@ -522,14 +522,14 @@ fn exec_core(
             // Resident rows are borrowed from storage; paged tables
             // decode into owned rows — the Cow absorbs both.
             let rows: Vec<Cow<'_, [Value]>> = t.iter().map(|(_, r)| r).collect();
-            db.stats.rows_scanned.set(db.stats.rows_scanned.get() + rows.len() as u64);
+            db.stats.rows_scanned.add(rows.len() as u64);
             sources.push(Source {
                 binding: tref.binding(),
                 columns: t.schema.column_names(),
                 rows,
             });
         } else if let Some(v) = db.catalog.views.get(&*k) {
-            db.stats.materialized_views.set(db.stats.materialized_views.get() + 1);
+            db.stats.materialized_views.add(1);
             let rs = exec_select(
                 db,
                 &v.select,
@@ -567,7 +567,7 @@ fn exec_core(
             scope.set_row(si, &s.rows[index[si]]);
         }
         if passes(core.where_clause.as_ref(), &scope, env)? {
-            db.stats.rows_cloned.set(db.stats.rows_cloned.get() + 1);
+            db.stats.rows_cloned.add(1);
             if aggregate {
                 matched_scopes.push(scope.clone());
             } else {
@@ -663,7 +663,7 @@ fn exec_core_single_table(
         if !passes(core.where_clause.as_ref(), &scope, env)? {
             continue;
         }
-        db.stats.rows_cloned.set(db.stats.rows_cloned.get() + 1);
+        db.stats.rows_cloned.add(1);
         if aggregate {
             matched_scopes.push(scope.clone());
         } else {
@@ -732,15 +732,15 @@ fn probe_access_path(
     db.stats.note_access_path_with(|| format!("{binding}: {path}"));
     match path {
         AccessPath::FullScan => {
-            db.stats.rows_scanned.set(db.stats.rows_scanned.get() + t.len() as u64);
+            db.stats.rows_scanned.add(t.len() as u64);
             Ok(None)
         }
         AccessPath::RowidPoint(ids) => {
-            db.stats.point_lookups.set(db.stats.point_lookups.get() + 1);
+            db.stats.point_lookups.add(1);
             Ok(Some(ids))
         }
         AccessPath::IndexEq { index, keys } => {
-            db.stats.index_probes.set(db.stats.index_probes.get() + keys.len() as u64);
+            db.stats.index_probes.add(keys.len() as u64);
             let ix = t
                 .indexes()
                 .iter()
@@ -756,7 +756,7 @@ fn probe_access_path(
             Ok(Some(ids))
         }
         AccessPath::IndexRange { index, lower, upper } => {
-            db.stats.index_probes.set(db.stats.index_probes.get() + 1);
+            db.stats.index_probes.add(1);
             let ix = t
                 .indexes()
                 .iter()

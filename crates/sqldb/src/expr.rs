@@ -403,7 +403,7 @@ fn probe_in_select(select: &SelectStmt, v: &Value, env: &EvalEnv<'_>) -> Option<
     let Value::Integer(rowid) = v else {
         return None;
     };
-    env.db.stats.point_lookups.set(env.db.stats.point_lookups.get() + 1);
+    env.db.stats.point_lookups.add(1);
     // Existence only: the resident rowid map answers without faulting the
     // row payload in from a paged table.
     Some(table.contains_rowid(*rowid))

@@ -9,8 +9,8 @@
 //! the table still holds.
 //!
 //! Paged rows clone like resident ones: the rowid → location map sits
-//! behind an `Arc`, so a snapshot, a snapshot reader and a BEGIN image
-//! share it until the live table changes, and a change copies the map
+//! behind an `Arc`, so a bound reader and a BEGIN image share it until
+//! the live table changes, and a change copies the map
 //! (`Arc::make_mut`), never a row. An extent's written bytes never change
 //! while anyone holds it (appends write past them), so every copy reads
 //! exactly the rows it saw.
@@ -198,8 +198,8 @@ impl PagedRows {
     /// Drops every row; a page goes back to the tier once no copy of the
     /// table holds a row in it.
     pub(crate) fn clear(&mut self) {
-        // Swap rather than clear in place: a snapshot may still share the
-        // old map.
+        // Swap rather than clear in place: a BEGIN image may still share
+        // the old map.
         self.locs = Arc::new(BTreeMap::new());
     }
 
@@ -227,6 +227,11 @@ pub(crate) mod tests {
     /// True when both hold the same row map.
     pub(crate) fn same_rows(a: &PagedRows, b: &PagedRows) -> bool {
         Arc::ptr_eq(&a.locs, &b.locs)
+    }
+
+    /// The address of the row map, to tell whether a write copied it.
+    pub(crate) fn row_map(p: &PagedRows) -> *const () {
+        Arc::as_ptr(&p.locs).cast()
     }
     use maxoid_block::MemDevice;
 

@@ -8,8 +8,8 @@
 //! value — ordered by [`OrdValue`]'s total order, i.e. exactly the
 //! comparison semantics the expression evaluator uses — to the set of
 //! rowids holding it. Indexes live inside [`crate::table::Table`] and are
-//! maintained incrementally by every row mutation, so transaction
-//! snapshots and `DROP TABLE` handle them for free.
+//! maintained incrementally by every row mutation, so BEGIN images and
+//! `DROP TABLE` handle them for free.
 
 use crate::error::{SqlError, SqlResult};
 use crate::expr::OrdValue;

@@ -26,9 +26,8 @@
 //! `Arc<BTreeMap<i64, RowLoc>>` for paged ones (each location holding its
 //! heap page by `Arc`), and a database's catalog holds each table behind
 //! an `Arc` too (`db::Catalog`). Cloning a table copies those `Arc`s, so
-//! a published snapshot, a snapshot reader and a transaction's BEGIN
-//! image share the live table until it changes, and snapshot readers see
-//! exactly the committed rows of their stamp. Mutations privatize the map
+//! a bound reader and a transaction's BEGIN image share the live table
+//! until it changes. Mutations privatize the map
 //! with `Arc::make_mut` and replace a row's entry; an older copy keeps
 //! every row it saw alive with its own `Arc` until it drops, and no other
 //! version of a row is kept. A heap page's bytes never change while a
@@ -158,7 +157,7 @@ impl Rows {
             Rows::Resident { map, bytes } => {
                 let old = Arc::make_mut(map).remove(&id)?;
                 *bytes -= encoded_len(&old);
-                // A row a snapshot still sees stays with the snapshot.
+                // A row a BEGIN image still sees stays with the image.
                 Some(Arc::try_unwrap(old).unwrap_or_else(|pinned| (*pinned).clone()))
             }
             Rows::Paged(p) => p.remove(id),
@@ -168,7 +167,7 @@ impl Rows {
     fn clear(&mut self) {
         match self {
             Rows::Resident { map, bytes } => {
-                // Swap rather than clear in place: a snapshot may still
+                // Swap rather than clear in place: a BEGIN image may still
                 // share the old map.
                 *map = Arc::new(BTreeMap::new());
                 *bytes = 0;
@@ -432,7 +431,8 @@ impl Table {
             self.rows.get(rowid).map(|r| r.into_owned())
         };
         // An index moves its entry when the key or the rowid changes; the
-        // others are left alone, so indexes a snapshot shares stay shared.
+        // others are left alone, so indexes a BEGIN image shares stay
+        // shared.
         let moves = |ix: &SecondaryIndex| {
             new_rowid != rowid
                 || old.as_ref().is_none_or(|old| old[ix.column()] != values[ix.column()])
@@ -507,6 +507,14 @@ pub(crate) mod tests {
             (Rows::Resident { map: a, .. }, Rows::Resident { map: b, .. }) => Arc::ptr_eq(a, b),
             (Rows::Paged(a), Rows::Paged(b)) => crate::heap::tests::same_rows(a, b),
             _ => false,
+        }
+    }
+
+    /// The address of `t`'s rowid map, to tell whether a write copied it.
+    pub(crate) fn row_map(t: &Table) -> *const () {
+        match &t.rows {
+            Rows::Resident { map, .. } => Arc::as_ptr(map).cast(),
+            Rows::Paged(p) => crate::heap::tests::row_map(p),
         }
     }
     use crate::ast::Affinity;

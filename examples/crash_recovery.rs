@@ -82,7 +82,7 @@ fn main() {
     println!("\ncommit transaction spans {} records; crashing inside each of them:", inside.len());
     for &b in &inside {
         let mut rec = recover(&crash_prefix(&log, b)).expect("recover");
-        let mut dict = UserDictionaryProvider::open(None, Some(rec.take_db("user_dictionary")));
+        let dict = UserDictionaryProvider::open(None, Some(rec.take_db("user_dictionary")));
         let public = dict
             .query(&Caller::normal("observer"), &words, &QueryArgs::default())
             .expect("query")
@@ -101,7 +101,7 @@ fn main() {
 
     // --- The full log: the commit landed ------------------------------
     let mut rec = recover(&log).expect("recover");
-    let mut dict = UserDictionaryProvider::open(None, Some(rec.take_db("user_dictionary")));
+    let dict = UserDictionaryProvider::open(None, Some(rec.take_db("user_dictionary")));
     let public =
         dict.query(&Caller::normal("observer"), &words, &QueryArgs::default()).expect("query").rows;
     let file = rec.vfs.with_store(|s| s.stat(&vpath("/backing/ext/pub/report.txt")).is_ok());

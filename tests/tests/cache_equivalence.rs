@@ -153,24 +153,20 @@ fn run_trace(ops: &[Op], caches: bool) -> Vec<String> {
     trace
 }
 
-/// Runs `ops` like [`run_trace`] but serves every read-only statement
-/// from the proxy's published MVCC snapshot ([`CowProxy::read_slot`])
-/// instead of the live database, publishing a fresh snapshot at each
-/// quiescent point the way the resolver does after a locked call. With
-/// `paged`, a heap with threshold 0 is attached first, so every table
-/// pages its rows. The trace must be byte-identical to the serialized
-/// cache-off run.
+/// Runs `ops` like [`run_trace`] but serves every query the way the
+/// resolver does, through this thread's reader bound to the live catalog
+/// ([`CowProxy::reader_query`]) with its own statement and rewrite caches,
+/// instead of the proxy's own. With `paged`, a heap with threshold 0 is
+/// attached first, so every table pages its rows. The trace must be
+/// byte-identical to the serialized cache-off run.
 fn run_trace_snapshot(ops: &[Op], paged: bool) -> Vec<String> {
     fn snap_query(
-        p: &mut CowProxy,
+        p: &CowProxy,
         view: &DbView,
         opts: &QueryOpts,
         params: &[Value],
     ) -> maxoid_sqldb::SqlResult<maxoid_sqldb::ResultSet> {
-        p.publish_read();
-        p.read_slot()
-            .try_query(view, "words", opts, params)
-            .expect("a just-published slot must serve snapshot reads")
+        p.reader_query(view, "words", opts, params)
     }
 
     let mut p = CowProxy::new();
@@ -226,8 +222,8 @@ fn run_trace_snapshot(ops: &[Op], paged: bool) -> Vec<String> {
                     limit: *limit,
                 };
                 let params: Vec<Value> = by_word.iter().map(|w| Value::Text(w.clone())).collect();
-                let first = snap_query(&mut p, view, &opts, &params);
-                let second = snap_query(&mut p, view, &opts, &params);
+                let first = snap_query(&p, view, &opts, &params);
+                let second = snap_query(&p, view, &opts, &params);
                 format!("query {first:?} / {second:?}")
             }
             Op::CreateIndex => format!(
@@ -246,8 +242,8 @@ fn run_trace_snapshot(ops: &[Op], paged: bool) -> Vec<String> {
         trace.push(line);
     }
     let all = QueryOpts { order_by: Some("_id".into()), ..Default::default() };
-    trace.push(format!("final-pub {:?}", snap_query(&mut p, &DbView::Primary, &all, &[])));
-    trace.push(format!("final-del {:?}", snap_query(&mut p, &delegate, &all, &[])));
+    trace.push(format!("final-pub {:?}", snap_query(&p, &DbView::Primary, &all, &[])));
+    trace.push(format!("final-del {:?}", snap_query(&p, &delegate, &all, &[])));
     trace
 }
 
@@ -261,9 +257,9 @@ proptest! {
         prop_assert_eq!(run_trace(&ops, true), run_trace(&ops, false));
     }
 
-    /// MVCC snapshot reads are pure: serving every query from a snapshot
-    /// published at the preceding quiescent point is byte-identical to
-    /// the serialized cache-off oracle, across the same random
+    /// Reader queries are pure: serving every query through a thread
+    /// reader bound to the live catalog is byte-identical to the
+    /// serialized cache-off oracle, across the same random
     /// query/DDL/fork/volatile-clear interleavings, whether the tables
     /// are resident or paged.
     #[test]
@@ -272,35 +268,6 @@ proptest! {
         prop_assert_eq!(&run_trace_snapshot(&ops, false), &oracle);
         prop_assert_eq!(&run_trace_snapshot(&ops, true), &oracle);
     }
-}
-
-/// Deterministic snapshot-read mechanics: a published slot serves reads,
-/// a mutation retracts it (no stale data is ever served), and the next
-/// publication re-arms it at the new commit stamp.
-#[test]
-fn snapshot_slot_retracts_on_mutation_and_rearms() {
-    let mut p = CowProxy::new();
-    p.execute_batch("CREATE TABLE words (_id INTEGER PRIMARY KEY, word TEXT);").unwrap();
-    p.insert(&DbView::Primary, "words", &[("word", "alpha".into())]).unwrap();
-    let slot = p.read_slot();
-    assert!(!slot.is_published(), "nothing published yet");
-
-    p.publish_read();
-    assert!(slot.is_published());
-    let opts = QueryOpts { order_by: Some("_id".into()), ..Default::default() };
-    let rs = slot.try_query(&DbView::Primary, "words", &opts, &[]).unwrap().unwrap();
-    assert_eq!(rs.rows.len(), 1);
-
-    // A write through the proxy retracts the publication: readers fall
-    // back to the locked path rather than seeing stale state.
-    p.insert(&DbView::Primary, "words", &[("word", "beta".into())]).unwrap();
-    assert!(!slot.is_published(), "mutation must retract the published snapshot");
-    assert!(slot.try_query(&DbView::Primary, "words", &opts, &[]).is_none());
-
-    // Republication at the quiescent point serves the new state.
-    p.publish_read();
-    let rs = slot.try_query(&DbView::Primary, "words", &opts, &[]).unwrap().unwrap();
-    assert_eq!(rs.rows.len(), 2);
 }
 
 /// A recovered-shape database: schema, public rows, and a pre-existing

@@ -250,12 +250,11 @@ fn concurrent_delegates_preserve_s1_s4() {
 }
 
 /// Intra-authority reader storm: N reader threads point-query the *same*
-/// User Dictionary authority while one delegate writer mutates it. Every
-/// result must match the serialized oracle (readers see exactly the
-/// seeded public rows — the delegate's COW writes are invisible to
-/// them), a nonzero share of reads must have been served lock-free from
-/// the published MVCC snapshot, and once the system is quiescent *all*
-/// reads bypass the provider write lock.
+/// User Dictionary authority under its shared lock while one delegate
+/// writer takes it exclusively. Every result must match the serialized
+/// oracle (readers see exactly the seeded public rows — the delegate's
+/// COW writes are invisible to them), every query must have been routed,
+/// and none may fall back to an exclusive lock.
 #[test]
 fn intra_authority_reader_storm_matches_serialized_oracle() {
     const READERS: usize = 4;
@@ -284,8 +283,8 @@ fn intra_authority_reader_storm_matches_serialized_oracle() {
     let sys_ref = &sys;
     let words_ref = &words;
     thread::scope(|scope| {
-        // Writer: COW updates into its initiator's delta, retracting and
-        // republishing the authority's snapshot on every round.
+        // Writer: COW updates into its initiator's delta, each under the
+        // authority's exclusive lock.
         scope.spawn(move |_| {
             let (sys, words) = (sys_ref, words_ref);
             for r in 0..ITERS {
@@ -301,7 +300,7 @@ fn intra_authority_reader_storm_matches_serialized_oracle() {
         });
         // Readers: every query must return the seeded public value — the
         // serialized oracle — no matter how reads interleave with the
-        // writer's retract/republish cycle.
+        // writer's exclusive holds.
         for pid in &readers {
             let pid = *pid;
             scope.spawn(move |_| {
@@ -318,13 +317,11 @@ fn intra_authority_reader_storm_matches_serialized_oracle() {
     })
     .expect("threads join");
 
-    // The storm must have used the lock-free read path (reads landing in
-    // a retraction window may legitimately fall back to the lock).
+    // The storm's queries were routed through the shared lock.
     let (snap1, _) = sys.resolver.read_path_stats();
-    assert!(snap1 > snap0, "reader storm never took the snapshot path");
+    assert!(snap1 > snap0, "the reader storm routed no query");
 
-    // Quiescent tail: with no writer, the snapshot stays published and
-    // not a single read may touch the provider write lock.
+    // Quiescent tail: every read is routed, none under an exclusive lock.
     let (qsnap0, qlocked0) = sys.resolver.read_path_stats();
     for pid in &readers {
         for id in 1..=ROWS {
@@ -332,7 +329,7 @@ fn intra_authority_reader_storm_matches_serialized_oracle() {
         }
     }
     let (qsnap1, qlocked1) = sys.resolver.read_path_stats();
-    assert_eq!(qlocked1, qlocked0, "quiescent reads must not take the write lock");
+    assert_eq!(qlocked1, qlocked0, "quiescent reads must not take the exclusive lock");
     assert_eq!(qsnap1 - qsnap0, READERS as u64 * ROWS as u64);
 
     // The writer's COW rows stayed confined to its initiator's view.

@@ -138,7 +138,7 @@ fn per_uri_grants_are_one_shot() {
             Ok(1)
         }
         fn query(
-            &mut self,
+            &self,
             _: &maxoid::Caller,
             _: &Uri,
             _: &QueryArgs,
@@ -241,9 +241,9 @@ fn hostile_fragments(col: &str, delta: &str) -> Vec<QueryArgs> {
 
 /// A provider runs caller SQL fragments with its own authority over every
 /// tenant's state (the confused deputy). Each hostile fragment is refused
-/// before any SQL runs, for query, update and delete, on the locked path
-/// (a direct provider call) and on the snapshot path (the resolver's
-/// lock-free read handle), and Alice's volatile row never leaks.
+/// before any SQL runs, for query, update and delete, through a direct
+/// provider call and through the resolver (a query under the authority's
+/// shared lock), and Alice's volatile row never leaks.
 #[test]
 fn hostile_fragments_are_refused_by_every_provider() {
     use maxoid_providers::provider::ContentProvider;
@@ -291,7 +291,7 @@ fn hostile_fragments_are_refused_by_every_provider() {
         assert_eq!(p.query(&mallory, &uri, &args).unwrap().rows.len(), 1, "{uri}");
     }
 
-    // Snapshot path: the resolver's read handle.
+    // Routed path: the resolver's shared-lock query.
     let sys = standard_cast();
     sys.install("com.alice", vec![], maxoid::MaxoidManifest::new()).unwrap();
     let d = sys.launch_as_delegate("viewer", "com.alice").unwrap();
@@ -300,13 +300,13 @@ fn hostile_fragments_are_refused_by_every_provider() {
         let uri = Uri::parse(uri).unwrap();
         sys.cp_insert(d, &uri, &ContentValues::new().put(col, "ALICE_SECRET")).unwrap();
         for args in hostile_fragments(col, delta) {
-            let (snapshot_reads, _) = sys.resolver.read_path_stats();
+            let (routed, _) = sys.resolver.read_path_stats();
             let res = sys.cp_query(x, &uri, &args);
             assert!(
                 matches!(res, Err(maxoid::SystemError::Provider(ProviderError::Denied(_)))),
-                "{uri} snapshot query {args:?}"
+                "{uri} routed query {args:?}"
             );
-            assert_eq!(sys.resolver.read_path_stats().0, snapshot_reads + 1, "{uri} {args:?}");
+            assert_eq!(sys.resolver.read_path_stats().0, routed + 1, "{uri} {args:?}");
         }
     }
 }
@@ -353,9 +353,8 @@ fn schemas_whose_cow_objects_could_share_a_name_are_refused() {
 /// Distinct initiators never share COW objects (S1, S2). For each
 /// look-alike pair, on all three providers, in both roles: a delegate of
 /// one initiator never reads the other's volatile row — through a direct
-/// provider call (the locked path) or the resolver's read handle (the
-/// snapshot path) — and clearing one initiator never discards the
-/// other's volatile rows.
+/// provider call or through the resolver — and clearing one initiator
+/// never discards the other's volatile rows.
 #[test]
 fn distinct_initiators_never_share_cow_objects() {
     use maxoid_providers::provider::ContentProvider;
@@ -398,7 +397,7 @@ fn distinct_initiators_never_share_cow_objects() {
                 let bob_sees = column(p.query(&bob_delegate, &uri, &args).unwrap().rows);
                 assert_eq!(bob_sees.len(), 1, "{uri}: {bob} sees only the public row");
             }
-            // Snapshot path: the resolver serves reads from its read handle.
+            // Routed path: the resolver serves reads under the shared lock.
             let sys = maxoid::MaxoidSystem::boot().unwrap();
             for (uri, col, _) in PROVIDERS {
                 let uri = Uri::parse(uri).unwrap();
@@ -406,9 +405,9 @@ fn distinct_initiators_never_share_cow_objects() {
                 let put = |v: &str| ContentValues::new().put(col, v);
                 sys.resolver.insert(&alice_delegate, &uri, &put("ALICE_SECRET")).unwrap();
                 sys.resolver.insert(&bob_delegate, &uri, &put("bob_draft")).unwrap();
-                let (snapshot_reads, _) = sys.resolver.read_path_stats();
+                let (routed, _) = sys.resolver.read_path_stats();
                 let bob_sees = column(sys.resolver.query(&bob_delegate, &uri, &args).unwrap().rows);
-                assert_eq!(sys.resolver.read_path_stats().0, snapshot_reads + 1, "{uri}");
+                assert_eq!(sys.resolver.read_path_stats().0, routed + 1, "{uri}");
                 assert!(!bob_sees.contains(&secret), "{uri}: {bob} read {alice}'s row");
             }
             sys.resolver.clear_volatile(bob).unwrap();
@@ -428,8 +427,8 @@ fn distinct_initiators_never_share_cow_objects() {
 
 /// A `tmp` query by an initiator that holds no volatile rows returns an
 /// empty result — before its delegates ever forked the table and after a
-/// Clear-Vol — on the locked path and on the snapshot path, instead of an
-/// error naming an internal table.
+/// Clear-Vol — through a direct provider call and through the resolver,
+/// instead of an error naming an internal table.
 #[test]
 fn tmp_queries_without_volatile_state_are_empty() {
     use maxoid_providers::provider::ContentProvider;
@@ -450,20 +449,20 @@ fn tmp_queries_without_volatile_state_are_empty() {
     p.clear_volatile("com.init").unwrap();
     assert_eq!(p.query(&initiator, &tmp, &args).unwrap().rows, Vec::<Vec<_>>::new());
 
-    // Snapshot path: the resolver's read handle.
+    // Routed path: the resolver's shared-lock query.
     let sys = standard_cast();
     sys.resolver.insert(&Caller::normal("com.kb"), &words, &draft).unwrap();
-    let snapshot_query = |expect: usize| {
-        let (snapshot_reads, _) = sys.resolver.read_path_stats();
+    let routed_query = |expect: usize| {
+        let (routed, _) = sys.resolver.read_path_stats();
         let rs = sys.resolver.query(&initiator, &tmp, &args).unwrap();
-        assert_eq!(sys.resolver.read_path_stats().0, snapshot_reads + 1);
+        assert_eq!(sys.resolver.read_path_stats().0, routed + 1);
         assert_eq!(rs.rows.len(), expect);
     };
-    snapshot_query(0);
+    routed_query(0);
     sys.resolver.insert(&delegate, &words, &draft).unwrap();
-    snapshot_query(1);
+    routed_query(1);
     sys.resolver.clear_volatile("com.init").unwrap();
-    snapshot_query(0);
+    routed_query(0);
 }
 
 /// Initiators whose encoded name begins with `delta_`, so their delta
@@ -475,7 +474,7 @@ const DELTA_PREFIXED: [&str; 4] = ["delta.app", "delta_x", "deltaA", "com.alice"
 /// initiator's fork, however its name splits: each adopted initiator
 /// holds its one volatile row, and a Clear-Vol leaves its delegate the
 /// public row alone and its `tmp` query empty.
-fn clear_adopted<S: Send>(mut p: maxoid_providers::CowProvider<S>, uri: &str, col: &str) {
+fn clear_adopted<S: Send + Sync>(mut p: maxoid_providers::CowProvider<S>, uri: &str, col: &str) {
     use maxoid_providers::provider::ContentProvider;
     use maxoid_providers::Caller;
     let uri = Uri::parse(uri).unwrap();

@@ -75,8 +75,8 @@ fn live_fingerprint(sys: &mut MaxoidSystem) -> Fingerprint {
 fn recovered_fingerprint(log: &[u8]) -> Fingerprint {
     let mut rec = recover(log).expect("recovery must succeed on any committed prefix");
     let files = rec.vfs.with_store(|s| s.dump_tree());
-    let mut dict = UserDictionaryProvider::open(None, Some(rec.take_db(AUTHORITY)));
-    let mut q =
+    let dict = UserDictionaryProvider::open(None, Some(rec.take_db(AUTHORITY)));
+    let q =
         |caller: &Caller, uri: &Uri| dict.query(caller, uri, &query_args()).ok().map(|rs| rs.rows);
     Fingerprint {
         public_words: q(&Caller::normal("bystander"), &words_uri()),

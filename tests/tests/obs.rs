@@ -100,7 +100,7 @@ fn run_proxy_workload(ops: &[Op]) -> Trace {
         steps.push(out);
     }
     let s = &p.db().stats;
-    let access_paths = s.access_paths.borrow().clone();
+    let access_paths = s.access_paths.lock().clone();
     Trace {
         steps,
         rows_scanned: s.rows_scanned.get(),

@@ -11,9 +11,7 @@
 //!   BEGIN/ROLLBACK/COMMIT and DDL inside transactions — applied to a
 //!   resident database and a paged one (threshold 0, two-frame cache:
 //!   maximal eviction pressure) produces identical results, errors,
-//!   `dump_sql()` images and planner counters. Snapshots taken with
-//!   `begin_read` keep reading their stamp's rows through a
-//!   `SnapshotReader` while the writer goes on. A replay leg re-executes
+//!   `dump_sql()` images and planner counters. A replay leg re-executes
 //!   the paged database's journal image into a fresh resident database
 //!   and must converge to the same rows.
 //! - **COW transparency**: a `CowProxy` adopted over a paged database
@@ -30,7 +28,7 @@ use maxoid::manifest::MaxoidManifest;
 use maxoid::{Caller, ContentValues, DeviceBootConfig, MaxoidSystem, QueryArgs, Uri};
 use maxoid_block::{FileDevice, MemDevice, SpillTier};
 use maxoid_cowproxy::{delta_table, CowProxy, DbView, QueryOpts};
-use maxoid_sqldb::{Database, SnapshotReader, Value};
+use maxoid_sqldb::{Database, Value};
 use proptest::prelude::*;
 
 /// A heap tier over a fresh in-memory device with a tiny frame budget, so
@@ -67,7 +65,6 @@ enum Op {
     TxnRollback(u8, u16),
     TxnCommit(u8, u16),
     TxnDdl(u8, bool),
-    Snapshot(u8, u16),
 }
 
 fn op() -> impl Strategy<Value = Op> {
@@ -82,7 +79,6 @@ fn op() -> impl Strategy<Value = Op> {
         (any::<u8>(), 0..1500u16).prop_map(|(k, n)| Op::TxnRollback(k, n)),
         (any::<u8>(), 0..1500u16).prop_map(|(k, n)| Op::TxnCommit(k, n)),
         (any::<u8>(), any::<bool>()).prop_map(|(k, commit)| Op::TxnDdl(k, commit)),
-        (any::<u8>(), 0..1500u16).prop_map(|(k, n)| Op::Snapshot(k, n)),
     ]
 }
 
@@ -156,18 +152,6 @@ fn apply(db: &mut Database, op: &Op) -> String {
             let d = apply(db, &Op::Probe(*k));
             let e = apply(db, &Op::Insert(*k, 40));
             format!("{a}/{b}/{c}/{d}/{e}")
-        }
-        Op::Snapshot(k, n) => {
-            // A snapshot taken here keeps reading this stamp's rows while
-            // the writer inserts, updates and deletes; it is read after
-            // the writes, through a reader bound to it.
-            let Some(snap) = db.begin_read() else { return "no snapshot".into() };
-            let b = apply(db, &Op::Insert(*k, *n));
-            let c = apply(db, &Op::Update(k.wrapping_add(1), *n));
-            let d = apply(db, &Op::Delete(k.wrapping_add(2)));
-            let mut reader = SnapshotReader::new();
-            let e = reader.bind(&snap).query("SELECT _id, k, body FROM t ORDER BY _id", &[]);
-            format!("{b}/{c}/{d}/{e:?}")
         }
     }
 }
