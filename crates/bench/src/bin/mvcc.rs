@@ -11,12 +11,12 @@
 //! - `mvcc/readers{N}/ops_per_sec` for N ∈ {1,2,4,8} — aggregate
 //!   point-query throughput, best of 3 reps (each rep runs every reader
 //!   count once, in reverse order on alternate reps), plus speedup vs
-//!   N=1 and `snapshot_read_fraction`, the share of queries the resolver
-//!   routed (1.0 by construction: every query runs under the shared
-//!   lock; the run aborts if a storm routed none).
+//!   N=1.
 //! - `mvcc/contended/readers4_writer1/ops_per_sec` — the same storm
 //!   with one delegate writer mutating the authority, whose exclusive
-//!   lock waits for the readers' shared guards.
+//!   lock waits for the readers' shared guards, best of 3 reps, and
+//!   `writer_ops_per_sec`, the unthrottled writer's updates/sec in that
+//!   rep: readers wait while it holds the lock, so the two trade off.
 //!
 //! Run with: `cargo run --release -p maxoid-bench --bin mvcc`
 //! Writes `BENCH_mvcc.json`; exits non-zero when multi-reader
@@ -28,7 +28,7 @@
 use maxoid::manifest::MaxoidManifest;
 use maxoid::{ContentValues, MaxoidSystem, Pid, QueryArgs, Uri};
 use maxoid_bench::{best_of_alternated, cores, BenchJson, Unit};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
@@ -64,10 +64,9 @@ fn build(n: usize) -> (Arc<MaxoidSystem>, Vec<Pid>) {
 }
 
 /// One repetition of a pure reader storm at `n` threads. Returns
-/// (total queries, elapsed seconds, routed fraction).
-fn run_readers(n: usize) -> (u64, f64, f64) {
+/// (total queries, elapsed seconds).
+fn run_readers(n: usize) -> (u64, f64) {
     let (sys, pids) = build(n);
-    let (snap0, locked0) = sys.resolver.read_path_stats();
     let barrier = Arc::new(Barrier::new(n + 1));
     let mut handles = Vec::with_capacity(n);
     for pid in pids {
@@ -88,24 +87,24 @@ fn run_readers(n: usize) -> (u64, f64, f64) {
     let start = Instant::now();
     let total: u64 = handles.into_iter().map(|h| h.join().expect("reader")).sum();
     let secs = start.elapsed().as_secs_f64();
-    let (snap1, locked1) = sys.resolver.read_path_stats();
-    let (snap, locked) = (snap1 - snap0, locked1 - locked0);
-    let frac = snap as f64 / (snap + locked).max(1) as f64;
-    assert!(snap > 0, "the reader storm routed no query");
-    (total, secs, frac)
+    (total, secs)
 }
 
 /// One repetition of 4 readers + 1 delegate writer. Returns aggregate
-/// reader queries/sec (the writer is load, not payload).
-fn run_contended() -> f64 {
+/// reader queries/sec and the writer's updates/sec over the same window:
+/// the writer runs unthrottled, so the readers' rate falls as its share
+/// of the exclusive lock rises.
+fn run_contended() -> (f64, f64) {
     const N: usize = 4;
     let (sys, pids) = build(N);
     sys.install("bench.writer", vec![], MaxoidManifest::new()).expect("install writer");
     sys.install("bench.init", vec![], MaxoidManifest::new()).expect("install init");
     let writer = sys.launch_as_delegate("bench.writer", "bench.init").expect("delegate");
     let stop = Arc::new(AtomicBool::new(false));
+    let writes = Arc::new(AtomicU64::new(0));
     let wsys = sys.clone();
     let wstop = stop.clone();
+    let wcount = writes.clone();
     let writer_handle = std::thread::spawn(move || {
         let words = words_uri();
         let args = QueryArgs::default();
@@ -119,6 +118,7 @@ fn run_contended() -> f64 {
                 &args,
             )
             .expect("contended update");
+            wcount.fetch_add(1, Ordering::Relaxed);
             i += 1;
             std::thread::yield_now();
         }
@@ -141,11 +141,13 @@ fn run_contended() -> f64 {
     }
     barrier.wait();
     let start = Instant::now();
+    let w0 = writes.load(Ordering::Relaxed);
     let total: u64 = handles.into_iter().map(|h| h.join().expect("reader")).sum();
     let secs = start.elapsed().as_secs_f64();
+    let w1 = writes.load(Ordering::Relaxed);
     stop.store(true, Ordering::Relaxed);
     writer_handle.join().expect("writer");
-    total as f64 / secs
+    (total as f64 / secs, (w1 - w0) as f64 / secs)
 }
 
 fn main() {
@@ -155,24 +157,26 @@ fn main() {
 
     println!("Reader scaling:");
     let storm = |n| {
-        let (ops, secs, frac) = run_readers(n);
-        (ops as f64 / secs, frac)
+        let (ops, secs) = run_readers(n);
+        ops as f64 / secs
     };
-    let best = best_of_alternated(REPS, &READER_COUNTS, storm, |&(rate, _)| rate);
-    for (&n, &(rate, frac)) in READER_COUNTS.iter().zip(&best) {
-        let speedup = rate / best[0].0;
+    let best = best_of_alternated(REPS, &READER_COUNTS, storm, |&rate| rate);
+    for (&n, &rate) in READER_COUNTS.iter().zip(&best) {
+        let speedup = rate / best[0];
         json.push_scalar(&format!("mvcc/readers{n}/ops_per_sec"), rate, Unit::OpsPerSec);
         json.push_scalar(&format!("mvcc/readers{n}/speedup"), speedup, Unit::Ratio);
-        json.push_scalar(&format!("mvcc/readers{n}/snapshot_read_fraction"), frac, Unit::Ratio);
-        println!(
-            "  {n} reader(s): {rate:>12.0} q/s | speedup {speedup:>5.2}x | routed {:>5.1}%",
-            frac * 100.0
-        );
+        println!("  {n} reader(s): {rate:>12.0} q/s | speedup {speedup:>5.2}x");
     }
 
-    let contended = (0..REPS).map(|_| run_contended()).fold(0.0f64, f64::max);
+    let (contended, writes) = (0..REPS)
+        .map(|_| run_contended())
+        .max_by(|a, b| a.0.total_cmp(&b.0))
+        .expect("at least one repetition");
     json.push_scalar("mvcc/contended/readers4_writer1/ops_per_sec", contended, Unit::OpsPerSec);
-    println!("  4 readers + 1 writer: {contended:>12.0} q/s (reader aggregate)");
+    json.push_scalar("mvcc/contended/readers4_writer1/writer_ops_per_sec", writes, Unit::OpsPerSec);
+    println!(
+        "  4 readers + 1 writer: {contended:>12.0} q/s (reader aggregate), {writes:.0} updates/s"
+    );
 
     json.finish();
 }

@@ -72,7 +72,9 @@ pub struct CowProxy {
     /// has a delta table, COW view and triggers for. Clear and retire
     /// walk this list instead of the catalog.
     forks: BTreeMap<String, Vec<String>>,
-    /// Per-fork-epoch memo of generated SQL keyed by call shape.
+    /// Per-fork-epoch memo of the SQL generated for writes, keyed by call
+    /// shape. Its switch, fork epoch and counters also govern the reader
+    /// threads' caches, which memo the queries.
     rewrite: RewriteCache,
     /// This proxy's key in the per-thread reader registry.
     readers: ReaderKey,
@@ -81,11 +83,11 @@ pub struct CowProxy {
 // Threading contract: like the `Database` it wraps, a `CowProxy` is
 // `Send + Sync`. Each provider authority owns one proxy behind its
 // per-authority `RwLock` in the resolver table: every change takes
-// `&mut self` under the exclusive lock, and routed queries run under the
-// shared lock through [`CowProxy::reader_query`], on the calling thread's
-// own reader and rewrite cache, letting go of the live maps before the
-// guard drops. The proxy's own caches sit behind a mutex and relaxed
-// atomics for `Sync`; nothing contends on them on the write path.
+// `&mut self` under the exclusive lock, and queries run under the shared
+// lock through [`CowProxy::query`], on the calling thread's own reader
+// and rewrite cache, letting go of the live maps before the guard drops.
+// The proxy's own caches sit behind a mutex and relaxed atomics for
+// `Sync`; readers take neither mutex and only add to the counters.
 const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<CowProxy>();
@@ -190,7 +192,8 @@ impl CowProxy {
         }
     }
 
-    /// Enables or disables the rewrite cache (on by default). Used by the
+    /// Enables or disables the rewrite cache (on by default), and with it
+    /// each reader thread's, from its next query. Used by the
     /// cache-equivalence tests and the ablation benchmarks.
     pub fn set_rewrite_cache(&mut self, on: bool) {
         self.rewrite.set_enabled(on);
@@ -201,7 +204,8 @@ impl CowProxy {
     /// the repository benchmark (`perfbench/`) calls it.
     pub fn publish_read(&mut self) {}
 
-    /// `(hits, misses)` of the rewrite cache since construction.
+    /// `(hits, misses)` of the rewrite caches since construction: the
+    /// proxy's own, for writes, and its reader threads', for queries.
     pub fn rewrite_cache_stats(&self) -> (u64, u64) {
         self.rewrite.stats()
     }
@@ -642,6 +646,15 @@ impl CowProxy {
     /// requires ORDER BY columns to be part of the selection for
     /// flattening, the proxy appends them to the projection and strips the
     /// extra columns from the result.
+    ///
+    /// The query runs on the calling thread's reader for this proxy (see
+    /// [`crate::reader`]): the reader binds the live catalog (three `Arc`
+    /// clones), runs the query on the thread's own statement and rewrite
+    /// caches, switched as the proxy's are and counting into the proxy's
+    /// stats, and lets go of the maps before this returns, whether the
+    /// query succeeded or not. So threads reading one authority under its
+    /// shared lock share no cache, and a writer that waited for their
+    /// guards finds no map a reader holds.
     pub fn query(
         &self,
         view: &DbView,
@@ -649,26 +662,7 @@ impl CowProxy {
         opts: &QueryOpts,
         params: &[Value],
     ) -> SqlResult<ResultSet> {
-        cached_query(&self.rewrite, &self.db, view, table, opts, params)
-    }
-
-    /// Runs [`CowProxy::query`] through the calling thread's reader for
-    /// this proxy instead of the proxy's own caches: the reader binds the
-    /// live catalog (three `Arc` clones), runs the query on its private
-    /// statement and rewrite caches, and lets go of the maps before this
-    /// returns, whether the query succeeded or not. This is how routed
-    /// queries run under the authority's shared lock, so threads reading
-    /// one authority share no cache, and a writer that waited for their
-    /// guards finds no map a reader holds.
-    pub fn reader_query(
-        &self,
-        view: &DbView,
-        table: &str,
-        opts: &QueryOpts,
-        params: &[Value],
-    ) -> SqlResult<ResultSet> {
-        let epoch = self.rewrite.epoch();
-        crate::reader::query(&self.readers, &self.db, epoch, view, table, opts, params)
+        crate::reader::query(&self.readers, &self.db, &self.rewrite, view, table, opts, params)
     }
 
     /// The administrative view (paper §5.2): every public and volatile
@@ -941,9 +935,8 @@ pub(crate) fn relation_for_read(
 /// The proxy query pipeline over an explicit `(rewrite, db)` pair: builds
 /// (or replays from the rewrite cache) the rewritten SQL for one
 /// view-routed query, executes it, and strips any footnote-5 appended
-/// ORDER BY columns. [`CowProxy::query`] calls it with the proxy's own
-/// state; [`CowProxy::reader_query`] with a thread-local rewrite cache and
-/// a reader bound to the proxy's catalog.
+/// ORDER BY columns. [`CowProxy::query`] calls it with its thread's
+/// rewrite cache and reader, bound to the proxy's catalog.
 pub(crate) fn cached_query(
     rewrite: &RewriteCache,
     db: &Database,
@@ -1596,24 +1589,30 @@ mod tests {
             p.db().set_statement_caches(cache);
             let q = QueryOpts { order_by: Some("_id".into()), ..Default::default() };
             let mut out = Vec::new();
-            // Four shapes per tenant: update, insert, delete and query.
-            let tenants = REWRITE_CACHE_CAP / 4 + 20;
+            // Three shapes per tenant in the proxy's cache: update, insert
+            // and delete (queries fill this thread's reader cache).
+            let tenants = REWRITE_CACHE_CAP / 3 + 20;
             let mut peak = 0;
+            let mut note = |p: &CowProxy| {
+                assert!(p.rewrite.len() <= REWRITE_CACHE_CAP);
+                peak = peak.max(p.rewrite.len());
+            };
             for round in 0..2i64 {
                 for t in 0..tenants {
                     let view = DbView::Delegate { initiator: format!("pc.init{t}") };
                     let f = Value::Integer(round * 1000 + t as i64);
                     p.update(&view, "words", &[("frequency", f)], Some("_id = ?"), &[2.into()])
                         .unwrap();
+                    note(&p);
                     p.insert(&view, "words", &[("word", format!("w{t}").into())]).unwrap();
+                    note(&p);
                     p.delete(&view, "words", Some("_id = ?"), &[3.into()]).unwrap();
+                    note(&p);
                     out.push(p.query(&view, "words", &q, &[]).unwrap().rows);
                     if round == 1 && t % 2 == 0 {
                         p.clear_volatile(&format!("pc.init{t}")).unwrap();
                         out.push(p.query(&view, "words", &q, &[]).unwrap().rows);
                     }
-                    assert!(p.rewrite.len() <= REWRITE_CACHE_CAP);
-                    peak = peak.max(p.rewrite.len());
                 }
             }
             assert_eq!(peak, if cache { REWRITE_CACHE_CAP } else { 0 });

@@ -2,13 +2,16 @@
 //!
 //! A [`crate::CowProxy`] lives behind its authority's `RwLock`. A change
 //! takes it exclusively (every mutating entry point takes `&mut self`); a
-//! routed query takes it shared and runs through
-//! [`crate::CowProxy::reader_query`], which lands here. The calling
-//! thread's reader for the proxy binds the live catalog (three `Arc`
-//! clones), runs the query on the thread's own statement and rewrite
-//! caches, and lets go of the maps before it returns, so before the shared
-//! guard drops. A writer, which waits for every shared guard, therefore
-//! never finds a map a reader holds and copies nothing for one.
+//! query takes it shared and runs through [`crate::CowProxy::query`],
+//! which lands here. The calling thread's reader for the proxy binds the
+//! live catalog (three `Arc` clones), runs the query on the thread's own
+//! statement and rewrite caches, and lets go of the maps before it
+//! returns, so before the shared guard drops. A writer, which waits for
+//! every shared guard, therefore never finds a map a reader holds and
+//! copies nothing for one. The thread's caches are switched on and off
+//! with the proxy's ([`maxoid_sqldb::Database::set_statement_caches`],
+//! [`crate::CowProxy::set_rewrite_cache`]) and count into the proxy's
+//! counters, so the proxy's stats see every query.
 //!
 //! Two invariants keep this exact:
 //!
@@ -58,17 +61,18 @@ thread_local! {
 }
 
 /// Runs a proxy query on the calling thread's reader for the proxy whose
-/// key is `key`, database `db` and fork epoch `fork_epoch`, holding the
+/// key is `key`, database `db` and rewrite cache `rewrite`, holding the
 /// live maps only while the query runs.
 pub(crate) fn query(
     key: &ReaderKey,
     db: &Database,
-    fork_epoch: u64,
+    rewrite: &RewriteCache,
     view: &DbView,
     table: &str,
     opts: &QueryOpts,
     params: &[Value],
 ) -> SqlResult<ResultSet> {
+    let fork_epoch = rewrite.epoch();
     READERS.with(|cell| {
         let mut map = cell.borrow_mut();
         let id = Arc::as_ptr(&key.0) as usize;
@@ -78,7 +82,7 @@ pub(crate) fn query(
         let r = map.entry(id).or_insert_with(|| CowReader {
             proxy: Arc::downgrade(&key.0),
             reader: SnapshotReader::new(),
-            rewrite: RewriteCache::default(),
+            rewrite: rewrite.for_reader(),
             fork_epoch,
         });
         if r.fork_epoch != fork_epoch {
@@ -87,6 +91,7 @@ pub(crate) fn query(
             r.rewrite.bump_epoch();
             r.fork_epoch = fork_epoch;
         }
+        r.rewrite.follow(rewrite);
         let bound = r.reader.bind(db);
         let rs = cached_query(&r.rewrite, bound, view, table, opts, params);
         r.reader.release();
@@ -127,24 +132,24 @@ mod tests {
         let delegate = DbView::Delegate { initiator: "A".into() };
         p.update(&delegate, "words", &[("word", "ALPHA".into())], Some("_id = 1"), &[]).unwrap();
         // A delegate read resolves onto the COW view.
-        let rs = p.reader_query(&delegate, "words", &word(1), &[]).unwrap();
+        let rs = p.query(&delegate, "words", &word(1), &[]).unwrap();
         assert_eq!(rs.rows, vec![vec![Value::Text("ALPHA".into())]]);
         // The primary view is untouched.
-        let rs = p.reader_query(&DbView::Primary, "words", &word(1), &[]).unwrap();
+        let rs = p.query(&DbView::Primary, "words", &word(1), &[]).unwrap();
         assert_eq!(rs.rows, vec![vec![Value::Text("alpha".into())]]);
         // The volatile view sees the delta row, whiteouts excluded.
         let volatile = DbView::Volatile { initiator: "A".into() };
-        let rs = p.reader_query(&volatile, "words", &QueryOpts::default(), &[]).unwrap();
+        let rs = p.query(&volatile, "words", &QueryOpts::default(), &[]).unwrap();
         assert_eq!(rs.rows.len(), 1);
     }
 
     #[test]
     fn thread_readers_are_bounded_by_live_proxies() {
         let live = seeded();
-        live.reader_query(&DbView::Primary, "words", &QueryOpts::default(), &[]).unwrap();
+        live.query(&DbView::Primary, "words", &QueryOpts::default(), &[]).unwrap();
         for _ in 0..1000 {
             let p = seeded();
-            let rs = p.reader_query(&DbView::Primary, "words", &QueryOpts::default(), &[]);
+            let rs = p.query(&DbView::Primary, "words", &QueryOpts::default(), &[]);
             assert_eq!(rs.unwrap().rows.len(), 3);
             drop(p);
             let readers = READERS.with(|cell| cell.borrow().len());
@@ -152,7 +157,7 @@ mod tests {
             // when this thread first reads the next proxy.
             assert!(readers <= 2, "{readers} thread-local readers for 1 live proxy");
         }
-        let rs = live.reader_query(&DbView::Primary, "words", &QueryOpts::default(), &[]);
+        let rs = live.query(&DbView::Primary, "words", &QueryOpts::default(), &[]);
         assert_eq!(rs.unwrap().rows.len(), 3, "the live proxy's reader survives pruning");
     }
 
@@ -167,7 +172,7 @@ mod tests {
                     for _ in 0..50 {
                         let rs = p
                             .read()
-                            .reader_query(&DbView::Primary, "words", &QueryOpts::default(), &[])
+                            .query(&DbView::Primary, "words", &QueryOpts::default(), &[])
                             .unwrap();
                         assert!(rs.rows.len() == 3 || rs.rows.len() == 4, "{rs:?}");
                     }
@@ -177,7 +182,7 @@ mod tests {
                 p.write().insert(&DbView::Primary, "words", &[("word", "delta".into())]).unwrap();
             });
         });
-        let rs = p.read().reader_query(&DbView::Primary, "words", &QueryOpts::default(), &[]);
+        let rs = p.read().query(&DbView::Primary, "words", &QueryOpts::default(), &[]);
         assert_eq!(rs.unwrap().rows.len(), 4);
     }
 
@@ -187,13 +192,13 @@ mod tests {
         let delegate = DbView::Delegate { initiator: "A".into() };
         // Warm the thread-local cache: a delegate read before any fork
         // resolves to the primary table.
-        let rs = p.reader_query(&delegate, "words", &QueryOpts::default(), &[]).unwrap();
+        let rs = p.query(&delegate, "words", &QueryOpts::default(), &[]).unwrap();
         assert_eq!(rs.rows.len(), 3);
         // Fork: the delegate deletes a row (whiteout). The epoch bump must
         // reach the thread-local cache or the stale rewrite would keep
         // reading the primary table.
         p.delete(&delegate, "words", Some("_id = 1"), &[]).unwrap();
-        let rs = p.reader_query(&delegate, "words", &QueryOpts::default(), &[]).unwrap();
+        let rs = p.query(&delegate, "words", &QueryOpts::default(), &[]).unwrap();
         assert_eq!(rs.rows.len(), 2, "a read after the fork must see the whiteout");
     }
 }

@@ -123,20 +123,45 @@ struct Entry {
     rewrite: Rewrite,
 }
 
-/// The rewrite cache: one per proxy, and one per reader thread. Interior-
-/// mutable because queries take `&CowProxy`; a mutex and relaxed atomics
-/// so a proxy shared by readers stays `Sync` (each reader thread runs on
-/// its own cache, so nothing contends on them).
+/// The rewrite cache: one per proxy, for its writes, and one per reader
+/// thread of the proxy, for its queries. Interior-mutable because queries
+/// take `&CowProxy`; a mutex and relaxed atomics so a proxy shared by
+/// readers stays `Sync` (each reader thread runs on its own entries, so
+/// nothing contends on the mutex).
 #[derive(Debug, Default)]
 pub(crate) struct RewriteCache {
     disabled: AtomicBool,
     epoch: AtomicU64,
     entries: Mutex<HashMap<u64, Entry>>,
+    counts: Arc<Counts>,
+}
+
+/// Hit and miss counts, shared by a proxy's cache and its readers' caches
+/// so the proxy's stats count every lookup.
+#[derive(Debug, Default)]
+struct Counts {
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl RewriteCache {
+    /// An empty cache for a reader thread of the proxy that owns `self`:
+    /// it counts its hits and misses into `self`'s, and starts as `self`
+    /// is switched (see [`RewriteCache::follow`]).
+    pub(crate) fn for_reader(&self) -> RewriteCache {
+        let cache = RewriteCache { counts: Arc::clone(&self.counts), ..Default::default() };
+        cache.follow(self);
+        cache
+    }
+
+    /// Switches this cache on or off as `owner` is.
+    pub(crate) fn follow(&self, owner: &RewriteCache) {
+        let on = !owner.disabled.load(Relaxed);
+        if self.disabled.load(Relaxed) == on {
+            self.set_enabled(on);
+        }
+    }
+
     /// Toggles the cache; disabling drops every entry so re-enabling
     /// starts cold.
     pub(crate) fn set_enabled(&self, on: bool) {
@@ -159,7 +184,7 @@ impl RewriteCache {
     }
 
     pub(crate) fn stats(&self) -> (u64, u64) {
-        (self.hits.load(Relaxed), self.misses.load(Relaxed))
+        (self.counts.hits.load(Relaxed), self.counts.misses.load(Relaxed))
     }
 
     /// Entries held.
@@ -175,12 +200,12 @@ impl RewriteCache {
         let entries = self.entries.lock();
         if let Some(e) = entries.get(&key.fingerprint()) {
             if e.epoch == self.epoch() && key.matches(e) {
-                self.hits.fetch_add(1, Relaxed);
+                self.counts.hits.fetch_add(1, Relaxed);
                 maxoid_obs::counter_add("cowproxy.rewrite_cache_hits", 1);
                 return Some(e.rewrite.clone());
             }
         }
-        self.misses.fetch_add(1, Relaxed);
+        self.counts.misses.fetch_add(1, Relaxed);
         maxoid_obs::counter_add("cowproxy.rewrite_cache_misses", 1);
         None
     }

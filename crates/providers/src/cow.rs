@@ -256,11 +256,10 @@ impl<S: Send + Sync> ContentProvider for CowProvider<S> {
         Ok(self.proxy.update(&view, relation, &sets, where_clause.as_deref(), &params)?)
     }
 
-    /// Runs on the calling thread's reader (see
-    /// [`CowProxy::reader_query`]).
+    /// Runs on the calling thread's reader (see [`CowProxy::query`]).
     fn query(&self, caller: &Caller, uri: &Uri, args: &QueryArgs) -> ProviderResult<ResultSet> {
         let (relation, view, opts, params) = self.schema.route_query(caller, uri, args)?;
-        Ok(self.proxy.reader_query(&view, relation, &opts, &params)?)
+        Ok(self.proxy.query(&view, relation, &opts, &params)?)
     }
 
     fn delete(&mut self, caller: &Caller, uri: &Uri, args: &QueryArgs) -> ProviderResult<usize> {

@@ -69,6 +69,32 @@ mod tests {
         p
     }
 
+    /// A provider query runs as its proxy's caches are switched: with
+    /// both off, every repeat parses and rewrites afresh and counts no
+    /// hit; with both on, repeats hit, and the proxy's stats count them.
+    #[test]
+    fn queries_follow_the_proxys_cache_switches() {
+        let mut p = seeded();
+        let kb = Caller::normal("com.keyboard");
+        let repeat = |p: &UserDictionaryProvider| {
+            p.proxy().db().stats.reset();
+            let (rewrite_hits, _) = p.proxy().rewrite_cache_stats();
+            for _ in 0..3 {
+                let rs = p.query(&kb, &words_uri().with_id(2), &QueryArgs::default()).unwrap();
+                assert_eq!(rs.rows.len(), 1);
+            }
+            let stats = &p.proxy().db().stats;
+            (stats.stmt_cache_hits.get(), p.proxy().rewrite_cache_stats().0 - rewrite_hits)
+        };
+        p.proxy().db().set_statement_caches(false);
+        p.proxy_mut().set_rewrite_cache(false);
+        assert_eq!(repeat(&p), (0, 0), "a cache-off provider re-parses every query");
+        p.proxy().db().set_statement_caches(true);
+        p.proxy_mut().set_rewrite_cache(true);
+        let (stmt_hits, rewrite_hits) = repeat(&p);
+        assert!(stmt_hits >= 2 && rewrite_hits >= 2, "repeats hit: {stmt_hits}, {rewrite_hits}");
+    }
+
     #[test]
     fn insert_returns_item_uri() {
         let mut p = UserDictionaryProvider::new();

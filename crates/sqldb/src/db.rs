@@ -252,8 +252,9 @@ pub struct Database {
     /// Planner policy for UNION ALL view flattening. A prepared statement
     /// plans again on its first run after a change.
     pub flatten_policy: FlattenPolicy,
-    /// Execution counters.
-    pub stats: Stats,
+    /// Execution counters. A [`crate::SnapshotReader`] bound to this
+    /// database counts into the same ones.
+    pub stats: Arc<Stats>,
     /// Statement cache: SQL text -> the parsed statement and its plan.
     /// Providers issue the same statement shapes repeatedly; SQLite's
     /// compiled-statement cache plays the same role on Android. A hit is
@@ -288,8 +289,9 @@ pub struct Database {
 // thread does not run on the shared statement cache: it binds its own
 // [`crate::SnapshotReader`] to the live catalog (three `Arc` clones) and
 // lets go before its shared guard drops, so a writer never finds a map a
-// reader holds. The cache's mutex and the relaxed counters are there for
-// `Sync`; nothing contends on them on the write path.
+// reader holds. The reader follows this database's cache switch and
+// counts into its `stats`. The cache's mutex and the relaxed counters
+// are there for `Sync`; nothing contends on the mutex on the write path.
 const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Database>();

@@ -14,6 +14,7 @@
 //! readers, and no background thread is involved.
 
 use crate::db::{Catalog, Database};
+use std::sync::Arc;
 
 /// Point-in-time MVCC counters, from [`Database::mvcc_stats`].
 ///
@@ -35,7 +36,11 @@ pub struct MvccStats {
 /// live catalog as bound. Its statement cache, with the plan each entry
 /// holds, persists across binds; a bind under another catalog generation
 /// makes the plans stale, so steady-state reads pay no re-parse or
-/// re-plan and share no cache with other threads.
+/// re-plan and share no cache with other threads. A bind also follows
+/// the live database's cache switch ([`Database::set_statement_caches`]),
+/// and the reader counts into the live database's
+/// [`Database::stats`], so a query reads the same whether it runs
+/// on a reader or on the live database.
 ///
 /// A reader must only ever be bound to one database (catalog generations
 /// of different databases are not comparable). One reader per thread per
@@ -61,11 +66,19 @@ impl SnapshotReader {
         SnapshotReader::default()
     }
 
-    /// Binds the reader to `live`'s catalog and flatten policy and returns
-    /// the database view to run `query()` against.
+    /// Binds the reader to `live`'s catalog, flatten policy, cache switch
+    /// and counters, and returns the database view to run `query()`
+    /// against.
     pub fn bind(&mut self, live: &Database) -> &Database {
         self.db.catalog = live.catalog.clone();
         self.db.flatten_policy = live.flatten_policy;
+        if !Arc::ptr_eq(&self.db.stats, &live.stats) {
+            self.db.stats = Arc::clone(&live.stats);
+        }
+        let caches = live.statement_caches_enabled();
+        if self.db.statement_caches_enabled() != caches {
+            self.db.set_statement_caches(caches);
+        }
         let gen = live.catalog_generation();
         if self.catalog_gen != Some(gen) {
             // Built plans were made against another catalog.
@@ -183,6 +196,31 @@ mod tests {
             let copied = !std::ptr::eq(before, table_map(&db.catalog));
             assert_eq!(copied, !release, "write {i}: release={release}");
         }
+    }
+
+    /// A reader runs as the live database is switched and counts into its
+    /// stats: with the live caches off, every query parses afresh and
+    /// counts no hit; back on, a repeat hits.
+    #[test]
+    fn a_reader_follows_the_live_cache_switch_and_counts_into_its_stats() {
+        let db = seeded();
+        let mut reader = SnapshotReader::new();
+        let sql = "SELECT data FROM t WHERE _id = 1";
+        db.set_statement_caches(false);
+        for _ in 0..3 {
+            reader.bind(&db).query(sql, &[]).unwrap();
+            reader.release();
+        }
+        let hits = |db: &Database| (db.stats.stmt_cache_hits.get(), db.stats.plan_cache_hits.get());
+        assert_eq!(hits(&db), (0, 0), "a cache-off reader parses every query");
+        assert_eq!(db.stats.stmt_cache_misses.get(), 0, "and caches nothing");
+        db.set_statement_caches(true);
+        for _ in 0..3 {
+            reader.bind(&db).query(sql, &[]).unwrap();
+            reader.release();
+        }
+        assert_eq!(hits(&db), (2, 2), "the live stats count the reader's hits");
+        assert_eq!(db.stats.stmt_cache_misses.get(), 1);
     }
 
     /// Every read of a bound reader sees the catalog it was bound to: its

@@ -169,7 +169,7 @@ fn a_range_copies_only_the_rows_it_returns() {
     let opts =
         QueryOpts { columns: cols(), where_clause: Some(RANGE_WHERE.into()), ..Default::default() };
     let cow = allocations(|i| {
-        let rs = proxy.reader_query(&delegate, "words", &opts, &range_bounds(i)).unwrap();
+        let rs = proxy.query(&delegate, "words", &opts, &range_bounds(i)).unwrap();
         assert_eq!(rs.rows.len(), RANGE as usize);
     });
 

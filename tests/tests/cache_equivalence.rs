@@ -74,11 +74,17 @@ fn op() -> impl Strategy<Value = Op> {
 
 /// Runs `ops` against a fresh proxy with the caches forced on or off and
 /// returns a trace of every observable result. Queries are issued twice
-/// per step so the cached run serves the repeat from warm caches.
-fn run_trace(ops: &[Op], caches: bool) -> Vec<String> {
+/// per step so the cached run serves the repeat from warm caches; each
+/// runs the way the resolver runs it, on this thread's reader bound to
+/// the live catalog. With `paged`, a heap with threshold 0 is attached
+/// first, so every table pages its rows.
+fn run_trace(ops: &[Op], caches: bool, paged: bool) -> Vec<String> {
     let mut p = CowProxy::new();
     p.set_rewrite_cache(caches);
     p.db().set_statement_caches(caches);
+    if paged {
+        p.db_mut().attach_heap(SpillTier::new(Box::new(MemDevice::new()), 2), 0);
+    }
     p.execute_batch("CREATE TABLE words (_id INTEGER PRIMARY KEY, word TEXT, frequency INTEGER);")
         .unwrap();
     for (i, w) in ["alpha", "beta", "gamma", "delta"].iter().enumerate() {
@@ -89,6 +95,7 @@ fn run_trace(ops: &[Op], caches: bool) -> Vec<String> {
         )
         .unwrap();
     }
+    assert_eq!(p.db().table("words").unwrap().is_paged(), paged);
     let delegate = DbView::Delegate { initiator: "A".into() };
     let mut trace = Vec::new();
     for o in ops {
@@ -153,100 +160,6 @@ fn run_trace(ops: &[Op], caches: bool) -> Vec<String> {
     trace
 }
 
-/// Runs `ops` like [`run_trace`] but serves every query the way the
-/// resolver does, through this thread's reader bound to the live catalog
-/// ([`CowProxy::reader_query`]) with its own statement and rewrite caches,
-/// instead of the proxy's own. With `paged`, a heap with threshold 0 is
-/// attached first, so every table pages its rows. The trace must be
-/// byte-identical to the serialized cache-off run.
-fn run_trace_snapshot(ops: &[Op], paged: bool) -> Vec<String> {
-    fn snap_query(
-        p: &CowProxy,
-        view: &DbView,
-        opts: &QueryOpts,
-        params: &[Value],
-    ) -> maxoid_sqldb::SqlResult<maxoid_sqldb::ResultSet> {
-        p.reader_query(view, "words", opts, params)
-    }
-
-    let mut p = CowProxy::new();
-    if paged {
-        p.db_mut().attach_heap(SpillTier::new(Box::new(MemDevice::new()), 2), 0);
-    }
-    p.execute_batch("CREATE TABLE words (_id INTEGER PRIMARY KEY, word TEXT, frequency INTEGER);")
-        .unwrap();
-    for (i, w) in ["alpha", "beta", "gamma", "delta"].iter().enumerate() {
-        p.insert(
-            &DbView::Primary,
-            "words",
-            &[("word", (*w).into()), ("frequency", (i as i64 * 10).into())],
-        )
-        .unwrap();
-    }
-    assert_eq!(p.db().table("words").unwrap().is_paged(), paged);
-    let delegate = DbView::Delegate { initiator: "A".into() };
-    let mut trace = Vec::new();
-    for o in ops {
-        let line = match o {
-            Op::Insert { delegate: d, word, freq } => {
-                let view = if *d { &delegate } else { &DbView::Primary };
-                format!(
-                    "insert {:?}",
-                    p.insert(
-                        view,
-                        "words",
-                        &[("word", word.as_str().into()), ("frequency", (*freq).into())]
-                    )
-                )
-            }
-            Op::Update { id, freq } => format!(
-                "update {:?}",
-                p.update(
-                    &delegate,
-                    "words",
-                    &[("frequency", (*freq).into())],
-                    Some("_id = ?"),
-                    &[Value::Integer(*id as i64 + 1)],
-                )
-            ),
-            Op::Delete { id } => format!(
-                "delete {:?}",
-                p.delete(&delegate, "words", Some("_id = ?"), &[Value::Integer(*id as i64 + 1)])
-            ),
-            Op::Query { delegate: d, by_word, limit } => {
-                let view = if *d { &delegate } else { &DbView::Primary };
-                let opts = QueryOpts {
-                    columns: vec!["_id".into(), "word".into(), "frequency".into()],
-                    where_clause: by_word.as_ref().map(|_| "word = ?".into()),
-                    order_by: Some("_id".into()),
-                    limit: *limit,
-                };
-                let params: Vec<Value> = by_word.iter().map(|w| Value::Text(w.clone())).collect();
-                let first = snap_query(&p, view, &opts, &params);
-                let second = snap_query(&p, view, &opts, &params);
-                format!("query {first:?} / {second:?}")
-            }
-            Op::CreateIndex => format!(
-                "create-index {:?}",
-                p.execute_batch("CREATE INDEX IF NOT EXISTS idx_word ON words(word);")
-            ),
-            Op::DropIndex => {
-                format!("drop-index {:?}", p.execute_batch("DROP INDEX IF EXISTS idx_word;"))
-            }
-            Op::AlterRowidStart(n) => format!(
-                "alter-rowid {:?}",
-                p.execute_batch(&format!("ALTER TABLE words ROWID START {n};"))
-            ),
-            Op::ClearVol => format!("clear-vol {:?}", p.clear_volatile("A")),
-        };
-        trace.push(line);
-    }
-    let all = QueryOpts { order_by: Some("_id".into()), ..Default::default() };
-    trace.push(format!("final-pub {:?}", snap_query(&p, &DbView::Primary, &all, &[])));
-    trace.push(format!("final-del {:?}", snap_query(&p, &delegate, &all, &[])));
-    trace
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -254,19 +167,19 @@ proptest! {
     /// query/DDL/fork interleavings.
     #[test]
     fn cached_run_matches_uncached(ops in proptest::collection::vec(op(), 1..24)) {
-        prop_assert_eq!(run_trace(&ops, true), run_trace(&ops, false));
+        prop_assert_eq!(run_trace(&ops, true, false), run_trace(&ops, false, false));
     }
 
     /// Reader queries are pure: serving every query through a thread
-    /// reader bound to the live catalog is byte-identical to the
-    /// serialized cache-off oracle, across the same random
+    /// reader bound to the live catalog, on warm caches, is byte-identical
+    /// to the serialized cache-off oracle, across the same random
     /// query/DDL/fork/volatile-clear interleavings, whether the tables
     /// are resident or paged.
     #[test]
     fn snapshot_reads_match_serialized_oracle(ops in proptest::collection::vec(op(), 1..24)) {
-        let oracle = run_trace(&ops, false);
-        prop_assert_eq!(&run_trace_snapshot(&ops, false), &oracle);
-        prop_assert_eq!(&run_trace_snapshot(&ops, true), &oracle);
+        let oracle = run_trace(&ops, false, false);
+        prop_assert_eq!(&run_trace(&ops, true, false), &oracle);
+        prop_assert_eq!(&run_trace(&ops, true, true), &oracle);
     }
 }
 
@@ -389,7 +302,7 @@ fn cached_run_reports_cache_traffic() {
     let ops: Vec<Op> = (0..12)
         .map(|i| Op::Query { delegate: i % 2 == 0, by_word: Some("alpha".into()), limit: None })
         .collect();
-    let _ = run_trace(&ops, true);
+    let _ = run_trace(&ops, true, false);
     // run_trace builds its own proxy, so re-run inline to inspect stats.
     let mut p = CowProxy::new();
     p.execute_batch("CREATE TABLE words (_id INTEGER PRIMARY KEY, word TEXT);").unwrap();

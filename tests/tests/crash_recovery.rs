@@ -353,6 +353,8 @@ fn replay_into_cache_enabled_database_matches_cold() {
     db.set_statement_caches(false);
     let mut cold = UserDictionaryProvider::open(None, Some(db));
     cold.proxy_mut().set_rewrite_cache(false);
+    cold.proxy().db().stats.reset();
+    let rewrites = cold.proxy().rewrite_cache_stats();
     let cold_fp = Fingerprint {
         public_words: q(&mut cold, &Caller::normal("bystander"), &words_uri()),
         delegate_words: q(&mut cold, &Caller::delegate(DELEGATE, INITIATOR), &words_uri()),
@@ -360,6 +362,9 @@ fn replay_into_cache_enabled_database_matches_cold() {
         files: cold_files,
     };
     assert_eq!(cold_fp, warm_fp, "cache-disabled replay must match the cached one");
+    let stats = &cold.proxy().db().stats;
+    assert_eq!(stats.stmt_cache_hits.get() + stats.stmt_cache_misses.get(), 0, "queried cold");
+    assert_eq!(cold.proxy().rewrite_cache_stats(), rewrites, "rewrote every query afresh");
 }
 
 #[test]
