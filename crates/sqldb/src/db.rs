@@ -115,6 +115,13 @@ pub struct Stats {
     /// Access-path lines dropped because the cap was reached. Non-zero
     /// means [`Stats::access_paths`] is an incomplete record.
     pub access_paths_dropped: Counter,
+    /// A reader's sink: the stats of the live database it reads. The
+    /// reader counts privately while its query runs, so a traced
+    /// statement's counter deltas are its own, adds its counts to the
+    /// sink when it lets go of the maps ([`Stats::flush`]), and notes
+    /// its access paths in the sink's log. `None` for a database's own
+    /// stats.
+    sink: Option<Arc<Stats>>,
 }
 
 /// Retention cap for [`Stats::access_paths`].
@@ -135,9 +142,19 @@ struct Prepared {
 }
 
 impl Stats {
-    /// Resets all counters.
-    pub fn reset(&self) {
-        for c in [
+    /// Stats for a reader of the database whose stats are `sink`.
+    pub(crate) fn sinking_into(sink: &Arc<Stats>) -> Stats {
+        Stats { sink: Some(Arc::clone(sink)), ..Stats::default() }
+    }
+
+    /// True when these are a reader's stats sinking into `live`.
+    pub(crate) fn sinks_into(&self, live: &Arc<Stats>) -> bool {
+        self.sink.as_ref().is_some_and(|s| Arc::ptr_eq(s, live))
+    }
+
+    /// The execution counters (every counter but the access-path ones).
+    fn counters(&self) -> [&Counter; 11] {
+        [
             &self.rows_scanned,
             &self.point_lookups,
             &self.index_probes,
@@ -149,24 +166,48 @@ impl Stats {
             &self.plan_cache_hits,
             &self.plan_cache_misses,
             &self.plan_cache_invalidations,
-            &self.access_paths_dropped,
-        ] {
+        ]
+    }
+
+    /// Resets all counters.
+    pub fn reset(&self) {
+        for c in self.counters().into_iter().chain([&self.access_paths_dropped]) {
             c.0.store(0, Relaxed);
         }
         self.access_paths.lock().clear();
+    }
+
+    /// Adds a reader's counts to its sink and zeroes them; nothing for
+    /// stats without a sink.
+    pub(crate) fn flush(&self) {
+        let Some(sink) = &self.sink else { return };
+        for (mine, live) in self.counters().into_iter().zip(sink.counters()) {
+            let n = mine.get();
+            if n != 0 {
+                mine.0.store(0, Relaxed);
+                live.add(n);
+            }
+        }
+    }
+
+    /// The stats whose access-path log these note into: the sink's for a
+    /// reader, else their own.
+    fn log(&self) -> &Stats {
+        self.sink.as_deref().unwrap_or(self)
     }
 
     /// Records one EXPLAIN-style access-path line, rendered only when it
     /// will be retained, so steady-state workloads past the cap skip the
     /// formatting allocation. Past the cap the line is dropped and
     /// [`Stats::access_paths_dropped`] is incremented, so truncation is
-    /// always detectable.
+    /// always detectable. A reader notes into its sink's log.
     pub fn note_access_path_with(&self, line: impl FnOnce() -> String) {
-        let mut log = self.access_paths.lock();
+        let this = self.log();
+        let mut log = this.access_paths.lock();
         if log.len() < ACCESS_PATH_LOG_CAP {
             log.push(line());
         } else {
-            self.access_paths_dropped.add(1);
+            this.access_paths_dropped.add(1);
         }
     }
 
@@ -253,7 +294,8 @@ pub struct Database {
     /// plans again on its first run after a change.
     pub flatten_policy: FlattenPolicy,
     /// Execution counters. A [`crate::SnapshotReader`] bound to this
-    /// database counts into the same ones.
+    /// database adds its counts to them when it lets go of the maps, and
+    /// notes its access paths in their log.
     pub stats: Arc<Stats>,
     /// Statement cache: SQL text -> the parsed statement and its plan.
     /// Providers issue the same statement shapes repeatedly; SQLite's
@@ -290,8 +332,9 @@ pub struct Database {
 // [`crate::SnapshotReader`] to the live catalog (three `Arc` clones) and
 // lets go before its shared guard drops, so a writer never finds a map a
 // reader holds. The reader follows this database's cache switch and
-// counts into its `stats`. The cache's mutex and the relaxed counters
-// are there for `Sync`; nothing contends on the mutex on the write path.
+// adds its counts to its `stats` as it lets go. The cache's mutex and
+// the relaxed counters are there for `Sync`; nothing contends on the
+// mutex on the write path.
 const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Database>();
@@ -333,7 +376,7 @@ impl StatsMark {
             plan_cache_hits: stats.plan_cache_hits.get(),
             plan_cache_misses: stats.plan_cache_misses.get(),
             plan_cache_invalidations: stats.plan_cache_invalidations.get(),
-            access_paths_len: stats.access_paths.lock().len(),
+            access_paths_len: stats.log().access_paths.lock().len(),
         })
     }
 
@@ -375,7 +418,7 @@ impl StatsMark {
             "sqldb.plan_cache_invalidations",
             stats.plan_cache_invalidations.get() - self.plan_cache_invalidations,
         );
-        let paths = stats.access_paths.lock();
+        let paths = stats.log().access_paths.lock();
         for line in paths.iter().skip(self.access_paths_len) {
             sp.field("access_path", line.clone());
         }

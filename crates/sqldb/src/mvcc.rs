@@ -13,7 +13,7 @@
 //! reference counting when the last holder drops them; nothing tracks
 //! readers, and no background thread is involved.
 
-use crate::db::{Catalog, Database};
+use crate::db::{Catalog, Database, Stats};
 use std::sync::Arc;
 
 /// Point-in-time MVCC counters, from [`Database::mvcc_stats`].
@@ -37,10 +37,11 @@ pub struct MvccStats {
 /// holds, persists across binds; a bind under another catalog generation
 /// makes the plans stale, so steady-state reads pay no re-parse or
 /// re-plan and share no cache with other threads. A bind also follows
-/// the live database's cache switch ([`Database::set_statement_caches`]),
-/// and the reader counts into the live database's
-/// [`Database::stats`], so a query reads the same whether it runs
-/// on a reader or on the live database.
+/// the live database's cache switch ([`Database::set_statement_caches`]).
+/// The reader counts privately while its query runs and adds its counts
+/// to the live database's [`Database::stats`] when it lets go of the
+/// maps, so the live stats count every query whichever thread ran it,
+/// and a traced statement's counter deltas are its own.
 ///
 /// A reader must only ever be bound to one database (catalog generations
 /// of different databases are not comparable). One reader per thread per
@@ -72,8 +73,8 @@ impl SnapshotReader {
     pub fn bind(&mut self, live: &Database) -> &Database {
         self.db.catalog = live.catalog.clone();
         self.db.flatten_policy = live.flatten_policy;
-        if !Arc::ptr_eq(&self.db.stats, &live.stats) {
-            self.db.stats = Arc::clone(&live.stats);
+        if !self.db.stats.sinks_into(&live.stats) {
+            self.db.stats = Arc::new(Stats::sinking_into(&live.stats));
         }
         let caches = live.statement_caches_enabled();
         if self.db.statement_caches_enabled() != caches {
@@ -90,10 +91,12 @@ impl SnapshotReader {
 
     /// Lets go of the bound catalog: the reader holds empty maps until the
     /// next [`SnapshotReader::bind`], so a write that follows copies no map
-    /// for it. The statement cache, its plans and the catalog generation
-    /// are kept, so a rebind under the same generation keeps every plan.
+    /// for it, and adds its counts to the live database's stats. The
+    /// statement cache, its plans and the catalog generation are kept, so
+    /// a rebind under the same generation keeps every plan.
     pub fn release(&mut self) {
         self.db.catalog = self.empty.clone();
+        self.db.stats.flush();
     }
 
     /// The underlying read-only database view (the bound catalog, or empty

@@ -225,3 +225,43 @@ fn histogram_shape_sanity() {
     assert_eq!(h.max, 1024);
     assert_eq!(h.sum, 0 + 1 + 2 + 3 + 4 + 1023 + 1024);
 }
+
+/// Traced readers of one proxy on two threads mirror only their own
+/// work: each statement's counter deltas come from its reader's private
+/// counts, so the obs registry's totals equal the live `db.stats`.
+#[test]
+fn concurrent_readers_mirror_their_own_counts() {
+    let _g = GATE.lock().unwrap();
+    let mut p = CowProxy::new();
+    p.execute_batch("CREATE TABLE words (_id INTEGER PRIMARY KEY, word TEXT);").unwrap();
+    for i in 0..10 {
+        p.insert(&DbView::Primary, "words", &[("word", format!("w{i}").into())]).unwrap();
+    }
+    let q = QueryOpts { where_clause: Some("_id = ?".into()), ..Default::default() };
+    let p = std::sync::RwLock::new(p);
+    p.read().unwrap().db().stats.reset();
+    maxoid_obs::enable();
+    maxoid_obs::reset();
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                for i in 0..2_000 {
+                    let id = maxoid_sqldb::Value::Integer(i % 10 + 1);
+                    p.read().unwrap().query(&DbView::Primary, "words", &q, &[id]).unwrap();
+                }
+            });
+        }
+    });
+    maxoid_obs::disable();
+    let counters = maxoid_obs::take_snapshot().counters;
+    let p = p.into_inner().unwrap();
+    let stats = &p.db().stats;
+    assert_eq!(stats.point_lookups.get(), 4_000);
+    for (name, live) in [
+        ("sqldb.point_lookups", stats.point_lookups.get()),
+        ("sqldb.rows_cloned", stats.rows_cloned.get()),
+        ("sqldb.stmt_cache_hits", stats.stmt_cache_hits.get()),
+    ] {
+        assert_eq!(counters.get(name).copied().unwrap_or(0), live, "{name}");
+    }
+}
