@@ -10,8 +10,9 @@
 //! every shared guard, therefore never finds a map a reader holds and
 //! copies nothing for one. The thread's caches are switched on and off
 //! with the proxy's ([`maxoid_sqldb::Database::set_statement_caches`],
-//! [`crate::CowProxy::set_rewrite_cache`]) and count into the proxy's
-//! counters, so the proxy's stats see every query.
+//! [`crate::CowProxy::set_rewrite_cache`]), and their counts reach the
+//! proxy's counters (the statement counts as the reader lets go), so the
+//! proxy's stats see every query.
 //!
 //! Two invariants keep this exact:
 //!
